@@ -1,10 +1,12 @@
 """Timings for the hot kernels, compiled vs pure-numpy fallback.
 
-Run with no arguments: the script re-executes itself twice as a child
-process, once with SPARSEOBS_NUMBA=1 and once with SPARSEOBS_NUMBA=0 (the
-dispatch flag is read at import time, so each path needs a fresh
-interpreter), then prints a side-by-side table.  Each child warms every
-kernel before timing, so JIT compilation never lands in a measured region.
+Run with no arguments: the script re-executes itself as a child process
+with SPARSEOBS_NUMBA=1 and, when that child compiled its kernels, once more
+with SPARSEOBS_NUMBA=0 (the dispatch flag is read at import time, so each
+path needs a fresh interpreter), then prints a side-by-side table.  Without
+numba both modes would run the same numpy code, so only the numpy column is
+printed.  Each child warms every kernel before timing, so JIT compilation
+never lands in a measured region.
 
 Usage:
     python3 benchmarks/bench_kernels.py [--repeats N]
@@ -75,31 +77,37 @@ def run_child(repeats):
     print(json.dumps({"compiled": accel.NUMBA_ACTIVE, "timings": results}))
 
 
+def _child(flag, repeats):
+    env = dict(os.environ, SPARSEOBS_NUMBA=flag)
+    proc = subprocess.run(
+        [sys.executable, os.path.abspath(__file__), "--child", "--repeats", str(repeats)],
+        env=env,
+        capture_output=True,
+        text=True,
+    )
+    if proc.returncode != 0:
+        sys.stderr.write(proc.stderr)
+        raise SystemExit(proc.returncode)
+    return json.loads(proc.stdout.strip().splitlines()[-1])
+
+
 def run_parent(repeats):
-    docs = {}
-    for flag in ("1", "0"):
-        env = dict(os.environ, SPARSEOBS_NUMBA=flag)
-        proc = subprocess.run(
-            [sys.executable, os.path.abspath(__file__), "--child", "--repeats", str(repeats)],
-            env=env,
-            capture_output=True,
-            text=True,
-        )
-        if proc.returncode != 0:
-            sys.stderr.write(proc.stderr)
-            raise SystemExit(proc.returncode)
-        docs[flag] = json.loads(proc.stdout.strip().splitlines()[-1])
-
-    if not docs["1"]["compiled"]:
-        print("note: numba unavailable, both columns ran the numpy fallback\n")
-
-    names = list(docs["1"]["timings"])
+    compiled = _child("1", repeats)
+    names = list(compiled["timings"])
     width = max(len(n) for n in names)
+    if not compiled["compiled"]:
+        print("numba unavailable: timing the numpy path only\n")
+        print(f"{'kernel':<{width}}  {'numpy':>10}")
+        print("-" * (width + 12))
+        for name in names:
+            print(f"{name:<{width}}  {compiled['timings'][name] * 1e3:>8.3f}ms")
+        return
+    fallback = _child("0", repeats)
     print(f"{'kernel':<{width}}  {'compiled':>10}  {'fallback':>10}  {'speedup':>8}")
     print("-" * (width + 34))
     for name in names:
-        fast = docs["1"]["timings"][name]
-        slow = docs["0"]["timings"][name]
+        fast = compiled["timings"][name]
+        slow = fallback["timings"][name]
         print(f"{name:<{width}}  {fast * 1e3:>8.3f}ms  {slow * 1e3:>8.3f}ms  {slow / fast:>7.1f}x")
 
 

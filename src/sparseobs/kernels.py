@@ -6,7 +6,8 @@ Kernel bodies are plain numpy restricted to numba's nopython subset, so one
 source serves both the jitted path (default) and the fallback.  The support
 scan additionally has a vectorized numpy variant used when numba is off, since
 the scalar loop is only fast once compiled.  benchmarks/bench_kernels.py times
-the two paths against each other.
+the two paths against each other.  The batched flow Jacobian, which advances
+many states in lockstep for the combinatorial oracle, is numpy only.
 
 All array arguments must be float64; matrices must be C-contiguous.
 """
@@ -99,6 +100,41 @@ def _rk4_flow_jacobian(kind, M, c, x0, T, n_steps):
 
 
 rk4_flow_jacobian = jit_kernel(_rk4_flow_jacobian)
+
+
+def rk4_flow_jacobian_batch(kind, M, c, X0, T, n_steps):
+    """Final states (k, m) and sensitivities (k, m, m) from each row of X0,
+    taking the RK4 stages of _rk4_flow_jacobian for all rows at once.
+
+    Plain numpy, never jitted: nopython mode has no 3-d matmul.
+    """
+    k, m = X0.shape
+    MT = M.T
+
+    def stage(X, P):
+        # right-hand side and Jacobian-times-sensitivity at every row
+        if kind == RHS_ZERO:
+            return np.zeros_like(X), np.zeros_like(P)
+        Y = X @ MT
+        MP = np.matmul(M, P)
+        if kind == RHS_LINEAR:
+            return Y, MP
+        if kind == RHS_AFFINE:
+            return Y + c, MP
+        Y = np.tanh(Y)
+        return Y, (1.0 - Y * Y)[:, :, None] * MP
+
+    X = X0.copy()
+    P = np.repeat(np.eye(m)[None], k, axis=0)
+    h = T / n_steps
+    for _ in range(n_steps):
+        k1, K1 = stage(X, P)
+        k2, K2 = stage(X + 0.5 * h * k1, P + 0.5 * h * K1)
+        k3, K3 = stage(X + 0.5 * h * k2, P + 0.5 * h * K2)
+        k4, K4 = stage(X + h * k3, P + h * K3)
+        X = X + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        P = P + (h / 6.0) * (K1 + 2.0 * K2 + 2.0 * K3 + K4)
+    return X, P
 
 
 def _admm_lasso(F_inv, Phi_t_y, rho, thresh, z0, u0, max_iter, tol):

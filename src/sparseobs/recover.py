@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernels
-from .errors import BudgetError, DomainError, InfeasibleError, ShapeError
+from .errors import BudgetError, DomainError, InfeasibleError, NumericalError, ShapeError
 from .model import RecoveryOutcome, SparseProblem, weighted_l1_norm
 from .ode import IntegrationConfig, flow_with_jacobian, integrate
 
@@ -31,6 +31,10 @@ DEFAULT_ORACLE_BUDGET = 100_000
 
 # slack on the oracle's feasibility test, well under every reporting tolerance
 _ORACLE_FEAS_SLACK = 1e-9
+
+# the oracle fits supports in blocks whose flow Jacobians hold at most this
+# many floats, which bounds its memory whatever the level size
+_ORACLE_BLOCK_FLOATS = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -259,41 +263,71 @@ def recover_initial_state(
     )
 
 
-def _support_fit(system, A, b, T, icfg, support):
-    """Damped Gauss-Newton fit of the initial state restricted to support,
-    starting from zero.  Returns (full state, residual norm)."""
-    m = system.dim
+def _flow_rows(system, X, T, icfg, flow0):
+    """Final states (k, m) and flow Jacobians (k, m, m) from each row of X.
+    flow0 is the flow and its Jacobian at 0, which fix an affine flow
+    exactly."""
+    if system.kind in _AFFINE_FLOW_KINDS:
+        xT0, P0 = flow0
+        return xT0 + X @ P0.T, np.broadcast_to(P0, (X.shape[0],) + P0.shape)
+    if icfg.mode != "fixed":
+        pairs = [flow_with_jacobian(system, x, T, icfg) for x in X]
+        return np.array([xT for xT, _ in pairs]), np.array([P for _, P in pairs])
+    kind, M, c = system.kernel_args()
+    XT, P = kernels.rk4_flow_jacobian_batch(kind, M, c, X, T, icfg.step_count)
+    finite = np.all(np.isfinite(XT), axis=1) & np.all(np.isfinite(P), axis=(1, 2))
+    if not np.all(finite):
+        # rerun the plain state integration for the blow-up time diagnostic
+        integrate(system, X[np.argmin(finite)], T, icfg)
+        raise NumericalError("sensitivity integration produced non-finite values", time=T)
+    return XT, P
+
+
+def _fit_supports(system, A, b, T, icfg, flow0, supports):
+    """Damped Gauss-Newton fits of the initial state restricted to each row
+    of supports (count, k), all starting from zero and stepping in lockstep.
+    Returns the fitted states (count, m) and their residual norms (count,)."""
+    xT0, P0 = flow0
+    count = supports.shape[0]
     b_scale = max(1.0, float(np.linalg.norm(b)))
-    x = np.zeros(m)
-    xT, P = flow_with_jacobian(system, x, T, icfg)
-    r = b - A @ xT
-    rn = float(np.linalg.norm(r))
-    if len(support) == 0:
-        return x, rn
-    cols = np.array(support, dtype=np.intp)
+    X = np.zeros((count, xT0.shape[0]))
+    # each fit needs only its support's columns of the flow Jacobian
+    PS = P0[:, supports].transpose(1, 0, 2)
+    R = np.tile(b - A @ xT0, (count, 1))
+    rn = np.linalg.norm(R, axis=1)
+    active = np.ones(count, dtype=bool)
     for _ in range(60):
-        if rn <= 1e-14 * b_scale:
+        active &= rn > 1e-14 * b_scale
+        rows = np.flatnonzero(active)
+        if rows.size == 0:
             break
-        J = (A @ P)[:, cols]
-        step, *_ = np.linalg.lstsq(J, r, rcond=None)
-        if float(np.linalg.norm(step)) <= 1e-13 * max(1.0, float(np.linalg.norm(x))):
-            break
-        t = 1.0
-        accepted = False
-        while t >= 2.0**-20:
-            x_try = x.copy()
-            x_try[cols] += t * step
-            xT_try, P_try = flow_with_jacobian(system, x_try, T, icfg)
-            r_try = b - A @ xT_try
-            rn_try = float(np.linalg.norm(r_try))
-            if rn_try < rn:
-                accepted = True
-                break
-            t *= 0.5
-        if not accepted:
-            break
-        x, xT, P, r, rn = x_try, xT_try, P_try, r_try, rn_try
-    return x, rn
+        J = np.matmul(A, PS[rows])
+        steps = np.array([np.linalg.lstsq(Jr, R[i], rcond=None)[0] for Jr, i in zip(J, rows)])
+        tiny = np.linalg.norm(steps, axis=1) <= 1e-13 * np.maximum(
+            1.0, np.linalg.norm(X[rows], axis=1)
+        )
+        active[rows[tiny]] = False
+        rows, steps = rows[~tiny], steps[~tiny]
+        # every pending fit tries its current damping in one batched flow
+        t = np.ones(rows.size)
+        while rows.size:
+            X_try = X[rows]
+            X_try[np.arange(rows.size)[:, None], supports[rows]] += t[:, None] * steps
+            XT_try, P_try = _flow_rows(system, X_try, T, icfg, flow0)
+            R_try = b - XT_try @ A.T
+            rn_try = np.linalg.norm(R_try, axis=1)
+            ok = rn_try < rn[rows]
+            done = rows[ok]
+            X[done] = X_try[ok]
+            PS[done] = np.take_along_axis(P_try[ok], supports[done][:, None, :], axis=2)
+            R[done] = R_try[ok]
+            rn[done] = rn_try[ok]
+            t = 0.5 * t[~ok]
+            rows, steps = rows[~ok], steps[~ok]
+            failed = t < 2.0**-20
+            active[rows[failed]] = False
+            rows, steps, t = rows[~failed], steps[~failed], t[~failed]
+    return X, rn
 
 
 def l0_oracle(
@@ -304,7 +338,8 @@ def l0_oracle(
     """Exhaustive sparse recovery: fit the initial state on every support of
     size 0..sparsity (lexicographic order, sizes ascending) by restricted
     nonlinear least squares and return the first feasible fit, preferring
-    smaller supports, then smaller residuals, then earlier supports.
+    smaller supports, then smaller residuals, then earlier supports.  All
+    supports of one size are fitted together, in lockstep.
 
     Refuses with BudgetError when the support count exceeds budget.  When no
     support reaches the noise radius, returns the best fit found with
@@ -323,37 +358,43 @@ def l0_oracle(
         )
 
     meas = problem.measurement
-    eps = meas.noise_radius
-    feas_cut = eps + _ORACLE_FEAS_SLACK
-    examined = 0
-    best_x = None
-    best_rn = float("inf")
-    for k in range(s + 1):
+    A = meas.matrix
+    b = problem.observation
+    T = meas.time
+    feas_cut = meas.noise_radius + _ORACLE_FEAS_SLACK
+
+    def outcome(x, rn, examined, converged):
+        return RecoveryOutcome(
+            estimate=x,
+            residual=rn,
+            weighted_l1=weighted_l1_norm(x, meas.weights),
+            iterations=examined,
+            converged=converged,
+        )
+
+    # every fit starts from zero, which is also the empty support's fit
+    flow0 = flow_with_jacobian(problem.system, np.zeros(m), T, icfg)
+    best_x = np.zeros(m)
+    best_rn = float(np.linalg.norm(b - A @ flow0[0]))
+    examined = 1
+    if best_rn <= feas_cut:
+        return outcome(best_x, best_rn, examined, True)
+    block_rows = max(1, _ORACLE_BLOCK_FLOATS // (m * m))
+    for k in range(1, s + 1):
         level_x = None
         level_rn = float("inf")
-        for support in itertools.combinations(range(m), k):
-            x, rn = _support_fit(
-                problem.system, meas.matrix, problem.observation, meas.time, icfg, support
+        combos = itertools.combinations(range(m), k)
+        while block := list(itertools.islice(combos, block_rows)):
+            X, rn = _fit_supports(
+                problem.system, A, b, T, icfg, flow0, np.array(block, dtype=np.intp)
             )
-            examined += 1
-            if rn < best_rn:
-                best_rn = rn
-                best_x = x
-            if rn <= feas_cut and rn < level_rn:
-                level_rn = rn
-                level_x = x
+            examined += len(block)
+            # argmin picks the earliest of equal residuals
+            j = int(np.argmin(rn))
+            if rn[j] < best_rn:
+                best_rn, best_x = float(rn[j]), X[j]
+            if rn[j] <= feas_cut and rn[j] < level_rn:
+                level_rn, level_x = float(rn[j]), X[j]
         if level_x is not None:
-            return RecoveryOutcome(
-                estimate=level_x,
-                residual=level_rn,
-                weighted_l1=weighted_l1_norm(level_x, meas.weights),
-                iterations=examined,
-                converged=True,
-            )
-    return RecoveryOutcome(
-        estimate=best_x,
-        residual=best_rn,
-        weighted_l1=weighted_l1_norm(best_x, meas.weights),
-        iterations=examined,
-        converged=False,
-    )
+            return outcome(level_x, level_rn, examined, True)
+    return outcome(best_x, best_rn, examined, False)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
+from sparseobs import kernels
 from sparseobs.errors import DomainError, NumericalError, ShapeError
 from sparseobs.model import DynamicalSystem, lipschitz_bound
 from sparseobs.ode import (
@@ -204,6 +205,20 @@ def test_flow_jacobian_adaptive_mode():
 def test_flow_jacobian_blowup_raises():
     with pytest.raises(NumericalError):
         flow_with_jacobian(DynamicalSystem.linear([[100.0]]), np.array([1.0]), 10.0)
+
+
+@pytest.mark.parametrize("k", [1, 5])
+def test_batched_flow_jacobian_matches_single_state_kernel(k):
+    rng = np.random.Generator(np.random.Philox(k))
+    for system in catalog_systems(5, 904):
+        kind, M, c = system.kernel_args()
+        X0 = rng.normal(size=(k, 5)) * 0.5
+        XT, P = kernels.rk4_flow_jacobian_batch(kind, M, c, X0, 0.7, 64)
+        assert XT.shape == (k, 5) and P.shape == (k, 5, 5)
+        for x0, xT_row, P_row in zip(X0, XT, P):
+            xT, P1 = kernels.rk4_flow_jacobian(kind, M, c, x0, 0.7, 64)
+            np.testing.assert_allclose(xT_row, xT, rtol=0, atol=1e-13)
+            np.testing.assert_allclose(P_row, P1, rtol=0, atol=1e-13)
 
 
 # --- gronwall ----------------------------------------------------------------

@@ -1,10 +1,18 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
 
+from sparseobs import kernels, recover
 from sparseobs.certify import observability_horizon
-from sparseobs.errors import BudgetError, DomainError, InfeasibleError, ShapeError
+from sparseobs.errors import (
+    BudgetError,
+    DomainError,
+    InfeasibleError,
+    NumericalError,
+    ShapeError,
+)
 from sparseobs.harness import gen_gaussian_matrix
 from sparseobs.model import (
     DynamicalSystem,
@@ -12,7 +20,7 @@ from sparseobs.model import (
     SparseProblem,
     weighted_l1_norm,
 )
-from sparseobs.ode import IntegrationConfig, integrate
+from sparseobs.ode import IntegrationConfig, flow_with_jacobian, integrate
 from sparseobs.recover import (
     SolverConfig,
     l0_oracle,
@@ -21,7 +29,7 @@ from sparseobs.recover import (
 )
 from sparseobs.rip import operator_norm, rip_constant_exact
 
-from conftest import gaussian_unit_columns, unit_spectral_matrix
+from conftest import catalog_systems, gaussian_unit_columns, unit_spectral_matrix
 
 
 def _problem(system, A, x0, T, eps=0.0, s=1, weights=None, noise=None):
@@ -325,3 +333,173 @@ def test_objective_dominance_on_converged_runs():
     out = recover_initial_state(problem)
     assert out.converged
     assert out.weighted_l1 <= weighted_l1_norm(x0, w) + 1e-6
+
+
+# --- lockstep oracle against a per-support reference ------------------------------
+
+
+def _reference_support_fit(system, A, b, T, icfg, support):
+    """The oracle's fit one support at a time: damped Gauss-Newton on the
+    initial state restricted to support, starting from zero, one flow
+    integration per trial point.  Returns (state, residual norm, iterations
+    begun)."""
+    m = system.dim
+    b_scale = max(1.0, float(np.linalg.norm(b)))
+    x = np.zeros(m)
+    xT, P = flow_with_jacobian(system, x, T, icfg)
+    r = b - A @ xT
+    rn = float(np.linalg.norm(r))
+    if len(support) == 0:
+        return x, rn, 0
+    cols = np.array(support, dtype=np.intp)
+    iterations = 0
+    for _ in range(60):
+        iterations += 1
+        if rn <= 1e-14 * b_scale:
+            break
+        J = (A @ P)[:, cols]
+        step, *_ = np.linalg.lstsq(J, r, rcond=None)
+        if float(np.linalg.norm(step)) <= 1e-13 * max(1.0, float(np.linalg.norm(x))):
+            break
+        t = 1.0
+        accepted = False
+        while t >= 2.0**-20:
+            x_try = x.copy()
+            x_try[cols] += t * step
+            xT_try, P_try = flow_with_jacobian(system, x_try, T, icfg)
+            r_try = b - A @ xT_try
+            rn_try = float(np.linalg.norm(r_try))
+            if rn_try < rn:
+                accepted = True
+                break
+            t *= 0.5
+        if not accepted:
+            break
+        x, xT, P, r, rn = x_try, xT_try, P_try, r_try, rn_try
+    return x, rn, iterations
+
+
+def _reference_oracle(problem, icfg):
+    """(estimate, residual, supports examined, converged) chosen from the
+    reference fits: smaller support, then smaller residual, then earlier."""
+    meas = problem.measurement
+    feas_cut = meas.noise_radius + 1e-9
+    examined, best_x, best_rn = 0, None, math.inf
+    for k in range(problem.sparsity + 1):
+        level_x, level_rn = None, math.inf
+        for support in itertools.combinations(range(problem.system.dim), k):
+            x, rn, _ = _reference_support_fit(
+                problem.system, meas.matrix, problem.observation, meas.time, icfg, support
+            )
+            examined += 1
+            if rn < best_rn:
+                best_x, best_rn = x, rn
+            if rn <= feas_cut and rn < level_rn:
+                level_x, level_rn = x, rn
+        if level_x is not None:
+            return level_x, level_rn, examined, True
+    return best_x, best_rn, examined, False
+
+
+def _tanh_pair_problem():
+    M = unit_spectral_matrix(6, 7)
+    x0 = np.zeros(6)
+    x0[[1, 4]] = [0.9, -1.2]
+    return _problem(
+        DynamicalSystem.tanh_saturated(M.tolist()), gen_gaussian_matrix(40, 6, 1003), x0, T=0.5, s=2
+    )
+
+
+def _assert_oracle_matches_reference(problem, icfg):
+    ref_x, ref_rn, ref_examined, ref_converged = _reference_oracle(problem, icfg)
+    out = l0_oracle(problem, icfg)
+    assert out.converged == ref_converged
+    assert out.iterations == ref_examined
+    np.testing.assert_allclose(out.estimate, ref_x, rtol=0, atol=1e-10)
+    assert out.residual == pytest.approx(ref_rn, rel=1e-6, abs=1e-12)
+    return out
+
+
+def test_lockstep_support_fits_match_per_support_reference():
+    problem = _tanh_pair_problem()
+    meas = problem.measurement
+    icfg = IntegrationConfig.fixed(32)
+    supports = np.array(list(itertools.combinations(range(6), 2)), dtype=np.intp)
+    ref = [
+        _reference_support_fit(
+            problem.system, meas.matrix, problem.observation, meas.time, icfg, sup
+        )
+        for sup in supports
+    ]
+    # the fits stop at different iterations, so lockstep bookkeeping matters
+    assert len({it for _, _, it in ref}) > 1
+    flow0 = flow_with_jacobian(problem.system, np.zeros(6), meas.time, icfg)
+    X, rn = recover._fit_supports(
+        problem.system, meas.matrix, problem.observation, meas.time, icfg, flow0, supports
+    )
+    # a support that cannot fit the data stops on a flat residual minimum,
+    # where rounding moves the stopping point by about sqrt(machine eps)
+    for (x_ref, rn_ref, _), x, r in zip(ref, X, rn):
+        np.testing.assert_allclose(x, x_ref, rtol=0, atol=1e-7)
+        assert r == pytest.approx(rn_ref, rel=1e-8, abs=1e-12)
+    out = _assert_oracle_matches_reference(problem, icfg)
+    assert out.converged
+    assert set(np.flatnonzero(out.estimate)) == {1, 4}
+
+
+def test_lockstep_oracle_matches_reference_in_adaptive_mode():
+    _assert_oracle_matches_reference(_tanh_pair_problem(), IntegrationConfig.adaptive())
+
+
+@pytest.mark.parametrize("block_floats", [None, 16])
+def test_oracle_prefers_smaller_then_earlier_residual_across_blocks(block_floats, monkeypatch):
+    # singletons {0} and {2} tie at residual sqrt(5.25) < eps; {1} and {3} miss
+    if block_floats is not None:
+        # one support per block
+        monkeypatch.setattr(recover, "_ORACLE_BLOCK_FLOATS", block_floats)
+    meas = MeasurementModel(matrix=np.eye(4), time=1.0, noise_radius=2.5, weights=np.ones(4))
+    problem = SparseProblem(
+        system=DynamicalSystem.zero(4),
+        measurement=meas,
+        observation=np.array([2.0, 1.0, 2.0, 0.5]),
+        sparsity=2,
+    )
+    out = l0_oracle(problem)
+    assert out.converged
+    np.testing.assert_allclose(out.estimate, [2.0, 0.0, 0.0, 0.0], rtol=0, atol=1e-12)
+    assert out.residual == pytest.approx(math.sqrt(5.25), rel=1e-12)
+    assert out.iterations == 5
+
+
+@pytest.mark.parametrize("kind", ["zero", "linear", "affine"])
+def test_affine_flow_oracle_integrates_once(kind, monkeypatch):
+    system = {s.kind: s for s in catalog_systems(5, 905)}[kind]
+    x0 = np.zeros(5)
+    x0[[0, 3]] = [1.1, -0.7]
+    problem = _problem(system, gen_gaussian_matrix(12, 5, 77), x0, T=0.6, s=2)
+    calls = []
+
+    def counted(fn):
+        def wrapper(*args, **kwargs):
+            calls.append(fn.__name__)
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr(recover, "flow_with_jacobian", counted(flow_with_jacobian))
+    monkeypatch.setattr(
+        kernels, "rk4_flow_jacobian_batch", counted(kernels.rk4_flow_jacobian_batch)
+    )
+    out = l0_oracle(problem)
+    assert calls == ["flow_with_jacobian"]
+    assert out.converged
+    np.testing.assert_allclose(out.estimate, x0, atol=1e-8)
+
+
+def test_lockstep_flow_reports_blowup():
+    system = DynamicalSystem.tanh_saturated((100.0 * np.eye(2)).tolist())
+    # the sensitivity of the row at 0 grows like exp(100 t) and overflows
+    icfg = IntegrationConfig.fixed(256)
+    flow0 = (np.zeros(2), np.eye(2))
+    with pytest.raises(NumericalError), np.errstate(over="ignore", invalid="ignore"):
+        recover._flow_rows(system, np.array([[0.5, 0.5], [0.0, 0.0]]), 10.0, icfg, flow0)
