@@ -1,34 +1,2 @@
-"""Numba dispatch for the hot numeric kernels.
-
-Kernels compile with @njit by default.  Set SPARSEOBS_NUMBA=0 (or false/off/no)
-to force the pure-numpy fallback; it is also taken automatically when numba is
-not importable.  The flag is read once at import time.
-"""
-
-import os
-
-_FALSE_VALUES = ("0", "false", "off", "no")
-
-
-def numba_requested():
-    value = os.environ.get("SPARSEOBS_NUMBA", "1").strip().lower()
-    return value not in _FALSE_VALUES
-
-
+# kernels are plain numpy; pipebench/run.py reads this to stamp its environment
 NUMBA_ACTIVE = False
-_njit = None
-
-if numba_requested():
-    try:
-        from numba import njit as _njit
-
-        NUMBA_ACTIVE = True
-    except ImportError:
-        NUMBA_ACTIVE = False
-
-
-def jit_kernel(fn):
-    """Compile fn with numba when active, otherwise return it unchanged."""
-    if NUMBA_ACTIVE:
-        return _njit(cache=True)(fn)
-    return fn

@@ -37,10 +37,14 @@ from .model import (
 )
 from .ode import IntegrationConfig, integrate
 from .recover import SolverConfig, recover_initial_state
-from .rip import DEFAULT_SUPPORT_BUDGET, operator_norm, rip_constant_bounds, rip_constant_exact
+from .rip import DEFAULT_SUPPORT_BUDGET, operator_norm, rip_constant_exact
 
 # slack used for the recorded bound_satisfied flag
 BOUND_TOL = 1e-6
+
+# the reason a trial records when its exact constant would scan more than
+# rip_budget supports; it then has no certificate and delta_2s is inf
+REASON_RIP_BUDGET = "rip-budget-exceeded"
 
 # fallback horizon when no certified horizon exists (the trial is then
 # recorded as infeasible anyway)
@@ -369,14 +373,14 @@ def _noise_vector(config: ExperimentConfig, trial: int, n: int):
     return e * (config.noise_radius / float(np.linalg.norm(e)))
 
 
-def _trial_delta(A, s2, budget, seed):
-    """Exact constant when the enumeration fits the budget, else the
-    conservative coherence upper bound."""
+def _trial_delta(A, s2, budget):
+    """Exact constant when the enumeration fits the budget, else inf.  The
+    coherence upper bound is no fallback: it needs unit-norm columns, which
+    gen_gaussian_matrix never draws."""
     try:
         return rip_constant_exact(A, s2, budget).delta
     except BudgetError:
-        _, upper = rip_constant_bounds(A, s2, samples=1, seed=seed)
-        return upper.delta
+        return math.inf
 
 
 def _auto_time(lipschitz, delta, tau, a_norm):
@@ -406,7 +410,7 @@ def run_trial(config: ExperimentConfig, trial: int, force: bool = False) -> Tria
     A = gen_gaussian_matrix(config.n, m, _stream_seed(config.seed, trial, 0), config.scale)
     a_norm = operator_norm(A)
     s2 = min(2 * s, m)
-    delta = _trial_delta(A, s2, config.rip_budget, _stream_seed(config.seed, trial, 3))
+    delta = _trial_delta(A, s2, config.rip_budget)
 
     T = config.time if config.time != "auto" else _auto_time(lipschitz, delta, tau, a_norm)
 
@@ -419,7 +423,7 @@ def run_trial(config: ExperimentConfig, trial: int, force: bool = False) -> Tria
     else:
         cert = None
         feasible = False
-        reasons = ("delta-condition",)
+        reasons = (REASON_RIP_BUDGET,)
         obs_T = rec_T = c0 = c1 = None
 
     x0, support, values = _plant_signal(config, trial)
@@ -489,7 +493,7 @@ def run_experiment(config: ExperimentConfig, workers: int = 1, force: bool = Fal
     indices = range(config.trials)
     if workers == 1:
         return [run_trial(config, i, force) for i in indices]
-    # fork keeps compiled kernels warm in the children where available
+    # fork spares each child a fresh import of the package where available
     try:
         ctx = multiprocessing.get_context("fork")
     except ValueError:

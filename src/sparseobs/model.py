@@ -28,7 +28,9 @@ _KIND_CODES = {
 _KIND_ALIASES = {"tanh-saturated": "tanh_saturated"}
 
 # slack for validating a user-supplied Lipschitz constant against the
-# analytic one (power iteration resolves the norm to ~1e-12 relative)
+# analytic one: rip.operator_norm is exact to rounding, but a norm computed
+# another way (another SVD routine, an iterative method) may differ in the
+# last digits
 _LIP_SLACK = 1e-9
 
 
@@ -133,41 +135,33 @@ class DynamicalSystem:
 
     def kernel_args(self):
         """(kind code, matrix, drift) with concrete float64 arrays for the
-        jitted kernels; the zero kind gets explicit zero arrays."""
+        kernels; the zero kind gets explicit zero arrays."""
         m = self.dim
         M = np.zeros((m, m)) if self.matrix is None else np.ascontiguousarray(self.matrix)
         c = np.zeros(m) if self.drift is None else np.ascontiguousarray(self.drift)
         return _KIND_CODES[self.kind], M, c
 
 
-def eval_rhs(system: DynamicalSystem, t: float, x: np.ndarray) -> np.ndarray:
-    """f(t, x) for the catalog member.  The catalog is autonomous, so t is
-    accepted for interface uniformity and ignored."""
+def _check_state(system, x):
     x = np.asarray(x, dtype=float)
     if x.shape != (system.dim,):
         raise ShapeError(f"state must have shape ({system.dim},), got {x.shape}")
-    kind = system.kind
-    if kind == "zero":
-        return np.zeros_like(x)
-    if kind == "linear":
-        return system.matrix @ x
-    if kind == "affine":
-        return system.matrix @ x + system.drift
-    return np.tanh(system.matrix @ x)
+    return x
+
+
+def eval_rhs(system: DynamicalSystem, t: float, x: np.ndarray) -> np.ndarray:
+    """f(t, x) for the catalog member.  The catalog is autonomous, so t is
+    accepted for interface uniformity and ignored."""
+    x = _check_state(system, x)
+    kind, M, c = system.kernel_args()
+    return kernels.rhs(kind, M, M.T, c, x)
 
 
 def rhs_jacobian(system: DynamicalSystem, x: np.ndarray) -> np.ndarray:
     """df/dx at x.  For the tanh field this is diag(1 - tanh(Mx)^2) M."""
-    x = np.asarray(x, dtype=float)
-    if x.shape != (system.dim,):
-        raise ShapeError(f"state must have shape ({system.dim},), got {x.shape}")
-    kind = system.kind
-    if kind == "zero":
-        return np.zeros((system.dim, system.dim))
-    if kind in ("linear", "affine"):
-        return system.matrix.copy()
-    y = np.tanh(system.matrix @ x)
-    return (1.0 - y * y)[:, None] * system.matrix
+    x = _check_state(system, x)
+    kind, M, c = system.kernel_args()
+    return kernels.rhs(kind, M, M.T, c, x, np.eye(system.dim))[1]
 
 
 def lipschitz_bound(system: DynamicalSystem) -> float:

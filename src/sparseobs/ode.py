@@ -2,8 +2,8 @@
 equations (flow sensitivities), plus the exponential deviation envelope used
 by the certificates.
 
-The default integrator is classical fixed-step RK4 running in the compiled
-kernels; an adaptive mode delegates to scipy's RK45.
+The default integrator is classical fixed-step RK4 in kernels; an adaptive
+mode delegates to scipy's RK45.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ import numpy as np
 
 from . import kernels
 from .errors import DomainError, NumericalError, ShapeError
-from .model import DynamicalSystem, eval_rhs, rhs_jacobian
+from .model import DynamicalSystem, eval_rhs
 
 _MODES = ("fixed", "adaptive")
 
@@ -174,12 +174,10 @@ def _flow_adaptive(system, x0, T, tol):
     from scipy.integrate import solve_ivp
 
     m = system.dim
+    kind, M, c = system.kernel_args()
 
     def aug_rhs(t, y):
-        x = y[:m]
-        P = y[m:].reshape(m, m)
-        dx = eval_rhs(system, t, x)
-        dP = rhs_jacobian(system, x) @ P
+        dx, dP = kernels.rhs(kind, M, M.T, c, y[:m], y[m:].reshape(m, m))
         return np.concatenate([dx, dP.ravel()])
 
     y0 = np.concatenate([x0, np.eye(m).ravel()])

@@ -274,7 +274,7 @@ def _flow_rows(system, X, T, icfg, flow0):
         pairs = [flow_with_jacobian(system, x, T, icfg) for x in X]
         return np.array([xT for xT, _ in pairs]), np.array([P for _, P in pairs])
     kind, M, c = system.kernel_args()
-    XT, P = kernels.rk4_flow_jacobian_batch(kind, M, c, X, T, icfg.step_count)
+    XT, P = kernels.rk4_flow_jacobian(kind, M, c, X, T, icfg.step_count)
     finite = np.all(np.isfinite(XT), axis=1) & np.all(np.isfinite(P), axis=(1, 2))
     if not np.all(finite):
         # rerun the plain state integration for the blow-up time diagnostic

@@ -1,10 +1,11 @@
 """Restricted-isometry constants (exact by support enumeration, or sampled
-lower / coherence upper bounds), the operator 2-norm by power iteration, and
-the disjoint-support inner-product margin.
+lower / coherence upper bounds), the operator 2-norm, and the
+disjoint-support inner-product margin.
 
 The exact constant for sparsity s is the largest deviation from 1 of any
 eigenvalue of an s x s principal submatrix of A^T A; the scan over all
-C(m, s) supports runs in a compiled kernel (or a batched numpy fallback).
+C(m, s) supports runs in kernels.rip_scan, which batches the eigenvalue
+problems in chunks.
 """
 
 from __future__ import annotations
@@ -58,39 +59,9 @@ def _as_matrix(A):
     return A
 
 
-def operator_norm(A, tol: float = 1e-12) -> float:
-    """Largest singular value of A by power iteration on A^T A, run from a
-    fixed deterministic start vector until the Rayleigh quotient settles."""
-    A = _as_matrix(A)
-    tol = float(tol)
-    if not (tol > 0):
-        raise DomainError(f"tol must be positive, got {tol}")
-    m = A.shape[1]
-    B = A.T @ A
-    if not B.any():
-        return 0.0
-    # ramp breaks symmetry in case the flat vector is orthogonal to the top
-    # eigenvector; restarts below cover the remaining degenerate cases
-    v = 1.0 + np.arange(m) / max(m, 1)
-    v /= np.linalg.norm(v)
-    lam_prev = -1.0
-    basis_next = 0
-    for _ in range(100_000):
-        w = B @ v
-        lam = float(v @ w)
-        nw = np.linalg.norm(w)
-        if nw == 0.0:
-            # v fell in the nullspace; restart from the next basis vector
-            v = np.zeros(m)
-            v[basis_next % m] = 1.0
-            basis_next += 1
-            lam_prev = -1.0
-            continue
-        v = w / nw
-        if abs(lam - lam_prev) <= tol * max(abs(lam), 1e-300):
-            break
-        lam_prev = lam
-    return math.sqrt(max(lam, 0.0))
+def operator_norm(A) -> float:
+    """Largest singular value of A."""
+    return float(np.linalg.norm(_as_matrix(A), 2))
 
 
 def _check_sparsity(m, s):
@@ -118,12 +89,6 @@ def rip_constant_exact(A, s: int, budget: int = DEFAULT_SUPPORT_BUDGET) -> RipRe
     G = np.ascontiguousarray(A.T @ A)
     delta = float(kernels.rip_scan(G, s))
     return RipReport(sparsity=s, delta=delta, method=METHOD_EXACT, supports_examined=count)
-
-
-def _max_deviation(G, supports):
-    sub = G[supports[:, :, None], supports[:, None, :]]
-    ev = np.linalg.eigvalsh(sub)
-    return float(max(np.max(ev[:, -1]) - 1.0, np.max(1.0 - ev[:, 0])))
 
 
 def mutual_coherence(A) -> float:
@@ -164,7 +129,7 @@ def rip_constant_bounds(A, s: int, samples: int, seed: int):
         keys = rng.random((chunk, m))
         supports = np.argsort(keys, axis=1)[:, :s]
         supports = np.ascontiguousarray(np.sort(supports, axis=1))
-        lower = max(lower, _max_deviation(G, supports))
+        lower = max(lower, kernels.max_deviation(G, supports))
         done += chunk
     lower_report = RipReport(
         sparsity=s, delta=float(lower), method=METHOD_MC_LOWER, supports_examined=samples

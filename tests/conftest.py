@@ -1,7 +1,8 @@
 """Shared fixtures and helpers for the test suite.
 
-The session-scoped warmup exercises every compiled kernel once, so tests that
-assert wall-clock budgets never pay JIT compilation inside the timed region.
+The session-scoped warmup exercises every kernel once, so tests that assert
+wall-clock budgets never pay first-call costs (lazy imports, BLAS start-up)
+inside the timed region.
 """
 
 import numpy as np

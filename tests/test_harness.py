@@ -242,7 +242,7 @@ def test_infeasible_trials_skip_the_solver():
     assert forced.bound is None and forced.bound_satisfied is None
 
 
-def test_tiny_rip_budget_falls_back_to_the_coherence_bound():
+def test_tiny_rip_budget_records_the_budget_reason():
     cfg = ExperimentConfig(
         seed=5,
         trials=1,
@@ -253,10 +253,9 @@ def test_tiny_rip_budget_falls_back_to_the_coherence_bound():
         rip_budget=1,
     )
     r = run_trial(cfg, 0)
-    # the coherence upper bound is unbounded off unit columns
     assert math.isinf(r.delta_2s)
     assert not r.feasible
-    assert r.reasons == ("delta-condition",)
+    assert r.reasons == ("rip-budget-exceeded",)
     assert r.to_dict()["delta_2s"] == "inf"
 
 

@@ -213,10 +213,11 @@ def test_batched_flow_jacobian_matches_single_state_kernel(k):
     for system in catalog_systems(5, 904):
         kind, M, c = system.kernel_args()
         X0 = rng.normal(size=(k, 5)) * 0.5
-        XT, P = kernels.rk4_flow_jacobian_batch(kind, M, c, X0, 0.7, 64)
+        XT, P = kernels.rk4_flow_jacobian(kind, M, c, X0, 0.7, 64)
         assert XT.shape == (k, 5) and P.shape == (k, 5, 5)
         for x0, xT_row, P_row in zip(X0, XT, P):
             xT, P1 = kernels.rk4_flow_jacobian(kind, M, c, x0, 0.7, 64)
+            assert xT.shape == (5,) and P1.shape == (5, 5)
             np.testing.assert_allclose(xT_row, xT, rtol=0, atol=1e-13)
             np.testing.assert_allclose(P_row, P1, rtol=0, atol=1e-13)
 

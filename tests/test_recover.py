@@ -487,11 +487,10 @@ def test_affine_flow_oracle_integrates_once(kind, monkeypatch):
         return wrapper
 
     monkeypatch.setattr(recover, "flow_with_jacobian", counted(flow_with_jacobian))
-    monkeypatch.setattr(
-        kernels, "rk4_flow_jacobian_batch", counted(kernels.rk4_flow_jacobian_batch)
-    )
+    monkeypatch.setattr(kernels, "rk4_flow_jacobian", counted(kernels.rk4_flow_jacobian))
     out = l0_oracle(problem)
-    assert calls == ["flow_with_jacobian"]
+    # one flow, at x=0; the affine flow needs no other
+    assert calls == ["flow_with_jacobian", "rk4_flow_jacobian"]
     assert out.converged
     np.testing.assert_allclose(out.estimate, x0, atol=1e-8)
 

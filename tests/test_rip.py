@@ -17,7 +17,7 @@ from sparseobs.rip import (
     rip_constant_exact,
 )
 
-from conftest import gaussian_unit_columns
+from conftest import gaussian_unit_columns, normalized_columns
 
 
 # --- operator norm -----------------------------------------------------------
@@ -45,11 +45,6 @@ def test_operator_norm_degenerate_spectra():
     assert math.isclose(operator_norm(3.0 * np.eye(5)), 3.0, rel_tol=1e-12)
 
 
-def test_operator_norm_rejects_bad_tolerance():
-    with pytest.raises(DomainError):
-        operator_norm(np.eye(2), tol=0.0)
-
-
 # --- exact constant ----------------------------------------------------------
 
 
@@ -69,6 +64,25 @@ def test_exact_constant_is_nondecreasing_in_s():
     A = gen_gaussian_matrix(4, 6, 5)
     deltas = [rip_constant_exact(A, s).delta for s in range(1, 7)]
     assert all(d0 <= d1 + 1e-14 for d0, d1 in zip(deltas, deltas[1:]))
+
+
+def test_exact_constant_matches_per_support_reference_across_scan_chunks():
+    # C(20, 4) = 4845 supports fill more than one 4096-support chunk of the
+    # scan.  In the clustered matrix columns 16-19 are nearly parallel, so the
+    # worst support is {16, 17, 18, 19}, the last one scanned.
+    A = gaussian_unit_columns(30, 20, 8)
+    clustered = A.copy()
+    clustered[:, 16:] = normalized_columns(A[:, [16]] + 0.1 * A[:, 16:])
+    for M in (A, clustered):
+        G = M.T @ M
+        deviations = []
+        for support in itertools.combinations(range(20), 4):
+            ev = np.linalg.eigvalsh(G[np.ix_(support, support)])
+            deviations.append(max(ev[-1] - 1.0, 1.0 - ev[0]))
+        report = rip_constant_exact(M, 4)
+        assert report.supports_examined == len(deviations) == 4845
+        assert abs(report.delta - max(deviations)) <= 1e-13
+    assert int(np.argmax(deviations)) == 4844
 
 
 def test_exact_constant_budget_refusal():
