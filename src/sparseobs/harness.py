@@ -16,7 +16,7 @@ import math
 import multiprocessing
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -252,19 +252,8 @@ class ExperimentConfig:
             "noise_radius": self.noise_radius,
             "time": self.time,
             "weights": None if self.weights is None else self.weights.tolist(),
-            "solver": {
-                "outer_max_iter": self.solver.outer_max_iter,
-                "outer_tol": self.solver.outer_tol,
-                "inner_max_iter": self.solver.inner_max_iter,
-                "inner_tol": self.solver.inner_tol,
-                "penalty": self.solver.penalty,
-                "residual_match_tol": self.solver.residual_match_tol,
-            },
-            "integration": {
-                "mode": self.integration.mode,
-                "step_count": self.integration.step_count,
-                "tolerance": self.integration.tolerance,
-            },
+            "solver": asdict(self.solver),
+            "integration": asdict(self.integration),
             "rip_budget": self.rip_budget,
         }
 

@@ -8,14 +8,15 @@ catalog member re-linearizes around the current estimate until the step
 stalls.  The noisy case runs ADMM on the penalized form and bisects the
 penalty weight until the residual lands just above eps, which keeps the
 returned point both feasible-within-tolerance and objective-dominated by any
-true feasible point.
+true feasible point.  Recovery and the oracle's Gauss-Newton fits share one
+line search, which evaluates the flow Jacobian with each trial point.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -35,6 +36,10 @@ _ORACLE_FEAS_SLACK = 1e-9
 # the oracle fits supports in blocks whose flow Jacobians hold at most this
 # many floats, which bounds its memory whatever the level size
 _ORACLE_BLOCK_FLOATS = 1 << 18
+
+# the line search gives a step up once its damping falls below these
+_RECOVER_DAMPING_FLOOR = 2.0**-30
+_FIT_DAMPING_FLOOR = 2.0**-20
 
 
 @dataclass(frozen=True)
@@ -66,14 +71,7 @@ class SolverConfig:
 
     @classmethod
     def from_dict(cls, doc):
-        known = {
-            "outer_max_iter",
-            "outer_tol",
-            "inner_max_iter",
-            "inner_tol",
-            "penalty",
-            "residual_match_tol",
-        }
+        known = {f.name for f in fields(cls)}
         extra = set(doc) - known
         if extra:
             raise DomainError(f"unknown solver config fields: {sorted(extra)}")
@@ -183,11 +181,6 @@ def solve_weighted_bpdn(Phi, offset, observation, weights, eps, config=None):
     return best_z
 
 
-def _true_residual(problem, x, icfg):
-    xT = integrate(problem.system, x, problem.measurement.time, icfg).final_state
-    return float(np.linalg.norm(problem.observation - problem.measurement.matrix @ xT))
-
-
 def recover_initial_state(
     problem: SparseProblem,
     integration_config: IntegrationConfig | None = None,
@@ -196,10 +189,12 @@ def recover_initial_state(
     """Estimate the initial state by weighted basis-pursuit denoising on the
     linearized flow.
 
-    Systems with an affine flow converge in one (exact) linearization.  The
-    saturated system re-linearizes around the current estimate, damping each
-    step until the true residual stays within eps + residual_match_tol, and
-    stops once the accepted step is shorter than outer_tol.  converged
+    Systems with an affine flow converge in one (exact) linearization, whose
+    affine map also gives the residual.  The saturated system re-linearizes
+    around the current estimate: _line_search damps each step until the true
+    residual stays within max(current residual, eps + residual_match_tol),
+    and the flow Jacobian at the accepted point is the next linearization.
+    It stops once the accepted step is shorter than outer_tol.  converged
     reports whether both the step and the residual criteria were met.
     """
     icfg = integration_config or IntegrationConfig()
@@ -213,10 +208,10 @@ def recover_initial_state(
     T = meas.time
     m = system.dim
 
+    xT, P = flow0 = flow_with_jacobian(system, np.zeros(m), T, icfg)
     if system.kind in _AFFINE_FLOW_KINDS:
-        xT0, P = flow_with_jacobian(system, np.zeros(m), T, icfg)
-        est = solve_weighted_bpdn(A @ P, A @ xT0, b, w, eps, scfg)
-        residual = _true_residual(problem, est, icfg)
+        est = solve_weighted_bpdn(A @ P, A @ xT, b, w, eps, scfg)
+        residual = float(np.linalg.norm(b - A @ (xT + P @ est)))
         return RecoveryOutcome(
             estimate=est,
             residual=residual,
@@ -226,31 +221,24 @@ def recover_initial_state(
         )
 
     x = np.zeros(m)
-    r_cur = _true_residual(problem, x, icfg)
+    r_cur = float(np.linalg.norm(b - A @ xT))
     step_small = False
     iterations = 0
     for _ in range(scfg.outer_max_iter):
         iterations += 1
-        xT, P = flow_with_jacobian(system, x, T, icfg)
         Phi = A @ P
         proposal = solve_weighted_bpdn(Phi, A @ xT - Phi @ x, b, w, eps, scfg)
         step = proposal - x
-        step_norm = float(np.linalg.norm(step))
-        # damp toward the current point until the true residual is acceptable
-        t = 1.0
-        accepted = False
-        while t >= 2.0**-30:
-            x_try = x + t * step
-            r_try = _true_residual(problem, x_try, icfg)
-            if r_try <= max(r_cur, eps + scfg.residual_match_tol):
-                accepted = True
-                break
-            t *= 0.5
-        if not accepted:
+        bound = max(r_cur, eps + scfg.residual_match_tol)
+        t, XT, PT, rn = _line_search(
+            system, A, b, T, icfg, flow0, x[None], step[None], bound, _RECOVER_DAMPING_FLOOR
+        )
+        t = float(t[0])
+        if t == 0.0:
             break
-        x = x_try
-        r_cur = r_try
-        if t * step_norm < scfg.outer_tol:
+        x = x + t * step
+        xT, P, r_cur = XT[0], PT[0], float(rn[0])
+        if t * float(np.linalg.norm(step)) < scfg.outer_tol:
             step_small = True
             break
 
@@ -283,6 +271,31 @@ def _flow_rows(system, X, T, icfg, flow0):
     return XT, P
 
 
+def _line_search(system, A, b, T, icfg, flow0, X, steps, bound, floor):
+    """Backtrack from each row of X (k, m) along its row of steps: halve the
+    damping t from 1 until the true residual ||b - A x(T)|| at X + t * steps
+    is at most bound (scalar or per row), or set t = 0 once t < floor.  Each
+    halving evaluates all pending rows in one flow call.  Returns t and, at
+    the accepted points, x(T), its flow Jacobian and the residual norm."""
+    k, m = X.shape
+    bound = np.broadcast_to(bound, (k,))
+    t = np.ones(k)
+    XT, P, rn = np.empty((k, m)), np.empty((k, m, m)), np.empty(k)
+    rows = np.arange(k)
+    while rows.size:
+        XT_try, P_try = _flow_rows(system, X[rows] + t[rows, None] * steps[rows], T, icfg, flow0)
+        rn_try = np.linalg.norm(b - XT_try @ A.T, axis=1)
+        ok = rn_try <= bound[rows]
+        done = rows[ok]
+        XT[done], P[done], rn[done] = XT_try[ok], P_try[ok], rn_try[ok]
+        rows = rows[~ok]
+        t[rows] *= 0.5
+        failed = t[rows] < floor
+        t[rows[failed]] = 0.0
+        rows = rows[~failed]
+    return t, XT, P, rn
+
+
 def _fit_supports(system, A, b, T, icfg, flow0, supports):
     """Damped Gauss-Newton fits of the initial state restricted to each row
     of supports (count, k), all starting from zero and stepping in lockstep.
@@ -308,25 +321,20 @@ def _fit_supports(system, A, b, T, icfg, flow0, supports):
         )
         active[rows[tiny]] = False
         rows, steps = rows[~tiny], steps[~tiny]
-        # every pending fit tries its current damping in one batched flow
-        t = np.ones(rows.size)
-        while rows.size:
-            X_try = X[rows]
-            X_try[np.arange(rows.size)[:, None], supports[rows]] += t[:, None] * steps
-            XT_try, P_try = _flow_rows(system, X_try, T, icfg, flow0)
-            R_try = b - XT_try @ A.T
-            rn_try = np.linalg.norm(R_try, axis=1)
-            ok = rn_try < rn[rows]
-            done = rows[ok]
-            X[done] = X_try[ok]
-            PS[done] = np.take_along_axis(P_try[ok], supports[done][:, None, :], axis=2)
-            R[done] = R_try[ok]
-            rn[done] = rn_try[ok]
-            t = 0.5 * t[~ok]
-            rows, steps = rows[~ok], steps[~ok]
-            failed = t < 2.0**-20
-            active[rows[failed]] = False
-            rows, steps, t = rows[~failed], steps[~failed], t[~failed]
+        full = np.zeros((rows.size, X.shape[1]))
+        full[np.arange(rows.size)[:, None], supports[rows]] = steps
+        # accept a strict decrease of the residual norm
+        bound = np.nextafter(rn[rows], 0)
+        t, XT, P, rn_try = _line_search(
+            system, A, b, T, icfg, flow0, X[rows], full, bound, _FIT_DAMPING_FLOOR
+        )
+        ok = t > 0
+        active[rows[~ok]] = False
+        done = rows[ok]
+        X[done] += t[ok, None] * full[ok]
+        PS[done] = np.take_along_axis(P[ok], supports[done][:, None, :], axis=2)
+        R[done] = b - XT[ok] @ A.T
+        rn[done] = rn_try[ok]
     return X, rn
 
 

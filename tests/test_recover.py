@@ -43,6 +43,17 @@ def _problem(system, A, x0, T, eps=0.0, s=1, weights=None, noise=None):
     return SparseProblem(system=system, measurement=meas, observation=b, sparsity=s)
 
 
+def _count_calls(monkeypatch, module, name, calls):
+    """Replace module.name with a wrapper that appends name to calls."""
+    fn = getattr(module, name)
+
+    def wrapper(*args, **kwargs):
+        calls.append(name)
+        return fn(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, wrapper)
+
+
 # --- solver config ---------------------------------------------------------------
 
 
@@ -199,10 +210,12 @@ def test_recovery_saturated_system_converges():
     assert out.iterations >= 1
 
 
-def test_recovery_reports_true_integrated_residual():
+@pytest.mark.parametrize("kind", ["zero", "linear", "affine", "tanh_saturated"])
+def test_recovery_reports_true_integrated_residual(kind):
+    # affine-flow kinds take the residual from the flow at 0, tanh from the
+    # line search's accepted point; both must match a fresh integration
     rng = np.random.Generator(np.random.Philox(73))
-    M = unit_spectral_matrix(5, 22)
-    system = DynamicalSystem.tanh_saturated(M.tolist())
+    system = {s.kind: s for s in catalog_systems(5, 22)}[kind]
     A = gen_gaussian_matrix(16, 5, 32)
     x0 = np.zeros(5)
     x0[1] = -0.7
@@ -216,6 +229,23 @@ def test_recovery_reports_true_integrated_residual():
     assert math.isclose(out.residual, recomputed, rel_tol=1e-12)
     assert out.converged
     assert out.residual <= eps + SolverConfig().residual_match_tol
+
+
+def test_recovery_linearizes_at_the_accepted_line_search_point(monkeypatch):
+    M = unit_spectral_matrix(4, 21)
+    system = DynamicalSystem.tanh_saturated(M.tolist())
+    A = gen_gaussian_matrix(8, 4, 31)
+    x0 = np.zeros(4)
+    x0[2] = 0.9
+    problem = _problem(system, A, x0, T=0.4)
+    calls = []
+    _count_calls(monkeypatch, kernels, "rk4_path", calls)
+    _count_calls(monkeypatch, kernels, "rk4_flow_jacobian", calls)
+    out = recover_initial_state(problem)
+    assert out.converged and out.iterations > 1
+    # one flow at x=0, then one per outer iteration: every step is accepted
+    # undamped and its flow Jacobian is the next linearization
+    assert calls == ["rk4_flow_jacobian"] * (out.iterations + 1)
 
 
 def test_recovery_propagates_infeasibility():
@@ -239,6 +269,55 @@ def test_recovery_weight_scaling_invariance():
     e1 = recover_initial_state(p1).estimate
     e2 = recover_initial_state(p2).estimate
     np.testing.assert_allclose(e1, e2, atol=1e-9)
+
+
+# --- shared line search ------------------------------------------------------------
+
+
+def _reference_line_search(system, A, b, T, icfg, x, step, bound, floor):
+    """One row of the line search: halve t from 1 until the residual at
+    x + t * step is at most bound, one flow integration per trial point.
+    Returns (t, final state, flow Jacobian, residual norm), t = 0 on failure."""
+    t = 1.0
+    while t >= floor:
+        xT, P = flow_with_jacobian(system, x + t * step, T, icfg)
+        rn = float(np.linalg.norm(b - A @ xT))
+        if rn <= bound:
+            return t, xT, P, rn
+        t *= 0.5
+    return 0.0, None, None, None
+
+
+def test_line_search_matches_per_row_reference():
+    M = unit_spectral_matrix(4, 24)
+    system = DynamicalSystem.tanh_saturated((2.0 * M).tolist())
+    A = gen_gaussian_matrix(6, 4, 34)
+    T = 0.5
+    icfg = IntegrationConfig.fixed(64)
+    truth = np.array([0.0, 1.5, 0.0, -0.8])
+    b = A @ integrate(system, truth, T, icfg).final_state
+    flow0 = flow_with_jacobian(system, np.zeros(4), T, icfg)
+    X = np.array([[0.0, 1.0, 0.0, -0.5], [0.0, 1.0, 0.0, -0.5], [0.1, 0.0, 0.0, 0.0]])
+    to_truth = truth - X
+    # undamped, overshooting sixteenfold, and heading away from the truth
+    steps = np.array([1.0, 16.0, -1.0])[:, None] * to_truth
+    r0 = np.linalg.norm(b - integrate(system, X[0], T, icfg).final_state @ A.T)
+    r2 = np.linalg.norm(b - integrate(system, X[2], T, icfg).final_state @ A.T)
+    bound = np.array([0.5 * r0, r0, np.nextafter(r2, 0)])
+    floor = 2.0**-12
+    t, XT, P, rn = recover._line_search(system, A, b, T, icfg, flow0, X, steps, bound, floor)
+    ref = [
+        _reference_line_search(system, A, b, T, icfg, x, d, bd, floor)
+        for x, d, bd in zip(X, steps, bound)
+    ]
+    np.testing.assert_array_equal(t, [r[0] for r in ref])
+    # the mix: accepted undamped, accepted after several halvings, given up
+    assert t[0] == 1.0 and 0.0 < t[1] <= 0.125 and t[2] == 0.0
+    for i, (t_ref, xT_ref, P_ref, rn_ref) in enumerate(ref):
+        if t_ref > 0:
+            np.testing.assert_allclose(XT[i], xT_ref, rtol=0, atol=1e-13)
+            np.testing.assert_allclose(P[i], P_ref, rtol=0, atol=1e-13)
+            assert rn[i] == pytest.approx(rn_ref, rel=1e-12)
 
 
 # --- l0 oracle --------------------------------------------------------------------
@@ -478,16 +557,8 @@ def test_affine_flow_oracle_integrates_once(kind, monkeypatch):
     x0[[0, 3]] = [1.1, -0.7]
     problem = _problem(system, gen_gaussian_matrix(12, 5, 77), x0, T=0.6, s=2)
     calls = []
-
-    def counted(fn):
-        def wrapper(*args, **kwargs):
-            calls.append(fn.__name__)
-            return fn(*args, **kwargs)
-
-        return wrapper
-
-    monkeypatch.setattr(recover, "flow_with_jacobian", counted(flow_with_jacobian))
-    monkeypatch.setattr(kernels, "rk4_flow_jacobian", counted(kernels.rk4_flow_jacobian))
+    _count_calls(monkeypatch, recover, "flow_with_jacobian", calls)
+    _count_calls(monkeypatch, kernels, "rk4_flow_jacobian", calls)
     out = l0_oracle(problem)
     # one flow, at x=0; the affine flow needs no other
     assert calls == ["flow_with_jacobian", "rk4_flow_jacobian"]
