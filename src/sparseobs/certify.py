@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, InfeasibleCertificate
-from .model import DynamicalSystem, best_s_term
+from .model import DynamicalSystem, best_s_term, json_float
 from .ode import IntegrationConfig, integrate
 from .rip import operator_norm
 
@@ -56,27 +56,19 @@ class Certificate:
     reasons: tuple
 
     def to_dict(self):
-        def enc(v):
-            if v is None:
-                return None
-            v = float(v)
-            if math.isinf(v):
-                return "inf" if v > 0 else "-inf"
-            return v
-
         return {
             "delta_2s": self.delta_2s,
             "tau": self.tau,
             "lipschitz": self.lipschitz,
             "time": self.time,
             "op_norm": self.op_norm,
-            "gronwall_excess": enc(self.gronwall_excess),
-            "observability_T_max": enc(self.observability_T_max),
-            "recovery_T_max": enc(self.recovery_T_max),
-            "alpha": enc(self.alpha),
-            "rho": enc(self.rho),
-            "sparsity_coeff": enc(self.sparsity_coeff),
-            "noise_coeff": enc(self.noise_coeff),
+            "gronwall_excess": json_float(self.gronwall_excess),
+            "observability_T_max": json_float(self.observability_T_max),
+            "recovery_T_max": json_float(self.recovery_T_max),
+            "alpha": json_float(self.alpha),
+            "rho": json_float(self.rho),
+            "sparsity_coeff": json_float(self.sparsity_coeff),
+            "noise_coeff": json_float(self.noise_coeff),
             "feasible": self.feasible,
             "reasons": list(self.reasons),
         }

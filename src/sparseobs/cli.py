@@ -49,11 +49,16 @@ def _load_json(path):
 def load_matrix(path) -> np.ndarray:
     """Dense matrix from a .csv (comma-separated rows) or .json (nested
     arrays) file."""
-    text = str(path)
-    if text.endswith(".json"):
-        A = np.asarray(_load_json(path), dtype=float)
-    else:
-        A = np.loadtxt(path, delimiter=",", dtype=float, ndmin=2)
+    try:
+        if str(path).endswith(".json"):
+            A = np.asarray(_load_json(path), dtype=float)
+        else:
+            A = np.loadtxt(path, delimiter=",", dtype=float, ndmin=2)
+    except (TypeError, ValueError) as exc:
+        if isinstance(exc, ConfigError):
+            raise
+        # ragged rows or entries that are not numbers
+        raise ShapeError(f"{path}: not a numeric matrix: {exc}") from exc
     if A.ndim != 2:
         raise ShapeError(f"{path}: expected a 2-d matrix, got shape {A.shape}")
     return A
@@ -151,7 +156,7 @@ def _add_integration_flags(p):
         "--adaptive-tol",
         type=float,
         default=None,
-        help="use the adaptive integrator with this tolerance instead of fixed steps",
+        help="double the RK4 step count from 8 until successive counts agree to this tolerance",
     )
 
 

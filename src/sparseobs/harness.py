@@ -31,6 +31,7 @@ from .model import (
     DynamicalSystem,
     MeasurementModel,
     SparseProblem,
+    json_float,
     system_from_dict,
     system_to_dict,
     weight_condition_number,
@@ -200,7 +201,11 @@ class ExperimentConfig:
         mat = doc["matrix"]
         if not isinstance(mat, dict) or "n" not in mat:
             raise ConfigError("field 'matrix' must be an object with at least 'n'")
-        if "m" in mat and int(mat["m"]) != system.dim:
+        try:
+            m_ok = "m" not in mat or int(mat["m"]) == system.dim
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"in field 'matrix.m': {exc}") from exc
+        if not m_ok:
             raise ConfigError(
                 f"matrix.m ({mat['m']}) must match the system dimension ({system.dim})"
             )
@@ -208,7 +213,7 @@ class ExperimentConfig:
         if doc.get("solver") is not None:
             try:
                 solver = SolverConfig.from_dict(doc["solver"])
-            except (DomainError, TypeError) as exc:
+            except (TypeError, ValueError) as exc:
                 raise ConfigError(f"in field 'solver': {exc}") from exc
         integration = IntegrationConfig()
         if doc.get("integration") is not None:
@@ -217,7 +222,7 @@ class ExperimentConfig:
                 raise ConfigError("field 'integration' must be an object")
             try:
                 integration = IntegrationConfig(**idoc)
-            except (DomainError, TypeError) as exc:
+            except (TypeError, ValueError) as exc:
                 raise ConfigError(f"in field 'integration': {exc}") from exc
         try:
             return cls(
@@ -306,11 +311,6 @@ class TrialRecord:
     wall_ms: float
 
     def to_dict(self, include_timings=False):
-        def enc(v):
-            if isinstance(v, float) and math.isinf(v):
-                return "inf" if v > 0 else "-inf"
-            return v
-
         return {
             "trial": self.trial,
             "feasible": self.feasible,
@@ -322,13 +322,13 @@ class TrialRecord:
             "eps": self.eps,
             "support": list(self.support),
             "values": list(self.values),
-            "delta_2s": enc(self.delta_2s),
+            "delta_2s": json_float(self.delta_2s),
             "op_norm": self.op_norm,
             "tau": self.tau,
-            "observability_T_max": enc(self.observability_T_max),
-            "recovery_T_max": enc(self.recovery_T_max),
-            "sparsity_coeff": enc(self.sparsity_coeff),
-            "noise_coeff": enc(self.noise_coeff),
+            "observability_T_max": json_float(self.observability_T_max),
+            "recovery_T_max": json_float(self.recovery_T_max),
+            "sparsity_coeff": json_float(self.sparsity_coeff),
+            "noise_coeff": json_float(self.noise_coeff),
             "error_l2": self.error_l2,
             "bound": self.bound,
             "bound_satisfied": self.bound_satisfied,

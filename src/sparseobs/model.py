@@ -319,6 +319,14 @@ def best_s_term(x: np.ndarray, s: int) -> np.ndarray:
 # matrices are row-major nested lists; optional members serialize as null
 
 
+def json_float(v):
+    """v as the JSON documents spell it: +-inf become the strings "inf" and
+    "-inf", which JSON has no number for; anything else passes unchanged."""
+    if isinstance(v, float) and math.isinf(v):
+        return "inf" if v > 0 else "-inf"
+    return v
+
+
 def system_to_dict(system: DynamicalSystem) -> dict:
     return {
         "dim": system.dim,

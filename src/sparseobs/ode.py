@@ -2,8 +2,9 @@
 equations (flow sensitivities), plus the exponential deviation envelope used
 by the certificates.
 
-The default integrator is classical fixed-step RK4 in kernels; an adaptive
-mode delegates to scipy's RK45.
+The one integrator is classical RK4 in kernels.  Adaptive mode chooses its
+step count by doubling it until the n-step and 2n-step runs agree entrywise to
+tolerance * (1 + |value|), then keeps the 2n-step run.
 """
 
 from __future__ import annotations
@@ -15,16 +16,20 @@ import numpy as np
 
 from . import kernels
 from .errors import DomainError, NumericalError, ShapeError
-from .model import DynamicalSystem, eval_rhs
+from .model import DynamicalSystem
 
 _MODES = ("fixed", "adaptive")
+
+_ADAPTIVE_START_STEPS = 8
+# adaptive mode raises rather than double past this many steps
+_ADAPTIVE_MAX_STEPS = 1 << 16
 
 
 @dataclass(frozen=True)
 class IntegrationConfig:
     """Integrator selection.  mode picks which knob is active: "fixed" uses
-    step_count uniform RK4 steps, "adaptive" hands tolerance to scipy's RK45
-    as both rtol and atol."""
+    step_count uniform RK4 steps, "adaptive" doubles the RK4 step count until
+    two successive counts agree to tolerance (relative to 1 + |value|)."""
 
     mode: str = "fixed"
     step_count: int = 256
@@ -90,22 +95,27 @@ class Trajectory:
         return path
 
 
-def _check_args(system, x0, T):
+def _check_args(system, x0, T, rows=False):
     x0 = np.ascontiguousarray(x0, dtype=float)
-    if x0.shape != (system.dim,):
-        raise ShapeError(f"x0 must have shape ({system.dim},), got {x0.shape}")
+    m = system.dim
+    if not (x0.ndim in ((1, 2) if rows else (1,)) and x0.shape[-1] == m):
+        want = f"({m},) or (k, {m})" if rows else f"({m},)"
+        raise ShapeError(f"x0 must have shape {want}, got {x0.shape}")
     T = float(T)
     if not (math.isfinite(T) and T > 0):
         raise DomainError(f"T must be positive and finite, got {T}")
     return x0, T
 
 
-def _raise_on_blowup(times, states):
-    bad = ~np.all(np.isfinite(states), axis=1)
-    if np.any(bad):
-        i = int(np.argmax(bad))
-        t_bad = float(times[i])
-        raise NumericalError(f"state became non-finite at t={t_bad:.6g}", time=t_bad)
+def _doubled(n):
+    if 2 * n > _ADAPTIVE_MAX_STEPS:
+        raise NumericalError(f"adaptive integration did not settle in {_ADAPTIVE_MAX_STEPS} steps")
+    return 2 * n
+
+
+def _settled(coarse, fine, tol, axis=None):
+    """Whether the n-step values match the 2n-step ones entrywise to tol."""
+    return np.all(np.abs(fine - coarse) <= tol * (1.0 + np.abs(fine)), axis=axis)
 
 
 def integrate(
@@ -113,79 +123,71 @@ def integrate(
 ) -> Trajectory:
     """Propagate the system from x0 over [0, T] and return the sampled path.
 
-    Fixed mode returns step_count+1 uniformly spaced samples with row 0
-    exactly x0; adaptive mode returns scipy's accepted steps.  A non-finite
-    state aborts with the first grid time at which it appeared.
+    The samples are the uniform RK4 grid, step_count steps in fixed mode and
+    the accepted count in adaptive mode, where the n-step and 2n-step runs
+    are compared at their shared grid times.  Row 0 is exactly x0.  A
+    non-finite state aborts with the first grid time at which it appeared.
     """
     cfg = config or IntegrationConfig()
     x0, T = _check_args(system, x0, T)
-    if cfg.mode == "fixed":
-        kind, M, c = system.kernel_args()
-        states = kernels.rk4_path(kind, M, c, x0, T, cfg.step_count)
-        times = np.linspace(0.0, T, cfg.step_count + 1)
-    else:
-        times, states = _solve_adaptive(system, x0, T, cfg.tolerance)
-    _raise_on_blowup(times, states)
-    return Trajectory(times=times, states=states)
+    kind, M, c = system.kernel_args()
 
+    def path(n):
+        states = kernels.rk4_path(kind, M, c, x0, T, n)
+        bad = ~np.all(np.isfinite(states), axis=1)
+        if np.any(bad):
+            t_bad = float(np.linspace(0.0, T, n + 1)[np.argmax(bad)])
+            raise NumericalError(f"state became non-finite at t={t_bad:.6g}", time=t_bad)
+        return states
 
-def _solve_adaptive(system, x0, T, tol):
-    from scipy.integrate import solve_ivp
-
-    sol = solve_ivp(
-        lambda t, x: eval_rhs(system, t, x),
-        (0.0, T),
-        x0,
-        method="RK45",
-        rtol=tol,
-        atol=tol,
-    )
-    if not sol.success:
-        raise NumericalError(f"adaptive integration failed: {sol.message}", time=None)
-    times = np.asarray(sol.t, dtype=float)
-    states = np.asarray(sol.y.T, dtype=float)
-    # guard against a degenerate first step collapsing onto t=0
-    if times.shape[0] < 2:
-        raise NumericalError("adaptive integration returned no interior samples", time=None)
-    return times, states
+    n = cfg.step_count if cfg.mode == "fixed" else _ADAPTIVE_START_STEPS
+    states = path(n)
+    while cfg.mode == "adaptive":
+        n = _doubled(n)
+        coarse, states = states, path(n)
+        if _settled(coarse, states[::2], cfg.tolerance):
+            break
+    return Trajectory(times=np.linspace(0.0, T, n + 1), states=states)
 
 
 def flow_with_jacobian(
     system: DynamicalSystem, x0, T, config: IntegrationConfig | None = None
 ):
     """Final state x(T) and the flow sensitivity dx(T)/dx0, integrating the
-    matrix variational equation alongside the state."""
+    matrix variational equation alongside the state.  x0 is one state (m,),
+    giving (m,) and (m, m), or rows (k, m), giving (k, m) and (k, m, m).
+
+    In adaptive mode each row doubles its own step count until both x(T) and
+    the sensitivity agree, so a row's result does not depend on the rows
+    beside it.  A non-finite value raises NumericalError at once.
+    """
     cfg = config or IntegrationConfig()
-    x0, T = _check_args(system, x0, T)
-    m = system.dim
-    if cfg.mode == "fixed":
-        kind, M, c = system.kernel_args()
-        xT, P = kernels.rk4_flow_jacobian(kind, M, c, x0, T, cfg.step_count)
-    else:
-        xT, P = _flow_adaptive(system, x0, T, cfg.tolerance)
-    if not (np.all(np.isfinite(xT)) and np.all(np.isfinite(P))):
-        # rerun the plain state integration for the blow-up time diagnostic
-        integrate(system, x0, T, cfg)
-        raise NumericalError("sensitivity integration produced non-finite values", time=T)
-    return xT, P.reshape(m, m)
-
-
-def _flow_adaptive(system, x0, T, tol):
-    from scipy.integrate import solve_ivp
-
-    m = system.dim
+    X0, T = _check_args(system, x0, T, rows=True)
     kind, M, c = system.kernel_args()
 
-    def aug_rhs(t, y):
-        dx, dP = kernels.rhs(kind, M, M.T, c, y[:m], y[m:].reshape(m, m))
-        return np.concatenate([dx, dP.ravel()])
+    def run(X, n):
+        XT, P = kernels.rk4_flow_jacobian(kind, M, c, X, T, n)
+        finite = np.all(np.isfinite(XT), axis=-1) & np.all(np.isfinite(P), axis=(-2, -1))
+        if not np.all(finite):
+            # rerun the plain state integration for the blow-up time diagnostic
+            integrate(system, np.atleast_2d(X)[np.argmin(finite)], T, IntegrationConfig.fixed(n))
+            raise NumericalError("sensitivity integration produced non-finite values", time=T)
+        return XT, P
 
-    y0 = np.concatenate([x0, np.eye(m).ravel()])
-    sol = solve_ivp(aug_rhs, (0.0, T), y0, method="RK45", rtol=tol, atol=tol)
-    if not sol.success:
-        raise NumericalError(f"adaptive integration failed: {sol.message}", time=None)
-    yT = sol.y[:, -1]
-    return yT[:m], yT[m:].reshape(m, m)
+    if cfg.mode == "fixed":
+        return run(X0, cfg.step_count)
+    X, tol = X0.reshape(-1, system.dim), cfg.tolerance
+    n = _ADAPTIVE_START_STEPS
+    XT_n, P_n = run(X, n)
+    XT, P = np.empty_like(XT_n), np.empty_like(P_n)
+    pending = np.arange(X.shape[0])
+    while pending.size:
+        n = _doubled(n)
+        XT_2n, P_2n = run(X[pending], n)
+        ok = _settled(XT_n, XT_2n, tol, 1) & _settled(P_n, P_2n, tol, (1, 2))
+        XT[pending[ok]], P[pending[ok]] = XT_2n[ok], P_2n[ok]
+        pending, XT_n, P_n = pending[~ok], XT_2n[~ok], P_2n[~ok]
+    return XT.reshape(X0.shape), P.reshape(X0.shape + (system.dim,))
 
 
 def flow_jacobian(

@@ -21,9 +21,10 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from . import kernels
-from .errors import BudgetError, DomainError, InfeasibleError, NumericalError, ShapeError
+from .errors import BudgetError, DomainError, InfeasibleError, ShapeError
 from .model import RecoveryOutcome, SparseProblem, weighted_l1_norm
-from .ode import IntegrationConfig, flow_with_jacobian, integrate
+# unused integrate stays bound: pipebench/bench_trace.py traces it as a call site here
+from .ode import IntegrationConfig, flow_with_jacobian, integrate  # noqa: F401
 
 # linearizing at a single point is exact for these kinds
 _AFFINE_FLOW_KINDS = ("zero", "linear", "affine")
@@ -258,17 +259,7 @@ def _flow_rows(system, X, T, icfg, flow0):
     if system.kind in _AFFINE_FLOW_KINDS:
         xT0, P0 = flow0
         return xT0 + X @ P0.T, np.broadcast_to(P0, (X.shape[0],) + P0.shape)
-    if icfg.mode != "fixed":
-        pairs = [flow_with_jacobian(system, x, T, icfg) for x in X]
-        return np.array([xT for xT, _ in pairs]), np.array([P for _, P in pairs])
-    kind, M, c = system.kernel_args()
-    XT, P = kernels.rk4_flow_jacobian(kind, M, c, X, T, icfg.step_count)
-    finite = np.all(np.isfinite(XT), axis=1) & np.all(np.isfinite(P), axis=(1, 2))
-    if not np.all(finite):
-        # rerun the plain state integration for the blow-up time diagnostic
-        integrate(system, X[np.argmin(finite)], T, icfg)
-        raise NumericalError("sensitivity integration produced non-finite values", time=T)
-    return XT, P
+    return flow_with_jacobian(system, X, T, icfg)
 
 
 def _line_search(system, A, b, T, icfg, flow0, X, steps, bound, floor):

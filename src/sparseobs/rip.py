@@ -17,6 +17,7 @@ import numpy as np
 
 from . import kernels
 from .errors import BudgetError, DomainError, ShapeError
+from .model import json_float
 
 METHOD_EXACT = "exact"
 METHOD_MC_LOWER = "monte-carlo-lower"
@@ -39,12 +40,9 @@ class RipReport:
     supports_examined: int
 
     def to_dict(self):
-        delta = self.delta
-        if math.isinf(delta):
-            delta = "inf"
         return {
             "sparsity": self.sparsity,
-            "delta": delta,
+            "delta": json_float(self.delta),
             "method": self.method,
             "supports_examined": self.supports_examined,
         }

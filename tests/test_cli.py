@@ -255,6 +255,25 @@ def test_errors_exit_with_code_two(tmp_path, capsys):
     assert rc == 2
     assert "error:" in capsys.readouterr().err
 
+    ragged_csv = tmp_path / "ragged.csv"
+    ragged_csv.write_text("1.0,2.0\n3.0\n")
+    ragged_json = _write_json(tmp_path / "ragged.json", [[1.0, 2.0], [3.0]])
+    for path in (str(ragged_csv), ragged_json):
+        rc = main(["rip", "--matrix", path, "--sparsity", "1"])
+        assert rc == 2
+        assert path in capsys.readouterr().err
+
+    bad_fields = {
+        "solver": {"solver": {"inner_max_iter": "abc"}},
+        "integration": {"integration": {"step_count": "x"}},
+        "matrix.m": {"matrix": {"n": 128, "m": "x"}},
+    }
+    for field, overrides in bad_fields.items():
+        config = _experiment_config(tmp_path, name="bad_field.json", **overrides)
+        rc = main(["experiment", "--config", config, "--out", str(tmp_path / "x.csv")])
+        assert rc == 2
+        assert f"in field '{field}'" in capsys.readouterr().err
+
 
 def test_missing_subcommand_is_a_usage_error(capsys):
     with pytest.raises(SystemExit) as info:

@@ -123,8 +123,17 @@ def test_config_from_dict_wraps_nested_errors():
         ExperimentConfig.from_dict(_doc(solver={"inner_tol": -1.0}))
     assert "in field 'solver':" in str(info.value)
     with pytest.raises(ConfigError) as info:
+        ExperimentConfig.from_dict(_doc(solver={"inner_max_iter": "abc"}))
+    assert "in field 'solver':" in str(info.value)
+    with pytest.raises(ConfigError) as info:
         ExperimentConfig.from_dict(_doc(integration={"mode": "sympl"}))
     assert "in field 'integration':" in str(info.value)
+    with pytest.raises(ConfigError) as info:
+        ExperimentConfig.from_dict(_doc(integration={"step_count": "x"}))
+    assert "in field 'integration':" in str(info.value)
+    with pytest.raises(ConfigError) as info:
+        ExperimentConfig.from_dict(_doc(matrix={"n": 128, "m": "x"}))
+    assert "in field 'matrix.m':" in str(info.value)
     with pytest.raises(ConfigError):
         ExperimentConfig.from_dict(_doc(matrix=[128, 8]))
     with pytest.raises(ConfigError) as info:

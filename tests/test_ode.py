@@ -1,10 +1,14 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from sparseobs import kernels
+from sparseobs import kernels, ode
 from sparseobs.errors import DomainError, NumericalError, ShapeError
 from sparseobs.model import DynamicalSystem, lipschitz_bound
 from sparseobs.ode import (
@@ -104,10 +108,16 @@ def test_integrate_argument_errors():
         integrate(system, [0.0], 1.0)
 
 
-def test_blowup_reports_first_bad_time():
+_MODE_CONFIGS = pytest.mark.parametrize(
+    "cfg", [IntegrationConfig(), IntegrationConfig.adaptive()], ids=["fixed", "adaptive"]
+)
+
+
+@_MODE_CONFIGS
+def test_blowup_reports_first_bad_time(cfg):
     system = DynamicalSystem.linear([[100.0]])
     with pytest.raises(NumericalError) as info, np.errstate(over="ignore", invalid="ignore"):
-        integrate(system, [1.0], 10.0)
+        integrate(system, [1.0], 10.0, cfg)
     assert info.value.time is not None
     assert 0.0 < info.value.time <= 10.0
 
@@ -119,6 +129,18 @@ def test_adaptive_mode_matches_analytic():
     assert traj.times[0] == 0.0 and traj.times[-1] == 1.0
     np.testing.assert_array_equal(traj.states[0], [1.0])
     assert abs(traj.final_state[0] - math.exp(-1.0)) < 1e-8
+    # the accepted step count's uniform grid
+    np.testing.assert_allclose(np.diff(traj.times), 1.0 / (len(traj.times) - 1), rtol=1e-12)
+
+
+def test_adaptive_mode_gives_up_past_the_step_cap(monkeypatch):
+    monkeypatch.setattr(ode, "_ADAPTIVE_MAX_STEPS", 16)
+    system = DynamicalSystem.tanh_saturated([[0.5, 0.2], [0.1, -0.3]])
+    cfg = IntegrationConfig.adaptive(1e-12)
+    with pytest.raises(NumericalError):
+        integrate(system, [0.4, -0.2], 0.6, cfg)
+    with pytest.raises(NumericalError):
+        flow_with_jacobian(system, np.array([[0.4, -0.2], [1.0, 2.0]]), 0.6, cfg)
 
 
 def test_step_refinement_is_fourth_order():
@@ -202,9 +224,34 @@ def test_flow_jacobian_adaptive_mode():
     np.testing.assert_allclose(P_adapt, P_fixed, atol=1e-7)
 
 
-def test_flow_jacobian_blowup_raises():
+@_MODE_CONFIGS
+def test_flow_jacobian_blowup_raises(cfg):
     with pytest.raises(NumericalError), np.errstate(over="ignore", invalid="ignore"):
-        flow_with_jacobian(DynamicalSystem.linear([[100.0]]), np.array([1.0]), 10.0)
+        flow_with_jacobian(DynamicalSystem.linear([[100.0]]), np.array([1.0]), 10.0, cfg)
+
+
+@_MODE_CONFIGS
+def test_rows_flow_matches_per_row_calls(cfg, monkeypatch):
+    M = [[1.5, -2.0, 0.3], [2.0, 0.5, -1.0], [0.4, 1.0, -1.2]]
+    system = DynamicalSystem.tanh_saturated(M)
+    # saturated rows settle at fewer steps than rows near 0
+    X0 = np.array([[0.0, 0.0, 0.0], [0.1, -0.2, 0.05], [3.0, -4.0, 2.0], [20.0, -30.0, 10.0]])
+    batches = []
+    kernel = kernels.rk4_flow_jacobian
+
+    def counting(kind, M, c, X, T, n):
+        batches.append(X.shape[0])
+        return kernel(kind, M, c, X, T, n)
+
+    monkeypatch.setattr(kernels, "rk4_flow_jacobian", counting)
+    XT, P = flow_with_jacobian(system, X0, 1.0, cfg)
+    assert XT.shape == (4, 3) and P.shape == (4, 3, 3)
+    if cfg.mode == "adaptive":
+        assert len(set(batches)) > 2
+    for x0, xT_row, P_row in zip(X0, XT, P):
+        xT, P1 = flow_with_jacobian(system, x0, 1.0, cfg)
+        np.testing.assert_allclose(xT_row, xT, rtol=0, atol=1e-13)
+        np.testing.assert_allclose(P_row, P1, rtol=0, atol=1e-13)
 
 
 @pytest.mark.parametrize("k", [1, 5])
@@ -251,3 +298,31 @@ def test_gronwall_bound_holds_along_catalog_trajectories():
             gaps = np.linalg.norm(t2.states - t1.states, axis=1)
             envelopes = np.array([gronwall_envelope(L, gap0, t) for t in t1.times])
             assert np.all(gaps <= envelopes + 1e-6)
+
+
+# --- dependencies ------------------------------------------------------------
+
+
+def test_integration_and_recovery_run_without_scipy():
+    # a subprocess, because the pytest process imports scipy itself
+    code = """
+import sys
+import numpy as np
+from sparseobs import DynamicalSystem, IntegrationConfig, MeasurementModel, SparseProblem
+from sparseobs import flow_with_jacobian, integrate, recover_initial_state
+cfg = IntegrationConfig.adaptive()
+system = DynamicalSystem.tanh_saturated([[0.5, 0.2], [0.1, -0.3]])
+integrate(system, [0.4, -0.2], 0.6, cfg)
+flow_with_jacobian(system, np.array([[0.4, -0.2], [1.0, 2.0]]), 0.6, cfg)
+A = np.eye(2)
+b = A @ integrate(system, [0.7, 0.0], 0.6, cfg).final_state
+meas = MeasurementModel(matrix=A, time=0.6, noise_radius=0.0, weights=np.ones(2))
+recover_initial_state(SparseProblem(system, meas, b, 1), cfg)
+assert "scipy" not in sys.modules, sorted(m for m in sys.modules if m.startswith("scipy"))
+"""
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    done = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert done.returncode == 0, done.stderr
