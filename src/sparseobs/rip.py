@@ -3,9 +3,14 @@ lower / coherence upper bounds), the operator 2-norm, and the
 disjoint-support inner-product margin.
 
 The exact constant for sparsity s is the largest deviation from 1 of any
-eigenvalue of an s x s principal submatrix of A^T A; the scan over all
-C(m, s) supports runs in kernels.rip_scan, which batches the eigenvalue
-problems in chunks.
+eigenvalue of an s x s principal submatrix G_S of G = A^T A.  The scan over
+all C(m, s) supports runs in kernels.rip_scan, in blocks.  The deviation of S
+is max|lambda_i(G_S - I)|, which is at most beta_S = ||(G_S - I)^2||_F^(1/2),
+one small matmul per support.  A support whose beta_S lies below the running
+maximum by more than a rounding margin (a few k^3 eps max(1, max_i G_ii),
+see kernels.max_deviation) cannot raise it, so its eigenvalue problem is
+skipped; the constant equals the unscreened maximum bit for bit.  Reports
+count the supports covered and, separately, those eigensolved.
 """
 
 from __future__ import annotations
@@ -32,12 +37,14 @@ _UNIT_NORM_TOL = 1e-12
 @dataclass(frozen=True)
 class RipReport:
     """A restricted-isometry estimate: the sparsity level, the constant (or
-    bound), how it was obtained, and how many supports were examined."""
+    bound), how it was obtained, how many supports it covers, and how many of
+    those were eigensolved (the rest were ruled out by a spectral bound)."""
 
     sparsity: int
     delta: float
     method: str
     supports_examined: int
+    supports_solved: int
 
     def to_dict(self):
         return {
@@ -45,6 +52,7 @@ class RipReport:
             "delta": json_float(self.delta),
             "method": self.method,
             "supports_examined": self.supports_examined,
+            "supports_solved": self.supports_solved,
         }
 
 
@@ -85,8 +93,14 @@ def rip_constant_exact(A, s: int, budget: int = DEFAULT_SUPPORT_BUDGET) -> RipRe
             "use rip_constant_bounds for sampled and coherence estimates"
         )
     G = np.ascontiguousarray(A.T @ A)
-    delta = float(kernels.rip_scan(G, s))
-    return RipReport(sparsity=s, delta=delta, method=METHOD_EXACT, supports_examined=count)
+    delta, solved = kernels.rip_scan(G, s)
+    return RipReport(
+        sparsity=s,
+        delta=float(delta),
+        method=METHOD_EXACT,
+        supports_examined=count,
+        supports_solved=solved,
+    )
 
 
 def mutual_coherence(A) -> float:
@@ -119,18 +133,27 @@ def rip_constant_bounds(A, s: int, samples: int, seed: int):
 
     G = A.T @ A
     rng = np.random.Generator(np.random.Philox(int(seed)))
+    # the keys of a block and its Gram submatrices stay within the scan's
+    # block size; the stream is drawn in the same order whatever the size
+    rows = max(1, kernels.SCAN_BLOCK_FLOATS // max(m, s * s))
     lower = 0.0
+    solved = 0
     done = 0
     while done < samples:
-        chunk = min(samples - done, 65_536)
+        chunk = min(samples - done, rows)
         # first s entries of a random permutation of each row index set
         keys = rng.random((chunk, m))
         supports = np.argsort(keys, axis=1)[:, :s]
         supports = np.ascontiguousarray(np.sort(supports, axis=1))
-        lower = max(lower, kernels.max_deviation(G, supports))
+        lower, n = kernels.max_deviation(G, supports, lower)
+        solved += n
         done += chunk
     lower_report = RipReport(
-        sparsity=s, delta=float(lower), method=METHOD_MC_LOWER, supports_examined=samples
+        sparsity=s,
+        delta=float(lower),
+        method=METHOD_MC_LOWER,
+        supports_examined=samples,
+        supports_solved=solved,
     )
 
     norms = np.sqrt(np.diag(G))
@@ -139,7 +162,11 @@ def rip_constant_bounds(A, s: int, samples: int, seed: int):
     else:
         upper = float("inf")
     upper_report = RipReport(
-        sparsity=s, delta=upper, method=METHOD_COHERENCE_UPPER, supports_examined=0
+        sparsity=s,
+        delta=upper,
+        method=METHOD_COHERENCE_UPPER,
+        supports_examined=0,
+        supports_solved=0,
     )
     return lower_report, upper_report
 

@@ -68,6 +68,7 @@ def test_rip_exact_subcommand(tmp_path, capsys):
     assert doc["sparsity"] == 2
     assert doc["method"] == "exact"
     assert doc["supports_examined"] == 6
+    assert doc["supports_solved"] == 6
 
 
 def test_rip_bounds_subcommand(tmp_path, capsys):
@@ -91,6 +92,8 @@ def test_rip_bounds_subcommand(tmp_path, capsys):
     assert doc["lower"]["delta"] == 0.0
     assert doc["upper"]["delta"] == 0.0
     assert doc["lower"]["supports_examined"] == 50
+    assert doc["lower"]["supports_solved"] == 50
+    assert doc["upper"]["supports_solved"] == 0
 
 
 def test_rip_reads_json_matrices(tmp_path, capsys):

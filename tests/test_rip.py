@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from sparseobs import kernels
 from sparseobs.errors import BudgetError, DomainError, ShapeError
 from sparseobs.harness import gen_gaussian_matrix
 from sparseobs.rip import (
@@ -66,14 +67,18 @@ def test_exact_constant_is_nondecreasing_in_s():
     assert all(d0 <= d1 + 1e-14 for d0, d1 in zip(deltas, deltas[1:]))
 
 
-def test_exact_constant_matches_per_support_reference_across_scan_chunks():
-    # C(20, 4) = 4845 supports fill more than one 4096-support chunk of the
-    # scan.  In the clustered matrix columns 16-19 are nearly parallel, so the
-    # worst support is {16, 17, 18, 19}, the last one scanned.
+def _clustered():
+    # columns 16-19 are nearly parallel, so the worst support of size 4 is
+    # {16, 17, 18, 19}, the last one scanned
     A = gaussian_unit_columns(30, 20, 8)
-    clustered = A.copy()
-    clustered[:, 16:] = normalized_columns(A[:, [16]] + 0.1 * A[:, 16:])
-    for M in (A, clustered):
+    A[:, 16:] = normalized_columns(A[:, [16]] + 0.1 * A[:, 16:])
+    return A
+
+
+def test_exact_constant_matches_per_support_reference_across_scan_chunks():
+    # C(20, 4) = 4845 supports span more than one block of the scan
+    assert 4845 > kernels.SCAN_BLOCK_FLOATS // 4**2
+    for M in (gaussian_unit_columns(30, 20, 8), _clustered()):
         G = M.T @ M
         deviations = []
         for support in itertools.combinations(range(20), 4):
@@ -83,6 +88,72 @@ def test_exact_constant_matches_per_support_reference_across_scan_chunks():
         assert report.supports_examined == len(deviations) == 4845
         assert abs(report.delta - max(deviations)) <= 1e-13
     assert int(np.argmax(deviations)) == 4844
+
+
+def _per_support_delta(A, s):
+    """The unscreened constant: every support eigensolved on its own."""
+    G = A.T @ A
+    delta = 0.0
+    for support in itertools.combinations(range(A.shape[1]), s):
+        ev = np.linalg.eigvalsh(G[np.ix_(support, support)])
+        delta = max(delta, ev[-1] - 1.0, 1.0 - ev[0])
+    return float(delta)
+
+
+def _duplicated_column():
+    A = gen_gaussian_matrix(128, 16, 50)
+    A[:, 9] = A[:, 2]
+    return A
+
+
+SCREEN_CASES = {
+    "gaussian": (lambda: gen_gaussian_matrix(128, 16, 50), 5),
+    "identity": (lambda: np.eye(12), 4),
+    "scaled-down": (lambda: 1e-4 * gen_gaussian_matrix(128, 16, 50), 5),
+    "scaled-up": (lambda: 1e4 * gen_gaussian_matrix(128, 16, 50), 5),
+    "wide": (lambda: gen_gaussian_matrix(24, 48, 51), 2),
+    "duplicated-column": (_duplicated_column, 4),
+    "clustered": (_clustered, 4),
+}
+
+
+@pytest.mark.parametrize("case", sorted(SCREEN_CASES))
+def test_screened_constant_equals_per_support_reference(case):
+    build, s = SCREEN_CASES[case]
+    A = build()
+    report = rip_constant_exact(A, s)
+    assert report.delta == _per_support_delta(A, s)
+    assert 1 <= report.supports_solved <= report.supports_examined == math.comb(A.shape[1], s)
+    if case == "gaussian":
+        # 4368 supports: the screen runs over several blocks
+        assert report.supports_examined > kernels.SCAN_BLOCK_FLOATS // s**2
+    if case == "identity":
+        # every support ties at deviation 0, so none can be skipped
+        assert report.supports_solved == report.supports_examined
+    if case == "wide":
+        assert report.delta > 1.0
+
+
+def test_screen_eigensolves_few_supports_of_a_wide_scan():
+    # the certify_wide shape: delta_6 of a 512 x 24 Gaussian matrix
+    report = rip_constant_exact(gen_gaussian_matrix(512, 24, 1), 6)
+    assert report.supports_examined == 134_596
+    assert report.supports_solved < 0.01 * 134_596
+
+
+@pytest.mark.parametrize(
+    "m,k,block_floats",
+    [(9, 1, 1), (9, 4, 1), (9, 9, 1), (13, 5, 40), (24, 6, 6000)]
+    + [(m, k, kernels.SCAN_BLOCK_FLOATS) for m, k in ((9, 1), (9, 4), (9, 9), (24, 6))],
+)
+def test_scan_blocks_enumerate_supports_in_lexicographic_order(monkeypatch, m, k, block_floats):
+    # the block size also bounds the tail table, down to one-entry tails
+    monkeypatch.setattr(kernels, "SCAN_BLOCK_FLOATS", block_floats)
+    rows = max(1, block_floats // (k * k))
+    blocks = [b.copy() for b in kernels._lex_blocks(m, k)]
+    assert all(1 <= len(b) <= rows for b in blocks)
+    expected = np.array(list(itertools.combinations(range(m), k)), dtype=np.intp)
+    np.testing.assert_array_equal(np.concatenate(blocks), expected)
 
 
 def test_exact_constant_budget_refusal():
@@ -139,6 +210,9 @@ def test_bounds_on_orthonormal_columns():
     assert lower.method == METHOD_MC_LOWER
     assert upper.method == METHOD_COHERENCE_UPPER
     assert lower.supports_examined == 50
+    # every sampled support ties at deviation 0
+    assert lower.supports_solved == 50
+    assert upper.supports_solved == 0
 
 
 def test_bounds_bracket_the_exact_constant():
@@ -155,6 +229,25 @@ def test_lower_bound_is_nondecreasing_in_samples():
     small = rip_constant_bounds(A, 3, samples=1, seed=3)[0].delta
     big = rip_constant_bounds(A, 3, samples=10_000, seed=3)[0].delta
     assert small <= big
+
+
+def test_sampled_lower_bound_is_independent_of_the_block_size(monkeypatch):
+    A = gen_gaussian_matrix(6, 12, 52)
+    lower = rip_constant_bounds(A, 3, samples=1000, seed=4)[0]
+    # one-shot draw of every key: the stream the blocked draws must consume
+    keys = np.random.Generator(np.random.Philox(4)).random((1000, 12))
+    G = A.T @ A
+    expected = 0.0
+    for support in np.sort(np.argsort(keys, axis=1)[:, :3], axis=1):
+        ev = np.linalg.eigvalsh(G[np.ix_(support, support)])
+        expected = max(expected, ev[-1] - 1.0, 1.0 - ev[0])
+    assert lower.delta == expected
+    # 40 floats: 3 rows of 12 keys per block, so 334 blocks
+    monkeypatch.setattr(kernels, "SCAN_BLOCK_FLOATS", 40)
+    small = rip_constant_bounds(A, 3, samples=1000, seed=4)[0]
+    assert small.delta == lower.delta
+    assert small.supports_examined == lower.supports_examined == 1000
+    assert 1 <= small.supports_solved <= 1000
 
 
 def test_coherence_upper_is_inf_for_unnormalized_columns():
