@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, InfeasibleCertificate
+from .errors import DomainError, InfeasibleCertificate, check_count, check_matrix, check_real
 from .model import DynamicalSystem, best_s_term, json_float
 from .ode import IntegrationConfig, integrate
 from .rip import operator_norm
@@ -74,22 +74,11 @@ class Certificate:
         }
 
 
-def _check_scalars(lipschitz, delta_2s, op_norm, tau=None):
-    L = float(lipschitz)
-    d = float(delta_2s)
-    a = float(op_norm)
-    if not (math.isfinite(L) and L >= 0):
-        raise DomainError(f"lipschitz must be nonnegative and finite, got {L}")
-    if not (math.isfinite(d) and d >= 0):
-        raise DomainError(f"delta_2s must be nonnegative and finite, got {d}")
-    if not (math.isfinite(a) and a > 0):
-        raise DomainError(f"op_norm must be positive and finite, got {a}")
-    if tau is None:
-        return L, d, a
-    t = float(tau)
-    if not (math.isfinite(t) and t >= 1):
+def _check_tau(tau):
+    t = check_real(tau, "tau")
+    if t < 1:
         raise DomainError(f"tau must be >= 1, got {t}")
-    return L, d, a, t
+    return t
 
 
 def observability_horizon(lipschitz: float, delta_2s: float, op_norm: float):
@@ -97,7 +86,9 @@ def observability_horizon(lipschitz: float, delta_2s: float, op_norm: float):
     that are jointly sparse enough stay distinguishable: log1p of the isometry
     floor over the operator norm, divided by L.  None when delta_2s >= 1 (no
     isometry floor), inf when the dynamics are static (L = 0)."""
-    L, d, a = _check_scalars(lipschitz, delta_2s, op_norm)
+    L = check_real(lipschitz, "lipschitz")
+    d = check_real(delta_2s, "delta_2s")
+    a = check_real(op_norm, "op_norm", positive=True)
     if d >= 1.0:
         return None
     ratio = math.sqrt(1.0 - d) / a
@@ -111,7 +102,10 @@ def recovery_horizon(lipschitz: float, delta_2s: float, tau: float, op_norm: flo
     certifiable.  Returns inf when static dynamics keep the bound valid for
     all T, 0.0 when no positive time works, and None when the log argument of
     the horizon formula is nonpositive."""
-    L, d, a, t = _check_scalars(lipschitz, delta_2s, op_norm, tau)
+    L = check_real(lipschitz, "lipschitz")
+    d = check_real(delta_2s, "delta_2s")
+    a = check_real(op_norm, "op_norm", positive=True)
+    t = _check_tau(tau)
     numerator = 1.0 - d * (1.0 + t * _SQRT2)
     denominator = (1.0 + t) * a * math.sqrt(1.0 + d)
     ratio = numerator / denominator
@@ -133,10 +127,11 @@ def recovery_constants(
     coefficients are sparsity_coeff = 2*tau*(rho + 1)/D on the s-term tail and
     noise_coeff = alpha*(1 + tau)/D on the noise radius.
     """
-    L, d, a, t = _check_scalars(lipschitz, delta_2s, op_norm, tau)
-    T = float(time)
-    if not (math.isfinite(T) and T > 0):
-        raise DomainError(f"time must be positive and finite, got {T}")
+    L = check_real(lipschitz, "lipschitz")
+    d = check_real(delta_2s, "delta_2s")
+    a = check_real(op_norm, "op_norm", positive=True)
+    t = _check_tau(tau)
+    T = check_real(time, "time", positive=True)
 
     excess = math.expm1(L * T)
     obs_T = observability_horizon(L, d, a)
@@ -196,12 +191,8 @@ def recovery_error_bound(certificate: Certificate, x0, s: int, eps: float) -> fl
             f"certificate is infeasible ({', '.join(certificate.reasons)})",
             reasons=certificate.reasons,
         )
-    s = int(s)
-    if s < 1:
-        raise DomainError(f"s must be >= 1, got {s}")
-    eps = float(eps)
-    if not (math.isfinite(eps) and eps >= 0):
-        raise DomainError(f"eps must be nonnegative and finite, got {eps}")
+    s = check_count(s, "s")
+    eps = check_real(eps, "eps")
     x0 = np.asarray(x0, dtype=float)
     tail = x0 - best_s_term(x0, min(s, x0.size))
     tail_l1 = float(np.sum(np.abs(tail)))
@@ -224,14 +215,12 @@ def distinguishability_gap(
     which may be negative when the horizon is too long.  delta_2s >= 1 carries
     no floor at all and yields -inf.
     """
-    A = np.asarray(A, dtype=float)
+    A = check_matrix(A, "A")
     x1_0 = np.asarray(x1_0, dtype=float)
     x2_0 = np.asarray(x2_0, dtype=float)
     if np.array_equal(x1_0, x2_0):
         raise DomainError("initial states must differ")
-    d = float(delta_2s)
-    if d < 0:
-        raise DomainError(f"delta_2s must be nonnegative, got {d}")
+    d = check_real(delta_2s, "delta_2s")
 
     traj1 = integrate(system, x1_0, time, config)
     traj2 = integrate(system, x2_0, time, config)

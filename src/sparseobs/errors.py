@@ -1,4 +1,15 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the checkers that hold its
+one input-validation policy.
+
+A count is an int, a numpy integer or an integral float such as 2e5; a bool
+or a fractional value is refused, never truncated.  Reals, matrices and weight
+vectors must be finite.  A value out of range raises DomainError, an array of
+the wrong shape ShapeError.
+"""
+
+import math
+
+import numpy as np
 
 
 class ShapeError(ValueError):
@@ -48,3 +59,52 @@ class InfeasibleCertificate(ValueError):
     def __init__(self, message, reasons=()):
         super().__init__(message)
         self.reasons = tuple(reasons)
+
+
+def check_count(value, name, low=1, high=None):
+    """value as an int in [low, high] (high=None leaves it unbounded)."""
+    if isinstance(value, (float, np.floating)) and float(value).is_integer():
+        value = int(value)
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise DomainError(f"{name} must be an integer, got {value!r}")
+    value = int(value)
+    if value < low or (high is not None and value > high):
+        span = f">= {low}" if high is None else f"lie in [{low}, {high}]"
+        raise DomainError(f"{name} must {span}, got {value}")
+    return value
+
+
+def check_real(value, name, positive=False):
+    """value as a finite float, strictly positive if positive is set and
+    nonnegative otherwise."""
+    v = float(value)
+    if not (math.isfinite(v) and (v > 0 if positive else v >= 0)):
+        sign = "positive" if positive else "nonnegative"
+        raise DomainError(f"{name} must be {sign} and finite, got {value!r}")
+    return v
+
+
+def check_array(a, shape, name):
+    """a as a finite, C-contiguous float array of the given shape."""
+    a = np.ascontiguousarray(a, dtype=float)
+    if a.shape != shape:
+        raise ShapeError(f"{name} must have shape {shape}, got {a.shape}")
+    if not np.all(np.isfinite(a)):
+        raise DomainError(f"{name} must be finite")
+    return a
+
+
+def check_matrix(A, name):
+    """A as a finite, nonempty, C-contiguous 2-d float array."""
+    A = np.ascontiguousarray(A, dtype=float)
+    if A.ndim != 2 or A.size == 0:
+        raise ShapeError(f"{name} must be a nonempty 2-d array, got shape {A.shape}")
+    return check_array(A, A.shape, name)
+
+
+def check_weights(w, shape):
+    """w as a finite, strictly positive float array of the given shape."""
+    w = check_array(w, shape, "weights")
+    if np.any(w <= 0):
+        raise DomainError("weights must be strictly positive")
+    return w

@@ -26,7 +26,15 @@ from .certify import (
     recovery_error_bound,
     recovery_horizon,
 )
-from .errors import BudgetError, ConfigError, DomainError, ShapeError
+from .errors import (
+    BudgetError,
+    ConfigError,
+    DomainError,
+    ShapeError,
+    check_count,
+    check_real,
+    check_weights,
+)
 from .model import (
     DynamicalSystem,
     MeasurementModel,
@@ -73,14 +81,10 @@ CSV_COLUMNS = (
 def gen_gaussian_matrix(n: int, m: int, seed: int, scale: float = 1.0) -> np.ndarray:
     """n x m matrix of i.i.d. normal entries with standard deviation
     scale/sqrt(n), from a counter-based generator keyed by seed."""
-    n = int(n)
-    m = int(m)
-    if n < 1 or m < 1:
-        raise DomainError(f"n and m must be >= 1, got {n} and {m}")
-    scale = float(scale)
-    if not (math.isfinite(scale) and scale > 0):
-        raise DomainError(f"scale must be positive, got {scale}")
-    rng = np.random.Generator(np.random.Philox(int(seed)))
+    n = check_count(n, "n")
+    m = check_count(m, "m")
+    scale = check_real(scale, "scale", positive=True)
+    rng = np.random.Generator(np.random.Philox(check_count(seed, "seed", 0)))
     return rng.normal(0.0, scale / math.sqrt(n), size=(n, m))
 
 
@@ -119,49 +123,30 @@ class ExperimentConfig:
     rip_budget: int = DEFAULT_SUPPORT_BUDGET
 
     def __post_init__(self):
-        object.__setattr__(self, "seed", int(self.seed))
-        trials = int(self.trials)
-        if trials < 1:
-            raise ConfigError(f"trials must be >= 1, got {trials}")
-        object.__setattr__(self, "trials", trials)
-        n = int(self.n)
-        if n < 1:
-            raise ConfigError(f"matrix rows n must be >= 1, got {n}")
-        object.__setattr__(self, "n", n)
-        m = self.system.dim
-        s = int(self.sparsity)
-        if not (1 <= s <= m):
-            raise ConfigError(f"sparsity must lie in [1, {m}], got {s}")
-        object.__setattr__(self, "sparsity", s)
-        eps = float(self.noise_radius)
-        if not (math.isfinite(eps) and eps >= 0):
-            raise ConfigError(f"noise_radius must be nonnegative, got {eps}")
-        object.__setattr__(self, "noise_radius", eps)
-        if self.time != "auto":
-            t = float(self.time)
-            if not (math.isfinite(t) and t > 0):
-                raise ConfigError(f"time must be positive or \"auto\", got {self.time!r}")
-            object.__setattr__(self, "time", t)
         if self.ensemble != "gaussian":
             raise ConfigError(f"ensemble must be \"gaussian\", got {self.ensemble!r}")
-        scale = float(self.scale)
-        if not (math.isfinite(scale) and scale > 0):
-            raise ConfigError(f"scale must be positive, got {scale}")
-        object.__setattr__(self, "scale", scale)
         if self.magnitudes not in _MAGNITUDES:
             raise ConfigError(f"magnitudes must be one of {_MAGNITUDES}, got {self.magnitudes!r}")
-        if self.weights is not None:
-            w = np.array(self.weights, dtype=float)
-            if w.shape != (m,):
-                raise ConfigError(f"weights must have shape ({m},), got {w.shape}")
-            if np.any(w <= 0) or not np.all(np.isfinite(w)):
-                raise ConfigError("weights must be strictly positive and finite")
-            w.setflags(write=False)
-            object.__setattr__(self, "weights", w)
-        budget = int(self.rip_budget)
-        if budget < 1:
-            raise ConfigError(f"rip_budget must be >= 1, got {budget}")
-        object.__setattr__(self, "rip_budget", budget)
+        try:
+            checked = {
+                "seed": check_count(self.seed, "seed", 0),
+                "trials": check_count(self.trials, "trials"),
+                "n": check_count(self.n, "matrix rows n"),
+                "sparsity": check_count(self.sparsity, "sparsity", 1, self.m),
+                "noise_radius": check_real(self.noise_radius, "noise_radius"),
+                "scale": check_real(self.scale, "scale", positive=True),
+                "rip_budget": check_count(self.rip_budget, "rip_budget"),
+            }
+            if self.time != "auto":
+                checked["time"] = check_real(self.time, "time", positive=True)
+            if self.weights is not None:
+                w = check_weights(self.weights, (self.m,)).copy()
+                w.setflags(write=False)
+                checked["weights"] = w
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(str(exc)) from exc
+        for name, value in checked.items():
+            object.__setattr__(self, name, value)
 
     @property
     def m(self):
@@ -202,8 +187,8 @@ class ExperimentConfig:
         if not isinstance(mat, dict) or "n" not in mat:
             raise ConfigError("field 'matrix' must be an object with at least 'n'")
         try:
-            m_ok = "m" not in mat or int(mat["m"]) == system.dim
-        except (TypeError, ValueError) as exc:
+            m_ok = "m" not in mat or check_count(mat["m"], "matrix.m") == system.dim
+        except DomainError as exc:
             raise ConfigError(f"in field 'matrix.m': {exc}") from exc
         if not m_ok:
             raise ConfigError(
@@ -224,27 +209,22 @@ class ExperimentConfig:
                 integration = IntegrationConfig(**idoc)
             except (TypeError, ValueError) as exc:
                 raise ConfigError(f"in field 'integration': {exc}") from exc
-        try:
-            return cls(
-                seed=doc["seed"],
-                trials=doc["trials"],
-                system=system,
-                n=mat["n"],
-                sparsity=doc["sparsity"],
-                noise_radius=doc["noise_radius"],
-                time=doc.get("time", "auto"),
-                ensemble=mat.get("ensemble", "gaussian"),
-                scale=mat.get("scale", 1.0),
-                magnitudes=doc.get("magnitudes", "unit"),
-                weights=doc.get("weights"),
-                solver=solver,
-                integration=integration,
-                rip_budget=doc.get("rip_budget", DEFAULT_SUPPORT_BUDGET),
-            )
-        except (TypeError, ValueError) as exc:
-            if isinstance(exc, ConfigError):
-                raise
-            raise ConfigError(str(exc)) from exc
+        return cls(
+            seed=doc["seed"],
+            trials=doc["trials"],
+            system=system,
+            n=mat["n"],
+            sparsity=doc["sparsity"],
+            noise_radius=doc["noise_radius"],
+            time=doc.get("time", "auto"),
+            ensemble=mat.get("ensemble", "gaussian"),
+            scale=mat.get("scale", 1.0),
+            magnitudes=doc.get("magnitudes", "unit"),
+            weights=doc.get("weights"),
+            solver=solver,
+            integration=integration,
+            rip_budget=doc.get("rip_budget", DEFAULT_SUPPORT_BUDGET),
+        )
 
     def to_dict(self) -> dict:
         return {
@@ -476,9 +456,7 @@ def run_experiment(config: ExperimentConfig, workers: int = 1, force: bool = Fal
     """All trials of the config, in trial order.  workers > 1 runs trials on
     a process pool; records are merged strictly by trial index, so the output
     is identical to the sequential run."""
-    workers = int(workers)
-    if workers < 1:
-        raise DomainError(f"workers must be >= 1, got {workers}")
+    workers = check_count(workers, "workers")
     indices = range(config.trials)
     if workers == 1:
         return [run_trial(config, i, force) for i in indices]

@@ -14,7 +14,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, ShapeError
+from .errors import (
+    DomainError,
+    ShapeError,
+    check_array,
+    check_count,
+    check_matrix,
+    check_real,
+    check_weights,
+)
 from . import kernels
 
 RHS_KINDS = ("zero", "linear", "affine", "tanh_saturated")
@@ -28,27 +36,17 @@ _KIND_CODES = {
 _KIND_ALIASES = {"tanh-saturated": "tanh_saturated"}
 
 # slack for validating a user-supplied Lipschitz constant against the
-# analytic one: rip.operator_norm is exact to rounding, but a norm computed
-# another way (another SVD routine, an iterative method) may differ in the
-# last digits
+# analytic one: the SVD's largest singular value is exact to rounding, but a
+# norm computed another way (another SVD routine, an iterative method) may
+# differ in the last digits
 _LIP_SLACK = 1e-9
 
 
-def _frozen_array(a, shape, name):
-    arr = np.array(a, dtype=float)
-    if arr.shape != shape:
-        raise ShapeError(f"{name} must have shape {shape}, got {arr.shape}")
-    if not np.all(np.isfinite(arr)):
-        raise DomainError(f"{name} must be finite")
+def _frozen(arr):
+    """arr as a read-only copy, safe to share."""
+    arr = arr.copy()
     arr.setflags(write=False)
     return arr
-
-
-def _spectral_norm(M):
-    # local import: rip needs kernels only, so this stays cycle-free
-    from .rip import operator_norm
-
-    return operator_norm(M)
 
 
 @dataclass(frozen=True)
@@ -74,11 +72,8 @@ class DynamicalSystem:
             raise DomainError(f"unknown rhs kind {self.kind!r}; expected one of {RHS_KINDS}")
         object.__setattr__(self, "kind", kind)
 
-        dim = self.dim
-        if not isinstance(dim, (int, np.integer)) or isinstance(dim, bool) or dim < 1:
-            raise DomainError(f"dim must be a positive integer, got {dim!r}")
-        object.__setattr__(self, "dim", int(dim))
-        dim = self.dim
+        dim = check_count(self.dim, "dim")
+        object.__setattr__(self, "dim", dim)
 
         if kind == "zero":
             if self.matrix is not None or self.drift is not None:
@@ -86,21 +81,21 @@ class DynamicalSystem:
         else:
             if self.matrix is None:
                 raise DomainError(f"{kind} systems require a matrix")
-            object.__setattr__(self, "matrix", _frozen_array(self.matrix, (dim, dim), "matrix"))
+            matrix = _frozen(check_array(self.matrix, (dim, dim), "matrix"))
+            object.__setattr__(self, "matrix", matrix)
             if kind == "affine":
                 if self.drift is None:
                     raise DomainError("affine systems require a drift vector")
-                object.__setattr__(self, "drift", _frozen_array(self.drift, (dim,), "drift"))
+                drift = _frozen(check_array(self.drift, (dim,), "drift"))
+                object.__setattr__(self, "drift", drift)
             elif self.drift is not None:
                 raise DomainError(f"{kind} systems take no drift vector")
 
-        analytic = 0.0 if kind == "zero" else _spectral_norm(self.matrix)
+        analytic = 0.0 if kind == "zero" else float(np.linalg.norm(self.matrix, 2))
         if self.lipschitz is None:
-            object.__setattr__(self, "lipschitz", float(analytic))
+            object.__setattr__(self, "lipschitz", analytic)
         else:
-            lip = float(self.lipschitz)
-            if not math.isfinite(lip):
-                raise DomainError("lipschitz must be finite")
+            lip = check_real(self.lipschitz, "lipschitz")
             if lip < analytic - _LIP_SLACK * max(1.0, analytic):
                 raise DomainError(
                     f"lipschitz {lip} undercuts the analytic bound {analytic:.12g}"
@@ -181,28 +176,11 @@ class MeasurementModel:
     weights: np.ndarray
 
     def __post_init__(self):
-        A = np.array(self.matrix, dtype=float)
-        if A.ndim != 2 or A.shape[0] < 1 or A.shape[1] < 1:
-            raise ShapeError(f"measurement matrix must be 2-d and nonempty, got shape {A.shape}")
-        if not np.all(np.isfinite(A)):
-            raise DomainError("measurement matrix must be finite")
-        A.setflags(write=False)
+        A = _frozen(check_matrix(self.matrix, "measurement matrix"))
         object.__setattr__(self, "matrix", A)
-
-        t = float(self.time)
-        if not (math.isfinite(t) and t > 0):
-            raise DomainError(f"measurement time must be positive and finite, got {t}")
-        object.__setattr__(self, "time", t)
-
-        eps = float(self.noise_radius)
-        if not (math.isfinite(eps) and eps >= 0):
-            raise DomainError(f"noise_radius must be nonnegative and finite, got {eps}")
-        object.__setattr__(self, "noise_radius", eps)
-
-        w = _frozen_array(self.weights, (A.shape[1],), "weights")
-        if np.any(w <= 0):
-            raise DomainError("weights must be strictly positive")
-        object.__setattr__(self, "weights", w)
+        object.__setattr__(self, "time", check_real(self.time, "measurement time", positive=True))
+        object.__setattr__(self, "noise_radius", check_real(self.noise_radius, "noise_radius"))
+        object.__setattr__(self, "weights", _frozen(check_weights(self.weights, (A.shape[1],))))
 
     @property
     def n(self):
@@ -229,14 +207,9 @@ class SparseProblem:
                 f"measurement matrix has {self.measurement.m} columns "
                 f"but the system dimension is {self.system.dim}"
             )
-        b = _frozen_array(self.observation, (self.measurement.n,), "observation")
+        b = _frozen(check_array(self.observation, (self.measurement.n,), "observation"))
         object.__setattr__(self, "observation", b)
-        s = self.sparsity
-        if not isinstance(s, (int, np.integer)) or isinstance(s, bool):
-            raise DomainError(f"sparsity must be an integer, got {s!r}")
-        s = int(s)
-        if not (1 <= s <= self.system.dim):
-            raise DomainError(f"sparsity must lie in [1, {self.system.dim}], got {s}")
+        s = check_count(self.sparsity, "sparsity", 1, self.system.dim)
         object.__setattr__(self, "sparsity", s)
 
 
@@ -257,14 +230,9 @@ class RecoveryOutcome:
             raise ShapeError(f"estimate must be 1-d, got shape {est.shape}")
         est.setflags(write=False)
         object.__setattr__(self, "estimate", est)
-        object.__setattr__(self, "residual", float(self.residual))
-        object.__setattr__(self, "weighted_l1", float(self.weighted_l1))
-        if self.residual < 0 or self.weighted_l1 < 0:
-            raise DomainError("residual and weighted_l1 must be nonnegative")
-        it = int(self.iterations)
-        if it < 0:
-            raise DomainError("iterations must be nonnegative")
-        object.__setattr__(self, "iterations", it)
+        object.__setattr__(self, "residual", check_real(self.residual, "residual"))
+        object.__setattr__(self, "weighted_l1", check_real(self.weighted_l1, "weighted_l1"))
+        object.__setattr__(self, "iterations", check_count(self.iterations, "iterations", 0))
         object.__setattr__(self, "converged", bool(self.converged))
 
     def to_dict(self):
@@ -280,11 +248,9 @@ class RecoveryOutcome:
 def weighted_l1_norm(x: np.ndarray, weights: np.ndarray) -> float:
     """sum_i weights_i * |x_i| for strictly positive weights."""
     x = np.asarray(x, dtype=float)
-    w = np.asarray(weights, dtype=float)
-    if x.ndim != 1 or x.shape != w.shape:
-        raise ShapeError(f"x and weights must be 1-d with equal length, got {x.shape} and {w.shape}")
-    if np.any(w <= 0):
-        raise DomainError("weights must be strictly positive")
+    if x.ndim != 1:
+        raise ShapeError(f"x must be 1-d, got shape {x.shape}")
+    w = check_weights(weights, x.shape)
     return float(np.sum(w * np.abs(x)))
 
 
@@ -293,8 +259,7 @@ def weight_condition_number(weights: np.ndarray) -> float:
     w = np.asarray(weights, dtype=float)
     if w.ndim != 1 or w.size == 0:
         raise ShapeError(f"weights must be a nonempty 1-d array, got shape {w.shape}")
-    if np.any(w <= 0):
-        raise DomainError("weights must be strictly positive")
+    w = check_weights(w, w.shape)
     return float(np.max(w) / np.min(w))
 
 
@@ -305,9 +270,7 @@ def best_s_term(x: np.ndarray, s: int) -> np.ndarray:
     x = np.asarray(x, dtype=float)
     if x.ndim != 1:
         raise ShapeError(f"x must be 1-d, got shape {x.shape}")
-    s = int(s)
-    if not (0 <= s <= x.size):
-        raise DomainError(f"s must lie in [0, {x.size}], got {s}")
+    s = check_count(s, "s", 0, x.size)
     order = np.argsort(-np.abs(x), kind="stable")
     out = np.zeros_like(x)
     keep = order[:s]

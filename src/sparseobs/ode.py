@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernels
-from .errors import DomainError, NumericalError, ShapeError
+from .errors import DomainError, NumericalError, ShapeError, check_count, check_real
 from .model import DynamicalSystem
 
 _MODES = ("fixed", "adaptive")
@@ -38,14 +38,9 @@ class IntegrationConfig:
     def __post_init__(self):
         if self.mode not in _MODES:
             raise DomainError(f"mode must be one of {_MODES}, got {self.mode!r}")
-        n = int(self.step_count)
-        if n < 1:
-            raise DomainError(f"step_count must be >= 1, got {self.step_count}")
-        object.__setattr__(self, "step_count", n)
-        tol = float(self.tolerance)
-        if not (math.isfinite(tol) and tol > 0):
-            raise DomainError(f"tolerance must be positive and finite, got {self.tolerance}")
-        object.__setattr__(self, "tolerance", tol)
+        object.__setattr__(self, "step_count", check_count(self.step_count, "step_count"))
+        tolerance = check_real(self.tolerance, "tolerance", positive=True)
+        object.__setattr__(self, "tolerance", tolerance)
 
     @classmethod
     def fixed(cls, step_count=256):
@@ -101,10 +96,7 @@ def _check_args(system, x0, T, rows=False):
     if not (x0.ndim in ((1, 2) if rows else (1,)) and x0.shape[-1] == m):
         want = f"({m},) or (k, {m})" if rows else f"({m},)"
         raise ShapeError(f"x0 must have shape {want}, got {x0.shape}")
-    T = float(T)
-    if not (math.isfinite(T) and T > 0):
-        raise DomainError(f"T must be positive and finite, got {T}")
-    return x0, T
+    return x0, check_real(T, "T", positive=True)
 
 
 def _doubled(n):
@@ -200,9 +192,6 @@ def flow_jacobian(
 def gronwall_envelope(lipschitz: float, gap0: float, t: float) -> float:
     """Upper envelope gap0 * exp(lipschitz * t) for the separation of two
     solutions whose initial states are gap0 apart."""
-    L = float(lipschitz)
-    g = float(gap0)
-    tt = float(t)
-    if L < 0 or g < 0 or tt < 0:
-        raise DomainError("lipschitz, gap0, and t must all be nonnegative")
-    return g * math.exp(L * tt)
+    L = check_real(lipschitz, "lipschitz")
+    g = check_real(gap0, "gap0")
+    return g * math.exp(L * check_real(t, "t"))

@@ -21,7 +21,16 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from . import kernels
-from .errors import BudgetError, DomainError, InfeasibleError, ShapeError
+from .errors import (
+    BudgetError,
+    DomainError,
+    InfeasibleError,
+    check_array,
+    check_count,
+    check_matrix,
+    check_real,
+    check_weights,
+)
 from .model import RecoveryOutcome, SparseProblem, weighted_l1_norm
 # unused integrate stays bound: pipebench/bench_trace.py traces it as a call site here
 from .ode import IntegrationConfig, flow_with_jacobian, integrate  # noqa: F401
@@ -60,15 +69,18 @@ class SolverConfig:
     residual_match_tol: float = 1e-6
 
     def __post_init__(self):
-        if int(self.outer_max_iter) < 1 or int(self.inner_max_iter) < 1:
-            raise DomainError("iteration limits must be >= 1")
-        object.__setattr__(self, "outer_max_iter", int(self.outer_max_iter))
-        object.__setattr__(self, "inner_max_iter", int(self.inner_max_iter))
-        for name in ("outer_tol", "inner_tol", "penalty", "residual_match_tol"):
-            v = float(getattr(self, name))
-            if not (math.isfinite(v) and v > 0):
-                raise DomainError(f"{name} must be positive and finite, got {v}")
-            object.__setattr__(self, name, v)
+        checked = {
+            "outer_max_iter": check_count(self.outer_max_iter, "outer_max_iter"),
+            "outer_tol": check_real(self.outer_tol, "outer_tol", positive=True),
+            "inner_max_iter": check_count(self.inner_max_iter, "inner_max_iter"),
+            "inner_tol": check_real(self.inner_tol, "inner_tol", positive=True),
+            "penalty": check_real(self.penalty, "penalty", positive=True),
+            "residual_match_tol": check_real(
+                self.residual_match_tol, "residual_match_tol", positive=True
+            ),
+        }
+        for name, value in checked.items():
+            object.__setattr__(self, name, value)
 
     @classmethod
     def from_dict(cls, doc):
@@ -77,29 +89,6 @@ class SolverConfig:
         if extra:
             raise DomainError(f"unknown solver config fields: {sorted(extra)}")
         return cls(**doc)
-
-
-def _check_bpdn_args(Phi, offset, observation, weights, eps):
-    Phi = np.ascontiguousarray(Phi, dtype=float)
-    if Phi.ndim != 2:
-        raise ShapeError(f"Phi must be 2-d, got shape {Phi.shape}")
-    n, m = Phi.shape
-    offset = np.asarray(offset, dtype=float)
-    observation = np.asarray(observation, dtype=float)
-    weights = np.ascontiguousarray(weights, dtype=float)
-    if offset.shape != (n,) or observation.shape != (n,):
-        raise ShapeError(
-            f"offset and observation must have shape ({n},), "
-            f"got {offset.shape} and {observation.shape}"
-        )
-    if weights.shape != (m,):
-        raise ShapeError(f"weights must have shape ({m},), got {weights.shape}")
-    if np.any(weights <= 0):
-        raise DomainError("weights must be strictly positive")
-    eps = float(eps)
-    if not (math.isfinite(eps) and eps >= 0):
-        raise DomainError(f"eps must be nonnegative and finite, got {eps}")
-    return Phi, offset, observation, weights, eps
 
 
 def solve_weighted_bpdn(Phi, offset, observation, weights, eps, config=None):
@@ -113,10 +102,12 @@ def solve_weighted_bpdn(Phi, offset, observation, weights, eps, config=None):
     Raises InfeasibleError when even least squares cannot reach eps.
     """
     cfg = config or SolverConfig()
-    Phi, offset, observation, weights, eps = _check_bpdn_args(
-        Phi, offset, observation, weights, eps
-    )
+    Phi = check_matrix(Phi, "Phi")
     n, m = Phi.shape
+    offset = check_array(offset, (n,), "offset")
+    observation = check_array(observation, (n,), "observation")
+    weights = check_weights(weights, (m,))
+    eps = check_real(eps, "eps")
     y = observation - offset
     y_norm = float(np.linalg.norm(y))
     if y_norm <= eps:
@@ -345,9 +336,7 @@ def l0_oracle(
     converged=False.  iterations counts the supports examined.
     """
     icfg = integration_config or IntegrationConfig()
-    budget = int(budget)
-    if budget < 1:
-        raise DomainError(f"budget must be >= 1, got {budget}")
+    budget = check_count(budget, "budget")
     m = problem.system.dim
     s = problem.sparsity
     total = sum(math.comb(m, k) for k in range(s + 1))

@@ -21,7 +21,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernels
-from .errors import BudgetError, DomainError, ShapeError
+from .errors import (
+    BudgetError,
+    DomainError,
+    ShapeError,
+    check_count,
+    check_matrix,
+    check_real,
+)
 from .model import json_float
 
 METHOD_EXACT = "exact"
@@ -56,36 +63,18 @@ class RipReport:
         }
 
 
-def _as_matrix(A):
-    A = np.ascontiguousarray(A, dtype=float)
-    if A.ndim != 2 or A.shape[0] < 1 or A.shape[1] < 1:
-        raise ShapeError(f"A must be a nonempty 2-d array, got shape {A.shape}")
-    if not np.all(np.isfinite(A)):
-        raise DomainError("A must be finite")
-    return A
-
-
 def operator_norm(A) -> float:
     """Largest singular value of A."""
-    return float(np.linalg.norm(_as_matrix(A), 2))
-
-
-def _check_sparsity(m, s):
-    s = int(s)
-    if not (1 <= s <= m):
-        raise DomainError(f"sparsity must lie in [1, {m}], got {s}")
-    return s
+    return float(np.linalg.norm(check_matrix(A, "A"), 2))
 
 
 def rip_constant_exact(A, s: int, budget: int = DEFAULT_SUPPORT_BUDGET) -> RipReport:
     """The exact restricted-isometry constant of order s by enumerating all
     C(m, s) supports.  Refuses with BudgetError when the enumeration would
     exceed budget; use rip_constant_bounds instead at that point."""
-    A = _as_matrix(A)
-    s = _check_sparsity(A.shape[1], s)
-    budget = int(budget)
-    if budget < 1:
-        raise DomainError(f"budget must be >= 1, got {budget}")
+    A = check_matrix(A, "A")
+    s = check_count(s, "sparsity", 1, A.shape[1])
+    budget = check_count(budget, "budget")
     count = math.comb(A.shape[1], s)
     if count > budget:
         raise BudgetError(
@@ -105,7 +94,7 @@ def rip_constant_exact(A, s: int, budget: int = DEFAULT_SUPPORT_BUDGET) -> RipRe
 
 def mutual_coherence(A) -> float:
     """Largest |cosine| between distinct columns of A."""
-    A = _as_matrix(A)
+    A = check_matrix(A, "A")
     norms = np.linalg.norm(A, axis=0)
     if np.any(norms == 0):
         raise DomainError("mutual coherence is undefined for a zero column")
@@ -124,15 +113,13 @@ def rip_constant_bounds(A, s: int, samples: int, seed: int):
     coherence bound (s - 1) * mu, valid only for unit-norm columns; otherwise
     it reports inf.
     """
-    A = _as_matrix(A)
+    A = check_matrix(A, "A")
     m = A.shape[1]
-    s = _check_sparsity(m, s)
-    samples = int(samples)
-    if samples < 1:
-        raise DomainError(f"samples must be >= 1, got {samples}")
+    s = check_count(s, "sparsity", 1, m)
+    samples = check_count(samples, "samples")
 
     G = A.T @ A
-    rng = np.random.Generator(np.random.Philox(int(seed)))
+    rng = np.random.Generator(np.random.Philox(check_count(seed, "seed", 0)))
     # the keys of a block and its Gram submatrices stay within the scan's
     # block size; the stream is drawn in the same order whatever the size
     rows = max(1, kernels.SCAN_BLOCK_FLOATS // max(m, s * s))
@@ -141,9 +128,10 @@ def rip_constant_bounds(A, s: int, samples: int, seed: int):
     done = 0
     while done < samples:
         chunk = min(samples - done, rows)
-        # first s entries of a random permutation of each row index set
+        # the s smallest keys of a row are the first s entries of a random
+        # permutation of its index set
         keys = rng.random((chunk, m))
-        supports = np.argsort(keys, axis=1)[:, :s]
+        supports = np.argpartition(keys, s - 1, axis=1)[:, :s]
         supports = np.ascontiguousarray(np.sort(supports, axis=1))
         lower, n = kernels.max_deviation(G, supports, lower)
         solved += n
@@ -177,7 +165,7 @@ def disjoint_inner_product_margin(A, x, x_prime, delta: float) -> float:
     Nonnegative whenever delta is a valid restricted-isometry constant of
     order ||x||_0 + ||x'||_0 for A.
     """
-    A = _as_matrix(A)
+    A = check_matrix(A, "A")
     x = np.asarray(x, dtype=float)
     xp = np.asarray(x_prime, dtype=float)
     m = A.shape[1]
@@ -185,8 +173,6 @@ def disjoint_inner_product_margin(A, x, x_prime, delta: float) -> float:
         raise ShapeError(f"x and x_prime must have shape ({m},), got {x.shape} and {xp.shape}")
     if np.any((x != 0) & (xp != 0)):
         raise DomainError("x and x_prime must have disjoint supports")
-    delta = float(delta)
-    if delta < 0:
-        raise DomainError(f"delta must be nonnegative, got {delta}")
+    delta = check_real(delta, "delta")
     inner = float((A @ x) @ (A @ xp))
     return delta * float(np.linalg.norm(x)) * float(np.linalg.norm(xp)) - abs(inner)

@@ -1,0 +1,63 @@
+import math
+
+import numpy as np
+import pytest
+
+from sparseobs.errors import (
+    DomainError,
+    ShapeError,
+    check_count,
+    check_matrix,
+    check_real,
+    check_weights,
+)
+
+
+@pytest.mark.parametrize("value", [3, np.int64(3), 3.0, np.float64(3.0)])
+def test_count_accepts_integers_and_integral_floats(value):
+    got = check_count(value, "k")
+    assert got == 3 and type(got) is int
+
+
+@pytest.mark.parametrize("value", [2.5, True, np.bool_(True), "3", None, math.nan, math.inf])
+def test_count_refuses_bools_fractions_and_non_numbers(value):
+    with pytest.raises(DomainError, match="k must be an integer"):
+        check_count(value, "k")
+
+
+def test_count_bounds():
+    assert check_count(0, "k", 0) == 0
+    assert check_count(2e5, "k") == 200000
+    with pytest.raises(DomainError, match=">= 1"):
+        check_count(0, "k")
+    with pytest.raises(DomainError, match=r"\[1, 4\]"):
+        check_count(5, "k", 1, 4)
+
+
+def test_real_sign_and_finiteness():
+    assert check_real(0.0, "x") == 0.0
+    assert check_real(2, "x", positive=True) == 2.0
+    for bad in (-1e-300, math.nan, math.inf, -math.inf):
+        with pytest.raises(DomainError, match="x must be nonnegative and finite"):
+            check_real(bad, "x")
+    with pytest.raises(DomainError, match="x must be positive and finite"):
+        check_real(0.0, "x", positive=True)
+
+
+def test_matrix_shape_and_finiteness():
+    A = check_matrix([[1, 2], [3, 4]], "A")
+    assert A.dtype == float and A.flags.c_contiguous
+    for bad in (np.ones(3), np.ones((0, 3)), np.ones((3, 0)), np.ones((2, 2, 2))):
+        with pytest.raises(ShapeError):
+            check_matrix(bad, "A")
+    with pytest.raises(DomainError, match="A must be finite"):
+        check_matrix([[1.0, np.nan]], "A")
+
+
+def test_weights_shape_sign_and_finiteness():
+    np.testing.assert_array_equal(check_weights([1, 2], (2,)), [1.0, 2.0])
+    with pytest.raises(ShapeError):
+        check_weights(np.ones(3), (2,))
+    for bad in ([1.0, 0.0], [1.0, -1.0], [1.0, np.nan], [1.0, np.inf]):
+        with pytest.raises(DomainError):
+            check_weights(bad, (2,))

@@ -143,6 +143,48 @@ def test_config_from_dict_wraps_nested_errors():
         ExperimentConfig.from_dict("not a dict")
 
 
+_INTEGER_FIELDS = (
+    "seed",
+    "trials",
+    "matrix.n",
+    "matrix.m",
+    "sparsity",
+    "rip_budget",
+    "solver.outer_max_iter",
+    "solver.inner_max_iter",
+    "integration.step_count",
+)
+
+
+def _set_field(doc, path, value):
+    *outer, key = path.split(".")
+    for part in outer:
+        doc = doc.setdefault(part, {})
+    doc[key] = value
+
+
+@pytest.mark.parametrize("value", [2.5, True])
+@pytest.mark.parametrize("path", _INTEGER_FIELDS)
+def test_config_integer_fields_reject_fractions_and_bools(path, value):
+    # dimension 2, so that truncating either value (to 2 or 1) would give a
+    # valid setting of every field
+    doc = _doc(system={"dim": 2, "rhs": {"kind": "zero"}}, matrix={"n": 128, "m": 2})
+    _set_field(doc, path, value)
+    with pytest.raises(ConfigError, match="must be an integer"):
+        ExperimentConfig.from_dict(doc)
+
+
+def test_config_integer_fields_accept_integral_floats():
+    doc = _doc()
+    for path, value in zip(_INTEGER_FIELDS, (99.0, 3.0, 128.0, 8.0, 1.0, 2e5, 30.0, 5e3, 256.0)):
+        _set_field(doc, path, value)
+    cfg = ExperimentConfig.from_dict(doc)
+    got = (cfg.seed, cfg.trials, cfg.n, cfg.m, cfg.sparsity, cfg.rip_budget)
+    got += (cfg.solver.outer_max_iter, cfg.solver.inner_max_iter, cfg.integration.step_count)
+    assert got == (99, 3, 128, 8, 1, 200000, 30, 5000, 256)
+    assert all(type(v) is int for v in got)
+
+
 def test_config_round_trips_through_dict():
     cfg = _zero_config(noise_radius=1e-3, time=0.5, magnitudes="uniform")
     doc = cfg.to_dict()

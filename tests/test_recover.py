@@ -113,6 +113,22 @@ def test_bpdn_argument_validation():
         solve_weighted_bpdn(np.eye(2), np.zeros(2), np.zeros(2), np.ones(2), -0.1)
 
 
+@pytest.mark.parametrize("bad", ["Phi", "offset", "observation", "weights"])
+def test_bpdn_rejects_non_finite_input(bad):
+    # a NaN would otherwise run ADMM to its iteration cap and return NaN
+    args = {
+        "Phi": np.eye(2),
+        "offset": np.zeros(2),
+        "observation": np.array([1.0, 0.0]),
+        "weights": np.ones(2),
+    }
+    args[bad] = args[bad].copy()
+    args[bad].flat[0] = np.nan
+    for eps in (0.0, 0.1):
+        with pytest.raises(DomainError, match=bad):
+            solve_weighted_bpdn(**args, eps=eps)
+
+
 def test_bpdn_recovers_planted_spike_on_wide_matrix():
     # underdetermined equality-constrained case: l1 picks the sparse point
     Phi = gaussian_unit_columns(6, 12, 40)
