@@ -15,7 +15,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, InfeasibleCertificate, check_count, check_matrix, check_real
+from .errors import (
+    DomainError,
+    InfeasibleCertificate,
+    ShapeError,
+    check_count,
+    check_matrix,
+    check_real,
+)
 from .model import DynamicalSystem, best_s_term, json_float
 from .ode import IntegrationConfig, integrate
 from .rip import operator_norm
@@ -216,6 +223,8 @@ def distinguishability_gap(
     no floor at all and yields -inf.
     """
     A = check_matrix(A, "A")
+    if A.shape[1] != system.dim:
+        raise ShapeError(f"A has {A.shape[1]} columns but the system dimension is {system.dim}")
     x1_0 = np.asarray(x1_0, dtype=float)
     x2_0 = np.asarray(x2_0, dtype=float)
     if np.array_equal(x1_0, x2_0):

@@ -2,8 +2,10 @@
 one input-validation policy.
 
 A count is an int, a numpy integer or an integral float such as 2e5; a bool
-or a fractional value is refused, never truncated.  Reals, matrices and weight
-vectors must be finite.  A value out of range raises DomainError, an array of
+or a fractional value is refused, never truncated.  A real is a Python or
+numpy number; a bool, a string or bytes, also as a 0-d array, is refused,
+never converted.  Reals,
+matrices and weight vectors must be finite.  A value out of range raises DomainError, an array of
 the wrong shape ShapeError.
 """
 
@@ -77,6 +79,10 @@ def check_count(value, name, low=1, high=None):
 def check_real(value, name, positive=False):
     """value as a finite float, strictly positive if positive is set and
     nonnegative otherwise."""
+    if isinstance(value, (bool, np.bool_, str, bytes)) or (
+        isinstance(value, np.ndarray) and value.dtype.kind not in "iuf"
+    ):
+        raise DomainError(f"{name} must be a real number, got {value!r}")
     v = float(value)
     if not (math.isfinite(v) and (v > 0 if positive else v >= 0)):
         sign = "positive" if positive else "nonnegative"

@@ -3,13 +3,16 @@ the ADMM inner iterations of the weighted-l1 solver, and the per-support scan
 behind exact restricted-isometry constants.
 
 Everything is plain numpy.  rhs is the one definition of the catalog's
-right-hand side f and of J(x) P, its Jacobian applied to a sensitivity; the
-integrators and model.eval_rhs / model.rhs_jacobian all call it.  The flow
-Jacobian advances one state, or many rows in lockstep for the combinatorial
-oracle.  The support scan bounds the deviation of every support in a block
-with one batched matmul and solves the small eigenvalue problems, in a batch,
-only for the supports whose bound can still raise the running maximum (see
-max_deviation).
+right-hand side f, and jacobian_scale gives its Jacobian as J(x) = diag(d) M
+from the slopes f(x); the integrators and model.eval_rhs / model.rhs_jacobian
+all call them, and _rk4_steps is the one RK4 step.  The flow Jacobian
+loops in Python over one state, or over many rows in lockstep for the
+combinatorial oracle, and builds the sensitivity from the stage slopes as a
+product of per-step increments, a block of steps at a time in batched
+matmuls (see rk4_flow_jacobian).  The support scan bounds the deviation of every support
+in a block with one batched matmul and solves the small eigenvalue problems,
+in a batch, only for the supports whose bound can still raise the running
+maximum (see max_deviation).
 
 All array arguments must be float64; matrices must be C-contiguous.
 """
@@ -25,26 +28,46 @@ RHS_LINEAR = 1
 RHS_AFFINE = 2
 RHS_TANH = 3
 
+# the blocked kernels bound their temporaries by this many floats: the support
+# scan gathers, bounds and eigensolves supports in blocks of at most this many
+# Gram entries, and the flow Jacobian takes blocks of steps whose four stage
+# Jacobians hold at most this many entries
+SCAN_BLOCK_FLOATS = 1 << 15
 
-def rhs(kind, M, MT, c, X, P=None):
-    """f(X), and with P also J(X) P, for one state X (m,) with P (m, m) or
-    for rows X (k, m) with P (k, m, m).  MT is M.T; callers that evaluate
-    many stages pass one contiguous copy.  The catalog is autonomous."""
+
+def rhs(kind, MT, c, X):
+    """f(X) for one state X (m,) or for rows X (k, m).  MT is M.T; callers
+    that evaluate many stages pass one contiguous copy.  The catalog is
+    autonomous."""
     if kind == RHS_ZERO:
-        F = np.zeros_like(X)
-        return F if P is None else (F, np.zeros_like(P))
+        return np.zeros_like(X)
     F = X @ MT
     if kind == RHS_AFFINE:
         F = F + c
     elif kind == RHS_TANH:
         F = np.tanh(F)
-    if P is None:
-        return F
-    MP = np.matmul(M, P)
+    return F
+
+
+def jacobian_scale(kind, F):
+    """The row scales d of the Jacobian J(x) = diag(d) M at points whose
+    slopes are F = f(x): 1 - F^2 for tanh, 1 for the linear and affine
+    fields, 0 for the zero field."""
     if kind == RHS_TANH:
-        # J = diag(1 - tanh(Mx)^2) M
-        MP = (1.0 - F * F)[..., None] * MP
-    return F, MP
+        return 1.0 - F * F
+    return np.full_like(F, 0.0 if kind == RHS_ZERO else 1.0)
+
+
+def _rk4_steps(kind, MT, c, x, h, n_steps):
+    """Classical RK4 from x with step h: for each step the four stage slopes
+    and the state after it."""
+    for _ in range(n_steps):
+        k1 = rhs(kind, MT, c, x)
+        k2 = rhs(kind, MT, c, x + 0.5 * h * k1)
+        k3 = rhs(kind, MT, c, x + 0.5 * h * k2)
+        k4 = rhs(kind, MT, c, x + h * k3)
+        x = x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        yield k1, k2, k3, k4, x
 
 
 def rk4_path(kind, M, c, x0, T, n_steps):
@@ -52,35 +75,69 @@ def rk4_path(kind, M, c, x0, T, n_steps):
     MT = np.ascontiguousarray(M.T)
     out = np.empty((n_steps + 1,) + x0.shape)
     out[0] = x0
-    h = T / n_steps
-    x = x0
-    for i in range(n_steps):
-        k1 = rhs(kind, M, MT, c, x)
-        k2 = rhs(kind, M, MT, c, x + 0.5 * h * k1)
-        k3 = rhs(kind, M, MT, c, x + 0.5 * h * k2)
-        k4 = rhs(kind, M, MT, c, x + h * k3)
-        x = x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        out[i + 1] = x
+    for i, (*_, x) in enumerate(_rk4_steps(kind, MT, c, x0, T / n_steps, n_steps), 1):
+        out[i] = x
     return out
 
 
+def _step_increments(kind, M, K, h):
+    """E = S - I for a block of RK4 steps with stage slopes K (c, 4, ..., m),
+    where S is the linear map by which the step advances the sensitivity.
+
+    Stage i of the variational system is V_i = J_i (P + a_i h V_{i-1}), with
+    J_i the Jacobian at the state stage whose slope is K[:, i-1] and a = 1/2,
+    1/2, 1.  So V_i = A_i P with A_1 = J_1 and A_i = J_i + a_i h J_i A_{i-1},
+    and E = h/6 (A_1 + 2 A_2 + 2 A_3 + A_4).  J_i = diag(d_i) M, so each stage
+    is one batched matmul over the block."""
+    D = jacobian_scale(kind, K)[..., None]
+    A = D[:, 0] * M
+    E = A.copy()
+    for i, a, w in ((1, 0.5 * h, 2.0), (2, 0.5 * h, 2.0), (3, h, 1.0)):
+        A = np.matmul(a * M, A)
+        A += M
+        A *= D[:, i]
+        E += w * A
+    E *= h / 6.0
+    return E
+
+
+def _chain(E):
+    """E_tot with I + E_tot = (I + E[-1]) ... (I + E[0]), multiplied pairwise
+    in ceil(log2(len(E))) batched matmuls.  (I + E_b)(I + E_a) is carried as
+    the deviation E_b + E_a + E_b E_a: forming I + E first would round away
+    the low bits of the small increments."""
+    while len(E) > 1:
+        b = E[1::2]
+        a = E[: 2 * len(b) : 2]
+        pair = b + a + np.matmul(b, a)
+        E = np.concatenate((pair, E[-1:])) if len(E) % 2 else pair
+    return E[0]
+
+
 def rk4_flow_jacobian(kind, M, c, X0, T, n_steps):
-    """Final state and its sensitivity to the initial state, integrating the
-    matrix variational system alongside the state with the same RK4 stages.
-    X0 is one state (m,), giving (m,) and (m, m), or rows (k, m), giving
-    (k, m) and (k, m, m)."""
-    MT = np.ascontiguousarray(M.T)
+    """Final state and its sensitivity to the initial state under the RK4
+    flow.  X0 is one state (m,), giving (m,) and (m, m), or rows (k, m),
+    giving (k, m) and (k, m, m).
+
+    RK4 applied to the variational equation advances the sensitivity by a
+    linear map I + E per step (see _step_increments), so the sensitivity is
+    the ordered product of those maps.  The Python loop advances only the
+    state, with the same steps as rk4_path, and keeps the stage slopes of a
+    block of c steps; each block's increments are then formed and multiplied
+    in a few batched calls, and P <- P + E_tot P.  c = SCAN_BLOCK_FLOATS //
+    (4 m^2 k), at least 1, bounds the block's temporaries.
+    """
     m = X0.shape[-1]
-    X = X0
-    P = np.broadcast_to(np.eye(m), X0.shape + (m,)).copy()
+    block = max(1, SCAN_BLOCK_FLOATS // (4 * m * m * (X0.size // m)))
     h = T / n_steps
-    for _ in range(n_steps):
-        k1, K1 = rhs(kind, M, MT, c, X, P)
-        k2, K2 = rhs(kind, M, MT, c, X + 0.5 * h * k1, P + 0.5 * h * K1)
-        k3, K3 = rhs(kind, M, MT, c, X + 0.5 * h * k2, P + 0.5 * h * K2)
-        k4, K4 = rhs(kind, M, MT, c, X + h * k3, P + h * K3)
-        X = X + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        P = P + (h / 6.0) * (K1 + 2.0 * K2 + 2.0 * K3 + K4)
+    steps = _rk4_steps(kind, np.ascontiguousarray(M.T), c, X0, h, n_steps)
+    P = np.broadcast_to(np.eye(m), X0.shape + (m,)).copy()
+    for _ in range(0, n_steps, block):
+        slopes = []
+        for *k, X in itertools.islice(steps, block):
+            slopes += k
+        K = np.reshape(slopes, (-1, 4) + X0.shape)
+        P = P + np.matmul(_chain(_step_increments(kind, M, K, h)), P)
     return X, P
 
 
@@ -134,11 +191,6 @@ def admm_basis_pursuit(Phi, Phi_pinv, y, thresh, z0, u0, max_iter, tol):
         if r_primal < tol and s_dual < tol:
             break
     return x, z, u, it
-
-
-# the support scan gathers, bounds and eigensolves supports in blocks of at
-# most this many Gram entries, which bounds its temporaries
-SCAN_BLOCK_FLOATS = 1 << 15
 
 
 def _gram_stack(G, supports):

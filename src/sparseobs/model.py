@@ -149,14 +149,15 @@ def eval_rhs(system: DynamicalSystem, t: float, x: np.ndarray) -> np.ndarray:
     accepted for interface uniformity and ignored."""
     x = _check_state(system, x)
     kind, M, c = system.kernel_args()
-    return kernels.rhs(kind, M, M.T, c, x)
+    return kernels.rhs(kind, M.T, c, x)
 
 
 def rhs_jacobian(system: DynamicalSystem, x: np.ndarray) -> np.ndarray:
     """df/dx at x.  For the tanh field this is diag(1 - tanh(Mx)^2) M."""
     x = _check_state(system, x)
     kind, M, c = system.kernel_args()
-    return kernels.rhs(kind, M, M.T, c, x, np.eye(system.dim))[1]
+    F = kernels.rhs(kind, M.T, c, x)
+    return kernels.jacobian_scale(kind, F)[:, None] * M
 
 
 def lipschitz_bound(system: DynamicalSystem) -> float:

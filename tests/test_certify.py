@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from sparseobs import certify
 from sparseobs.certify import (
     REASON_DELTA,
     REASON_DENOMINATOR,
@@ -14,7 +15,7 @@ from sparseobs.certify import (
     recovery_error_bound,
     recovery_horizon,
 )
-from sparseobs.errors import DomainError, InfeasibleCertificate
+from sparseobs.errors import DomainError, InfeasibleCertificate, ShapeError
 from sparseobs.model import DynamicalSystem
 from sparseobs.ode import IntegrationConfig
 from sparseobs.rip import operator_norm, rip_constant_exact
@@ -238,6 +239,13 @@ def test_distinguishability_rejects_identical_states():
     x = np.array([1.0, 0.0])
     with pytest.raises(DomainError):
         distinguishability_gap(np.eye(2), DynamicalSystem.zero(2), x, x.copy(), 1.0)
+
+
+def test_distinguishability_rejects_a_matrix_of_the_wrong_width(monkeypatch):
+    monkeypatch.setattr(certify, "integrate", None)
+    x1, x2 = np.array([1.0, 0.0]), np.array([0.0, 1.0])
+    with pytest.raises(ShapeError, match="3 columns but the system dimension is 2"):
+        distinguishability_gap(np.ones((2, 3)), DynamicalSystem.zero(2), x1, x2, 1.0)
 
 
 def test_distinguishability_no_floor_when_delta_exceeds_one():

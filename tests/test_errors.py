@@ -44,6 +44,20 @@ def test_real_sign_and_finiteness():
         check_real(0.0, "x", positive=True)
 
 
+@pytest.mark.parametrize("value", [2, 0.5, np.float64(0.5), np.int64(2), np.array(0.5)])
+def test_real_accepts_python_and_numpy_numbers(value):
+    got = check_real(value, "x")
+    assert got == float(value) and type(got) is float
+
+
+@pytest.mark.parametrize(
+    "value", [True, False, np.bool_(True), "0.5", b"0.5", np.array(True), np.array("0.5")]
+)
+def test_real_refuses_bools_strings_and_bytes(value):
+    with pytest.raises(DomainError, match="x must be a real number"):
+        check_real(value, "x")
+
+
 def test_matrix_shape_and_finiteness():
     A = check_matrix([[1, 2], [3, 4]], "A")
     assert A.dtype == float and A.flags.c_contiguous

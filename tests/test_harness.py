@@ -174,6 +174,12 @@ def test_config_integer_fields_reject_fractions_and_bools(path, value):
         ExperimentConfig.from_dict(doc)
 
 
+@pytest.mark.parametrize("field, value", [("noise_radius", True), ("time", "0.5")])
+def test_config_real_fields_reject_bools_and_strings(field, value):
+    with pytest.raises(ConfigError, match="must be a real number"):
+        ExperimentConfig.from_dict(_doc(**{field: value}))
+
+
 def test_config_integer_fields_accept_integral_floats():
     doc = _doc()
     for path, value in zip(_INTEGER_FIELDS, (99.0, 3.0, 128.0, 8.0, 1.0, 2e5, 30.0, 5e3, 256.0)):

@@ -269,6 +269,85 @@ def test_batched_flow_jacobian_matches_single_state_kernel(k):
             np.testing.assert_allclose(P_row, P1, rtol=0, atol=1e-13)
 
 
+@pytest.mark.parametrize("n_steps", [1, 7, 256, 257])
+def test_flow_state_is_bit_identical_to_integration(n_steps):
+    cfg = IntegrationConfig.fixed(n_steps)
+    x0 = np.random.Generator(np.random.Philox(n_steps)).normal(size=7)
+    for system in catalog_systems(7, 905):
+        xT = flow_with_jacobian(system, x0, 0.8, cfg)[0]
+        assert np.array_equal(xT, integrate(system, x0, 0.8, cfg).final_state)
+
+
+def _long_double_flow_jacobian(kind, M, c, x0, T, n_steps):
+    """The RK4 recursion of the state and of the variational system
+    K_i = J(x_i) (P + a_i h K_{i-1}), step by step in long double."""
+    L = np.longdouble
+    M, c, x = M.astype(L), c.astype(L), x0.astype(L)
+    h = L(T) / L(n_steps)
+    P = np.eye(len(x), dtype=L)
+
+    def stage(x, P):
+        F = M @ x
+        if kind == kernels.RHS_AFFINE:
+            F = F + c
+        J = M
+        if kind == kernels.RHS_TANH:
+            F = np.tanh(F)
+            J = (1 - F * F)[:, None] * M
+        if kind == kernels.RHS_ZERO:
+            F, J = 0 * F, 0 * M
+        return F, J @ P
+
+    for _ in range(n_steps):
+        k1, K1 = stage(x, P)
+        k2, K2 = stage(x + h / 2 * k1, P + h / 2 * K1)
+        k3, K3 = stage(x + h / 2 * k2, P + h / 2 * K2)
+        k4, K4 = stage(x + h * k3, P + h * K3)
+        x = x + h / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
+        P = P + h / 6 * (K1 + 2 * K2 + 2 * K3 + K4)
+    return P
+
+
+@pytest.mark.skipif(
+    np.finfo(np.longdouble).eps >= np.finfo(float).eps, reason="no type wider than float64"
+)
+@pytest.mark.parametrize("m", [5, 12, 24])
+def test_flow_jacobian_matches_long_double_recursion(m):
+    x0 = np.random.Generator(np.random.Philox(m)).normal(size=m) * 0.5
+    for system in catalog_systems(m, 906):
+        kind, M, c = system.kernel_args()
+        P = kernels.rk4_flow_jacobian(kind, M, c, x0, 0.8, 256)[1]
+        P_ref = _long_double_flow_jacobian(kind, M, c, x0, 0.8, 256)
+        assert np.abs(P - P_ref).max() <= 8e-16, system.kind
+
+
+@pytest.mark.parametrize("rows", [None, 5])
+def test_flow_jacobian_block_boundaries(rows, monkeypatch):
+    # blocks of 3 steps: 257 steps end in a ragged block of 2, and each full
+    # block pairs an odd number of increments
+    m = 5
+    X0 = np.random.Generator(np.random.Philox(907)).normal(size=(rows or 1, m)) * 0.5
+    X0 = X0[0] if rows is None else X0
+    expected = [
+        kernels.rk4_flow_jacobian(*s.kernel_args(), X0, 0.8, 257) for s in catalog_systems(m, 907)
+    ]
+    monkeypatch.setattr(kernels, "SCAN_BLOCK_FLOATS", 3 * 4 * m * m * (rows or 1))
+    blocks = []
+    increments = kernels._step_increments
+
+    def counting(kind, M, K, h):
+        blocks.append(len(K))
+        return increments(kind, M, K, h)
+
+    monkeypatch.setattr(kernels, "_step_increments", counting)
+    for system, (xT_ref, P_ref) in zip(catalog_systems(m, 907), expected):
+        blocks.clear()
+        xT, P = kernels.rk4_flow_jacobian(*system.kernel_args(), X0, 0.8, 257)
+        assert blocks == [3] * 85 + [2]
+        assert np.array_equal(xT, xT_ref)
+        np.testing.assert_allclose(P, P_ref, rtol=0, atol=1e-14)
+
+
 # --- gronwall ----------------------------------------------------------------
 
 
