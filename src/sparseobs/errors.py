@@ -4,9 +4,8 @@ one input-validation policy.
 A count is an int, a numpy integer or an integral float such as 2e5; a bool
 or a fractional value is refused, never truncated.  A real is a Python or
 numpy number; a bool, a string or bytes, also as a 0-d array, is refused,
-never converted.  Reals,
-matrices and weight vectors must be finite.  A value out of range raises DomainError, an array of
-the wrong shape ShapeError.
+never converted.  Reals, matrices and weight vectors must be finite.  A value
+out of range raises DomainError, an array of the wrong shape ShapeError.
 """
 
 import math

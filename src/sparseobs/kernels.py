@@ -5,14 +5,14 @@ behind exact restricted-isometry constants.
 Everything is plain numpy.  rhs is the one definition of the catalog's
 right-hand side f, and jacobian_scale gives its Jacobian as J(x) = diag(d) M
 from the slopes f(x); the integrators and model.eval_rhs / model.rhs_jacobian
-all call them, and _rk4_steps is the one RK4 step.  The flow Jacobian
-loops in Python over one state, or over many rows in lockstep for the
-combinatorial oracle, and builds the sensitivity from the stage slopes as a
-product of per-step increments, a block of steps at a time in batched
-matmuls (see rk4_flow_jacobian).  The support scan bounds the deviation of every support
-in a block with one batched matmul and solves the small eigenvalue problems,
-in a batch, only for the supports whose bound can still raise the running
-maximum (see max_deviation).
+all call them, and _rk4_steps is the one RK4 step.  The flow Jacobian loops
+in Python over one state, or over many rows in lockstep for the combinatorial
+oracle, and builds the sensitivity from the stage slopes as a product of
+per-step increments, a block of steps at a time in batched matmuls (see
+rk4_flow_jacobian).  The support scan bounds the deviation of every support in
+a block with one batched matmul and solves the small eigenvalue problems, in a
+batch, only for the supports whose bound can still raise the running maximum
+(see max_deviation).
 
 All array arguments must be float64; matrices must be C-contiguous.
 """
@@ -125,13 +125,16 @@ def rk4_flow_jacobian(kind, M, c, X0, T, n_steps):
     state, with the same steps as rk4_path, and keeps the stage slopes of a
     block of c steps; each block's increments are then formed and multiplied
     in a few batched calls, and P <- P + E_tot P.  c = SCAN_BLOCK_FLOATS //
-    (4 m^2 k), at least 1, bounds the block's temporaries.
+    (4 m^2 k), at least 1, bounds the block's temporaries.  Zero rows give
+    empty results.
     """
     m = X0.shape[-1]
+    P = np.broadcast_to(np.eye(m), X0.shape + (m,)).copy()
+    if X0.size == 0:
+        return X0.copy(), P
     block = max(1, SCAN_BLOCK_FLOATS // (4 * m * m * (X0.size // m)))
     h = T / n_steps
     steps = _rk4_steps(kind, np.ascontiguousarray(M.T), c, X0, h, n_steps)
-    P = np.broadcast_to(np.eye(m), X0.shape + (m,)).copy()
     for _ in range(0, n_steps, block):
         slopes = []
         for *k, X in itertools.islice(steps, block):

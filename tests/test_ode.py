@@ -1,3 +1,4 @@
+import importlib.util
 import math
 import os
 import subprocess
@@ -254,6 +255,13 @@ def test_rows_flow_matches_per_row_calls(cfg, monkeypatch):
         np.testing.assert_allclose(P_row, P1, rtol=0, atol=1e-13)
 
 
+@_MODE_CONFIGS
+def test_flow_with_jacobian_of_no_rows_is_empty(cfg):
+    for system in catalog_systems(3, 908):
+        XT, P = flow_with_jacobian(system, np.empty((0, 3)), 1.0, cfg)
+        assert XT.shape == (0, 3) and P.shape == (0, 3, 3)
+
+
 @pytest.mark.parametrize("k", [1, 5])
 def test_batched_flow_jacobian_matches_single_state_kernel(k):
     rng = np.random.Generator(np.random.Philox(k))
@@ -278,34 +286,14 @@ def test_flow_state_is_bit_identical_to_integration(n_steps):
         assert np.array_equal(xT, integrate(system, x0, 0.8, cfg).final_state)
 
 
-def _long_double_flow_jacobian(kind, M, c, x0, T, n_steps):
-    """The RK4 recursion of the state and of the variational system
-    K_i = J(x_i) (P + a_i h K_{i-1}), step by step in long double."""
-    L = np.longdouble
-    M, c, x = M.astype(L), c.astype(L), x0.astype(L)
-    h = L(T) / L(n_steps)
-    P = np.eye(len(x), dtype=L)
-
-    def stage(x, P):
-        F = M @ x
-        if kind == kernels.RHS_AFFINE:
-            F = F + c
-        J = M
-        if kind == kernels.RHS_TANH:
-            F = np.tanh(F)
-            J = (1 - F * F)[:, None] * M
-        if kind == kernels.RHS_ZERO:
-            F, J = 0 * F, 0 * M
-        return F, J @ P
-
-    for _ in range(n_steps):
-        k1, K1 = stage(x, P)
-        k2, K2 = stage(x + h / 2 * k1, P + h / 2 * K1)
-        k3, K3 = stage(x + h / 2 * k2, P + h / 2 * K2)
-        k4, K4 = stage(x + h * k3, P + h * K3)
-        x = x + h / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
-        P = P + h / 6 * (K1 + 2 * K2 + 2 * K3 + K4)
-    return P
+def _reference_sensitivity():
+    """tools/bench_flow_jacobian.py's long-double RK4 variational recursion,
+    the reference its recorded errors are measured against."""
+    path = Path(__file__).resolve().parent.parent / "tools" / "bench_flow_jacobian.py"
+    spec = importlib.util.spec_from_file_location("bench_flow_jacobian", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.reference_sensitivity
 
 
 @pytest.mark.skipif(
@@ -314,10 +302,11 @@ def _long_double_flow_jacobian(kind, M, c, x0, T, n_steps):
 @pytest.mark.parametrize("m", [5, 12, 24])
 def test_flow_jacobian_matches_long_double_recursion(m):
     x0 = np.random.Generator(np.random.Philox(m)).normal(size=m) * 0.5
+    reference_sensitivity = _reference_sensitivity()
     for system in catalog_systems(m, 906):
         kind, M, c = system.kernel_args()
         P = kernels.rk4_flow_jacobian(kind, M, c, x0, 0.8, 256)[1]
-        P_ref = _long_double_flow_jacobian(kind, M, c, x0, 0.8, 256)
+        P_ref = reference_sensitivity(kind, M, c, x0, 0.8, 256)
         assert np.abs(P - P_ref).max() <= 8e-16, system.kind
 
 

@@ -9,18 +9,21 @@ Each --tree LABEL=SRC names a source tree whose sparseobs/kernels.py is loaded
 on its own (the module imports nothing from the package), so two versions of
 the kernel run in one process, their calls alternating, on the same inputs.
 Without --tree the kernel of this checkout is timed under the label "change".
-Every shape is timed with one BLAS thread as the median of --calls calls after
+Every shape is timed with one BLAS thread as the median of CALLS calls after
 one warm-up call; the quartiles are recorded too.  The error of a shape is
 max|P - P_ref| against the same RK4 variational recursion run in long double
 from the same inputs (recorded as null where long double is no wider than
-double).  Results go to BENCH_flow_jacobian.json, or --out.
+double).  Results go to BENCH_flow_jacobian.json.  The test suite imports
+reference_sensitivity from here, so its accuracy gate and the recorded errors
+share one reference.
 """
 
 import os
 
-# one BLAS thread, fixed before numpy is first imported
-for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-    os.environ[_var] = "1"
+if __name__ == "__main__":
+    # one BLAS thread, fixed before numpy is first imported
+    for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+        os.environ[_var] = "1"
 
 import argparse
 import importlib.util
@@ -34,14 +37,17 @@ import numpy as np
 
 ROOT = Path(__file__).resolve().parent.parent
 T = 0.8
-# (case, kind code, m, rows or None for one 1-d state, steps); kind codes are
-# kernels.RHS_LINEAR = 1 and kernels.RHS_TANH = 3
+CALLS = 15
+# the right-hand-side codes of kernels.RHS_ZERO, RHS_LINEAR, RHS_AFFINE and
+# RHS_TANH; the kernels are loaded per tree, so the codes are restated here
+ZERO, LINEAR, AFFINE, TANH = 0, 1, 2, 3
+# (case, kind code, m, rows or None for one 1-d state, steps)
 SHAPES = (
-    ("tanh m=12 1-d 256 steps (demo_tanh recovery)", 3, 12, None, 256),
-    ("tanh m=6 15 rows 16 steps", 3, 6, 15, 16),
-    ("linear m=24 1-d 256 steps", 1, 24, None, 256),
-    ("tanh m=12 66 rows 256 steps (oracle pairs at m=12)", 3, 12, 66, 256),
-    ("tanh m=128 1-d 256 steps", 3, 128, None, 256),
+    ("tanh m=12 1-d 256 steps (demo_tanh recovery)", TANH, 12, None, 256),
+    ("tanh m=6 15 rows 16 steps", TANH, 6, 15, 16),
+    ("linear m=24 1-d 256 steps", LINEAR, 24, None, 256),
+    ("tanh m=12 66 rows 256 steps (oracle pairs at m=12)", TANH, 12, 66, 256),
+    ("tanh m=128 1-d 256 steps", TANH, 128, None, 256),
 )
 
 
@@ -62,9 +68,10 @@ def inputs(m, rows, seed=0):
     return np.ascontiguousarray(M), c, X0
 
 
-def reference_sensitivity(kind, M, c, X0, n_steps):
+def reference_sensitivity(kind, M, c, X0, T, n_steps):
     """The RK4 recursion of the state and the variational system, in long
-    double: K_i = J(x_i) (P + a_i h K_{i-1}) alongside the state stages."""
+    double: K_i = J(x_i) (P + a_i h K_{i-1}) alongside the state stages.  X0
+    is one state (m,) or rows (k, m), as for kernels.rk4_flow_jacobian."""
     L = np.longdouble
     M, c, X = M.astype(L), c.astype(L), X0.astype(L)
     m = M.shape[0]
@@ -72,11 +79,13 @@ def reference_sensitivity(kind, M, c, X0, n_steps):
     P = np.broadcast_to(np.eye(m, dtype=L), X.shape + (m,)).copy()
 
     def stage(X, P):
+        if kind == ZERO:
+            return 0 * X, 0 * P
         F = X @ M.T
-        if kind == 2:
+        if kind == AFFINE:
             F = F + c
         MP = np.matmul(M, P)
-        if kind == 3:
+        if kind == TANH:
             F = np.tanh(F)
             MP = (1 - F * F)[..., None] * MP
         return F, MP
@@ -99,11 +108,7 @@ def quartiles(samples):
 def main():
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--tree", action="append", default=[], metavar="LABEL=SRC")
-    ap.add_argument("--calls", type=int, default=9)
-    ap.add_argument("--out", type=Path, default=ROOT / "BENCH_flow_jacobian.json")
     args = ap.parse_args()
-    if args.calls < 9:
-        ap.error("--calls must be at least 9")
     trees = dict(t.split("=", 1) for t in args.tree) or {"change": str(ROOT / "src")}
     kernels = {label: load_kernels(label, src) for label, src in trees.items()}
     wide = np.finfo(np.longdouble).eps < np.finfo(float).eps
@@ -111,11 +116,11 @@ def main():
     results = {label: [] for label in kernels}
     for case, kind, m, rows, steps in SHAPES:
         M, c, X0 = inputs(m, rows)
-        P_ref = reference_sensitivity(kind, M, c, X0, steps) if wide else None
+        P_ref = reference_sensitivity(kind, M, c, X0, T, steps) if wide else None
         samples = {label: [] for label in kernels}
         for k in kernels.values():
             k.rk4_flow_jacobian(kind, M, c, X0, T, steps)
-        for _ in range(args.calls):
+        for _ in range(CALLS):
             for label, k in kernels.items():
                 t0 = time.perf_counter()
                 k.rk4_flow_jacobian(kind, M, c, X0, T, steps)
@@ -132,7 +137,7 @@ def main():
         "script": "tools/bench_flow_jacobian.py",
         "kernel": "kernels.rk4_flow_jacobian",
         "T": T,
-        "calls_per_shape": args.calls,
+        "calls_per_shape": CALLS,
         "blas_threads": 1,
         "host": {
             "machine": platform.machine(),
@@ -147,7 +152,7 @@ def main():
             p["case"]: p["median_ms"] / q["median_ms"]
             for p, q in zip(results["parent"], results["change"])
         }
-    args.out.write_text(json.dumps(doc, indent=2) + "\n")
+    (ROOT / "BENCH_flow_jacobian.json").write_text(json.dumps(doc, indent=2) + "\n")
 
 
 if __name__ == "__main__":
