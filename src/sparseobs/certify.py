@@ -23,7 +23,7 @@ from .errors import (
     check_matrix,
     check_real,
 )
-from .model import DynamicalSystem, best_s_term, json_float
+from .model import DynamicalSystem, best_s_term, to_doc
 from .ode import IntegrationConfig, integrate
 from .rip import operator_norm
 
@@ -63,22 +63,7 @@ class Certificate:
     reasons: tuple
 
     def to_dict(self):
-        return {
-            "delta_2s": self.delta_2s,
-            "tau": self.tau,
-            "lipschitz": self.lipschitz,
-            "time": self.time,
-            "op_norm": self.op_norm,
-            "gronwall_excess": json_float(self.gronwall_excess),
-            "observability_T_max": json_float(self.observability_T_max),
-            "recovery_T_max": json_float(self.recovery_T_max),
-            "alpha": json_float(self.alpha),
-            "rho": json_float(self.rho),
-            "sparsity_coeff": json_float(self.sparsity_coeff),
-            "noise_coeff": json_float(self.noise_coeff),
-            "feasible": self.feasible,
-            "reasons": list(self.reasons),
-        }
+        return to_doc(self)
 
 
 def _check_tau(tau):

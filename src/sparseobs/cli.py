@@ -23,9 +23,10 @@ from .errors import (
     InfeasibleError,
     NumericalError,
     ShapeError,
+    check_matrix,
 )
 from .harness import emit_report, load_experiment_config, run_experiment
-from .model import problem_from_dict, system_from_dict
+from .model import problem_from_dict, read_document, system_from_dict
 from .ode import IntegrationConfig
 from .recover import DEFAULT_ORACLE_BUDGET, SolverConfig, l0_oracle, recover_initial_state
 from .rip import (
@@ -36,32 +37,17 @@ from .rip import (
 )
 
 
-def _load_json(path):
-    with open(path) as fh:
-        try:
-            return json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ConfigError(
-                f"{path}: invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}"
-            ) from exc
-
-
 def load_matrix(path) -> np.ndarray:
     """Dense matrix from a .csv (comma-separated rows) or .json (nested
     arrays) file."""
+    if str(path).endswith(".json"):
+        return check_matrix(read_document(path), str(path))
     try:
-        if str(path).endswith(".json"):
-            A = np.asarray(_load_json(path), dtype=float)
-        else:
-            A = np.loadtxt(path, delimiter=",", dtype=float, ndmin=2)
-    except (TypeError, ValueError) as exc:
-        if isinstance(exc, ConfigError):
-            raise
+        A = np.loadtxt(path, delimiter=",", dtype=float, ndmin=2)
+    except ValueError as exc:
         # ragged rows or entries that are not numbers
         raise ShapeError(f"{path}: not a numeric matrix: {exc}") from exc
-    if A.ndim != 2:
-        raise ShapeError(f"{path}: expected a 2-d matrix, got shape {A.shape}")
-    return A
+    return check_matrix(A, str(path))
 
 
 def save_matrix(A, path):
@@ -105,7 +91,7 @@ def _cmd_rip(args) -> int:
 
 
 def _cmd_certify(args) -> int:
-    system = system_from_dict(_load_json(args.system))
+    system = system_from_dict(read_document(args.system))
     A = load_matrix(args.matrix)
     if A.shape[1] != system.dim:
         raise ShapeError(
@@ -121,11 +107,11 @@ def _cmd_certify(args) -> int:
 def _solver_from_args(args):
     if args.solver_config is None:
         return SolverConfig()
-    return SolverConfig.from_dict(_load_json(args.solver_config))
+    return SolverConfig.from_dict(read_document(args.solver_config))
 
 
 def _cmd_recover(args) -> int:
-    problem = problem_from_dict(_load_json(args.problem))
+    problem = problem_from_dict(read_document(args.problem))
     outcome = recover_initial_state(problem, _integration_from_args(args), _solver_from_args(args))
     _emit(outcome.to_dict())
     if args.estimate_csv:
@@ -134,7 +120,7 @@ def _cmd_recover(args) -> int:
 
 
 def _cmd_oracle(args) -> int:
-    problem = problem_from_dict(_load_json(args.problem))
+    problem = problem_from_dict(read_document(args.problem))
     outcome = l0_oracle(problem, _integration_from_args(args), args.budget)
     _emit(outcome.to_dict())
     if args.estimate_csv:

@@ -3,12 +3,15 @@ one input-validation policy.
 
 A count is an int, a numpy integer or an integral float such as 2e5; a bool
 or a fractional value is refused, never truncated.  A real is a Python or
-numpy number; a bool, a string or bytes, also as a 0-d array, is refused,
-never converted.  Reals, matrices and weight vectors must be finite.  A value
-out of range raises DomainError, an array of the wrong shape ShapeError.
+numpy number, also as a 0-d array; anything else (a bool, a string, None, a
+list) is refused, never converted.  An array must hold numbers in rows of
+equal length.  Reals, matrices and weight vectors must be finite.  A value
+out of range or of the wrong type raises DomainError, an array of the wrong
+shape or of entries that are not numbers ShapeError.
 """
 
 import math
+import numbers
 
 import numpy as np
 
@@ -78,20 +81,31 @@ def check_count(value, name, low=1, high=None):
 def check_real(value, name, positive=False):
     """value as a finite float, strictly positive if positive is set and
     nonnegative otherwise."""
-    if isinstance(value, (bool, np.bool_, str, bytes)) or (
-        isinstance(value, np.ndarray) and value.dtype.kind not in "iuf"
-    ):
+    v = value.item() if isinstance(value, np.ndarray) and value.ndim == 0 else value
+    if isinstance(v, bool) or not isinstance(v, numbers.Real):
         raise DomainError(f"{name} must be a real number, got {value!r}")
-    v = float(value)
+    v = float(v)
     if not (math.isfinite(v) and (v > 0 if positive else v >= 0)):
         sign = "positive" if positive else "nonnegative"
         raise DomainError(f"{name} must be {sign} and finite, got {value!r}")
     return v
 
 
+def _float_array(a, name):
+    """a as a C-contiguous float array, refusing ragged rows and entries that
+    are not numbers."""
+    try:
+        a = np.asarray(a)
+    except ValueError as exc:
+        raise ShapeError(f"{name} must be a numeric array with rows of equal length") from exc
+    if a.dtype.kind not in "biuf":
+        raise ShapeError(f"{name} must be a numeric array, got entries that are not numbers")
+    return np.ascontiguousarray(a, dtype=float)
+
+
 def check_array(a, shape, name):
     """a as a finite, C-contiguous float array of the given shape."""
-    a = np.ascontiguousarray(a, dtype=float)
+    a = _float_array(a, name)
     if a.shape != shape:
         raise ShapeError(f"{name} must have shape {shape}, got {a.shape}")
     if not np.all(np.isfinite(a)):
@@ -101,7 +115,7 @@ def check_array(a, shape, name):
 
 def check_matrix(A, name):
     """A as a finite, nonempty, C-contiguous 2-d float array."""
-    A = np.ascontiguousarray(A, dtype=float)
+    A = _float_array(A, name)
     if A.ndim != 2 or A.size == 0:
         raise ShapeError(f"{name} must be a nonempty 2-d array, got shape {A.shape}")
     return check_array(A, A.shape, name)

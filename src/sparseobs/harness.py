@@ -16,7 +16,7 @@ import math
 import multiprocessing
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -39,9 +39,11 @@ from .model import (
     DynamicalSystem,
     MeasurementModel,
     SparseProblem,
-    json_float,
+    document,
+    from_doc,
+    read_document,
     system_from_dict,
-    system_to_dict,
+    to_doc,
     weight_condition_number,
 )
 from .ode import IntegrationConfig, integrate
@@ -60,6 +62,12 @@ REASON_RIP_BUDGET = "rip-budget-exceeded"
 _FALLBACK_TIME = 1.0
 
 _MAGNITUDES = ("unit", "uniform")
+
+# the keys of a config document and of its "matrix" object
+_CONFIG_REQUIRED = ("seed", "trials", "system", "matrix", "sparsity", "noise_radius")
+_CONFIG_OPTIONAL = ("magnitudes", "time", "weights", "solver", "integration", "rip_budget")
+_MATRIX_OPTIONAL = ("m", "ensemble", "scale")
+_CONFIG_NESTED = ("system", "matrix", "solver", "integration")
 
 CSV_COLUMNS = (
     "trial",
@@ -157,103 +165,57 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "ExperimentConfig":
-        if not isinstance(doc, dict):
-            raise ConfigError(f"config document must be an object, got {type(doc).__name__}")
-        known = {
-            "seed",
-            "trials",
-            "system",
-            "matrix",
-            "sparsity",
-            "magnitudes",
-            "noise_radius",
-            "time",
-            "weights",
-            "solver",
-            "integration",
-            "rip_budget",
-        }
-        extra = set(doc) - known
-        if extra:
-            raise ConfigError(f"unknown config fields: {sorted(extra)}")
-        for required in ("seed", "trials", "system", "matrix", "sparsity", "noise_radius"):
-            if required not in doc:
-                raise ConfigError(f"missing config field '{required}'")
         try:
-            system = system_from_dict(doc["system"])
-        except (DomainError, ShapeError) as exc:
-            raise ConfigError(f"in field 'system': {exc}") from exc
-        mat = doc["matrix"]
-        if not isinstance(mat, dict) or "n" not in mat:
-            raise ConfigError("field 'matrix' must be an object with at least 'n'")
-        try:
-            m_ok = "m" not in mat or check_count(mat["m"], "matrix.m") == system.dim
+            document(doc, "config", _CONFIG_REQUIRED, _CONFIG_OPTIONAL)
         except DomainError as exc:
-            raise ConfigError(f"in field 'matrix.m': {exc}") from exc
-        if not m_ok:
+            raise ConfigError(str(exc)) from exc
+        system = _in_field("system", system_from_dict, doc["system"])
+        mat = _in_field("matrix", document, doc["matrix"], "matrix", ("n",), _MATRIX_OPTIONAL)
+        if "m" in mat and _in_field("matrix.m", check_count, mat["m"], "matrix.m") != system.dim:
             raise ConfigError(
                 f"matrix.m ({mat['m']}) must match the system dimension ({system.dim})"
             )
-        solver = SolverConfig()
-        if doc.get("solver") is not None:
-            try:
-                solver = SolverConfig.from_dict(doc["solver"])
-            except (TypeError, ValueError) as exc:
-                raise ConfigError(f"in field 'solver': {exc}") from exc
-        integration = IntegrationConfig()
-        if doc.get("integration") is not None:
-            idoc = doc["integration"]
-            if not isinstance(idoc, dict):
-                raise ConfigError("field 'integration' must be an object")
-            try:
-                integration = IntegrationConfig(**idoc)
-            except (TypeError, ValueError) as exc:
-                raise ConfigError(f"in field 'integration': {exc}") from exc
-        return cls(
-            seed=doc["seed"],
-            trials=doc["trials"],
-            system=system,
-            n=mat["n"],
-            sparsity=doc["sparsity"],
-            noise_radius=doc["noise_radius"],
-            time=doc.get("time", "auto"),
-            ensemble=mat.get("ensemble", "gaussian"),
-            scale=mat.get("scale", 1.0),
-            magnitudes=doc.get("magnitudes", "unit"),
-            weights=doc.get("weights"),
-            solver=solver,
-            integration=integration,
-            rip_budget=doc.get("rip_budget", DEFAULT_SUPPORT_BUDGET),
-        )
+        # every other key, also inside "matrix", names a field of the same name
+        values = {key: value for key, value in doc.items() if key not in _CONFIG_NESTED}
+        values.update((key, value) for key, value in mat.items() if key != "m")
+        for key, kind in (("solver", SolverConfig), ("integration", IntegrationConfig)):
+            if doc.get(key) is not None:
+                values[key] = _in_field(key, from_doc, kind, doc[key], key)
+        return cls(system=system, **values)
 
     def to_dict(self) -> dict:
-        return {
-            "seed": self.seed,
-            "trials": self.trials,
-            "system": system_to_dict(self.system),
-            "matrix": {"n": self.n, "m": self.m, "ensemble": self.ensemble, "scale": self.scale},
-            "sparsity": self.sparsity,
-            "magnitudes": self.magnitudes,
-            "noise_radius": self.noise_radius,
-            "time": self.time,
-            "weights": None if self.weights is None else self.weights.tolist(),
-            "solver": asdict(self.solver),
-            "integration": asdict(self.integration),
-            "rip_budget": self.rip_budget,
-        }
+        matrix = {"n": self.n, "m": self.m, "ensemble": self.ensemble, "scale": self.scale}
+        return to_doc(
+            {
+                "seed": self.seed,
+                "trials": self.trials,
+                "system": self.system,
+                "matrix": matrix,
+                "sparsity": self.sparsity,
+                "magnitudes": self.magnitudes,
+                "noise_radius": self.noise_radius,
+                "time": self.time,
+                "weights": self.weights,
+                "solver": self.solver,
+                "integration": self.integration,
+                "rip_budget": self.rip_budget,
+            }
+        )
+
+
+def _in_field(name, decode, *args):
+    """decode(*args), a refusal re-raised as a ConfigError naming the config
+    field it came from."""
+    try:
+        return decode(*args)
+    except (DomainError, ShapeError) as exc:
+        raise ConfigError(f"in field {name!r}: {exc}") from exc
 
 
 def load_experiment_config(path) -> ExperimentConfig:
     """Parse a JSON config file, reporting the line and column on bad JSON
     and the offending field on bad values."""
-    with open(path) as fh:
-        text = fh.read()
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ConfigError(
-            f"{path}: invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}"
-        ) from exc
+    doc = read_document(path)
     try:
         return ExperimentConfig.from_dict(doc)
     except ConfigError as exc:
@@ -291,32 +253,10 @@ class TrialRecord:
     wall_ms: float
 
     def to_dict(self, include_timings=False):
-        return {
-            "trial": self.trial,
-            "feasible": self.feasible,
-            "reasons": list(self.reasons),
-            "s": self.s,
-            "n": self.n,
-            "m": self.m,
-            "T": self.T,
-            "eps": self.eps,
-            "support": list(self.support),
-            "values": list(self.values),
-            "delta_2s": json_float(self.delta_2s),
-            "op_norm": self.op_norm,
-            "tau": self.tau,
-            "observability_T_max": json_float(self.observability_T_max),
-            "recovery_T_max": json_float(self.recovery_T_max),
-            "sparsity_coeff": json_float(self.sparsity_coeff),
-            "noise_coeff": json_float(self.noise_coeff),
-            "error_l2": self.error_l2,
-            "bound": self.bound,
-            "bound_satisfied": self.bound_satisfied,
-            "residual": self.residual,
-            "iterations": self.iterations,
-            "converged": self.converged,
-            "wall_ms": self.wall_ms if include_timings else 0.0,
-        }
+        doc = to_doc(self)
+        if not include_timings:
+            doc["wall_ms"] = 0.0
+        return doc
 
 
 def _plant_signal(config: ExperimentConfig, trial: int):

@@ -10,11 +10,12 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, fields, is_dataclass
 
 import numpy as np
 
 from .errors import (
+    ConfigError,
     DomainError,
     ShapeError,
     check_array,
@@ -67,7 +68,7 @@ class DynamicalSystem:
     lipschitz: float | None = None
 
     def __post_init__(self):
-        kind = _KIND_ALIASES.get(self.kind, self.kind)
+        kind = _KIND_ALIASES.get(self.kind, self.kind) if isinstance(self.kind, str) else self.kind
         if kind not in RHS_KINDS:
             raise DomainError(f"unknown rhs kind {self.kind!r}; expected one of {RHS_KINDS}")
         object.__setattr__(self, "kind", kind)
@@ -104,8 +105,8 @@ class DynamicalSystem:
 
     @staticmethod
     def _square_dim(matrix):
-        matrix = np.asarray(matrix, dtype=float)
-        if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
+        matrix = check_matrix(matrix, "matrix")
+        if matrix.shape[0] != matrix.shape[1]:
             raise ShapeError(f"matrix must be square, got shape {matrix.shape}")
         return matrix, matrix.shape[0]
 
@@ -237,13 +238,7 @@ class RecoveryOutcome:
         object.__setattr__(self, "converged", bool(self.converged))
 
     def to_dict(self):
-        return {
-            "estimate": self.estimate.tolist(),
-            "residual": self.residual,
-            "weighted_l1": self.weighted_l1,
-            "iterations": self.iterations,
-            "converged": self.converged,
-        }
+        return to_doc(self)
 
 
 def weighted_l1_norm(x: np.ndarray, weights: np.ndarray) -> float:
@@ -279,84 +274,101 @@ def best_s_term(x: np.ndarray, s: int) -> np.ndarray:
     return out
 
 
-# --- JSON document form -----------------------------------------------------
-# matrices are row-major nested lists; optional members serialize as null
+# --- JSON documents ---------------------------------------------------------
+# every document the package reads or writes passes through to_doc, document,
+# from_doc and read_document; matrices are row-major nested lists, optional
+# members are null, and no document may carry a key its type does not know
 
 
-def json_float(v):
-    """v as the JSON documents spell it: +-inf become the strings "inf" and
-    "-inf", which JSON has no number for; anything else passes unchanged."""
-    if isinstance(v, float) and math.isinf(v):
-        return "inf" if v > 0 else "-inf"
-    return v
+def to_doc(value):
+    """value as a JSON document: a dataclass becomes an object of its fields
+    in declaration order, a tuple, list or array a list, and +-inf the string
+    "inf" or "-inf", which JSON has no number for.  A DynamicalSystem nests
+    kind, matrix and drift under "rhs"."""
+    if isinstance(value, DynamicalSystem):
+        rhs = {"kind": value.kind, "matrix": value.matrix, "drift": value.drift}
+        value = {"dim": value.dim, "rhs": rhs, "lipschitz": value.lipschitz}
+    elif is_dataclass(value):
+        value = {f.name: getattr(value, f.name) for f in fields(value)}
+    if isinstance(value, dict):
+        return {key: to_doc(v) for key, v in value.items()}
+    if isinstance(value, np.ndarray):
+        value = value.tolist()
+    if isinstance(value, (tuple, list)):
+        return [to_doc(v) for v in value]
+    if isinstance(value, float) and math.isinf(value):
+        return "inf" if value > 0 else "-inf"
+    return value
+
+
+def document(doc, name, required, optional=()):
+    """doc, checked to be an object that holds every required key and no key
+    outside required and optional."""
+    if not isinstance(doc, dict):
+        raise DomainError(f"{name} document must be an object, got {type(doc).__name__}")
+    extra = set(doc) - set(required) - set(optional)
+    if extra:
+        raise DomainError(f"unknown {name} fields: {sorted(extra, key=str)}")
+    for key in required:
+        if key not in doc:
+            raise DomainError(f"missing {name} field {key!r}")
+    return doc
+
+
+def from_doc(cls, doc, name):
+    """The dataclass cls built from a document whose keys are its fields;
+    the fields without a default are required."""
+    names = [f.name for f in fields(cls)]
+    required = [
+        f.name for f in fields(cls) if f.default is MISSING and f.default_factory is MISSING
+    ]
+    return cls(**document(doc, name, required, names))
+
+
+def read_document(path):
+    """The JSON document in the file at path; invalid JSON raises ConfigError
+    naming the line and column, a file that is not text one naming the byte."""
+    try:
+        with open(path) as fh:
+            return json.load(fh)
+    except json.JSONDecodeError as exc:
+        raise ConfigError(
+            f"{path}: invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}"
+        ) from exc
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: not a text file: {exc}") from exc
 
 
 def system_to_dict(system: DynamicalSystem) -> dict:
-    return {
-        "dim": system.dim,
-        "rhs": {
-            "kind": system.kind,
-            "matrix": None if system.matrix is None else system.matrix.tolist(),
-            "drift": None if system.drift is None else system.drift.tolist(),
-        },
-        "lipschitz": system.lipschitz,
-    }
+    return to_doc(system)
 
 
 def system_from_dict(doc: dict) -> DynamicalSystem:
-    try:
-        rhs = doc["rhs"]
-        return DynamicalSystem(
-            dim=doc["dim"],
-            kind=rhs["kind"],
-            matrix=rhs.get("matrix"),
-            drift=rhs.get("drift"),
-            lipschitz=doc.get("lipschitz"),
-        )
-    except (KeyError, TypeError) as exc:
-        raise DomainError(f"malformed system document: {exc}") from exc
+    doc = document(doc, "system", ("dim", "rhs"), ("lipschitz",))
+    rhs = document(doc["rhs"], "rhs", ("kind",), ("matrix", "drift"))
+    return DynamicalSystem(dim=doc["dim"], lipschitz=doc.get("lipschitz"), **rhs)
 
 
 def measurement_to_dict(measurement: MeasurementModel) -> dict:
-    return {
-        "matrix": measurement.matrix.tolist(),
-        "time": measurement.time,
-        "noise_radius": measurement.noise_radius,
-        "weights": measurement.weights.tolist(),
-    }
+    return to_doc(measurement)
 
 
 def measurement_from_dict(doc: dict) -> MeasurementModel:
-    try:
-        return MeasurementModel(
-            matrix=doc["matrix"],
-            time=doc["time"],
-            noise_radius=doc["noise_radius"],
-            weights=doc["weights"],
-        )
-    except (KeyError, TypeError) as exc:
-        raise DomainError(f"malformed measurement document: {exc}") from exc
+    return from_doc(MeasurementModel, doc, "measurement")
 
 
 def problem_to_dict(problem: SparseProblem) -> dict:
-    return {
-        "system": system_to_dict(problem.system),
-        "measurement": measurement_to_dict(problem.measurement),
-        "observation": problem.observation.tolist(),
-        "sparsity": problem.sparsity,
-    }
+    return to_doc(problem)
 
 
 def problem_from_dict(doc: dict) -> SparseProblem:
-    try:
-        return SparseProblem(
-            system=system_from_dict(doc["system"]),
-            measurement=measurement_from_dict(doc["measurement"]),
-            observation=doc["observation"],
-            sparsity=doc["sparsity"],
-        )
-    except (KeyError, TypeError) as exc:
-        raise DomainError(f"malformed problem document: {exc}") from exc
+    doc = document(doc, "problem", ("system", "measurement", "observation", "sparsity"))
+    return SparseProblem(
+        system=system_from_dict(doc["system"]),
+        measurement=measurement_from_dict(doc["measurement"]),
+        observation=doc["observation"],
+        sparsity=doc["sparsity"],
+    )
 
 
 def system_to_json(system: DynamicalSystem) -> str:

@@ -16,14 +16,13 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import kernels
 from .errors import (
     BudgetError,
-    DomainError,
     InfeasibleError,
     check_array,
     check_count,
@@ -31,7 +30,7 @@ from .errors import (
     check_real,
     check_weights,
 )
-from .model import RecoveryOutcome, SparseProblem, weighted_l1_norm
+from .model import RecoveryOutcome, SparseProblem, from_doc, weighted_l1_norm
 # unused integrate stays bound: pipebench/bench_trace.py traces it as a call site here
 from .ode import IntegrationConfig, flow_with_jacobian, integrate  # noqa: F401
 
@@ -84,11 +83,7 @@ class SolverConfig:
 
     @classmethod
     def from_dict(cls, doc):
-        known = {f.name for f in fields(cls)}
-        extra = set(doc) - known
-        if extra:
-            raise DomainError(f"unknown solver config fields: {sorted(extra)}")
-        return cls(**doc)
+        return from_doc(cls, doc, "solver config")
 
 
 def solve_weighted_bpdn(Phi, offset, observation, weights, eps, config=None):

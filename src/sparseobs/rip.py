@@ -29,7 +29,7 @@ from .errors import (
     check_matrix,
     check_real,
 )
-from .model import json_float
+from .model import to_doc
 
 METHOD_EXACT = "exact"
 METHOD_MC_LOWER = "monte-carlo-lower"
@@ -54,13 +54,7 @@ class RipReport:
     supports_solved: int
 
     def to_dict(self):
-        return {
-            "sparsity": self.sparsity,
-            "delta": json_float(self.delta),
-            "method": self.method,
-            "supports_examined": self.supports_examined,
-            "supports_solved": self.supports_solved,
-        }
+        return to_doc(self)
 
 
 def operator_norm(A) -> float:

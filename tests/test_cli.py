@@ -250,6 +250,11 @@ def test_errors_exit_with_code_two(tmp_path, capsys):
     rc = main(["experiment", "--config", str(bad), "--out", str(tmp_path / "x.csv")])
     assert rc == 2
     assert "invalid JSON" in capsys.readouterr().err
+    binary = tmp_path / "binary.json"
+    binary.write_bytes(b"\xff\xfe\x00{")
+    rc = main(["recover", "--problem", str(binary)])
+    assert rc == 2
+    assert "not a text file" in capsys.readouterr().err
 
     problem = _recovery_problem(
         tmp_path, [[1.0], [1.0]], [1.0, -1.0], dim=1, name="infeasible_problem.json"
@@ -261,7 +266,8 @@ def test_errors_exit_with_code_two(tmp_path, capsys):
     ragged_csv = tmp_path / "ragged.csv"
     ragged_csv.write_text("1.0,2.0\n3.0\n")
     ragged_json = _write_json(tmp_path / "ragged.json", [[1.0, 2.0], [3.0]])
-    for path in (str(ragged_csv), ragged_json):
+    text_json = _write_json(tmp_path / "text.json", [["1.0", "2.0"]])
+    for path in (str(ragged_csv), ragged_json, text_json):
         rc = main(["rip", "--matrix", path, "--sparsity", "1"])
         assert rc == 2
         assert path in capsys.readouterr().err
@@ -276,6 +282,33 @@ def test_errors_exit_with_code_two(tmp_path, capsys):
         rc = main(["experiment", "--config", config, "--out", str(tmp_path / "x.csv")])
         assert rc == 2
         assert f"in field '{field}'" in capsys.readouterr().err
+
+    good_problem = _recovery_problem(tmp_path, [[1.0, 0.0], [0.0, 1.0]], [1.0, 0.0], dim=2)
+
+    def problem_with(edit):
+        doc = json.loads((tmp_path / "problem.json").read_text())
+        edit(doc)
+        return _write_json(tmp_path / "bad_problem.json", doc)
+
+    bad_system = {"dim": 2, "rhs": {"kind": "linear", "matrix": [[1.0, "x"], [0.0, 1.0]]}}
+    bad_problems = (
+        lambda doc: doc.update(observation="abc"),
+        lambda doc: doc["measurement"].update(matrix=[[1.0, 0.0], [1.0]]),
+        lambda doc: doc.update(system=bad_system),
+        lambda doc: doc["measurement"].update(time=None),
+        lambda doc: doc.update(typo_noise=3),
+        lambda doc: doc["measurement"].update(typo_noise=3),
+    )
+    for edit in bad_problems:
+        for command in ("recover", "oracle"):
+            rc = main([command, "--problem", problem_with(edit)])
+            err = capsys.readouterr().err
+            assert rc == 2 and err.startswith("error:") and err.count("\n") == 1, err
+    for value in (5, None):
+        solver = _write_json(tmp_path / "solver.json", value)
+        rc = main(["recover", "--problem", good_problem, "--solver-config", solver])
+        err = capsys.readouterr().err
+        assert rc == 2 and err.startswith("error:") and err.count("\n") == 1, err
 
 
 def test_missing_subcommand_is_a_usage_error(capsys):

@@ -6,6 +6,7 @@ import pytest
 from sparseobs.errors import (
     DomainError,
     ShapeError,
+    check_array,
     check_count,
     check_matrix,
     check_real,
@@ -56,6 +57,22 @@ def test_real_accepts_python_and_numpy_numbers(value):
 def test_real_refuses_bools_strings_and_bytes(value):
     with pytest.raises(DomainError, match="x must be a real number"):
         check_real(value, "x")
+
+
+@pytest.mark.parametrize("value", [None, [0.5], (0.5,), np.array([0.5]), np.ones((1, 1)), 1j])
+def test_real_refuses_none_sequences_and_arrays(value):
+    with pytest.raises(DomainError, match="x must be a real number"):
+        check_real(value, "x")
+
+
+@pytest.mark.parametrize(
+    "value", [[[1.0, 2.0], [3.0]], [["x", 1.0]], ["1.0", "2.0"], [None, 1.0], {"a": 1.0}, None]
+)
+def test_arrays_refuse_ragged_and_non_numeric_input(value):
+    with pytest.raises(ShapeError, match="A must be a numeric array"):
+        check_matrix(value, "A")
+    with pytest.raises(ShapeError, match="a must be a numeric array"):
+        check_array(value, (2,), "a")
 
 
 def test_matrix_shape_and_finiteness():

@@ -143,6 +143,18 @@ def test_config_from_dict_wraps_nested_errors():
         ExperimentConfig.from_dict("not a dict")
 
 
+def test_config_from_dict_refuses_unknown_nested_keys():
+    nested = {
+        "matrix": {"n": 128, "m": 8, "rows": 64},
+        "system": {"dim": 8, "rhs": {"kind": "zero"}, "lipshitz": 1.0},
+        "solver": {"inner_tol": 1e-9, "momentum": 0.9},
+        "integration": {"mode": "fixed", "steps": 64},
+    }
+    for field, value in nested.items():
+        with pytest.raises(ConfigError, match=f"in field '{field}': unknown"):
+            ExperimentConfig.from_dict(_doc(**{field: value}))
+
+
 _INTEGER_FIELDS = (
     "seed",
     "trials",

@@ -1,11 +1,14 @@
 import itertools
 import json
 import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
+from sparseobs.certify import recovery_constants
 from sparseobs.errors import DomainError, ShapeError
+from sparseobs.harness import ExperimentConfig, run_trial
 from sparseobs.model import (
     DynamicalSystem,
     MeasurementModel,
@@ -13,6 +16,7 @@ from sparseobs.model import (
     SparseProblem,
     best_s_term,
     eval_rhs,
+    from_doc,
     lipschitz_bound,
     measurement_from_dict,
     measurement_to_dict,
@@ -25,9 +29,12 @@ from sparseobs.model import (
     system_from_json,
     system_to_dict,
     system_to_json,
+    to_doc,
     weight_condition_number,
     weighted_l1_norm,
 )
+from sparseobs.ode import IntegrationConfig
+from sparseobs.rip import RipReport
 
 from conftest import catalog_systems
 
@@ -338,3 +345,83 @@ def test_malformed_documents_are_reported():
         problem_from_dict({"system": system_to_dict(DynamicalSystem.zero(2))})
     with pytest.raises(DomainError):
         measurement_from_dict({"matrix": [[1.0]]})
+    system = {"dim": 2, "rhs": {"kind": "zero"}}
+    measurement = {"matrix": [[1.0, 0.0]], "time": 1.0, "noise_radius": 0.0, "weights": [1, 1]}
+    problem = {"system": system, "measurement": measurement, "observation": [1.0], "sparsity": 1}
+    problem_from_dict(problem)
+    bad = {
+        system_from_dict: [
+            [system],
+            dict(system, lipshitz=1.0),
+            dict(system, rhs="zero"),
+            dict(system, rhs={"kind": "zero", "drfit": [0.0, 0.0]}),
+            dict(system, rhs={"kind": ["zero"]}),
+        ],
+        measurement_from_dict: [None, dict(measurement, typo_noise=3)],
+        problem_from_dict: [
+            "problem",
+            dict(problem, typo_noise=3),
+            dict(problem, measurement=[measurement]),
+            dict(problem, system=dict(system, extra=1)),
+        ],
+    }
+    for decode, docs in bad.items():
+        for doc in docs:
+            with pytest.raises(DomainError, match="unknown|must be an object|rhs kind"):
+                decode(doc)
+
+
+# --- JSON codec ---------------------------------------------------------------
+
+
+def _reports():
+    """One instance of each report type, together holding every +-inf the
+    documents spell as a string."""
+    # C(4, 2) = 6 supports exceed a budget of 1, so the trial's delta_2s is inf
+    config = ExperimentConfig(
+        seed=0,
+        trials=1,
+        system=DynamicalSystem.zero(4),
+        n=8,
+        sparsity=1,
+        noise_radius=0.0,
+        rip_budget=1,
+    )
+    return [
+        RipReport(
+            sparsity=2,
+            delta=math.inf,
+            method="coherence-upper",
+            supports_examined=0,
+            supports_solved=0,
+        ),
+        recovery_constants(0.1, 1.0, 0.0, 0.5, 1.1),
+        RecoveryOutcome(
+            estimate=[1.0, -0.5], residual=0.0, weighted_l1=1.5, iterations=2, converged=True
+        ),
+        run_trial(config, 0),
+    ]
+
+
+@pytest.mark.parametrize("report", _reports(), ids=lambda r: type(r).__name__)
+def test_reports_encode_as_their_fields(report):
+    doc = to_doc(report)
+    assert list(doc) == [f.name for f in fields(report)]
+    assert json.loads(json.dumps(doc, allow_nan=False)) == doc
+
+
+def test_to_doc_spells_infinities_as_strings():
+    docs = [to_doc(report) for report in _reports()]
+    assert docs[0]["delta"] == "inf"
+    assert docs[1]["observability_T_max"] == "inf"
+    assert docs[3]["delta_2s"] == "inf"
+    assert to_doc((-math.inf, np.array([1.5, 2.0]), None)) == ["-inf", [1.5, 2.0], None]
+
+
+def test_from_doc_requires_fields_without_default():
+    with pytest.raises(DomainError, match="missing measurement field 'weights'"):
+        doc = {"matrix": [[1.0]], "time": 1.0, "noise_radius": 0.0}
+        from_doc(MeasurementModel, doc, "measurement")
+    assert from_doc(IntegrationConfig, {}, "integration") == IntegrationConfig()
+    with pytest.raises(DomainError, match=r"unknown integration fields: \['steps'\]"):
+        from_doc(IntegrationConfig, {"steps": 8}, "integration")
