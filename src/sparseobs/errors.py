@@ -5,9 +5,10 @@ A count is an int, a numpy integer or an integral float such as 2e5; a bool
 or a fractional value is refused, never truncated.  A real is a Python or
 numpy number, also as a 0-d array; anything else (a bool, a string, None, a
 list) is refused, never converted.  An array must hold numbers in rows of
-equal length.  Reals, matrices and weight vectors must be finite.  A value
-out of range or of the wrong type raises DomainError, an array of the wrong
-shape or of entries that are not numbers ShapeError.
+equal length; a boolean is not a number here either.  Reals, matrices and
+weight vectors must be finite.  A value out of range or of the wrong type
+raises DomainError, an array of the wrong shape or of entries that are not
+numbers ShapeError.
 """
 
 import math
@@ -93,14 +94,18 @@ def check_real(value, name, positive=False):
 
 def _float_array(a, name):
     """a as a C-contiguous float array, refusing ragged rows and entries that
-    are not numbers."""
+    are not numbers, booleans included."""
     try:
-        a = np.asarray(a)
+        arr = np.asarray(a)
     except ValueError as exc:
         raise ShapeError(f"{name} must be a numeric array with rows of equal length") from exc
-    if a.dtype.kind not in "biuf":
+    # numpy converts a list that mixes booleans with numbers to numbers
+    if arr.dtype.kind not in "iuf" or (
+        not isinstance(a, np.ndarray)
+        and any(isinstance(v, (bool, np.bool_)) for v in np.asarray(a, dtype=object).flat)
+    ):
         raise ShapeError(f"{name} must be a numeric array, got entries that are not numbers")
-    return np.ascontiguousarray(a, dtype=float)
+    return np.ascontiguousarray(arr, dtype=float)
 
 
 def check_array(a, shape, name):

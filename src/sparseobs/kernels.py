@@ -174,9 +174,12 @@ def admm_basis_pursuit(Phi, Phi_pinv, y, thresh, z0, u0, max_iter, tol):
 
     The x-update projects z - u onto the affine constraint set with a
     precomputed pseudo-inverse; the z-update is the weighted soft threshold
-    with thresh_i = w_i/rho.  Returns the feasible iterate x (which satisfies
-    Phi x = y exactly up to the projection's rounding), z, u, and the
-    iteration count.
+    with thresh_i = w_i/rho.  z0/u0 allow warm starts: from an optimal z0
+    with scaled dual u0 = sign(z0) * thresh, such as the only feasible point
+    when Phi has full column rank, x and z return to z0 up to rounding and
+    the first iteration passes the stopping test.  Returns the feasible
+    iterate x (which satisfies Phi x = y exactly up to the projection's
+    rounding), z, u, and the iteration count.
     """
     z = z0.copy()
     u = u0.copy()

@@ -5,8 +5,10 @@ The core solve is weighted basis-pursuit denoising on a linearization of the
 flow map: min sum_i w_i |x_i| subject to ||observation - offset - Phi x|| <=
 eps.  Systems with an affine flow need a single linearization; the saturated
 catalog member re-linearizes around the current estimate until the step
-stalls.  The noisy case runs ADMM on the penalized form and bisects the
-penalty weight until the residual lands just above eps, which keeps the
+stalls.  The exact case (eps = 0) runs basis-pursuit ADMM from the
+least-squares point and its sign dual, which are already optimal when Phi has
+full column rank.  The noisy case runs ADMM on the penalized form and bisects
+the penalty weight until the residual lands just above eps, which keeps the
 returned point both feasible-within-tolerance and objective-dominated by any
 true feasible point.  Recovery and the oracle's Gauss-Newton fits share one
 line search, which evaluates the flow Jacobian with each trial point.
@@ -90,11 +92,16 @@ def solve_weighted_bpdn(Phi, offset, observation, weights, eps, config=None):
     """Minimize sum_i weights_i |x_i| subject to
     ||observation - offset - Phi x||_2 <= eps, returning the m-vector x.
 
-    eps = 0 runs projection ADMM on the equality-constrained program.  eps > 0
-    runs penalized ADMM and bisects the penalty weight until the residual
-    lands in [eps, eps + residual_match_tol], approaching from above so the
-    solution's objective never exceeds that of any strictly feasible point.
-    Raises InfeasibleError when even least squares cannot reach eps.
+    eps = 0 runs projection ADMM on the equality-constrained program, started
+    at the least-squares point x_ls with scaled dual sign(x_ls) * w / penalty.
+    x_ls is feasible and sign(x_ls) * w a subgradient of the objective there.
+    When Phi has full column rank, x_ls is the only feasible point, so the
+    start is optimal and the kernel stops after one iteration.  When n < m it
+    is a feasible start that ADMM improves on.  eps > 0 runs penalized ADMM
+    and bisects the penalty weight until the residual lands in [eps, eps +
+    residual_match_tol], approaching from above so the solution's objective
+    never exceeds that of any strictly feasible point.  Raises InfeasibleError
+    when even least squares cannot reach eps.
     """
     cfg = config or SolverConfig()
     Phi = check_matrix(Phi, "Phi")
@@ -121,13 +128,14 @@ def solve_weighted_bpdn(Phi, offset, observation, weights, eps, config=None):
     rho = cfg.penalty
     if eps == 0.0:
         Phi_pinv = np.ascontiguousarray(np.linalg.pinv(Phi))
+        thresh = weights / rho
         x, z, _, _ = kernels.admm_basis_pursuit(
             Phi,
             Phi_pinv,
             y,
-            weights / rho,
-            np.zeros(m),
-            np.zeros(m),
+            thresh,
+            x_ls,
+            np.sign(x_ls) * thresh,
             cfg.inner_max_iter,
             cfg.inner_tol,
         )

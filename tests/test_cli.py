@@ -298,6 +298,9 @@ def test_errors_exit_with_code_two(tmp_path, capsys):
         lambda doc: doc["measurement"].update(time=None),
         lambda doc: doc.update(typo_noise=3),
         lambda doc: doc["measurement"].update(typo_noise=3),
+        lambda doc: doc["measurement"].update(weights=[True, True]),
+        lambda doc: doc["measurement"].update(matrix=[[1.0, 0.0], [0.0, True]]),
+        lambda doc: doc.update(observation=[True, False]),
     )
     for edit in bad_problems:
         for command in ("recover", "oracle"):

@@ -75,6 +75,20 @@ def test_arrays_refuse_ragged_and_non_numeric_input(value):
         check_array(value, (2,), "a")
 
 
+@pytest.mark.parametrize(
+    "value",
+    [[True, True], np.array([True, False]), [True, 1.0], [1.0, np.bool_(False)]],
+)
+def test_arrays_refuse_booleans(value):
+    # numpy reads a list mixing booleans with numbers as numbers
+    with pytest.raises(ShapeError, match="A must be a numeric array"):
+        check_matrix([value], "A")
+    with pytest.raises(ShapeError, match="a must be a numeric array"):
+        check_array(value, (2,), "a")
+    with pytest.raises(ShapeError, match="weights must be a numeric array"):
+        check_weights(value, (2,))
+
+
 def test_matrix_shape_and_finiteness():
     A = check_matrix([[1, 2], [3, 4]], "A")
     assert A.dtype == float and A.flags.c_contiguous

@@ -13,7 +13,7 @@ from sparseobs.errors import (
     NumericalError,
     ShapeError,
 )
-from sparseobs.harness import gen_gaussian_matrix
+from sparseobs.harness import ExperimentConfig, gen_gaussian_matrix, run_trial
 from sparseobs.model import (
     DynamicalSystem,
     MeasurementModel,
@@ -183,6 +183,88 @@ def test_bpdn_weight_scaling_leaves_solution_unchanged():
     ae = solve_weighted_bpdn(Phi2, np.zeros(6), ye, np.ones(12), 0.0)
     be = solve_weighted_bpdn(Phi2, np.zeros(6), ye, 7.0 * np.ones(12), 0.0)
     np.testing.assert_allclose(ae, be, atol=1e-9)
+
+
+def _count_admm_iterations(monkeypatch):
+    """Wrap kernels.admm_basis_pursuit; returns the list its iteration counts
+    are appended to."""
+    counts = []
+    admm = kernels.admm_basis_pursuit
+
+    def wrapper(*args):
+        result = admm(*args)
+        counts.append(result[3])
+        return result
+
+    monkeypatch.setattr(kernels, "admm_basis_pursuit", wrapper)
+    return counts
+
+
+def _tanh_linearization():
+    """Phi = A P, offset and observation of a 512 x 6 tanh system linearized
+    at a point away from 0, where the flow is far from linear."""
+    system = DynamicalSystem.tanh_saturated((2.0 * unit_spectral_matrix(6, 7)).tolist())
+    xT, P = flow_with_jacobian(system, np.array([0.8, 0.0, -0.6, 0.0, 0.0, 1.1]), 0.8)
+    A = gen_gaussian_matrix(512, 6, 1000)
+    x0 = np.array([0.0, 0.9, 0.0, 0.0, -1.2, 0.0])
+    return A @ P, A @ xT, A @ (xT + P @ x0)
+
+
+def _gaussian_linear():
+    Phi = gen_gaussian_matrix(512, 24, 11)
+    x0 = np.zeros(24)
+    x0[[3, 17, 20]] = [1.0, -0.5, 2.0]
+    return Phi, np.zeros(512), Phi @ x0
+
+
+@pytest.mark.parametrize("instance", [_tanh_linearization, _gaussian_linear])
+def test_basis_pursuit_with_full_column_rank_takes_one_iteration(instance, monkeypatch):
+    # the only feasible point is the least-squares point, where the warm
+    # start's sign dual already satisfies the kernel's stopping test
+    Phi, offset, observation = instance()
+    m = Phi.shape[1]
+    counts = _count_admm_iterations(monkeypatch)
+    x = solve_weighted_bpdn(Phi, offset, observation, np.ones(m), 0.0)
+    assert counts == [1]
+    x_ls = np.linalg.lstsq(Phi, observation - offset, rcond=None)[0]
+    np.testing.assert_allclose(x, x_ls, rtol=0, atol=1e-12)
+
+
+def test_criterion_6_tanh_trial_never_caps_basis_pursuit(monkeypatch):
+    # trial 0 of criterion 6's tanh eps = 0 block, whose first two
+    # linearizations used to run basis pursuit to its iteration cap
+    system = DynamicalSystem.tanh_saturated(unit_spectral_matrix(12, 7).tolist())
+    cfg = ExperimentConfig(
+        seed=601, trials=67, system=system, n=512, sparsity=1, noise_radius=0.0, magnitudes="unit"
+    )
+    counts = _count_admm_iterations(monkeypatch)
+    record = run_trial(cfg, 0)
+    assert counts and max(counts) < SolverConfig().inner_max_iter
+    assert record.converged and record.error_l2 <= 1e-6
+
+
+@pytest.mark.parametrize("n, m, s, seed", [(6, 12, 1, 40), (24, 48, 3, 41), (96, 128, 8, 44)])
+def test_underdetermined_warm_start_matches_a_cold_kernel_run(n, m, s, seed):
+    Phi = gaussian_unit_columns(n, m, seed)
+    rng = np.random.Generator(np.random.Philox(seed + 100))
+    x0 = np.zeros(m)
+    x0[rng.choice(m, size=s, replace=False)] = rng.uniform(0.5, 1.5, s) * rng.choice([-1, 1], s)
+    y = Phi @ x0
+    cfg = SolverConfig()
+    warm = solve_weighted_bpdn(Phi, np.zeros(n), y, np.ones(m), 0.0, cfg)
+    _, cold, _, _ = kernels.admm_basis_pursuit(
+        Phi,
+        np.linalg.pinv(Phi),
+        y,
+        np.ones(m),
+        np.zeros(m),
+        np.zeros(m),
+        cfg.inner_max_iter,
+        cfg.inner_tol,
+    )
+    np.testing.assert_allclose(warm, cold, rtol=0, atol=1e-8)
+    np.testing.assert_allclose(warm, x0, rtol=0, atol=1e-6)
+    np.testing.assert_allclose(cold, x0, rtol=0, atol=1e-6)
 
 
 # --- recover_initial_state --------------------------------------------------------
