@@ -46,7 +46,7 @@ from .model import (
     to_doc,
     weight_condition_number,
 )
-from .ode import IntegrationConfig, integrate
+from .ode import IntegrationConfig, integrate, settle_steps
 from .recover import SolverConfig, recover_initial_state
 from .rip import DEFAULT_SUPPORT_BUDGET, operator_norm, rip_constant_exact
 
@@ -76,6 +76,7 @@ CSV_COLUMNS = (
     "n",
     "m",
     "T",
+    "rk4_steps",
     "eps",
     "error_l2",
     "bound",
@@ -112,7 +113,9 @@ class ExperimentConfig:
 
     time is either a positive float or "auto", which certifies each trial's
     matrix first and sets T to 0.9 times the smaller certified horizon.
-    weights=None means unit weights.
+    weights=None means unit weights.  An adaptive integration config, the
+    default, settles each trial's RK4 step count once T is known (see
+    ode.settle_steps); the observation and the recovery both run at it.
     """
 
     seed: int
@@ -127,7 +130,9 @@ class ExperimentConfig:
     magnitudes: str = "unit"
     weights: np.ndarray | None = None
     solver: SolverConfig = field(default_factory=SolverConfig)
-    integration: IntegrationConfig = field(default_factory=IntegrationConfig)
+    integration: IntegrationConfig = field(
+        default_factory=lambda: IntegrationConfig.adaptive(1e-12)
+    )
     rip_budget: int = DEFAULT_SUPPORT_BUDGET
 
     def __post_init__(self):
@@ -224,8 +229,9 @@ def load_experiment_config(path) -> ExperimentConfig:
 
 @dataclass(frozen=True)
 class TrialRecord:
-    """One trial's inputs and results.  Solver fields are None on trials the
-    solver skipped (infeasible certificate without force)."""
+    """One trial's inputs and results.  rk4_steps is the RK4 step count of
+    every flow in the trial.  Solver fields are None on trials the solver
+    skipped (infeasible certificate without force)."""
 
     trial: int
     feasible: bool
@@ -234,6 +240,7 @@ class TrialRecord:
     n: int
     m: int
     T: float
+    rk4_steps: int
     eps: float
     support: tuple
     values: tuple
@@ -335,8 +342,10 @@ def run_trial(config: ExperimentConfig, trial: int, force: bool = False) -> Tria
         reasons = (REASON_RIP_BUDGET,)
         obs_T = rec_T = c0 = c1 = None
 
+    # the observation and the recovery share one discrete flow
+    integration = settle_steps(system, T, config.integration)
     x0, support, values = _plant_signal(config, trial)
-    xT = integrate(system, x0, T, config.integration).final_state
+    xT = integrate(system, x0, T, integration).final_state
     b = A @ xT + _noise_vector(config, trial, config.n)
 
     error = bound = bound_satisfied = residual = iterations = converged = None
@@ -349,7 +358,7 @@ def run_trial(config: ExperimentConfig, trial: int, force: bool = False) -> Tria
             observation=b,
             sparsity=s,
         )
-        outcome = recover_initial_state(problem, config.integration, config.solver)
+        outcome = recover_initial_state(problem, integration, config.solver)
         error = float(np.linalg.norm(outcome.estimate - x0))
         residual = outcome.residual
         iterations = outcome.iterations
@@ -367,6 +376,7 @@ def run_trial(config: ExperimentConfig, trial: int, force: bool = False) -> Tria
         n=config.n,
         m=m,
         T=float(T),
+        rk4_steps=integration.step_count,
         eps=config.noise_radius,
         support=support,
         values=values,

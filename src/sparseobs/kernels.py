@@ -160,8 +160,8 @@ def admm_lasso(F_inv, Phi_t_y, rho, thresh, z0, u0, max_iter, tol):
         x = F_inv @ (Phi_t_y + rho * (z - u))
         v = x + u
         z_new = np.sign(v) * np.maximum(np.abs(v) - thresh, 0.0)
-        r_primal = np.max(np.abs(x - z_new))
-        s_dual = np.max(np.abs(z_new - z))
+        r_primal = np.abs(x - z_new).max()
+        s_dual = np.abs(z_new - z).max()
         z = z_new
         u = u + x - z
         if r_primal < tol and s_dual < tol:
@@ -190,8 +190,8 @@ def admm_basis_pursuit(Phi, Phi_pinv, y, thresh, z0, u0, max_iter, tol):
         x = v - Phi_pinv @ (Phi @ v - y)
         v2 = x + u
         z_new = np.sign(v2) * np.maximum(np.abs(v2) - thresh, 0.0)
-        r_primal = np.max(np.abs(x - z_new))
-        s_dual = np.max(np.abs(z_new - z))
+        r_primal = np.abs(x - z_new).max()
+        s_dual = np.abs(z_new - z).max()
         z = z_new
         u = u + x - z
         if r_primal < tol and s_dual < tol:

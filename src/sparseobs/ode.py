@@ -4,7 +4,11 @@ by the certificates.
 
 The one integrator is classical RK4 in kernels.  Adaptive mode chooses its
 step count by doubling it until the n-step and 2n-step runs agree entrywise to
-tolerance * (1 + |value|), then keeps the 2n-step run.
+tolerance * (1 + |value|), then keeps the 2n-step run.  integrate and
+flow_with_jacobian repeat that search on every call, row by row;
+settle_steps runs it once, for x(T) and its Jacobian at x = 0, and returns
+the accepted count as a fixed config, which recovery, the oracle and the
+experiment trials use for every flow of one problem.
 """
 
 from __future__ import annotations
@@ -142,6 +146,38 @@ def integrate(
     return Trajectory(times=np.linspace(0.0, T, n + 1), states=states)
 
 
+def _flow_run(system, X, T, n):
+    """kernels.rk4_flow_jacobian from X at n steps, raising NumericalError on
+    a non-finite value."""
+    kind, M, c = system.kernel_args()
+    XT, P = kernels.rk4_flow_jacobian(kind, M, c, X, T, n)
+    finite = np.all(np.isfinite(XT), axis=-1) & np.all(np.isfinite(P), axis=(-2, -1))
+    if not np.all(finite):
+        # rerun the plain state integration for the blow-up time diagnostic
+        integrate(system, np.atleast_2d(X)[np.argmin(finite)], T, IntegrationConfig.fixed(n))
+        raise NumericalError("sensitivity integration produced non-finite values", time=T)
+    return XT, P
+
+
+def _climb(system, X, T, tol):
+    """Adaptive flows of the rows X (k, m): each row doubles its own step
+    count until both x(T) and the sensitivity agree, so a row's result does
+    not depend on the rows beside it.  Returns x(T), the sensitivities and
+    each row's accepted step count."""
+    n = _ADAPTIVE_START_STEPS
+    XT_n, P_n = _flow_run(system, X, T, n)
+    XT, P = np.empty_like(XT_n), np.empty_like(P_n)
+    steps = np.empty(X.shape[0], dtype=int)
+    pending = np.arange(X.shape[0])
+    while pending.size:
+        n = _doubled(n)
+        XT_2n, P_2n = _flow_run(system, X[pending], T, n)
+        ok = _settled(XT_n, XT_2n, tol, 1) & _settled(P_n, P_2n, tol, (1, 2))
+        XT[pending[ok]], P[pending[ok]], steps[pending[ok]] = XT_2n[ok], P_2n[ok], n
+        pending, XT_n, P_n = pending[~ok], XT_2n[~ok], P_2n[~ok]
+    return XT, P, steps
+
+
 def flow_with_jacobian(
     system: DynamicalSystem, x0, T, config: IntegrationConfig | None = None
 ):
@@ -155,31 +191,28 @@ def flow_with_jacobian(
     """
     cfg = config or IntegrationConfig()
     X0, T = _check_args(system, x0, T, rows=True)
-    kind, M, c = system.kernel_args()
-
-    def run(X, n):
-        XT, P = kernels.rk4_flow_jacobian(kind, M, c, X, T, n)
-        finite = np.all(np.isfinite(XT), axis=-1) & np.all(np.isfinite(P), axis=(-2, -1))
-        if not np.all(finite):
-            # rerun the plain state integration for the blow-up time diagnostic
-            integrate(system, np.atleast_2d(X)[np.argmin(finite)], T, IntegrationConfig.fixed(n))
-            raise NumericalError("sensitivity integration produced non-finite values", time=T)
-        return XT, P
-
     if cfg.mode == "fixed":
-        return run(X0, cfg.step_count)
-    X, tol = X0.reshape(-1, system.dim), cfg.tolerance
-    n = _ADAPTIVE_START_STEPS
-    XT_n, P_n = run(X, n)
-    XT, P = np.empty_like(XT_n), np.empty_like(P_n)
-    pending = np.arange(X.shape[0])
-    while pending.size:
-        n = _doubled(n)
-        XT_2n, P_2n = run(X[pending], n)
-        ok = _settled(XT_n, XT_2n, tol, 1) & _settled(P_n, P_2n, tol, (1, 2))
-        XT[pending[ok]], P[pending[ok]] = XT_2n[ok], P_2n[ok]
-        pending, XT_n, P_n = pending[~ok], XT_2n[~ok], P_2n[~ok]
+        return _flow_run(system, X0, T, cfg.step_count)
+    XT, P, _ = _climb(system, X0.reshape(-1, system.dim), T, cfg.tolerance)
     return XT.reshape(X0.shape), P.reshape(X0.shape + (system.dim,))
+
+
+def settle_steps(
+    system: DynamicalSystem, T, config: IntegrationConfig | None = None
+) -> IntegrationConfig:
+    """The fixed config to integrate the system over [0, T] with.  A fixed
+    config comes back as it is.  An adaptive config runs flow_with_jacobian's
+    step doubling once, at x = 0, and returns the count at which x(T) and
+    dx(T)/dx0 settled to its tolerance as IntegrationConfig.fixed.  The count
+    is settled at 0 only, where tanh is linear; tests/test_ode.py checks that
+    it holds the tolerance at planted, dense and saturated states of the demo
+    system against 4096 steps."""
+    cfg = config or IntegrationConfig()
+    if cfg.mode == "fixed":
+        return cfg
+    T = check_real(T, "T", positive=True)
+    steps = _climb(system, np.zeros((1, system.dim)), T, cfg.tolerance)[2]
+    return IntegrationConfig.fixed(int(steps[0]))
 
 
 def flow_jacobian(

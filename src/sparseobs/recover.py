@@ -11,7 +11,9 @@ full column rank.  The noisy case runs ADMM on the penalized form and bisects
 the penalty weight until the residual lands just above eps, which keeps the
 returned point both feasible-within-tolerance and objective-dominated by any
 true feasible point.  Recovery and the oracle's Gauss-Newton fits share one
-line search, which evaluates the flow Jacobian with each trial point.
+line search, which evaluates the flow Jacobian with each trial point.  Both
+settle an adaptive integration config into one step count at entry (see
+ode.settle_steps), so every flow of one problem runs at the same count.
 """
 
 from __future__ import annotations
@@ -34,7 +36,7 @@ from .errors import (
 )
 from .model import RecoveryOutcome, SparseProblem, from_doc, weighted_l1_norm
 # unused integrate stays bound: pipebench/bench_trace.py traces it as a call site here
-from .ode import IntegrationConfig, flow_with_jacobian, integrate  # noqa: F401
+from .ode import IntegrationConfig, flow_with_jacobian, integrate, settle_steps  # noqa: F401
 
 # linearizing at a single point is exact for these kinds
 _AFFINE_FLOW_KINDS = ("zero", "linear", "affine")
@@ -93,7 +95,8 @@ def solve_weighted_bpdn(Phi, offset, observation, weights, eps, config=None):
     ||observation - offset - Phi x||_2 <= eps, returning the m-vector x.
 
     eps = 0 runs projection ADMM on the equality-constrained program, started
-    at the least-squares point x_ls with scaled dual sign(x_ls) * w / penalty.
+    at the least-squares point x_ls = pinv(Phi) y, from the pseudo-inverse
+    the projection uses, with scaled dual sign(x_ls) * w / penalty.
     x_ls is feasible and sign(x_ls) * w a subgradient of the objective there.
     When Phi has full column rank, x_ls is the only feasible point, so the
     start is optimal and the kernel stops after one iteration.  When n < m it
@@ -115,7 +118,12 @@ def solve_weighted_bpdn(Phi, offset, observation, weights, eps, config=None):
     if y_norm <= eps:
         return np.zeros(m)
 
-    x_ls, *_ = np.linalg.lstsq(Phi, y, rcond=None)
+    if eps == 0.0:
+        # the pseudo-inverse gives x_ls and the kernel's projection at once
+        Phi_pinv = np.ascontiguousarray(np.linalg.pinv(Phi))
+        x_ls = Phi_pinv @ y
+    else:
+        x_ls, *_ = np.linalg.lstsq(Phi, y, rcond=None)
     r_min = float(np.linalg.norm(y - Phi @ x_ls))
     feas_slack = 1e-9 * max(1.0, y_norm)
     if r_min > eps + feas_slack:
@@ -127,7 +135,6 @@ def solve_weighted_bpdn(Phi, offset, observation, weights, eps, config=None):
 
     rho = cfg.penalty
     if eps == 0.0:
-        Phi_pinv = np.ascontiguousarray(np.linalg.pinv(Phi))
         thresh = weights / rho
         x, z, _, _ = kernels.admm_basis_pursuit(
             Phi,
@@ -190,9 +197,10 @@ def recover_initial_state(
     residual stays within max(current residual, eps + residual_match_tol),
     and the flow Jacobian at the accepted point is the next linearization.
     It stops once the accepted step is shorter than outer_tol.  converged
-    reports whether both the step and the residual criteria were met.
+    reports whether both the step and the residual criteria were met.  An
+    adaptive integration config settles its step count once, at x = 0 (see
+    ode.settle_steps), and every flow of the recovery runs at that count.
     """
-    icfg = integration_config or IntegrationConfig()
     scfg = solver_config or SolverConfig()
     meas = problem.measurement
     A = meas.matrix
@@ -202,6 +210,7 @@ def recover_initial_state(
     system = problem.system
     T = meas.time
     m = system.dim
+    icfg = settle_steps(system, T, integration_config)
 
     xT, P = flow0 = flow_with_jacobian(system, np.zeros(m), T, icfg)
     if system.kind in _AFFINE_FLOW_KINDS:
@@ -336,9 +345,10 @@ def l0_oracle(
 
     Refuses with BudgetError when the support count exceeds budget.  When no
     support reaches the noise radius, returns the best fit found with
-    converged=False.  iterations counts the supports examined.
+    converged=False.  iterations counts the supports examined.  An adaptive
+    integration config settles its step count once, at x = 0 (see
+    ode.settle_steps), and every fit runs at that count.
     """
-    icfg = integration_config or IntegrationConfig()
     budget = check_count(budget, "budget")
     m = problem.system.dim
     s = problem.sparsity
@@ -353,6 +363,7 @@ def l0_oracle(
     b = problem.observation
     T = meas.time
     feas_cut = meas.noise_radius + _ORACLE_FEAS_SLACK
+    icfg = settle_steps(problem.system, T, integration_config)
 
     def outcome(x, rn, examined, converged):
         return RecoveryOutcome(

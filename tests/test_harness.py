@@ -5,6 +5,7 @@ import re
 import numpy as np
 import pytest
 
+from sparseobs import kernels
 from sparseobs.errors import ConfigError, DomainError
 from sparseobs.harness import (
     CSV_COLUMNS,
@@ -17,7 +18,10 @@ from sparseobs.harness import (
     run_trial,
 )
 from sparseobs.model import DynamicalSystem, MeasurementModel, SparseProblem
+from sparseobs.ode import IntegrationConfig
 from sparseobs.recover import l0_oracle
+
+from conftest import unit_spectral_matrix
 
 
 def _zero_config(**overrides):
@@ -261,6 +265,44 @@ def test_first_trial_matches_the_combinatorial_oracle():
     assert r.error_l2 <= 1e-6
 
 
+@pytest.mark.parametrize(
+    "integration", [None, IntegrationConfig.fixed(48)], ids=["default", "fixed"]
+)
+def test_trial_observes_and_recovers_at_one_step_count(integration, monkeypatch):
+    overrides = {} if integration is None else {"integration": integration}
+    cfg = ExperimentConfig(
+        seed=4,
+        trials=1,
+        system=DynamicalSystem.tanh_saturated(unit_spectral_matrix(6, 7)),
+        n=64,
+        sparsity=1,
+        noise_radius=1e-3,
+        **overrides,
+    )
+    assert integration is not None or cfg.integration == IntegrationConfig.adaptive(1e-12)
+    calls = []
+    for name in ("rk4_path", "rk4_flow_jacobian"):
+        kernel = getattr(kernels, name)
+
+        def counting(kind, M, c, X, T, n, name=name, kernel=kernel):
+            calls.append((name, n))
+            return kernel(kind, M, c, X, T, n)
+
+        monkeypatch.setattr(kernels, name, counting)
+    r = run_trial(cfg, 0, force=True)
+    assert r.error_l2 is not None
+    # the default settles the count at x = 0 before the observation
+    observed = calls.index(("rk4_path", r.rk4_steps))
+    assert all(name == "rk4_flow_jacobian" for name, _ in calls[:observed])
+    if integration is None:
+        assert [n for _, n in calls[:observed]] == [8 << i for i in range(observed)]
+        assert calls[observed - 1][1] == r.rk4_steps < 256
+    else:
+        assert observed == 0 and r.rk4_steps == 48
+    assert len(calls) > observed + 2
+    assert all(n == r.rk4_steps for _, n in calls[observed:])
+
+
 def test_fixed_time_is_honored():
     records = run_experiment(_zero_config(time=0.05, trials=1))
     assert records[0].T == 0.05
@@ -338,7 +380,10 @@ def test_csv_report_layout(tmp_path):
     emit_report(records, "csv", p)
     text = p.read_text()
     lines = text.splitlines()
-    assert lines[0] == "trial,feasible,s,n,m,T,eps,error_l2,bound,bound_satisfied,residual,iterations,wall_ms"
+    assert lines[0] == (
+        "trial,feasible,s,n,m,T,rk4_steps,eps,error_l2,bound,bound_satisfied,residual,"
+        "iterations,wall_ms"
+    )
     assert len(lines) == 2
     assert text.endswith("\n")
     cells = lines[1].split(",")
@@ -347,6 +392,7 @@ def test_csv_report_layout(tmp_path):
     assert row["feasible"] == "true"
     assert row["s"] == "1" and row["n"] == "128" and row["m"] == "8"
     assert float(row["T"]) == records[0].T
+    assert row["rk4_steps"] == str(records[0].rk4_steps)
     assert row["bound_satisfied"] == "true"
     assert float(row["error_l2"]) == records[0].error_l2
     # wall clock is zeroed unless timings were requested
@@ -379,6 +425,7 @@ def test_json_report_agrees_with_csv(tmp_path):
         assert doc["trial"] == int(row["trial"])
         assert doc["feasible"] == (row["feasible"] == "true")
         assert doc["T"] == float(row["T"])
+        assert doc["rk4_steps"] == int(row["rk4_steps"])
         assert doc["error_l2"] == float(row["error_l2"])
         assert doc["bound"] == float(row["bound"])
         assert doc["wall_ms"] == 0.0

@@ -11,6 +11,7 @@ from scipy.linalg import expm
 
 from sparseobs import kernels, ode
 from sparseobs.errors import DomainError, NumericalError, ShapeError
+from sparseobs.harness import load_experiment_config
 from sparseobs.model import DynamicalSystem, lipschitz_bound
 from sparseobs.ode import (
     IntegrationConfig,
@@ -19,9 +20,12 @@ from sparseobs.ode import (
     flow_with_jacobian,
     gronwall_envelope,
     integrate,
+    settle_steps,
 )
 
 from conftest import catalog_systems
+
+_DEMO_CONFIG = Path(__file__).resolve().parents[1] / "configs" / "demo.json"
 
 
 # --- config and trajectory types ---------------------------------------------
@@ -335,6 +339,66 @@ def test_flow_jacobian_block_boundaries(rows, monkeypatch):
         assert blocks == [3] * 85 + [2]
         assert np.array_equal(xT, xT_ref)
         np.testing.assert_allclose(P, P_ref, rtol=0, atol=1e-14)
+
+
+# --- settled step counts -----------------------------------------------------
+
+
+def test_settle_steps_passes_a_fixed_config_through():
+    system = DynamicalSystem.tanh_saturated([[0.5, 0.2], [0.1, -0.3]])
+    cfg = IntegrationConfig.fixed(48)
+    assert settle_steps(system, 0.6, cfg) is cfg
+    assert settle_steps(system, 0.6) == IntegrationConfig()
+
+
+def test_settle_steps_climbs_once_at_zero(monkeypatch):
+    system = DynamicalSystem.tanh_saturated([[0.5, 0.2], [0.1, -0.3]])
+    calls = []
+    kernel = kernels.rk4_flow_jacobian
+
+    def counting(kind, M, c, X, T, n):
+        calls.append((X.tolist(), n))
+        return kernel(kind, M, c, X, T, n)
+
+    monkeypatch.setattr(kernels, "rk4_flow_jacobian", counting)
+    cfg = settle_steps(system, 0.6, IntegrationConfig.adaptive(1e-12))
+    assert cfg.mode == "fixed"
+    steps = [n for _, n in calls]
+    assert steps == [8 << i for i in range(len(steps))]
+    assert cfg.step_count == steps[-1]
+    assert all(X == [[0.0, 0.0]] for X, _ in calls)
+    # the count is the one adaptive mode accepts for the same flow at 0
+    calls.clear()
+    flow_with_jacobian(system, np.zeros(2), 0.6, IntegrationConfig.adaptive(1e-12))
+    assert calls[-1][1] == cfg.step_count
+
+
+def test_settle_steps_raises_on_a_blowup():
+    system = DynamicalSystem.affine([[100.0]], [1.0])
+    with pytest.raises(NumericalError), np.errstate(over="ignore", invalid="ignore"):
+        settle_steps(system, 10.0, IntegrationConfig.adaptive())
+
+
+@pytest.mark.parametrize("T", [0.08, 0.14, 0.2])
+def test_settled_count_holds_away_from_zero(T):
+    # the count is settled at 0, where tanh is linear; planted states bend
+    # the field and saturated ones flatten it, so check both against 4096 steps
+    system = load_experiment_config(_DEMO_CONFIG).system
+    tol = 1e-12
+    cfg = settle_steps(system, T, IntegrationConfig.adaptive(tol))
+    assert cfg.step_count < 256
+    rng = np.random.Generator(np.random.Philox(34))
+    planted = np.zeros((8, 12))
+    for row in planted:
+        support = rng.choice(12, size=2, replace=False)
+        row[support] = rng.uniform(0.5, 1.5, 2) * rng.choice([-1.0, 1.0], 2)
+    dense = rng.normal(size=(8, 12)) * 3.0
+    saturated = rng.uniform(90.0, 110.0, (8, 12)) * rng.choice([-1.0, 1.0], (8, 12))
+    X0 = np.concatenate((planted, dense, saturated))
+    XT, P = flow_with_jacobian(system, X0, T, cfg)
+    XT_ref, P_ref = flow_with_jacobian(system, X0, T, IntegrationConfig.fixed(4096))
+    assert np.all(np.abs(XT - XT_ref) <= tol * (1.0 + np.abs(XT_ref)))
+    assert np.all(np.abs(P - P_ref) <= tol * (1.0 + np.abs(P_ref)))
 
 
 # --- gronwall ----------------------------------------------------------------

@@ -20,7 +20,7 @@ from sparseobs.model import (
     SparseProblem,
     weighted_l1_norm,
 )
-from sparseobs.ode import IntegrationConfig, flow_with_jacobian, integrate
+from sparseobs.ode import IntegrationConfig, flow_with_jacobian, integrate, settle_steps
 from sparseobs.recover import (
     SolverConfig,
     l0_oracle,
@@ -626,6 +626,28 @@ def test_lockstep_support_fits_match_per_support_reference():
 
 def test_lockstep_oracle_matches_reference_in_adaptive_mode():
     _assert_oracle_matches_reference(_tanh_pair_problem(), IntegrationConfig.adaptive())
+
+
+@pytest.mark.parametrize("solve", [recover_initial_state, l0_oracle])
+def test_adaptive_mode_settles_the_step_count_once(solve, monkeypatch):
+    problem = _tanh_pair_problem()
+    time = problem.measurement.time
+    settled = settle_steps(problem.system, time, IntegrationConfig.adaptive()).step_count
+    steps = []
+    kernel = kernels.rk4_flow_jacobian
+
+    def counting(kind, M, c, X, T, n):
+        steps.append(n)
+        return kernel(kind, M, c, X, T, n)
+
+    monkeypatch.setattr(kernels, "rk4_flow_jacobian", counting)
+    out = solve(problem, IntegrationConfig.adaptive())
+    assert out.converged
+    climb = settled.bit_length() - 3
+    # one climb from 8 steps at x = 0, then every flow at the settled count
+    assert steps[:climb] == [8 << i for i in range(climb)]
+    assert len(steps) > climb + 1
+    assert all(n == settled for n in steps[climb:])
 
 
 @pytest.mark.parametrize("block_floats", [None, 16])

@@ -1,0 +1,235 @@
+"""Measure the RK4 step count each experiment trial integrates with: its cost
+and its accuracy.
+
+Usage, from the repository root:
+
+    python3 tools/bench_steps.py
+    python3 tools/bench_steps.py --tree parent=../parent/src --tree change=src
+
+Each --tree LABEL=SRC names a source tree whose sparseobs package runs the
+trials in child processes of its own, with one BLAS thread.  The trees take
+turns, ROUNDS rounds of one child per tree, and each child runs every trial of
+the two workloads once with its tree's default integration config:
+
+- demo: the 24 trials of configs/demo.json;
+- criterion_6: the 9 blocks of 67 trials of the criterion-6 acceptance test
+  (zero, linear and tanh systems of dimension 12 at eps = 0, 1e-3, 1e-2).
+
+Per trial and tree the file records T, the step count the trial integrated
+with (the `rk4_steps` report column, or the config's fixed step_count for a
+tree without it), the RK4 row-steps (rows x steps, summed over the calls of
+kernels.rk4_flow_jacobian and kernels.rk4_path), the median wall time of the
+trial over the rounds, error_l2, and flow_error: the largest of |v - v_ref| /
+(1 + |v_ref|) over the entries v of x(T) and dx(T)/dx0 at the trial's planted
+state, against 4096 RK4 steps, computed by this checkout's package.  Totals
+per workload sum the wall times and row-steps and take the largest errors.
+Results go to BENCH_steps.json.
+"""
+
+import os
+
+if __name__ == "__main__":
+    # one BLAS thread, fixed before numpy is first imported here or in a child
+    for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+        os.environ[_var] = "1"
+
+import argparse
+import json
+import platform
+import re
+import statistics
+import subprocess
+import sys
+import time
+from pathlib import Path
+
+import numpy as np
+
+ROOT = Path(__file__).resolve().parent.parent
+ROUNDS = 3
+REFERENCE_STEPS = 4096
+# (master seed, eps) of the criterion-6 blocks, run for each system kind
+CRITERION_6 = ((601, 0.0), (602, 1e-3), (603, 1e-2))
+CRITERION_6_TRIALS = 67
+COLUMNS = ("workload", "block", "trial", "T", "steps", "row_steps", "wall_ms", "error_l2")
+
+
+def workloads():
+    """(workload, block, config) of every block, built by the package that
+    is first on sys.path."""
+    from sparseobs.harness import ExperimentConfig, load_experiment_config
+    from sparseobs.model import DynamicalSystem
+    from sparseobs.rip import operator_norm
+
+    blocks = [("demo", "demo", load_experiment_config(ROOT / "configs" / "demo.json"))]
+    M = np.random.Generator(np.random.Philox(7)).normal(size=(12, 12))
+    M = M / operator_norm(M)
+    systems = (
+        DynamicalSystem.zero(12),
+        DynamicalSystem.linear(M.tolist()),
+        DynamicalSystem.tanh_saturated(M.tolist()),
+    )
+    for system in systems:
+        for master, eps in CRITERION_6:
+            config = ExperimentConfig(
+                seed=master,
+                trials=CRITERION_6_TRIALS,
+                system=system,
+                n=512,
+                sparsity=1,
+                noise_radius=eps,
+                magnitudes="unit",
+            )
+            blocks.append(("criterion_6", f"{system.kind} eps={eps:g}", config))
+    return blocks
+
+
+def measure(src):
+    """Run in a child: every trial of the tree at src, once; print one JSON
+    list of rows (COLUMNS, plus the planted support and values)."""
+    sys.path.insert(0, str(Path(src).resolve()))
+    from sparseobs import harness, kernels
+
+    row_steps = [0]
+
+    def counted(kernel):
+        def run(kind, M, c, X, T, n):
+            row_steps[0] += (X.size // X.shape[-1]) * n
+            return kernel(kind, M, c, X, T, n)
+
+        return run
+
+    plain = {name: getattr(kernels, name) for name in ("rk4_flow_jacobian", "rk4_path")}
+    rows = []
+    for workload, block, config in workloads():
+        for trial in range(config.trials):
+            for name, kernel in plain.items():
+                setattr(kernels, name, counted(kernel))
+            row_steps[0] = 0
+            harness.run_trial(config, trial)
+            for name, kernel in plain.items():
+                setattr(kernels, name, kernel)
+            t0 = time.perf_counter()
+            r = harness.run_trial(config, trial)
+            wall_ms = (time.perf_counter() - t0) * 1e3
+            steps = getattr(r, "rk4_steps", config.integration.step_count)
+            rows.append(
+                [workload, block, trial, r.T, steps, row_steps[0], wall_ms, r.error_l2]
+                + [list(r.support), list(r.values)]
+            )
+    print(json.dumps(rows))
+
+
+def flow_errors(trials, steps_by_tree):
+    """The flow_error of each trial at each tree's step count, computed by
+    this checkout's package."""
+    sys.path.insert(0, str(ROOT / "src"))
+    from sparseobs.ode import IntegrationConfig, flow_with_jacobian
+
+    systems = {block: config.system for _, block, config in workloads()}
+    errors = {label: [] for label in steps_by_tree}
+    for i, (block, T, support, values) in enumerate(trials):
+        system = systems[block]
+        x0 = np.zeros(system.dim)
+        x0[support] = values
+        ref = flow_with_jacobian(system, x0, T, IntegrationConfig.fixed(REFERENCE_STEPS))
+        for label, steps in steps_by_tree.items():
+            got = flow_with_jacobian(system, x0, T, IntegrationConfig.fixed(steps[i]))
+            errors[label].append(
+                max(float(np.max(np.abs(g - r) / (1.0 + np.abs(r)))) for g, r in zip(got, ref))
+            )
+    return errors
+
+
+def main():
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    ap.add_argument("--tree", action="append", default=[], metavar="LABEL=SRC")
+    # internal: the child process of one tree
+    ap.add_argument("--measure", metavar="SRC", help=argparse.SUPPRESS)
+    args = ap.parse_args()
+    if args.measure:
+        measure(args.measure)
+        return
+    trees = dict(t.split("=", 1) for t in args.tree) or {"change": str(ROOT / "src")}
+
+    runs = {label: [] for label in trees}
+    for _ in range(ROUNDS):
+        for label, src in trees.items():
+            child = subprocess.run(
+                [sys.executable, __file__, "--measure", src],
+                capture_output=True,
+                text=True,
+                check=True,
+            )
+            runs[label].append(json.loads(child.stdout))
+
+    first = next(iter(runs.values()))[0]
+    trials = [(row[1], row[3], row[8], row[9]) for row in first]
+    steps = {label: [row[4] for row in rounds[0]] for label, rounds in runs.items()}
+    errors = flow_errors(trials, steps)
+
+    results = {}
+    for label, rounds in runs.items():
+        table = []
+        for i, row in enumerate(rounds[0]):
+            wall_ms = statistics.median(r[i][6] for r in rounds)
+            table.append(row[:6] + [wall_ms, row[7], errors[label][i]])
+        totals = {}
+        for workload in dict.fromkeys(row[0] for row in table):
+            mine = [row for row in table if row[0] == workload]
+            totals[workload] = {
+                "trials": len(mine),
+                "wall_ms": sum(row[6] for row in mine),
+                "row_steps": sum(row[5] for row in mine),
+                "steps": sorted({row[4] for row in mine}),
+                "max_flow_error": max(row[8] for row in mine),
+            }
+            print(
+                f"{label:>8}  {workload:<12} {totals[workload]['wall_ms']:10.1f} ms  "
+                f"{totals[workload]['row_steps']:9d} row-steps  steps "
+                f"{totals[workload]['steps']}  flow error {totals[workload]['max_flow_error']:.2e}"
+            )
+        results[label] = {"totals": totals, "trials": table}
+
+    doc = {
+        "script": "tools/bench_steps.py",
+        "rounds": ROUNDS,
+        "reference_steps": REFERENCE_STEPS,
+        "blas_threads": 1,
+        "host": {
+            "machine": platform.machine(),
+            "cpus": os.cpu_count(),
+            "python": platform.python_version(),
+            "numpy": np.__version__,
+        },
+        "columns": list(COLUMNS) + ["flow_error"],
+        "results": results,
+    }
+    if {"parent", "change"} <= results.keys():
+        parent, change = results["parent"]["totals"], results["change"]["totals"]
+        doc["parent_over_change"] = {
+            workload: {
+                key: parent[workload][key] / change[workload][key]
+                for key in ("wall_ms", "row_steps")
+            }
+            for workload in parent
+        }
+        doc["max_abs_error_l2_change"] = {
+            workload: max(
+                abs(p[7] - c[7])
+                for p, c in zip(results["parent"]["trials"], results["change"]["trials"])
+                if p[0] == workload and p[7] is not None
+            )
+            for workload in parent
+        }
+    # indented JSON with each list of scalars, such as a trial row, on one line
+    text = re.sub(
+        r"\[\s+([^][{}]*?)\s+\]",
+        lambda match: "[" + " ".join(match.group(1).split()) + "]",
+        json.dumps(doc, indent=2),
+    )
+    (ROOT / "BENCH_steps.json").write_text(text + "\n")
+
+
+if __name__ == "__main__":
+    main()
