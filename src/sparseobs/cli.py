@@ -63,9 +63,9 @@ def _emit(doc):
 
 
 def _integration_from_args(args):
-    if getattr(args, "adaptive_tol", None) is not None:
+    if args.adaptive_tol is not None:
         return IntegrationConfig.adaptive(args.adaptive_tol)
-    return IntegrationConfig.fixed(args.steps)
+    return IntegrationConfig() if args.steps is None else IntegrationConfig.fixed(args.steps)
 
 
 def _estimate_csv(estimate, path):
@@ -104,24 +104,20 @@ def _cmd_certify(args) -> int:
     return 0 if cert.feasible else 1
 
 
-def _solver_from_args(args):
-    if args.solver_config is None:
-        return SolverConfig()
-    return SolverConfig.from_dict(read_document(args.solver_config))
+def _recover(problem, integration, args):
+    path = args.solver_config
+    solver = None if path is None else SolverConfig.from_dict(read_document(path))
+    return recover_initial_state(problem, integration, solver)
 
 
-def _cmd_recover(args) -> int:
+def _oracle(problem, integration, args):
+    return l0_oracle(problem, integration, args.budget)
+
+
+def _cmd_solve(args) -> int:
+    """recover and oracle: args.solve is _recover or _oracle."""
     problem = problem_from_dict(read_document(args.problem))
-    outcome = recover_initial_state(problem, _integration_from_args(args), _solver_from_args(args))
-    _emit(outcome.to_dict())
-    if args.estimate_csv:
-        _estimate_csv(outcome.estimate, args.estimate_csv)
-    return 0 if outcome.converged else 1
-
-
-def _cmd_oracle(args) -> int:
-    problem = problem_from_dict(read_document(args.problem))
-    outcome = l0_oracle(problem, _integration_from_args(args), args.budget)
+    outcome = args.solve(problem, _integration_from_args(args), args)
     _emit(outcome.to_dict())
     if args.estimate_csv:
         _estimate_csv(outcome.estimate, args.estimate_csv)
@@ -136,14 +132,21 @@ def _cmd_experiment(args) -> int:
     return 0 if ok else 1
 
 
-def _add_integration_flags(p):
-    p.add_argument("--steps", type=int, default=256, help="fixed RK4 step count (default 256)")
-    p.add_argument(
+def _add_solve_command(sub, name, help, solve):
+    """A subcommand run by _cmd_solve; the caller adds the solver's own flag."""
+    p = sub.add_parser(name, help=help)
+    p.add_argument("--problem", required=True, help="problem JSON file")
+    p.add_argument("--estimate-csv", default=None, help="write the estimate as CSV ('-' = stdout)")
+    flow = p.add_mutually_exclusive_group()
+    steps = IntegrationConfig().step_count
+    flow.add_argument("--steps", type=int, help=f"fixed RK4 step count (default {steps})")
+    flow.add_argument(
         "--adaptive-tol",
         type=float,
-        default=None,
         help="double the RK4 step count from 8 until successive counts agree to this tolerance",
     )
+    p.set_defaults(func=_cmd_solve, solve=solve)
+    return p
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -174,19 +177,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--budget", type=int, default=DEFAULT_SUPPORT_BUDGET)
     p.set_defaults(func=_cmd_certify)
 
-    p = sub.add_parser("recover", help="weighted-l1 recovery of the initial state")
-    p.add_argument("--problem", required=True, help="problem JSON file")
+    p = _add_solve_command(sub, "recover", "weighted-l1 recovery of the initial state", _recover)
     p.add_argument("--solver-config", default=None, help="solver config JSON file")
-    p.add_argument("--estimate-csv", default=None, help="write the estimate as CSV ('-' = stdout)")
-    _add_integration_flags(p)
-    p.set_defaults(func=_cmd_recover)
 
-    p = sub.add_parser("oracle", help="exhaustive reference recovery")
-    p.add_argument("--problem", required=True, help="problem JSON file")
+    p = _add_solve_command(sub, "oracle", "exhaustive reference recovery", _oracle)
     p.add_argument("--budget", type=int, default=DEFAULT_ORACLE_BUDGET)
-    p.add_argument("--estimate-csv", default=None, help="write the estimate as CSV ('-' = stdout)")
-    _add_integration_flags(p)
-    p.set_defaults(func=_cmd_oracle)
 
     p = sub.add_parser("experiment", help="seeded experiment sweep with report emission")
     p.add_argument("--config", required=True, help="experiment config JSON file")

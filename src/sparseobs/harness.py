@@ -17,6 +17,7 @@ import multiprocessing
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
+from itertools import repeat
 
 import numpy as np
 
@@ -397,11 +398,6 @@ def run_trial(config: ExperimentConfig, trial: int, force: bool = False) -> Tria
     )
 
 
-def _run_trial_args(args):
-    config, trial, force = args
-    return run_trial(config, trial, force)
-
-
 def run_experiment(config: ExperimentConfig, workers: int = 1, force: bool = False):
     """All trials of the config, in trial order.  workers > 1 runs trials on
     a process pool; records are merged strictly by trial index, so the output
@@ -416,7 +412,7 @@ def run_experiment(config: ExperimentConfig, workers: int = 1, force: bool = Fal
     except ValueError:
         ctx = None
     with ProcessPoolExecutor(max_workers=workers, mp_context=ctx) as pool:
-        return list(pool.map(_run_trial_args, [(config, i, force) for i in indices]))
+        return list(pool.map(run_trial, repeat(config), indices, repeat(force)))
 
 
 def _csv_cell(value):

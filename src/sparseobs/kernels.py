@@ -12,7 +12,9 @@ per-step increments, a block of steps at a time in batched matmuls (see
 rk4_flow_jacobian).  The support scan bounds the deviation of every support in
 a block with one batched matmul and solves the small eigenvalue problems, in a
 batch, only for the supports whose bound can still raise the running maximum
-(see max_deviation).
+(see max_deviation).  The lasso and basis-pursuit kernels run one ADMM
+iteration, _admm, and differ only in its x-update; both names stay because
+the pipeline benchmark (pipebench/) traces them.
 
 All array arguments must be float64; matrices must be C-contiguous.
 """
@@ -144,6 +146,27 @@ def rk4_flow_jacobian(kind, M, c, X0, T, n_steps):
     return X, P
 
 
+def _admm(project, thresh, z0, u0, max_iter, tol):
+    """Scaled-form ADMM (Boyd et al. 2011, sections 6.2 and 6.4): x =
+    project(z - u), z the soft threshold of x + u, u += x - z, with
+    admm_lasso's stopping test.  Returns x, z, u and the iteration count."""
+    z = z0.copy()
+    u = u0.copy()
+    x = z.copy()
+    it = 0
+    for it in range(1, max_iter + 1):
+        x = project(z - u)
+        v = x + u
+        z_new = np.sign(v) * np.maximum(np.abs(v) - thresh, 0.0)
+        r_primal = np.abs(x - z_new).max()
+        s_dual = np.abs(z_new - z).max()
+        z = z_new
+        u = u + x - z
+        if r_primal < tol and s_dual < tol:
+            break
+    return x, z, u, it
+
+
 def admm_lasso(F_inv, Phi_t_y, rho, thresh, z0, u0, max_iter, tol):
     """ADMM iterations for min 0.5*||y - Phi x||^2 + sum_i lam*w_i*|x_i|.
 
@@ -153,19 +176,7 @@ def admm_lasso(F_inv, Phi_t_y, rho, thresh, z0, u0, max_iter, tol):
     max|x - z| and the dual gap max|z - z_prev| fall below tol.  Returns the
     sparse iterate z, the scaled dual u, and the iteration count.
     """
-    z = z0.copy()
-    u = u0.copy()
-    it = 0
-    for it in range(1, max_iter + 1):
-        x = F_inv @ (Phi_t_y + rho * (z - u))
-        v = x + u
-        z_new = np.sign(v) * np.maximum(np.abs(v) - thresh, 0.0)
-        r_primal = np.abs(x - z_new).max()
-        s_dual = np.abs(z_new - z).max()
-        z = z_new
-        u = u + x - z
-        if r_primal < tol and s_dual < tol:
-            break
+    _, z, u, it = _admm(lambda v: F_inv @ (Phi_t_y + rho * v), thresh, z0, u0, max_iter, tol)
     return z, u, it
 
 
@@ -181,22 +192,7 @@ def admm_basis_pursuit(Phi, Phi_pinv, y, thresh, z0, u0, max_iter, tol):
     iterate x (which satisfies Phi x = y exactly up to the projection's
     rounding), z, u, and the iteration count.
     """
-    z = z0.copy()
-    u = u0.copy()
-    x = z.copy()
-    it = 0
-    for it in range(1, max_iter + 1):
-        v = z - u
-        x = v - Phi_pinv @ (Phi @ v - y)
-        v2 = x + u
-        z_new = np.sign(v2) * np.maximum(np.abs(v2) - thresh, 0.0)
-        r_primal = np.abs(x - z_new).max()
-        s_dual = np.abs(z_new - z).max()
-        z = z_new
-        u = u + x - z
-        if r_primal < tol and s_dual < tol:
-            break
-    return x, z, u, it
+    return _admm(lambda v: v - Phi_pinv @ (Phi @ v - y), thresh, z0, u0, max_iter, tol)
 
 
 def _gram_stack(G, supports):

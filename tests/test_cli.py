@@ -22,9 +22,9 @@ def _linear_decay_system(tmp_path, dim=2):
     return _write_json(tmp_path / "system.json", doc)
 
 
-def _recovery_problem(tmp_path, matrix, observation, dim, eps=0.0, name="problem.json"):
+def _recovery_problem(tmp_path, matrix, observation, dim, eps=0.0, name="problem.json", rhs=None):
     doc = {
-        "system": {"dim": dim, "rhs": {"kind": "zero"}},
+        "system": {"dim": dim, "rhs": rhs or {"kind": "zero"}},
         "measurement": {
             "matrix": matrix,
             "time": 1.0,
@@ -179,6 +179,22 @@ def test_oracle_budget_flag(tmp_path, capsys):
     rc = main(["oracle", "--problem", problem, "--budget", "1"])
     assert rc == 2
     assert "error:" in capsys.readouterr().err
+
+
+def test_integrator_flags_are_exclusive_and_default_to_integration_config(tmp_path, capsys):
+    # a linear flow, whose RK4 map depends on the step count
+    rhs = {"kind": "linear", "matrix": [[-1.0, 0.5], [0.0, -2.0]]}
+    problem = _recovery_problem(tmp_path, np.eye(2).tolist(), [0.5, 0.0], dim=2, rhs=rhs)
+    for command in ("recover", "oracle"):
+        with pytest.raises(SystemExit) as info:
+            main([command, "--problem", problem, "--steps", "64", "--adaptive-tol", "1e-9"])
+        assert info.value.code == 2
+        assert "not allowed with argument" in capsys.readouterr().err
+        outputs = []
+        for flags in ([], ["--steps", "256"], ["--steps", "8"]):
+            assert main([command, "--problem", problem, *flags]) == 0
+            outputs.append(capsys.readouterr().out)
+        assert outputs[0] == outputs[1] != outputs[2]
 
 
 def test_experiment_subcommand_writes_report(tmp_path, capsys):

@@ -267,6 +267,36 @@ def test_underdetermined_warm_start_matches_a_cold_kernel_run(n, m, s, seed):
     np.testing.assert_allclose(cold, x0, rtol=0, atol=1e-6)
 
 
+def test_lasso_kernel_meets_kkt_caps_and_restarts_at_its_fixed_point():
+    Phi = gen_gaussian_matrix(512, 12, 3)
+    x0 = np.zeros(12)
+    x0[[1, 6, 9]] = [1.0, -0.7, 0.4]
+    y = Phi @ x0 + 0.05 * np.random.Generator(np.random.Philox(4)).standard_normal(512)
+    w = np.ones(12)
+    cfg = SolverConfig()
+    rho = cfg.penalty
+    Phi_t_y = Phi.T @ y
+    lam = 0.3 * float(np.max(np.abs(Phi_t_y) / w))
+    F_inv = np.ascontiguousarray(np.linalg.inv(Phi.T @ Phi + rho * np.eye(12)))
+
+    def lasso(z0, u0, max_iter):
+        thresh = lam * w / rho
+        return kernels.admm_lasso(F_inv, Phi_t_y, rho, thresh, z0, u0, max_iter, cfg.inner_tol)
+
+    z, u, it = lasso(np.zeros(12), np.zeros(12), cfg.inner_max_iter)
+    assert it < cfg.inner_max_iter
+    # the lasso's KKT conditions at z
+    c = Phi.T @ (y - Phi @ z)
+    on = z != 0
+    assert on.any() and not on.all()
+    assert np.all(np.abs(c[~on]) <= lam * w[~on] * (1 + 1e-6))
+    np.testing.assert_allclose(c[on], lam * w[on] * np.sign(z[on]), rtol=0, atol=1e-6 * lam)
+    # a capped run reports the cap, which the pipeline benchmark counts as a cap hit
+    assert lasso(np.zeros(12), np.zeros(12), 3)[2] == 3
+    # restarted at its own fixed point, the first iteration passes the stopping test
+    assert lasso(z, u, cfg.inner_max_iter)[2] == 1
+
+
 # --- recover_initial_state --------------------------------------------------------
 
 

@@ -1,5 +1,5 @@
-"""Time recover.solve_weighted_bpdn at eps = 0 on fixed shapes and measure its
-accuracy.
+"""Time recover.solve_weighted_bpdn on fixed shapes, at eps = 0 and eps > 0,
+and count the ADMM work of one solve.
 
 Usage, from the repository root:
 
@@ -14,12 +14,14 @@ with one BLAS thread.  Without --tree this checkout is timed under the label
 "change".  The inputs are built once, by this checkout's package, and every
 child solves the same programs.
 
-Per shape the file records the median and quartiles of the call time, the
-iterations of kernels.admm_basis_pursuit in one call and max|x - x_ref|, where
-x_ref is the program's solution: the least-squares point when Phi has full
-column rank (it is the only feasible point), and the planted sparse vector
-for the underdetermined shapes, which l1 recovers.  Results go to
-BENCH_bpdn.json.
+Per shape the file records the median and quartiles of the call time and,
+for one solve, the iterations of kernels.admm_basis_pursuit, the calls of
+kernels.admm_lasso and their summed iterations, the residual ||Phi x - y||
+minus eps, the SHA-256 of the estimate's bytes (equal digests across trees
+mean identical results), and at eps = 0 max|x - x_ref|, where x_ref is the
+program's solution: the least-squares point when Phi has full column rank
+(it is the only feasible point), and the planted sparse vector for the
+underdetermined shapes, which l1 recovers.  Results go to BENCH_bpdn.json.
 """
 
 import os
@@ -30,6 +32,7 @@ if __name__ == "__main__":
         os.environ[_var] = "1"
 
 import argparse
+import hashlib
 import json
 import platform
 import statistics
@@ -49,6 +52,8 @@ SHAPES = (
     "linear 512x24, the one linearization of a dim-24 linear flow",
     "gaussian 6x12 underdetermined, 1-sparse",
     "gaussian 96x128 underdetermined, 8-sparse",
+    "tanh 512x12, eps = 1e-3, first linearization of configs/demo.json trial 0",
+    "gaussian 48x64 underdetermined, 4-sparse, eps = 1e-2, weights from U(1, 2)",
 )
 
 
@@ -65,9 +70,10 @@ def unit_spectral(m, seed):
 
 
 def build_inputs():
-    """(Phi, offset, observation, x_ref) of each shape, in SHAPES order."""
+    """(Phi, offset, observation, x_ref, weights, eps) of each shape, in
+    SHAPES order; x_ref is empty for eps > 0."""
     sys.path.insert(0, str(ROOT / "src"))
-    from sparseobs.harness import gen_gaussian_matrix
+    from sparseobs import harness, recover
     from sparseobs.model import DynamicalSystem
     from sparseobs.ode import flow_with_jacobian, integrate
 
@@ -77,29 +83,59 @@ def build_inputs():
         Phi, offset = A @ P, A @ xT
         observation = A @ integrate(system, x0, T).final_state
         x_ls = np.linalg.lstsq(Phi, observation - offset, rcond=None)[0]
-        return Phi, offset, observation, x_ls
+        return Phi, offset, observation, x_ls, np.ones(system.dim), 0.0
 
     def underdetermined(n, m, s, seed):
-        Phi = gen_gaussian_matrix(n, m, seed)
+        Phi = harness.gen_gaussian_matrix(n, m, seed)
         Phi /= np.linalg.norm(Phi, axis=0)
         x0 = planted(m, s, seed + 100)
-        return Phi, np.zeros(n), Phi @ x0, x0
+        return Phi, np.zeros(n), Phi @ x0, x0, np.ones(m), 0.0
+
+    def demo_first_solve():
+        # the arguments of the first solve in trial 0 of the demo sweep
+        class Captured(Exception):
+            pass
+
+        def capture(Phi, offset, observation, weights, eps, config=None):
+            raise Captured(Phi, offset, observation, np.empty(0), weights, eps)
+
+        solve = recover.solve_weighted_bpdn
+        recover.solve_weighted_bpdn = capture
+        try:
+            harness.run_trial(harness.load_experiment_config(ROOT / "configs" / "demo.json"), 0)
+        except Captured as first:
+            return first.args
+        finally:
+            recover.solve_weighted_bpdn = solve
+        raise RuntimeError("trial 0 of the demo ran no solve")
+
+    def noisy_underdetermined(n, m, s, eps, seed):
+        Phi = harness.gen_gaussian_matrix(n, m, seed)
+        Phi /= np.linalg.norm(Phi, axis=0)
+        rng = np.random.Generator(np.random.Philox(seed + 200))
+        weights = rng.uniform(1.0, 2.0, m)
+        e = rng.standard_normal(n)
+        # the planted vector lies strictly inside the constraint set
+        e *= 0.5 * eps / np.linalg.norm(e)
+        return Phi, np.zeros(n), Phi @ planted(m, s, seed + 100) + e, np.empty(0), weights, eps
 
     return [
         linearization(
             DynamicalSystem.tanh_saturated(unit_spectral(6, 7)),
-            gen_gaussian_matrix(512, 6, 1000),
+            harness.gen_gaussian_matrix(512, 6, 1000),
             planted(6, 2, 1500),
             0.2,
         ),
         linearization(
             DynamicalSystem.linear(unit_spectral(24, 24)),
-            gen_gaussian_matrix(512, 24, 11),
+            harness.gen_gaussian_matrix(512, 24, 11),
             planted(24, 3, 1501),
             0.2,
         ),
         underdetermined(6, 12, 1, 40),
         underdetermined(96, 128, 8, 44),
+        demo_first_solve(),
+        noisy_underdetermined(48, 64, 4, 1e-2, 45),
     ]
 
 
@@ -110,32 +146,47 @@ def measure(src, inputs_path):
     from sparseobs import kernels, recover
 
     data = np.load(inputs_path)
-    admm = kernels.admm_basis_pursuit
-    counts = []
+    # the iteration counts of each kernel's calls in one solve
+    counts = {"admm_basis_pursuit": [], "admm_lasso": []}
+    kernel = {name: getattr(kernels, name) for name in counts}
 
-    def counted(*args):
-        result = admm(*args)
-        counts.append(int(result[3]))
-        return result
+    def counted(name, at):
+        def call(*args):
+            result = kernel[name](*args)
+            counts[name].append(int(result[at]))
+            return result
+
+        return call
 
     rows = []
     for i in range(len(SHAPES)):
-        Phi, offset, obs, x_ref = (data[f"{key}{i}"] for key in ("Phi", "offset", "obs", "ref"))
-        weights = np.ones(Phi.shape[1])
-        counts.clear()
-        kernels.admm_basis_pursuit = counted
-        x = recover.solve_weighted_bpdn(Phi, offset, obs, weights, 0.0)
-        kernels.admm_basis_pursuit = admm
+        Phi, offset, obs, x_ref, weights, eps = (
+            data[f"{key}{i}"] for key in ("Phi", "offset", "obs", "ref", "weights", "eps")
+        )
+        eps = float(eps)
+        for name in counts:
+            counts[name].clear()
+        kernels.admm_basis_pursuit = counted("admm_basis_pursuit", 3)
+        kernels.admm_lasso = counted("admm_lasso", 2)
+        x = recover.solve_weighted_bpdn(Phi, offset, obs, weights, eps)
+        kernels.admm_basis_pursuit = kernel["admm_basis_pursuit"]
+        kernels.admm_lasso = kernel["admm_lasso"]
         samples = []
         for _ in range(CALLS):
             t0 = time.perf_counter()
-            recover.solve_weighted_bpdn(Phi, offset, obs, weights, 0.0)
+            recover.solve_weighted_bpdn(Phi, offset, obs, weights, eps)
             samples.append(time.perf_counter() - t0)
         rows.append(
             {
                 "samples_s": samples,
-                "admm_iterations": sum(counts),
-                "max_abs_error_vs_reference": float(np.abs(x - x_ref).max()),
+                "basis_pursuit_iterations": sum(counts["admm_basis_pursuit"]),
+                "lasso_calls": len(counts["admm_lasso"]),
+                "lasso_iterations": sum(counts["admm_lasso"]),
+                "residual_minus_eps": float(np.linalg.norm(Phi @ x - (obs - offset))) - eps,
+                "estimate_sha256": hashlib.sha256(x.tobytes()).hexdigest(),
+                "max_abs_error_vs_reference": (
+                    float(np.abs(x - x_ref).max()) if x_ref.size else None
+                ),
             }
         )
     print(json.dumps(rows))
@@ -161,8 +212,9 @@ def main():
     with tempfile.TemporaryDirectory() as tmp:
         inputs_path = Path(tmp) / "inputs.npz"
         arrays = {}
-        for i, (Phi, offset, obs, ref) in enumerate(build_inputs()):
-            arrays.update({f"Phi{i}": Phi, f"offset{i}": offset, f"obs{i}": obs, f"ref{i}": ref})
+        keys = ("Phi", "offset", "obs", "ref", "weights", "eps")
+        for i, shape in enumerate(build_inputs()):
+            arrays.update({f"{key}{i}": value for key, value in zip(keys, shape)})
         np.savez(inputs_path, **arrays)
         for _ in range(ROUNDS):
             for label, src in trees.items():
@@ -181,21 +233,20 @@ def main():
             first = rounds[0][i]
             samples = [s for r in rounds for s in r[i]["samples_s"]]
             n, m = arrays[f"Phi{i}"].shape
-            row = {"case": case, "n": n, "m": m}
-            row.update(
-                quartiles(samples),
-                admm_iterations=first["admm_iterations"],
-                max_abs_error_vs_reference=first["max_abs_error_vs_reference"],
-            )
+            row = {"case": case, "n": n, "m": m, "eps": float(arrays[f"eps{i}"])}
+            row.update(quartiles(samples))
+            row.update((key, value) for key, value in first.items() if key != "samples_s")
             results[label].append(row)
             print(
-                f"{label:>8}  {case:<62} {row['median_ms']:9.3f} ms  "
-                f"{row['admm_iterations']:5d} it  err {row['max_abs_error_vs_reference']:.2e}"
+                f"{label:>8}  {case:<74} {row['median_ms']:9.3f} ms  "
+                f"bp {row['basis_pursuit_iterations']:5d} it  "
+                f"lasso {row['lasso_calls']:3d} calls {row['lasso_iterations']:6d} it  "
+                f"r - eps {row['residual_minus_eps']:.2e}"
             )
 
     doc = {
         "script": "tools/bench_bpdn.py",
-        "function": "recover.solve_weighted_bpdn, eps = 0",
+        "function": "recover.solve_weighted_bpdn",
         "rounds": ROUNDS,
         "calls_per_round": CALLS,
         "blas_threads": 1,
