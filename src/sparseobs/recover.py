@@ -293,9 +293,31 @@ def _line_search(system, A, b, T, icfg, flow0, X, steps, bound, floor):
 def _fit_supports(system, A, b, T, icfg, flow0, supports):
     """Damped Gauss-Newton fits of the initial state restricted to each row
     of supports (count, k), all starting from zero and stepping in lockstep.
-    Returns the fitted states (count, m) and their residual norms (count,)."""
+    Returns the fitted states (count, m) and their residual norms (count,).
+
+    Each step s is the minimum-norm least-squares solution of J_S s = R, with
+    lstsq's cutoff max(n, k) * u * sigma_max on the singular values of J_S
+    (n rows of A, u = np.finfo(float).eps), and the line search accepts only
+    a strict decrease of the residual norm.  A fit stops once its residual
+    norm is at most 1e-14 * max(1, ||b||), once its step is below 1e-13 of
+    its state, once the line search gives up, or, before the line search,
+    once the Gauss-Newton model predicts no decrease above rounding:
+    ||J_S s||^2 <= n * u * ||R||^2.  For the least-squares step the model
+    residual is ||R - J_S s||^2 = ||R||^2 - ||J_S s||^2, so ||J_S s||^2 is
+    the predicted decrease of ||R||^2, and n * u * ||R||^2 bounds the
+    rounding error of the computed sum of n squares alone.  A predicted
+    decrease under that bound cannot show in the computed residual, and a
+    strict-decrease search would halve t down to _FIT_DAMPING_FLOOR, one
+    flow per halving, before giving up (the relative-function-change test of
+    Dennis & Schnabel, Numerical Methods for Unconstrained Optimization and
+    Nonlinear Equations, SIAM 1996, sec. 7.2).  A fit still converging to a
+    zero residual predicts a decrease of about ||R||^2 and never stops here.
+    """
     xT0, P0 = flow0
     count = supports.shape[0]
+    n = A.shape[0]
+    u = np.finfo(float).eps
+    rcond = max(n, supports.shape[1]) * u
     b_scale = max(1.0, float(np.linalg.norm(b)))
     X = np.zeros((count, xT0.shape[0]))
     # each fit needs only its support's columns of the flow Jacobian
@@ -308,13 +330,20 @@ def _fit_supports(system, A, b, T, icfg, flow0, supports):
         rows = np.flatnonzero(active)
         if rows.size == 0:
             break
-        J = np.matmul(A, PS[rows])
-        steps = np.array([np.linalg.lstsq(Jr, R[i], rcond=None)[0] for Jr, i in zip(J, rows)])
+        # one batched SVD solves every row's step and gives ||J_S s|| as the
+        # norm of R's kept components in the left singular basis
+        U, sv, Vt = np.linalg.svd(np.matmul(A, PS[rows]), full_matrices=False)
+        keep = sv > rcond * sv[:, :1]
+        c = np.where(keep, np.matmul(R[rows, None, :], U)[:, 0], 0.0)
+        coef = c / np.where(keep, sv, 1.0)
+        steps = np.matmul(Vt.transpose(0, 2, 1), coef[..., None])[..., 0]
+        flat = np.sum(c * c, axis=1) <= n * u * rn[rows] ** 2
         tiny = np.linalg.norm(steps, axis=1) <= 1e-13 * np.maximum(
             1.0, np.linalg.norm(X[rows], axis=1)
         )
-        active[rows[tiny]] = False
-        rows, steps = rows[~tiny], steps[~tiny]
+        stop = flat | tiny
+        active[rows[stop]] = False
+        rows, steps = rows[~stop], steps[~stop]
         full = np.zeros((rows.size, X.shape[1]))
         full[np.arange(rows.size)[:, None], supports[rows]] = steps
         # accept a strict decrease of the residual norm
@@ -341,7 +370,12 @@ def l0_oracle(
     size 0..sparsity (lexicographic order, sizes ascending) by restricted
     nonlinear least squares and return the first feasible fit, preferring
     smaller supports, then smaller residuals, then earlier supports.  All
-    supports of one size are fitted together, in lockstep.
+    supports of one size are fitted together, in lockstep.  A fit stops at a
+    residual of 1e-14 * max(1, ||b||), at a negligible step, when its line
+    search finds no strict decrease, or before that search once the
+    Gauss-Newton step predicts a decrease of ||R||^2 no larger than
+    n * u * ||R||^2, the rounding error bound of the computed sum of n
+    squares, below which no decrease can show (see _fit_supports).
 
     Refuses with BudgetError when the support count exceeds budget.  When no
     support reaches the noise radius, returns the best fit found with

@@ -548,8 +548,8 @@ def test_objective_dominance_on_converged_runs():
 def _reference_support_fit(system, A, b, T, icfg, support):
     """The oracle's fit one support at a time: damped Gauss-Newton on the
     initial state restricted to support, starting from zero, one flow
-    integration per trial point.  Returns (state, residual norm, iterations
-    begun)."""
+    integration per trial point, stopped by the same tests as the lockstep
+    fits.  Returns (state, residual norm, iterations begun)."""
     m = system.dim
     b_scale = max(1.0, float(np.linalg.norm(b)))
     x = np.zeros(m)
@@ -567,6 +567,9 @@ def _reference_support_fit(system, A, b, T, icfg, support):
         J = (A @ P)[:, cols]
         step, *_ = np.linalg.lstsq(J, r, rcond=None)
         if float(np.linalg.norm(step)) <= 1e-13 * max(1.0, float(np.linalg.norm(x))):
+            break
+        # the Gauss-Newton model predicts no decrease above rounding
+        if float(np.linalg.norm(J @ step)) ** 2 <= len(b) * np.finfo(float).eps * rn**2:
             break
         t = 1.0
         accepted = False
@@ -656,6 +659,80 @@ def test_lockstep_support_fits_match_per_support_reference():
 
 def test_lockstep_oracle_matches_reference_in_adaptive_mode():
     _assert_oracle_matches_reference(_tanh_pair_problem(), IntegrationConfig.adaptive())
+
+
+def test_oracle_fits_stop_before_a_line_search_that_cannot_decrease(monkeypatch):
+    problem = _tanh_pair_problem()
+    calls, damping = [], []
+    _count_calls(monkeypatch, kernels, "rk4_flow_jacobian", calls)
+    search = recover._line_search
+
+    def recording(*args):
+        out = search(*args)
+        damping.extend(out[0])
+        return out
+
+    monkeypatch.setattr(recover, "_line_search", recording)
+    out = l0_oracle(problem)
+    assert out.converged
+    assert set(np.flatnonzero(out.estimate)) == {1, 4}
+    # a fit at its residual minimum stops before its line search; without
+    # that test 20 searches here halved t down to the floor and gave up, and
+    # the oracle made 239 flow Jacobian calls
+    assert damping and min(damping) > 0.0
+    assert len(calls) <= 20
+
+
+def test_planted_support_fit_converges_to_a_zero_residual():
+    system = DynamicalSystem.tanh_saturated((2.0 * unit_spectral_matrix(6, 7)).tolist())
+    A = gen_gaussian_matrix(40, 6, 1003)
+    T = 0.5
+    icfg = IntegrationConfig.fixed(32)
+    x0 = np.zeros(6)
+    x0[[1, 4]] = [1.5, -2.0]
+    # an observation the fit's own flow reproduces exactly at x0
+    b = A @ flow_with_jacobian(system, x0, T, icfg)[0]
+    flow0 = flow_with_jacobian(system, np.zeros(6), T, icfg)
+    X, rn = recover._fit_supports(system, A, b, T, icfg, flow0, np.array([[1, 4]]))
+    _, _, iterations = _reference_support_fit(system, A, b, T, icfg, (1, 4))
+    # several Gauss-Newton steps, none stopped while the residual still fell
+    assert iterations > 3
+    assert rn[0] <= 1e-14 * max(1.0, float(np.linalg.norm(b)))
+    np.testing.assert_allclose(X[0], x0, rtol=0, atol=1e-12)
+
+
+def test_noisy_oracle_fits_match_per_support_reference():
+    M = unit_spectral_matrix(5, 11)
+    x0 = np.zeros(5)
+    x0[[0, 3]] = [1.1, -0.8]
+    noise = 1e-3 * np.random.Generator(np.random.Philox(12)).normal(size=30)
+    problem = _problem(
+        DynamicalSystem.tanh_saturated((1.5 * M).tolist()),
+        gen_gaussian_matrix(30, 5, 1011),
+        x0,
+        T=0.6,
+        eps=1.5 * float(np.linalg.norm(noise)),
+        s=2,
+        noise=noise,
+    )
+    meas = problem.measurement
+    icfg = IntegrationConfig.fixed(32)
+    supports = np.array(list(itertools.combinations(range(5), 2)), dtype=np.intp)
+    flow0 = flow_with_jacobian(problem.system, np.zeros(5), meas.time, icfg)
+    X, rn = recover._fit_supports(
+        problem.system, meas.matrix, problem.observation, meas.time, icfg, flow0, supports
+    )
+    # every fit ends on a residual minimum above zero
+    assert np.all(rn > 1e-6)
+    for sup, x, r in zip(supports, X, rn):
+        x_ref, rn_ref, _ = _reference_support_fit(
+            problem.system, meas.matrix, problem.observation, meas.time, icfg, sup
+        )
+        np.testing.assert_allclose(x, x_ref, rtol=0, atol=1e-7)
+        assert r == pytest.approx(rn_ref, rel=1e-8, abs=1e-12)
+    out = _assert_oracle_matches_reference(problem, icfg)
+    assert out.converged
+    assert set(np.flatnonzero(out.estimate)) == {0, 3}
 
 
 @pytest.mark.parametrize("solve", [recover_initial_state, l0_oracle])
