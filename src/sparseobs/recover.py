@@ -7,13 +7,17 @@ eps.  Systems with an affine flow need a single linearization; the saturated
 catalog member re-linearizes around the current estimate until the step
 stalls.  The exact case (eps = 0) runs basis-pursuit ADMM from the
 least-squares point and its sign dual, which are already optimal when Phi has
-full column rank.  The noisy case runs ADMM on the penalized form and bisects
-the penalty weight until the residual lands just above eps, which keeps the
-returned point both feasible-within-tolerance and objective-dominated by any
-true feasible point.  Recovery and the oracle's Gauss-Newton fits share one
-line search, which evaluates the flow Jacobian with each trial point.  Both
-settle an adaptive integration config into one step count at entry (see
-ode.settle_steps), so every flow of one problem runs at the same count.
+full column rank.  The noisy case follows the weighted-lasso solution path in
+the l1 weight lam down to the point whose residual sits mid-band just above
+eps and runs penalized ADMM from that point and its dual, where the first
+iteration passes the stopping test; should the point miss the band, ADMM
+bisects lam inside the path segment that holds it.  Landing just above eps
+keeps the returned point both feasible-within-tolerance and
+objective-dominated by any true feasible point.  Recovery and the oracle's
+Gauss-Newton fits share one line search, which evaluates the flow Jacobian
+with each trial point.  Both settle an adaptive integration config into one
+step count at entry (see ode.settle_steps), so every flow of one problem runs
+at the same count.
 """
 
 from __future__ import annotations
@@ -60,8 +64,10 @@ class SolverConfig:
     """Knobs for the recovery solvers.
 
     outer_* control the re-linearization loop, inner_* the ADMM iterations,
-    penalty is the ADMM step weight, and residual_match_tol is the slack
-    allowed between the achieved residual and the target eps.
+    penalty is the ADMM step weight rho (the augmented-Lagrangian weight of
+    both ADMM kernels, not the lasso's l1 weight lam, which eps > 0 solves
+    find on the lasso path), and residual_match_tol is the slack allowed
+    between the achieved residual and the target eps.
     """
 
     outer_max_iter: int = 30
@@ -100,11 +106,23 @@ def solve_weighted_bpdn(Phi, offset, observation, weights, eps, config=None):
     x_ls is feasible and sign(x_ls) * w a subgradient of the objective there.
     When Phi has full column rank, x_ls is the only feasible point, so the
     start is optimal and the kernel stops after one iteration.  When n < m it
-    is a feasible start that ADMM improves on.  eps > 0 runs penalized ADMM
-    and bisects the penalty weight until the residual lands in [eps, eps +
-    residual_match_tol], approaching from above so the solution's objective
-    never exceeds that of any strictly feasible point.  Raises InfeasibleError
-    when even least squares cannot reach eps.
+    is a feasible start that ADMM improves on.
+
+    eps > 0 solves the weighted lasso min 0.5 ||y - Phi x||^2 + lam sum_i
+    w_i |x_i| at a lam whose residual lands in the band [eps, eps + band],
+    band = min(residual_match_tol, 1e-9 max(1, ||y||)), approaching from
+    above so the solution's objective never exceeds that of any strictly
+    feasible point.  _lasso_path_point follows the lasso's piecewise-linear
+    path to the lam whose residual is eps + band / 2 and returns that lam,
+    the solution z there and the path segment [lam_lo, lam_hi] holding it.
+    Penalized ADMM then starts at lam from z and the scaled dual
+    u = Phi^T (y - Phi z) / penalty, the lasso ADMM fixed point, so its
+    first iteration passes the stopping test, which is the check that z is
+    optimal.  A probe outside the band bisects lam inside [lam_lo, lam_hi],
+    warm-starting each ADMM run from the last; without a path point it
+    bisects [0, max|Phi^T y| / w] from zero.  After 40 probes it returns the
+    probe with the smallest residual at or above eps.  Raises
+    InfeasibleError when even least squares cannot reach eps.
     """
     cfg = config or SolverConfig()
     Phi = check_matrix(Phi, "Phi")
@@ -148,18 +166,23 @@ def solve_weighted_bpdn(Phi, offset, observation, weights, eps, config=None):
         )
         return z
 
-    F_inv = np.ascontiguousarray(np.linalg.inv(Phi.T @ Phi + rho * np.eye(m)))
+    G = Phi.T @ Phi
+    F_inv = np.ascontiguousarray(np.linalg.inv(G + rho * np.eye(m)))
     Phi_t_y = Phi.T @ y
-    lam_hi = float(np.max(np.abs(Phi_t_y) / weights))
-    # lam_hi makes x = 0 optimal, whose residual y_norm exceeds eps
     band = min(cfg.residual_match_tol, 1e-9 * max(1.0, y_norm))
+    # lam_hi makes x = 0 optimal, whose residual y_norm exceeds eps
+    lam_lo, lam_hi = 0.0, float(np.max(np.abs(Phi_t_y) / weights))
+    lam = 0.5 * lam_hi
     z = np.zeros(m)
     u = np.zeros(m)
+    path = _lasso_path_point(Phi, y, G, Phi_t_y, weights, eps + 0.5 * band)
+    if path is not None:
+        # the lasso's fixed point at lam: x = z and rho * u = Phi^T r
+        lam, z, lam_lo, lam_hi = path
+        u = (Phi_t_y - G @ z) / rho
     best_r = y_norm
     best_z = z.copy()
-    lam_lo = 0.0
     for _ in range(40):
-        lam = 0.5 * (lam_lo + lam_hi)
         z, u, _ = kernels.admm_lasso(
             F_inv,
             Phi_t_y,
@@ -180,7 +203,74 @@ def solve_weighted_bpdn(Phi, offset, observation, weights, eps, config=None):
             lam_hi = lam
         else:
             lam_lo = lam
+        lam = 0.5 * (lam_lo + lam_hi)
     return best_z
+
+
+def _lasso_path_point(Phi, y, G, c, w, target):
+    """Follow the solution path of the weighted lasso
+    min 0.5 ||y - Phi x||^2 + lam sum_i w_i |x_i| from lam_max = max|c| / w
+    down to the lam at which ||y - Phi x(lam)|| = target, with G = Phi^T Phi
+    and c = Phi^T y.  Returns (lam, x(lam), lam_lo, lam_hi), where [lam_lo,
+    lam_hi] is the path segment holding lam, or None after 4 m steps, on a
+    singular active Gram block, or when lam reaches 0 first.
+
+    The path is piecewise linear in lam (Osborne, Presnell & Turlach, IMA J.
+    Numer. Anal. 20(3), 2000; Efron et al., Least angle regression, Ann.
+    Statist. 32(2), 2004).  On the active set S with correlation signs s,
+    lowering lam by t moves x_S by t d, G_SS d = w_S s, until an inactive
+    correlation |c - G x|_j reaches lam w_j (a join), an active coefficient
+    crosses zero (a drop), or lam reaches 0.  Along a segment the residual
+    is r0 - t Phi_S d, so ||r||^2 is a quadratic in t whose coefficients come
+    from the explicit residual r0 at the segment start; expanding ||y||^2 -
+    2 x^T c + x^T G x instead would cancel when target << ||y||.  Its smaller
+    root is taken in the form (||r0||^2 - target^2) / (q1 + sqrt(disc)),
+    which does not cancel either.
+    """
+    m = G.shape[0]
+    ratio = np.abs(c) / w
+    lam = float(ratio.max())
+    x = np.zeros(m)
+    on = ratio == lam
+    dropped = np.zeros(m, dtype=bool)
+    for _ in range(4 * m):
+        S = np.flatnonzero(on)
+        a = c - G @ x
+        try:
+            d = np.linalg.solve(G[np.ix_(S, S)], w[S] * np.sign(a[S]))
+        except np.linalg.LinAlgError:
+            return None
+        b = G[:, S] @ d
+        with np.errstate(divide="ignore", invalid="ignore"):
+            joins = np.concatenate(((lam * w - a) / (w - b), (lam * w + a) / (w + b)))
+            drops = -x[S] / d
+        joins[np.tile(on | dropped, 2)] = np.inf
+        joins[~(joins > 0)] = np.inf
+        drops[~(drops > 0)] = np.inf
+        step = min(lam, float(joins.min()), float(drops.min()))
+        r0 = y - Phi @ x
+        v = Phi[:, S] @ d
+        if float(np.linalg.norm(r0 - step * v)) <= target:
+            q1, q2, excess = float(r0 @ v), float(v @ v), float(r0 @ r0) - target * target
+            t = excess / (q1 + math.sqrt(max(q1 * q1 - q2 * excess, 0.0)))
+            if not t >= 0.0:
+                return None
+            t = min(t, step)
+            x[S] += t * d
+            return lam - t, x, lam - step, lam
+        if step == lam or not step > 0:
+            return None
+        x[S] += step * d
+        lam -= step
+        dropped[:] = False
+        if step == drops.min():
+            leave = S[int(np.argmin(drops))]
+            x[leave] = 0.0
+            on[leave] = False
+            dropped[leave] = True
+        else:
+            on[int(np.argmin(joins)) % m] = True
+    return None
 
 
 def recover_initial_state(
@@ -299,10 +389,9 @@ def _fit_supports(system, A, b, T, icfg, flow0, supports):
     lstsq's cutoff max(n, k) * u * sigma_max on the singular values of J_S
     (n rows of A, u = np.finfo(float).eps), and the line search accepts only
     a strict decrease of the residual norm.  A fit stops once its residual
-    norm is at most 1e-14 * max(1, ||b||), once its step is below 1e-13 of
-    its state, once the line search gives up, or, before the line search,
-    once the Gauss-Newton model predicts no decrease above rounding:
-    ||J_S s||^2 <= n * u * ||R||^2.  For the least-squares step the model
+    norm is at most 1e-14 * max(1, ||b||), once the line search gives up,
+    or, before the line search, once the Gauss-Newton model predicts no
+    decrease above rounding: ||J_S s||^2 <= n * u * ||R||^2.  For the least-squares step the model
     residual is ||R - J_S s||^2 = ||R||^2 - ||J_S s||^2, so ||J_S s||^2 is
     the predicted decrease of ||R||^2, and n * u * ||R||^2 bounds the
     rounding error of the computed sum of n squares alone.  A predicted
@@ -311,7 +400,9 @@ def _fit_supports(system, A, b, T, icfg, flow0, supports):
     flow per halving, before giving up (the relative-function-change test of
     Dennis & Schnabel, Numerical Methods for Unconstrained Optimization and
     Nonlinear Equations, SIAM 1996, sec. 7.2).  A fit still converging to a
-    zero residual predicts a decrease of about ||R||^2 and never stops here.
+    zero residual predicts a decrease of about ||R||^2 and never stops here,
+    so it runs on to the residual test; there is no test on the step's
+    length, which could end such a fit one step short of it.
     """
     xT0, P0 = flow0
     count = supports.shape[0]
@@ -337,11 +428,7 @@ def _fit_supports(system, A, b, T, icfg, flow0, supports):
         c = np.where(keep, np.matmul(R[rows, None, :], U)[:, 0], 0.0)
         coef = c / np.where(keep, sv, 1.0)
         steps = np.matmul(Vt.transpose(0, 2, 1), coef[..., None])[..., 0]
-        flat = np.sum(c * c, axis=1) <= n * u * rn[rows] ** 2
-        tiny = np.linalg.norm(steps, axis=1) <= 1e-13 * np.maximum(
-            1.0, np.linalg.norm(X[rows], axis=1)
-        )
-        stop = flat | tiny
+        stop = np.sum(c * c, axis=1) <= n * u * rn[rows] ** 2
         active[rows[stop]] = False
         rows, steps = rows[~stop], steps[~stop]
         full = np.zeros((rows.size, X.shape[1]))
@@ -371,11 +458,11 @@ def l0_oracle(
     nonlinear least squares and return the first feasible fit, preferring
     smaller supports, then smaller residuals, then earlier supports.  All
     supports of one size are fitted together, in lockstep.  A fit stops at a
-    residual of 1e-14 * max(1, ||b||), at a negligible step, when its line
-    search finds no strict decrease, or before that search once the
-    Gauss-Newton step predicts a decrease of ||R||^2 no larger than
-    n * u * ||R||^2, the rounding error bound of the computed sum of n
-    squares, below which no decrease can show (see _fit_supports).
+    residual of 1e-14 * max(1, ||b||), when its line search finds no strict
+    decrease, or before that search once the Gauss-Newton step predicts a
+    decrease of ||R||^2 no larger than n * u * ||R||^2, the rounding error
+    bound of the computed sum of n squares, below which no decrease can show
+    (see _fit_supports).
 
     Refuses with BudgetError when the support count exceeds budget.  When no
     support reaches the noise radius, returns the best fit found with

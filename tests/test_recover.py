@@ -1,5 +1,6 @@
 import itertools
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,7 +14,12 @@ from sparseobs.errors import (
     NumericalError,
     ShapeError,
 )
-from sparseobs.harness import ExperimentConfig, gen_gaussian_matrix, run_trial
+from sparseobs.harness import (
+    ExperimentConfig,
+    gen_gaussian_matrix,
+    load_experiment_config,
+    run_trial,
+)
 from sparseobs.model import (
     DynamicalSystem,
     MeasurementModel,
@@ -183,6 +189,123 @@ def test_bpdn_weight_scaling_leaves_solution_unchanged():
     ae = solve_weighted_bpdn(Phi2, np.zeros(6), ye, np.ones(12), 0.0)
     be = solve_weighted_bpdn(Phi2, np.zeros(6), ye, 7.0 * np.ones(12), 0.0)
     np.testing.assert_allclose(ae, be, atol=1e-9)
+
+
+class _Captured(Exception):
+    pass
+
+
+def _demo_first_solve(monkeypatch):
+    """(Phi, y, weights, eps) of the first solve in trial 0 of the demo sweep:
+    a 512 x 12 tanh linearization at eps = 1e-3."""
+
+    def capture(Phi, offset, observation, weights, eps, config=None):
+        raise _Captured(Phi, observation - offset, weights, eps)
+
+    config = load_experiment_config(Path(__file__).resolve().parents[1] / "configs" / "demo.json")
+    with monkeypatch.context() as patch:
+        patch.setattr(recover, "solve_weighted_bpdn", capture)
+        with pytest.raises(_Captured) as first:
+            run_trial(config, 0)
+    return first.value.args
+
+
+def _noisy_underdetermined(_monkeypatch=None):
+    """(Phi, y, weights, eps): 48 x 64, 4-sparse, weights from U(1, 2), with
+    noise of norm eps / 2.  Takes _demo_first_solve's argument, unused."""
+    Phi = gaussian_unit_columns(48, 64, 45)
+    rng = np.random.Generator(np.random.Philox(245))
+    x0 = np.zeros(64)
+    x0[rng.choice(64, size=4, replace=False)] = rng.uniform(0.5, 1.5, 4) * rng.choice([-1, 1], 4)
+    weights = rng.uniform(1.0, 2.0, 64)
+    e = rng.standard_normal(48)
+    eps = 1e-2
+    e *= 0.5 * eps / np.linalg.norm(e)
+    return Phi, Phi @ x0 + e, weights, eps
+
+
+def _record_lasso(monkeypatch, weights, penalty):
+    """Wrap kernels.admm_lasso; returns the list of (lam, iterations) of its
+    calls, lam read back from the threshold lam * weights / penalty."""
+    calls = []
+    lasso = kernels.admm_lasso
+
+    def wrapper(F_inv, Phi_t_y, rho, thresh, *rest):
+        result = lasso(F_inv, Phi_t_y, rho, thresh, *rest)
+        calls.append((float(thresh[0] * penalty / weights[0]), result[2]))
+        return result
+
+    monkeypatch.setattr(kernels, "admm_lasso", wrapper)
+    return calls
+
+
+def _band(cfg, y):
+    return min(cfg.residual_match_tol, 1e-9 * max(1.0, float(np.linalg.norm(y))))
+
+
+def _on_the_sphere(Phi, y, x_in, x_dir, eps):
+    """The point x_in + t (x_dir - x_in), t > 0, whose residual norm is eps,
+    for ||y - Phi x_in|| < eps."""
+    r = y - Phi @ x_in
+    v = Phi @ (x_dir - x_in)
+    q1, q2, excess = r @ v, v @ v, r @ r - eps * eps
+    t = (q1 + math.sqrt(q1 * q1 - q2 * excess)) / q2
+    return x_in + t * (x_dir - x_in)
+
+
+@pytest.mark.parametrize("instance", [_demo_first_solve, _noisy_underdetermined])
+def test_noisy_bpdn_probes_the_path_point_once(instance, monkeypatch):
+    Phi, y, w, eps = instance(monkeypatch)
+    n, m = Phi.shape
+    cfg = SolverConfig()
+    calls = _record_lasso(monkeypatch, w, cfg.penalty)
+    x = solve_weighted_bpdn(Phi, np.zeros(n), y, w, eps, cfg)
+    # the path point is the lasso's fixed point: one call of one iteration
+    assert [it for _, it in calls] == [1]
+    lam = calls[0][0]
+    r = y - Phi @ x
+    assert eps <= np.linalg.norm(r) <= eps + _band(cfg, y)
+    # the weighted lasso's KKT conditions at lam
+    g = Phi.T @ r
+    on = x != 0
+    assert on.any()
+    assert np.all(np.abs(g[~on]) <= lam * w[~on] * (1 + 1e-9))
+    np.testing.assert_allclose(g[on], lam * w[on] * np.sign(x[on]), rtol=1e-9, atol=0)
+    # no point feasible at exactly eps has a smaller objective: try the
+    # boundary points toward 0, toward x and around x, from x_ls
+    x_ls = np.linalg.lstsq(Phi, y, rcond=None)[0]
+    rng = np.random.Generator(np.random.Philox(3))
+    targets = [np.zeros(m), x] + [x + 1e-3 * rng.standard_normal(m) for _ in range(8)]
+    for target in targets:
+        feasible = _on_the_sphere(Phi, y, x_ls, target, eps)
+        assert np.linalg.norm(y - Phi @ feasible) == pytest.approx(eps, rel=1e-12)
+        assert weighted_l1_norm(x, w) <= weighted_l1_norm(feasible, w) + 1e-9
+
+
+def test_noisy_bpdn_bisects_inside_the_path_segment(monkeypatch):
+    # a path point off by a relative 1e-6 misses the band by about five
+    # band widths here; the loop then bisects inside the path's segment
+    Phi, y, w, eps = _noisy_underdetermined()
+    n, m = Phi.shape
+    cfg = SolverConfig()
+    segments = []
+    path_point = recover._lasso_path_point
+
+    def off(*args):
+        lam, z, lam_lo, lam_hi = path_point(*args)
+        segments.append((lam_lo, lam_hi))
+        lam = lam * (1 + 1e-6) if lam * (1 + 1e-6) < lam_hi else lam * (1 - 1e-6)
+        assert lam_lo < lam < lam_hi
+        return lam, z, lam_lo, lam_hi
+
+    monkeypatch.setattr(recover, "_lasso_path_point", off)
+    calls = _record_lasso(monkeypatch, w, cfg.penalty)
+    x = solve_weighted_bpdn(Phi, np.zeros(n), y, w, eps, cfg)
+    assert np.linalg.norm(y - Phi @ x) >= eps
+    assert np.linalg.norm(y - Phi @ x) <= eps + _band(cfg, y)
+    (lam_lo, lam_hi), = segments
+    assert len(calls) > 1
+    assert all(lam_lo * (1 - 1e-12) <= lam <= lam_hi * (1 + 1e-12) for lam, _ in calls)
 
 
 def _count_admm_iterations(monkeypatch):
@@ -566,8 +689,6 @@ def _reference_support_fit(system, A, b, T, icfg, support):
             break
         J = (A @ P)[:, cols]
         step, *_ = np.linalg.lstsq(J, r, rcond=None)
-        if float(np.linalg.norm(step)) <= 1e-13 * max(1.0, float(np.linalg.norm(x))):
-            break
         # the Gauss-Newton model predicts no decrease above rounding
         if float(np.linalg.norm(J @ step)) ** 2 <= len(b) * np.finfo(float).eps * rn**2:
             break
@@ -699,6 +820,24 @@ def test_planted_support_fit_converges_to_a_zero_residual():
     assert iterations > 3
     assert rn[0] <= 1e-14 * max(1.0, float(np.linalg.norm(b)))
     np.testing.assert_allclose(X[0], x0, rtol=0, atol=1e-12)
+
+
+def test_pair_problem_planted_fit_runs_on_to_the_residual_test():
+    # a step-length stop used to end this fit at residual 1.2e-13, one
+    # quadratically converging step short of the 1e-14 * ||b|| test
+    problem = _tanh_pair_problem()
+    meas = problem.measurement
+    icfg = IntegrationConfig.fixed(32)
+    x0 = np.zeros(6)
+    x0[[1, 4]] = [0.9, -1.2]
+    b = meas.matrix @ flow_with_jacobian(problem.system, x0, meas.time, icfg)[0]
+    flow0 = flow_with_jacobian(problem.system, np.zeros(6), meas.time, icfg)
+    X, rn = recover._fit_supports(
+        problem.system, meas.matrix, b, meas.time, icfg, flow0, np.array([[1, 4]])
+    )
+    assert rn[0] <= 1e-14 * max(1.0, float(np.linalg.norm(b)))
+    _, rn_ref, _ = _reference_support_fit(problem.system, meas.matrix, b, meas.time, icfg, (1, 4))
+    assert rn_ref <= 1e-14 * max(1.0, float(np.linalg.norm(b)))
 
 
 def test_noisy_oracle_fits_match_per_support_reference():
