@@ -9,15 +9,14 @@ stalls.  The exact case (eps = 0) runs basis-pursuit ADMM from the
 least-squares point and its sign dual, which are already optimal when Phi has
 full column rank.  The noisy case follows the weighted-lasso solution path in
 the l1 weight lam down to the point whose residual sits mid-band just above
-eps and runs penalized ADMM from that point and its dual, where the first
-iteration passes the stopping test; should the point miss the band, ADMM
-bisects lam inside the path segment that holds it.  Landing just above eps
-keeps the returned point both feasible-within-tolerance and
-objective-dominated by any true feasible point.  Recovery and the oracle's
-Gauss-Newton fits share one line search, which evaluates the flow Jacobian
-with each trial point.  Both settle an adaptive integration config into one
-step count at entry (see ode.settle_steps), so every flow of one problem runs
-at the same count.
+eps, the only search it makes, and checks that point with one penalized ADMM
+run from it and its dual, where the first iteration passes the stopping
+test.  Landing just above eps keeps the returned point both
+feasible-within-tolerance and objective-dominated by any true feasible
+point.  Recovery and the oracle's Gauss-Newton fits share one line search,
+which evaluates the flow Jacobian with each trial point.  Both settle an
+adaptive integration config into one step count at entry (see
+ode.settle_steps), so every flow of one problem runs at the same count.
 """
 
 from __future__ import annotations
@@ -113,16 +112,14 @@ def solve_weighted_bpdn(Phi, offset, observation, weights, eps, config=None):
     band = min(residual_match_tol, 1e-9 max(1, ||y||)), approaching from
     above so the solution's objective never exceeds that of any strictly
     feasible point.  _lasso_path_point follows the lasso's piecewise-linear
-    path to the lam whose residual is eps + band / 2 and returns that lam,
-    the solution z there and the path segment [lam_lo, lam_hi] holding it.
-    Penalized ADMM then starts at lam from z and the scaled dual
+    path to the lam whose residual is eps + band / 2 and returns that lam
+    and the solution z there; when eps lies within the feasibility slack
+    below the least-squares residual, the path's end at lam = 0.  One
+    penalized ADMM run then starts at lam from z and the scaled dual
     u = Phi^T (y - Phi z) / penalty, the lasso ADMM fixed point, so its
     first iteration passes the stopping test, which is the check that z is
-    optimal.  A probe outside the band bisects lam inside [lam_lo, lam_hi],
-    warm-starting each ADMM run from the last; without a path point it
-    bisects [0, max|Phi^T y| / w] from zero.  After 40 probes it returns the
-    probe with the smallest residual at or above eps.  Raises
-    InfeasibleError when even least squares cannot reach eps.
+    optimal, and its iterate is returned.  Raises InfeasibleError when even
+    least squares cannot reach eps.
     """
     cfg = config or SolverConfig()
     Phi = check_matrix(Phi, "Phi")
@@ -167,110 +164,112 @@ def solve_weighted_bpdn(Phi, offset, observation, weights, eps, config=None):
         return z
 
     G = Phi.T @ Phi
-    F_inv = np.ascontiguousarray(np.linalg.inv(G + rho * np.eye(m)))
     Phi_t_y = Phi.T @ y
     band = min(cfg.residual_match_tol, 1e-9 * max(1.0, y_norm))
-    # lam_hi makes x = 0 optimal, whose residual y_norm exceeds eps
-    lam_lo, lam_hi = 0.0, float(np.max(np.abs(Phi_t_y) / weights))
-    lam = 0.5 * lam_hi
-    z = np.zeros(m)
-    u = np.zeros(m)
-    path = _lasso_path_point(Phi, y, G, Phi_t_y, weights, eps + 0.5 * band)
-    if path is not None:
-        # the lasso's fixed point at lam: x = z and rho * u = Phi^T r
-        lam, z, lam_lo, lam_hi = path
-        u = (Phi_t_y - G @ z) / rho
-    best_r = y_norm
-    best_z = z.copy()
-    for _ in range(40):
-        z, u, _ = kernels.admm_lasso(
-            F_inv,
-            Phi_t_y,
-            rho,
-            lam * weights / rho,
-            z,
-            u,
-            cfg.inner_max_iter,
-            cfg.inner_tol,
-        )
-        r = float(np.linalg.norm(y - Phi @ z))
-        if r >= eps and r < best_r:
-            best_r = r
-            best_z = z.copy()
-        if eps <= r <= eps + band:
-            return z
-        if r > eps:
-            lam_hi = lam
-        else:
-            lam_lo = lam
-        lam = 0.5 * (lam_lo + lam_hi)
-    return best_z
+    lam, z = _lasso_path_point(Phi, y, G, Phi_t_y, weights, eps + 0.5 * band)
+    # the lasso's fixed point at lam: x = z and rho * u = Phi^T r
+    F_inv = np.ascontiguousarray(np.linalg.inv(G + rho * np.eye(m)))
+    u = (Phi_t_y - G @ z) / rho
+    return kernels.admm_lasso(
+        F_inv, Phi_t_y, rho, lam * weights / rho, z, u, cfg.inner_max_iter, cfg.inner_tol
+    )[0]
 
 
 def _lasso_path_point(Phi, y, G, c, w, target):
     """Follow the solution path of the weighted lasso
     min 0.5 ||y - Phi x||^2 + lam sum_i w_i |x_i| from lam_max = max|c| / w
     down to the lam at which ||y - Phi x(lam)|| = target, with G = Phi^T Phi
-    and c = Phi^T y.  Returns (lam, x(lam), lam_lo, lam_hi), where [lam_lo,
-    lam_hi] is the path segment holding lam, or None after 4 m steps, on a
-    singular active Gram block, or when lam reaches 0 first.
+    and c = Phi^T y, and return (lam, x(lam)).  When lam reaches 0 first it
+    returns the path's least-squares end (0, x(0)); on a singular active
+    Gram block or after 4 m steps, the last breakpoint.
 
     The path is piecewise linear in lam (Osborne, Presnell & Turlach, IMA J.
     Numer. Anal. 20(3), 2000; Efron et al., Least angle regression, Ann.
     Statist. 32(2), 2004).  On the active set S with correlation signs s,
-    lowering lam by t moves x_S by t d, G_SS d = w_S s, until an inactive
+    x_S(lam) = G_SS^-1 (c_S - lam w_S s_S), and lowering lam by t moves x_S
+    by t d, d = G_SS^-1 w_S s_S; each step solves for both at once, so no
+    error accumulates from step to step.  A segment ends when an inactive
     correlation |c - G x|_j reaches lam w_j (a join), an active coefficient
-    crosses zero (a drop), or lam reaches 0.  Along a segment the residual
-    is r0 - t Phi_S d, so ||r||^2 is a quadratic in t whose coefficients come
-    from the explicit residual r0 at the segment start; expanding ||y||^2 -
-    2 x^T c + x^T G x instead would cancel when target << ||y||.  Its smaller
-    root is taken in the form (||r0||^2 - target^2) / (q1 + sqrt(disc)),
-    which does not cancel either.
+    reaches zero (a drop), or lam reaches 0.  Rounding must not knock the
+    path off: a correlation already at or past its bound joins at once, a
+    coefficient already on the wrong side of zero drops at once, and a
+    column whose squared distance from the active columns' span is below
+    1e-14 G_jj (a duplicate, or any column once n are active) stays out.
+
+    Along a segment the residual is r0 - t v, v = Phi_S d, from the explicit
+    residual r0 at the segment start, as ||y||^2 - 2 x^T c + x^T G x would
+    cancel when target << ||y||.  The smaller root of ||r0 - t v|| = target
+    is (||r0||^2 - target^2) / (q1 + sqrt(q2 (target - ||r_perp||) (target +
+    ||r_perp||))), q1 = r0^T v, q2 = v^T v, r_perp = r0 - (q1 / q2) v the
+    part of r0 orthogonal to v; neither factor cancels.
     """
-    m = G.shape[0]
+    n, m = Phi.shape
     ratio = np.abs(c) / w
     lam = float(ratio.max())
     x = np.zeros(m)
-    on = ratio == lam
+    # ties at lam_max join one by one, at step 0
+    on = np.arange(m) == int(np.argmax(ratio))
     dropped = np.zeros(m, dtype=bool)
+    # the rows S of [G, c, w s] hold every right-hand side of a step's solve
+    rows = np.column_stack((G, c, w * np.sign(c)))
+    ws = rows[:, m + 1]
+    w2 = np.concatenate((w, w))
     for _ in range(4 * m):
         S = np.flatnonzero(on)
-        a = c - G @ x
+        rhs = rows[S]
+        rhs[:, m] -= lam * rhs[:, m + 1]
         try:
-            d = np.linalg.solve(G[np.ix_(S, S)], w[S] * np.sign(a[S]))
+            sol = np.linalg.solve(rhs[:, S], rhs)
         except np.linalg.LinAlgError:
-            return None
-        b = G[:, S] @ d
+            return lam, x
+        x_S, d = sol[:, m], sol[:, m + 1]
+        # G x and b = G d from the rows G_S., as G is symmetric
+        Gx, b = sol[:, m:].T @ rhs[:, :m]
+        a = c - Gx
+        # side +1 then side -1 of every correlation: the gap to its bound
+        # lam w_j, and the rate at which lowering lam closes it
+        gaps = lam * w2 - np.concatenate((a, -a))
+        rates = w2 - np.concatenate((b, -b))
         with np.errstate(divide="ignore", invalid="ignore"):
-            joins = np.concatenate(((lam * w - a) / (w - b), (lam * w + a) / (w + b)))
-            drops = -x[S] / d
-        joins[np.tile(on | dropped, 2)] = np.inf
-        joins[~(joins > 0)] = np.inf
-        drops[~(drops > 0)] = np.inf
-        step = min(lam, float(joins.min()), float(drops.min()))
-        r0 = y - Phi @ x
-        v = Phi[:, S] @ d
-        if float(np.linalg.norm(r0 - step * v)) <= target:
-            q1, q2, excess = float(r0 @ v), float(v @ v), float(r0 @ r0) - target * target
-            t = excess / (q1 + math.sqrt(max(q1 * q1 - q2 * excess, 0.0)))
-            if not t >= 0.0:
-                return None
-            t = min(t, step)
-            x[S] += t * d
-            return lam - t, x, lam - step, lam
-        if step == lam or not step > 0:
-            return None
-        x[S] += step * d
+            joins = np.where(gaps > 0.0, gaps / np.maximum(rates, 0.0), 0.0)
+            drops = np.where(d * ws[S] < 0, np.maximum(-x_S / d, 0.0), np.inf)
+        # a coefficient just dropped cannot return on its side before lam
+        # moves; n active columns keep every |a_j| / (lam w_j) constant
+        shut = on | (S.size >= n)
+        joins[np.concatenate((shut | dropped & (ws > 0), shut | dropped & (ws < 0)))] = np.inf
+        # the next joiner that is not within rounding of the active span
+        side, j = divmod(int(np.argmin(joins)), m)
+        while np.isfinite(joins[side * m + j]) and (
+            G[j, j] - rhs[:, j] @ sol[:, j] <= 1e-14 * G[j, j]
+        ):
+            joins[[j, j + m]] = np.inf
+            side, j = divmod(int(np.argmin(joins)), m)
+        drop = float(drops.min(initial=np.inf))
+        step = min(lam, float(joins[side * m + j]), drop)
+        Phi_x, v = (Phi[:, S] @ sol[:, m:]).T
+        r0 = y - Phi_x
+        crossed = float(np.linalg.norm(r0 - step * v)) <= target
+        if crossed:
+            with np.errstate(divide="ignore", invalid="ignore"):
+                q1, q2, r0_norm = r0 @ v, v @ v, np.linalg.norm(r0)
+                r_perp = np.linalg.norm(r0 - (q1 / q2) * v)
+                disc = q2 * (target - r_perp) * (target + r_perp)
+                t = (r0_norm - target) * (r0_norm + target) / (q1 + np.sqrt(max(disc, 0.0)))
+            step = min(float(t), step) if t > 0.0 else 0.0
+        x = np.zeros(m)
+        x[S] = x_S + step * d
+        if crossed or step == lam:
+            return lam - step, x
         lam -= step
-        dropped[:] = False
-        if step == drops.min():
+        dropped &= step == 0.0
+        if step == drop:
             leave = S[int(np.argmin(drops))]
-            x[leave] = 0.0
             on[leave] = False
             dropped[leave] = True
         else:
-            on[int(np.argmin(joins)) % m] = True
-    return None
+            on[j] = True
+            ws[j] = -w[j] if side else w[j]
+    return lam, x
 
 
 def recover_initial_state(

@@ -1,3 +1,4 @@
+import importlib.util
 import itertools
 import math
 from pathlib import Path
@@ -176,8 +177,9 @@ def test_bpdn_objective_never_exceeds_a_feasible_point():
 def test_bpdn_weight_scaling_leaves_solution_unchanged():
     Phi, _, y, eps = _noisy_instance()
     w = np.ones(16)
-    # penalized path: a power-of-two weight scale reproduces the bisection
-    # grid exactly, so the iterates match bit for bit
+    # penalized path: scaling w by a power of two scales lam and every
+    # correlation bound exactly, and every path and ADMM operation with them,
+    # so the results match bit for bit
     a = solve_weighted_bpdn(Phi, np.zeros(64), y, w, eps)
     b = solve_weighted_bpdn(Phi, np.zeros(64), y, 2.0 * w, eps)
     np.testing.assert_array_equal(a, b)
@@ -282,30 +284,82 @@ def test_noisy_bpdn_probes_the_path_point_once(instance, monkeypatch):
         assert weighted_l1_norm(x, w) <= weighted_l1_norm(feasible, w) + 1e-9
 
 
-def test_noisy_bpdn_bisects_inside_the_path_segment(monkeypatch):
-    # a path point off by a relative 1e-6 misses the band by about five
-    # band widths here; the loop then bisects inside the path's segment
-    Phi, y, w, eps = _noisy_underdetermined()
-    n, m = Phi.shape
+@pytest.mark.parametrize("k", range(4))
+def test_noisy_bpdn_inside_the_feasibility_slack_returns_least_squares(k, monkeypatch):
+    # eps sits under the least-squares residual but within the feasibility
+    # slack, so the path runs to lam = 0 and its least-squares end is in band
+    Phi = gen_gaussian_matrix(64, 16, 300 + k)
+    y = np.random.Generator(np.random.Philox(k)).standard_normal(64)
+    x_ls = np.linalg.lstsq(Phi, y, rcond=None)[0]
     cfg = SolverConfig()
-    segments = []
-    path_point = recover._lasso_path_point
+    band = _band(cfg, y)
+    eps = float(np.linalg.norm(y - Phi @ x_ls)) - 0.75 * band
+    calls = _record_lasso(monkeypatch, np.ones(16), cfg.penalty)
+    x = solve_weighted_bpdn(Phi, np.zeros(64), y, np.ones(16), eps, cfg)
+    assert [it for _, it in calls] == [1]
+    np.testing.assert_allclose(x, x_ls, rtol=0, atol=1e-12)
+    assert eps <= np.linalg.norm(y - Phi @ x) <= eps + band
 
-    def off(*args):
-        lam, z, lam_lo, lam_hi = path_point(*args)
-        segments.append((lam_lo, lam_hi))
-        lam = lam * (1 + 1e-6) if lam * (1 + 1e-6) < lam_hi else lam * (1 - 1e-6)
-        assert lam_lo < lam < lam_hi
-        return lam, z, lam_lo, lam_hi
 
-    monkeypatch.setattr(recover, "_lasso_path_point", off)
+@pytest.mark.parametrize("k", [10, 13, 17, 19])
+def test_noisy_bpdn_crossing_far_below_the_observation_norm(k, monkeypatch):
+    # eps ~ 1e-8 ||y||: the residual crosses the target on the first path
+    # segment, where the expanded discriminant q1^2 - q2 (||r0||^2 - target^2)
+    # would cancel to rounding
+    Phi = gen_gaussian_matrix(42, 42, 70 + k)
+    e = np.random.Generator(np.random.Philox(k)).standard_normal(42)
+    y = Phi[:, 10] + 1e-8 * e / np.linalg.norm(e)
+    eps = 0.999 * float(np.linalg.norm(y - Phi[:, 10]))
+    cfg = SolverConfig()
+    calls = _record_lasso(monkeypatch, np.ones(42), cfg.penalty)
+    x = solve_weighted_bpdn(Phi, np.zeros(42), y, np.ones(42), eps, cfg)
+    assert [it for _, it in calls] == [1]
+    assert eps <= np.linalg.norm(y - Phi @ x) <= eps + _band(cfg, y)
+
+
+def _bench_bpdn():
+    """tools/bench_bpdn.py, for its seeded scan instances and its test that
+    an eps > 0 estimate is in band and meets the weighted lasso's KKT
+    conditions."""
+    path = Path(__file__).resolve().parent.parent / "tools" / "bench_bpdn.py"
+    spec = importlib.util.spec_from_file_location("bench_bpdn", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.mark.parametrize("k", [17, 130, 281])
+def test_noisy_bpdn_certifies_near_square_scan_instances(k, monkeypatch):
+    # near-square instances of the bench's scan on which a path follower
+    # that skips rounding ties, or keeps a dropped coefficient out on both
+    # sides, reached lam = 0 before the target or stopped off the path
+    bench = _bench_bpdn()
+    Phi, y, w, eps = bench.scan_instance("near_square", k)
+    cfg = SolverConfig()
     calls = _record_lasso(monkeypatch, w, cfg.penalty)
-    x = solve_weighted_bpdn(Phi, np.zeros(n), y, w, eps, cfg)
-    assert np.linalg.norm(y - Phi @ x) >= eps
-    assert np.linalg.norm(y - Phi @ x) <= eps + _band(cfg, y)
-    (lam_lo, lam_hi), = segments
-    assert len(calls) > 1
-    assert all(lam_lo * (1 - 1e-12) <= lam <= lam_hi * (1 + 1e-12) for lam, _ in calls)
+    x = solve_weighted_bpdn(Phi, np.zeros(y.size), y, w, eps, cfg)
+    assert [it for _, it in calls] == [1]
+    assert bench.certified(Phi, y, w, eps, x, _band(cfg, y)) == (True, True)
+
+
+@pytest.mark.parametrize("seed", [12, 23, 28])
+def test_noisy_bpdn_keeps_one_copy_of_a_duplicate_column(seed, monkeypatch):
+    # with both copies active the path's Gram block would be singular, so the
+    # second copy stays out, at its bound, and the point is still the lasso's
+    Phi = gen_gaussian_matrix(20, 30, 400 + seed)
+    Phi[:, 1] = Phi[:, 0]
+    x0 = np.zeros(30)
+    x0[[0, 7, 19]] = [1.0, -0.8, 0.6]
+    e = np.random.Generator(np.random.Philox(seed)).standard_normal(20)
+    eps = 1e-3 * float(np.linalg.norm(Phi @ x0))
+    y = Phi @ x0 + 0.5 * eps * e / np.linalg.norm(e)
+    w = np.ones(30)
+    cfg = SolverConfig()
+    calls = _record_lasso(monkeypatch, w, cfg.penalty)
+    x = solve_weighted_bpdn(Phi, np.zeros(20), y, w, eps, cfg)
+    assert [it for _, it in calls] == [1]
+    assert min(abs(x[0]), abs(x[1])) < 1e-12
+    assert _bench_bpdn().certified(Phi, y, w, eps, x, _band(cfg, y)) == (True, True)
 
 
 def _count_admm_iterations(monkeypatch):

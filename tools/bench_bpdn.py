@@ -1,5 +1,7 @@
 """Time recover.solve_weighted_bpdn on fixed shapes, at eps = 0 and eps > 0,
-and count the ADMM work of one solve.
+and count the ADMM work of one solve; then solve two seeded scans of eps > 0
+instances once and count how many land in the residual band and how many
+are certified.
 
 Usage, from the repository root:
 
@@ -21,7 +23,19 @@ minus eps, the SHA-256 of the estimate's bytes (equal digests across trees
 mean identical results), and at eps = 0 max|x - x_ref|, where x_ref is the
 program's solution: the least-squares point when Phi has full column rank
 (it is the only feasible point), and the planted sparse vector for the
-underdetermined shapes, which l1 recovers.  Results go to BENCH_bpdn.json.
+underdetermined shapes, which l1 recovers.
+
+Each scan (SCANS) is solved once per tree, in a child of its own, after the
+timing rounds.  A solve is in band when its residual lies in [eps, eps +
+band], band = min(residual_match_tol, 1e-9 max(1, ||y||)), and certified
+when it is in band and the weighted lasso's KKT conditions hold at 1e-6
+relative at lam = the median of |Phi^T r|_j / w_j over its support.  Per
+scan and tree the file records both counts, the admm_lasso calls and their
+summed iterations, and the wall time of the scan; with trees labelled
+parent and change it also records the instances certified by one tree only
+and the largest relative difference max|x_change - x_parent| / max|x_parent|
+between the two trees' estimates, over all instances and over those both
+trees certify.  Results go to BENCH_bpdn.json.
 """
 
 import os
@@ -34,6 +48,7 @@ if __name__ == "__main__":
 import argparse
 import hashlib
 import json
+import math
 import platform
 import statistics
 import subprocess
@@ -55,6 +70,19 @@ SHAPES = (
     "tanh 512x12, eps = 1e-3, first linearization of configs/demo.json trial 0",
     "gaussian 48x64 underdetermined, 4-sparse, eps = 1e-2, weights from U(1, 2)",
 )
+SCANS = {
+    "random": (
+        600,
+        "n, m from [4, 80); instance k % 4 == 1 has correlated columns, k % 4 == 3 "
+        "has Phi scaled by 10^U(-3, 3); s = max(1, min(n, m) // 4); weights from "
+        "U(1, 2); eps / ||y0|| from 10^U(-6, -1); noise of norm eps / 2",
+    ),
+    "near_square": (
+        400,
+        "m from [40, 60], n from {m - 2, m - 1, m}, s from [1, n); unit weights; "
+        "eps / ||y0|| from 10^U(-6.5, -4); noise of norm eps / 2",
+    ),
+}
 
 
 def planted(m, s, seed):
@@ -67,6 +95,40 @@ def planted(m, s, seed):
 def unit_spectral(m, seed):
     M = np.random.Generator(np.random.Philox(seed)).normal(size=(m, m))
     return M / np.linalg.norm(M, 2)
+
+
+def scan_instance(scan, k):
+    """(Phi, y, weights, eps) of instance k of a scan, keyed by the scan's
+    name and k."""
+    from sparseobs import harness
+
+    rng = np.random.Generator(np.random.Philox([k, list(SCANS).index(scan)]))
+    if scan == "random":
+        n, m = (int(v) for v in rng.integers(4, 80, size=2))
+        Phi = harness.gen_gaussian_matrix(n, m, 1000 + k)
+        if k % 4 == 1:
+            # each column mixes in its predecessor: neighbours correlate at 0.9
+            for j in range(1, m):
+                Phi[:, j] = 0.9 * Phi[:, j - 1] + math.sqrt(0.19) * Phi[:, j]
+        elif k % 4 == 3:
+            Phi *= 10.0 ** rng.uniform(-3.0, 3.0)
+        s = max(1, min(n, m) // 4)
+        weights = rng.uniform(1.0, 2.0, m)
+        log_eps = rng.uniform(-6.0, -1.0)
+    else:
+        m = int(rng.integers(40, 61))
+        n = m - int(rng.integers(0, 3))
+        Phi = harness.gen_gaussian_matrix(n, m, 2000 + k)
+        s = int(rng.integers(1, n))
+        weights = np.ones(m)
+        log_eps = rng.uniform(-6.5, -4.0)
+    x0 = np.zeros(m)
+    x0[rng.choice(m, size=s, replace=False)] = rng.uniform(0.5, 1.5, s) * rng.choice([-1, 1], s)
+    y0 = Phi @ x0
+    eps = float(np.linalg.norm(y0)) * 10.0**log_eps
+    e = rng.standard_normal(n)
+    # the planted vector lies strictly inside the constraint set
+    return Phi, y0 + 0.5 * eps * e / np.linalg.norm(e), weights, eps
 
 
 def build_inputs():
@@ -192,6 +254,103 @@ def measure(src, inputs_path):
     print(json.dumps(rows))
 
 
+def certified(Phi, y, weights, eps, x, band):
+    """(in band, certified) for the eps > 0 estimate x, as the module
+    docstring defines them."""
+    r = y - Phi @ x
+    in_band = eps <= float(np.linalg.norm(r)) <= eps + band
+    on = x != 0
+    if not (in_band and on.any()):
+        return in_band, False
+    g = Phi.T @ r
+    lam = float(np.median(np.abs(g[on]) / weights[on]))
+    kkt = np.all(np.abs(g[~on]) <= lam * weights[~on] * (1 + 1e-6)) and np.all(
+        np.abs(g[on] - lam * weights[on] * np.sign(x[on])) <= 1e-6 * lam * weights[on]
+    )
+    return in_band, bool(kkt)
+
+
+def scan(src, inputs_path):
+    """Run in a child: solve every scan instance once with the tree at src
+    and print one JSON object of per-instance results per scan."""
+    sys.path.insert(0, str(Path(src).resolve()))
+    from sparseobs import kernels, recover
+
+    data = np.load(inputs_path)
+    lasso = kernels.admm_lasso
+    iterations = []
+
+    def counted(*args):
+        result = lasso(*args)
+        iterations.append(int(result[2]))
+        return result
+
+    kernels.admm_lasso = counted
+    band_tol = recover.SolverConfig().residual_match_tol
+    out = {}
+    for name, (count, _) in SCANS.items():
+        rows = {"in_band": [], "certified": [], "calls": [], "iterations": [], "estimate": []}
+        wall = 0.0
+        for k in range(count):
+            Phi, y, weights, eps = (data[f"{name}_{key}{k}"] for key in ("Phi", "y", "w", "eps"))
+            eps = float(eps)
+            iterations.clear()
+            t0 = time.perf_counter()
+            x = recover.solve_weighted_bpdn(Phi, np.zeros(y.size), y, weights, eps)
+            wall += time.perf_counter() - t0
+            band = min(band_tol, 1e-9 * max(1.0, float(np.linalg.norm(y))))
+            in_band, ok = certified(Phi, y, weights, eps, x, band)
+            rows["in_band"].append(in_band)
+            rows["certified"].append(ok)
+            rows["calls"].append(len(iterations))
+            rows["iterations"].append(sum(iterations))
+            rows["estimate"].append(x.tolist())
+        rows["wall_s"] = wall
+        out[name] = rows
+    print(json.dumps(out))
+
+
+def scan_summary(runs):
+    """Per scan, each tree's counts and, for a parent and a change tree, the
+    instances certified by one tree only and the largest relative change of
+    the estimates."""
+    summary = {}
+    for name, (count, recipe) in SCANS.items():
+        entry = {"instances": count, "recipe": recipe}
+        for label, out in runs.items():
+            rows = out[name]
+            entry[label] = {
+                "in_band": sum(rows["in_band"]),
+                "certified": sum(rows["certified"]),
+                "lasso_calls": sum(rows["calls"]),
+                "lasso_iterations": sum(rows["iterations"]),
+                "max_lasso_calls_per_solve": max(rows["calls"]),
+                "wall_s": rows["wall_s"],
+            }
+            print(f"{label:>8}  scan {name:<12} {json.dumps(entry[label])}")
+        if {"parent", "change"} <= runs.keys():
+            p, q = runs["parent"][name], runs["change"][name]
+            rel = [
+                float(np.abs(np.subtract(xq, xp)).max() / max(np.abs(xp).max(), 1e-300))
+                for xp, xq in zip(p["estimate"], q["estimate"])
+            ]
+            entry["certified_by_parent_only"] = [
+                k for k in range(count) if p["certified"][k] and not q["certified"][k]
+            ]
+            entry["certified_by_change_only"] = [
+                k for k in range(count) if q["certified"][k] and not p["certified"][k]
+            ]
+            entry["in_band_by_parent_only"] = [
+                k for k in range(count) if p["in_band"][k] and not q["in_band"][k]
+            ]
+            entry["max_rel_estimate_change"] = max(rel)
+            entry["max_rel_estimate_change_where_both_certified"] = max(
+                (r for r, a, b in zip(rel, p["certified"], q["certified"]) if a and b), default=0.0
+            )
+        summary[name] = entry
+    return summary
+
+
 def quartiles(samples):
     q1, q2, q3 = statistics.quantiles(samples, n=4, method="inclusive")
     return {"median_ms": q2 * 1e3, "q1_ms": q1 * 1e3, "q3_ms": q3 * 1e3}
@@ -202,9 +361,13 @@ def main():
     ap.add_argument("--tree", action="append", default=[], metavar="LABEL=SRC")
     # internal: the child process of one tree
     ap.add_argument("--measure", nargs=2, metavar=("SRC", "INPUTS"), help=argparse.SUPPRESS)
+    ap.add_argument("--scan", nargs=2, metavar=("SRC", "INPUTS"), help=argparse.SUPPRESS)
     args = ap.parse_args()
     if args.measure:
         measure(*args.measure)
+        return
+    if args.scan:
+        scan(*args.scan)
         return
     trees = dict(t.split("=", 1) for t in args.tree) or {"change": str(ROOT / "src")}
 
@@ -215,16 +378,27 @@ def main():
         keys = ("Phi", "offset", "obs", "ref", "weights", "eps")
         for i, shape in enumerate(build_inputs()):
             arrays.update({f"{key}{i}": value for key, value in zip(keys, shape)})
-        np.savez(inputs_path, **arrays)
-        for _ in range(ROUNDS):
-            for label, src in trees.items():
-                child = subprocess.run(
-                    [sys.executable, __file__, "--measure", src, str(inputs_path)],
+        scan_arrays = {}
+        for name, (count, _) in SCANS.items():
+            for k in range(count):
+                for key, value in zip(("Phi", "y", "w", "eps"), scan_instance(name, k)):
+                    scan_arrays[f"{name}_{key}{k}"] = value
+        np.savez(inputs_path, **arrays, **scan_arrays)
+
+        def child(mode, src):
+            return json.loads(
+                subprocess.run(
+                    [sys.executable, __file__, mode, src, str(inputs_path)],
                     capture_output=True,
                     text=True,
                     check=True,
-                )
-                runs[label].append(json.loads(child.stdout))
+                ).stdout
+            )
+
+        for _ in range(ROUNDS):
+            for label, src in trees.items():
+                runs[label].append(child("--measure", src))
+        scans = scan_summary({label: child("--scan", src) for label, src in trees.items()})
 
     results = {}
     for label, rounds in runs.items():
@@ -257,6 +431,7 @@ def main():
             "numpy": np.__version__,
         },
         "results": results,
+        "scans": scans,
     }
     if {"parent", "change"} <= results.keys():
         doc["speedup_parent_over_change"] = {
