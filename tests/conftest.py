@@ -5,6 +5,9 @@ wall-clock budgets never pay first-call costs (lazy imports, BLAS start-up)
 inside the timed region.
 """
 
+import importlib.util
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -55,3 +58,13 @@ def normalized_columns(A):
 
 def gaussian_unit_columns(n, m, seed):
     return normalized_columns(gen_gaussian_matrix(n, m, seed))
+
+
+def tool_module(name):
+    """tools/<name>.py, loaded as a module, for tests that reuse a bench
+    script's reference code or inputs."""
+    path = Path(__file__).resolve().parent.parent / "tools" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(name, path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module

@@ -1,4 +1,3 @@
-import importlib.util
 import math
 import os
 import subprocess
@@ -23,7 +22,7 @@ from sparseobs.ode import (
     settle_steps,
 )
 
-from conftest import catalog_systems
+from conftest import catalog_systems, tool_module
 
 _DEMO_CONFIG = Path(__file__).resolve().parents[1] / "configs" / "demo.json"
 
@@ -293,11 +292,7 @@ def test_flow_state_is_bit_identical_to_integration(n_steps):
 def _reference_sensitivity():
     """tools/bench_flow_jacobian.py's long-double RK4 variational recursion,
     the reference its recorded errors are measured against."""
-    path = Path(__file__).resolve().parent.parent / "tools" / "bench_flow_jacobian.py"
-    spec = importlib.util.spec_from_file_location("bench_flow_jacobian", path)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module.reference_sensitivity
+    return tool_module("bench_flow_jacobian").reference_sensitivity
 
 
 @pytest.mark.skipif(

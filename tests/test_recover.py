@@ -1,4 +1,3 @@
-import importlib.util
 import itertools
 import math
 from pathlib import Path
@@ -36,7 +35,7 @@ from sparseobs.recover import (
 )
 from sparseobs.rip import operator_norm, rip_constant_exact
 
-from conftest import catalog_systems, gaussian_unit_columns, unit_spectral_matrix
+from conftest import catalog_systems, gaussian_unit_columns, tool_module, unit_spectral_matrix
 
 
 def _problem(system, A, x0, T, eps=0.0, s=1, weights=None, noise=None):
@@ -317,23 +316,12 @@ def test_noisy_bpdn_crossing_far_below_the_observation_norm(k, monkeypatch):
     assert eps <= np.linalg.norm(y - Phi @ x) <= eps + _band(cfg, y)
 
 
-def _bench_bpdn():
-    """tools/bench_bpdn.py, for its seeded scan instances and its test that
-    an eps > 0 estimate is in band and meets the weighted lasso's KKT
-    conditions."""
-    path = Path(__file__).resolve().parent.parent / "tools" / "bench_bpdn.py"
-    spec = importlib.util.spec_from_file_location("bench_bpdn", path)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
 @pytest.mark.parametrize("k", [17, 130, 281])
 def test_noisy_bpdn_certifies_near_square_scan_instances(k, monkeypatch):
-    # near-square instances of the bench's scan on which a path follower
-    # that skips rounding ties, or keeps a dropped coefficient out on both
-    # sides, reached lam = 0 before the target or stopped off the path
-    bench = _bench_bpdn()
+    # near-square instances of tools/bench_bpdn.py's scan on which a path
+    # follower that skips rounding ties, or keeps a dropped coefficient out
+    # on both sides, reached lam = 0 before the target or stopped off the path
+    bench = tool_module("bench_bpdn")
     Phi, y, w, eps = bench.scan_instance("near_square", k)
     cfg = SolverConfig()
     calls = _record_lasso(monkeypatch, w, cfg.penalty)
@@ -359,7 +347,7 @@ def test_noisy_bpdn_keeps_one_copy_of_a_duplicate_column(seed, monkeypatch):
     x = solve_weighted_bpdn(Phi, np.zeros(20), y, w, eps, cfg)
     assert [it for _, it in calls] == [1]
     assert min(abs(x[0]), abs(x[1])) < 1e-12
-    assert _bench_bpdn().certified(Phi, y, w, eps, x, _band(cfg, y)) == (True, True)
+    assert tool_module("bench_bpdn").certified(Phi, y, w, eps, x, _band(cfg, y)) == (True, True)
 
 
 def _count_admm_iterations(monkeypatch):
