@@ -16,18 +16,8 @@ from .model import (
     RecoveryOutcome,
     SparseProblem,
     best_s_term,
-    eval_rhs,
-    lipschitz_bound,
-    measurement_from_dict,
-    measurement_to_dict,
     problem_from_dict,
-    problem_from_json,
-    problem_to_dict,
-    problem_to_json,
     system_from_dict,
-    system_from_json,
-    system_to_dict,
-    system_to_json,
     weight_condition_number,
     weighted_l1_norm,
 )
@@ -42,7 +32,6 @@ from .ode import (
 from .rip import (
     RipReport,
     disjoint_inner_product_margin,
-    mutual_coherence,
     operator_norm,
     rip_constant_bounds,
     rip_constant_exact,
@@ -94,23 +83,15 @@ __all__ = [
     "disjoint_inner_product_margin",
     "distinguishability_gap",
     "emit_report",
-    "eval_rhs",
     "flow_jacobian",
     "flow_with_jacobian",
     "gen_gaussian_matrix",
     "gronwall_envelope",
     "integrate",
     "l0_oracle",
-    "lipschitz_bound",
-    "measurement_from_dict",
-    "measurement_to_dict",
-    "mutual_coherence",
     "observability_horizon",
     "operator_norm",
     "problem_from_dict",
-    "problem_from_json",
-    "problem_to_dict",
-    "problem_to_json",
     "recover_initial_state",
     "recovery_constants",
     "recovery_error_bound",
@@ -120,9 +101,6 @@ __all__ = [
     "run_experiment",
     "solve_weighted_bpdn",
     "system_from_dict",
-    "system_from_json",
-    "system_to_dict",
-    "system_to_json",
     "weight_condition_number",
     "weighted_l1_norm",
 ]

@@ -23,7 +23,7 @@ from .errors import (
     check_matrix,
     check_real,
 )
-from .model import DynamicalSystem, best_s_term, to_doc
+from .model import DynamicalSystem, best_s_term
 from .ode import IntegrationConfig, integrate
 from .rip import operator_norm
 
@@ -61,9 +61,6 @@ class Certificate:
     noise_coeff: float | None
     feasible: bool
     reasons: tuple
-
-    def to_dict(self):
-        return to_doc(self)
 
 
 def _check_tau(tau):

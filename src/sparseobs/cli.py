@@ -26,7 +26,7 @@ from .errors import (
     check_matrix,
 )
 from .harness import emit_report, load_experiment_config, run_experiment
-from .model import problem_from_dict, read_document, system_from_dict
+from .model import problem_from_dict, read_document, system_from_dict, to_doc
 from .ode import IntegrationConfig
 from .recover import DEFAULT_ORACLE_BUDGET, SolverConfig, l0_oracle, recover_initial_state
 from .rip import (
@@ -48,14 +48,6 @@ def load_matrix(path) -> np.ndarray:
         # ragged rows or entries that are not numbers
         raise ShapeError(f"{path}: not a numeric matrix: {exc}") from exc
     return check_matrix(A, str(path))
-
-
-def save_matrix(A, path):
-    """Write a dense matrix as comma-separated rows."""
-    A = np.asarray(A, dtype=float)
-    with open(path, "w") as fh:
-        for row in np.atleast_2d(A):
-            fh.write(",".join(repr(float(v)) for v in row) + "\n")
 
 
 def _emit(doc):
@@ -83,10 +75,10 @@ def _cmd_rip(args) -> int:
     A = load_matrix(args.matrix)
     if args.mode == "exact":
         report = rip_constant_exact(A, args.sparsity, args.budget)
-        _emit(report.to_dict())
+        _emit(to_doc(report))
     else:
         lower, upper = rip_constant_bounds(A, args.sparsity, args.samples, args.seed)
-        _emit({"lower": lower.to_dict(), "upper": upper.to_dict()})
+        _emit({"lower": to_doc(lower), "upper": to_doc(upper)})
     return 0
 
 
@@ -100,7 +92,7 @@ def _cmd_certify(args) -> int:
     order = min(2 * args.sparsity, A.shape[1])
     delta = rip_constant_exact(A, order, args.budget).delta
     cert = recovery_constants(delta, args.tau, system.lipschitz, args.time, operator_norm(A))
-    _emit(cert.to_dict())
+    _emit(to_doc(cert))
     return 0 if cert.feasible else 1
 
 
@@ -118,7 +110,7 @@ def _cmd_solve(args) -> int:
     """recover and oracle: args.solve is _recover or _oracle."""
     problem = problem_from_dict(read_document(args.problem))
     outcome = args.solve(problem, _integration_from_args(args), args)
-    _emit(outcome.to_dict())
+    _emit(to_doc(outcome))
     if args.estimate_csv:
         _estimate_csv(outcome.estimate, args.estimate_csv)
     return 0 if outcome.converged else 1

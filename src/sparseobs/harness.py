@@ -189,25 +189,6 @@ class ExperimentConfig:
                 values[key] = _in_field(key, from_doc, kind, doc[key], key)
         return cls(system=system, **values)
 
-    def to_dict(self) -> dict:
-        matrix = {"n": self.n, "m": self.m, "ensemble": self.ensemble, "scale": self.scale}
-        return to_doc(
-            {
-                "seed": self.seed,
-                "trials": self.trials,
-                "system": self.system,
-                "matrix": matrix,
-                "sparsity": self.sparsity,
-                "magnitudes": self.magnitudes,
-                "noise_radius": self.noise_radius,
-                "time": self.time,
-                "weights": self.weights,
-                "solver": self.solver,
-                "integration": self.integration,
-                "rip_budget": self.rip_budget,
-            }
-        )
-
 
 def _in_field(name, decode, *args):
     """decode(*args), a refusal re-raised as a ConfigError naming the config
@@ -292,8 +273,10 @@ def _noise_vector(config: ExperimentConfig, trial: int, n: int):
 
 def _trial_delta(A, s2, budget):
     """Exact constant when the enumeration fits the budget, else inf.  The
-    coherence upper bound is no fallback: it needs unit-norm columns, which
-    gen_gaussian_matrix never draws."""
+    Gershgorin upper bound of rip_constant_bounds is finite too, but no
+    fallback: on gen_gaussian_matrix draws it is 1.2-2x the exact constant,
+    so trials past the budget would be certified on a looser constant than
+    the rest of the sweep."""
     try:
         return rip_constant_exact(A, s2, budget).delta
     except BudgetError:

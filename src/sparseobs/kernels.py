@@ -4,8 +4,8 @@ behind exact restricted-isometry constants.
 
 Everything is plain numpy.  rhs is the one definition of the catalog's
 right-hand side f, and jacobian_scale gives its Jacobian as J(x) = diag(d) M
-from the slopes f(x); the integrators and model.eval_rhs / model.rhs_jacobian
-all call them, and _rk4_steps is the one RK4 step.  The flow Jacobian loops
+from the slopes f(x); the integrators call them on
+DynamicalSystem.kernel_args(), and _rk4_steps is the one RK4 step.  The flow Jacobian loops
 in Python over one state, or over many rows in lockstep for the combinatorial
 oracle, and builds the sensitivity from the stage slopes as a product of
 per-step increments, a block of steps at a time in batched matmuls (see

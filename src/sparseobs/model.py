@@ -1,6 +1,11 @@
 """Domain types and vector primitives: the right-hand-side catalog, measurement
-descriptions, weighted-l1 machinery, best s-term truncation, and JSON
-(de)serialization of problem descriptions.
+descriptions, weighted-l1 machinery, best s-term truncation, and the one JSON
+codec.
+
+A DynamicalSystem describes f; kernels.rhs and kernels.jacobian_scale, called
+on its kernel_args(), are the one evaluation of f and its Jacobian.  to_doc
+encodes systems, problems, reports and solver and integration configs;
+system_from_dict, problem_from_dict and from_doc decode them.
 
 All container types are immutable after construction (arrays are copied and
 marked read-only), so instances are safe to share across worker processes.
@@ -138,34 +143,6 @@ class DynamicalSystem:
         return _KIND_CODES[self.kind], M, c
 
 
-def _check_state(system, x):
-    x = np.asarray(x, dtype=float)
-    if x.shape != (system.dim,):
-        raise ShapeError(f"state must have shape ({system.dim},), got {x.shape}")
-    return x
-
-
-def eval_rhs(system: DynamicalSystem, t: float, x: np.ndarray) -> np.ndarray:
-    """f(t, x) for the catalog member.  The catalog is autonomous, so t is
-    accepted for interface uniformity and ignored."""
-    x = _check_state(system, x)
-    kind, M, c = system.kernel_args()
-    return kernels.rhs(kind, M.T, c, x)
-
-
-def rhs_jacobian(system: DynamicalSystem, x: np.ndarray) -> np.ndarray:
-    """df/dx at x.  For the tanh field this is diag(1 - tanh(Mx)^2) M."""
-    x = _check_state(system, x)
-    kind, M, c = system.kernel_args()
-    F = kernels.rhs(kind, M.T, c, x)
-    return kernels.jacobian_scale(kind, F)[:, None] * M
-
-
-def lipschitz_bound(system: DynamicalSystem) -> float:
-    """The stored global Lipschitz constant of the right-hand side."""
-    return system.lipschitz
-
-
 @dataclass(frozen=True)
 class MeasurementModel:
     """Terminal-time linear measurement b = A x(T) + noise, with the noise
@@ -236,9 +213,6 @@ class RecoveryOutcome:
         object.__setattr__(self, "weighted_l1", check_real(self.weighted_l1, "weighted_l1"))
         object.__setattr__(self, "iterations", check_count(self.iterations, "iterations", 0))
         object.__setattr__(self, "converged", bool(self.converged))
-
-    def to_dict(self):
-        return to_doc(self)
 
 
 def weighted_l1_norm(x: np.ndarray, weights: np.ndarray) -> float:
@@ -339,49 +313,17 @@ def read_document(path):
         raise ConfigError(f"{path}: not a text file: {exc}") from exc
 
 
-def system_to_dict(system: DynamicalSystem) -> dict:
-    return to_doc(system)
-
-
 def system_from_dict(doc: dict) -> DynamicalSystem:
     doc = document(doc, "system", ("dim", "rhs"), ("lipschitz",))
     rhs = document(doc["rhs"], "rhs", ("kind",), ("matrix", "drift"))
     return DynamicalSystem(dim=doc["dim"], lipschitz=doc.get("lipschitz"), **rhs)
 
 
-def measurement_to_dict(measurement: MeasurementModel) -> dict:
-    return to_doc(measurement)
-
-
-def measurement_from_dict(doc: dict) -> MeasurementModel:
-    return from_doc(MeasurementModel, doc, "measurement")
-
-
-def problem_to_dict(problem: SparseProblem) -> dict:
-    return to_doc(problem)
-
-
 def problem_from_dict(doc: dict) -> SparseProblem:
     doc = document(doc, "problem", ("system", "measurement", "observation", "sparsity"))
     return SparseProblem(
         system=system_from_dict(doc["system"]),
-        measurement=measurement_from_dict(doc["measurement"]),
+        measurement=from_doc(MeasurementModel, doc["measurement"], "measurement"),
         observation=doc["observation"],
         sparsity=doc["sparsity"],
     )
-
-
-def system_to_json(system: DynamicalSystem) -> str:
-    return json.dumps(system_to_dict(system), indent=2)
-
-
-def system_from_json(text: str) -> DynamicalSystem:
-    return system_from_dict(json.loads(text))
-
-
-def problem_to_json(problem: SparseProblem) -> str:
-    return json.dumps(problem_to_dict(problem), indent=2)
-
-
-def problem_from_json(text: str) -> SparseProblem:
-    return problem_from_dict(json.loads(text))

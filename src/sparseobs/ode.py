@@ -83,16 +83,6 @@ class Trajectory:
     def final_state(self):
         return self.states[-1]
 
-    def to_csv(self, path):
-        m = self.states.shape[1]
-        header = "t," + ",".join(f"x_{j + 1}" for j in range(m))
-        lines = [header]
-        for ti, row in zip(self.times, self.states):
-            lines.append(",".join([repr(float(ti))] + [repr(float(v)) for v in row]))
-        with open(path, "w") as fh:
-            fh.write("\n".join(lines) + "\n")
-        return path
-
 
 def _check_args(system, x0, T, rows=False):
     x0 = np.ascontiguousarray(x0, dtype=float)

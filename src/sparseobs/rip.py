@@ -1,5 +1,5 @@
-"""Restricted-isometry constants (exact by support enumeration, or sampled
-lower / coherence upper bounds), the operator 2-norm, and the
+"""Restricted-isometry constants (exact by support enumeration, or a sampled
+lower and a Gershgorin upper bound), the operator 2-norm, and the
 disjoint-support inner-product margin.
 
 The exact constant for sparsity s is the largest deviation from 1 of any
@@ -29,16 +29,12 @@ from .errors import (
     check_matrix,
     check_real,
 )
-from .model import to_doc
 
 METHOD_EXACT = "exact"
 METHOD_MC_LOWER = "monte-carlo-lower"
-METHOD_COHERENCE_UPPER = "coherence-upper"
+METHOD_GERSHGORIN_UPPER = "gershgorin-upper"
 
 DEFAULT_SUPPORT_BUDGET = 2_000_000
-
-# columns must be unit-norm to this tolerance for the coherence bound to apply
-_UNIT_NORM_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -52,9 +48,6 @@ class RipReport:
     method: str
     supports_examined: int
     supports_solved: int
-
-    def to_dict(self):
-        return to_doc(self)
 
 
 def operator_norm(A) -> float:
@@ -73,7 +66,7 @@ def rip_constant_exact(A, s: int, budget: int = DEFAULT_SUPPORT_BUDGET) -> RipRe
     if count > budget:
         raise BudgetError(
             f"enumerating {count} supports exceeds the budget of {budget}; "
-            "use rip_constant_bounds for sampled and coherence estimates"
+            "use rip_constant_bounds for a sampled lower and a Gershgorin upper bound"
         )
     G = np.ascontiguousarray(A.T @ A)
     delta, solved = kernels.rip_scan(G, s)
@@ -86,26 +79,14 @@ def rip_constant_exact(A, s: int, budget: int = DEFAULT_SUPPORT_BUDGET) -> RipRe
     )
 
 
-def mutual_coherence(A) -> float:
-    """Largest |cosine| between distinct columns of A."""
-    A = check_matrix(A, "A")
-    norms = np.linalg.norm(A, axis=0)
-    if np.any(norms == 0):
-        raise DomainError("mutual coherence is undefined for a zero column")
-    An = A / norms
-    C = np.abs(An.T @ An)
-    np.fill_diagonal(C, 0.0)
-    return float(C.max())
-
-
 def rip_constant_bounds(A, s: int, samples: int, seed: int):
     """(lower, upper) bracketing reports for the order-s constant.
 
     The lower bound is the largest deviation over `samples` uniformly drawn
     supports (counter-based generator, so the estimate is reproducible and
-    nondecreasing in samples for a fixed seed).  The upper bound is the
-    coherence bound (s - 1) * mu, valid only for unit-norm columns; otherwise
-    it reports inf.
+    nondecreasing in samples for a fixed seed).  The upper bound is
+    Gershgorin's theorem on every G_S - I, which holds for any matrix:
+    max_j |G_jj - 1| + (s - 1) * max_{i != j} |G_ij|.
     """
     A = check_matrix(A, "A")
     m = A.shape[1]
@@ -138,15 +119,13 @@ def rip_constant_bounds(A, s: int, samples: int, seed: int):
         supports_solved=solved,
     )
 
-    norms = np.sqrt(np.diag(G))
-    if np.max(np.abs(norms - 1.0)) <= _UNIT_NORM_TOL:
-        upper = float((s - 1) * mutual_coherence(A))
-    else:
-        upper = float("inf")
+    off = np.abs(G)
+    np.fill_diagonal(off, 0.0)
+    upper = np.max(np.abs(np.diag(G) - 1.0)) + (s - 1) * np.max(off)
     upper_report = RipReport(
         sparsity=s,
-        delta=upper,
-        method=METHOD_COHERENCE_UPPER,
+        delta=float(upper),
+        method=METHOD_GERSHGORIN_UPPER,
         supports_examined=0,
         supports_solved=0,
     )

@@ -16,7 +16,7 @@ from sparseobs.certify import (
     recovery_horizon,
 )
 from sparseobs.errors import DomainError, InfeasibleCertificate, ShapeError
-from sparseobs.model import DynamicalSystem
+from sparseobs.model import DynamicalSystem, to_doc
 from sparseobs.ode import IntegrationConfig
 from sparseobs.rip import operator_norm, rip_constant_exact
 
@@ -178,14 +178,14 @@ def test_static_limit_matches_closed_forms():
 
 def test_certificate_serialization_encodes_sentinels():
     feasible = recovery_constants(0.0, 1.0, 0.0, 1.0, 1.0)
-    doc = feasible.to_dict()
+    doc = to_doc(feasible)
     assert doc["observability_T_max"] == "inf"
     assert doc["recovery_T_max"] == "inf"
     assert doc["feasible"] is True
     json.dumps(doc)
 
     infeasible = recovery_constants(1.5, 1.0, 1.0, 1.0, 1.0)
-    doc = infeasible.to_dict()
+    doc = to_doc(infeasible)
     assert doc["alpha"] is None
     assert doc["sparsity_coeff"] is None
     assert doc["observability_T_max"] is None

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from sparseobs.cli import load_matrix, main, save_matrix
+from sparseobs.cli import load_matrix, main
 
 
 def _write_json(path, doc):
@@ -13,7 +13,7 @@ def _write_json(path, doc):
 
 def _identity_csv(tmp_path, dim=4, name="eye.csv"):
     p = tmp_path / name
-    save_matrix(np.eye(dim), p)
+    np.savetxt(p, np.eye(dim), delimiter=",")
     return str(p)
 
 
@@ -53,7 +53,7 @@ def _experiment_config(tmp_path, name="config.json", **overrides):
 def test_matrix_files_round_trip(tmp_path):
     A = np.array([[1.5, -2.25], [0.125, 3.0], [0.0, -1.0]])
     p = tmp_path / "mat.csv"
-    save_matrix(A, p)
+    np.savetxt(p, A, delimiter=",")
     np.testing.assert_array_equal(load_matrix(p), A)
     pj = tmp_path / "mat.json"
     _write_json(pj, A.tolist())

@@ -207,14 +207,6 @@ def test_config_integer_fields_accept_integral_floats():
     assert all(type(v) is int for v in got)
 
 
-def test_config_round_trips_through_dict():
-    cfg = _zero_config(noise_radius=1e-3, time=0.5, magnitudes="uniform")
-    doc = cfg.to_dict()
-    again = ExperimentConfig.from_dict(doc)
-    assert again.to_dict() == doc
-    assert json.loads(json.dumps(doc)) == doc
-
-
 def test_load_config_reports_json_position(tmp_path):
     p = tmp_path / "bad.json"
     p.write_text('{"seed": 1,\n  "trials": }\n')

@@ -6,6 +6,7 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
+from sparseobs import kernels
 from sparseobs.certify import recovery_constants
 from sparseobs.errors import DomainError, ShapeError
 from sparseobs.harness import ExperimentConfig, run_trial
@@ -15,20 +16,9 @@ from sparseobs.model import (
     RecoveryOutcome,
     SparseProblem,
     best_s_term,
-    eval_rhs,
     from_doc,
-    lipschitz_bound,
-    measurement_from_dict,
-    measurement_to_dict,
     problem_from_dict,
-    problem_from_json,
-    problem_to_dict,
-    problem_to_json,
-    rhs_jacobian,
     system_from_dict,
-    system_from_json,
-    system_to_dict,
-    system_to_json,
     to_doc,
     weight_condition_number,
     weighted_l1_norm,
@@ -124,25 +114,37 @@ def test_best_s_term_is_l1_optimal_over_all_supports():
 # --- system catalog ----------------------------------------------------------
 
 
+def _rhs(system, x):
+    """f(x) through the one right-hand-side kernel."""
+    kind, M, c = system.kernel_args()
+    return kernels.rhs(kind, M.T, c, np.asarray(x, dtype=float))
+
+
+def _jacobian(system, x):
+    """df/dx at x, diag(d) M with d from the one Jacobian-scale kernel."""
+    kind, M, _ = system.kernel_args()
+    return kernels.jacobian_scale(kind, _rhs(system, x))[:, None] * M
+
+
 def test_lipschitz_values_for_catalog_members():
-    assert lipschitz_bound(DynamicalSystem.zero(3)) == 0.0
+    assert DynamicalSystem.zero(3).lipschitz == 0.0
     lin = DynamicalSystem.linear((2.0 * np.eye(3)).tolist())
-    assert abs(lipschitz_bound(lin) - 2.0) <= 1e-12
+    assert abs(lin.lipschitz - 2.0) <= 1e-12
     sat = DynamicalSystem.tanh_saturated([[1.0, 1.0], [0.0, 0.0]])
     # independent oracle: the largest singular value from a dense SVD
     top_sv = float(np.linalg.svd(np.array([[1.0, 1.0], [0.0, 0.0]]), compute_uv=False)[0])
     assert math.isclose(top_sv, math.sqrt(2.0), rel_tol=1e-14)
-    assert math.isclose(lipschitz_bound(sat), top_sv, rel_tol=1e-10)
+    assert math.isclose(sat.lipschitz, top_sv, rel_tol=1e-10)
 
 
 def test_lipschitz_inequality_sampled_over_catalog():
     rng = np.random.Generator(np.random.Philox(14))
     for system in catalog_systems(5, 900):
-        L = lipschitz_bound(system)
+        L = system.lipschitz
         for _ in range(1000):
             x = rng.normal(size=5)
             y = rng.normal(size=5)
-            lhs = np.linalg.norm(eval_rhs(system, 0.0, x) - eval_rhs(system, 0.0, y))
+            lhs = np.linalg.norm(_rhs(system, x) - _rhs(system, y))
             rhs = L * np.linalg.norm(x - y)
             assert lhs <= rhs * (1.0 + 1e-12) + 1e-12
 
@@ -197,26 +199,22 @@ def test_eval_rhs_and_jacobian_agree_with_definitions():
     aff = DynamicalSystem.affine(M.tolist(), c.tolist())
     sat = DynamicalSystem.tanh_saturated(M.tolist())
 
-    np.testing.assert_array_equal(eval_rhs(zero, 0.0, x), np.zeros(4))
-    np.testing.assert_allclose(eval_rhs(lin, 0.0, x), M @ x, rtol=1e-14)
-    np.testing.assert_allclose(eval_rhs(aff, 0.0, x), M @ x + c, rtol=1e-14)
-    np.testing.assert_allclose(eval_rhs(sat, 0.0, x), np.tanh(M @ x), rtol=1e-14)
+    np.testing.assert_array_equal(_rhs(zero, x), np.zeros(4))
+    np.testing.assert_allclose(_rhs(lin, x), M @ x, rtol=1e-14)
+    np.testing.assert_allclose(_rhs(aff, x), M @ x + c, rtol=1e-14)
+    np.testing.assert_allclose(_rhs(sat, x), np.tanh(M @ x), rtol=1e-14)
 
-    np.testing.assert_array_equal(rhs_jacobian(zero, x), np.zeros((4, 4)))
-    np.testing.assert_allclose(rhs_jacobian(lin, x), M, rtol=1e-14)
+    np.testing.assert_array_equal(_jacobian(zero, x), np.zeros((4, 4)))
+    np.testing.assert_allclose(_jacobian(lin, x), M, rtol=1e-14)
+    np.testing.assert_allclose(_jacobian(aff, x), M, rtol=1e-14)
     # finite-difference cross-check of the saturated jacobian
     h = 1e-6
-    J = rhs_jacobian(sat, x)
+    J = _jacobian(sat, x)
     for j in range(4):
         e = np.zeros(4)
         e[j] = h
-        col = (eval_rhs(sat, 0.0, x + e) - eval_rhs(sat, 0.0, x - e)) / (2 * h)
+        col = (_rhs(sat, x + e) - _rhs(sat, x - e)) / (2 * h)
         np.testing.assert_allclose(J[:, j], col, atol=1e-8)
-
-    with pytest.raises(ShapeError):
-        eval_rhs(lin, 0.0, np.zeros(3))
-    with pytest.raises(ShapeError):
-        rhs_jacobian(lin, np.zeros(3))
 
 
 def test_kernel_args_fills_zero_system_with_zero_arrays():
@@ -280,7 +278,7 @@ def test_recovery_outcome_round_trip_and_validation():
     out = RecoveryOutcome(
         estimate=[1.0, 0.0], residual=0.5, weighted_l1=1.0, iterations=3, converged=True
     )
-    doc = out.to_dict()
+    doc = to_doc(out)
     assert doc == {
         "estimate": [1.0, 0.0],
         "residual": 0.5,
@@ -299,21 +297,20 @@ def test_recovery_outcome_round_trip_and_validation():
 
 def test_system_document_round_trip_all_kinds():
     for system in catalog_systems(4, 901):
-        back = system_from_dict(system_to_dict(system))
+        back = system_from_dict(json.loads(json.dumps(to_doc(system), indent=2)))
         assert back.kind == system.kind
         assert back.dim == system.dim
         assert back.lipschitz == system.lipschitz
-        if system.matrix is None:
-            assert back.matrix is None
-        else:
-            np.testing.assert_array_equal(back.matrix, system.matrix)
-        back2 = system_from_json(system_to_json(system))
-        assert back2.kind == system.kind
+        for name in ("matrix", "drift"):
+            if getattr(system, name) is None:
+                assert getattr(back, name) is None
+            else:
+                np.testing.assert_array_equal(getattr(back, name), getattr(system, name))
 
 
 def test_measurement_document_round_trip():
     meas = _measurement()
-    back = measurement_from_dict(measurement_to_dict(meas))
+    back = from_doc(MeasurementModel, to_doc(meas), "measurement")
     np.testing.assert_array_equal(back.matrix, meas.matrix)
     assert back.time == meas.time
     assert back.noise_radius == meas.noise_radius
@@ -329,22 +326,24 @@ def test_problem_document_round_trip():
         observation=[0.2, -0.4],
         sparsity=1,
     )
-    back = problem_from_dict(problem_to_dict(problem))
+    back = problem_from_dict(json.loads(json.dumps(to_doc(problem), indent=2)))
     np.testing.assert_array_equal(back.observation, problem.observation)
     assert back.sparsity == 1
-    back2 = problem_from_json(problem_to_json(problem))
-    assert back2.measurement.time == 0.3
-    # document form is valid JSON
-    json.loads(problem_to_json(problem))
+    assert back.system.kind == "linear"
+    np.testing.assert_array_equal(back.system.matrix, problem.system.matrix)
+    np.testing.assert_array_equal(back.measurement.matrix, problem.measurement.matrix)
+    assert back.measurement.time == 0.3
+    assert back.measurement.noise_radius == 0.01
+    np.testing.assert_array_equal(back.measurement.weights, problem.measurement.weights)
 
 
 def test_malformed_documents_are_reported():
     with pytest.raises(DomainError):
         system_from_dict({"dim": 2})
     with pytest.raises(DomainError):
-        problem_from_dict({"system": system_to_dict(DynamicalSystem.zero(2))})
+        problem_from_dict({"system": to_doc(DynamicalSystem.zero(2))})
     with pytest.raises(DomainError):
-        measurement_from_dict({"matrix": [[1.0]]})
+        from_doc(MeasurementModel, {"matrix": [[1.0]]}, "measurement")
     system = {"dim": 2, "rhs": {"kind": "zero"}}
     measurement = {"matrix": [[1.0, 0.0]], "time": 1.0, "noise_radius": 0.0, "weights": [1, 1]}
     problem = {"system": system, "measurement": measurement, "observation": [1.0], "sparsity": 1}
@@ -357,7 +356,10 @@ def test_malformed_documents_are_reported():
             dict(system, rhs={"kind": "zero", "drfit": [0.0, 0.0]}),
             dict(system, rhs={"kind": ["zero"]}),
         ],
-        measurement_from_dict: [None, dict(measurement, typo_noise=3)],
+        lambda doc: from_doc(MeasurementModel, doc, "measurement"): [
+            None,
+            dict(measurement, typo_noise=3),
+        ],
         problem_from_dict: [
             "problem",
             dict(problem, typo_noise=3),
@@ -391,7 +393,7 @@ def _reports():
         RipReport(
             sparsity=2,
             delta=math.inf,
-            method="coherence-upper",
+            method="gershgorin-upper",
             supports_examined=0,
             supports_solved=0,
         ),

@@ -11,7 +11,7 @@ from scipy.linalg import expm
 from sparseobs import kernels, ode
 from sparseobs.errors import DomainError, NumericalError, ShapeError
 from sparseobs.harness import load_experiment_config
-from sparseobs.model import DynamicalSystem, lipschitz_bound
+from sparseobs.model import DynamicalSystem
 from sparseobs.ode import (
     IntegrationConfig,
     Trajectory,
@@ -48,18 +48,6 @@ def test_trajectory_validation():
         Trajectory(times=[0.0, 0.0], states=[[0.0], [0.0]])
     with pytest.raises(ShapeError):
         Trajectory(times=[0.0, 1.0], states=[[0.0]])
-
-
-def test_trajectory_csv_round_trip(tmp_path):
-    traj = integrate(DynamicalSystem.linear([[-1.0]]), [1.0], 1.0, IntegrationConfig.fixed(4))
-    path = tmp_path / "traj.csv"
-    traj.to_csv(path)
-    text = path.read_text().splitlines()
-    assert text[0] == "t,x_1"
-    assert len(text) == 6
-    data = np.loadtxt(path, delimiter=",", skiprows=1)
-    np.testing.assert_array_equal(data[:, 0], traj.times)
-    np.testing.assert_array_equal(data[:, 1], traj.states[:, 0])
 
 
 # --- integrate ---------------------------------------------------------------
@@ -415,7 +403,7 @@ def test_gronwall_bound_holds_along_catalog_trajectories():
     cfg = IntegrationConfig.fixed(64)
     rng = np.random.Generator(np.random.Philox(34))
     for system in catalog_systems(6, 903):
-        L = lipschitz_bound(system)
+        L = system.lipschitz
         for _ in range(100):
             x1 = rng.normal(size=6)
             x2 = rng.normal(size=6)

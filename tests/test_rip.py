@@ -8,11 +8,10 @@ from sparseobs import kernels
 from sparseobs.errors import BudgetError, DomainError, ShapeError
 from sparseobs.harness import gen_gaussian_matrix
 from sparseobs.rip import (
-    METHOD_COHERENCE_UPPER,
     METHOD_EXACT,
+    METHOD_GERSHGORIN_UPPER,
     METHOD_MC_LOWER,
     disjoint_inner_product_margin,
-    mutual_coherence,
     operator_norm,
     rip_constant_bounds,
     rip_constant_exact,
@@ -200,7 +199,7 @@ def test_rip_sandwich_and_tightness():
         assert abs(abs(float(np.sum((A @ x) ** 2)) - 1.0) - delta) <= 1e-10
 
 
-# --- sampled and coherence bounds ---------------------------------------------
+# --- sampled and Gershgorin bounds --------------------------------------------
 
 
 def test_bounds_on_orthonormal_columns():
@@ -208,7 +207,7 @@ def test_bounds_on_orthonormal_columns():
     assert lower.delta == 0.0
     assert upper.delta == 0.0
     assert lower.method == METHOD_MC_LOWER
-    assert upper.method == METHOD_COHERENCE_UPPER
+    assert upper.method == METHOD_GERSHGORIN_UPPER
     assert lower.supports_examined == 50
     # every sampled support ties at deviation 0
     assert lower.supports_solved == 50
@@ -216,12 +215,12 @@ def test_bounds_on_orthonormal_columns():
 
 
 def test_bounds_bracket_the_exact_constant():
-    A = gaussian_unit_columns(6, 12, 43)
-    for s in (2, 3):
-        exact = rip_constant_exact(A, s).delta
-        lower, upper = rip_constant_bounds(A, s, samples=2000, seed=9)
-        assert lower.delta <= exact + 1e-12
-        assert exact <= upper.delta + 1e-12
+    # the raw matrix's columns are not unit-norm; the upper bound needs none
+    for A in (gaussian_unit_columns(6, 12, 43), gen_gaussian_matrix(6, 12, 45)):
+        for s in (1, 2, 3):
+            exact = rip_constant_exact(A, s).delta
+            lower, upper = rip_constant_bounds(A, s, samples=2000, seed=9)
+            assert lower.delta <= exact <= upper.delta
 
 
 def test_lower_bound_is_nondecreasing_in_samples():
@@ -250,13 +249,6 @@ def test_sampled_lower_bound_is_independent_of_the_block_size(monkeypatch):
     assert 1 <= small.supports_solved <= 1000
 
 
-def test_coherence_upper_is_inf_for_unnormalized_columns():
-    A = gen_gaussian_matrix(6, 12, 45)  # columns not unit-norm
-    _, upper = rip_constant_bounds(A, 2, samples=10, seed=0)
-    assert math.isinf(upper.delta)
-    assert upper.to_dict()["delta"] == "inf"
-
-
 def test_bounds_validation():
     with pytest.raises(DomainError):
         rip_constant_bounds(np.eye(3), 1, samples=0, seed=0)
@@ -264,15 +256,6 @@ def test_bounds_validation():
         rip_constant_bounds(np.eye(3), 4, samples=1, seed=0)
     with pytest.raises(ShapeError):
         rip_constant_bounds(np.ones(3), 1, samples=1, seed=0)
-
-
-def test_mutual_coherence_values():
-    assert mutual_coherence(np.eye(4)) == 0.0
-    A = np.array([[1.0, 1.0], [0.0, 1.0]])
-    # cosine between (1,0) and (1,1)/sqrt(2)
-    assert math.isclose(mutual_coherence(A), 1.0 / math.sqrt(2.0), rel_tol=1e-12)
-    with pytest.raises(DomainError):
-        mutual_coherence(np.array([[1.0, 0.0], [0.0, 0.0]]))
 
 
 # --- disjoint-support inner products ------------------------------------------
