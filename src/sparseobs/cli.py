@@ -23,6 +23,7 @@ from .errors import (
     InfeasibleError,
     NumericalError,
     ShapeError,
+    check_count,
     check_matrix,
 )
 from .harness import emit_report, load_experiment_config, run_experiment
@@ -89,7 +90,7 @@ def _cmd_certify(args) -> int:
         raise ShapeError(
             f"matrix has {A.shape[1]} columns but the system dimension is {system.dim}"
         )
-    order = min(2 * args.sparsity, A.shape[1])
+    order = min(2 * check_count(args.sparsity, "sparsity", 1, A.shape[1]), A.shape[1])
     delta = rip_constant_exact(A, order, args.budget).delta
     cert = recovery_constants(delta, args.tau, system.lipschitz, args.time, operator_norm(A))
     _emit(to_doc(cert))

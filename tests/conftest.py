@@ -6,6 +6,7 @@ inside the timed region.
 """
 
 import importlib.util
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -62,9 +63,12 @@ def gaussian_unit_columns(n, m, seed):
 
 def tool_module(name):
     """tools/<name>.py, loaded as a module, for tests that reuse a bench
-    script's reference code or inputs."""
-    path = Path(__file__).resolve().parent.parent / "tools" / f"{name}.py"
-    spec = importlib.util.spec_from_file_location(name, path)
+    script's reference code or inputs.  tools/ goes on sys.path, as it does
+    for a script run from the command line, so the tool finds treebench."""
+    tools = Path(__file__).resolve().parent.parent / "tools"
+    if str(tools) not in sys.path:
+        sys.path.append(str(tools))
+    spec = importlib.util.spec_from_file_location(name, tools / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module

@@ -143,6 +143,16 @@ def test_certify_rejects_mismatched_shapes(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_certify_rejects_sparsity_outside_the_columns(tmp_path, capsys):
+    system = _linear_decay_system(tmp_path)
+    matrix = _identity_csv(tmp_path, dim=2)
+    argv = ["certify", "--system", system, "--matrix", matrix, "--tau", "1.0", "--time", "0.1"]
+    for s in ("0", "3"):
+        assert main(argv + ["--sparsity", s]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: sparsity"), err
+
+
 def test_recover_subcommand_writes_estimate(tmp_path, capsys):
     problem = _recovery_problem(tmp_path, np.eye(2).tolist(), [1.0, 0.0], dim=2)
     est_path = tmp_path / "estimate.csv"
@@ -220,11 +230,13 @@ def test_experiment_json_format(tmp_path, capsys):
 
 def test_experiment_workers_flag_is_inert_on_output(tmp_path, capsys):
     config = _experiment_config(tmp_path)
-    out1, out2 = tmp_path / "w1.csv", tmp_path / "w2.csv"
-    assert main(["experiment", "--config", config, "--out", str(out1)]) == 0
-    assert main(["experiment", "--config", config, "--out", str(out2), "--workers", "2"]) == 0
-    capsys.readouterr()
-    assert out1.read_bytes() == out2.read_bytes()
+    for fmt in ("csv", "json"):
+        out1, out2 = tmp_path / f"w1.{fmt}", tmp_path / f"w2.{fmt}"
+        argv = ["experiment", "--config", config, "--format", fmt]
+        assert main(argv + ["--out", str(out1)]) == 0
+        assert main(argv + ["--out", str(out2), "--workers", "2"]) == 0
+        capsys.readouterr()
+        assert out1.read_bytes() == out2.read_bytes()
 
 
 def test_experiment_timings_flag(tmp_path, capsys):

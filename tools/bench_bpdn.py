@@ -3,18 +3,10 @@ and count the ADMM work of one solve; then solve two seeded scans of eps > 0
 instances once and count how many land in the residual band and how many
 are certified.
 
-Usage, from the repository root:
-
-    python3 tools/bench_bpdn.py
-    python3 tools/bench_bpdn.py --tree parent=../parent/src --tree change=src
-
-Each --tree LABEL=SRC names a source tree whose sparseobs package is timed in
-child processes of its own: recover.py imports the package, so two versions
-cannot share one process.  The trees take turns, ROUNDS rounds of one child
-per tree, and each child times CALLS calls per shape after one warm-up call,
-with one BLAS thread.  Without --tree this checkout is timed under the label
-"change".  The inputs are built once, by this checkout's package, and every
-child solves the same programs.
+Run from the repository root as tools/treebench.py describes.  Each tree is
+timed in children of its own (recover.py imports the package, so two versions
+cannot share one process), ROUNDS rounds, and each child times CALLS calls
+per shape after one warm-up call.
 
 Per shape the file records the median and quartiles of the call time and,
 for one solve, the iterations of kernels.admm_basis_pursuit, the calls of
@@ -38,28 +30,18 @@ between the two trees' estimates, over all instances and over those both
 trees certify.  Results go to BENCH_bpdn.json.
 """
 
-import os
+import treebench
 
 if __name__ == "__main__":
-    # one BLAS thread, fixed before numpy is first imported here or in a child
-    for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-        os.environ[_var] = "1"
+    treebench.one_blas_thread()
 
-import argparse
 import hashlib
 import json
 import math
-import platform
-import statistics
-import subprocess
-import sys
-import tempfile
 import time
-from pathlib import Path
 
 import numpy as np
 
-ROOT = Path(__file__).resolve().parent.parent
 ROUNDS = 5
 CALLS = 5
 SHAPES = (
@@ -134,7 +116,6 @@ def scan_instance(scan, k):
 def build_inputs():
     """(Phi, offset, observation, x_ref, weights, eps) of each shape, in
     SHAPES order; x_ref is empty for eps > 0."""
-    sys.path.insert(0, str(ROOT / "src"))
     from sparseobs import harness, recover
     from sparseobs.model import DynamicalSystem
     from sparseobs.ode import flow_with_jacobian, integrate
@@ -161,14 +142,12 @@ def build_inputs():
         def capture(Phi, offset, observation, weights, eps, config=None):
             raise Captured(Phi, offset, observation, np.empty(0), weights, eps)
 
-        solve = recover.solve_weighted_bpdn
-        recover.solve_weighted_bpdn = capture
+        demo = harness.load_experiment_config(treebench.ROOT / "configs" / "demo.json")
         try:
-            harness.run_trial(harness.load_experiment_config(ROOT / "configs" / "demo.json"), 0)
+            with treebench.swapped(recover, "solve_weighted_bpdn", lambda solve: capture):
+                harness.run_trial(demo, 0)
         except Captured as first:
             return first.args
-        finally:
-            recover.solve_weighted_bpdn = solve
         raise RuntimeError("trial 0 of the demo ran no solve")
 
     def noisy_underdetermined(n, m, s, eps, seed):
@@ -201,24 +180,25 @@ def build_inputs():
     ]
 
 
-def measure(src, inputs_path):
-    """Run in a child: time the tree at src on every shape and print one JSON
-    list of rows."""
-    sys.path.insert(0, str(Path(src).resolve()))
+def measure(inputs_path):
+    """Run in a child: time the child's tree on every shape and return the
+    rows."""
     from sparseobs import kernels, recover
 
     data = np.load(inputs_path)
     # the iteration counts of each kernel's calls in one solve
     counts = {"admm_basis_pursuit": [], "admm_lasso": []}
-    kernel = {name: getattr(kernels, name) for name in counts}
 
     def counted(name, at):
-        def call(*args):
-            result = kernel[name](*args)
-            counts[name].append(int(result[at]))
-            return result
+        def wrap(kernel):
+            def call(*args):
+                result = kernel(*args)
+                counts[name].append(int(result[at]))
+                return result
 
-        return call
+            return call
+
+        return wrap
 
     rows = []
     for i in range(len(SHAPES)):
@@ -228,11 +208,11 @@ def measure(src, inputs_path):
         eps = float(eps)
         for name in counts:
             counts[name].clear()
-        kernels.admm_basis_pursuit = counted("admm_basis_pursuit", 3)
-        kernels.admm_lasso = counted("admm_lasso", 2)
-        x = recover.solve_weighted_bpdn(Phi, offset, obs, weights, eps)
-        kernels.admm_basis_pursuit = kernel["admm_basis_pursuit"]
-        kernels.admm_lasso = kernel["admm_lasso"]
+        with (
+            treebench.swapped(kernels, "admm_basis_pursuit", counted("admm_basis_pursuit", 3)),
+            treebench.swapped(kernels, "admm_lasso", counted("admm_lasso", 2)),
+        ):
+            x = recover.solve_weighted_bpdn(Phi, offset, obs, weights, eps)
         samples = []
         for _ in range(CALLS):
             t0 = time.perf_counter()
@@ -251,7 +231,7 @@ def measure(src, inputs_path):
                 ),
             }
         )
-    print(json.dumps(rows))
+    return rows
 
 
 def certified(Phi, y, weights, eps, x, band):
@@ -270,44 +250,46 @@ def certified(Phi, y, weights, eps, x, band):
     return in_band, bool(kkt)
 
 
-def scan(src, inputs_path):
-    """Run in a child: solve every scan instance once with the tree at src
-    and print one JSON object of per-instance results per scan."""
-    sys.path.insert(0, str(Path(src).resolve()))
+def scan(inputs_path):
+    """Run in a child: solve every scan instance once with the child's tree
+    and return the per-instance results of each scan."""
     from sparseobs import kernels, recover
 
     data = np.load(inputs_path)
-    lasso = kernels.admm_lasso
     iterations = []
 
-    def counted(*args):
-        result = lasso(*args)
-        iterations.append(int(result[2]))
-        return result
+    def counted(lasso):
+        def call(*args):
+            result = lasso(*args)
+            iterations.append(int(result[2]))
+            return result
 
-    kernels.admm_lasso = counted
+        return call
+
     band_tol = recover.SolverConfig().residual_match_tol
     out = {}
-    for name, (count, _) in SCANS.items():
-        rows = {"in_band": [], "certified": [], "calls": [], "iterations": [], "estimate": []}
-        wall = 0.0
-        for k in range(count):
-            Phi, y, weights, eps = (data[f"{name}_{key}{k}"] for key in ("Phi", "y", "w", "eps"))
-            eps = float(eps)
-            iterations.clear()
-            t0 = time.perf_counter()
-            x = recover.solve_weighted_bpdn(Phi, np.zeros(y.size), y, weights, eps)
-            wall += time.perf_counter() - t0
-            band = min(band_tol, 1e-9 * max(1.0, float(np.linalg.norm(y))))
-            in_band, ok = certified(Phi, y, weights, eps, x, band)
-            rows["in_band"].append(in_band)
-            rows["certified"].append(ok)
-            rows["calls"].append(len(iterations))
-            rows["iterations"].append(sum(iterations))
-            rows["estimate"].append(x.tolist())
-        rows["wall_s"] = wall
-        out[name] = rows
-    print(json.dumps(out))
+    with treebench.swapped(kernels, "admm_lasso", counted):
+        for name, (count, _) in SCANS.items():
+            rows = {"in_band": [], "certified": [], "calls": [], "iterations": [], "estimate": []}
+            wall = 0.0
+            for k in range(count):
+                keys = ("Phi", "y", "w", "eps")
+                Phi, y, weights, eps = (data[f"{name}_{key}{k}"] for key in keys)
+                eps = float(eps)
+                iterations.clear()
+                t0 = time.perf_counter()
+                x = recover.solve_weighted_bpdn(Phi, np.zeros(y.size), y, weights, eps)
+                wall += time.perf_counter() - t0
+                band = min(band_tol, 1e-9 * max(1.0, float(np.linalg.norm(y))))
+                in_band, ok = certified(Phi, y, weights, eps, x, band)
+                rows["in_band"].append(in_band)
+                rows["certified"].append(ok)
+                rows["calls"].append(len(iterations))
+                rows["iterations"].append(sum(iterations))
+                rows["estimate"].append(x.tolist())
+            rows["wall_s"] = wall
+            out[name] = rows
+    return out
 
 
 def scan_summary(runs):
@@ -351,54 +333,19 @@ def scan_summary(runs):
     return summary
 
 
-def quartiles(samples):
-    q1, q2, q3 = statistics.quantiles(samples, n=4, method="inclusive")
-    return {"median_ms": q2 * 1e3, "q1_ms": q1 * 1e3, "q3_ms": q3 * 1e3}
-
-
-def main():
-    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    ap.add_argument("--tree", action="append", default=[], metavar="LABEL=SRC")
-    # internal: the child process of one tree
-    ap.add_argument("--measure", nargs=2, metavar=("SRC", "INPUTS"), help=argparse.SUPPRESS)
-    ap.add_argument("--scan", nargs=2, metavar=("SRC", "INPUTS"), help=argparse.SUPPRESS)
-    args = ap.parse_args()
-    if args.measure:
-        measure(*args.measure)
-        return
-    if args.scan:
-        scan(*args.scan)
-        return
-    trees = dict(t.split("=", 1) for t in args.tree) or {"change": str(ROOT / "src")}
-
-    runs = {label: [] for label in trees}
-    with tempfile.TemporaryDirectory() as tmp:
-        inputs_path = Path(tmp) / "inputs.npz"
-        arrays = {}
-        keys = ("Phi", "offset", "obs", "ref", "weights", "eps")
-        for i, shape in enumerate(build_inputs()):
-            arrays.update({f"{key}{i}": value for key, value in zip(keys, shape)})
-        scan_arrays = {}
-        for name, (count, _) in SCANS.items():
-            for k in range(count):
-                for key, value in zip(("Phi", "y", "w", "eps"), scan_instance(name, k)):
-                    scan_arrays[f"{name}_{key}{k}"] = value
-        np.savez(inputs_path, **arrays, **scan_arrays)
-
-        def child(mode, src):
-            return json.loads(
-                subprocess.run(
-                    [sys.executable, __file__, mode, src, str(inputs_path)],
-                    capture_output=True,
-                    text=True,
-                    check=True,
-                ).stdout
-            )
-
-        for _ in range(ROUNDS):
-            for label, src in trees.items():
-                runs[label].append(child("--measure", src))
-        scans = scan_summary({label: child("--scan", src) for label, src in trees.items()})
+def run(trees):
+    arrays = {}
+    keys = ("Phi", "offset", "obs", "ref", "weights", "eps")
+    for i, shape in enumerate(build_inputs()):
+        arrays.update({f"{key}{i}": value for key, value in zip(keys, shape)})
+    for name, (count, _) in SCANS.items():
+        for k in range(count):
+            for key, value in zip(("Phi", "y", "w", "eps"), scan_instance(name, k)):
+                arrays[f"{name}_{key}{k}"] = value
+    with treebench.saved(arrays) as inputs_path:
+        runs = treebench.rounds(__file__, trees, ROUNDS, "measure", inputs_path)
+        scanned = treebench.rounds(__file__, trees, 1, "scan", inputs_path)
+    scans = scan_summary({label: out for label, [out] in scanned.items()})
 
     results = {}
     for label, rounds in runs.items():
@@ -408,7 +355,7 @@ def main():
             samples = [s for r in rounds for s in r[i]["samples_s"]]
             n, m = arrays[f"Phi{i}"].shape
             row = {"case": case, "n": n, "m": m, "eps": float(arrays[f"eps{i}"])}
-            row.update(quartiles(samples))
+            row.update(treebench.quartiles(samples))
             row.update((key, value) for key, value in first.items() if key != "samples_s")
             results[label].append(row)
             print(
@@ -419,27 +366,17 @@ def main():
             )
 
     doc = {
-        "script": "tools/bench_bpdn.py",
         "function": "recover.solve_weighted_bpdn",
         "rounds": ROUNDS,
         "calls_per_round": CALLS,
-        "blas_threads": 1,
-        "host": {
-            "machine": platform.machine(),
-            "cpus": os.cpu_count(),
-            "python": platform.python_version(),
-            "numpy": np.__version__,
-        },
         "results": results,
         "scans": scans,
     }
-    if {"parent", "change"} <= results.keys():
-        doc["speedup_parent_over_change"] = {
-            p["case"]: p["median_ms"] / q["median_ms"]
-            for p, q in zip(results["parent"], results["change"])
-        }
-    (ROOT / "BENCH_bpdn.json").write_text(json.dumps(doc, indent=2) + "\n")
+    treebench.parent_over_change(
+        doc, "speedup_parent_over_change", lambda rows: {r["case"]: r["median_ms"] for r in rows}
+    )
+    treebench.write("bpdn", doc)
 
 
 if __name__ == "__main__":
-    main()
+    treebench.main(__doc__, run, measure=measure, scan=scan)

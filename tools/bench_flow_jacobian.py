@@ -1,15 +1,9 @@
 """Time kernels.rk4_flow_jacobian on fixed shapes and measure its accuracy.
 
-Usage, from the repository root:
-
-    python3 tools/bench_flow_jacobian.py
-    python3 tools/bench_flow_jacobian.py --tree parent=../parent/src --tree change=src
-
-Each --tree LABEL=SRC names a source tree whose sparseobs/kernels.py is loaded
-on its own (the module imports nothing from the package), so two versions of
-the kernel run in one process, their calls alternating, on the same inputs.
-Without --tree the kernel of this checkout is timed under the label "change".
-Every shape is timed with one BLAS thread as the median of CALLS calls after
+Run from the repository root as tools/treebench.py describes.  Each tree's
+sparseobs/kernels.py is loaded on its own (the module imports nothing from
+the package), so all trees run in this one process, their calls alternating,
+on the same inputs.  Every shape is timed as the median of CALLS calls after
 one warm-up call; the quartiles are recorded too.  The error of a shape is
 max|P - P_ref| against the same RK4 variational recursion run in long double
 from the same inputs (recorded as null where long double is no wider than
@@ -18,24 +12,17 @@ reference_sensitivity from here, so its accuracy gate and the recorded errors
 share one reference.
 """
 
-import os
+import treebench
 
 if __name__ == "__main__":
-    # one BLAS thread, fixed before numpy is first imported
-    for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-        os.environ[_var] = "1"
+    treebench.one_blas_thread()
 
-import argparse
 import importlib.util
-import json
-import platform
-import statistics
 import time
 from pathlib import Path
 
 import numpy as np
 
-ROOT = Path(__file__).resolve().parent.parent
 T = 0.8
 CALLS = 15
 # the right-hand-side codes of kernels.RHS_ZERO, RHS_LINEAR, RHS_AFFINE and
@@ -100,16 +87,7 @@ def reference_sensitivity(kind, M, c, X0, T, n_steps):
     return P
 
 
-def quartiles(samples):
-    q1, q2, q3 = statistics.quantiles(samples, n=4, method="inclusive")
-    return {"median_ms": q2 * 1e3, "q1_ms": q1 * 1e3, "q3_ms": q3 * 1e3}
-
-
-def main():
-    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    ap.add_argument("--tree", action="append", default=[], metavar="LABEL=SRC")
-    args = ap.parse_args()
-    trees = dict(t.split("=", 1) for t in args.tree) or {"change": str(ROOT / "src")}
+def run(trees):
     kernels = {label: load_kernels(label, src) for label, src in trees.items()}
     wide = np.finfo(np.longdouble).eps < np.finfo(float).eps
 
@@ -129,31 +107,21 @@ def main():
             P = k.rk4_flow_jacobian(kind, M, c, X0, T, steps)[1]
             err = None if P_ref is None else float(np.abs(P - P_ref).max())
             row = {"case": case, "m": m, "rows": rows or 1, "steps": steps}
-            row.update(quartiles(samples[label]), max_abs_error_vs_longdouble=err)
+            row.update(treebench.quartiles(samples[label]), max_abs_error_vs_longdouble=err)
             results[label].append(row)
             print(f"{label:>8}  {case:<52} {row['median_ms']:9.3f} ms  err {err}")
 
     doc = {
-        "script": "tools/bench_flow_jacobian.py",
         "kernel": "kernels.rk4_flow_jacobian",
         "T": T,
         "calls_per_shape": CALLS,
-        "blas_threads": 1,
-        "host": {
-            "machine": platform.machine(),
-            "cpus": os.cpu_count(),
-            "python": platform.python_version(),
-            "numpy": np.__version__,
-        },
         "results": results,
     }
-    if {"parent", "change"} <= results.keys():
-        doc["speedup_parent_over_change"] = {
-            p["case"]: p["median_ms"] / q["median_ms"]
-            for p, q in zip(results["parent"], results["change"])
-        }
-    (ROOT / "BENCH_flow_jacobian.json").write_text(json.dumps(doc, indent=2) + "\n")
+    treebench.parent_over_change(
+        doc, "speedup_parent_over_change", lambda rows: {r["case"]: r["median_ms"] for r in rows}
+    )
+    treebench.write("flow_jacobian", doc)
 
 
 if __name__ == "__main__":
-    main()
+    treebench.main(__doc__, run)

@@ -1,17 +1,9 @@
 """Count and time the support fits of recover.l0_oracle on the criterion-7
 instances.
 
-Usage, from the repository root:
-
-    python3 tools/bench_oracle.py
-    python3 tools/bench_oracle.py --tree parent=../parent/src --tree change=src
-
-Each --tree LABEL=SRC names a source tree whose sparseobs package runs the
-oracle in child processes of its own, with one BLAS thread.  The trees take
-turns, ROUNDS rounds of one child per tree, and each child runs the oracle on
-every instance twice: once counted, once timed.  Without --tree this checkout
-runs under the label "change".  The instances are built once, by this
-checkout's package, and every child solves the same problems.
+Run from the repository root as tools/treebench.py describes.  Each tree runs
+the oracle in children of its own, ROUNDS rounds, and each child runs it on
+every instance twice: once counted, once timed.
 
 The instances are those of the criterion-7 acceptance test: dimension m in
 {6, 12}, the zero, linear and tanh_saturated systems, sparsity s in {1, 2},
@@ -25,27 +17,16 @@ counts and wall times and take the largest change.  Results go to
 BENCH_oracle.json.
 """
 
-import os
+import treebench
 
 if __name__ == "__main__":
-    # one BLAS thread, fixed before numpy is first imported here or in a child
-    for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-        os.environ[_var] = "1"
+    treebench.one_blas_thread()
 
-import argparse
-import json
-import platform
-import re
 import statistics
-import subprocess
-import sys
-import tempfile
 import time
-from pathlib import Path
 
 import numpy as np
 
-ROOT = Path(__file__).resolve().parent.parent
 ROUNDS = 3
 STEPS = 256
 COLUMNS = (
@@ -67,7 +48,6 @@ COLUMNS = (
 def build_instances():
     """(m, kind, s, seed, T, M, A, b) of every criterion-7 instance, built by
     this checkout's package."""
-    sys.path.insert(0, str(ROOT / "src"))
     from sparseobs.harness import _auto_time, gen_gaussian_matrix
     from sparseobs.model import DynamicalSystem
     from sparseobs.ode import IntegrationConfig, integrate
@@ -99,30 +79,34 @@ def build_instances():
     return instances
 
 
-def measure(src, inputs_path):
-    """Run in a child: the oracle of the tree at src on every instance, once
-    counted and once timed; print one JSON list of rows (the COLUMNS up to
+def measure(inputs_path):
+    """Run in a child: the oracle of the child's tree on every instance,
+    once counted and once timed; return the rows (the COLUMNS up to
     residual, plus the estimate)."""
-    sys.path.insert(0, str(Path(src).resolve()))
     from sparseobs import kernels, recover
     from sparseobs.model import DynamicalSystem, MeasurementModel, SparseProblem
     from sparseobs.ode import IntegrationConfig
 
     data = np.load(inputs_path)
     icfg = IntegrationConfig.fixed(STEPS)
-    kernel, search = kernels.rk4_flow_jacobian, recover._line_search
     counts = {}
 
-    def counted_kernel(kind, M, c, X, T, n):
-        counts["calls"] += 1
-        counts["rows"] += X.size // X.shape[-1]
-        return kernel(kind, M, c, X, T, n)
+    def counted_kernel(kernel):
+        def call(kind, M, c, X, T, n):
+            counts["calls"] += 1
+            counts["rows"] += X.size // X.shape[-1]
+            return kernel(kind, M, c, X, T, n)
 
-    def counted_search(*args):
-        out = search(*args)
-        counts["searches"] += out[0].size
-        counts["at_zero"] += int(np.count_nonzero(out[0] == 0.0))
-        return out
+        return call
+
+    def counted_search(search):
+        def call(*args):
+            out = search(*args)
+            counts["searches"] += out[0].size
+            counts["at_zero"] += int(np.count_nonzero(out[0] == 0.0))
+            return out
+
+        return call
 
     rows = []
     for i, (m, kind, s, seed) in enumerate(
@@ -140,9 +124,11 @@ def measure(src, inputs_path):
             sparsity=s,
         )
         counts.update(calls=0, rows=0, searches=0, at_zero=0)
-        kernels.rk4_flow_jacobian, recover._line_search = counted_kernel, counted_search
-        out = recover.l0_oracle(problem, icfg)
-        kernels.rk4_flow_jacobian, recover._line_search = kernel, search
+        with (
+            treebench.swapped(kernels, "rk4_flow_jacobian", counted_kernel),
+            treebench.swapped(recover, "_line_search", counted_search),
+        ):
+            out = recover.l0_oracle(problem, icfg)
         t0 = time.perf_counter()
         recover.l0_oracle(problem, icfg)
         wall_ms = (time.perf_counter() - t0) * 1e3
@@ -150,39 +136,18 @@ def measure(src, inputs_path):
             [m, kind, s, seed, T, counts["calls"], counts["rows"], counts["searches"]]
             + [counts["at_zero"], wall_ms, out.residual, out.estimate.tolist()]
         )
-    print(json.dumps(rows))
+    return rows
 
 
-def main():
-    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    ap.add_argument("--tree", action="append", default=[], metavar="LABEL=SRC")
-    # internal: the child process of one tree
-    ap.add_argument("--measure", nargs=2, metavar=("SRC", "INPUTS"), help=argparse.SUPPRESS)
-    args = ap.parse_args()
-    if args.measure:
-        measure(*args.measure)
-        return
-    trees = dict(t.split("=", 1) for t in args.tree) or {"change": str(ROOT / "src")}
-
+def run(trees):
     instances = build_instances()
     columns = list(zip(*instances))
     arrays = {key: np.array(columns[j]) for j, key in enumerate(("m", "kind", "s", "seed", "T"))}
     arrays["b"] = np.array(columns[7])
     for m, _, _, seed, _, M, A, _ in instances:
         arrays[f"M{m}"], arrays[f"A{m}_{seed}"] = M, A
-    runs = {label: [] for label in trees}
-    with tempfile.TemporaryDirectory() as tmp:
-        inputs_path = Path(tmp) / "inputs.npz"
-        np.savez(inputs_path, **arrays)
-        for _ in range(ROUNDS):
-            for label, src in trees.items():
-                child = subprocess.run(
-                    [sys.executable, __file__, "--measure", src, str(inputs_path)],
-                    capture_output=True,
-                    text=True,
-                    check=True,
-                )
-                runs[label].append(json.loads(child.stdout))
+    with treebench.saved(arrays) as inputs_path:
+        runs = treebench.rounds(__file__, trees, ROUNDS, "measure", inputs_path)
 
     first_label = next(iter(runs))
     first = runs[first_label][0]
@@ -214,34 +179,18 @@ def main():
         results[label] = {"totals": totals, "instances": table}
 
     doc = {
-        "script": "tools/bench_oracle.py",
         "function": "recover.l0_oracle",
         "rounds": ROUNDS,
         "rk4_steps": STEPS,
-        "blas_threads": 1,
-        "host": {
-            "machine": platform.machine(),
-            "cpus": os.cpu_count(),
-            "python": platform.python_version(),
-            "numpy": np.__version__,
-        },
         "columns": list(COLUMNS),
         "results": results,
     }
-    if {"parent", "change"} <= results.keys():
-        parent, change = results["parent"]["totals"], results["change"]["totals"]
-        doc["parent_over_change"] = {
-            key: parent[key] / change[key]
-            for key in ("wall_ms", "flow_jacobian_calls", "row_evaluations")
-        }
-    # indented JSON with each list of scalars, such as an instance row, on one line
-    text = re.sub(
-        r"\[\s+([^][{}]*?)\s+\]",
-        lambda match: "[" + " ".join(match.group(1).split()) + "]",
-        json.dumps(doc, indent=2),
+    keys = ("wall_ms", "flow_jacobian_calls", "row_evaluations")
+    treebench.parent_over_change(
+        doc, "parent_over_change", lambda r: {k: r["totals"][k] for k in keys}
     )
-    (ROOT / "BENCH_oracle.json").write_text(text + "\n")
+    treebench.write("oracle", doc)
 
 
 if __name__ == "__main__":
-    main()
+    treebench.main(__doc__, run, measure=measure)

@@ -1,15 +1,9 @@
 """Measure the RK4 step count each experiment trial integrates with: its cost
 and its accuracy.
 
-Usage, from the repository root:
-
-    python3 tools/bench_steps.py
-    python3 tools/bench_steps.py --tree parent=../parent/src --tree change=src
-
-Each --tree LABEL=SRC names a source tree whose sparseobs package runs the
-trials in child processes of its own, with one BLAS thread.  The trees take
-turns, ROUNDS rounds of one child per tree, and each child runs every trial of
-the two workloads once with its tree's default integration config:
+Run from the repository root as tools/treebench.py describes.  Each tree runs
+the trials in children of its own, ROUNDS rounds, and each child runs every
+trial of the two workloads once with its tree's default integration config:
 
 - demo: the 24 trials of configs/demo.json;
 - criterion_6: the 9 blocks of 67 trials of the criterion-6 acceptance test
@@ -26,26 +20,16 @@ per workload sum the wall times and row-steps and take the largest errors.
 Results go to BENCH_steps.json.
 """
 
-import os
+import treebench
 
 if __name__ == "__main__":
-    # one BLAS thread, fixed before numpy is first imported here or in a child
-    for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-        os.environ[_var] = "1"
+    treebench.one_blas_thread()
 
-import argparse
-import json
-import platform
-import re
 import statistics
-import subprocess
-import sys
 import time
-from pathlib import Path
 
 import numpy as np
 
-ROOT = Path(__file__).resolve().parent.parent
 ROUNDS = 3
 REFERENCE_STEPS = 4096
 # (master seed, eps) of the criterion-6 blocks, run for each system kind
@@ -61,7 +45,8 @@ def workloads():
     from sparseobs.model import DynamicalSystem
     from sparseobs.rip import operator_norm
 
-    blocks = [("demo", "demo", load_experiment_config(ROOT / "configs" / "demo.json"))]
+    demo = load_experiment_config(treebench.ROOT / "configs" / "demo.json")
+    blocks = [("demo", "demo", demo)]
     M = np.random.Generator(np.random.Philox(7)).normal(size=(12, 12))
     M = M / operator_norm(M)
     systems = (
@@ -84,10 +69,9 @@ def workloads():
     return blocks
 
 
-def measure(src):
-    """Run in a child: every trial of the tree at src, once; print one JSON
-    list of rows (COLUMNS, plus the planted support and values)."""
-    sys.path.insert(0, str(Path(src).resolve()))
+def measure():
+    """Run in a child: every trial of the child's tree, once; return the
+    rows (COLUMNS, plus the planted support and values)."""
     from sparseobs import harness, kernels
 
     row_steps = [0]
@@ -99,16 +83,15 @@ def measure(src):
 
         return run
 
-    plain = {name: getattr(kernels, name) for name in ("rk4_flow_jacobian", "rk4_path")}
     rows = []
     for workload, block, config in workloads():
         for trial in range(config.trials):
-            for name, kernel in plain.items():
-                setattr(kernels, name, counted(kernel))
             row_steps[0] = 0
-            harness.run_trial(config, trial)
-            for name, kernel in plain.items():
-                setattr(kernels, name, kernel)
+            with (
+                treebench.swapped(kernels, "rk4_flow_jacobian", counted),
+                treebench.swapped(kernels, "rk4_path", counted),
+            ):
+                harness.run_trial(config, trial)
             t0 = time.perf_counter()
             r = harness.run_trial(config, trial)
             wall_ms = (time.perf_counter() - t0) * 1e3
@@ -117,13 +100,12 @@ def measure(src):
                 [workload, block, trial, r.T, steps, row_steps[0], wall_ms, r.error_l2]
                 + [list(r.support), list(r.values)]
             )
-    print(json.dumps(rows))
+    return rows
 
 
 def flow_errors(trials, steps_by_tree):
     """The flow_error of each trial at each tree's step count, computed by
     this checkout's package."""
-    sys.path.insert(0, str(ROOT / "src"))
     from sparseobs.ode import IntegrationConfig, flow_with_jacobian
 
     systems = {block: config.system for _, block, config in workloads()}
@@ -141,28 +123,8 @@ def flow_errors(trials, steps_by_tree):
     return errors
 
 
-def main():
-    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    ap.add_argument("--tree", action="append", default=[], metavar="LABEL=SRC")
-    # internal: the child process of one tree
-    ap.add_argument("--measure", metavar="SRC", help=argparse.SUPPRESS)
-    args = ap.parse_args()
-    if args.measure:
-        measure(args.measure)
-        return
-    trees = dict(t.split("=", 1) for t in args.tree) or {"change": str(ROOT / "src")}
-
-    runs = {label: [] for label in trees}
-    for _ in range(ROUNDS):
-        for label, src in trees.items():
-            child = subprocess.run(
-                [sys.executable, __file__, "--measure", src],
-                capture_output=True,
-                text=True,
-                check=True,
-            )
-            runs[label].append(json.loads(child.stdout))
-
+def run(trees):
+    runs = treebench.rounds(__file__, trees, ROUNDS, "measure")
     first = next(iter(runs.values()))[0]
     trials = [(row[1], row[3], row[8], row[9]) for row in first]
     steps = {label: [row[4] for row in rounds[0]] for label, rounds in runs.items()}
@@ -192,44 +154,26 @@ def main():
         results[label] = {"totals": totals, "trials": table}
 
     doc = {
-        "script": "tools/bench_steps.py",
         "rounds": ROUNDS,
         "reference_steps": REFERENCE_STEPS,
-        "blas_threads": 1,
-        "host": {
-            "machine": platform.machine(),
-            "cpus": os.cpu_count(),
-            "python": platform.python_version(),
-            "numpy": np.__version__,
-        },
         "columns": list(COLUMNS) + ["flow_error"],
         "results": results,
     }
-    if {"parent", "change"} <= results.keys():
-        parent, change = results["parent"]["totals"], results["change"]["totals"]
-        doc["parent_over_change"] = {
-            workload: {
-                key: parent[workload][key] / change[workload][key]
-                for key in ("wall_ms", "row_steps")
-            }
-            for workload in parent
-        }
+
+    def cost(result):
+        return {w: {k: t[k] for k in ("wall_ms", "row_steps")} for w, t in result["totals"].items()}
+
+    if treebench.parent_over_change(doc, "parent_over_change", cost):
         doc["max_abs_error_l2_change"] = {
             workload: max(
                 abs(p[7] - c[7])
                 for p, c in zip(results["parent"]["trials"], results["change"]["trials"])
                 if p[0] == workload and p[7] is not None
             )
-            for workload in parent
+            for workload in doc["parent_over_change"]
         }
-    # indented JSON with each list of scalars, such as a trial row, on one line
-    text = re.sub(
-        r"\[\s+([^][{}]*?)\s+\]",
-        lambda match: "[" + " ".join(match.group(1).split()) + "]",
-        json.dumps(doc, indent=2),
-    )
-    (ROOT / "BENCH_steps.json").write_text(text + "\n")
+    treebench.write("steps", doc)
 
 
 if __name__ == "__main__":
-    main()
+    treebench.main(__doc__, run, measure=measure)
