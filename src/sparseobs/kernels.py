@@ -9,12 +9,15 @@ DynamicalSystem.kernel_args(), and _rk4_steps is the one RK4 step.  The flow Jac
 in Python over one state, or over many rows in lockstep for the combinatorial
 oracle, and builds the sensitivity from the stage slopes as a product of
 per-step increments, a block of steps at a time in batched matmuls (see
-rk4_flow_jacobian).  The support scan bounds the deviation of every support in
-a block with one batched matmul and solves the small eigenvalue problems, in a
-batch, only for the supports whose bound can still raise the running maximum
-(see max_deviation).  The lasso and basis-pursuit kernels run one ADMM
-iteration, _admm, and differ only in its x-update; both names stay because
-the pipeline benchmark (pipebench/) traces them.
+rk4_flow_jacobian).  The support scan screens in three tiers, each run only
+on the supports the one before could not rule out: a trace bound built from
+sums over pairs of columns, for a whole group of supports at once without
+gathering any of them (see rip_scan); beta_S, one batched matmul per block of
+gathered Gram submatrices; and eigvalsh, in a batch (see max_deviation).  A
+greedy seed starts the running maximum near its end.  The lasso and
+basis-pursuit kernels run one ADMM iteration, _admm, and differ only in its
+x-update; both names stay because the pipeline benchmark (pipebench/) traces
+them.
 
 All array arguments must be float64; matrices must be C-contiguous.
 """
@@ -31,9 +34,10 @@ RHS_AFFINE = 2
 RHS_TANH = 3
 
 # the blocked kernels bound their temporaries by this many floats: the support
-# scan gathers, bounds and eigensolves supports in blocks of at most this many
-# Gram entries, and the flow Jacobian takes blocks of steps whose four stage
-# Jacobians hold at most this many entries
+# scan bounds supports in groups whose arrays hold at most this many entries,
+# and gathers and eigensolves them in blocks of at most this many Gram
+# entries; the flow Jacobian takes blocks of steps whose four stage Jacobians
+# hold at most this many entries
 SCAN_BLOCK_FLOATS = 1 << 15
 
 
@@ -206,6 +210,12 @@ def _deviation(G, supports):
     return float(max(ev[:, -1].max() - 1.0, 1.0 - ev[:, 0].min()))
 
 
+def _margin(G, k):
+    """The rounding margin 4 k^3 eps max(1, max_i G_ii) of the spectral
+    screens on supports of size k (see max_deviation and rip_scan)."""
+    return 4.0 * k**3 * np.finfo(float).eps * max(1.0, float(G.diagonal().max()))
+
+
 def max_deviation(G, supports, delta):
     """max(delta, d_S) over the rows S of supports (count, k), where d_S is
     the largest deviation from 1 of any eigenvalue of the principal
@@ -225,8 +235,7 @@ def max_deviation(G, supports, delta):
     <= ||B||_F <= k g; 4 k^3 eps g covers both.
     """
     k = supports.shape[1]
-    g = max(1.0, float(G.diagonal().max()))
-    margin = 4.0 * k**3 * np.finfo(float).eps * g
+    margin = _margin(G, k)
     B = _gram_stack(G, supports)
     # subtract 1 from each diagonal, in place
     B.reshape(len(B), -1)[:, :: k + 1] -= 1.0
@@ -243,41 +252,207 @@ def max_deviation(G, supports, delta):
     return delta, 1 + int(rest.size)
 
 
-def _lex_blocks(m, k):
-    """Every k-subset of range(m) in lexicographic order, as index blocks of at
-    most SCAN_BLOCK_FLOATS / k^2 rows.  A subset is a head, enumerated by
-    itertools, followed by a tail copied from a table of all r-subsets in the
-    same order: the tails that follow a head ending at h are the table's rows
-    from the first whose leading entry exceeds h onwards."""
-    rows = max(1, SCAN_BLOCK_FLOATS // (k * k))
+def _subsets(m, r):
+    """Every r-subset of range(m), in lexicographic order, as the rows of an
+    array."""
+    combos = itertools.combinations(range(m), r)
+    return np.array(list(combos), dtype=np.intp).reshape(math.comb(m, r), r)
+
+
+def _scan_groups(m, k):
+    """Every k-subset of range(m) exactly once, as a head followed by a tail.
+
+    Returns (tails, groups).  tails is the table of every r-subset of
+    range(m), for the largest r <= k (at least 1) whose table holds at most
+    SCAN_BLOCK_FLOATS entries.  groups yields pairs (heads, lo): each row of
+    heads, a (k - r)-subset ending at some entry h shared by the whole array,
+    followed by each row of tails[lo:], the r-subsets whose entries all
+    exceed h, is a k-subset.  The heads ending at h come in chunks of at most
+    SCAN_BLOCK_FLOATS / (k max(m, len(tails) - lo)) rows (at least one), so
+    a chunk's row sums over range(m), any array over its heads and the
+    group's tails, and the k indices of every support it completes fit in
+    the block size.  When r = k the one group is the empty head followed by
+    the whole table.
+    """
     r = k
     while r > 1 and math.comb(m, r) * r > SCAN_BLOCK_FLOATS:
         r -= 1
-    tails = np.array(list(itertools.combinations(range(m), r)), dtype=np.intp)
-    after = np.searchsorted(tails[:, 0], np.arange(1, m + 1)) if r < k else None
-    block = np.empty((rows, k), dtype=np.intp)
-    fill = 0
-    for head in itertools.combinations(range(m - r), k - r):
-        lo = after[head[-1]] if head else 0
-        while lo < len(tails):
-            n = min(len(tails) - lo, rows - fill)
-            block[fill : fill + n, : k - r] = head
-            block[fill : fill + n, k - r :] = tails[lo : lo + n]
-            fill += n
-            lo += n
-            if fill == rows:
-                yield block
-                block = np.empty((rows, k), dtype=np.intp)
-                fill = 0
-    if fill:
-        yield block[:fill]
+    tails = _subsets(m, r)
+
+    def groups():
+        if r == k:
+            yield np.empty((1, 0), dtype=np.intp), 0
+            return
+        for h in range(k - r - 1, m - r):
+            # the last C(m - h - 1, r) rows are the r-subsets of range(h + 1, m)
+            lo = len(tails) - math.comb(m - h - 1, r)
+            stems = _subsets(h, k - r - 1)
+            heads = np.empty((len(stems), k - r), dtype=np.intp)
+            heads[:, :-1] = stems
+            heads[:, -1] = h
+            rows = max(1, SCAN_BLOCK_FLOATS // (k * max(m, len(tails) - lo)))
+            for i in range(0, len(heads), rows):
+                yield heads[i : i + rows], lo
+
+    return tails, groups()
+
+
+def _pair_sums(Q, d, sets):
+    """sum_{i, j in S} Q_ij and sum_{i in S} d_i for the rows S of sets."""
+    f = np.zeros(len(sets))
+    t = np.zeros(len(sets))
+    for a in sets.T:
+        t += d[a]
+        for b in sets.T:
+            f += Q[a, b]
+    return f, t
+
+
+def _cross_sums(Q, heads, tails):
+    """sum_{h in H, j in T} Q_hj for every row H of heads and T of tails: the
+    row sums of Q over each head, summed over each tail, so no support is
+    formed."""
+    q = np.zeros((len(heads), Q.shape[0]))
+    for a in heads.T:
+        q += Q[a]
+    out = np.zeros((len(heads), len(tails)))
+    for b in tails.T:
+        out += q[:, b]
+    return out
+
+
+def _pair_sum_bound(G, k, tails):
+    """The function (heads, lo) -> W, where W[i, j] bounds the deviation of
+    the support heads[i] followed by tails[lo + j] from above, for the heads
+    and tails of _scan_groups; see rip_scan for the bound and its rounding
+    allowance."""
+    m = G.shape[0]
+    g = max(1.0, float(G.diagonal().max()))
+    allowance = 4.0 * k * k * (k + 1) * np.finfo(float).eps * g * g
+    B = G - np.eye(m)
+    Q = B * B
+    d = B.diagonal().copy()
+    tail_f, tail_t = _pair_sums(Q, d, tails)
+
+    def bound(heads, lo):
+        head_f, head_t = _pair_sums(Q, d, heads)
+        F2 = _cross_sums(Q, heads, tails[lo:])
+        F2 *= 2.0
+        F2 += head_f[:, None]
+        F2 += tail_f[lo:]
+        mu = np.add.outer(head_t, tail_t[lo:])
+        mu /= k
+        # the radicand F^2 / k - mu^2, raised by its rounding allowance
+        F2 /= k
+        F2 -= mu * mu
+        F2 += allowance
+        F2 *= k - 1
+        W = np.sqrt(F2, out=F2)
+        W += np.abs(mu)
+        return W
+
+    return bound
+
+
+def _greedy_seed(G, k):
+    """A deviation some support of size k attains, to start rip_scan's
+    maximum near its end: the larger deviation of two supports grown a
+    column at a time, one to maximise lambda_max - 1 and one to maximise
+    1 - lambda_min of G[S, S] (the greedy search of Moghaddam, Weiss &
+    Avidan 2006, applied to G and to 2I - G)."""
+    m = G.shape[0]
+    delta = 0.0
+    for largest in (True, False):
+        support = np.empty(0, dtype=np.intp)
+        for _ in range(k):
+            rest = np.delete(np.arange(m), support)
+            grown = np.column_stack((np.broadcast_to(support, (len(rest), len(support))), rest))
+            ev = np.linalg.eigvalsh(_gram_stack(G, grown))
+            support = grown[np.argmax(ev[:, -1]) if largest else np.argmin(ev[:, 0])]
+        # sorted, so G[S, S] is the submatrix the scan builds for S
+        delta = max(delta, _deviation(G, np.array([sorted(support.tolist())])))
+    return delta
 
 
 def rip_scan(G, s):
-    """max_deviation over every support of size s, in lexicographic order,
-    and the number of supports eigensolved."""
-    delta, solved = 0.0, 0
-    for block in _lex_blocks(G.shape[0], s):
-        delta, n = max_deviation(G, block, delta)
-        solved += n
+    """max_deviation over every support of size s, and the number of
+    supports eigensolved (the seed's candidates are not counted).
+
+    A scan of at most one block (C(m, s) <= SCAN_BLOCK_FLOATS / s^2)
+    passes every support, in lexicographic order, to max_deviation.  A
+    longer scan starts from _greedy_seed and screens every support before
+    any of its Gram entries is gathered.  With B = G - I, k = s, t_S the
+    trace of B_S, mu = t_S / k and F_S^2 = sum_{i, j in S} B_ij^2 = ||B_S||_F^2,
+    every eigenvalue of B_S obeys
+
+        |lambda(B_S)| <= W_S = |mu| + sqrt((k - 1) (F_S^2 / k - mu^2))
+
+    (Wolkowicz & Styan 1980, Bounds for eigenvalues using traces).  Both
+    sums split over a _scan_groups head H and tail T: t_S = t_H + t_T and
+    F_S^2 = F_H^2 + F_T^2 + 2 sum_{h in H, j in T} B_hj^2, the last term a
+    sum over T of the row sums of B o B over H.  So a chunk of heads and the
+    tails of its group give W_S for every completion at once.  Only supports
+    with W_S >= delta - margin go on to max_deviation, whose beta_S screen
+    and eigvalsh follow.  The seed is a deviation some support attains, so
+    it cannot raise the maximum.
+
+    Rounding, with g = max(1, max_i G_ii), which bounds every |B_ij|:
+    - F_S^2 is a sum of k^2 nonnegative terms, each a rounded square within
+      about 2 eps of its exact value (B_ii = G_ii - 1 is rounded too).
+      However its partial sums are grouped (by head, by tail, through the
+      row sums), a sum of nonnegative terms is computed with a relative
+      error of at most about its number of terms times eps, so F_S^2 / k
+      is computed within about k^2 eps F_S^2 / k <= k^3 eps g^2.
+    - t_S, k terms of size at most g, is computed within about k^2 eps g,
+      so mu within about (k + 1) eps g and mu^2 within 2 (k + 1) eps g^2.
+    - The radicand F_S^2 / k - mu^2 is the variance of the eigenvalues of
+      B_S, and it cancels when they nearly agree: for A scaled by 1e-4 they
+      spread by about 1e-8 around -1, so the radicand is of the order of
+      its own rounding error, and a square root of the computed value
+      could fall below the exact one by far more than the margin.  With the
+      subtraction's own rounding (k eps g^2) its computed value lies within
+      (k^3 + 3k + 2) eps g^2 <= 2 k^2 (k + 1) eps g^2 of the exact one, so
+      it is raised by twice that, 4 k^2 (k + 1) eps g^2, before the square
+      root, which then bounds the exact root from above.
+    - What is left, the rounding of mu ((k + 1) eps g), of the product, root
+      and sum (about 3 eps W_S <= 3 (k + 1) eps g) and eigvalsh's error in
+      the deviation (about k^2 eps g, see max_deviation), comes to
+      (k + 2)^2 eps g <= 4 k^3 eps g for k >= 2: max_deviation's margin.
+      At k = 1 the computed W_S and deviation are the same rounded
+      |G_ii - 1|.
+    So a skip here implies what a skip by beta_S implies in max_deviation:
+    the support's computed eigvalsh deviation lies below delta, and
+    max_deviation, given the support, would have returned delta unchanged,
+    whether its beta_S skipped the support too or not.  The result therefore
+    equals the unscreened maximum bit for bit.
+    """
+    m = G.shape[0]
+    rows = max(1, SCAN_BLOCK_FLOATS // (s * s))
+    tails, groups = _scan_groups(m, s)
+    if math.comb(m, s) <= rows:
+        # one block: r = s, and the table of tails is every support
+        return max_deviation(G, tails, 0.0)
+    margin = _margin(G, s)
+    bound = _pair_sum_bound(G, s, tails)
+    delta, solved = _greedy_seed(G, s), 0
+    # the supports that pass the bound fill whole blocks, as in a scan of
+    # every support, so max_deviation's temporaries keep one size
+    block = np.empty((rows, s), dtype=np.intp)
+    fill = 0
+    for heads, lo in groups:
+        keep = np.flatnonzero(bound(heads, lo) >= delta - margin)
+        while len(keep):
+            n = min(len(keep), rows - fill)
+            h, t = np.divmod(keep[:n], len(tails) - lo)
+            block[fill : fill + n, : heads.shape[1]] = heads[h]
+            block[fill : fill + n, heads.shape[1] :] = tails[lo + t]
+            fill += n
+            keep = keep[n:]
+            if fill == rows:
+                delta, count = max_deviation(G, block, delta)
+                solved += count
+                fill = 0
+    if fill:
+        delta, count = max_deviation(G, block[:fill], delta)
+        solved += count
     return delta, solved

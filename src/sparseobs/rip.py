@@ -4,13 +4,21 @@ disjoint-support inner-product margin.
 
 The exact constant for sparsity s is the largest deviation from 1 of any
 eigenvalue of an s x s principal submatrix G_S of G = A^T A.  The scan over
-all C(m, s) supports runs in kernels.rip_scan, in blocks.  The deviation of S
-is max|lambda_i(G_S - I)|, which is at most beta_S = ||(G_S - I)^2||_F^(1/2),
-one small matmul per support.  A support whose beta_S lies below the running
-maximum by more than a rounding margin (a few k^3 eps max(1, max_i G_ii),
-see kernels.max_deviation) cannot raise it, so its eigenvalue problem is
-skipped; the constant equals the unscreened maximum bit for bit.  Reports
-count the supports covered and, separately, those eigensolved.
+all C(m, s) supports runs in kernels.rip_scan.  The deviation of S is
+max|lambda_i(B_S)| with B_S = G_S - I, and three tiers, each run only on the
+supports the one before could not rule out, find the largest:
+- a trace bound |mu| + sqrt((s - 1)(||B_S||_F^2 / s - mu^2)), mu = tr(B_S)/s,
+  whose two sums split over pairs of columns, so it is formed for a whole
+  group of supports at once without gathering any of them;
+- beta_S = ||B_S^2||_F^(1/2), one small matmul per gathered support;
+- eigvalsh.
+A support whose bound lies below the running maximum by more than a rounding
+margin (a few s^3 eps max(1, max_i G_ii), see kernels.rip_scan and
+kernels.max_deviation) cannot raise it and goes no further.  Before a scan of
+more than one block the maximum starts at the deviation of a greedily grown
+support.  A scan of one block starts at beta_S, as the sampled lower bound
+does.  The constant equals the unscreened maximum bit for bit.  Reports count
+the supports covered and, separately, those eigensolved.
 """
 
 from __future__ import annotations
@@ -41,7 +49,8 @@ DEFAULT_SUPPORT_BUDGET = 2_000_000
 class RipReport:
     """A restricted-isometry estimate: the sparsity level, the constant (or
     bound), how it was obtained, how many supports it covers, and how many of
-    those were eigensolved (the rest were ruled out by a spectral bound)."""
+    those were eigensolved (the rest were ruled out by a spectral bound; the
+    exact scan's greedy seed is not counted)."""
 
     sparsity: int
     delta: float

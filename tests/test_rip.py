@@ -140,19 +140,96 @@ def test_screen_eigensolves_few_supports_of_a_wide_scan():
     assert report.supports_solved < 0.01 * 134_596
 
 
+def _supports_and_bounds(G, s):
+    """Every support of size s as _scan_groups enumerates it, with its
+    computed pair-sum bound."""
+    tails, groups = kernels._scan_groups(G.shape[0], s)
+    bound = kernels._pair_sum_bound(G, s, tails)
+    for heads, lo in groups:
+        n = len(tails) - lo
+        supports = np.concatenate(
+            (np.repeat(heads, n, axis=0), np.tile(tails[lo:], (len(heads), 1))), axis=1
+        )
+        yield supports, bound(heads, lo).ravel()
+
+
+@pytest.mark.parametrize("block_floats", [kernels.SCAN_BLOCK_FLOATS, 2000])
+@pytest.mark.parametrize("case", sorted(SCREEN_CASES))
+def test_pair_sum_bound_is_at_least_every_deviation(monkeypatch, case, block_floats):
+    # at 2000 floats every case but the identity splits its supports into
+    # heads and tails
+    monkeypatch.setattr(kernels, "SCAN_BLOCK_FLOATS", block_floats)
+    build, s = SCREEN_CASES[case]
+    A = build()
+    G = np.ascontiguousarray(A.T @ A)
+    count = 0
+    for supports, bound in _supports_and_bounds(G, s):
+        ev = np.linalg.eigvalsh(G[supports[:, :, None], supports[:, None, :]])
+        deviation = np.maximum(ev[:, -1] - 1.0, 1.0 - ev[:, 0])
+        assert np.all(bound >= deviation)
+        count += len(supports)
+    assert count == math.comb(A.shape[1], s)
+
+
+def _seeded_gaussian(seed):
+    return lambda: gen_gaussian_matrix(64, 14, seed)
+
+
+# (matrix, s, block floats, whether the greedy seed is already the constant);
+# the block size makes C(14, 4) = 1001 supports span several groups
+MULTI_GROUP_CASES = {
+    "seed-is-delta": (_seeded_gaussian(53), 4, 400, True),
+    "seed-below-delta": (_seeded_gaussian(54), 4, 400, False),
+    "identity": (lambda: np.eye(10), 4, 400, True),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MULTI_GROUP_CASES))
+def test_multi_group_scan_equals_per_support_reference(monkeypatch, case):
+    build, s, block_floats, seed_is_delta = MULTI_GROUP_CASES[case]
+    monkeypatch.setattr(kernels, "SCAN_BLOCK_FLOATS", block_floats)
+    A = build()
+    G = np.ascontiguousarray(A.T @ A)
+    tails, groups = kernels._scan_groups(A.shape[1], s)
+    assert tails.shape[1] < s and len({lo for _, lo in groups}) > 1
+    report = rip_constant_exact(A, s)
+    assert report.delta == _per_support_delta(A, s)
+    assert (kernels._greedy_seed(G, s) == report.delta) == seed_is_delta
+    if case == "identity":
+        # every support ties at deviation 0, so the bound rules none out
+        assert report.supports_solved == report.supports_examined
+    else:
+        assert report.supports_solved < report.supports_examined
+
+
 @pytest.mark.parametrize(
     "m,k,block_floats",
-    [(9, 1, 1), (9, 4, 1), (9, 9, 1), (13, 5, 40), (24, 6, 6000)]
+    [(9, 1, 1), (9, 4, 1), (9, 9, 1), (13, 5, 40), (24, 6, 6000), (24, 6, 2000)]
     + [(m, k, kernels.SCAN_BLOCK_FLOATS) for m, k in ((9, 1), (9, 4), (9, 9), (24, 6))],
 )
-def test_scan_blocks_enumerate_supports_in_lexicographic_order(monkeypatch, m, k, block_floats):
+def test_scan_groups_enumerate_every_support_once(monkeypatch, m, k, block_floats):
     # the block size also bounds the tail table, down to one-entry tails
     monkeypatch.setattr(kernels, "SCAN_BLOCK_FLOATS", block_floats)
-    rows = max(1, block_floats // (k * k))
-    blocks = [b.copy() for b in kernels._lex_blocks(m, k)]
-    assert all(1 <= len(b) <= rows for b in blocks)
-    expected = np.array(list(itertools.combinations(range(m), k)), dtype=np.intp)
-    np.testing.assert_array_equal(np.concatenate(blocks), expected)
+    tails, groups = kernels._scan_groups(m, k)
+    r = tails.shape[1]
+    assert r == 1 or len(tails) * r <= block_floats
+    seen = []
+    chunks = {}
+    for heads, lo in groups:
+        assert heads.shape[1] == k - r
+        n = len(tails) - lo
+        assert len(heads) == 1 or len(heads) * k * max(m, n) <= block_floats
+        if k > r:
+            # one last head entry per group, and exactly the tails after it
+            last = heads[0, -1]
+            assert np.all(heads[:, -1] == last) and np.all(tails[lo:, 0] > last)
+            assert lo == 0 or tails[lo - 1, 0] <= last
+        chunks[lo] = chunks.get(lo, 0) + 1
+        seen += [tuple(h) + tuple(t) for h in heads.tolist() for t in tails[lo:].tolist()]
+    assert sorted(seen) == list(itertools.combinations(range(m), k))
+    if block_floats == 2000:
+        # a group's heads outgrow one chunk
+        assert max(chunks.values()) > 1
 
 
 def test_exact_constant_budget_refusal():

@@ -24,3 +24,15 @@ def test_tool_runs_help_and_loads_as_a_module(name):
     )
     assert run.returncode == 0 and run.stdout.startswith("usage:"), run.stderr
     assert tool_module(name).__doc__
+
+
+@pytest.mark.parametrize("parent,warns", [("../parent/src", False), ("../old/src", True)])
+def test_treebench_warns_when_tree_paths_differ_in_length(monkeypatch, capsys, parent, warns):
+    treebench = tool_module("treebench")
+    seen = []
+    monkeypatch.setattr(sys, "path", list(sys.path))
+    argv = ["bench", "--tree", f"parent={parent}", "--tree", "change=../change/src"]
+    monkeypatch.setattr(sys, "argv", argv)
+    treebench.main("A bench.", seen.append)
+    assert seen == [{"parent": parent, "change": "../change/src"}]
+    assert ("warning" in capsys.readouterr().err) == warns

@@ -1,0 +1,165 @@
+"""Time and count the exact restricted-isometry scan, rip.rip_constant_exact,
+on the certify_wide trial matrices and on one-block shapes.
+
+Run from the repository root as tools/treebench.py describes.  Each tree runs
+the scans in children of its own, ROUNDS rounds, and each child runs every
+scan once counted and REPEATS times timed.
+
+The matrices are the 12 trial matrices of the benchmark's certify_wide
+workload at seed 1, round 0 (512 x 24 Gaussian, delta_6, C(24, 6) = 134,596
+supports), and Gaussian matrices of the one-block shapes that demo_tanh and
+oracle_agreement scan: 512 x 12 at order 4 and 512 x 6 at orders 2 and 4,
+whose supports fit one block and go straight to kernels.max_deviation.  Per
+matrix and tree the file records the scan time (the fastest of the timed
+runs, median over the rounds), the constant, whether it is == the first
+tree's, the supports eigensolved, and the supports that reach
+kernels.max_deviation, that is, that no cheaper bound ruled out before any
+Gram entry was gathered (every support, where the tree has no such bound).
+Totals per tree sum the times and counts over each set.  Results go to
+BENCH_rip.json.
+"""
+
+import treebench
+
+if __name__ == "__main__":
+    treebench.one_blas_thread()
+
+import dataclasses
+import math
+import statistics
+import sys
+import time
+
+import numpy as np
+
+ROUNDS = 5
+REPEATS = 5
+WORKLOAD_SEED = 1
+# (rows, columns, order, matrix seeds) of the one-block scans
+ONE_BLOCK = ((512, 12, 4, (0, 1, 2)), (512, 6, 2, (0, 1, 2)), (512, 6, 4, (0, 1, 2)))
+COLUMNS = (
+    "set",
+    "matrix",
+    "m",
+    "order",
+    "supports",
+    "scan_ms",
+    "delta",
+    "delta_equal",
+    "supports_solved",
+    "supports_past_bound",
+)
+
+
+def build_inputs():
+    """(set, name, order, A) of every scan, built by this checkout's package;
+    the certify_wide matrices as pipebench's workload draws them."""
+    sys.path.insert(0, str(treebench.ROOT / "pipebench"))
+    import bench_workloads
+    from sparseobs import harness
+
+    workload = bench_workloads.CertifyWide(treebench.ROOT, WORKLOAD_SEED)
+    config = dataclasses.replace(
+        workload.config, seed=bench_workloads.derive_seed(WORKLOAD_SEED, 0)
+    )
+    order = min(2 * config.sparsity, config.m)
+    inputs = []
+    for trial in range(config.trials):
+        seed = harness._stream_seed(config.seed, trial, 0)
+        A = harness.gen_gaussian_matrix(config.n, config.m, seed, config.scale)
+        inputs.append(("certify_wide", f"seed {WORKLOAD_SEED} trial {trial}", order, A))
+    for n, m, k, seeds in ONE_BLOCK:
+        for seed in seeds:
+            A = harness.gen_gaussian_matrix(n, m, seed)
+            inputs.append(("one_block", f"{n}x{m} seed {seed}", k, A))
+    return inputs
+
+
+def measure(inputs_path):
+    """Run in a child: every scan of the child's tree, once counted and
+    REPEATS times timed; return one row per scan (delta, supports_solved,
+    supports_past_bound, scan_ms)."""
+    from sparseobs import kernels, rip
+
+    data = np.load(inputs_path)
+    counts = {}
+
+    def counted(max_deviation):
+        def call(G, supports, delta):
+            counts["past_bound"] += len(supports)
+            return max_deviation(G, supports, delta)
+
+        return call
+
+    rows = []
+    for i, k in enumerate(data["order"].tolist()):
+        A = data[f"A{i}"]
+        counts["past_bound"] = 0
+        with treebench.swapped(kernels, "max_deviation", counted):
+            report = rip.rip_constant_exact(A, k)
+        best = math.inf
+        for _ in range(REPEATS):
+            t0 = time.perf_counter()
+            rip.rip_constant_exact(A, k)
+            best = min(best, time.perf_counter() - t0)
+        rows.append([report.delta, report.supports_solved, counts["past_bound"], best * 1e3])
+    return rows
+
+
+def run(trees):
+    inputs = build_inputs()
+    arrays = {"order": np.array([k for _, _, k, _ in inputs])}
+    arrays.update((f"A{i}", A) for i, (*_, A) in enumerate(inputs))
+    with treebench.saved(arrays) as inputs_path:
+        runs = treebench.rounds(__file__, trees, ROUNDS, "measure", inputs_path)
+
+    first_label = next(iter(runs))
+    first = runs[first_label][0]
+    results = {}
+    for label, rounds in runs.items():
+        table = []
+        for i, (kind, name, k, A) in enumerate(inputs):
+            delta, solved, past_bound, _ = rounds[0][i]
+            scan_ms = statistics.median(r[i][3] for r in rounds)
+            equal = None if label == first_label else delta == first[i][0]
+            m = A.shape[1]
+            table.append(
+                [kind, name, m, k, math.comb(m, k), scan_ms, delta, equal, solved, past_bound]
+            )
+        totals = {}
+        for kind in ("certify_wide", "one_block"):
+            rows = [row for row in table if row[0] == kind]
+            totals[kind] = {
+                "scans": len(rows),
+                "scan_ms": sum(row[5] for row in rows),
+                "supports": sum(row[4] for row in rows),
+                "supports_solved": sum(row[8] for row in rows),
+                "supports_past_bound": sum(row[9] for row in rows),
+                "delta_equal": None if label == first_label else all(row[7] for row in rows),
+            }
+            t = totals[kind]
+            print(
+                f"{label:>8}  {kind:<12}  {t['scan_ms']:8.1f} ms  "
+                f"{t['supports_solved']:6d} solved  "
+                f"{t['supports_past_bound']:7d} of {t['supports']} past the bound  "
+                f"delta == {first_label}: {t['delta_equal']}"
+            )
+        results[label] = {"totals": totals, "scans": table}
+
+    doc = {
+        "function": "rip.rip_constant_exact",
+        "rounds": ROUNDS,
+        "repeats": REPEATS,
+        "columns": list(COLUMNS),
+        "results": results,
+    }
+    treebench.parent_over_change(
+        doc,
+        "parent_over_change",
+        lambda r: {kind: {"scan_ms": t["scan_ms"]} for kind, t in r["totals"].items()},
+    )
+    treebench.write("rip", doc)
+
+
+if __name__ == "__main__":
+    treebench.main(__doc__, run, measure=measure)

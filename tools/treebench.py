@@ -11,6 +11,12 @@ With trees labelled parent and change the file also records the ratios of
 the parent's figures over the change's.  The script runs with one BLAS
 thread, fixed before numpy is first imported, and so do its children.
 
+Times depend on the directory a checkout sits in: the same tree has run tens
+of percent slower from a directory of another name.  So compare checkouts
+that are siblings with names of equal length, as in the example above when
+it runs from a checkout named change beside one named parent.  The script
+warns on stderr when the trees' resolved src/ paths differ in length.
+
 A script whose trees cannot share one process (their sparseobs packages
 have the same name) measures each tree in child processes of its own: the
 trees take turns, round after round of one child per tree, and each child
@@ -59,7 +65,14 @@ def main(doc, run, **children):
         print(json.dumps(children[name](*rest)))
         return
     sys.path.insert(0, str(ROOT / "src"))
-    run(dict(t.split("=", 1) for t in args.tree) or {"change": str(ROOT / "src")})
+    trees = dict(t.split("=", 1) for t in args.tree) or {"change": str(ROOT / "src")}
+    if len({len(str(Path(src).resolve())) for src in trees.values()}) > 1:
+        print(
+            "warning: the trees' src/ paths differ in length, and times depend on the "
+            "checkout's directory; compare sibling checkouts with names of equal length",
+            file=sys.stderr,
+        )
+    run(trees)
 
 
 def rounds(script, trees, count, name, *args):
