@@ -9,9 +9,11 @@ DynamicalSystem.kernel_args(), and _rk4_steps is the one RK4 step.  The flow Jac
 in Python over one state, or over many rows in lockstep for the combinatorial
 oracle, and builds the sensitivity from the stage slopes as a product of
 per-step increments, a block of steps at a time in batched matmuls (see
-rk4_flow_jacobian).  The support scan screens in three tiers, each run only
-on the supports the one before could not rule out: a trace bound built from
-sums over pairs of columns, for a whole group of supports at once without
+rk4_flow_jacobian).  From an all-zero state the fields with f(0) = 0 are not
+marched at all.  The support scan screens in three tiers, each run only on
+the supports the one before could not rule out: a block test built from the
+eigenvalues of each support's head and tail blocks and the Frobenius norm of
+the block that couples them, for a whole group of supports at once without
 gathering any of them (see rip_scan); beta_S, one batched matmul per block of
 gathered Gram submatrices; and eigvalsh, in a batch (see max_deviation).  A
 greedy seed starts the running maximum near its end.  The lasso and
@@ -34,7 +36,7 @@ RHS_AFFINE = 2
 RHS_TANH = 3
 
 # the blocked kernels bound their temporaries by this many floats: the support
-# scan bounds supports in groups whose arrays hold at most this many entries,
+# scan screens supports in groups whose arrays hold at most this many entries,
 # and gathers and eigensolves them in blocks of at most this many Gram
 # entries; the flow Jacobian takes blocks of steps whose four stage Jacobians
 # hold at most this many entries
@@ -66,7 +68,13 @@ def jacobian_scale(kind, F):
 
 def _rk4_steps(kind, MT, c, x, h, n_steps):
     """Classical RK4 from x with step h: for each step the four stage slopes
-    and the state after it."""
+    and the state after it.  From an all-zero x every field but the affine
+    one has f(0) = 0, so every slope and state stays exactly 0: those steps
+    are fresh zeros, without a call to rhs."""
+    if kind != RHS_AFFINE and not x.any():
+        for _ in range(n_steps):
+            yield tuple(np.zeros_like(x) for _ in range(5))
+        return
     for _ in range(n_steps):
         k1 = rhs(kind, MT, c, x)
         k2 = rhs(kind, MT, c, x + 0.5 * h * k1)
@@ -204,10 +212,17 @@ def _gram_stack(G, supports):
     return G.reshape(-1).take(supports[:, :, None] * G.shape[0] + supports[:, None, :])
 
 
+def _extremes(G, sets):
+    """lambda_max(G[S, S]) - 1 and 1 - lambda_min(G[S, S]) for the rows S of
+    sets."""
+    ev = np.linalg.eigvalsh(_gram_stack(G, sets))
+    return ev[:, -1] - 1.0, 1.0 - ev[:, 0]
+
+
 def _deviation(G, supports):
     """Largest deviation from 1 of any eigenvalue of the supports' submatrices."""
-    ev = np.linalg.eigvalsh(_gram_stack(G, supports))
-    return float(max(ev[:, -1].max() - 1.0, 1.0 - ev[:, 0].min()))
+    up, down = _extremes(G, supports)
+    return float(max(up.max(), down.max()))
 
 
 def _margin(G, k):
@@ -255,8 +270,9 @@ def max_deviation(G, supports, delta):
 def _subsets(m, r):
     """Every r-subset of range(m), in lexicographic order, as the rows of an
     array."""
-    combos = itertools.combinations(range(m), r)
-    return np.array(list(combos), dtype=np.intp).reshape(math.comb(m, r), r)
+    n = math.comb(m, r)
+    flat = itertools.chain.from_iterable(itertools.combinations(range(m), r))
+    return np.fromiter(flat, dtype=np.intp, count=n * r).reshape(n, r)
 
 
 def _scan_groups(m, k):
@@ -297,17 +313,6 @@ def _scan_groups(m, k):
     return tails, groups()
 
 
-def _pair_sums(Q, d, sets):
-    """sum_{i, j in S} Q_ij and sum_{i in S} d_i for the rows S of sets."""
-    f = np.zeros(len(sets))
-    t = np.zeros(len(sets))
-    for a in sets.T:
-        t += d[a]
-        for b in sets.T:
-            f += Q[a, b]
-    return f, t
-
-
 def _cross_sums(Q, heads, tails):
     """sum_{h in H, j in T} Q_hj for every row H of heads and T of tails: the
     row sums of Q over each head, summed over each tail, so no support is
@@ -321,37 +326,40 @@ def _cross_sums(Q, heads, tails):
     return out
 
 
-def _pair_sum_bound(G, k, tails):
-    """The function (heads, lo) -> W, where W[i, j] bounds the deviation of
-    the support heads[i] followed by tails[lo + j] from above, for the heads
-    and tails of _scan_groups; see rip_scan for the bound and its rounding
-    allowance."""
-    m = G.shape[0]
-    g = max(1.0, float(G.diagonal().max()))
-    allowance = 4.0 * k * k * (k + 1) * np.finfo(float).eps * g * g
-    B = G - np.eye(m)
-    Q = B * B
-    d = B.diagonal().copy()
-    tail_f, tail_t = _pair_sums(Q, d, tails)
+def _gap(t, a):
+    """(t - a)_+."""
+    return np.maximum(t - a, 0.0)
 
-    def bound(heads, lo):
-        head_f, head_t = _pair_sums(Q, d, heads)
-        F2 = _cross_sums(Q, heads, tails[lo:])
-        F2 *= 2.0
-        F2 += head_f[:, None]
-        F2 += tail_f[lo:]
-        mu = np.add.outer(head_t, tail_t[lo:])
-        mu /= k
-        # the radicand F^2 / k - mu^2, raised by its rounding allowance
-        F2 /= k
-        F2 -= mu * mu
-        F2 += allowance
-        F2 *= k - 1
-        W = np.sqrt(F2, out=F2)
-        W += np.abs(mu)
-        return W
 
-    return bound
+def _block_screen(G, s, tails):
+    """The function (heads, lo, delta) -> keep for the heads and tails of a
+    _scan_groups(m, s) that splits its supports: keep[i, j] is False only
+    when the block test of rip_scan, at t = delta - margin, shows that the
+    support heads[i] followed by tails[lo + j] has a computed eigvalsh
+    deviation below delta."""
+    m, r = G.shape[0], tails.shape[1]
+    margin = _margin(G, s)
+    Q = G * G
+    tail_up, tail_down = np.empty(len(tails)), np.empty(len(tails))
+    rows = max(1, SCAN_BLOCK_FLOATS // (r * r))
+    for i in range(0, len(tails), rows):
+        tail_up[i : i + rows], tail_down[i : i + rows] = _extremes(G, tails[i : i + rows])
+    # the row of an r-subset c_0 < ... < c_{r-1} in the lexicographic table
+    # of tails is C(m, r) - 1 - sum_i C(m - 1 - c_i, r - i)
+    comb = np.array([[math.comb(n, r - i) for i in range(r)] for n in range(m)])
+
+    def keep(heads, lo, delta):
+        t = delta - margin
+        if heads.shape[1] == r:
+            row = len(tails) - 1 - comb[m - 1 - heads, np.arange(r)].sum(axis=1)
+            head_up, head_down = tail_up[row], tail_down[row]
+        else:
+            head_up, head_down = _extremes(G, heads)
+        up = np.multiply.outer(_gap(t, head_up), _gap(t, tail_up[lo:]))
+        down = np.multiply.outer(_gap(t, head_down), _gap(t, tail_down[lo:]))
+        return np.minimum(up, down, out=up) <= _cross_sums(Q, heads, tails[lo:])
+
+    return keep
 
 
 def _greedy_seed(G, k):
@@ -380,51 +388,49 @@ def rip_scan(G, s):
 
     A scan of at most one block (C(m, s) <= SCAN_BLOCK_FLOATS / s^2)
     passes every support, in lexicographic order, to max_deviation.  A
-    longer scan starts from _greedy_seed and screens every support before
-    any of its Gram entries is gathered.  With B = G - I, k = s, t_S the
-    trace of B_S, mu = t_S / k and F_S^2 = sum_{i, j in S} B_ij^2 = ||B_S||_F^2,
-    every eigenvalue of B_S obeys
+    longer scan starts from _greedy_seed, a deviation some support attains,
+    so it cannot raise the maximum, and passes the supports to
+    max_deviation in whole blocks.  When _scan_groups splits every support S
+    into a head H of p entries and a tail T of r, it first screens each
+    support without gathering it.  With B = G - I,
 
-        |lambda(B_S)| <= W_S = |mu| + sqrt((k - 1) (F_S^2 / k - mu^2))
+        B_S = [[B_H, C], [C^T, B_T]],   c^2 = sum_{h in H, j in T} G_hj^2,
 
-    (Wolkowicz & Styan 1980, Bounds for eigenvalues using traces).  Both
-    sums split over a _scan_groups head H and tail T: t_S = t_H + t_T and
-    F_S^2 = F_H^2 + F_T^2 + 2 sum_{h in H, j in T} B_hj^2, the last term a
-    sum over T of the row sums of B o B over H.  So a chunk of heads and the
-    tails of its group give W_S for every completion at once.  Only supports
-    with W_S >= delta - margin go on to max_deviation, whose beta_S screen
-    and eigvalsh follow.  The seed is a deviation some support attains, so
-    it cannot raise the maximum.
+    c^2 = ||C||_F^2 >= ||C||_2^2, and for a unit v = (x, y)
 
-    Rounding, with g = max(1, max_i G_ii), which bounds every |B_ij|:
-    - F_S^2 is a sum of k^2 nonnegative terms, each a rounded square within
-      about 2 eps of its exact value (B_ii = G_ii - 1 is rounded too).
-      However its partial sums are grouped (by head, by tail, through the
-      row sums), a sum of nonnegative terms is computed with a relative
-      error of at most about its number of terms times eps, so F_S^2 / k
-      is computed within about k^2 eps F_S^2 / k <= k^3 eps g^2.
-    - t_S, k terms of size at most g, is computed within about k^2 eps g,
-      so mu within about (k + 1) eps g and mu^2 within 2 (k + 1) eps g^2.
-    - The radicand F_S^2 / k - mu^2 is the variance of the eigenvalues of
-      B_S, and it cancels when they nearly agree: for A scaled by 1e-4 they
-      spread by about 1e-8 around -1, so the radicand is of the order of
-      its own rounding error, and a square root of the computed value
-      could fall below the exact one by far more than the margin.  With the
-      subtraction's own rounding (k eps g^2) its computed value lies within
-      (k^3 + 3k + 2) eps g^2 <= 2 k^2 (k + 1) eps g^2 of the exact one, so
-      it is raised by twice that, 4 k^2 (k + 1) eps g^2, before the square
-      root, which then bounds the exact root from above.
-    - What is left, the rounding of mu ((k + 1) eps g), of the product, root
-      and sum (about 3 eps W_S <= 3 (k + 1) eps g) and eigvalsh's error in
-      the deviation (about k^2 eps g, see max_deviation), comes to
-      (k + 2)^2 eps g <= 4 k^3 eps g for k >= 2: max_deviation's margin.
-      At k = 1 the computed W_S and deviation are the same rounded
-      |G_ii - 1|.
-    So a skip here implies what a skip by beta_S implies in max_deviation:
-    the support's computed eigvalsh deviation lies below delta, and
-    max_deviation, given the support, would have returned delta unchanged,
-    whether its beta_S skipped the support too or not.  The result therefore
-    equals the unscreened maximum bit for bit.
+        v^T B_S v <= a |x|^2 + 2 c |x| |y| + b |y|^2 <= lambda_max(N),
+
+    N = [[a, c], [c, b]], with a = lambda_max(B_H) and b = lambda_max(B_T):
+    the norm-matrix argument of block Gershgorin theorems (Feingold & Varga
+    1962).  With a = -lambda_min(B_H) and b = -lambda_min(B_T) it bounds
+    -lambda_min(B_S).  lambda_max(N) >= t exactly when (t - a)_+ (t - b)_+
+    <= c^2, so each side costs one outer product of a head vector and a tail
+    vector, and no square root.  The block eigenvalues of the tails are
+    solved once per scan; heads look theirs up among them when p = r, and
+    are solved per chunk otherwise.  Only supports for which one side passes
+    at t = delta - margin go on to max_deviation (beta_S, then eigvalsh).
+    When r = s there is no head, and every support goes on.
+
+    Rounding, with g = max(1, max_i G_ii), which bounds every |G_ij|:
+    - The block eigenvalues are exact for a perturbation of G_H of norm
+      about p eps ||G_H|| <= p^2 eps g, so with the subtraction of 1 each
+      computed a and b lies within about s^2 eps g of its exact value.
+    - c^2 is a sum of p r nonnegative rounded squares, so it is computed
+      within a relative p r eps however its row sums group it, and the two
+      differences and the product of the test add 3 eps / 2.  A skip
+      therefore means lambda_max(N) < t for the computed a and b and a c
+      reduced by a relative (p r + 2) eps / 2, which moves lambda_max(N) by
+      at most sqrt(p r) g (p r + 2) eps / 2 <= (s^3 / 16 + s / 2) eps g, as
+      p + r = s and c^2 <= p r g^2.
+    - t is rounded by at most eps |t| <= s eps g, and eigvalsh's error in
+      the deviation is about s^2 eps g (see max_deviation).
+    These come to (s^3 / 16 + 2 s^2 + 3 s / 2) eps g <= 4 s^3 eps g for s >= 2
+    (a split needs s >= 2): max_deviation's margin covers them, with no
+    allowance of its own.  So a skip here implies what a skip by beta_S
+    implies in max_deviation: the support's computed eigvalsh deviation lies
+    below delta, and max_deviation, given the support, would have returned
+    delta unchanged.  The result therefore equals the unscreened maximum bit
+    for bit.
     """
     m = G.shape[0]
     rows = max(1, SCAN_BLOCK_FLOATS // (s * s))
@@ -432,15 +438,17 @@ def rip_scan(G, s):
     if math.comb(m, s) <= rows:
         # one block: r = s, and the table of tails is every support
         return max_deviation(G, tails, 0.0)
-    margin = _margin(G, s)
-    bound = _pair_sum_bound(G, s, tails)
+    screen = _block_screen(G, s, tails) if tails.shape[1] < s else None
     delta, solved = _greedy_seed(G, s), 0
-    # the supports that pass the bound fill whole blocks, as in a scan of
+    # the supports that pass the screen fill whole blocks, as in a scan of
     # every support, so max_deviation's temporaries keep one size
     block = np.empty((rows, s), dtype=np.intp)
     fill = 0
     for heads, lo in groups:
-        keep = np.flatnonzero(bound(heads, lo) >= delta - margin)
+        if screen is None:
+            keep = np.arange(len(tails))
+        else:
+            keep = np.flatnonzero(screen(heads, lo, delta))
         while len(keep):
             n = min(len(keep), rows - fill)
             h, t = np.divmod(keep[:n], len(tails) - lo)

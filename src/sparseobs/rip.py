@@ -7,18 +7,24 @@ eigenvalue of an s x s principal submatrix G_S of G = A^T A.  The scan over
 all C(m, s) supports runs in kernels.rip_scan.  The deviation of S is
 max|lambda_i(B_S)| with B_S = G_S - I, and three tiers, each run only on the
 supports the one before could not rule out, find the largest:
-- a trace bound |mu| + sqrt((s - 1)(||B_S||_F^2 / s - mu^2)), mu = tr(B_S)/s,
-  whose two sums split over pairs of columns, so it is formed for a whole
-  group of supports at once without gathering any of them;
+- a block test: the scan splits S into a head H and a tail T, and
+  lambda_max(B_S) is at most lambda_max([[a, c], [c, b]]), with a and b the
+  largest eigenvalues of B_H and B_T and c the Frobenius norm of the block
+  that couples them (likewise for -lambda_min(B_S)).  The tails' block
+  eigenvalues are solved once per scan, and c^2 is a sum over pairs of
+  columns, so the test runs for a whole group of supports at once without
+  gathering any of them;
 - beta_S = ||B_S^2||_F^(1/2), one small matmul per gathered support;
 - eigvalsh.
 A support whose bound lies below the running maximum by more than a rounding
 margin (a few s^3 eps max(1, max_i G_ii), see kernels.rip_scan and
-kernels.max_deviation) cannot raise it and goes no further.  Before a scan of
-more than one block the maximum starts at the deviation of a greedily grown
-support.  A scan of one block starts at beta_S, as the sampled lower bound
-does.  The constant equals the unscreened maximum bit for bit.  Reports count
-the supports covered and, separately, those eigensolved.
+kernels.max_deviation) cannot raise it and goes no further.  Before a scan
+of more than one block the maximum starts at the deviation of a greedily
+grown support; where the scan's table of tails is every support, so there
+is no head, every support is gathered.  A scan of one block starts at
+beta_S, as the sampled lower bound does.  The constant equals the
+unscreened maximum bit for bit.  Reports count the supports covered and,
+separately, those eigensolved.
 """
 
 from __future__ import annotations

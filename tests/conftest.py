@@ -6,6 +6,7 @@ inside the timed region.
 """
 
 import importlib.util
+import itertools
 import sys
 from pathlib import Path
 
@@ -51,6 +52,24 @@ def catalog_systems(dim, seed):
         DynamicalSystem.affine(M.tolist(), drift.tolist()),
         DynamicalSystem.tanh_saturated(M.tolist()),
     ]
+
+
+def support_deviations(G, supports):
+    """The largest deviation from 1 of any eigenvalue of G[S, S], for each
+    row S of supports, each submatrix eigensolved on its own."""
+    ev = np.linalg.eigvalsh(G[supports[:, :, None], supports[:, None, :]])
+    return np.maximum(ev[:, -1] - 1.0, 1.0 - ev[:, 0])
+
+
+def per_support_delta(A, s):
+    """The unscreened constant: the largest deviation over every support of
+    size s, a batch of supports at a time."""
+    G = A.T @ A
+    supports = itertools.combinations(range(A.shape[1]), s)
+    delta = 0.0
+    while batch := list(itertools.islice(supports, 4096)):
+        delta = max(delta, float(support_deviations(G, np.array(batch)).max()))
+    return delta
 
 
 def normalized_columns(A):

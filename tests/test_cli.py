@@ -4,6 +4,9 @@ import numpy as np
 import pytest
 
 from sparseobs.cli import load_matrix, main
+from sparseobs.harness import _stream_seed, gen_gaussian_matrix
+
+from conftest import per_support_delta
 
 
 def _write_json(path, doc):
@@ -237,6 +240,34 @@ def test_experiment_workers_flag_is_inert_on_output(tmp_path, capsys):
         assert main(argv + ["--out", str(out2), "--workers", "2"]) == 0
         capsys.readouterr()
         assert out1.read_bytes() == out2.read_bytes()
+
+
+@pytest.mark.parametrize(
+    "dim,s",
+    [
+        (24, 3),  # C(24, 6) supports: the scan splits them into heads and tails
+        (20, 2),  # C(20, 4) supports: several blocks, every support with an empty head
+    ],
+)
+def test_experiment_multi_block_scans_are_inert_to_workers_and_exact(tmp_path, capsys, dim, s):
+    config = _experiment_config(
+        tmp_path,
+        system={"dim": dim, "rhs": {"kind": "zero"}},
+        matrix={"n": 512, "m": dim},
+        sparsity=s,
+    )
+    for fmt in ("csv", "json"):
+        out1, out2 = tmp_path / f"w1.{fmt}", tmp_path / f"w2.{fmt}"
+        argv = ["experiment", "--config", config, "--format", fmt]
+        assert main(argv + ["--out", str(out1)]) == 0
+        assert main(argv + ["--out", str(out2), "--workers", "2"]) == 0
+        capsys.readouterr()
+        assert out1.read_bytes() == out2.read_bytes()
+    records = json.loads(out1.read_text())
+    assert len(records) == 3
+    for record in records:
+        A = gen_gaussian_matrix(512, dim, _stream_seed(99, record["trial"], 0))
+        assert record["delta_2s"] == per_support_delta(A, 2 * s)
 
 
 def test_experiment_timings_flag(tmp_path, capsys):

@@ -277,6 +277,40 @@ def test_flow_state_is_bit_identical_to_integration(n_steps):
         assert np.array_equal(xT, integrate(system, x0, 0.8, cfg).final_state)
 
 
+def _marched_steps(kind, MT, c, x, h, n_steps):
+    """The RK4 march stage by stage through kernels.rhs, from any state."""
+    for _ in range(n_steps):
+        k1 = kernels.rhs(kind, MT, c, x)
+        k2 = kernels.rhs(kind, MT, c, x + 0.5 * h * k1)
+        k3 = kernels.rhs(kind, MT, c, x + 0.5 * h * k2)
+        k4 = kernels.rhs(kind, MT, c, x + h * k3)
+        x = x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        yield k1, k2, k3, k4, x
+
+
+@pytest.mark.parametrize("shape", [(6,), (3, 6)])
+def test_zero_state_flows_skip_the_march_and_equal_it(monkeypatch, shape):
+    zero = np.zeros(shape)
+    calls = []
+    rhs = kernels.rhs
+    monkeypatch.setattr(kernels, "rhs", lambda *args: calls.append(1) or rhs(*args))
+    for system in catalog_systems(6, 908):
+        kind, M, c = system.kernel_args()
+        calls.clear()
+        path = kernels.rk4_path(kind, M, c, zero, 0.8, 16)
+        xT, P = kernels.rk4_flow_jacobian(kind, M, c, zero, 0.8, 16)
+        if system.kind == "affine":
+            # the drift moves the zero state, so it is marched
+            assert len(calls) == 2 * 4 * 16 and np.abs(xT).max() > 0.0
+        else:
+            assert not calls and not path.any() and not xT.any()
+        with monkeypatch.context() as patch:
+            patch.setattr(kernels, "_rk4_steps", _marched_steps)
+            assert np.array_equal(kernels.rk4_path(kind, M, c, zero, 0.8, 16), path)
+            xT_ref, P_ref = kernels.rk4_flow_jacobian(kind, M, c, zero, 0.8, 16)
+        assert np.array_equal(xT_ref, xT) and np.array_equal(P_ref, P)
+
+
 def _reference_sensitivity():
     """tools/bench_flow_jacobian.py's long-double RK4 variational recursion,
     the reference its recorded errors are measured against."""

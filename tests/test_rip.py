@@ -17,7 +17,7 @@ from sparseobs.rip import (
     rip_constant_exact,
 )
 
-from conftest import gaussian_unit_columns, normalized_columns
+from conftest import gaussian_unit_columns, normalized_columns, per_support_delta, support_deviations
 
 
 # --- operator norm -----------------------------------------------------------
@@ -89,23 +89,26 @@ def test_exact_constant_matches_per_support_reference_across_scan_chunks():
     assert int(np.argmax(deviations)) == 4844
 
 
-def _per_support_delta(A, s):
-    """The unscreened constant: every support eigensolved on its own."""
-    G = A.T @ A
-    delta = 0.0
-    for support in itertools.combinations(range(A.shape[1]), s):
-        ev = np.linalg.eigvalsh(G[np.ix_(support, support)])
-        delta = max(delta, ev[-1] - 1.0, 1.0 - ev[0])
-    return float(delta)
-
-
 def _duplicated_column():
     A = gen_gaussian_matrix(128, 16, 50)
     A[:, 9] = A[:, 2]
     return A
 
 
+def _coupled_pair():
+    # orthonormal columns but for G[0, 15] = 0.3: the deviation of a support
+    # holding both, computed by eigvalsh as 1.3 - 1, exceeds 0.3 by an ulp,
+    # and for such a support the block test is tight
+    A = np.eye(16)
+    A[0, 15] = 0.3
+    A[15, 15] = math.sqrt(1.0 - 0.3**2)
+    return A
+
+
 SCREEN_CASES = {
+    # the certify_wide shape, split into 3 + 3 at the default block size
+    "certify-wide": (lambda: gen_gaussian_matrix(512, 24, 1), 6),
+    "coupled-pair": (_coupled_pair, 4),
     "gaussian": (lambda: gen_gaussian_matrix(128, 16, 50), 5),
     "identity": (lambda: np.eye(12), 4),
     "scaled-down": (lambda: 1e-4 * gen_gaussian_matrix(128, 16, 50), 5),
@@ -121,7 +124,7 @@ def test_screened_constant_equals_per_support_reference(case):
     build, s = SCREEN_CASES[case]
     A = build()
     report = rip_constant_exact(A, s)
-    assert report.delta == _per_support_delta(A, s)
+    assert report.delta == per_support_delta(A, s)
     assert 1 <= report.supports_solved <= report.supports_examined == math.comb(A.shape[1], s)
     if case == "gaussian":
         # 4368 supports: the screen runs over several blocks
@@ -140,35 +143,40 @@ def test_screen_eigensolves_few_supports_of_a_wide_scan():
     assert report.supports_solved < 0.01 * 134_596
 
 
-def _supports_and_bounds(G, s):
-    """Every support of size s as _scan_groups enumerates it, with its
-    computed pair-sum bound."""
+@pytest.mark.parametrize("block_floats", [kernels.SCAN_BLOCK_FLOATS, 2000])
+@pytest.mark.parametrize("case", sorted(SCREEN_CASES))
+def test_block_screen_keeps_every_support_that_reaches_delta(monkeypatch, case, block_floats):
+    # certify-wide splits its supports into heads and tails at the default
+    # block size, and every case but the identity does at 2000 floats; the
+    # thresholds are computed deviations, so supports tie with them exactly
+    monkeypatch.setattr(kernels, "SCAN_BLOCK_FLOATS", block_floats)
+    build, s = SCREEN_CASES[case]
+    A = build()
+    G = np.ascontiguousarray(A.T @ A)
     tails, groups = kernels._scan_groups(G.shape[0], s)
-    bound = kernels._pair_sum_bound(G, s, tails)
+    if tails.shape[1] == s:
+        # no heads: rip_scan gathers every support, and nothing is screened
+        return
+    screen = kernels._block_screen(G, s, tails)
+    chunks = []
     for heads, lo in groups:
         n = len(tails) - lo
         supports = np.concatenate(
             (np.repeat(heads, n, axis=0), np.tile(tails[lo:], (len(heads), 1))), axis=1
         )
-        yield supports, bound(heads, lo).ravel()
-
-
-@pytest.mark.parametrize("block_floats", [kernels.SCAN_BLOCK_FLOATS, 2000])
-@pytest.mark.parametrize("case", sorted(SCREEN_CASES))
-def test_pair_sum_bound_is_at_least_every_deviation(monkeypatch, case, block_floats):
-    # at 2000 floats every case but the identity splits its supports into
-    # heads and tails
-    monkeypatch.setattr(kernels, "SCAN_BLOCK_FLOATS", block_floats)
-    build, s = SCREEN_CASES[case]
-    A = build()
-    G = np.ascontiguousarray(A.T @ A)
-    count = 0
-    for supports, bound in _supports_and_bounds(G, s):
-        ev = np.linalg.eigvalsh(G[supports[:, :, None], supports[:, None, :]])
-        deviation = np.maximum(ev[:, -1] - 1.0, 1.0 - ev[:, 0])
-        assert np.all(bound >= deviation)
-        count += len(supports)
-    assert count == math.comb(A.shape[1], s)
+        chunks.append((heads, lo, support_deviations(G, supports)))
+    deviations = np.concatenate([d for *_, d in chunks])
+    assert len(deviations) == math.comb(A.shape[1], s)
+    for q in (0.0, 0.5, 0.9, 0.99, 1.0):
+        delta = np.quantile(deviations, q, method="lower")
+        kept = 0
+        for heads, lo, deviation in chunks:
+            keep = screen(heads, lo, delta).ravel()
+            assert np.all(keep[deviation >= delta])
+            kept += int(keep.sum())
+        if q == 1.0 and case != "identity":
+            # the screen rules supports out at the constant itself
+            assert kept < len(deviations)
 
 
 def _seeded_gaussian(seed):
@@ -193,10 +201,10 @@ def test_multi_group_scan_equals_per_support_reference(monkeypatch, case):
     tails, groups = kernels._scan_groups(A.shape[1], s)
     assert tails.shape[1] < s and len({lo for _, lo in groups}) > 1
     report = rip_constant_exact(A, s)
-    assert report.delta == _per_support_delta(A, s)
+    assert report.delta == per_support_delta(A, s)
     assert (kernels._greedy_seed(G, s) == report.delta) == seed_is_delta
     if case == "identity":
-        # every support ties at deviation 0, so the bound rules none out
+        # every support ties at deviation 0, so the screen rules none out
         assert report.supports_solved == report.supports_examined
     else:
         assert report.supports_solved < report.supports_examined

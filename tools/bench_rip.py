@@ -12,10 +12,12 @@ oracle_agreement scan: 512 x 12 at order 4 and 512 x 6 at orders 2 and 4,
 whose supports fit one block and go straight to kernels.max_deviation.  Per
 matrix and tree the file records the scan time (the fastest of the timed
 runs, median over the rounds), the constant, whether it is == the first
-tree's, the supports eigensolved, and the supports that reach
-kernels.max_deviation, that is, that no cheaper bound ruled out before any
-Gram entry was gathered (every support, where the tree has no such bound).
-Totals per tree sum the times and counts over each set.  Results go to
+tree's, the value of the greedy seed kernels._greedy_seed, from which a scan
+of more than one block starts, the supports eigensolved, and the supports
+that reach kernels.max_deviation, that is, that no cheaper bound ruled out
+before any Gram entry was gathered (every support, where the tree has no
+such bound).  Totals per tree sum the times and counts over each set, and
+count the scans whose seed lies below the constant.  Results go to
 BENCH_rip.json.
 """
 
@@ -46,6 +48,7 @@ COLUMNS = (
     "scan_ms",
     "delta",
     "delta_equal",
+    "seed",
     "supports_solved",
     "supports_past_bound",
 )
@@ -77,8 +80,8 @@ def build_inputs():
 
 def measure(inputs_path):
     """Run in a child: every scan of the child's tree, once counted and
-    REPEATS times timed; return one row per scan (delta, supports_solved,
-    supports_past_bound, scan_ms)."""
+    REPEATS times timed; return one row per scan (delta, seed,
+    supports_solved, supports_past_bound, scan_ms)."""
     from sparseobs import kernels, rip
 
     data = np.load(inputs_path)
@@ -102,7 +105,8 @@ def measure(inputs_path):
             t0 = time.perf_counter()
             rip.rip_constant_exact(A, k)
             best = min(best, time.perf_counter() - t0)
-        rows.append([report.delta, report.supports_solved, counts["past_bound"], best * 1e3])
+        seed = kernels._greedy_seed(np.ascontiguousarray(A.T @ A), k)
+        rows.append([report.delta, seed, report.supports_solved, counts["past_bound"], best * 1e3])
     return rows
 
 
@@ -119,12 +123,12 @@ def run(trees):
     for label, rounds in runs.items():
         table = []
         for i, (kind, name, k, A) in enumerate(inputs):
-            delta, solved, past_bound, _ = rounds[0][i]
-            scan_ms = statistics.median(r[i][3] for r in rounds)
+            delta, seed, solved, past_bound, _ = rounds[0][i]
+            scan_ms = statistics.median(r[i][4] for r in rounds)
             equal = None if label == first_label else delta == first[i][0]
             m = A.shape[1]
             table.append(
-                [kind, name, m, k, math.comb(m, k), scan_ms, delta, equal, solved, past_bound]
+                [kind, name, m, k, math.comb(m, k), scan_ms, delta, equal, seed, solved, past_bound]
             )
         totals = {}
         for kind in ("certify_wide", "one_block"):
@@ -133,13 +137,15 @@ def run(trees):
                 "scans": len(rows),
                 "scan_ms": sum(row[5] for row in rows),
                 "supports": sum(row[4] for row in rows),
-                "supports_solved": sum(row[8] for row in rows),
-                "supports_past_bound": sum(row[9] for row in rows),
+                "seed_below_delta": sum(row[8] < row[6] for row in rows),
+                "supports_solved": sum(row[9] for row in rows),
+                "supports_past_bound": sum(row[10] for row in rows),
                 "delta_equal": None if label == first_label else all(row[7] for row in rows),
             }
             t = totals[kind]
             print(
                 f"{label:>8}  {kind:<12}  {t['scan_ms']:8.1f} ms  "
+                f"seed below delta on {t['seed_below_delta']} of {t['scans']}  "
                 f"{t['supports_solved']:6d} solved  "
                 f"{t['supports_past_bound']:7d} of {t['supports']} past the bound  "
                 f"delta == {first_label}: {t['delta_equal']}"
