@@ -179,6 +179,37 @@ def test_block_screen_keeps_every_support_that_reaches_delta(monkeypatch, case, 
             assert kept < len(deviations)
 
 
+@pytest.mark.parametrize("block_floats", [kernels.SCAN_BLOCK_FLOATS, 2000])
+@pytest.mark.parametrize("case", sorted(SCREEN_CASES))
+def test_pair_sum_bound_is_at_least_every_deviation(monkeypatch, case, block_floats):
+    # the bound of rip_scan's block test, lambda_max([[a, c], [c, b]]) for
+    # both sides, with c^2 the sum of G_hj^2 over the head/tail pairs; a
+    # support is split as _scan_groups splits it, or into halves when the
+    # scan leaves it whole (the bound holds for any split)
+    monkeypatch.setattr(kernels, "SCAN_BLOCK_FLOATS", block_floats)
+    build, s = SCREEN_CASES[case]
+    A = build()
+    G = np.ascontiguousarray(A.T @ A)
+    tails, groups = kernels._scan_groups(G.shape[0], s)
+    p = s - tails.shape[1] or s // 2
+    margin = kernels._margin(G, s)
+    count = 0
+    for heads, lo in groups:
+        n = len(tails) - lo
+        supports = np.concatenate(
+            (np.repeat(heads, n, axis=0), np.tile(tails[lo:], (len(heads), 1))), axis=1
+        )
+        H, T = supports[:, :p], supports[:, p:]
+        c2 = np.sum(G[H[:, :, None], T[:, None, :]] ** 2, axis=(1, 2))
+        bound = np.full(len(supports), -np.inf)
+        for a, b in zip(kernels._extremes(G, H), kernels._extremes(G, T)):
+            side = (a + b) / 2.0 + np.sqrt(((a - b) / 2.0) ** 2 + c2)
+            bound = np.maximum(bound, side)
+        assert np.all(bound + margin >= support_deviations(G, supports))
+        count += len(supports)
+    assert count == math.comb(A.shape[1], s)
+
+
 def _seeded_gaussian(seed):
     return lambda: gen_gaussian_matrix(64, 14, seed)
 
