@@ -5,21 +5,23 @@ behind exact restricted-isometry constants.
 Everything is plain numpy.  rhs is the one definition of the catalog's
 right-hand side f, and jacobian_scale gives its Jacobian as J(x) = diag(d) M
 from the slopes f(x); the integrators call them on
-DynamicalSystem.kernel_args(), and _rk4_steps is the one RK4 step.  The flow Jacobian loops
-in Python over one state, or over many rows in lockstep for the combinatorial
-oracle, and builds the sensitivity from the stage slopes as a product of
-per-step increments, a block of steps at a time in batched matmuls (see
-rk4_flow_jacobian).  From an all-zero state the fields with f(0) = 0 are not
-marched at all.  The support scan screens in three tiers, each run only on
-the supports the one before could not rule out: a block test built from the
-eigenvalues of each support's head and tail blocks and the Frobenius norm of
-the block that couples them, for a whole group of supports at once without
-gathering any of them (see rip_scan); beta_S, one batched matmul per block of
-gathered Gram submatrices; and eigvalsh, in a batch (see max_deviation).  A
-greedy seed starts the running maximum near its end.  The lasso and
-basis-pursuit kernels run one ADMM iteration, _admm, and differ only in its
-x-update; both names stay because the pipeline benchmark (pipebench/) traces
-them.
+DynamicalSystem.kernel_args(), and _rk4_steps is the one RK4 step.  The flow
+Jacobian loops in Python over one state, or over many rows in lockstep for the
+combinatorial oracle, and builds the sensitivity from the stage slopes as a
+product of per-step increments, a block of steps at a time in batched matmuls
+(see rk4_flow_jacobian).  From an all-zero state the fields with f(0) = 0 are
+not marched at all (see _at_rest): the path is zeros, and every step of the
+sensitivity has one increment, whose block products _chain_runs forms in
+O(log n) matmuls, bit for bit as _chain would.  The support scan screens in
+three tiers, each run only on the supports the one before could not rule out: a
+block test built from the eigenvalues of each support's head and tail blocks
+and the Frobenius norm of the block that couples them, for a whole group of
+supports at once without gathering any of them (see rip_scan); beta_S, one
+batched matmul per block of gathered Gram submatrices; and eigvalsh, in a
+batch (see max_deviation).  A greedy seed starts the running maximum near its
+end.  The lasso and basis-pursuit kernels run one ADMM iteration, _admm, and
+differ only in its x-update; both names stay because the pipeline benchmark
+(pipebench/) traces them.
 
 All array arguments must be float64; matrices must be C-contiguous.
 """
@@ -66,15 +68,15 @@ def jacobian_scale(kind, F):
     return np.full_like(F, 0.0 if kind == RHS_ZERO else 1.0)
 
 
+def _at_rest(kind, X):
+    """Whether X is all zeros under a field with f(0) = 0 (every kind but the
+    affine one): then every RK4 stage slope and state stays exactly 0."""
+    return kind != RHS_AFFINE and not X.any()
+
+
 def _rk4_steps(kind, MT, c, x, h, n_steps):
     """Classical RK4 from x with step h: for each step the four stage slopes
-    and the state after it.  From an all-zero x every field but the affine
-    one has f(0) = 0, so every slope and state stays exactly 0: those steps
-    are fresh zeros, without a call to rhs."""
-    if kind != RHS_AFFINE and not x.any():
-        for _ in range(n_steps):
-            yield tuple(np.zeros_like(x) for _ in range(5))
-        return
+    and the state after it."""
     for _ in range(n_steps):
         k1 = rhs(kind, MT, c, x)
         k2 = rhs(kind, MT, c, x + 0.5 * h * k1)
@@ -86,9 +88,11 @@ def _rk4_steps(kind, MT, c, x, h, n_steps):
 
 def rk4_path(kind, M, c, x0, T, n_steps):
     """States at the n_steps+1 uniform grid times over [0, T], row 0 = x0."""
-    MT = np.ascontiguousarray(M.T)
-    out = np.empty((n_steps + 1,) + x0.shape)
+    out = np.zeros((n_steps + 1,) + x0.shape)
     out[0] = x0
+    if _at_rest(kind, x0):
+        return out
+    MT = np.ascontiguousarray(M.T)
     for i, (*_, x) in enumerate(_rk4_steps(kind, MT, c, x0, T / n_steps, n_steps), 1):
         out[i] = x
     return out
@@ -128,6 +132,21 @@ def _chain(E):
     return E[0]
 
 
+def _chain_runs(E, q):
+    """_chain of q copies of E, bit for bit, in O(log q) matmuls: each level
+    of _chain's pairing is a run of equal entries followed by at most one
+    other, the tail."""
+    tail = None
+    while q + (tail is not None) > 1:
+        pair = E + E + np.matmul(E, E)
+        if tail is None:
+            tail = E if q % 2 else None
+        elif q % 2:
+            tail = tail + E + np.matmul(tail, E)
+        E, q = pair, q // 2
+    return E if q else tail
+
+
 def rk4_flow_jacobian(kind, M, c, X0, T, n_steps):
     """Final state and its sensitivity to the initial state under the RK4
     flow.  X0 is one state (m,), giving (m,) and (m, m), or rows (k, m),
@@ -139,8 +158,10 @@ def rk4_flow_jacobian(kind, M, c, X0, T, n_steps):
     state, with the same steps as rk4_path, and keeps the stage slopes of a
     block of c steps; each block's increments are then formed and multiplied
     in a few batched calls, and P <- P + E_tot P.  c = SCAN_BLOCK_FLOATS //
-    (4 m^2 k), at least 1, bounds the block's temporaries.  Zero rows give
-    empty results.
+    (4 m^2 k), at least 1, bounds the block's temporaries.  At rest (see
+    _at_rest) every step has the same increment E and every row the same
+    sensitivity, so one E is formed and each block's product is _chain_runs
+    of it, with the same blocks, bit for bit.  Zero rows give empty results.
     """
     m = X0.shape[-1]
     P = np.broadcast_to(np.eye(m), X0.shape + (m,)).copy()
@@ -148,6 +169,17 @@ def rk4_flow_jacobian(kind, M, c, X0, T, n_steps):
         return X0.copy(), P
     block = max(1, SCAN_BLOCK_FLOATS // (4 * m * m * (X0.size // m)))
     h = T / n_steps
+    if _at_rest(kind, X0):
+        E = _step_increments(kind, M, np.zeros((1, 4, m)), h)[0]
+        P = np.eye(m)
+        full, last = divmod(n_steps, block)
+        if full:
+            E_tot = _chain_runs(E, block)
+            for _ in range(full):
+                P = P + np.matmul(E_tot, P)
+        if last:
+            P = P + np.matmul(_chain_runs(E, last), P)
+        return np.zeros_like(X0), np.broadcast_to(P, X0.shape + (m,)).copy()
     steps = _rk4_steps(kind, np.ascontiguousarray(M.T), c, X0, h, n_steps)
     for _ in range(0, n_steps, block):
         slopes = []

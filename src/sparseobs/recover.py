@@ -119,7 +119,9 @@ def solve_weighted_bpdn(Phi, offset, observation, weights, eps, config=None):
     u = Phi^T (y - Phi z) / penalty, the lasso ADMM fixed point, so its
     first iteration passes the stopping test, which is the check that z is
     optimal, and its iterate is returned.  Raises InfeasibleError when even
-    least squares cannot reach eps.
+    least squares cannot reach eps, within the slack 1e-9 max(1, ||y||).  At
+    eps > 0 least squares is solved only when the path point misses
+    eps + slack: a point within the slack shows that eps is reachable.
     """
     cfg = config or SolverConfig()
     Phi = check_matrix(Phi, "Phi")
@@ -133,23 +135,13 @@ def solve_weighted_bpdn(Phi, offset, observation, weights, eps, config=None):
     if y_norm <= eps:
         return np.zeros(m)
 
+    feas_slack = 1e-9 * max(1.0, y_norm)
+    rho = cfg.penalty
     if eps == 0.0:
         # the pseudo-inverse gives x_ls and the kernel's projection at once
         Phi_pinv = np.ascontiguousarray(np.linalg.pinv(Phi))
         x_ls = Phi_pinv @ y
-    else:
-        x_ls, *_ = np.linalg.lstsq(Phi, y, rcond=None)
-    r_min = float(np.linalg.norm(y - Phi @ x_ls))
-    feas_slack = 1e-9 * max(1.0, y_norm)
-    if r_min > eps + feas_slack:
-        raise InfeasibleError(
-            f"no vector reaches residual {eps:.6g}; the least-squares "
-            f"residual is {r_min:.6g}",
-            min_residual=r_min,
-        )
-
-    rho = cfg.penalty
-    if eps == 0.0:
+        _check_reachable(Phi, y, x_ls, eps, feas_slack)
         thresh = weights / rho
         x, z, _, _ = kernels.admm_basis_pursuit(
             Phi,
@@ -167,12 +159,26 @@ def solve_weighted_bpdn(Phi, offset, observation, weights, eps, config=None):
     Phi_t_y = Phi.T @ y
     band = min(cfg.residual_match_tol, 1e-9 * max(1.0, y_norm))
     lam, z = _lasso_path_point(Phi, y, G, Phi_t_y, weights, eps + 0.5 * band)
+    if np.linalg.norm(y - Phi @ z) > eps + feas_slack:
+        _check_reachable(Phi, y, np.linalg.lstsq(Phi, y, rcond=None)[0], eps, feas_slack)
     # the lasso's fixed point at lam: x = z and rho * u = Phi^T r
     F_inv = np.ascontiguousarray(np.linalg.inv(G + rho * np.eye(m)))
     u = (Phi_t_y - G @ z) / rho
     return kernels.admm_lasso(
         F_inv, Phi_t_y, rho, lam * weights / rho, z, u, cfg.inner_max_iter, cfg.inner_tol
     )[0]
+
+
+def _check_reachable(Phi, y, x_ls, eps, slack):
+    """Raise InfeasibleError when the least-squares point x_ls misses the
+    residual eps by more than slack."""
+    r_min = float(np.linalg.norm(y - Phi @ x_ls))
+    if r_min > eps + slack:
+        raise InfeasibleError(
+            f"no vector reaches residual {eps:.6g}; the least-squares "
+            f"residual is {r_min:.6g}",
+            min_residual=r_min,
+        )
 
 
 def _lasso_path_point(Phi, y, G, c, w, target):

@@ -22,7 +22,7 @@ from sparseobs.ode import (
     settle_steps,
 )
 
-from conftest import catalog_systems, tool_module
+from conftest import catalog_systems, tool_module, unit_spectral_matrix
 
 _DEMO_CONFIG = Path(__file__).resolve().parents[1] / "configs" / "demo.json"
 
@@ -288,27 +288,88 @@ def _marched_steps(kind, MT, c, x, h, n_steps):
         yield k1, k2, k3, k4, x
 
 
+def _marched_path(kind, M, c, x0, T, n_steps):
+    """rk4_path by the stage-by-stage march, from any state."""
+    steps = _marched_steps(kind, np.ascontiguousarray(M.T), c, x0, T / n_steps, n_steps)
+    return np.array([x0] + [x for *_, x in steps])
+
+
+def _marched_flow(kind, M, c, X0, T, n_steps):
+    """rk4_flow_jacobian by the stage-by-stage march, from any state: each
+    block of steps, as rk4_flow_jacobian sizes it, has its slopes turned into
+    increments by kernels._step_increments and multiplied by kernels._chain."""
+    m = X0.shape[-1]
+    P = np.broadcast_to(np.eye(m), X0.shape + (m,)).copy()
+    block = max(1, kernels.SCAN_BLOCK_FLOATS // (4 * m * m * (X0.size // m)))
+    h = T / n_steps
+    steps = list(_marched_steps(kind, np.ascontiguousarray(M.T), c, X0, h, n_steps))
+    for i in range(0, n_steps, block):
+        K = np.array([k for *k, _ in steps[i : i + block]])
+        P = P + np.matmul(kernels._chain(kernels._step_increments(kind, M, K, h)), P)
+    return steps[-1][-1], P
+
+
+def _count_rest_calls(monkeypatch):
+    """Count the calls of kernels.rhs and kernels._step_increments."""
+    calls = {"rhs": 0, "_step_increments": 0}
+    for name in calls:
+        fn = getattr(kernels, name)
+
+        def counted(*args, name=name, fn=fn):
+            calls[name] += 1
+            return fn(*args)
+
+        monkeypatch.setattr(kernels, name, counted)
+    return calls
+
+
 @pytest.mark.parametrize("shape", [(6,), (3, 6)])
 def test_zero_state_flows_skip_the_march_and_equal_it(monkeypatch, shape):
     zero = np.zeros(shape)
-    calls = []
-    rhs = kernels.rhs
-    monkeypatch.setattr(kernels, "rhs", lambda *args: calls.append(1) or rhs(*args))
     for system in catalog_systems(6, 908):
         kind, M, c = system.kernel_args()
-        calls.clear()
-        path = kernels.rk4_path(kind, M, c, zero, 0.8, 16)
-        xT, P = kernels.rk4_flow_jacobian(kind, M, c, zero, 0.8, 16)
+        path_ref = _marched_path(kind, M, c, zero, 0.8, 16)
+        xT_ref, P_ref = _marched_flow(kind, M, c, zero, 0.8, 16)
+        with monkeypatch.context() as patch:
+            calls = _count_rest_calls(patch)
+            path = kernels.rk4_path(kind, M, c, zero, 0.8, 16)
+            xT, P = kernels.rk4_flow_jacobian(kind, M, c, zero, 0.8, 16)
         if system.kind == "affine":
             # the drift moves the zero state, so it is marched
-            assert len(calls) == 2 * 4 * 16 and np.abs(xT).max() > 0.0
+            assert calls["rhs"] == 2 * 4 * 16 and np.abs(xT).max() > 0.0
         else:
-            assert not calls and not path.any() and not xT.any()
-        with monkeypatch.context() as patch:
-            patch.setattr(kernels, "_rk4_steps", _marched_steps)
-            assert np.array_equal(kernels.rk4_path(kind, M, c, zero, 0.8, 16), path)
-            xT_ref, P_ref = kernels.rk4_flow_jacobian(kind, M, c, zero, 0.8, 16)
-        assert np.array_equal(xT_ref, xT) and np.array_equal(P_ref, P)
+            assert calls == {"rhs": 0, "_step_increments": 1}
+            assert not path.any() and not xT.any()
+        assert np.array_equal(path, path_ref)
+        assert np.array_equal(xT, xT_ref) and np.array_equal(P, P_ref)
+
+
+def test_chain_runs_equal_the_chain_of_copies():
+    M = unit_spectral_matrix(7, 909)
+    E = kernels._step_increments(kernels.RHS_TANH, M, np.zeros((1, 4, 7)), 0.05)[0]
+    for q in range(1, 301):
+        copies = np.broadcast_to(E, (q, 7, 7)).copy()
+        assert np.array_equal(kernels._chain_runs(E, q), kernels._chain(copies)), q
+
+
+@pytest.mark.parametrize("m", [3, 12, 24])
+def test_flows_from_rest_equal_the_marched_reference(m, monkeypatch):
+    # 18/19 and 56/57 steps straddle the blocks of 3 rows and of one row at
+    # m = 12; 1000 steps span several blocks at every m
+    for system in catalog_systems(m, 910):
+        if system.kind == "affine":
+            continue
+        kind, M, c = system.kernel_args()
+        for shape in [(m,), (1, m), (3, m)]:
+            zero = np.zeros(shape)
+            for n in [1, 7, 18, 19, 56, 57, 64, 100, 1000]:
+                xT_ref, P_ref = _marched_flow(kind, M, c, zero, 0.8, n)
+                with monkeypatch.context() as patch:
+                    calls = _count_rest_calls(patch)
+                    xT, P = kernels.rk4_flow_jacobian(kind, M, c, zero, 0.8, n)
+                assert calls == {"rhs": 0, "_step_increments": 1}
+                assert np.array_equal(xT, xT_ref) and np.array_equal(P, P_ref), (shape, n)
+                assert P.shape == shape + (m,) and P.flags.writeable
 
 
 def _reference_sensitivity():

@@ -300,6 +300,35 @@ def test_noisy_bpdn_inside_the_feasibility_slack_returns_least_squares(k, monkey
     assert eps <= np.linalg.norm(y - Phi @ x) <= eps + band
 
 
+def _count_lstsq(monkeypatch):
+    """Count the calls of np.linalg.lstsq."""
+    calls = []
+    lstsq = np.linalg.lstsq
+    monkeypatch.setattr(np.linalg, "lstsq", lambda *a, **k: calls.append(1) or lstsq(*a, **k))
+    return calls
+
+
+def test_feasible_noisy_bpdn_solves_no_least_squares(monkeypatch):
+    Phi, y, w, eps = _demo_first_solve(monkeypatch)
+    calls = _count_lstsq(monkeypatch)
+    x = solve_weighted_bpdn(Phi, np.zeros(len(y)), y, w, eps)
+    assert not calls
+    assert eps <= np.linalg.norm(y - Phi @ x) <= eps + _band(SolverConfig(), y)
+
+
+@pytest.mark.parametrize("k", range(3))
+def test_infeasible_noisy_bpdn_reports_the_least_squares_residual(k, monkeypatch):
+    # the path runs to its least-squares end, misses eps, and only then is
+    # least squares solved for the error's minimal residual
+    Phi = gen_gaussian_matrix(64, 16, 310 + k)
+    y = np.random.Generator(np.random.Philox(k)).standard_normal(64)
+    r_min = float(np.linalg.norm(y - Phi @ np.linalg.lstsq(Phi, y, rcond=None)[0]))
+    calls = _count_lstsq(monkeypatch)
+    with pytest.raises(InfeasibleError) as info:
+        solve_weighted_bpdn(Phi, np.zeros(64), y, np.ones(16), 0.5 * r_min)
+    assert calls == [1] and info.value.min_residual == r_min
+
+
 @pytest.mark.parametrize("k", [10, 13, 17, 19])
 def test_noisy_bpdn_crossing_far_below_the_observation_norm(k, monkeypatch):
     # eps ~ 1e-8 ||y||: the residual crosses the target on the first path

@@ -3,13 +3,14 @@
 Run from the repository root as tools/treebench.py describes.  Each tree's
 sparseobs/kernels.py is loaded on its own (the module imports nothing from
 the package), so all trees run in this one process, their calls alternating,
-on the same inputs.  Every shape is timed as the median of CALLS calls after
-one warm-up call; the quartiles are recorded too.  The error of a shape is
-max|P - P_ref| against the same RK4 variational recursion run in long double
-from the same inputs (recorded as null where long double is no wider than
-double).  Results go to BENCH_flow_jacobian.json.  The test suite imports
-reference_sensitivity from here, so its accuracy gate and the recorded errors
-share one reference.
+on the same inputs.  Some shapes start from rest, X0 = 0, as the settle
+climb and recovery's first flow do.  Every shape is timed as the median of
+CALLS calls after one warm-up call; the quartiles are recorded too.  The
+error of a shape is max|P - P_ref| against the same RK4 variational
+recursion run in long double from the same inputs (recorded as null where
+long double is no wider than double).  Results go to
+BENCH_flow_jacobian.json.  The test suite imports reference_sensitivity from
+here, so its accuracy gate and the recorded errors share one reference.
 """
 
 import treebench
@@ -28,13 +29,20 @@ CALLS = 15
 # the right-hand-side codes of kernels.RHS_ZERO, RHS_LINEAR, RHS_AFFINE and
 # RHS_TANH; the kernels are loaded per tree, so the codes are restated here
 ZERO, LINEAR, AFFINE, TANH = 0, 1, 2, 3
-# (case, kind code, m, rows or None for one 1-d state, steps)
+# (case, kind code, m, rows or None for one 1-d state, steps, from rest: X0 = 0)
 SHAPES = (
-    ("tanh m=12 1-d 256 steps (demo_tanh recovery)", TANH, 12, None, 256),
-    ("tanh m=6 15 rows 16 steps", TANH, 6, 15, 16),
-    ("linear m=24 1-d 256 steps", LINEAR, 24, None, 256),
-    ("tanh m=12 66 rows 256 steps (oracle pairs at m=12)", TANH, 12, 66, 256),
-    ("tanh m=128 1-d 256 steps", TANH, 128, None, 256),
+    ("tanh m=12 1-d 256 steps (demo_tanh recovery)", TANH, 12, None, 256, False),
+    ("tanh m=6 15 rows 16 steps", TANH, 6, 15, 16, False),
+    ("linear m=24 1-d 256 steps", LINEAR, 24, None, 256, False),
+    ("tanh m=12 66 rows 256 steps (oracle pairs at m=12)", TANH, 12, 66, 256, False),
+    ("tanh m=128 1-d 256 steps", TANH, 128, None, 256, False),
+    # the demo's settle climb at x = 0, one row per count
+    ("tanh m=12 1 row 8 steps from rest (settle climb)", TANH, 12, 1, 8, True),
+    ("tanh m=12 1 row 16 steps from rest (settle climb)", TANH, 12, 1, 16, True),
+    ("tanh m=12 1 row 32 steps from rest (settle climb)", TANH, 12, 1, 32, True),
+    ("tanh m=12 1 row 64 steps from rest (settle climb)", TANH, 12, 1, 64, True),
+    ("tanh m=12 1-d 32 steps from rest (recovery flow0)", TANH, 12, None, 32, True),
+    ("linear m=24 1-d 256 steps from rest", LINEAR, 24, None, 256, True),
 )
 
 
@@ -46,13 +54,13 @@ def load_kernels(label, src):
     return module
 
 
-def inputs(m, rows, seed=0):
+def inputs(m, rows, rest, seed=0):
     rng = np.random.Generator(np.random.Philox(seed))
     M = rng.normal(size=(m, m))
     M /= np.linalg.norm(M, 2)
     c = rng.normal(size=m)
     X0 = rng.normal(size=(m,) if rows is None else (rows, m)) * 0.5
-    return np.ascontiguousarray(M), c, X0
+    return np.ascontiguousarray(M), c, np.zeros_like(X0) if rest else X0
 
 
 def reference_sensitivity(kind, M, c, X0, T, n_steps):
@@ -92,8 +100,8 @@ def run(trees):
     wide = np.finfo(np.longdouble).eps < np.finfo(float).eps
 
     results = {label: [] for label in kernels}
-    for case, kind, m, rows, steps in SHAPES:
-        M, c, X0 = inputs(m, rows)
+    for case, kind, m, rows, steps, rest in SHAPES:
+        M, c, X0 = inputs(m, rows, rest)
         P_ref = reference_sensitivity(kind, M, c, X0, T, steps) if wide else None
         samples = {label: [] for label in kernels}
         for k in kernels.values():
@@ -109,7 +117,7 @@ def run(trees):
             row = {"case": case, "m": m, "rows": rows or 1, "steps": steps}
             row.update(treebench.quartiles(samples[label]), max_abs_error_vs_longdouble=err)
             results[label].append(row)
-            print(f"{label:>8}  {case:<52} {row['median_ms']:9.3f} ms  err {err}")
+            print(f"{label:>8}  {case:<56} {row['median_ms']:9.3f} ms  err {err}")
 
     doc = {
         "kernel": "kernels.rk4_flow_jacobian",
