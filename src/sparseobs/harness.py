@@ -13,9 +13,7 @@ from __future__ import annotations
 
 import json
 import math
-import multiprocessing
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from itertools import repeat
 
@@ -389,6 +387,10 @@ def run_experiment(config: ExperimentConfig, workers: int = 1, force: bool = Fal
     indices = range(config.trials)
     if workers == 1:
         return [run_trial(config, i, force) for i in indices]
+    # imported here, so a package import or a one-worker sweep skips them
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
     # fork spares each child a fresh import of the package where available
     try:
         ctx = multiprocessing.get_context("fork")

@@ -5,11 +5,14 @@ behind exact restricted-isometry constants.
 Everything is plain numpy.  rhs is the one definition of the catalog's
 right-hand side f, and jacobian_scale gives its Jacobian as J(x) = diag(d) M
 from the slopes f(x); the integrators call them on
-DynamicalSystem.kernel_args(), and _rk4_steps is the one RK4 step.  The flow
-Jacobian loops in Python over one state, or over many rows in lockstep for the
-combinatorial oracle, and builds the sensitivity from the stage slopes as a
-product of per-step increments, a block of steps at a time in batched matmuls
-(see rk4_flow_jacobian).  From an all-zero state the fields with f(0) = 0 are
+DynamicalSystem.kernel_args().  _march is the one RK4 march: it runs a block
+of steps, writing each stage slope in place into a preallocated array of the
+block's slopes and each state into a row of the path, so a step allocates
+nothing.  rk4_path marches straight into its result.  The flow Jacobian
+marches one state, or many rows in lockstep for the combinatorial oracle, a
+block of steps at a time, and builds the sensitivity from each block's stage
+slopes as a product of per-step increments in batched matmuls (see
+rk4_flow_jacobian).  From an all-zero state the fields with f(0) = 0 are
 not marched at all (see _at_rest): the path is zeros, and every step of the
 sensitivity has one increment, whose block products _chain_runs forms in
 O(log n) matmuls, bit for bit as _chain would.  The support scan screens in
@@ -45,18 +48,22 @@ RHS_TANH = 3
 SCAN_BLOCK_FLOATS = 1 << 15
 
 
-def rhs(kind, MT, c, X):
-    """f(X) for one state X (m,) or for rows X (k, m).  MT is M.T; callers
-    that evaluate many stages pass one contiguous copy.  The catalog is
+def rhs(kind, MT, c, X, out):
+    """f(X) for one state X (m,) or for rows X (k, m), written to out, a
+    C-contiguous array of X's shape, and returned.  MT is M.T; callers that
+    evaluate many stages pass one contiguous copy.  The slopes are formed in
+    place: np.dot of X and MT into out, then the drift added or tanh taken,
+    with the bits of the allocating X @ MT, + c and tanh.  The catalog is
     autonomous."""
     if kind == RHS_ZERO:
-        return np.zeros_like(X)
-    F = X @ MT
+        out.fill(0.0)
+        return out
+    np.dot(X, MT, out)
     if kind == RHS_AFFINE:
-        F = F + c
+        np.add(out, c, out)
     elif kind == RHS_TANH:
-        F = np.tanh(F)
-    return F
+        np.tanh(out, out)
+    return out
 
 
 def jacobian_scale(kind, F):
@@ -74,27 +81,45 @@ def _at_rest(kind, X):
     return kind != RHS_AFFINE and not X.any()
 
 
-def _rk4_steps(kind, MT, c, x, h, n_steps):
-    """Classical RK4 from x with step h: for each step the four stage slopes
-    and the state after it."""
-    for _ in range(n_steps):
-        k1 = rhs(kind, MT, c, x)
-        k2 = rhs(kind, MT, c, x + 0.5 * h * k1)
-        k3 = rhs(kind, MT, c, x + 0.5 * h * k2)
-        k4 = rhs(kind, MT, c, x + h * k3)
-        x = x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        yield k1, k2, k3, k4, x
+def _march(kind, MT, c, S, h, K):
+    """Classical RK4 with step h from the state S[0], one state (m,) or
+    rows (k, m): step i writes its four stage slopes to K[i] and the state
+    after it to S[i + 1].  The slopes go straight into K through rhs, and
+    each step's sums are formed in two scratch arrays with the ufuncs,
+    operands and order of
+
+        k1 = f(x), k2 = f(x + h/2 k1), k3 = f(x + h/2 k2), k4 = f(x + h k3),
+        x = x + h/6 (k1 + 2 k2 + 2 k3 + k4),
+
+    so the states and slopes equal those of that expression bit for bit."""
+    half, sixth = 0.5 * h, h / 6.0
+    Y = np.empty_like(S[0])
+    Z = np.empty_like(Y)
+    for x, x_next, k1, k2, k3, k4 in zip(S, S[1:], *K.swapaxes(0, 1)):
+        rhs(kind, MT, c, x, k1)
+        rhs(kind, MT, c, np.add(x, np.multiply(half, k1, Y), Y), k2)
+        rhs(kind, MT, c, np.add(x, np.multiply(half, k2, Y), Y), k3)
+        rhs(kind, MT, c, np.add(x, np.multiply(h, k3, Y), Y), k4)
+        np.add(k1, np.multiply(2.0, k2, Y), Y)
+        Y += np.multiply(2.0, k3, Z)
+        Y += k4
+        Y *= sixth
+        np.add(x, Y, x_next)
 
 
 def rk4_path(kind, M, c, x0, T, n_steps):
-    """States at the n_steps+1 uniform grid times over [0, T], row 0 = x0."""
+    """States at the n_steps+1 uniform grid times over [0, T], row 0 = x0,
+    marched straight into the result (see _march).  A step's slopes are
+    read only within it, so every step writes them to the same four slots:
+    the march's K is a stride-0 view of one (4, *x0.shape) array, and the
+    temporaries stay O(m)."""
     out = np.zeros((n_steps + 1,) + x0.shape)
     out[0] = x0
     if _at_rest(kind, x0):
         return out
-    MT = np.ascontiguousarray(M.T)
-    for i, (*_, x) in enumerate(_rk4_steps(kind, MT, c, x0, T / n_steps, n_steps), 1):
-        out[i] = x
+    slots = np.empty((4,) + x0.shape)
+    K = np.lib.stride_tricks.as_strided(slots, (n_steps,) + slots.shape, (0,) + slots.strides)
+    _march(kind, np.ascontiguousarray(M.T), c, out, T / n_steps, K)
     return out
 
 
@@ -154,11 +179,12 @@ def rk4_flow_jacobian(kind, M, c, X0, T, n_steps):
 
     RK4 applied to the variational equation advances the sensitivity by a
     linear map I + E per step (see _step_increments), so the sensitivity is
-    the ordered product of those maps.  The Python loop advances only the
-    state, with the same steps as rk4_path, and keeps the stage slopes of a
-    block of c steps; each block's increments are then formed and multiplied
-    in a few batched calls, and P <- P + E_tot P.  c = SCAN_BLOCK_FLOATS //
-    (4 m^2 k), at least 1, bounds the block's temporaries.  At rest (see
+    the ordered product of those maps.  _march advances only the state, with
+    the same steps as rk4_path, a block of c steps at a time, and writes the
+    block's stage slopes into one preallocated (c, 4, *X0.shape) array; each
+    block's increments are then formed and multiplied in a few batched
+    calls, and P <- P + E_tot P.  c = SCAN_BLOCK_FLOATS // (4 m^2 k), at
+    least 1, bounds the block's temporaries.  At rest (see
     _at_rest) every step has the same increment E and every row the same
     sensitivity, so one E is formed and each block's product is _chain_runs
     of it, with the same blocks, bit for bit.  Zero rows give empty results.
@@ -180,14 +206,16 @@ def rk4_flow_jacobian(kind, M, c, X0, T, n_steps):
         if last:
             P = P + np.matmul(_chain_runs(E, last), P)
         return np.zeros_like(X0), np.broadcast_to(P, X0.shape + (m,)).copy()
-    steps = _rk4_steps(kind, np.ascontiguousarray(M.T), c, X0, h, n_steps)
-    for _ in range(0, n_steps, block):
-        slopes = []
-        for *k, X in itertools.islice(steps, block):
-            slopes += k
-        K = np.reshape(slopes, (-1, 4) + X0.shape)
-        P = P + np.matmul(_chain(_step_increments(kind, M, K, h)), P)
-    return X, P
+    MT = np.ascontiguousarray(M.T)
+    K = np.empty((min(block, n_steps), 4) + X0.shape)
+    S = np.empty((len(K) + 1,) + X0.shape)
+    S[0] = X0
+    for i in range(0, n_steps, block):
+        b = min(block, n_steps - i)
+        _march(kind, MT, c, S[: b + 1], h, K[:b])
+        P = P + np.matmul(_chain(_step_increments(kind, M, K[:b], h)), P)
+        S[0] = S[b]
+    return S[0].copy(), P
 
 
 def _admm(project, thresh, z0, u0, max_iter, tol):

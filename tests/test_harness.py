@@ -1,6 +1,10 @@
 import json
 import math
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -316,6 +320,23 @@ def test_worker_count_does_not_change_the_report(tmp_path):
     assert p1.read_bytes() == p2.read_bytes()
     with pytest.raises(DomainError):
         run_experiment(cfg, workers=0)
+
+
+def test_package_import_leaves_the_worker_pool_unloaded():
+    # a subprocess, because pytest itself may have imported either module;
+    # only run_experiment with workers > 1 imports them
+    code = """
+import sys
+import sparseobs
+pool = {"multiprocessing", "concurrent.futures"} & set(sys.modules)
+assert not pool, sorted(pool)
+"""
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    done = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert done.returncode == 0, done.stderr
 
 
 def test_noise_scaling_moves_the_bound_not_the_guarantee():

@@ -117,7 +117,8 @@ def test_best_s_term_is_l1_optimal_over_all_supports():
 def _rhs(system, x):
     """f(x) through the one right-hand-side kernel."""
     kind, M, c = system.kernel_args()
-    return kernels.rhs(kind, M.T, c, np.asarray(x, dtype=float))
+    x = np.asarray(x, dtype=float)
+    return kernels.rhs(kind, M.T, c, x, np.empty_like(x))
 
 
 def _jacobian(system, x):

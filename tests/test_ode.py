@@ -277,13 +277,19 @@ def test_flow_state_is_bit_identical_to_integration(n_steps):
         assert np.array_equal(xT, integrate(system, x0, 0.8, cfg).final_state)
 
 
+def _slopes(kind, MT, c, x):
+    """f(x) through kernels.rhs, into a fresh array."""
+    return kernels.rhs(kind, MT, c, x, np.empty_like(x))
+
+
 def _marched_steps(kind, MT, c, x, h, n_steps):
-    """The RK4 march stage by stage through kernels.rhs, from any state."""
+    """The RK4 march stage by stage through kernels.rhs, from any state, each
+    sum a fresh array."""
     for _ in range(n_steps):
-        k1 = kernels.rhs(kind, MT, c, x)
-        k2 = kernels.rhs(kind, MT, c, x + 0.5 * h * k1)
-        k3 = kernels.rhs(kind, MT, c, x + 0.5 * h * k2)
-        k4 = kernels.rhs(kind, MT, c, x + h * k3)
+        k1 = _slopes(kind, MT, c, x)
+        k2 = _slopes(kind, MT, c, x + 0.5 * h * k1)
+        k3 = _slopes(kind, MT, c, x + 0.5 * h * k2)
+        k4 = _slopes(kind, MT, c, x + h * k3)
         x = x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         yield k1, k2, k3, k4, x
 
@@ -342,6 +348,55 @@ def test_zero_state_flows_skip_the_march_and_equal_it(monkeypatch, shape):
             assert not path.any() and not xT.any()
         assert np.array_equal(path, path_ref)
         assert np.array_equal(xT, xT_ref) and np.array_equal(P, P_ref)
+
+
+@pytest.mark.parametrize("m", [5, 12])
+def test_rhs_writes_the_allocated_slopes_in_place(m):
+    # np.dot into out gives the bits of X @ M.T for one state, one row and
+    # several rows, so the in-place march keeps the allocating march's bits
+    rng = np.random.Generator(np.random.Philox(911))
+    for system in catalog_systems(m, 911):
+        kind, M, c = system.kernel_args()
+        MT = np.ascontiguousarray(M.T)
+        for shape in [(m,), (1, m), (4, m)]:
+            X = rng.normal(size=shape)
+            F = X @ MT
+            expected = {
+                "zero": np.zeros(shape),
+                "linear": F,
+                "affine": F + c,
+                "tanh_saturated": np.tanh(F),
+            }[system.kind]
+            out = np.full(shape, np.nan)
+            assert kernels.rhs(kind, MT, c, X, out) is out
+            assert np.array_equal(out, expected), (system.kind, shape)
+
+
+@pytest.mark.parametrize("blocks", ["default", "ragged"])
+def test_marches_off_rest_equal_the_stage_by_stage_reference(blocks, monkeypatch):
+    # blocks of 3 steps leave ragged last blocks of 1 at 7 steps and of 2 at
+    # 257; by default one block covers 7 steps and several cover 257
+    m = 6
+    rng = np.random.Generator(np.random.Philox(912))
+    for shape in [(m,), (1, m), (3, m)]:
+        X0 = rng.normal(size=shape) * 0.5
+        rows = X0.size // m
+        if blocks == "ragged":
+            monkeypatch.setattr(kernels, "SCAN_BLOCK_FLOATS", 3 * 4 * m * m * rows)
+        block = max(1, kernels.SCAN_BLOCK_FLOATS // (4 * m * m * rows))
+        for system in catalog_systems(m, 912):
+            kind, M, c = system.kernel_args()
+            for n in [1, 7, 257]:
+                path_ref = _marched_path(kind, M, c, X0, 0.8, n)
+                xT_ref, P_ref = _marched_flow(kind, M, c, X0, 0.8, n)
+                with monkeypatch.context() as patch:
+                    calls = _count_rest_calls(patch)
+                    path = kernels.rk4_path(kind, M, c, X0, 0.8, n)
+                    xT, P = kernels.rk4_flow_jacobian(kind, M, c, X0, 0.8, n)
+                assert calls == {"rhs": 2 * 4 * n, "_step_increments": -(-n // block)}
+                assert np.array_equal(path, path_ref), (system.kind, shape, n)
+                assert np.array_equal(xT, xT_ref), (system.kind, shape, n)
+                assert np.array_equal(P, P_ref), (system.kind, shape, n)
 
 
 def test_chain_runs_equal_the_chain_of_copies():

@@ -31,7 +31,10 @@ CALLS = 15
 ZERO, LINEAR, AFFINE, TANH = 0, 1, 2, 3
 # (case, kind code, m, rows or None for one 1-d state, steps, from rest: X0 = 0)
 SHAPES = (
-    ("tanh m=12 1-d 256 steps (demo_tanh recovery)", TANH, 12, None, 256, False),
+    # the demo's line search flows one row at the settled count, 32 steps on
+    # 16 of its 24 trials (16 on 3, 64 on 5)
+    ("tanh m=12 1 row 32 steps (demo_tanh line search)", TANH, 12, 1, 32, False),
+    ("tanh m=12 1-d 256 steps (the fixed(256) default)", TANH, 12, None, 256, False),
     ("tanh m=6 15 rows 16 steps", TANH, 6, 15, 16, False),
     ("linear m=24 1-d 256 steps", LINEAR, 24, None, 256, False),
     ("tanh m=12 66 rows 256 steps (oracle pairs at m=12)", TANH, 12, 66, 256, False),
