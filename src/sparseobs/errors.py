@@ -74,7 +74,7 @@ def check_count(value, name, low=1, high=None):
         raise DomainError(f"{name} must be an integer, got {value!r}")
     value = int(value)
     if value < low or (high is not None and value > high):
-        span = f">= {low}" if high is None else f"lie in [{low}, {high}]"
+        span = f"be >= {low}" if high is None else f"lie in [{low}, {high}]"
         raise DomainError(f"{name} must {span}, got {value}")
     return value
 

@@ -17,18 +17,21 @@ not marched at all (see _at_rest): the path is zeros, and every step of the
 sensitivity has one increment, whose block products _chain_runs forms in
 O(log n) matmuls, bit for bit as _chain would.  The support scan screens in
 three tiers, each run only on the supports the one before could not rule out: a
-block test built from the eigenvalues of each support's head and tail blocks
-and the Frobenius norm of the block that couples them, for a whole group of
-supports at once without gathering any of them (see rip_scan); beta_S, one
-batched matmul per block of gathered Gram submatrices; and eigvalsh, in a
-batch (see max_deviation).  A greedy seed starts the running maximum near its
-end.  The lasso and basis-pursuit kernels run one ADMM iteration, _admm, and
-differ only in its x-update; both names stay because the pipeline benchmark
-(pipebench/) traces them.
+block test built from bounds on the extreme eigenvalues of each support's
+head and tail blocks (closed forms up to 3 x 3, see _block_bounds) and the
+Frobenius norm of the block that couples them (from a table of row sums over
+each tail), for a whole group of supports at once without gathering any of
+them (see rip_scan); beta_S, one batched matmul per block of gathered Gram
+submatrices; and eigvalsh, in a batch (see max_deviation).  A greedy seed,
+grown from the tails with the best bounds, starts the running maximum near
+its end.  The lasso and basis-pursuit kernels run one ADMM iteration, _admm,
+and differ only in its x-update; both names stay because the pipeline
+benchmark (pipebench/) traces them.
 
 All array arguments must be float64; matrices must be C-contiguous.
 """
 
+import functools
 import itertools
 import math
 
@@ -44,7 +47,11 @@ RHS_TANH = 3
 # scan screens supports in groups whose arrays hold at most this many entries,
 # and gathers and eigensolves them in blocks of at most this many Gram
 # entries; the flow Jacobian takes blocks of steps whose four stage Jacobians
-# hold at most this many entries
+# hold at most this many entries.  One table is larger: the row sums over
+# each of the C(m, r) tails of a scan whose heads have two entries or more,
+# m C(m, r) <= m SCAN_BLOCK_FLOATS / r floats.  That is 48,576 for C(24, 3)
+# tails, and under rip's default budget of 2M supports at most 437,060
+# (3.5 MB, m = 41, s = 5, r = 3)
 SCAN_BLOCK_FLOATS = 1 << 15
 
 
@@ -373,73 +380,132 @@ def _scan_groups(m, k):
     return tails, groups()
 
 
-def _cross_sums(Q, heads, tails):
-    """sum_{h in H, j in T} Q_hj for every row H of heads and T of tails: the
-    row sums of Q over each head, summed over each tail, so no support is
-    formed."""
-    q = np.zeros((len(heads), Q.shape[0]))
-    for a in heads.T:
-        q += Q[a]
-    out = np.zeros((len(heads), len(tails)))
-    for b in tails.T:
-        out += q[:, b]
-    return out
-
-
 def _gap(t, a):
     """(t - a)_+."""
     return np.maximum(t - a, 0.0)
 
 
-def _block_screen(G, s, tails):
+def _top(x, y, w2):
+    """lambda_max([[x, w], [w, y]]) = (x + y) / 2 + sqrt(((x - y) / 2)^2 + w^2),
+    entry by entry, from w2 = w^2."""
+    h = 0.5 * (x - y)
+    return 0.5 * (x + y) + np.sqrt(h * h + w2)
+
+
+def _block_bounds(G, sets):
+    """Upper bounds (up, down) on lambda_max(B) and -lambda_min(B), with
+    B = G[S, S] - I, for the rows S of sets (count, q).
+
+    For q = 1 and 2 they are B's extreme eigenvalues in closed form.  For
+    q = 3 each side is the least of three nested bounds: for each z in S,
+    with P = S - {z},
+
+        lambda_max(B) <= lambda_max([[lambda_max(B_P), ||B_Pz||],
+                                     [||B_Pz||,        B_zz    ]]),
+
+    the norm-matrix argument of rip_scan with blocks of 2 and 1, and the same
+    on -B.  For q >= 4 they are eigvalsh's, in blocks of at most
+    SCAN_BLOCK_FLOATS Gram entries.  Each computed bound is at least the
+    exact extreme eigenvalue less 2 q^2 eps max(1, max_i G_ii) (see
+    rip_scan)."""
+    q = sets.shape[1]
+    if q > 3:
+        up, down = np.empty(len(sets)), np.empty(len(sets))
+        rows = max(1, SCAN_BLOCK_FLOATS // (q * q))
+        for i in range(0, len(sets), rows):
+            up[i : i + rows], down[i : i + rows] = _extremes(G, sets[i : i + rows])
+        return up, down
+    cols = sets.T
+    d = [G.diagonal()[a] - 1.0 for a in cols]
+    if q == 1:
+        return d[0], -d[0]
+    if q == 2:
+        w2 = G[cols[0], cols[1]] ** 2
+        return _top(d[0], d[1], w2), _top(-d[0], -d[1], w2)
+    # o[k]: the squared coupling of the two entries of S other than the k-th
+    o = [G[cols[(k + 1) % 3], cols[(k + 2) % 3]] ** 2 for k in range(3)]
+    up = down = np.inf
+    for z, i, j in ((0, 1, 2), (1, 0, 2), (2, 0, 1)):
+        # ||B_Pz||^2 with P = {i, j}
+        n2 = o[i] + o[j]
+        up = np.minimum(up, _top(_top(d[i], d[j], o[z]), d[z], n2))
+        down = np.minimum(down, _top(_top(-d[i], -d[j], o[z]), -d[z], n2))
+    return up, down
+
+
+def _tail_sums(Q, tails):
+    """sum_{j in T} Q[..., j] for every row T of tails."""
+    out = Q[..., tails[:, 0]]
+    for b in tails.T[1:]:
+        out += Q[..., b]
+    return out
+
+
+def _block_screen(G, s, tails, bounds):
     """The function (heads, lo, delta) -> keep for the heads and tails of a
-    _scan_groups(m, s) that splits its supports: keep[i, j] is False only
-    when the block test of rip_scan, at t = delta - margin, shows that the
-    support heads[i] followed by tails[lo + j] has a computed eigvalsh
-    deviation below delta."""
+    _scan_groups(m, s) that splits its supports, given the tails'
+    _block_bounds: keep[i, j] is False only when the block test of
+    rip_scan, at t = delta - margin, shows that the support heads[i]
+    followed by tails[lo + j] has a computed eigvalsh deviation below
+    delta."""
     m, r = G.shape[0], tails.shape[1]
     margin = _margin(G, s)
+    tail_up, tail_down = bounds
+    # R[i, j] = sum_{h in tails[j]} G_ih^2, so c^2 for a head H and the tail
+    # j is sum_{i in H} R[i, j]: p row slices of R per chunk of heads.
+    # Heads of one entry use each row once, so for them the table is not
+    # built and each row is summed when it is needed
     Q = G * G
-    tail_up, tail_down = np.empty(len(tails)), np.empty(len(tails))
-    rows = max(1, SCAN_BLOCK_FLOATS // (r * r))
-    for i in range(0, len(tails), rows):
-        tail_up[i : i + rows], tail_down[i : i + rows] = _extremes(G, tails[i : i + rows])
+    if s - r > 1:
+        R = _tail_sums(Q, tails)
     # the row of an r-subset c_0 < ... < c_{r-1} in the lexicographic table
     # of tails is C(m, r) - 1 - sum_i C(m - 1 - c_i, r - i)
     comb = np.array([[math.comb(n, r - i) for i in range(r)] for n in range(m)])
 
+    # the tails' gaps change only when delta does
+    @functools.lru_cache(maxsize=1)
+    def tail_gaps(t):
+        return _gap(t, tail_up), _gap(t, tail_down)
+
     def keep(heads, lo, delta):
         t = delta - margin
+        gap_up, gap_down = tail_gaps(t)
         if heads.shape[1] == r:
             row = len(tails) - 1 - comb[m - 1 - heads, np.arange(r)].sum(axis=1)
-            head_up, head_down = tail_up[row], tail_down[row]
+            head_up, head_down = gap_up[row], gap_down[row]
         else:
-            head_up, head_down = _extremes(G, heads)
-        up = np.multiply.outer(_gap(t, head_up), _gap(t, tail_up[lo:]))
-        down = np.multiply.outer(_gap(t, head_down), _gap(t, tail_down[lo:]))
-        return np.minimum(up, down, out=up) <= _cross_sums(Q, heads, tails[lo:])
+            head_up, head_down = (_gap(t, b) for b in _block_bounds(G, heads))
+        up = np.multiply.outer(head_up, gap_up[lo:])
+        down = np.multiply.outer(head_down, gap_down[lo:])
+        # every head ends at one entry, so its row of R is broadcast
+        h = heads[0, -1]
+        c2 = R[h, lo:] if s - r > 1 else _tail_sums(Q[h], tails[lo:])
+        for a in heads.T[:-1]:
+            c2 = c2 + R[a, lo:]
+        return np.minimum(up, down, out=up) <= c2
 
     return keep
 
 
-def _greedy_seed(G, k):
-    """A deviation some support of size k attains, to start rip_scan's
-    maximum near its end: the larger deviation of two supports grown a
-    column at a time, one to maximise lambda_max - 1 and one to maximise
+def _greedy_seed(G, k, starts):
+    """A deviation some support of size k attains, and that support,
+    sorted, to start rip_scan's maximum near its end: the larger deviation
+    of two supports grown a column at a time, one from starts[0] to
+    maximise lambda_max - 1 and one from starts[1] to maximise
     1 - lambda_min of G[S, S] (the greedy search of Moghaddam, Weiss &
     Avidan 2006, applied to G and to 2I - G)."""
     m = G.shape[0]
-    delta = 0.0
-    for largest in (True, False):
-        support = np.empty(0, dtype=np.intp)
-        for _ in range(k):
+    found = []
+    for largest, support in zip((True, False), starts):
+        for _ in range(k - len(support)):
             rest = np.delete(np.arange(m), support)
             grown = np.column_stack((np.broadcast_to(support, (len(rest), len(support))), rest))
             ev = np.linalg.eigvalsh(_gram_stack(G, grown))
             support = grown[np.argmax(ev[:, -1]) if largest else np.argmin(ev[:, 0])]
         # sorted, so G[S, S] is the submatrix the scan builds for S
-        delta = max(delta, _deviation(G, np.array([sorted(support.tolist())])))
-    return delta
+        support = np.sort(support)
+        found.append((_deviation(G, support[None]), support))
+    return max(found, key=lambda f: f[0])
 
 
 def rip_scan(G, s):
@@ -460,33 +526,54 @@ def rip_scan(G, s):
 
         v^T B_S v <= a |x|^2 + 2 c |x| |y| + b |y|^2 <= lambda_max(N),
 
-    N = [[a, c], [c, b]], with a = lambda_max(B_H) and b = lambda_max(B_T):
+    N = [[a, c], [c, b]], with a >= lambda_max(B_H) and b >= lambda_max(B_T):
     the norm-matrix argument of block Gershgorin theorems (Feingold & Varga
-    1962).  With a = -lambda_min(B_H) and b = -lambda_min(B_T) it bounds
+    1962).  With a >= -lambda_min(B_H) and b >= -lambda_min(B_T) it bounds
     -lambda_min(B_S).  lambda_max(N) >= t exactly when (t - a)_+ (t - b)_+
     <= c^2, so each side costs one outer product of a head vector and a tail
-    vector, and no square root.  The block eigenvalues of the tails are
-    solved once per scan; heads look theirs up among them when p = r, and
-    are solved per chunk otherwise.  Only supports for which one side passes
-    at t = delta - margin go on to max_deviation (beta_S, then eigvalsh).
-    When r = s there is no head, and every support goes on.
+    vector, and no square root.  a and b are _block_bounds: closed forms for
+    blocks of up to 3 entries, eigvalsh beyond.  The tails' bounds are
+    formed once per scan; heads look theirs up among them when p = r, and
+    form them per chunk otherwise.  c^2 is p row slices of a table, built
+    once per scan, of the row sums of G o G over each tail; a head of one
+    entry sums its one row when needed, and no table is built.  Only supports
+    for which one side passes at t = delta - margin go on to max_deviation
+    (beta_S, then eigvalsh).  When r = s there is no head, and every support
+    goes on.  A split scan grows its seed from the tail with the best bound
+    on each side, adding s - r columns; a scan without one grows it from
+    the empty support.
 
-    Rounding, with g = max(1, max_i G_ii), which bounds every |G_ij|:
-    - The block eigenvalues are exact for a perturbation of G_H of norm
-      about p eps ||G_H|| <= p^2 eps g, so with the subtraction of 1 each
-      computed a and b lies within about s^2 eps g of its exact value.
+    Rounding, with u = eps / 2 and g = max(1, max_i G_ii), which bounds
+    every |B_ij|:
+    - A block bound of q entries is at least the exact extreme eigenvalue
+      less 2 q^2 eps g.  For q = 1 it is G_ii - 1 rounded once, within u g.
+      For q = 2, _top's inputs |x|, |y|, |w| <= g: (x + y) / 2 is within
+      u g, the root's argument within a relative 4u and the root, at most
+      sqrt(2) g, within a relative 3u, and the last addition adds
+      u (1 + sqrt(2)) g: (1 + 3 sqrt(2) + 1 + sqrt(2)) u g < 4 eps g.  The
+      rounded G_ii - 1 and w^2 move the exact eigenvalue by at most u g and
+      u g / 2 more, so the bound is within 5 eps g of it.  For q = 3 the
+      outer _top's inputs are the inner value, |x| <= 2 g, then |y| <= g
+      and w^2 <= 2 g^2, so it adds (1.5 + 3 sqrt(4.25) + 1.5 + sqrt(4.25))
+      u g < 6 eps g of its own; the inner value's 5 eps g and w^2's
+      relative 2u move it by at most 5 eps g and about eps g more, so each
+      nested bound is within 12 eps g of its exact value, which is at least
+      lambda_max(B).  For q >= 4 eigvalsh's eigenvalues are exact for a
+      perturbation of B of norm about q eps ||B|| <= q^2 eps g.  Blocks have
+      q <= s - 1 entries, and lambda_max(N) moves by at most the larger
+      shift of a and b, so by at most 2 s^2 eps g.
     - c^2 is a sum of p r nonnegative rounded squares, so it is computed
-      within a relative p r eps however its row sums group it, and the two
-      differences and the product of the test add 3 eps / 2.  A skip
-      therefore means lambda_max(N) < t for the computed a and b and a c
-      reduced by a relative (p r + 2) eps / 2, which moves lambda_max(N) by
-      at most sqrt(p r) g (p r + 2) eps / 2 <= (s^3 / 16 + s / 2) eps g, as
-      p + r = s and c^2 <= p r g^2.
+      within a relative p r eps however the table and its row slices group
+      it, and the two differences and the product of the test add
+      3 eps / 2.  A skip therefore means lambda_max(N) < t for the computed
+      a and b and a c reduced by a relative (p r + 2) eps / 2, which moves
+      lambda_max(N) by at most sqrt(p r) g (p r + 2) eps / 2
+      <= (s^3 / 16 + s / 2) eps g, as p + r = s and c^2 <= p r g^2.
     - t is rounded by at most eps |t| <= s eps g, and eigvalsh's error in
       the deviation is about s^2 eps g (see max_deviation).
-    These come to (s^3 / 16 + 2 s^2 + 3 s / 2) eps g <= 4 s^3 eps g for s >= 2
-    (a split needs s >= 2): max_deviation's margin covers them, with no
-    allowance of its own.  So a skip here implies what a skip by beta_S
+    These come to (s^3 / 16 + 3 s^2 + 3 s / 2) eps g <= 4 s^3 eps g for
+    s >= 2 (a split needs s >= 2): max_deviation's margin covers them, with
+    no allowance of its own.  So a skip here implies what a skip by beta_S
     implies in max_deviation: the support's computed eigvalsh deviation lies
     below delta, and max_deviation, given the support, would have returned
     delta unchanged.  The result therefore equals the unscreened maximum bit
@@ -498,8 +585,14 @@ def rip_scan(G, s):
     if math.comb(m, s) <= rows:
         # one block: r = s, and the table of tails is every support
         return max_deviation(G, tails, 0.0)
-    screen = _block_screen(G, s, tails) if tails.shape[1] < s else None
-    delta, solved = _greedy_seed(G, s), 0
+    if tails.shape[1] < s:
+        bounds = _block_bounds(G, tails)
+        screen = _block_screen(G, s, tails, bounds)
+        # the tails with the best bound on each side
+        starts = [tails[np.argmax(b)] for b in bounds]
+    else:
+        screen, starts = None, [np.empty(0, dtype=np.intp)] * 2
+    delta, solved = _greedy_seed(G, s, starts)[0], 0
     # the supports that pass the screen fill whole blocks, as in a scan of
     # every support, so max_deviation's temporaries keep one size
     block = np.empty((rows, s), dtype=np.intp)

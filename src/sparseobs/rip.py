@@ -8,11 +8,14 @@ all C(m, s) supports runs in kernels.rip_scan.  The deviation of S is
 max|lambda_i(B_S)| with B_S = G_S - I, and three tiers, each run only on the
 supports the one before could not rule out, find the largest:
 - a block test: the scan splits S into a head H and a tail T, and
-  lambda_max(B_S) is at most lambda_max([[a, c], [c, b]]), with a and b the
-  largest eigenvalues of B_H and B_T and c the Frobenius norm of the block
-  that couples them (likewise for -lambda_min(B_S)).  The tails' block
-  eigenvalues are solved once per scan, and c^2 is a sum over pairs of
-  columns, so the test runs for a whole group of supports at once without
+  lambda_max(B_S) is at most lambda_max([[a, c], [c, b]]), with a and b
+  upper bounds on the largest eigenvalues of B_H and B_T and c the Frobenius
+  norm of the block that couples them (likewise for -lambda_min(B_S)).  a
+  and b are closed forms for blocks of up to 3 columns (the eigenvalues
+  themselves for 1 and 2, nested 2 x 2 bounds for 3) and eigvalsh's beyond;
+  the tails' are formed once per scan.  c^2 comes from the row sums of
+  G o G over each tail, tabled once per scan when heads have two columns or
+  more, so the test runs for a whole group of supports at once without
   gathering any of them;
 - beta_S = ||B_S^2||_F^(1/2), one small matmul per gathered support;
 - eigvalsh.
@@ -20,10 +23,11 @@ A support whose bound lies below the running maximum by more than a rounding
 margin (a few s^3 eps max(1, max_i G_ii), see kernels.rip_scan and
 kernels.max_deviation) cannot raise it and goes no further.  Before a scan
 of more than one block the maximum starts at the deviation of a greedily
-grown support; where the scan's table of tails is every support, so there
-is no head, every support is gathered.  A scan of one block starts at
-beta_S, as the sampled lower bound does.  The constant equals the
-unscreened maximum bit for bit.  Reports count the supports covered and,
+grown support: grown from the tail with the best bound on each side when the
+scan has heads, and from no column where the scan's table of tails is every
+support, so there is no head and every support is gathered.  A scan of one
+block starts at beta_S, as the sampled lower bound does.  The constant equals
+the unscreened maximum bit for bit.  Reports count the supports covered and,
 separately, those eigensolved.
 """
 

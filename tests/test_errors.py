@@ -29,9 +29,9 @@ def test_count_refuses_bools_fractions_and_non_numbers(value):
 def test_count_bounds():
     assert check_count(0, "k", 0) == 0
     assert check_count(2e5, "k") == 200000
-    with pytest.raises(DomainError, match=">= 1"):
+    with pytest.raises(DomainError, match=r"^k must be >= 1, got 0$"):
         check_count(0, "k")
-    with pytest.raises(DomainError, match=r"\[1, 4\]"):
+    with pytest.raises(DomainError, match=r"^k must lie in \[1, 4\], got 5$"):
         check_count(5, "k", 1, 4)
 
 

@@ -157,7 +157,7 @@ def test_block_screen_keeps_every_support_that_reaches_delta(monkeypatch, case, 
     if tails.shape[1] == s:
         # no heads: rip_scan gathers every support, and nothing is screened
         return
-    screen = kernels._block_screen(G, s, tails)
+    screen = kernels._block_screen(G, s, tails, kernels._block_bounds(G, tails))
     chunks = []
     for heads, lo in groups:
         n = len(tails) - lo
@@ -183,9 +183,10 @@ def test_block_screen_keeps_every_support_that_reaches_delta(monkeypatch, case, 
 @pytest.mark.parametrize("case", sorted(SCREEN_CASES))
 def test_pair_sum_bound_is_at_least_every_deviation(monkeypatch, case, block_floats):
     # the bound of rip_scan's block test, lambda_max([[a, c], [c, b]]) for
-    # both sides, with c^2 the sum of G_hj^2 over the head/tail pairs; a
-    # support is split as _scan_groups splits it, or into halves when the
-    # scan leaves it whole (the bound holds for any split)
+    # both sides, with a and b the scan's block bounds and c^2 the sum of
+    # G_hj^2 over the head/tail pairs; a support is split as _scan_groups
+    # splits it, or into halves when the scan leaves it whole (the bound
+    # holds for any split)
     monkeypatch.setattr(kernels, "SCAN_BLOCK_FLOATS", block_floats)
     build, s = SCREEN_CASES[case]
     A = build()
@@ -202,12 +203,68 @@ def test_pair_sum_bound_is_at_least_every_deviation(monkeypatch, case, block_flo
         H, T = supports[:, :p], supports[:, p:]
         c2 = np.sum(G[H[:, :, None], T[:, None, :]] ** 2, axis=(1, 2))
         bound = np.full(len(supports), -np.inf)
-        for a, b in zip(kernels._extremes(G, H), kernels._extremes(G, T)):
+        for a, b in zip(kernels._block_bounds(G, H), kernels._block_bounds(G, T)):
             side = (a + b) / 2.0 + np.sqrt(((a - b) / 2.0) ** 2 + c2)
             bound = np.maximum(bound, side)
         assert np.all(bound + margin >= support_deviations(G, supports))
         count += len(supports)
     assert count == math.comb(A.shape[1], s)
+
+
+def _block_allowance(G, q):
+    """The rounding allowance of _block_bounds on blocks of size q."""
+    return 2.0 * q * q * np.finfo(float).eps * max(1.0, float(G.diagonal().max()))
+
+
+def _check_block_bounds(G, sets):
+    # both sides are at least eigvalsh's extremes, less the stated
+    # allowance, and blocks of one or two entries get their eigenvalues
+    q = sets.shape[1]
+    allowance = _block_allowance(G, q)
+    ev = np.linalg.eigvalsh(G[sets[:, :, None], sets[:, None, :]])
+    for bound, extreme in zip(kernels._block_bounds(G, sets), (ev[:, -1] - 1.0, 1.0 - ev[:, 0])):
+        assert bound.shape == (len(sets),)
+        assert np.all(bound + allowance >= extreme)
+        if q <= 2:
+            assert np.all(np.abs(bound - extreme) <= allowance)
+
+
+@pytest.mark.parametrize("case", sorted(SCREEN_CASES))
+def test_block_bounds_cover_every_small_block(case):
+    A = SCREEN_CASES[case][0]()
+    G = np.ascontiguousarray(A.T @ A)
+    for q in (1, 2, 3):
+        _check_block_bounds(G, kernels._subsets(G.shape[0], q))
+
+
+def _three_by_three(entries):
+    # the symmetric matrix of the diagonal (g00, g11, g22) and the
+    # couplings (g01, g02, g12)
+    (a, b, c), (x, y, z) = entries
+    return np.array([[a, x, y], [x, b, z], [y, z, c]])
+
+
+THREE_BY_THREE = {
+    "equal-diagonals": ((1.0, 1.0, 1.0), (0.4, 0.4, 0.4)),
+    "equal-diagonals-mixed": ((1.0, 1.0, 1.0), (0.5, -0.3, 0.1)),
+    "one-dominant-coupling": ((1.0, 1.1, 0.9), (0.95, 0.01, -0.02)),
+    "zero-coupling": ((0.2, 1.0, 1.7), (0.0, 0.0, 0.0)),
+    "one-zero-coupling": ((0.8, 1.2, 1.0), (0.3, 0.0, -0.4)),
+}
+
+
+@pytest.mark.parametrize("scale", [1e-4, 1.0, 1e4])
+@pytest.mark.parametrize("case", sorted(THREE_BY_THREE))
+def test_block_bounds_cover_hand_built_three_by_three_blocks(case, scale):
+    G = scale * _three_by_three(THREE_BY_THREE[case])
+    assert np.linalg.eigvalsh(G)[0] >= 0.0
+    _check_block_bounds(G, np.array([[0, 1, 2]]))
+    if case == "zero-coupling":
+        # with no coupling the nested bounds are the extreme diagonal entries
+        up, down = kernels._block_bounds(G, np.array([[0, 1, 2]]))
+        allowance = _block_allowance(G, 3)
+        assert abs(up[0] - (G.diagonal().max() - 1.0)) <= allowance
+        assert abs(down[0] - (1.0 - G.diagonal().min())) <= allowance
 
 
 def _seeded_gaussian(seed):
@@ -218,9 +275,24 @@ def _seeded_gaussian(seed):
 # the block size makes C(14, 4) = 1001 supports span several groups
 MULTI_GROUP_CASES = {
     "seed-is-delta": (_seeded_gaussian(53), 4, 400, True),
-    "seed-below-delta": (_seeded_gaussian(54), 4, 400, False),
+    "seed-below-delta": (_seeded_gaussian(60), 4, 400, False),
     "identity": (lambda: np.eye(10), 4, 400, True),
 }
+
+
+def _scan_with_seed(monkeypatch, A, s):
+    """rip_constant_exact(A, s), and the starts and result of each
+    _greedy_seed call the scan made."""
+    calls = []
+    greedy_seed = kernels._greedy_seed
+
+    def spy(G, k, starts):
+        found = greedy_seed(G, k, starts)
+        calls.append((starts, found))
+        return found
+
+    monkeypatch.setattr(kernels, "_greedy_seed", spy)
+    return rip_constant_exact(A, s), calls
 
 
 @pytest.mark.parametrize("case", sorted(MULTI_GROUP_CASES))
@@ -228,17 +300,44 @@ def test_multi_group_scan_equals_per_support_reference(monkeypatch, case):
     build, s, block_floats, seed_is_delta = MULTI_GROUP_CASES[case]
     monkeypatch.setattr(kernels, "SCAN_BLOCK_FLOATS", block_floats)
     A = build()
-    G = np.ascontiguousarray(A.T @ A)
     tails, groups = kernels._scan_groups(A.shape[1], s)
     assert tails.shape[1] < s and len({lo for _, lo in groups}) > 1
-    report = rip_constant_exact(A, s)
+    report, [(_, (seed, _))] = _scan_with_seed(monkeypatch, A, s)
     assert report.delta == per_support_delta(A, s)
-    assert (kernels._greedy_seed(G, s) == report.delta) == seed_is_delta
+    assert (seed == report.delta) == seed_is_delta
     if case == "identity":
         # every support ties at deviation 0, so the screen rules none out
         assert report.supports_solved == report.supports_examined
     else:
         assert report.supports_solved < report.supports_examined
+
+
+SEED_CASES = {f"screen-{c}": (b, s, 2000) for c, (b, s) in SCREEN_CASES.items()}
+SEED_CASES.update((f"multi-{c}", (b, s, f)) for c, (b, s, f, _) in MULTI_GROUP_CASES.items())
+
+
+@pytest.mark.parametrize("case", sorted(SEED_CASES))
+def test_seed_is_an_attained_deviation_grown_from_the_best_tails(monkeypatch, case):
+    # at these block sizes every scan spans several blocks, and all but the
+    # identity of SCREEN_CASES split their supports into heads and tails
+    build, s, block_floats = SEED_CASES[case]
+    monkeypatch.setattr(kernels, "SCAN_BLOCK_FLOATS", block_floats)
+    A = build()
+    G = np.ascontiguousarray(A.T @ A)
+    tails, _ = kernels._scan_groups(G.shape[0], s)
+    report, [(starts, (seed, support))] = _scan_with_seed(monkeypatch, A, s)
+    assert report.delta == per_support_delta(A, s)
+    assert seed == kernels._deviation(G, support[None]) <= report.delta
+    assert support.tolist() == sorted(set(support.tolist())) and len(support) == s
+    if tails.shape[1] < s:
+        # each side grows from the tail with that side's best bound
+        bounds = kernels._block_bounds(G, tails)
+        for start, bound in zip(starts, bounds):
+            assert start.tolist() == tails[np.argmax(bound)].tolist()
+        assert any(set(start.tolist()) <= set(support.tolist()) for start in starts)
+    else:
+        assert case == "screen-identity"
+        assert [len(start) for start in starts] == [0, 0]
 
 
 @pytest.mark.parametrize(

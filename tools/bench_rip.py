@@ -1,23 +1,33 @@
 """Time and count the exact restricted-isometry scan, rip.rip_constant_exact,
-on the certify_wide trial matrices and on one-block shapes.
+on the certify_wide trial matrices, on one-block shapes and on a compressive
+shape.
 
 Run from the repository root as tools/treebench.py describes.  Each tree runs
 the scans in children of its own, ROUNDS rounds, and each child runs every
-scan once counted and REPEATS times timed.
+scan once counted and REPEATS times timed, with the budget raised to the
+scan's support count.
 
-The matrices are the 12 trial matrices of the benchmark's certify_wide
-workload at seed 1, round 0 (512 x 24 Gaussian, delta_6, C(24, 6) = 134,596
-supports), and Gaussian matrices of the one-block shapes that demo_tanh and
-oracle_agreement scan: 512 x 12 at order 4 and 512 x 6 at orders 2 and 4,
-whose supports fit one block and go straight to kernels.max_deviation.  Per
-matrix and tree the file records the scan time (the fastest of the timed
+The matrices come in three sets:
+- certify_wide: the 12 trial matrices of the benchmark's certify_wide
+  workload at seed 1, round 0 (512 x 24 Gaussian, delta_6, C(24, 6) =
+  134,596 supports), split into heads and tails of 3;
+- one_block: Gaussian matrices of the one-block shapes that demo_tanh and
+  oracle_agreement scan, 512 x 12 at order 4 and 512 x 6 at orders 2 and 4,
+  whose supports fit one block and go straight to kernels.max_deviation;
+- compressive: delta_4 of 96 x 128 matrices, the first 96 rows of a seeded
+  random orthogonal matrix (the QR factor of a standard normal 128 x 128
+  matrix, its column signs fixed by R's diagonal) with unit-norm columns, at
+  seeds 3 and 4: C(128, 4) = 10,668,000 supports, split into heads and
+  tails of 2, beyond the default budget.
+Per matrix and tree the file records the scan time (the fastest of the timed
 runs, median over the rounds), the constant, whether it is == the first
-tree's, the value of the greedy seed kernels._greedy_seed, from which a scan
-of more than one block starts, the supports eigensolved, and the supports
+tree's, the value the scan's running maximum starts from (the delta its first
+kernels.max_deviation call receives: the greedy seed of a scan of more than
+one block, 0 for a scan of one), the supports eigensolved, and the supports
 that reach kernels.max_deviation, that is, that no cheaper bound ruled out
 before any Gram entry was gathered (every support, where the tree has no
 such bound).  Totals per tree sum the times and counts over each set, and
-count the scans whose seed lies below the constant.  Results go to
+count the scans whose start lies below the constant.  Results go to
 BENCH_rip.json.
 """
 
@@ -39,6 +49,9 @@ REPEATS = 5
 WORKLOAD_SEED = 1
 # (rows, columns, order, matrix seeds) of the one-block scans
 ONE_BLOCK = ((512, 12, 4, (0, 1, 2)), (512, 6, 2, (0, 1, 2)), (512, 6, 4, (0, 1, 2)))
+# (rows, columns, order, matrix seeds) of the compressive scans
+COMPRESSIVE = (96, 128, 4, (3, 4))
+SETS = ("certify_wide", "one_block", "compressive")
 COLUMNS = (
     "set",
     "matrix",
@@ -75,6 +88,11 @@ def build_inputs():
         for seed in seeds:
             A = harness.gen_gaussian_matrix(n, m, seed)
             inputs.append(("one_block", f"{n}x{m} seed {seed}", k, A))
+    n, m, k, seeds = COMPRESSIVE
+    for seed in seeds:
+        Q, R = np.linalg.qr(np.random.default_rng(seed).standard_normal((m, m)))
+        A = (Q * np.sign(np.diag(R)))[:n]
+        inputs.append(("compressive", f"{n}x{m} seed {seed}", k, A / np.linalg.norm(A, axis=0)))
     return inputs
 
 
@@ -89,6 +107,8 @@ def measure(inputs_path):
 
     def counted(max_deviation):
         def call(G, supports, delta):
+            # the first call receives the value the scan starts from
+            counts.setdefault("start", delta)
             counts["past_bound"] += len(supports)
             return max_deviation(G, supports, delta)
 
@@ -97,16 +117,18 @@ def measure(inputs_path):
     rows = []
     for i, k in enumerate(data["order"].tolist()):
         A = data[f"A{i}"]
+        budget = math.comb(A.shape[1], k)
+        counts.clear()
         counts["past_bound"] = 0
         with treebench.swapped(kernels, "max_deviation", counted):
-            report = rip.rip_constant_exact(A, k)
+            report = rip.rip_constant_exact(A, k, budget)
         best = math.inf
         for _ in range(REPEATS):
             t0 = time.perf_counter()
-            rip.rip_constant_exact(A, k)
+            rip.rip_constant_exact(A, k, budget)
             best = min(best, time.perf_counter() - t0)
-        seed = kernels._greedy_seed(np.ascontiguousarray(A.T @ A), k)
-        rows.append([report.delta, seed, report.supports_solved, counts["past_bound"], best * 1e3])
+        row = [report.delta, counts["start"], report.supports_solved, counts["past_bound"]]
+        rows.append(row + [best * 1e3])
     return rows
 
 
@@ -131,7 +153,7 @@ def run(trees):
                 [kind, name, m, k, math.comb(m, k), scan_ms, delta, equal, seed, solved, past_bound]
             )
         totals = {}
-        for kind in ("certify_wide", "one_block"):
+        for kind in SETS:
             rows = [row for row in table if row[0] == kind]
             totals[kind] = {
                 "scans": len(rows),
