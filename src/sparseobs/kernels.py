@@ -13,9 +13,10 @@ marches one state, or many rows in lockstep for the combinatorial oracle, a
 block of steps at a time, and builds the sensitivity from each block's stage
 slopes as a product of per-step increments in batched matmuls (see
 rk4_flow_jacobian).  From an all-zero state the fields with f(0) = 0 are
-not marched at all (see _at_rest): the path is zeros, and every step of the
-sensitivity has one increment, whose block products _chain_runs forms in
-O(log n) matmuls, bit for bit as _chain would.  The support scan screens in
+not marched at all (see _at_rest): the path is zeros.  Where the Jacobian
+does not depend on the state, under every field but tanh and under tanh at
+rest, one step's increment is formed once, and each block's product is
+_chain of views of it, bit for bit.  The support scan screens in
 three tiers, each run only on the supports the one before could not rule out: a
 block test built from bounds on the extreme eigenvalues of each support's
 head and tail blocks (closed forms up to 3 x 3, see _block_bounds) and the
@@ -38,7 +39,6 @@ import math
 import numpy as np
 
 # right-hand-side catalog codes, shared with model.DynamicalSystem
-RHS_ZERO = 0
 RHS_LINEAR = 1
 RHS_AFFINE = 2
 RHS_TANH = 3
@@ -62,9 +62,6 @@ def rhs(kind, MT, c, X, out):
     place: np.dot of X and MT into out, then the drift added or tanh taken,
     with the bits of the allocating X @ MT, + c and tanh.  The catalog is
     autonomous."""
-    if kind == RHS_ZERO:
-        out.fill(0.0)
-        return out
     np.dot(X, MT, out)
     if kind == RHS_AFFINE:
         np.add(out, c, out)
@@ -76,15 +73,17 @@ def rhs(kind, MT, c, X, out):
 def jacobian_scale(kind, F):
     """The row scales d of the Jacobian J(x) = diag(d) M at points whose
     slopes are F = f(x): 1 - F^2 for tanh, 1 for the linear and affine
-    fields, 0 for the zero field."""
+    fields.  Only tanh's depend on the state, and at rest, F = 0, they are
+    1 as well (see rk4_flow_jacobian)."""
     if kind == RHS_TANH:
         return 1.0 - F * F
-    return np.full_like(F, 0.0 if kind == RHS_ZERO else 1.0)
+    return np.ones_like(F)
 
 
 def _at_rest(kind, X):
     """Whether X is all zeros under a field with f(0) = 0 (every kind but the
-    affine one): then every RK4 stage slope and state stays exactly 0."""
+    affine one): then every RK4 stage slope and state stays exactly 0, so
+    the march is skipped, and tanh's Jacobian scales are all 1."""
     return kind != RHS_AFFINE and not X.any()
 
 
@@ -164,21 +163,6 @@ def _chain(E):
     return E[0]
 
 
-def _chain_runs(E, q):
-    """_chain of q copies of E, bit for bit, in O(log q) matmuls: each level
-    of _chain's pairing is a run of equal entries followed by at most one
-    other, the tail."""
-    tail = None
-    while q + (tail is not None) > 1:
-        pair = E + E + np.matmul(E, E)
-        if tail is None:
-            tail = E if q % 2 else None
-        elif q % 2:
-            tail = tail + E + np.matmul(tail, E)
-        E, q = pair, q // 2
-    return E if q else tail
-
-
 def rk4_flow_jacobian(kind, M, c, X0, T, n_steps):
     """Final state and its sensitivity to the initial state under the RK4
     flow.  X0 is one state (m,), giving (m,) and (m, m), or rows (k, m),
@@ -189,40 +173,43 @@ def rk4_flow_jacobian(kind, M, c, X0, T, n_steps):
     the ordered product of those maps.  _march advances only the state, with
     the same steps as rk4_path, a block of c steps at a time, and writes the
     block's stage slopes into one preallocated (c, 4, *X0.shape) array; each
-    block's increments are then formed and multiplied in a few batched
-    calls, and P <- P + E_tot P.  c = SCAN_BLOCK_FLOATS // (4 m^2 k), at
-    least 1, bounds the block's temporaries.  At rest (see
-    _at_rest) every step has the same increment E and every row the same
-    sensitivity, so one E is formed and each block's product is _chain_runs
-    of it, with the same blocks, bit for bit.  Zero rows give empty results.
+    block's increments are multiplied by _chain in a few batched calls, and
+    P <- P + E_tot P.  c = SCAN_BLOCK_FLOATS // (4 m^2 k), at least 1,
+    bounds the block's temporaries.  Two things are skipped where they
+    cannot change a bit.  At rest (see _at_rest) the state is not marched.
+    Where the Jacobian scales do not depend on the state, under every field
+    but tanh and under tanh at rest, every step of every row has the
+    increment E of a zero state, so E is formed once, each block's product
+    is _chain of c views of it, formed once per block length, and one
+    sensitivity serves every row.  Zero rows give empty results.
     """
     m = X0.shape[-1]
-    P = np.broadcast_to(np.eye(m), X0.shape + (m,)).copy()
     if X0.size == 0:
-        return X0.copy(), P
+        return X0.copy(), np.empty(X0.shape + (m,))
     block = max(1, SCAN_BLOCK_FLOATS // (4 * m * m * (X0.size // m)))
     h = T / n_steps
-    if _at_rest(kind, X0):
+    rest = _at_rest(kind, X0)
+    shared = kind != RHS_TANH or rest
+    if shared:
         E = _step_increments(kind, M, np.zeros((1, 4, m)), h)[0]
-        P = np.eye(m)
-        full, last = divmod(n_steps, block)
-        if full:
-            E_tot = _chain_runs(E, block)
-            for _ in range(full):
-                P = P + np.matmul(E_tot, P)
-        if last:
-            P = P + np.matmul(_chain_runs(E, last), P)
-        return np.zeros_like(X0), np.broadcast_to(P, X0.shape + (m,)).copy()
     MT = np.ascontiguousarray(M.T)
     K = np.empty((min(block, n_steps), 4) + X0.shape)
     S = np.empty((len(K) + 1,) + X0.shape)
     S[0] = X0
+    P = np.eye(m)
+    E_tot = None
     for i in range(0, n_steps, block):
         b = min(block, n_steps - i)
-        _march(kind, MT, c, S[: b + 1], h, K[:b])
-        P = P + np.matmul(_chain(_step_increments(kind, M, K[:b], h)), P)
-        S[0] = S[b]
-    return S[0].copy(), P
+        if not rest:
+            _march(kind, MT, c, S[: b + 1], h, K[:b])
+            S[0] = S[b]
+        if not shared:
+            E_tot = _chain(_step_increments(kind, M, K[:b], h))
+        elif E_tot is None or b < block:
+            # the full blocks share one product; a ragged last block forms its own
+            E_tot = _chain(np.broadcast_to(E, (b, m, m)))
+        P = P + np.matmul(E_tot, P)
+    return S[0].copy(), np.broadcast_to(P, X0.shape + (m,)).copy()
 
 
 def _admm(project, thresh, z0, u0, max_iter, tol):

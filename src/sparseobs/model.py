@@ -34,7 +34,7 @@ from . import kernels
 RHS_KINDS = ("zero", "linear", "affine", "tanh_saturated")
 
 _KIND_CODES = {
-    "zero": kernels.RHS_ZERO,
+    "zero": kernels.RHS_LINEAR,
     "linear": kernels.RHS_LINEAR,
     "affine": kernels.RHS_AFFINE,
     "tanh_saturated": kernels.RHS_TANH,
@@ -136,7 +136,9 @@ class DynamicalSystem:
 
     def kernel_args(self):
         """(kind code, matrix, drift) with concrete float64 arrays for the
-        kernels; the zero kind gets explicit zero arrays."""
+        kernels.  The zero kind runs as the linear one with explicit zero
+        arrays, f = 0 x, whose slopes and sensitivity increments are
+        exactly 0."""
         m = self.dim
         M = np.zeros((m, m)) if self.matrix is None else np.ascontiguousarray(self.matrix)
         c = np.zeros(m) if self.drift is None else np.ascontiguousarray(self.drift)

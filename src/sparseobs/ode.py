@@ -9,9 +9,11 @@ flow_with_jacobian repeat that search on every call, row by row;
 settle_steps runs it once, for x(T) and its Jacobian at x = 0, and returns
 the accepted count as a fixed config, which recovery, the oracle and the
 experiment trials use for every flow of one problem.  A flow from rest (x = 0
-under the zero, linear or tanh field) costs O(log n) matmuls in place of n
-RK4 steps (see kernels.rk4_flow_jacobian), so the climb and the repeated
-flow at 0 of recovery and the oracle are cheap.
+under the zero, linear or tanh field) marches no state: it forms one RK4
+step's sensitivity increment and multiplies copies of it in ceil(log2 c)
+batched matmuls per block of c steps, once per block length, for every row
+at once (see kernels.rk4_flow_jacobian), so the climb and the repeated flow
+at 0 of recovery and the oracle are cheap.
 """
 
 from __future__ import annotations

@@ -220,7 +220,7 @@ def test_eval_rhs_and_jacobian_agree_with_definitions():
 
 def test_kernel_args_fills_zero_system_with_zero_arrays():
     kind, M, c = DynamicalSystem.zero(3).kernel_args()
-    assert kind == 0
+    assert kind == kernels.RHS_LINEAR
     np.testing.assert_array_equal(M, np.zeros((3, 3)))
     np.testing.assert_array_equal(c, np.zeros(3))
 

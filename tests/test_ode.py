@@ -22,7 +22,7 @@ from sparseobs.ode import (
     settle_steps,
 )
 
-from conftest import catalog_systems, tool_module, unit_spectral_matrix
+from conftest import catalog_systems, tool_module
 
 _DEMO_CONFIG = Path(__file__).resolve().parents[1] / "configs" / "demo.json"
 
@@ -350,6 +350,26 @@ def test_zero_state_flows_skip_the_march_and_equal_it(monkeypatch, shape):
         assert np.array_equal(xT, xT_ref) and np.array_equal(P, P_ref)
 
 
+@pytest.mark.parametrize("shape", [(5,), (3, 5)])
+def test_zero_field_is_the_linear_field_with_a_zero_matrix(shape):
+    # the zero field runs as the linear one with its all-zero matrix; from
+    # rest and off rest its states stay x0 and its sensitivity I, exactly
+    m = shape[-1]
+    zero = DynamicalSystem.zero(m).kernel_args()
+    linear = DynamicalSystem.linear(np.zeros((m, m))).kernel_args()
+    eye = np.broadcast_to(np.eye(m), shape + (m,))
+    rng = np.random.Generator(np.random.Philox(913))
+    for X0 in (np.zeros(shape), rng.normal(size=shape)):
+        for n in [1, 7, 257]:
+            path = kernels.rk4_path(*zero, X0, 0.8, n)
+            xT, P = kernels.rk4_flow_jacobian(*zero, X0, 0.8, n)
+            assert np.array_equal(path, np.broadcast_to(X0, (n + 1,) + shape))
+            assert np.array_equal(xT, X0) and np.array_equal(P, eye)
+            assert np.array_equal(path, kernels.rk4_path(*linear, X0, 0.8, n))
+            xT_lin, P_lin = kernels.rk4_flow_jacobian(*linear, X0, 0.8, n)
+            assert np.array_equal(xT, xT_lin) and np.array_equal(P, P_lin)
+
+
 @pytest.mark.parametrize("m", [5, 12])
 def test_rhs_writes_the_allocated_slopes_in_place(m):
     # np.dot into out gives the bits of X @ M.T for one state, one row and
@@ -393,18 +413,13 @@ def test_marches_off_rest_equal_the_stage_by_stage_reference(blocks, monkeypatch
                     calls = _count_rest_calls(patch)
                     path = kernels.rk4_path(kind, M, c, X0, 0.8, n)
                     xT, P = kernels.rk4_flow_jacobian(kind, M, c, X0, 0.8, n)
-                assert calls == {"rhs": 2 * 4 * n, "_step_increments": -(-n // block)}
+                # tanh's increments depend on the state, one call per block;
+                # every other field's are formed once
+                increments = -(-n // block) if system.kind == "tanh_saturated" else 1
+                assert calls == {"rhs": 2 * 4 * n, "_step_increments": increments}
                 assert np.array_equal(path, path_ref), (system.kind, shape, n)
                 assert np.array_equal(xT, xT_ref), (system.kind, shape, n)
                 assert np.array_equal(P, P_ref), (system.kind, shape, n)
-
-
-def test_chain_runs_equal_the_chain_of_copies():
-    M = unit_spectral_matrix(7, 909)
-    E = kernels._step_increments(kernels.RHS_TANH, M, np.zeros((1, 4, 7)), 0.05)[0]
-    for q in range(1, 301):
-        copies = np.broadcast_to(E, (q, 7, 7)).copy()
-        assert np.array_equal(kernels._chain_runs(E, q), kernels._chain(copies)), q
 
 
 @pytest.mark.parametrize("m", [3, 12, 24])
@@ -469,7 +484,9 @@ def test_flow_jacobian_block_boundaries(rows, monkeypatch):
     for system, (xT_ref, P_ref) in zip(catalog_systems(m, 907), expected):
         blocks.clear()
         xT, P = kernels.rk4_flow_jacobian(*system.kernel_args(), X0, 0.8, 257)
-        assert blocks == [3] * 85 + [2]
+        # tanh forms the increments of each block; every other field forms
+        # one step's once
+        assert blocks == ([3] * 85 + [2] if system.kind == "tanh_saturated" else [1])
         assert np.array_equal(xT, xT_ref)
         np.testing.assert_allclose(P, P_ref, rtol=0, atol=1e-14)
 

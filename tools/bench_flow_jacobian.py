@@ -26,9 +26,10 @@ import numpy as np
 
 T = 0.8
 CALLS = 15
-# the right-hand-side codes of kernels.RHS_ZERO, RHS_LINEAR, RHS_AFFINE and
-# RHS_TANH; the kernels are loaded per tree, so the codes are restated here
-ZERO, LINEAR, AFFINE, TANH = 0, 1, 2, 3
+# the right-hand-side codes of kernels.RHS_LINEAR, RHS_AFFINE and RHS_TANH
+# (the zero field runs as the linear one); the kernels are loaded per tree,
+# so the codes are restated here
+LINEAR, AFFINE, TANH = 1, 2, 3
 # (case, kind code, m, rows or None for one 1-d state, steps, from rest: X0 = 0)
 SHAPES = (
     # the demo's line search flows one row at the settled count, 32 steps on
@@ -37,6 +38,7 @@ SHAPES = (
     ("tanh m=12 1-d 256 steps (the fixed(256) default)", TANH, 12, None, 256, False),
     ("tanh m=6 15 rows 16 steps", TANH, 6, 15, 16, False),
     ("linear m=24 1-d 256 steps", LINEAR, 24, None, 256, False),
+    ("affine m=12 1-d 256 steps", AFFINE, 12, None, 256, False),
     ("tanh m=12 66 rows 256 steps (oracle pairs at m=12)", TANH, 12, 66, 256, False),
     ("tanh m=128 1-d 256 steps", TANH, 128, None, 256, False),
     # the demo's settle climb at x = 0, one row per count
@@ -46,6 +48,9 @@ SHAPES = (
     ("tanh m=12 1 row 64 steps from rest (settle climb)", TANH, 12, 1, 64, True),
     ("tanh m=12 1-d 32 steps from rest (recovery flow0)", TANH, 12, None, 32, True),
     ("linear m=24 1-d 256 steps from rest", LINEAR, 24, None, 256, True),
+    # certify_wide's settle climb at x = 0 spans two blocks at 16 steps
+    ("linear m=24 1 row 16 steps from rest (certify_wide settle climb)", LINEAR, 24, 1, 16, True),
+    ("tanh m=6 1-d 16 steps from rest (oracle_agreement flow at 0)", TANH, 6, None, 16, True),
 )
 
 
@@ -77,8 +82,6 @@ def reference_sensitivity(kind, M, c, X0, T, n_steps):
     P = np.broadcast_to(np.eye(m, dtype=L), X.shape + (m,)).copy()
 
     def stage(X, P):
-        if kind == ZERO:
-            return 0 * X, 0 * P
         F = X @ M.T
         if kind == AFFINE:
             F = F + c

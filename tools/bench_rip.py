@@ -26,9 +26,11 @@ kernels.max_deviation call receives: the greedy seed of a scan of more than
 one block, 0 for a scan of one), the supports eigensolved, and the supports
 that reach kernels.max_deviation, that is, that no cheaper bound ruled out
 before any Gram entry was gathered (every support, where the tree has no
-such bound).  Totals per tree sum the times and counts over each set, and
-count the scans whose start lies below the constant.  Results go to
-BENCH_rip.json.
+such bound).  Totals per tree sum the counts over each set, count the scans
+whose start lies below the constant, and give the median and quartiles,
+over the rounds, of the set's total scan time (each round's sum of its
+fastest runs), so a ratio between trees can be read against each tree's
+spread.  Results go to BENCH_rip.json.
 """
 
 import treebench
@@ -154,10 +156,12 @@ def run(trees):
             )
         totals = {}
         for kind in SETS:
-            rows = [row for row in table if row[0] == kind]
+            members = [i for i, row in enumerate(table) if row[0] == kind]
+            rows = [table[i] for i in members]
+            round_s = [sum(r[i][4] for i in members) / 1e3 for r in rounds]
             totals[kind] = {
                 "scans": len(rows),
-                "scan_ms": sum(row[5] for row in rows),
+                **treebench.quartiles(round_s),
                 "supports": sum(row[4] for row in rows),
                 "seed_below_delta": sum(row[8] < row[6] for row in rows),
                 "supports_solved": sum(row[9] for row in rows),
@@ -166,7 +170,8 @@ def run(trees):
             }
             t = totals[kind]
             print(
-                f"{label:>8}  {kind:<12}  {t['scan_ms']:8.1f} ms  "
+                f"{label:>8}  {kind:<12}  {t['median_ms']:8.1f} ms "
+                f"({t['q1_ms']:.1f}-{t['q3_ms']:.1f})  "
                 f"seed below delta on {t['seed_below_delta']} of {t['scans']}  "
                 f"{t['supports_solved']:6d} solved  "
                 f"{t['supports_past_bound']:7d} of {t['supports']} past the bound  "
@@ -184,7 +189,7 @@ def run(trees):
     treebench.parent_over_change(
         doc,
         "parent_over_change",
-        lambda r: {kind: {"scan_ms": t["scan_ms"]} for kind, t in r["totals"].items()},
+        lambda r: {kind: {"median_ms": t["median_ms"]} for kind, t in r["totals"].items()},
     )
     treebench.write("rip", doc)
 
