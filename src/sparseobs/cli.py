@@ -27,7 +27,7 @@ from .errors import (
     check_matrix,
 )
 from .harness import emit_report, load_experiment_config, run_experiment
-from .model import problem_from_dict, read_document, system_from_dict, to_doc
+from .model import from_doc, problem_from_dict, read_document, system_from_dict, to_doc
 from .ode import IntegrationConfig
 from .recover import DEFAULT_ORACLE_BUDGET, SolverConfig, l0_oracle, recover_initial_state
 from .rip import (
@@ -99,7 +99,7 @@ def _cmd_certify(args) -> int:
 
 def _recover(problem, integration, args):
     path = args.solver_config
-    solver = None if path is None else SolverConfig.from_dict(read_document(path))
+    solver = None if path is None else from_doc(SolverConfig, read_document(path), "solver config")
     return recover_initial_state(problem, integration, solver)
 
 

@@ -324,7 +324,9 @@ def run_trial(config: ExperimentConfig, trial: int, force: bool = False) -> Tria
         reasons = (REASON_RIP_BUDGET,)
         obs_T = rec_T = c0 = c1 = None
 
-    # the observation and the recovery share one discrete flow
+    # the observation and the recovery share one step count; under the zero,
+    # linear and affine fields recovery maps x through the flow at 0, which
+    # matches the observation's march only up to rounding
     integration = settle_steps(system, T, config.integration)
     x0, support, values = _plant_signal(config, trial)
     xT = integrate(system, x0, T, integration).final_state

@@ -12,11 +12,11 @@ nothing.  rk4_path marches straight into its result.  The flow Jacobian
 marches one state, or many rows in lockstep for the combinatorial oracle, a
 block of steps at a time, and builds the sensitivity from each block's stage
 slopes as a product of per-step increments in batched matmuls (see
-rk4_flow_jacobian).  From an all-zero state the fields with f(0) = 0 are
-not marched at all (see _at_rest): the path is zeros.  Where the Jacobian
-does not depend on the state, under every field but tanh and under tanh at
-rest, one step's increment is formed once, and each block's product is
-_chain of views of it, bit for bit.  The support scan screens in
+rk4_flow_jacobian).  A flow from an all-zero state under a field with
+f(0) = 0 skips the march, whose states would all be zeros; a path marches
+from any state.  Where the Jacobian does not depend on the state, under
+every field but tanh and under tanh at rest, one step's increment is formed
+once, and each block's product is _chain of views of it, bit for bit.  The support scan screens in
 three tiers, each run only on the supports the one before could not rule out: a
 block test built from bounds on the extreme eigenvalues of each support's
 head and tail blocks (closed forms up to 3 x 3, see _block_bounds) and the
@@ -80,13 +80,6 @@ def jacobian_scale(kind, F):
     return np.ones_like(F)
 
 
-def _at_rest(kind, X):
-    """Whether X is all zeros under a field with f(0) = 0 (every kind but the
-    affine one): then every RK4 stage slope and state stays exactly 0, so
-    the march is skipped, and tanh's Jacobian scales are all 1."""
-    return kind != RHS_AFFINE and not X.any()
-
-
 def _march(kind, MT, c, S, h, K):
     """Classical RK4 with step h from the state S[0], one state (m,) or
     rows (k, m): step i writes its four stage slopes to K[i] and the state
@@ -119,10 +112,8 @@ def rk4_path(kind, M, c, x0, T, n_steps):
     read only within it, so every step writes them to the same four slots:
     the march's K is a stride-0 view of one (4, *x0.shape) array, and the
     temporaries stay O(m)."""
-    out = np.zeros((n_steps + 1,) + x0.shape)
+    out = np.empty((n_steps + 1,) + x0.shape)
     out[0] = x0
-    if _at_rest(kind, x0):
-        return out
     slots = np.empty((4,) + x0.shape)
     K = np.lib.stride_tricks.as_strided(slots, (n_steps,) + slots.shape, (0,) + slots.strides)
     _march(kind, np.ascontiguousarray(M.T), c, out, T / n_steps, K)
@@ -174,21 +165,21 @@ def rk4_flow_jacobian(kind, M, c, X0, T, n_steps):
     the same steps as rk4_path, a block of c steps at a time, and writes the
     block's stage slopes into one preallocated (c, 4, *X0.shape) array; each
     block's increments are multiplied by _chain in a few batched calls, and
-    P <- P + E_tot P.  c = SCAN_BLOCK_FLOATS // (4 m^2 k), at least 1,
-    bounds the block's temporaries.  Two things are skipped where they
-    cannot change a bit.  At rest (see _at_rest) the state is not marched.
+    P <- P + E_tot P.  c = SCAN_BLOCK_FLOATS // (4 m^2 max(1, k)), at
+    least 1, bounds the block's temporaries; zero rows give empty results.
+    Two things are skipped where they cannot change a bit.  At rest, X0 all
+    zeros under a field with f(0) = 0 (every kind but the affine one), every
+    stage slope and state stays exactly 0, so the state is not marched.
     Where the Jacobian scales do not depend on the state, under every field
-    but tanh and under tanh at rest, every step of every row has the
-    increment E of a zero state, so E is formed once, each block's product
-    is _chain of c views of it, formed once per block length, and one
-    sensitivity serves every row.  Zero rows give empty results.
+    but tanh and under tanh at rest (its scales 1 - 0^2 are all 1), every
+    step of every row has the increment E of a zero state, so E is formed
+    once, each block's product is _chain of c views of it, formed once per
+    block length, and one sensitivity serves every row.
     """
     m = X0.shape[-1]
-    if X0.size == 0:
-        return X0.copy(), np.empty(X0.shape + (m,))
-    block = max(1, SCAN_BLOCK_FLOATS // (4 * m * m * (X0.size // m)))
+    block = max(1, SCAN_BLOCK_FLOATS // (4 * m * m * max(1, X0.size // m)))
     h = T / n_steps
-    rest = _at_rest(kind, X0)
+    rest = kind != RHS_AFFINE and not X0.any()
     shared = kind != RHS_TANH or rest
     if shared:
         E = _step_increments(kind, M, np.zeros((1, 4, m)), h)[0]

@@ -4,16 +4,17 @@ by the certificates.
 
 The one integrator is classical RK4 in kernels.  Adaptive mode chooses its
 step count by doubling it until the n-step and 2n-step runs agree entrywise to
-tolerance * (1 + |value|), then keeps the 2n-step run.  integrate and
-flow_with_jacobian repeat that search on every call, row by row;
-settle_steps runs it once, for x(T) and its Jacobian at x = 0, and returns
+tolerance * (1 + |value|), then keeps the 2n-step run.  integrate compares
+the two runs at every shared grid time; flow_with_jacobian compares x(T) and
+dx(T)/dx0 and takes one count for the whole call, the first at which every
+row has settled.  settle_steps runs that search once, at x = 0, and returns
 the accepted count as a fixed config, which recovery, the oracle and the
 experiment trials use for every flow of one problem.  A flow from rest (x = 0
 under the zero, linear or tanh field) marches no state: it forms one RK4
 step's sensitivity increment and multiplies copies of it in ceil(log2 c)
 batched matmuls per block of c steps, once per block length, for every row
-at once (see kernels.rk4_flow_jacobian), so the climb and the repeated flow
-at 0 of recovery and the oracle are cheap.
+at once (see kernels.rk4_flow_jacobian), so the search at 0 and the repeated
+flow at 0 of recovery and the oracle are cheap.
 """
 
 from __future__ import annotations
@@ -104,9 +105,9 @@ def _doubled(n):
     return 2 * n
 
 
-def _settled(coarse, fine, tol, axis=None):
+def _settled(coarse, fine, tol):
     """Whether the n-step values match the 2n-step ones entrywise to tol."""
-    return np.all(np.abs(fine - coarse) <= tol * (1.0 + np.abs(fine)), axis=axis)
+    return np.all(np.abs(fine - coarse) <= tol * (1.0 + np.abs(fine)))
 
 
 def integrate(
@@ -155,23 +156,17 @@ def _flow_run(system, X, T, n):
 
 
 def _climb(system, X, T, tol):
-    """Adaptive flows of the rows X (k, m): each row doubles its own step
-    count until both x(T) and the sensitivity agree, so a row's step count
-    does not depend on the rows beside it.  Its values may: batched BLAS
-    calls round differently from a call on the row alone.  Returns x(T), the
-    sensitivities and each row's accepted step count."""
+    """Adaptive flow of X, one state or rows: doubles one step count for the
+    whole call until x(T) and the sensitivity of every row agree with the
+    previous count's.  Returns x(T), the sensitivities and the count."""
     n = _ADAPTIVE_START_STEPS
-    XT_n, P_n = _flow_run(system, X, T, n)
-    XT, P = np.empty_like(XT_n), np.empty_like(P_n)
-    steps = np.empty(X.shape[0], dtype=int)
-    pending = np.arange(X.shape[0])
-    while pending.size:
+    XT, P = _flow_run(system, X, T, n)
+    while True:
         n = _doubled(n)
-        XT_2n, P_2n = _flow_run(system, X[pending], T, n)
-        ok = _settled(XT_n, XT_2n, tol, 1) & _settled(P_n, P_2n, tol, (1, 2))
-        XT[pending[ok]], P[pending[ok]], steps[pending[ok]] = XT_2n[ok], P_2n[ok], n
-        pending, XT_n, P_n = pending[~ok], XT_2n[~ok], P_2n[~ok]
-    return XT, P, steps
+        XT_n, P_n = XT, P
+        XT, P = _flow_run(system, X, T, n)
+        if _settled(XT_n, XT, tol) and _settled(P_n, P, tol):
+            return XT, P, n
 
 
 def flow_with_jacobian(
@@ -181,17 +176,16 @@ def flow_with_jacobian(
     matrix variational equation alongside the state.  x0 is one state (m,),
     giving (m,) and (m, m), or rows (k, m), giving (k, m) and (k, m, m).
 
-    In adaptive mode each row doubles its own step count until both x(T) and
-    the sensitivity agree, so a row's step count does not depend on the rows
-    beside it, though its values may differ at rounding level from a call on
-    that row alone.  A non-finite value raises NumericalError at once.
+    In adaptive mode the step count doubles for the whole call until x(T)
+    and the sensitivity of every row agree, so every row runs at one count:
+    the first at which all of them have settled.  A non-finite value raises
+    NumericalError at once.
     """
     cfg = config or IntegrationConfig()
     X0, T = _check_args(system, x0, T, rows=True)
     if cfg.mode == "fixed":
         return _flow_run(system, X0, T, cfg.step_count)
-    XT, P, _ = _climb(system, X0.reshape(-1, system.dim), T, cfg.tolerance)
-    return XT.reshape(X0.shape), P.reshape(X0.shape + (system.dim,))
+    return _climb(system, X0, T, cfg.tolerance)[:2]
 
 
 def settle_steps(
@@ -209,7 +203,7 @@ def settle_steps(
         return cfg
     T = check_real(T, "T", positive=True)
     steps = _climb(system, np.zeros((1, system.dim)), T, cfg.tolerance)[2]
-    return IntegrationConfig.fixed(int(steps[0]))
+    return IntegrationConfig.fixed(steps)
 
 
 def flow_jacobian(

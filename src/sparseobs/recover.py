@@ -37,7 +37,7 @@ from .errors import (
     check_real,
     check_weights,
 )
-from .model import RecoveryOutcome, SparseProblem, from_doc, weighted_l1_norm
+from .model import RecoveryOutcome, SparseProblem, weighted_l1_norm
 # unused integrate stays bound: pipebench/bench_trace.py traces it as a call site here
 from .ode import IntegrationConfig, flow_with_jacobian, integrate, settle_steps  # noqa: F401
 
@@ -89,10 +89,6 @@ class SolverConfig:
         }
         for name, value in checked.items():
             object.__setattr__(self, name, value)
-
-    @classmethod
-    def from_dict(cls, doc):
-        return from_doc(cls, doc, "solver config")
 
 
 def solve_weighted_bpdn(Phi, offset, observation, weights, eps, config=None):

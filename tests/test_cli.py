@@ -5,8 +5,11 @@ import pytest
 
 from sparseobs.cli import load_matrix, main
 from sparseobs.harness import _stream_seed, gen_gaussian_matrix
+from sparseobs.model import problem_from_dict
+from sparseobs.ode import IntegrationConfig, settle_steps
 
 from conftest import per_support_delta
+from test_readme import _json_example
 
 
 def _write_json(path, doc):
@@ -194,10 +197,12 @@ def test_oracle_budget_flag(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+# a linear flow, whose RK4 map depends on the step count
+_LINEAR_RHS = {"kind": "linear", "matrix": [[-1.0, 0.5], [0.0, -2.0]]}
+
+
 def test_integrator_flags_are_exclusive_and_default_to_integration_config(tmp_path, capsys):
-    # a linear flow, whose RK4 map depends on the step count
-    rhs = {"kind": "linear", "matrix": [[-1.0, 0.5], [0.0, -2.0]]}
-    problem = _recovery_problem(tmp_path, np.eye(2).tolist(), [0.5, 0.0], dim=2, rhs=rhs)
+    problem = _recovery_problem(tmp_path, np.eye(2).tolist(), [0.5, 0.0], dim=2, rhs=_LINEAR_RHS)
     for command in ("recover", "oracle"):
         with pytest.raises(SystemExit) as info:
             main([command, "--problem", problem, "--steps", "64", "--adaptive-tol", "1e-9"])
@@ -208,6 +213,26 @@ def test_integrator_flags_are_exclusive_and_default_to_integration_config(tmp_pa
             assert main([command, "--problem", problem, *flags]) == 0
             outputs.append(capsys.readouterr().out)
         assert outputs[0] == outputs[1] != outputs[2]
+
+
+@pytest.mark.parametrize("rhs", [None, _LINEAR_RHS], ids=["readme", "linear"])
+def test_adaptive_tol_runs_at_the_settled_step_count(tmp_path, capsys, rhs):
+    # the README problem, and the same with a linear field
+    doc = _json_example("with a problem document of the form")
+    if rhs is not None:
+        doc["system"]["rhs"] = rhs
+    problem = _write_json(tmp_path / "problem.json", doc)
+    system = problem_from_dict(doc).system
+    T = doc["measurement"]["time"]
+    n = settle_steps(system, T, IntegrationConfig.adaptive(1e-12)).step_count
+    for command in ("recover", "oracle"):
+        outputs = []
+        for flags in (["--adaptive-tol", "1e-12"], ["--steps", str(n)], ["--steps", str(n // 2)]):
+            assert main([command, "--problem", problem, *flags]) == 0
+            outputs.append(capsys.readouterr().out)
+        assert outputs[0] == outputs[1]
+        if rhs is not None:
+            assert outputs[1] != outputs[2]
 
 
 def test_experiment_subcommand_writes_report(tmp_path, capsys):

@@ -299,6 +299,27 @@ def test_trial_observes_and_recovers_at_one_step_count(integration, monkeypatch)
     assert all(n == r.rk4_steps for _, n in calls[observed:])
 
 
+def test_weighted_sweep_meets_its_bounds():
+    w = np.random.Generator(np.random.Philox(41)).uniform(1.0, 2.0, 8)
+    cfg = ExperimentConfig(
+        seed=5,
+        trials=4,
+        system=DynamicalSystem.tanh_saturated(unit_spectral_matrix(8, 7)),
+        n=128,
+        sparsity=1,
+        noise_radius=1e-3,
+        weights=w,
+    )
+    assert np.array_equal(cfg.weights, w)
+    with pytest.raises(ValueError):
+        cfg.weights[0] = 1.0
+    records = run_experiment(cfg)
+    assert all(r.tau == w.max() / w.min() > 1.0 for r in records)
+    feasible = [r for r in records if r.feasible]
+    assert feasible
+    assert all(r.bound_satisfied and r.error_l2 <= r.bound for r in feasible)
+
+
 def test_fixed_time_is_honored():
     records = run_experiment(_zero_config(time=0.05, trials=1))
     assert records[0].T == 0.05

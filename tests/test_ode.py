@@ -228,18 +228,40 @@ def test_rows_flow_matches_per_row_calls(cfg, monkeypatch):
     system = DynamicalSystem.tanh_saturated(M)
     # saturated rows settle at fewer steps than rows near 0
     X0 = np.array([[0.0, 0.0, 0.0], [0.1, -0.2, 0.05], [3.0, -4.0, 2.0], [20.0, -30.0, 10.0]])
-    batches = []
+    steps = []
     kernel = kernels.rk4_flow_jacobian
 
     def counting(kind, M, c, X, T, n):
-        batches.append(X.shape[0])
+        steps.append(n)
         return kernel(kind, M, c, X, T, n)
 
     monkeypatch.setattr(kernels, "rk4_flow_jacobian", counting)
     XT, P = flow_with_jacobian(system, X0, 1.0, cfg)
+    monkeypatch.undo()
     assert XT.shape == (4, 3) and P.shape == (4, 3, 3)
     if cfg.mode == "adaptive":
-        assert len(set(batches)) > 2
+        # one count for the whole call, returned with the flow of every row
+        n = steps[-1]
+        assert steps == [8 << i for i in range(len(steps))]
+        XT_n, P_n = flow_with_jacobian(system, X0, 1.0, IntegrationConfig.fixed(n))
+        assert np.array_equal(XT, XT_n) and np.array_equal(P, P_n)
+
+        def settled_rows(k):
+            """Which rows' k/2-step and k-step flows agree to tolerance."""
+            (XT_a, P_a), (XT_b, P_b) = (
+                flow_with_jacobian(system, X0, 1.0, IntegrationConfig.fixed(j))
+                for j in (k // 2, k)
+            )
+            tol = cfg.tolerance * (1.0 + np.abs(XT_b))
+            ok = np.all(np.abs(XT_b - XT_a) <= tol, axis=1)
+            tol = cfg.tolerance * (1.0 + np.abs(P_b))
+            return ok & np.all(np.abs(P_b - P_a) <= tol, axis=(1, 2))
+
+        # n is the first doubling at which every row has settled; the
+        # saturated row had settled before it
+        assert settled_rows(n).all()
+        assert settled_rows(n // 2).any() and not settled_rows(n // 2).all()
+        cfg = IntegrationConfig.fixed(n)
     for x0, xT_row, P_row in zip(X0, XT, P):
         xT, P1 = flow_with_jacobian(system, x0, 1.0, cfg)
         np.testing.assert_allclose(xT_row, xT, rtol=0, atol=1e-13)
@@ -331,6 +353,7 @@ def _count_rest_calls(monkeypatch):
 
 @pytest.mark.parametrize("shape", [(6,), (3, 6)])
 def test_zero_state_flows_skip_the_march_and_equal_it(monkeypatch, shape):
+    # a flow from rest skips the march; a path from rest marches to zeros
     zero = np.zeros(shape)
     for system in catalog_systems(6, 908):
         kind, M, c = system.kernel_args()
@@ -344,7 +367,7 @@ def test_zero_state_flows_skip_the_march_and_equal_it(monkeypatch, shape):
             # the drift moves the zero state, so it is marched
             assert calls["rhs"] == 2 * 4 * 16 and np.abs(xT).max() > 0.0
         else:
-            assert calls == {"rhs": 0, "_step_increments": 1}
+            assert calls == {"rhs": 4 * 16, "_step_increments": 1}
             assert not path.any() and not xT.any()
         assert np.array_equal(path, path_ref)
         assert np.array_equal(xT, xT_ref) and np.array_equal(P, P_ref)

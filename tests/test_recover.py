@@ -24,6 +24,7 @@ from sparseobs.model import (
     DynamicalSystem,
     MeasurementModel,
     SparseProblem,
+    from_doc,
     weighted_l1_norm,
 )
 from sparseobs.ode import IntegrationConfig, flow_with_jacobian, integrate, settle_steps
@@ -74,10 +75,10 @@ def test_solver_config_defaults_and_validation():
         SolverConfig(penalty=-1.0)
 
 
-def test_solver_config_from_dict_rejects_unknown_fields():
-    assert SolverConfig.from_dict({"outer_tol": 1e-7}).outer_tol == 1e-7
+def test_solver_config_from_doc_rejects_unknown_fields():
+    assert from_doc(SolverConfig, {"outer_tol": 1e-7}, "solver config").outer_tol == 1e-7
     with pytest.raises(DomainError) as info:
-        SolverConfig.from_dict({"outer_tol": 1e-7, "momentum": 0.9})
+        from_doc(SolverConfig, {"outer_tol": 1e-7, "momentum": 0.9}, "solver config")
     assert "momentum" in str(info.value)
 
 

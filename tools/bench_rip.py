@@ -29,8 +29,11 @@ before any Gram entry was gathered (every support, where the tree has no
 such bound).  Totals per tree sum the counts over each set, count the scans
 whose start lies below the constant, and give the median and quartiles,
 over the rounds, of the set's total scan time (each round's sum of its
-fastest runs), so a ratio between trees can be read against each tree's
-spread.  Results go to BENCH_rip.json.
+fastest runs).  parent_over_change divides the parent's median total by the
+change's, so drift of the host's speed between rounds shows up in both
+trees' quartiles; parent_over_change_per_round gives the median and
+quartiles of the per-round ratio of the two totals instead, whose two sides
+ran back to back in one round.  Results go to BENCH_rip.json.
 """
 
 import treebench
@@ -144,6 +147,8 @@ def run(trees):
     first_label = next(iter(runs))
     first = runs[first_label][0]
     results = {}
+    # each round's total scan time in seconds, by tree and set
+    round_s = {}
     for label, rounds in runs.items():
         table = []
         for i, (kind, name, k, A) in enumerate(inputs):
@@ -158,10 +163,10 @@ def run(trees):
         for kind in SETS:
             members = [i for i, row in enumerate(table) if row[0] == kind]
             rows = [table[i] for i in members]
-            round_s = [sum(r[i][4] for i in members) / 1e3 for r in rounds]
+            round_s[label, kind] = [sum(r[i][4] for i in members) / 1e3 for r in rounds]
             totals[kind] = {
                 "scans": len(rows),
-                **treebench.quartiles(round_s),
+                **treebench.quartiles(round_s[label, kind]),
                 "supports": sum(row[4] for row in rows),
                 "seed_below_delta": sum(row[8] < row[6] for row in rows),
                 "supports_solved": sum(row[9] for row in rows),
@@ -186,11 +191,23 @@ def run(trees):
         "columns": list(COLUMNS),
         "results": results,
     }
-    treebench.parent_over_change(
+    if treebench.parent_over_change(
         doc,
         "parent_over_change",
         lambda r: {kind: {"median_ms": t["median_ms"]} for kind, t in r["totals"].items()},
-    )
+    ):
+        per_round = {}
+        for kind in SETS:
+            pairs = zip(round_s["parent", kind], round_s["change", kind])
+            ratios = [p / c for p, c in pairs]
+            q1, q2, q3 = statistics.quantiles(ratios, n=4, method="inclusive")
+            per_round[kind] = {"median": q2, "q1": q1, "q3": q3}
+            ratio = doc["parent_over_change"][kind]["median_ms"]
+            print(
+                f"parent/change  {kind:<12}  ratio of medians {ratio:.3f}  "
+                f"per-round ratio {q2:.3f} ({q1:.3f}-{q3:.3f})"
+            )
+        doc["parent_over_change_per_round"] = per_round
     treebench.write("rip", doc)
 
 
