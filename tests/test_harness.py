@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import os
@@ -341,6 +342,31 @@ def test_worker_count_does_not_change_the_report(tmp_path):
     assert p1.read_bytes() == p2.read_bytes()
     with pytest.raises(DomainError):
         run_experiment(cfg, workers=0)
+
+
+def test_workers_fall_back_to_the_default_context_without_fork(monkeypatch):
+    # where fork is unavailable get_context("fork") raises ValueError; the
+    # pool then takes the default context, spawn, whose children import the
+    # package afresh
+    import multiprocessing
+
+    get_context = multiprocessing.get_context
+    asked = []
+
+    def no_fork(method=None):
+        asked.append(method)
+        if method == "fork":
+            raise ValueError("cannot find context for 'fork'")
+        return get_context(method or "spawn")
+
+    demo = load_experiment_config(Path(__file__).resolve().parents[1] / "configs" / "demo.json")
+    cfg = dataclasses.replace(demo, trials=4)
+    one = run_experiment(cfg)
+    monkeypatch.setattr(multiprocessing, "get_context", no_fork)
+    two = run_experiment(cfg, workers=2)
+    assert asked[:2] == ["fork", None]
+    untimed = [[dataclasses.replace(r, wall_ms=0.0) for r in records] for records in (one, two)]
+    assert untimed[0] == untimed[1]
 
 
 def test_package_import_leaves_the_worker_pool_unloaded():

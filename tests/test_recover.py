@@ -571,6 +571,34 @@ def test_recovery_linearizes_at_the_accepted_line_search_point(monkeypatch):
     assert calls == ["rk4_flow_jacobian"] * (out.iterations + 1)
 
 
+def test_recovery_reports_no_convergence_when_the_line_search_gives_up(monkeypatch):
+    # every trial point's final state is pushed far off, so no damping meets
+    # the residual bound: the search halves t to the floor and gives up on
+    # the first step, and the recovery stays at x = 0
+    M = unit_spectral_matrix(4, 21)
+    system = DynamicalSystem.tanh_saturated(M.tolist())
+    A = gen_gaussian_matrix(8, 4, 31)
+    x0 = np.zeros(4)
+    x0[2] = 0.9
+    problem = _problem(system, A, x0, T=0.4)
+    flow_rows = recover._flow_rows
+    tried = []
+
+    def far_off(*args):
+        XT, P = flow_rows(*args)
+        tried.append(len(XT))
+        return XT + 1e3, P
+
+    monkeypatch.setattr(recover, "_flow_rows", far_off)
+    icfg = IntegrationConfig.fixed(32)
+    out = recover_initial_state(problem, icfg)
+    assert tried == [1] * (1 - int(math.log2(recover._RECOVER_DAMPING_FLOOR)))
+    assert not out.converged and out.iterations == 1
+    assert np.array_equal(out.estimate, np.zeros(4))
+    xT = flow_with_jacobian(system, np.zeros(4), 0.4, icfg)[0]
+    assert out.residual == float(np.linalg.norm(problem.observation - A @ xT))
+
+
 def test_recovery_propagates_infeasibility():
     system = DynamicalSystem.zero(1)
     meas = MeasurementModel(

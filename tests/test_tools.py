@@ -1,13 +1,17 @@
 """Every bench script under tools/ starts from the command line and loads as
-a module, so both ways of reaching the shared runner, treebench, work."""
+a module, so both ways of reaching the shared runner, treebench, work; and
+treebench runs every tree in one process, each as a package of its own, the
+trees taking turns."""
 
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from conftest import tool_module
+import sparseobs
+from conftest import tool_module, unit_spectral_matrix
 
 ROOT = Path(__file__).resolve().parent.parent
 SCRIPTS = sorted(p.stem for p in (ROOT / "tools").glob("*.py") if p.stem != "treebench")
@@ -26,13 +30,79 @@ def test_tool_runs_help_and_loads_as_a_module(name):
     assert tool_module(name).__doc__
 
 
-@pytest.mark.parametrize("parent,warns", [("../parent/src", False), ("../old/src", True)])
-def test_treebench_warns_when_tree_paths_differ_in_length(monkeypatch, capsys, parent, warns):
+def _recover_tanh_pair(package):
+    """recover_initial_state of package on a 2-sparse tanh problem that
+    package builds, the same on every tree."""
+    icfg = package.IntegrationConfig.fixed(32)
+    system = package.DynamicalSystem.tanh_saturated(unit_spectral_matrix(6, 7).tolist())
+    A = package.gen_gaussian_matrix(40, 6, 1003)
+    x0 = np.zeros(6)
+    x0[[1, 4]] = [0.9, -1.2]
+    b = A @ package.integrate(system, x0, 0.5, icfg).final_state
+    measurement = package.MeasurementModel(matrix=A, time=0.5, noise_radius=0.0, weights=np.ones(6))
+    problem = package.SparseProblem(
+        system=system, measurement=measurement, observation=b, sparsity=2
+    )
+    return package.recover_initial_state(problem, icfg)
+
+
+@pytest.fixture
+def tree_modules():
+    """Drop the modules that treebench registers for the trees one and two
+    when the test ends."""
+    yield
+    for name in [n for n in sys.modules if n.split(".")[0] in ("sparseobs_one", "sparseobs_two")]:
+        del sys.modules[name]
+
+
+def test_treebench_imports_each_tree_as_a_package_of_its_own(monkeypatch, tree_modules):
     treebench = tool_module("treebench")
-    seen = []
     monkeypatch.setattr(sys, "path", list(sys.path))
-    argv = ["bench", "--tree", f"parent={parent}", "--tree", "change=../change/src"]
+    seen = []
+    argv = ["bench", "--tree", "one=src", "--tree", f"two={ROOT / 'src'}"]
     monkeypatch.setattr(sys, "argv", argv)
+    monkeypatch.chdir(ROOT)
     treebench.main("A bench.", seen.append)
-    assert seen == [{"parent": parent, "change": "../change/src"}]
-    assert ("warning" in capsys.readouterr().err) == warns
+    [trees] = seen
+    one, two = trees.values()
+    assert list(trees) == ["one", "two"]
+    assert (one.__name__, two.__name__) == ("sparseobs_one", "sparseobs_two")
+    for name in ("kernels", "ode", "rip", "recover", "model", "harness"):
+        modules = [getattr(package, name) for package in (one, two, sparseobs)]
+        assert len({id(module) for module in modules}) == 3, name
+        assert sys.modules[f"sparseobs_one.{name}"] is modules[0]
+
+    calls = []
+
+    def counted(kernel):
+        def call(*args):
+            calls.append(1)
+            return kernel(*args)
+
+        return call
+
+    with treebench.swapped(one.kernels, "rk4_flow_jacobian", counted):
+        plain = _recover_tanh_pair(two)
+        assert calls == []
+        swapped = _recover_tanh_pair(one)
+        assert calls
+    home = _recover_tanh_pair(sparseobs)
+    assert home.iterations > 1
+    assert swapped.estimate.tobytes() == plain.estimate.tobytes() == home.estimate.tobytes()
+
+
+def test_treebench_rounds_flip_the_first_tree_each_round():
+    treebench = tool_module("treebench")
+    order = []
+
+    def measure(package, item):
+        order.append((package, item))
+        return package + item
+
+    runs = treebench.rounds({"p": "P", "c": "C"}, 3, ["x", "y"], measure)
+    assert order == [
+        ("P", "x"), ("C", "x"), ("P", "y"), ("C", "y"),
+        ("C", "x"), ("P", "x"), ("C", "y"), ("P", "y"),
+        ("P", "x"), ("C", "x"), ("P", "y"), ("C", "y"),
+    ]  # fmt: skip
+    assert runs == {"p": [["Px", "Py"]] * 3, "c": [["Cx", "Cy"]] * 3}

@@ -3,10 +3,9 @@ and count the ADMM work of one solve; then solve two seeded scans of eps > 0
 instances once and count how many land in the residual band and how many
 are certified.
 
-Run from the repository root as tools/treebench.py describes.  Each tree is
-timed in children of its own (recover.py imports the package, so two versions
-cannot share one process), ROUNDS rounds, and each child times CALLS calls
-per shape after one warm-up call.
+Run from the repository root as tools/treebench.py describes.  Each tree
+solves every shape ROUNDS rounds, each time once counted and then CALLS
+times timed.
 
 Per shape the file records the median and quartiles of the call time and,
 for one solve, the iterations of kernels.admm_basis_pursuit, the calls of
@@ -17,7 +16,7 @@ program's solution: the least-squares point when Phi has full column rank
 (it is the only feasible point), and the planted sparse vector for the
 underdetermined shapes, which l1 recovers.
 
-Each scan (SCANS) is solved once per tree, in a child of its own, after the
+Each scan (SCANS) is solved once per tree, instance by instance, after the
 timing rounds.  A solve is in band when its residual lies in [eps, eps +
 band], band = min(residual_match_tol, 1e-9 max(1, ||y||)), and certified
 when it is in band and the weighted lasso's KKT conditions hold at 1e-6
@@ -107,7 +106,7 @@ def scan_instance(scan, k):
     x0 = np.zeros(m)
     x0[rng.choice(m, size=s, replace=False)] = rng.uniform(0.5, 1.5, s) * rng.choice([-1, 1], s)
     y0 = Phi @ x0
-    eps = float(np.linalg.norm(y0)) * 10.0**log_eps
+    eps = float(np.linalg.norm(y0) * 10.0**log_eps)
     e = rng.standard_normal(n)
     # the planted vector lies strictly inside the constraint set
     return Phi, y0 + 0.5 * eps * e / np.linalg.norm(e), weights, eps
@@ -180,12 +179,11 @@ def build_inputs():
     ]
 
 
-def measure(inputs_path):
-    """Run in a child: time the child's tree on every shape and return the
-    rows."""
-    from sparseobs import kernels, recover
-
-    data = np.load(inputs_path)
+def measure(package, shape):
+    """Count one solve of a shape (Phi, offset, observation, x_ref, weights,
+    eps) by package's tree and time CALLS more; return the row."""
+    Phi, offset, obs, x_ref, weights, eps = shape
+    kernels, recover = package.kernels, package.recover
     # the iteration counts of each kernel's calls in one solve
     counts = {"admm_basis_pursuit": [], "admm_lasso": []}
 
@@ -200,38 +198,25 @@ def measure(inputs_path):
 
         return wrap
 
-    rows = []
-    for i in range(len(SHAPES)):
-        Phi, offset, obs, x_ref, weights, eps = (
-            data[f"{key}{i}"] for key in ("Phi", "offset", "obs", "ref", "weights", "eps")
-        )
-        eps = float(eps)
-        for name in counts:
-            counts[name].clear()
-        with (
-            treebench.swapped(kernels, "admm_basis_pursuit", counted("admm_basis_pursuit", 3)),
-            treebench.swapped(kernels, "admm_lasso", counted("admm_lasso", 2)),
-        ):
-            x = recover.solve_weighted_bpdn(Phi, offset, obs, weights, eps)
-        samples = []
-        for _ in range(CALLS):
-            t0 = time.perf_counter()
-            recover.solve_weighted_bpdn(Phi, offset, obs, weights, eps)
-            samples.append(time.perf_counter() - t0)
-        rows.append(
-            {
-                "samples_s": samples,
-                "basis_pursuit_iterations": sum(counts["admm_basis_pursuit"]),
-                "lasso_calls": len(counts["admm_lasso"]),
-                "lasso_iterations": sum(counts["admm_lasso"]),
-                "residual_minus_eps": float(np.linalg.norm(Phi @ x - (obs - offset))) - eps,
-                "estimate_sha256": hashlib.sha256(x.tobytes()).hexdigest(),
-                "max_abs_error_vs_reference": (
-                    float(np.abs(x - x_ref).max()) if x_ref.size else None
-                ),
-            }
-        )
-    return rows
+    with (
+        treebench.swapped(kernels, "admm_basis_pursuit", counted("admm_basis_pursuit", 3)),
+        treebench.swapped(kernels, "admm_lasso", counted("admm_lasso", 2)),
+    ):
+        x = recover.solve_weighted_bpdn(Phi, offset, obs, weights, eps)
+    samples = []
+    for _ in range(CALLS):
+        t0 = time.perf_counter()
+        recover.solve_weighted_bpdn(Phi, offset, obs, weights, eps)
+        samples.append(time.perf_counter() - t0)
+    return {
+        "samples_s": samples,
+        "basis_pursuit_iterations": sum(counts["admm_basis_pursuit"]),
+        "lasso_calls": len(counts["admm_lasso"]),
+        "lasso_iterations": sum(counts["admm_lasso"]),
+        "residual_minus_eps": float(np.linalg.norm(Phi @ x - (obs - offset))) - eps,
+        "estimate_sha256": hashlib.sha256(x.tobytes()).hexdigest(),
+        "max_abs_error_vs_reference": float(np.abs(x - x_ref).max()) if x_ref.size else None,
+    }
 
 
 def certified(Phi, y, weights, eps, x, band):
@@ -250,12 +235,11 @@ def certified(Phi, y, weights, eps, x, band):
     return in_band, bool(kkt)
 
 
-def scan(inputs_path):
-    """Run in a child: solve every scan instance once with the child's tree
-    and return the per-instance results of each scan."""
-    from sparseobs import kernels, recover
-
-    data = np.load(inputs_path)
+def solve(package, instance):
+    """Solve a scan instance (Phi, y, weights, eps) once with package's tree:
+    (in band, certified, admm_lasso calls, their summed iterations,
+    estimate, wall time in s)."""
+    Phi, y, weights, eps = instance
     iterations = []
 
     def counted(lasso):
@@ -266,86 +250,61 @@ def scan(inputs_path):
 
         return call
 
+    recover = package.recover
+    with treebench.swapped(package.kernels, "admm_lasso", counted):
+        t0 = time.perf_counter()
+        x = recover.solve_weighted_bpdn(Phi, np.zeros(y.size), y, weights, eps)
+        wall = time.perf_counter() - t0
     band_tol = recover.SolverConfig().residual_match_tol
-    out = {}
-    with treebench.swapped(kernels, "admm_lasso", counted):
-        for name, (count, _) in SCANS.items():
-            rows = {"in_band": [], "certified": [], "calls": [], "iterations": [], "estimate": []}
-            wall = 0.0
-            for k in range(count):
-                keys = ("Phi", "y", "w", "eps")
-                Phi, y, weights, eps = (data[f"{name}_{key}{k}"] for key in keys)
-                eps = float(eps)
-                iterations.clear()
-                t0 = time.perf_counter()
-                x = recover.solve_weighted_bpdn(Phi, np.zeros(y.size), y, weights, eps)
-                wall += time.perf_counter() - t0
-                band = min(band_tol, 1e-9 * max(1.0, float(np.linalg.norm(y))))
-                in_band, ok = certified(Phi, y, weights, eps, x, band)
-                rows["in_band"].append(in_band)
-                rows["certified"].append(ok)
-                rows["calls"].append(len(iterations))
-                rows["iterations"].append(sum(iterations))
-                rows["estimate"].append(x.tolist())
-            rows["wall_s"] = wall
-            out[name] = rows
-    return out
+    band = min(band_tol, 1e-9 * max(1.0, float(np.linalg.norm(y))))
+    return (*certified(Phi, y, weights, eps, x, band), len(iterations), sum(iterations), x, wall)
 
 
-def scan_summary(runs):
+def scan_summary(solved):
     """Per scan, each tree's counts and, for a parent and a change tree, the
     instances certified by one tree only and the largest relative change of
-    the estimates."""
+    the estimates; solved holds each tree's solve() of every instance, scan
+    after scan."""
     summary = {}
+    start = 0
     for name, (count, recipe) in SCANS.items():
         entry = {"instances": count, "recipe": recipe}
-        for label, out in runs.items():
-            rows = out[name]
+        # each tree's columns of solve()'s results over the scan's instances
+        runs = {label: list(zip(*out[start : start + count])) for label, out in solved.items()}
+        start += count
+        for label, (in_band, ok, calls, iterations, _, wall) in runs.items():
             entry[label] = {
-                "in_band": sum(rows["in_band"]),
-                "certified": sum(rows["certified"]),
-                "lasso_calls": sum(rows["calls"]),
-                "lasso_iterations": sum(rows["iterations"]),
-                "max_lasso_calls_per_solve": max(rows["calls"]),
-                "wall_s": rows["wall_s"],
+                "in_band": sum(in_band),
+                "certified": sum(ok),
+                "lasso_calls": sum(calls),
+                "lasso_iterations": sum(iterations),
+                "max_lasso_calls_per_solve": max(calls),
+                "wall_s": sum(wall),
             }
             print(f"{label:>8}  scan {name:<12} {json.dumps(entry[label])}")
         if {"parent", "change"} <= runs.keys():
-            p, q = runs["parent"][name], runs["change"][name]
+            p_in, p_ok, _, _, xp, _ = runs["parent"]
+            q_in, q_ok, _, _, xq, _ = runs["change"]
             rel = [
-                float(np.abs(np.subtract(xq, xp)).max() / max(np.abs(xp).max(), 1e-300))
-                for xp, xq in zip(p["estimate"], q["estimate"])
+                float(np.abs(q - p).max() / max(np.abs(p).max(), 1e-300)) for p, q in zip(xp, xq)
             ]
-            entry["certified_by_parent_only"] = [
-                k for k in range(count) if p["certified"][k] and not q["certified"][k]
-            ]
-            entry["certified_by_change_only"] = [
-                k for k in range(count) if q["certified"][k] and not p["certified"][k]
-            ]
-            entry["in_band_by_parent_only"] = [
-                k for k in range(count) if p["in_band"][k] and not q["in_band"][k]
-            ]
+            entry["certified_by_parent_only"] = [k for k in range(count) if p_ok[k] and not q_ok[k]]
+            entry["certified_by_change_only"] = [k for k in range(count) if q_ok[k] and not p_ok[k]]
+            entry["in_band_by_parent_only"] = [k for k in range(count) if p_in[k] and not q_in[k]]
             entry["max_rel_estimate_change"] = max(rel)
             entry["max_rel_estimate_change_where_both_certified"] = max(
-                (r for r, a, b in zip(rel, p["certified"], q["certified"]) if a and b), default=0.0
+                (r for r, a, b in zip(rel, p_ok, q_ok) if a and b), default=0.0
             )
         summary[name] = entry
     return summary
 
 
 def run(trees):
-    arrays = {}
-    keys = ("Phi", "offset", "obs", "ref", "weights", "eps")
-    for i, shape in enumerate(build_inputs()):
-        arrays.update({f"{key}{i}": value for key, value in zip(keys, shape)})
-    for name, (count, _) in SCANS.items():
-        for k in range(count):
-            for key, value in zip(("Phi", "y", "w", "eps"), scan_instance(name, k)):
-                arrays[f"{name}_{key}{k}"] = value
-    with treebench.saved(arrays) as inputs_path:
-        runs = treebench.rounds(__file__, trees, ROUNDS, "measure", inputs_path)
-        scanned = treebench.rounds(__file__, trees, 1, "scan", inputs_path)
-    scans = scan_summary({label: out for label, [out] in scanned.items()})
+    shapes = build_inputs()
+    runs = treebench.rounds(trees, ROUNDS, shapes, measure)
+    instances = [scan_instance(name, k) for name, (count, _) in SCANS.items() for k in range(count)]
+    solved = treebench.rounds(trees, 1, instances, solve)
+    scans = scan_summary({label: out for label, [out] in solved.items()})
 
     results = {}
     for label, rounds in runs.items():
@@ -353,8 +312,8 @@ def run(trees):
         for i, case in enumerate(SHAPES):
             first = rounds[0][i]
             samples = [s for r in rounds for s in r[i]["samples_s"]]
-            n, m = arrays[f"Phi{i}"].shape
-            row = {"case": case, "n": n, "m": m, "eps": float(arrays[f"eps{i}"])}
+            n, m = shapes[i][0].shape
+            row = {"case": case, "n": n, "m": m, "eps": float(shapes[i][5])}
             row.update(treebench.quartiles(samples))
             row.update((key, value) for key, value in first.items() if key != "samples_s")
             results[label].append(row)
@@ -379,4 +338,4 @@ def run(trees):
 
 
 if __name__ == "__main__":
-    treebench.main(__doc__, run, measure=measure, scan=scan)
+    treebench.main(__doc__, run)

@@ -1,16 +1,14 @@
 """Time kernels.rk4_flow_jacobian on fixed shapes and measure its accuracy.
 
-Run from the repository root as tools/treebench.py describes.  Each tree's
-sparseobs/kernels.py is loaded on its own (the module imports nothing from
-the package), so all trees run in this one process, their calls alternating,
-on the same inputs.  Some shapes start from rest, X0 = 0, as the settle
-climb and recovery's first flow do.  Every shape is timed as the median of
-CALLS calls after one warm-up call; the quartiles are recorded too.  The
-error of a shape is max|P - P_ref| against the same RK4 variational
-recursion run in long double from the same inputs (recorded as null where
-long double is no wider than double).  Results go to
-BENCH_flow_jacobian.json.  The test suite imports reference_sensitivity from
-here, so its accuracy gate and the recorded errors share one reference.
+Run from the repository root as tools/treebench.py describes, one shape at
+a time: each round calls the shape once on each tree, on the same inputs.
+Some shapes start from rest, X0 = 0, as the settle climb and recovery's
+first flow do.  Every shape is timed as the median of CALLS rounds after one
+warm-up round; the quartiles are recorded too.  The error of a shape is max|P - P_ref| against
+the same RK4 variational recursion run in long double from the same inputs
+(recorded as null where long double is no wider than double).  Results go
+to BENCH_flow_jacobian.json.  The test suite imports reference_sensitivity
+from here, so its accuracy gate and the recorded errors share one reference.
 """
 
 import treebench
@@ -18,17 +16,15 @@ import treebench
 if __name__ == "__main__":
     treebench.one_blas_thread()
 
-import importlib.util
 import time
-from pathlib import Path
 
 import numpy as np
 
 T = 0.8
 CALLS = 15
 # the right-hand-side codes of kernels.RHS_LINEAR, RHS_AFFINE and RHS_TANH
-# (the zero field runs as the linear one); the kernels are loaded per tree,
-# so the codes are restated here
+# (the zero field runs as the linear one), restated because this module
+# loads before any package is on sys.path
 LINEAR, AFFINE, TANH = 1, 2, 3
 # (case, kind code, m, rows or None for one 1-d state, steps, from rest: X0 = 0)
 SHAPES = (
@@ -52,14 +48,6 @@ SHAPES = (
     ("linear m=24 1 row 16 steps from rest (certify_wide settle climb)", LINEAR, 24, 1, 16, True),
     ("tanh m=6 1-d 16 steps from rest (oracle_agreement flow at 0)", TANH, 6, None, 16, True),
 )
-
-
-def load_kernels(label, src):
-    path = Path(src).resolve() / "sparseobs" / "kernels.py"
-    spec = importlib.util.spec_from_file_location(f"kernels_{label}", path)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
 
 
 def inputs(m, rows, rest, seed=0):
@@ -101,27 +89,27 @@ def reference_sensitivity(kind, M, c, X0, T, n_steps):
     return P
 
 
+def timed(package, args):
+    t0 = time.perf_counter()
+    package.kernels.rk4_flow_jacobian(*args)
+    return time.perf_counter() - t0
+
+
 def run(trees):
-    kernels = {label: load_kernels(label, src) for label, src in trees.items()}
     wide = np.finfo(np.longdouble).eps < np.finfo(float).eps
 
-    results = {label: [] for label in kernels}
+    results = {label: [] for label in trees}
     for case, kind, m, rows, steps, rest in SHAPES:
-        M, c, X0 = inputs(m, rows, rest)
-        P_ref = reference_sensitivity(kind, M, c, X0, T, steps) if wide else None
-        samples = {label: [] for label in kernels}
-        for k in kernels.values():
-            k.rk4_flow_jacobian(kind, M, c, X0, T, steps)
-        for _ in range(CALLS):
-            for label, k in kernels.items():
-                t0 = time.perf_counter()
-                k.rk4_flow_jacobian(kind, M, c, X0, T, steps)
-                samples[label].append(time.perf_counter() - t0)
-        for label, k in kernels.items():
-            P = k.rk4_flow_jacobian(kind, M, c, X0, T, steps)[1]
+        args = (kind, *inputs(m, rows, rest), T, steps)
+        P_ref = reference_sensitivity(*args) if wide else None
+        # one shape's calls run back to back; round 0 is each tree's warm-up
+        runs = treebench.rounds(trees, 1 + CALLS, [args], timed)
+        for label, package in trees.items():
+            P = package.kernels.rk4_flow_jacobian(*args)[1]
             err = None if P_ref is None else float(np.abs(P - P_ref).max())
             row = {"case": case, "m": m, "rows": rows or 1, "steps": steps}
-            row.update(treebench.quartiles(samples[label]), max_abs_error_vs_longdouble=err)
+            samples = [r[0] for r in runs[label][1:]]
+            row.update(treebench.quartiles(samples), max_abs_error_vs_longdouble=err)
             results[label].append(row)
             print(f"{label:>8}  {case:<56} {row['median_ms']:9.3f} ms  err {err}")
 

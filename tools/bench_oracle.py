@@ -2,8 +2,8 @@
 instances.
 
 Run from the repository root as tools/treebench.py describes.  Each tree runs
-the oracle in children of its own, ROUNDS rounds, and each child runs it on
-every instance twice: once counted, once timed.
+the oracle on every instance ROUNDS rounds, each time twice: once counted,
+once timed.
 
 The instances are those of the criterion-7 acceptance test: dimension m in
 {6, 12}, the zero, linear and tanh_saturated systems, sparsity s in {1, 2},
@@ -79,17 +79,11 @@ def build_instances():
     return instances
 
 
-def measure(inputs_path):
-    """Run in a child: the oracle of the child's tree on every instance,
-    once counted and once timed; return the rows (the COLUMNS up to
-    residual, plus the estimate)."""
-    from sparseobs import kernels, recover
-    from sparseobs.model import DynamicalSystem, MeasurementModel, SparseProblem
-    from sparseobs.ode import IntegrationConfig
-
-    data = np.load(inputs_path)
-    icfg = IntegrationConfig.fixed(STEPS)
-    counts = {}
+def measure(package, instance):
+    """The oracle of package's tree on one instance, once counted and once
+    timed: the row of COLUMNS up to residual, plus the estimate."""
+    m, kind, s, seed, T, M, A, b = instance
+    counts = dict(calls=0, rows=0, searches=0, at_zero=0)
 
     def counted_kernel(kernel):
         def call(kind, M, c, X, T, n):
@@ -108,46 +102,33 @@ def measure(inputs_path):
 
         return call
 
-    rows = []
-    for i, (m, kind, s, seed) in enumerate(
-        zip(*(data[key].tolist() for key in ("m", "kind", "s", "seed")))
+    DynamicalSystem = package.DynamicalSystem
+    M = M.tolist()
+    system = DynamicalSystem.zero(m) if kind == "zero" else getattr(DynamicalSystem, kind)(M)
+    problem = package.SparseProblem(
+        system=system,
+        measurement=package.MeasurementModel(
+            matrix=A, time=T, noise_radius=0.0, weights=np.ones(m)
+        ),
+        observation=b,
+        sparsity=s,
+    )
+    icfg = package.IntegrationConfig.fixed(STEPS)
+    recover = package.recover
+    with (
+        treebench.swapped(package.kernels, "rk4_flow_jacobian", counted_kernel),
+        treebench.swapped(recover, "_line_search", counted_search),
     ):
-        M = data[f"M{m}"].tolist()
-        system = DynamicalSystem.zero(m) if kind == "zero" else getattr(DynamicalSystem, kind)(M)
-        T = float(data["T"][i])
-        problem = SparseProblem(
-            system=system,
-            measurement=MeasurementModel(
-                matrix=data[f"A{m}_{seed}"], time=T, noise_radius=0.0, weights=np.ones(m)
-            ),
-            observation=data["b"][i],
-            sparsity=s,
-        )
-        counts.update(calls=0, rows=0, searches=0, at_zero=0)
-        with (
-            treebench.swapped(kernels, "rk4_flow_jacobian", counted_kernel),
-            treebench.swapped(recover, "_line_search", counted_search),
-        ):
-            out = recover.l0_oracle(problem, icfg)
-        t0 = time.perf_counter()
-        recover.l0_oracle(problem, icfg)
-        wall_ms = (time.perf_counter() - t0) * 1e3
-        rows.append(
-            [m, kind, s, seed, T, counts["calls"], counts["rows"], counts["searches"]]
-            + [counts["at_zero"], wall_ms, out.residual, out.estimate.tolist()]
-        )
-    return rows
+        out = recover.l0_oracle(problem, icfg)
+    t0 = time.perf_counter()
+    recover.l0_oracle(problem, icfg)
+    wall_ms = (time.perf_counter() - t0) * 1e3
+    row = [m, kind, s, seed, T, counts["calls"], counts["rows"], counts["searches"]]
+    return row + [counts["at_zero"], wall_ms, out.residual, out.estimate.tolist()]
 
 
 def run(trees):
-    instances = build_instances()
-    columns = list(zip(*instances))
-    arrays = {key: np.array(columns[j]) for j, key in enumerate(("m", "kind", "s", "seed", "T"))}
-    arrays["b"] = np.array(columns[7])
-    for m, _, _, seed, _, M, A, _ in instances:
-        arrays[f"M{m}"], arrays[f"A{m}_{seed}"] = M, A
-    with treebench.saved(arrays) as inputs_path:
-        runs = treebench.rounds(__file__, trees, ROUNDS, "measure", inputs_path)
+    runs = treebench.rounds(trees, ROUNDS, build_instances(), measure)
 
     first_label = next(iter(runs))
     first = runs[first_label][0]
@@ -193,4 +174,4 @@ def run(trees):
 
 
 if __name__ == "__main__":
-    treebench.main(__doc__, run, measure=measure)
+    treebench.main(__doc__, run)

@@ -2,10 +2,9 @@
 on the certify_wide trial matrices, on one-block shapes and on a compressive
 shape.
 
-Run from the repository root as tools/treebench.py describes.  Each tree runs
-the scans in children of its own, ROUNDS rounds, and each child runs every
-scan once counted and REPEATS times timed, with the budget raised to the
-scan's support count.
+Run from the repository root as tools/treebench.py describes.  Each tree
+runs every scan ROUNDS rounds, each time once counted and REPEATS times
+timed, with the budget raised to the scan's support count.
 
 The matrices come in three sets:
 - certify_wide: the 12 trial matrices of the benchmark's certify_wide
@@ -33,7 +32,7 @@ fastest runs).  parent_over_change divides the parent's median total by the
 change's, so drift of the host's speed between rounds shows up in both
 trees' quartiles; parent_over_change_per_round gives the median and
 quartiles of the per-round ratio of the two totals instead, whose two sides
-ran back to back in one round.  Results go to BENCH_rip.json.
+ran scan by scan, back to back, in one round.  Results go to BENCH_rip.json.
 """
 
 import treebench
@@ -101,14 +100,12 @@ def build_inputs():
     return inputs
 
 
-def measure(inputs_path):
-    """Run in a child: every scan of the child's tree, once counted and
-    REPEATS times timed; return one row per scan (delta, seed,
-    supports_solved, supports_past_bound, scan_ms)."""
-    from sparseobs import kernels, rip
-
-    data = np.load(inputs_path)
-    counts = {}
+def measure(package, scan):
+    """The scan (order, A) on package's tree, once counted and REPEATS times
+    timed: [delta, seed, supports_solved, supports_past_bound, scan_ms]."""
+    k, A = scan
+    budget = math.comb(A.shape[1], k)
+    counts = {"past_bound": 0}
 
     def counted(max_deviation):
         def call(G, supports, delta):
@@ -119,30 +116,19 @@ def measure(inputs_path):
 
         return call
 
-    rows = []
-    for i, k in enumerate(data["order"].tolist()):
-        A = data[f"A{i}"]
-        budget = math.comb(A.shape[1], k)
-        counts.clear()
-        counts["past_bound"] = 0
-        with treebench.swapped(kernels, "max_deviation", counted):
-            report = rip.rip_constant_exact(A, k, budget)
-        best = math.inf
-        for _ in range(REPEATS):
-            t0 = time.perf_counter()
-            rip.rip_constant_exact(A, k, budget)
-            best = min(best, time.perf_counter() - t0)
-        row = [report.delta, counts["start"], report.supports_solved, counts["past_bound"]]
-        rows.append(row + [best * 1e3])
-    return rows
+    with treebench.swapped(package.kernels, "max_deviation", counted):
+        report = package.rip.rip_constant_exact(A, k, budget)
+    best = math.inf
+    for _ in range(REPEATS):
+        t0 = time.perf_counter()
+        package.rip.rip_constant_exact(A, k, budget)
+        best = min(best, time.perf_counter() - t0)
+    return [report.delta, counts["start"], report.supports_solved, counts["past_bound"], best * 1e3]
 
 
 def run(trees):
     inputs = build_inputs()
-    arrays = {"order": np.array([k for _, _, k, _ in inputs])}
-    arrays.update((f"A{i}", A) for i, (*_, A) in enumerate(inputs))
-    with treebench.saved(arrays) as inputs_path:
-        runs = treebench.rounds(__file__, trees, ROUNDS, "measure", inputs_path)
+    runs = treebench.rounds(trees, ROUNDS, [(k, A) for *_, k, A in inputs], measure)
 
     first_label = next(iter(runs))
     first = runs[first_label][0]
@@ -212,4 +198,4 @@ def run(trees):
 
 
 if __name__ == "__main__":
-    treebench.main(__doc__, run, measure=measure)
+    treebench.main(__doc__, run)

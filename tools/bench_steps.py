@@ -2,8 +2,8 @@
 and its accuracy.
 
 Run from the repository root as tools/treebench.py describes.  Each tree runs
-the trials in children of its own, ROUNDS rounds, and each child runs every
-trial of the two workloads once with its tree's default integration config:
+every trial of the two workloads ROUNDS rounds, each time once counted and
+once timed, with its tree's default integration config:
 
 - demo: the 24 trials of configs/demo.json;
 - criterion_6: the 9 blocks of 67 trials of the criterion-6 acceptance test
@@ -25,6 +25,7 @@ import treebench
 if __name__ == "__main__":
     treebench.one_blas_thread()
 
+import functools
 import statistics
 import time
 
@@ -38,14 +39,11 @@ CRITERION_6_TRIALS = 67
 COLUMNS = ("workload", "block", "trial", "T", "steps", "row_steps", "wall_ms", "error_l2")
 
 
-def workloads():
-    """(workload, block, config) of every block, built by the package that
-    is first on sys.path."""
-    from sparseobs.harness import ExperimentConfig, load_experiment_config
-    from sparseobs.model import DynamicalSystem
-    from sparseobs.rip import operator_norm
-
-    demo = load_experiment_config(treebench.ROOT / "configs" / "demo.json")
+@functools.cache
+def workloads(package):
+    """(workload, block, config) of every block, built by package."""
+    DynamicalSystem, operator_norm = package.DynamicalSystem, package.operator_norm
+    demo = package.harness.load_experiment_config(treebench.ROOT / "configs" / "demo.json")
     blocks = [("demo", "demo", demo)]
     M = np.random.Generator(np.random.Philox(7)).normal(size=(12, 12))
     M = M / operator_norm(M)
@@ -56,7 +54,7 @@ def workloads():
     )
     for system in systems:
         for master, eps in CRITERION_6:
-            config = ExperimentConfig(
+            config = package.ExperimentConfig(
                 seed=master,
                 trials=CRITERION_6_TRIALS,
                 system=system,
@@ -69,11 +67,11 @@ def workloads():
     return blocks
 
 
-def measure():
-    """Run in a child: every trial of the child's tree, once; return the
-    rows (COLUMNS, plus the planted support and values)."""
-    from sparseobs import harness, kernels
-
+def measure(package, item):
+    """Trial (block index, trial) of package's tree, once counted and once
+    timed: the row of COLUMNS, plus the planted support and values."""
+    block, trial = item
+    workload, name, config = workloads(package)[block]
     row_steps = [0]
 
     def counted(kernel):
@@ -83,32 +81,26 @@ def measure():
 
         return run
 
-    rows = []
-    for workload, block, config in workloads():
-        for trial in range(config.trials):
-            row_steps[0] = 0
-            with (
-                treebench.swapped(kernels, "rk4_flow_jacobian", counted),
-                treebench.swapped(kernels, "rk4_path", counted),
-            ):
-                harness.run_trial(config, trial)
-            t0 = time.perf_counter()
-            r = harness.run_trial(config, trial)
-            wall_ms = (time.perf_counter() - t0) * 1e3
-            steps = getattr(r, "rk4_steps", config.integration.step_count)
-            rows.append(
-                [workload, block, trial, r.T, steps, row_steps[0], wall_ms, r.error_l2]
-                + [list(r.support), list(r.values)]
-            )
-    return rows
+    with (
+        treebench.swapped(package.kernels, "rk4_flow_jacobian", counted),
+        treebench.swapped(package.kernels, "rk4_path", counted),
+    ):
+        package.harness.run_trial(config, trial)
+    t0 = time.perf_counter()
+    r = package.harness.run_trial(config, trial)
+    wall_ms = (time.perf_counter() - t0) * 1e3
+    steps = getattr(r, "rk4_steps", config.integration.step_count)
+    row = [workload, name, trial, r.T, steps, row_steps[0], wall_ms, r.error_l2]
+    return row + [list(r.support), list(r.values)]
 
 
 def flow_errors(trials, steps_by_tree):
     """The flow_error of each trial at each tree's step count, computed by
     this checkout's package."""
+    import sparseobs
     from sparseobs.ode import IntegrationConfig, flow_with_jacobian
 
-    systems = {block: config.system for _, block, config in workloads()}
+    systems = {block: config.system for _, block, config in workloads(sparseobs)}
     errors = {label: [] for label in steps_by_tree}
     for i, (block, T, support, values) in enumerate(trials):
         system = systems[block]
@@ -124,7 +116,11 @@ def flow_errors(trials, steps_by_tree):
 
 
 def run(trees):
-    runs = treebench.rounds(__file__, trees, ROUNDS, "measure")
+    import sparseobs
+
+    blocks = enumerate(workloads(sparseobs))
+    items = [(b, trial) for b, (*_, config) in blocks for trial in range(config.trials)]
+    runs = treebench.rounds(trees, ROUNDS, items, measure)
     first = next(iter(runs.values()))[0]
     trials = [(row[1], row[3], row[8], row[9]) for row in first]
     steps = {label: [row[4] for row in rounds[0]] for label, rounds in runs.items()}
@@ -176,4 +172,4 @@ def run(trees):
 
 
 if __name__ == "__main__":
-    treebench.main(__doc__, run, measure=measure)
+    treebench.main(__doc__, run)

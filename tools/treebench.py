@@ -9,99 +9,80 @@ Each --tree LABEL=SRC names a source tree, the src/ directory of a checkout.
 Without --tree this checkout's src/ is measured under the label "change".
 With trees labelled parent and change the file also records the ratios of
 the parent's figures over the change's.  The script runs with one BLAS
-thread, fixed before numpy is first imported, and so do its children.
+thread, fixed before numpy is first imported.
 
-Times depend on the directory a checkout sits in: the same tree has run tens
-of percent slower from a directory of another name.  So compare checkouts
-that are siblings with names of equal length, as in the example above when
-it runs from a checkout named change beside one named parent.  The script
-warns on stderr when the trees' resolved src/ paths differ in length.
-
-A script whose trees cannot share one process (their sparseobs packages
-have the same name) measures each tree in child processes of its own: the
-trees take turns, round after round of one child per tree, and each child
-imports its tree's package and prints one JSON document on stdout.  The
-inputs are built once, by this checkout's package, and every child reads
-the same ones.  The results go to BENCH_<name>.json at the repository root,
+Every tree runs in this one process.  The sparseobs package imports itself
+only relatively, so each tree's package is imported under a name of its
+own, sparseobs_<label>, and its modules are distinct from every other
+tree's: a counter swapped into one tree leaves the others untouched.  The
+inputs are built once, by this checkout's package, as arrays and plain
+values, and every tree receives the same ones.  The trees take turns item
+by item: in each round every item runs on every tree back to back, and the
+tree that goes first flips from round to round.  So a drift of the host's
+speed, or whatever a checkout's directory does to timings, falls on every
+tree alike.  The results go to BENCH_<name>.json at the repository root,
 in indented JSON with each list of scalars, such as a table row, on one line.
 """
 
 import argparse
 import contextlib
+import importlib.util
 import json
 import os
 import platform
 import re
 import statistics
-import subprocess
 import sys
-import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 
 
 def one_blas_thread():
-    """Pin BLAS to one thread here and in every child; call it before numpy
-    is first imported."""
+    """Pin BLAS to one thread; call it before numpy is first imported."""
     for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
         os.environ[var] = "1"
 
 
-def main(doc, run, **children):
+def load(label, src):
+    """The sparseobs package of the source tree src, imported under the name
+    sparseobs_<label>."""
+    name = f"sparseobs_{label}"
+    spec = importlib.util.spec_from_file_location(
+        name, Path(src).resolve() / "sparseobs" / "__init__.py"
+    )
+    package = importlib.util.module_from_spec(spec)
+    # registered first, so that the package's relative imports find it
+    sys.modules[name] = package
+    spec.loader.exec_module(package)
+    return package
+
+
+def main(doc, run):
     """The command line of the bench script whose docstring is doc: parse
-    --tree LABEL=SRC and call run({label: src}) with this checkout's package
-    first on sys.path.  In a child started by rounds(), call the named
-    function of children with its tree's package first on sys.path, and
-    print what it returns as JSON."""
+    --tree LABEL=SRC and call run({label: the tree's package}) with this
+    checkout's package first on sys.path."""
     ap = argparse.ArgumentParser(description=doc.split("\n\n")[0])
     ap.add_argument("--tree", action="append", default=[], metavar="LABEL=SRC")
-    # internal: NAME SRC ARGS... of one child process
-    ap.add_argument("--child", nargs="+", help=argparse.SUPPRESS)
     args = ap.parse_args()
-    if args.child:
-        name, src, *rest = args.child
-        sys.path.insert(0, str(Path(src).resolve()))
-        print(json.dumps(children[name](*rest)))
-        return
     sys.path.insert(0, str(ROOT / "src"))
     trees = dict(t.split("=", 1) for t in args.tree) or {"change": str(ROOT / "src")}
-    if len({len(str(Path(src).resolve())) for src in trees.values()}) > 1:
-        print(
-            "warning: the trees' src/ paths differ in length, and times depend on the "
-            "checkout's directory; compare sibling checkouts with names of equal length",
-            file=sys.stderr,
-        )
-    run(trees)
+    run({label: load(label, src) for label, src in trees.items()})
 
 
-def rounds(script, trees, count, name, *args):
-    """{label: [the JSON document of each round]}: count rounds in which
-    every tree, in turn, runs name(*args) of script in a child process."""
-    runs = {label: [] for label in trees}
-    for _ in range(count):
-        for label, src in trees.items():
-            # stderr stays the terminal's, so a failing child's traceback shows
-            child = subprocess.run(
-                [sys.executable, script, "--child", name, src, *args],
-                stdout=subprocess.PIPE,
-                text=True,
-                check=True,
-            )
-            runs[label].append(json.loads(child.stdout))
+def rounds(trees, count, items, measure):
+    """{label: [[measure(package, item) for each item] for each round]} over
+    count rounds of the trees {label: package}.  In a round each item runs
+    on every tree back to back, and the order of the trees is reversed from
+    one round to the next."""
+    runs = {label: [[] for _ in range(count)] for label in trees}
+    order = list(trees)
+    for r in range(count):
+        for item in items:
+            for label in order:
+                runs[label][r].append(measure(trees[label], item))
+        order.reverse()
     return runs
-
-
-@contextlib.contextmanager
-def saved(arrays):
-    """The path of an .npz file holding arrays, for the children to load;
-    the file is removed when the with block ends."""
-    import numpy as np
-
-    with tempfile.TemporaryDirectory() as tmp:
-        path = Path(tmp) / "inputs.npz"
-        np.savez(path, **arrays)
-        yield str(path)
 
 
 @contextlib.contextmanager
