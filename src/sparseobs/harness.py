@@ -325,8 +325,8 @@ def run_trial(config: ExperimentConfig, trial: int, force: bool = False) -> Tria
         obs_T = rec_T = c0 = c1 = None
 
     # the observation and the recovery share one step count; under the zero,
-    # linear and affine fields recovery maps x through the flow at 0, which
-    # matches the observation's march only up to rounding
+    # linear and affine fields the observation steps the RK4 step map and
+    # recovery maps x by the flow at 0, its chained product: equal to rounding
     integration = settle_steps(system, T, config.integration)
     x0, support, values = _plant_signal(config, trial)
     xT = integrate(system, x0, T, integration).final_state

@@ -3,31 +3,26 @@ the ADMM inner iterations of the weighted-l1 solver, and the per-support scan
 behind exact restricted-isometry constants.
 
 Everything is plain numpy.  rhs is the one definition of the catalog's
-right-hand side f, and jacobian_scale gives its Jacobian as J(x) = diag(d) M
-from the slopes f(x); the integrators call them on
-DynamicalSystem.kernel_args().  _march is the one RK4 march: it runs a block
-of steps, writing each stage slope in place into a preallocated array of the
-block's slopes and each state into a row of the path, so a step allocates
-nothing.  rk4_path marches straight into its result.  The flow Jacobian
-marches one state, or many rows in lockstep for the combinatorial oracle, a
-block of steps at a time, and builds the sensitivity from each block's stage
-slopes as a product of per-step increments in batched matmuls (see
-rk4_flow_jacobian).  A flow from an all-zero state under a field with
-f(0) = 0 skips the march, whose states would all be zeros; a path marches
-from any state.  Where the Jacobian does not depend on the state, under
-every field but tanh and under tanh at rest, one step's increment is formed
-once, and each block's product is _chain of views of it, bit for bit.  The support scan screens in
-three tiers, each run only on the supports the one before could not rule out: a
-block test built from bounds on the extreme eigenvalues of each support's
-head and tail blocks (closed forms up to 3 x 3, see _block_bounds) and the
-Frobenius norm of the block that couples them (from a table of row sums over
-each tail), for a whole group of supports at once without gathering any of
-them (see rip_scan); beta_S, one batched matmul per block of gathered Gram
-submatrices; and eigvalsh, in a batch (see max_deviation).  A greedy seed,
-grown from the tails with the best bounds, starts the running maximum near
-its end.  The lasso and basis-pursuit kernels run one ADMM iteration, _admm,
-and differ only in its x-update; both names stay because the pipeline
-benchmark (pipebench/) traces them.
+right-hand side f, f = Mx + c or tanh(Mx), and jacobian_scale gives its
+Jacobian as J(x) = diag(d) M from the slopes f(x); the integrators call them
+on DynamicalSystem.kernel_args().  Where the Jacobian does not depend on the
+state, one RK4 step is the affine map x -> x + E x + g (see _step_map), and
+rk4_path and rk4_flow_jacobian step by it; under tanh off rest _march is the
+one RK4 march, writing each stage slope in place into a preallocated array
+of a block's slopes and each state into a row of the path, so a step
+allocates nothing.  The flow's sensitivity is a product of per-step
+increments in batched matmuls (see rk4_flow_jacobian).
+The support scan screens in three tiers, each run only on the supports the
+one before could not rule out: a block test built from bounds on the extreme
+eigenvalues of each support's head and tail blocks (closed forms up to 3 x
+3, see _block_bounds) and the Frobenius norm of the block that couples them
+(from a table of row sums over each tail), for a whole group of supports at
+once without gathering any of them (see rip_scan); beta_S, one batched
+matmul per block of gathered Gram submatrices; and eigvalsh, in a batch (see
+max_deviation).  A greedy seed, grown from the tails with the best bounds,
+starts the running maximum near its end.  The lasso and basis-pursuit
+kernels run one ADMM iteration, _admm, and differ only in its x-update; both
+names stay because the pipeline benchmark (pipebench/) traces them.
 
 All array arguments must be float64; matrices must be C-contiguous.
 """
@@ -40,8 +35,7 @@ import numpy as np
 
 # right-hand-side catalog codes, shared with model.DynamicalSystem
 RHS_LINEAR = 1
-RHS_AFFINE = 2
-RHS_TANH = 3
+RHS_TANH = 2
 
 # the blocked kernels bound their temporaries by this many floats: the support
 # scan screens supports in groups whose arrays hold at most this many entries,
@@ -56,17 +50,17 @@ SCAN_BLOCK_FLOATS = 1 << 15
 
 
 def rhs(kind, MT, c, X, out):
-    """f(X) for one state X (m,) or for rows X (k, m), written to out, a
-    C-contiguous array of X's shape, and returned.  MT is M.T; callers that
-    evaluate many stages pass one contiguous copy.  The slopes are formed in
-    place: np.dot of X and MT into out, then the drift added or tanh taken,
-    with the bits of the allocating X @ MT, + c and tanh.  The catalog is
-    autonomous."""
+    """f(X) = M X + c or tanh(M X) for one state X (m,) or for rows X (k, m),
+    written to out, a C-contiguous array of X's shape, and returned.  MT is
+    M.T; callers that evaluate many stages pass one contiguous copy.  The
+    slopes are formed in place: np.dot of X and MT into out, then the drift
+    added or tanh taken, with the bits of the allocating X @ MT, + c and
+    tanh.  The catalog is autonomous."""
     np.dot(X, MT, out)
-    if kind == RHS_AFFINE:
-        np.add(out, c, out)
-    elif kind == RHS_TANH:
+    if kind == RHS_TANH:
         np.tanh(out, out)
+    else:
+        np.add(out, c, out)
     return out
 
 
@@ -108,16 +102,44 @@ def _march(kind, MT, c, S, h, K):
 
 def rk4_path(kind, M, c, x0, T, n_steps):
     """States at the n_steps+1 uniform grid times over [0, T], row 0 = x0,
-    marched straight into the result (see _march).  A step's slopes are
-    read only within it, so every step writes them to the same four slots:
-    the march's K is a stride-0 view of one (4, *x0.shape) array, and the
-    temporaries stay O(m)."""
+    stepped into the result by the step map (see _step_map), or under tanh
+    off rest by _march, whose K is a stride-0 view of one (4, *x0.shape)
+    array: a step's slopes are read only within it, so temporaries stay O(m)."""
     out = np.empty((n_steps + 1,) + x0.shape)
     out[0] = x0
+    if kind != RHS_TANH or not (np.count_nonzero(x0) or np.count_nonzero(c)):
+        _map(out, *_step_map(kind, M, c, T / n_steps))
+        return out
     slots = np.empty((4,) + x0.shape)
     K = np.lib.stride_tricks.as_strided(slots, (n_steps,) + slots.shape, (0,) + slots.strides)
     _march(kind, np.ascontiguousarray(M.T), c, out, T / n_steps, K)
     return out
+
+
+def _step_map(kind, M, c, h):
+    """E and g of the RK4 step x -> x + E x + g of every field but tanh, and
+    of tanh at rest: E is a zero state's increment (see _step_increments),
+    and g the step from 0, whose slopes under f = M x + c are k_1 = c and
+    k_i = M (a_i h k_{i-1}) + c, or None where c = 0."""
+    E = _step_increments(kind, M, np.zeros((1, 4, M.shape[0])), h)[0]
+    if not np.count_nonzero(c):
+        return E, None
+    k = g = c
+    for a, w in ((0.5 * h, 2.0), (0.5 * h, 2.0), (h, 1.0)):
+        k = M @ (a * k) + c
+        g = g + w * k
+    return E, g * (h / 6.0)
+
+
+def _map(S, E, g):
+    """The step map from the state S[0], one state (m,) or rows (k, m):
+    S[i + 1] = S[i] + (S[i] E^T + g), one matvec a step; g None is 0."""
+    ET = np.ascontiguousarray(E.T)
+    for x, x_next in zip(S, S[1:]):
+        np.dot(x, ET, x_next)
+        if g is not None:
+            x_next += g
+        x_next += x
 
 
 def _step_increments(kind, M, K, h):
@@ -161,28 +183,25 @@ def rk4_flow_jacobian(kind, M, c, X0, T, n_steps):
 
     RK4 applied to the variational equation advances the sensitivity by a
     linear map I + E per step (see _step_increments), so the sensitivity is
-    the ordered product of those maps.  _march advances only the state, with
-    the same steps as rk4_path, a block of c steps at a time, and writes the
-    block's stage slopes into one preallocated (c, 4, *X0.shape) array; each
-    block's increments are multiplied by _chain in a few batched calls, and
-    P <- P + E_tot P.  c = SCAN_BLOCK_FLOATS // (4 m^2 max(1, k)), at
-    least 1, bounds the block's temporaries; zero rows give empty results.
-    Two things are skipped where they cannot change a bit.  At rest, X0 all
-    zeros under a field with f(0) = 0 (every kind but the affine one), every
-    stage slope and state stays exactly 0, so the state is not marched.
-    Where the Jacobian scales do not depend on the state, under every field
-    but tanh and under tanh at rest (its scales 1 - 0^2 are all 1), every
-    step of every row has the increment E of a zero state, so E is formed
-    once, each block's product is _chain of c views of it, formed once per
-    block length, and one sensitivity serves every row.
+    the ordered product of those maps, multiplied a block of c steps at a
+    time by _chain in a few batched calls, P <- P + E_tot P.  c =
+    SCAN_BLOCK_FLOATS // (4 m^2 max(1, k)), at least 1, bounds the block's
+    temporaries; zero rows give empty results.  The state takes rk4_path's
+    steps.  Under the step map (see _step_map) every step of every row has
+    the increment E, each block's product is _chain of c views of it,
+    formed once per block length, and one sensitivity serves every row; at
+    rest, X0 = 0 and c = 0, the state stays 0 and is not stepped.  Under
+    tanh off rest, _march writes each block's stage slopes into one
+    preallocated (c, 4, *X0.shape) array, whose increments form the product.
     """
     m = X0.shape[-1]
     block = max(1, SCAN_BLOCK_FLOATS // (4 * m * m * max(1, X0.size // m)))
     h = T / n_steps
-    rest = kind != RHS_AFFINE and not X0.any()
-    shared = kind != RHS_TANH or rest
-    if shared:
-        E = _step_increments(kind, M, np.zeros((1, 4, m)), h)[0]
+    # count_nonzero tests a small array in a quarter of any()'s time
+    rest = not (np.count_nonzero(X0) or np.count_nonzero(c))
+    mapped = kind != RHS_TANH or rest
+    if mapped:
+        E, g = _step_map(kind, M, c, h)
     MT = np.ascontiguousarray(M.T)
     K = np.empty((min(block, n_steps), 4) + X0.shape)
     S = np.empty((len(K) + 1,) + X0.shape)
@@ -192,9 +211,12 @@ def rk4_flow_jacobian(kind, M, c, X0, T, n_steps):
     for i in range(0, n_steps, block):
         b = min(block, n_steps - i)
         if not rest:
-            _march(kind, MT, c, S[: b + 1], h, K[:b])
+            if mapped:
+                _map(S[: b + 1], E, g)
+            else:
+                _march(kind, MT, c, S[: b + 1], h, K[:b])
             S[0] = S[b]
-        if not shared:
+        if not mapped:
             E_tot = _chain(_step_increments(kind, M, K[:b], h))
         elif E_tot is None or b < block:
             # the full blocks share one product; a ragged last block forms its own

@@ -2,8 +2,8 @@
 descriptions, weighted-l1 machinery, best s-term truncation, and the one JSON
 codec.
 
-A DynamicalSystem describes f; kernels.rhs and kernels.jacobian_scale, called
-on its kernel_args(), are the one evaluation of f and its Jacobian.  to_doc
+A DynamicalSystem describes f; only kernels evaluates f and its Jacobian, on
+its kernel_args() (see kernels.rhs and kernels._step_map).  to_doc
 encodes systems, problems, reports and solver and integration configs;
 system_from_dict, problem_from_dict and from_doc decode them.
 
@@ -36,7 +36,7 @@ RHS_KINDS = ("zero", "linear", "affine", "tanh_saturated")
 _KIND_CODES = {
     "zero": kernels.RHS_LINEAR,
     "linear": kernels.RHS_LINEAR,
-    "affine": kernels.RHS_AFFINE,
+    "affine": kernels.RHS_LINEAR,
     "tanh_saturated": kernels.RHS_TANH,
 }
 _KIND_ALIASES = {"tanh-saturated": "tanh_saturated"}
@@ -136,9 +136,9 @@ class DynamicalSystem:
 
     def kernel_args(self):
         """(kind code, matrix, drift) with concrete float64 arrays for the
-        kernels.  The zero kind runs as the linear one with explicit zero
-        arrays, f = 0 x, whose slopes and sensitivity increments are
-        exactly 0."""
+        kernels.  The zero, linear and affine kinds run as f = M x + c; the
+        zero kind's explicit zero arrays give slopes and sensitivity
+        increments of exactly 0."""
         m = self.dim
         M = np.zeros((m, m)) if self.matrix is None else np.ascontiguousarray(self.matrix)
         c = np.zeros(m) if self.drift is None else np.ascontiguousarray(self.drift)

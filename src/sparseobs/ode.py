@@ -2,19 +2,17 @@
 equations (flow sensitivities), plus the exponential deviation envelope used
 by the certificates.
 
-The one integrator is classical RK4 in kernels.  Adaptive mode chooses its
-step count by doubling it until the n-step and 2n-step runs agree entrywise to
-tolerance * (1 + |value|), then keeps the 2n-step run.  integrate compares
-the two runs at every shared grid time; flow_with_jacobian compares x(T) and
-dx(T)/dx0 and takes one count for the whole call, the first at which every
-row has settled.  settle_steps runs that search once, at x = 0, and returns
-the accepted count as a fixed config, which recovery, the oracle and the
-experiment trials use for every flow of one problem.  A flow from rest (x = 0
-under the zero, linear or tanh field) marches no state: it forms one RK4
-step's sensitivity increment and multiplies copies of it in ceil(log2 c)
-batched matmuls per block of c steps, once per block length, for every row
-at once (see kernels.rk4_flow_jacobian), so the search at 0 and the repeated
-flow at 0 of recovery and the oracle are cheap.
+The one integrator is classical RK4 in kernels.  Adaptive mode doubles one
+step count for the whole call until x(T) and dx(T)/dx0 agree with the
+previous count's entrywise to tolerance * (1 + |value|), for every row at
+once; integrate settles so from x0 before it steps the path.  settle_steps
+runs that search once, at x = 0, and returns the accepted count as a fixed
+config, which recovery, the oracle and the experiment trials use for every
+flow of one problem.  Under every field but tanh, and under tanh at rest, a
+path takes one matvec a step and a flow's sensitivity multiplies copies of
+one step's increment, once per block length, for every row at once (see
+kernels.rk4_flow_jacobian); a flow from rest steps no state, so the search
+at 0 and the flows at 0 of recovery and the oracle are cheap.
 """
 
 from __future__ import annotations
@@ -116,29 +114,18 @@ def integrate(
     """Propagate the system from x0 over [0, T] and return the sampled path.
 
     The samples are the uniform RK4 grid, step_count steps in fixed mode and
-    the accepted count in adaptive mode, where the n-step and 2n-step runs
-    are compared at their shared grid times.  Row 0 is exactly x0.  A
-    non-finite state aborts with the first grid time at which it appeared.
+    in adaptive mode the count at which flow_with_jacobian settles from x0.
+    Row 0 is exactly x0.  A non-finite state aborts with the first grid time
+    at which it appeared.
     """
     cfg = config or IntegrationConfig()
     x0, T = _check_args(system, x0, T)
-    kind, M, c = system.kernel_args()
-
-    def path(n):
-        states = kernels.rk4_path(kind, M, c, x0, T, n)
-        bad = ~np.all(np.isfinite(states), axis=1)
-        if np.any(bad):
-            t_bad = float(np.linspace(0.0, T, n + 1)[np.argmax(bad)])
-            raise NumericalError(f"state became non-finite at t={t_bad:.6g}", time=t_bad)
-        return states
-
-    n = cfg.step_count if cfg.mode == "fixed" else _ADAPTIVE_START_STEPS
-    states = path(n)
-    while cfg.mode == "adaptive":
-        n = _doubled(n)
-        coarse, states = states, path(n)
-        if _settled(coarse, states[::2], cfg.tolerance):
-            break
+    n = cfg.step_count if cfg.mode == "fixed" else _climb(system, x0, T, cfg.tolerance)[2]
+    states = kernels.rk4_path(*system.kernel_args(), x0, T, n)
+    bad = ~np.all(np.isfinite(states), axis=1)
+    if np.any(bad):
+        t_bad = float(np.linspace(0.0, T, n + 1)[np.argmax(bad)])
+        raise NumericalError(f"state became non-finite at t={t_bad:.6g}", time=t_bad)
     return Trajectory(times=np.linspace(0.0, T, n + 1), states=states)
 
 

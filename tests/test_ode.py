@@ -337,6 +337,25 @@ def _marched_flow(kind, M, c, X0, T, n_steps):
     return steps[-1][-1], P
 
 
+def _mapped_path(kind, M, c, X0, T, n_steps):
+    """rk4_path by the step map x <- x + (x E^T + g), each step a fresh
+    array, with E and g from kernels._step_map."""
+    E, g = kernels._step_map(kind, M, c, T / n_steps)
+    ET = np.ascontiguousarray(E.T)
+    path = [X0]
+    for _ in range(n_steps):
+        d = path[-1] @ ET
+        path.append((d if g is None else d + g) + path[-1])
+    return np.array(path)
+
+
+def _march_bound(path_ref, n_steps):
+    """How far the step map's states may lie from the stage-by-stage march's
+    path_ref: each step of either rounds within about eps (1 + |x|), so
+    after n steps they differ by at most 4 n eps (1 + max|x|)."""
+    return 4 * n_steps * np.finfo(float).eps * (1.0 + np.abs(path_ref).max(initial=0.0))
+
+
 def _count_rest_calls(monkeypatch):
     """Count the calls of kernels.rhs and kernels._step_increments."""
     calls = {"rhs": 0, "_step_increments": 0}
@@ -353,33 +372,70 @@ def _count_rest_calls(monkeypatch):
 
 @pytest.mark.parametrize("shape", [(6,), (3, 6)])
 def test_zero_state_flows_skip_the_march_and_equal_it(monkeypatch, shape):
-    # a flow from rest skips the march; a path from rest marches to zeros
+    # from a zero state no field marches: the path and the flow each form one
+    # step's increment; a flow from rest steps no state, and under the
+    # affine field the drift moves the zero state through the step map
     zero = np.zeros(shape)
     for system in catalog_systems(6, 908):
         kind, M, c = system.kernel_args()
         path_ref = _marched_path(kind, M, c, zero, 0.8, 16)
-        xT_ref, P_ref = _marched_flow(kind, M, c, zero, 0.8, 16)
+        P_ref = _marched_flow(kind, M, c, zero, 0.8, 16)[1]
         with monkeypatch.context() as patch:
             calls = _count_rest_calls(patch)
             path = kernels.rk4_path(kind, M, c, zero, 0.8, 16)
             xT, P = kernels.rk4_flow_jacobian(kind, M, c, zero, 0.8, 16)
+        assert calls == {"rhs": 0, "_step_increments": 2}
         if system.kind == "affine":
-            # the drift moves the zero state, so it is marched
-            assert calls["rhs"] == 2 * 4 * 16 and np.abs(xT).max() > 0.0
+            assert np.abs(xT).max() > 0.0
+            assert np.array_equal(path, _mapped_path(kind, M, c, zero, 0.8, 16))
+            assert np.abs(path - path_ref).max() <= _march_bound(path_ref, 16)
         else:
-            assert calls == {"rhs": 4 * 16, "_step_increments": 1}
             assert not path.any() and not xT.any()
-        assert np.array_equal(path, path_ref)
-        assert np.array_equal(xT, xT_ref) and np.array_equal(P, P_ref)
+            assert np.array_equal(path, path_ref)
+        assert np.array_equal(xT, path[-1]) and np.array_equal(P, P_ref)
+
+
+@pytest.mark.parametrize("shape", [(5,), (0, 5), (1, 5), (3, 5)])
+def test_fields_with_a_constant_jacobian_never_evaluate_the_slopes(shape, monkeypatch):
+    # the zero, linear and affine fields step every state by the step map,
+    # from rest and off rest, whatever the row count, within _march_bound of
+    # the stage-by-stage march; an affine field with zero drift is the linear
+    # field bit for bit
+    m = shape[-1]
+    rng = np.random.Generator(np.random.Philox(914))
+    systems = catalog_systems(m, 914)[:3]
+    M = np.asarray(systems[1].matrix)
+    driftless = DynamicalSystem.affine(M.tolist(), np.zeros(m).tolist()).kernel_args()
+    for X0 in (np.zeros(shape), rng.normal(size=shape)):
+        for n in [1, 7, 257]:
+            runs = {}
+            for system in systems:
+                with monkeypatch.context() as patch:
+                    calls = _count_rest_calls(patch)
+                    path = kernels.rk4_path(*system.kernel_args(), X0, 0.8, n)
+                    xT, P = kernels.rk4_flow_jacobian(*system.kernel_args(), X0, 0.8, n)
+                assert calls["rhs"] == 0, (system.kind, shape, n)
+                assert np.array_equal(xT, path[-1])
+                path_ref = _marched_path(*system.kernel_args(), X0, 0.8, n)
+                assert np.abs(path - path_ref).max(initial=0.0) <= _march_bound(path_ref, n)
+                runs[system.kind] = path, xT, P
+            driftless_run = (
+                kernels.rk4_path(*driftless, X0, 0.8, n),
+                *kernels.rk4_flow_jacobian(*driftless, X0, 0.8, n),
+            )
+            for a, b in zip(runs["linear"], driftless_run):
+                assert np.array_equal(a, b)
 
 
 @pytest.mark.parametrize("shape", [(5,), (3, 5)])
 def test_zero_field_is_the_linear_field_with_a_zero_matrix(shape):
-    # the zero field runs as the linear one with its all-zero matrix; from
-    # rest and off rest its states stay x0 and its sensitivity I, exactly
+    # the zero field runs as the linear one with its all-zero matrix, and so
+    # does the affine field with a zero matrix and a zero drift; from rest
+    # and off rest their states stay x0 and their sensitivity I, exactly
     m = shape[-1]
     zero = DynamicalSystem.zero(m).kernel_args()
     linear = DynamicalSystem.linear(np.zeros((m, m))).kernel_args()
+    affine = DynamicalSystem.affine(np.zeros((m, m)), np.zeros(m)).kernel_args()
     eye = np.broadcast_to(np.eye(m), shape + (m,))
     rng = np.random.Generator(np.random.Philox(913))
     for X0 in (np.zeros(shape), rng.normal(size=shape)):
@@ -388,9 +444,10 @@ def test_zero_field_is_the_linear_field_with_a_zero_matrix(shape):
             xT, P = kernels.rk4_flow_jacobian(*zero, X0, 0.8, n)
             assert np.array_equal(path, np.broadcast_to(X0, (n + 1,) + shape))
             assert np.array_equal(xT, X0) and np.array_equal(P, eye)
-            assert np.array_equal(path, kernels.rk4_path(*linear, X0, 0.8, n))
-            xT_lin, P_lin = kernels.rk4_flow_jacobian(*linear, X0, 0.8, n)
-            assert np.array_equal(xT, xT_lin) and np.array_equal(P, P_lin)
+            for other in (linear, affine):
+                assert np.array_equal(path, kernels.rk4_path(*other, X0, 0.8, n))
+                xT_other, P_other = kernels.rk4_flow_jacobian(*other, X0, 0.8, n)
+                assert np.array_equal(xT, xT_other) and np.array_equal(P, P_other)
 
 
 @pytest.mark.parametrize("m", [5, 12])
@@ -418,7 +475,11 @@ def test_rhs_writes_the_allocated_slopes_in_place(m):
 @pytest.mark.parametrize("blocks", ["default", "ragged"])
 def test_marches_off_rest_equal_the_stage_by_stage_reference(blocks, monkeypatch):
     # blocks of 3 steps leave ragged last blocks of 1 at 7 steps and of 2 at
-    # 257; by default one block covers 7 steps and several cover 257
+    # 257; by default one block covers 7 steps and several cover 257.  tanh
+    # marches, and equals the stage-by-stage march bit for bit; every other
+    # field takes the step map, whose states equal the map reference bit for
+    # bit and the march within _march_bound.  Every sensitivity equals the
+    # reference's product of its stage increments bit for bit
     m = 6
     rng = np.random.Generator(np.random.Philox(912))
     for shape in [(m,), (1, m), (3, m)]:
@@ -429,19 +490,24 @@ def test_marches_off_rest_equal_the_stage_by_stage_reference(blocks, monkeypatch
         block = max(1, kernels.SCAN_BLOCK_FLOATS // (4 * m * m * rows))
         for system in catalog_systems(m, 912):
             kind, M, c = system.kernel_args()
+            tanh = system.kind == "tanh_saturated"
             for n in [1, 7, 257]:
                 path_ref = _marched_path(kind, M, c, X0, 0.8, n)
-                xT_ref, P_ref = _marched_flow(kind, M, c, X0, 0.8, n)
+                P_ref = _marched_flow(kind, M, c, X0, 0.8, n)[1]
                 with monkeypatch.context() as patch:
                     calls = _count_rest_calls(patch)
                     path = kernels.rk4_path(kind, M, c, X0, 0.8, n)
                     xT, P = kernels.rk4_flow_jacobian(kind, M, c, X0, 0.8, n)
                 # tanh's increments depend on the state, one call per block;
-                # every other field's are formed once
-                increments = -(-n // block) if system.kind == "tanh_saturated" else 1
-                assert calls == {"rhs": 2 * 4 * n, "_step_increments": increments}
-                assert np.array_equal(path, path_ref), (system.kind, shape, n)
-                assert np.array_equal(xT, xT_ref), (system.kind, shape, n)
+                # every other field's are formed once per path and per flow
+                if tanh:
+                    assert calls == {"rhs": 2 * 4 * n, "_step_increments": -(-n // block)}
+                    assert np.array_equal(path, path_ref), (shape, n)
+                else:
+                    assert calls == {"rhs": 0, "_step_increments": 2}
+                    assert np.array_equal(path, _mapped_path(kind, M, c, X0, 0.8, n))
+                    assert np.abs(path - path_ref).max() <= _march_bound(path_ref, n)
+                assert np.array_equal(xT, path[-1]), (system.kind, shape, n)
                 assert np.array_equal(P, P_ref), (system.kind, shape, n)
 
 

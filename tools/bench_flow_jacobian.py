@@ -22,40 +22,53 @@ import numpy as np
 
 T = 0.8
 CALLS = 15
-# the right-hand-side codes of kernels.RHS_LINEAR, RHS_AFFINE and RHS_TANH
-# (the zero field runs as the linear one), restated because this module
-# loads before any package is on sys.path
-LINEAR, AFFINE, TANH = 1, 2, 3
-# (case, kind code, m, rows or None for one 1-d state, steps, from rest: X0 = 0)
+# this checkout's kernels.RHS_LINEAR and RHS_TANH, restated for
+# reference_sensitivity because this module loads before any package is on
+# sys.path; each tree takes its own codes from DynamicalSystem.kernel_args
+LINEAR, TANH = 1, 2
+# (case, catalog kind, m, rows or None for one 1-d state, steps, from rest: X0 = 0)
 SHAPES = (
     # the demo's line search flows one row at the settled count, 32 steps on
     # 16 of its 24 trials (16 on 3, 64 on 5)
-    ("tanh m=12 1 row 32 steps (demo_tanh line search)", TANH, 12, 1, 32, False),
-    ("tanh m=12 1-d 256 steps (the fixed(256) default)", TANH, 12, None, 256, False),
-    ("tanh m=6 15 rows 16 steps", TANH, 6, 15, 16, False),
-    ("linear m=24 1-d 256 steps", LINEAR, 24, None, 256, False),
-    ("affine m=12 1-d 256 steps", AFFINE, 12, None, 256, False),
-    ("tanh m=12 66 rows 256 steps (oracle pairs at m=12)", TANH, 12, 66, 256, False),
-    ("tanh m=128 1-d 256 steps", TANH, 128, None, 256, False),
+    ("tanh m=12 1 row 32 steps (demo_tanh line search)", "tanh_saturated", 12, 1, 32, False),
+    ("tanh m=12 1-d 256 steps (the fixed(256) default)", "tanh_saturated", 12, None, 256, False),
+    ("tanh m=6 15 rows 16 steps", "tanh_saturated", 6, 15, 16, False),
+    ("linear m=24 1-d 256 steps", "linear", 24, None, 256, False),
+    ("affine m=12 1-d 256 steps", "affine", 12, None, 256, False),
+    # the oracle's line-search shape on oracle_agreement; on its zero and
+    # linear instances recover._flow_rows maps the rows by the flow at 0
+    ("linear m=6 15 rows 16 steps (oracle line search)", "linear", 6, 15, 16, False),
+    ("tanh m=12 66 rows 256 steps (oracle pairs at m=12)", "tanh_saturated", 12, 66, 256, False),
+    ("tanh m=128 1-d 256 steps", "tanh_saturated", 128, None, 256, False),
     # the demo's settle climb at x = 0, one row per count
-    ("tanh m=12 1 row 8 steps from rest (settle climb)", TANH, 12, 1, 8, True),
-    ("tanh m=12 1 row 16 steps from rest (settle climb)", TANH, 12, 1, 16, True),
-    ("tanh m=12 1 row 32 steps from rest (settle climb)", TANH, 12, 1, 32, True),
-    ("tanh m=12 1 row 64 steps from rest (settle climb)", TANH, 12, 1, 64, True),
-    ("tanh m=12 1-d 32 steps from rest (recovery flow0)", TANH, 12, None, 32, True),
-    ("linear m=24 1-d 256 steps from rest", LINEAR, 24, None, 256, True),
+    ("tanh m=12 1 row 8 steps from rest (settle climb)", "tanh_saturated", 12, 1, 8, True),
+    ("tanh m=12 1 row 16 steps from rest (settle climb)", "tanh_saturated", 12, 1, 16, True),
+    ("tanh m=12 1 row 32 steps from rest (settle climb)", "tanh_saturated", 12, 1, 32, True),
+    ("tanh m=12 1 row 64 steps from rest (settle climb)", "tanh_saturated", 12, 1, 64, True),
+    ("tanh m=12 1-d 32 steps from rest (recovery flow0)", "tanh_saturated", 12, None, 32, True),
+    ("linear m=24 1-d 256 steps from rest", "linear", 24, None, 256, True),
     # certify_wide's settle climb at x = 0 spans two blocks at 16 steps
-    ("linear m=24 1 row 16 steps from rest (certify_wide settle climb)", LINEAR, 24, 1, 16, True),
-    ("tanh m=6 1-d 16 steps from rest (oracle_agreement flow at 0)", TANH, 6, None, 16, True),
+    (
+        "linear m=24 1 row 16 steps from rest (certify_wide settle climb)",
+        "linear", 24, 1, 16, True,
+    ),
+    (
+        "tanh m=6 1-d 16 steps from rest (oracle_agreement flow at 0)",
+        "tanh_saturated", 6, None, 16, True,
+    ),
 )
 
 
-def inputs(m, rows, rest, seed=0):
+def inputs(kind, m, rows, rest, seed=0):
+    """M, c and X0 of a shape: c = 0 except under the affine field, as
+    DynamicalSystem.kernel_args gives it."""
     rng = np.random.Generator(np.random.Philox(seed))
     M = rng.normal(size=(m, m))
     M /= np.linalg.norm(M, 2)
     c = rng.normal(size=m)
     X0 = rng.normal(size=(m,) if rows is None else (rows, m)) * 0.5
+    if kind != "affine":
+        c = np.zeros(m)
     return np.ascontiguousarray(M), c, np.zeros_like(X0) if rest else X0
 
 
@@ -70,9 +83,7 @@ def reference_sensitivity(kind, M, c, X0, T, n_steps):
     P = np.broadcast_to(np.eye(m, dtype=L), X.shape + (m,)).copy()
 
     def stage(X, P):
-        F = X @ M.T
-        if kind == AFFINE:
-            F = F + c
+        F = X @ M.T + c
         MP = np.matmul(M, P)
         if kind == TANH:
             F = np.tanh(F)
@@ -89,7 +100,15 @@ def reference_sensitivity(kind, M, c, X0, T, n_steps):
     return P
 
 
-def timed(package, args):
+def kernel_args(package, kind, M, c):
+    """The package's (kind code, M, c) of the catalog field kind."""
+    drift = c if kind == "affine" else None
+    return package.DynamicalSystem(dim=len(c), kind=kind, matrix=M, drift=drift).kernel_args()
+
+
+def timed(package, item):
+    kind, M, c, X0, steps = item
+    args = (*kernel_args(package, kind, M, c), X0, T, steps)
     t0 = time.perf_counter()
     package.kernels.rk4_flow_jacobian(*args)
     return time.perf_counter() - t0
@@ -100,18 +119,21 @@ def run(trees):
 
     results = {label: [] for label in trees}
     for case, kind, m, rows, steps, rest in SHAPES:
-        args = (kind, *inputs(m, rows, rest), T, steps)
-        P_ref = reference_sensitivity(*args) if wide else None
+        M, c, X0 = inputs(kind, m, rows, rest)
+        code = TANH if kind == "tanh_saturated" else LINEAR
+        P_ref = reference_sensitivity(code, M, c, X0, T, steps) if wide else None
+        item = (kind, M, c, X0, steps)
         # one shape's calls run back to back; round 0 is each tree's warm-up
-        runs = treebench.rounds(trees, 1 + CALLS, [args], timed)
+        runs = treebench.rounds(trees, 1 + CALLS, [item], timed)
         for label, package in trees.items():
+            args = (*kernel_args(package, kind, M, c), X0, T, steps)
             P = package.kernels.rk4_flow_jacobian(*args)[1]
             err = None if P_ref is None else float(np.abs(P - P_ref).max())
             row = {"case": case, "m": m, "rows": rows or 1, "steps": steps}
             samples = [r[0] for r in runs[label][1:]]
             row.update(treebench.quartiles(samples), max_abs_error_vs_longdouble=err)
             results[label].append(row)
-            print(f"{label:>8}  {case:<56} {row['median_ms']:9.3f} ms  err {err}")
+            print(f"{label:>8}  {case:<60} {row['median_ms']:9.3f} ms  err {err}")
 
     doc = {
         "kernel": "kernels.rk4_flow_jacobian",
