@@ -2,16 +2,17 @@
 the ADMM inner iterations of the weighted-l1 solver, and the per-support scan
 behind exact restricted-isometry constants.
 
-Everything is plain numpy.  rhs is the one definition of the catalog's
-right-hand side f, f = Mx + c or tanh(Mx), and jacobian_scale gives its
-Jacobian as J(x) = diag(d) M from the slopes f(x); the integrators call them
-on DynamicalSystem.kernel_args().  Where the Jacobian does not depend on the
-state, one RK4 step is the affine map x -> x + E x + g (see _step_map), and
-rk4_path and rk4_flow_jacobian step by it; under tanh off rest _march is the
-one RK4 march, writing each stage slope in place into a preallocated array
-of a block's slopes and each state into a row of the path, so a step
-allocates nothing.  The flow's sensitivity is a product of per-step
-increments in batched matmuls (see rk4_flow_jacobian).
+Everything is plain numpy.  The catalog's right-hand side is f = Mx + c or
+tanh(Mx), given by DynamicalSystem.kernel_args(), and jacobian_scale gives
+its Jacobian as J(x) = diag(d) M from the slopes f(x).  Where the Jacobian
+does not depend on the state, one RK4 step is the affine map
+x -> x + E x + g (see _step_map), and rk4_path and rk4_flow_jacobian step
+by it; under tanh off rest _march is the one RK4 march, over a block whose
+rows hold each state and its four stage slopes: each slope is one np.dot
+into its slot and a tanh in place, and each of the step's sums one np.dot of
+a weight vector with the rows it sums, so a step allocates nothing.  The
+flow's sensitivity is a product of per-step increments in batched matmuls
+(see rk4_flow_jacobian).
 The support scan screens in three tiers, each run only on the supports the
 one before could not rule out: a block test built from bounds on the extreme
 eigenvalues of each support's head and tail blocks (closed forms up to 3 x
@@ -49,21 +50,6 @@ RHS_TANH = 2
 SCAN_BLOCK_FLOATS = 1 << 15
 
 
-def rhs(kind, MT, c, X, out):
-    """f(X) = M X + c or tanh(M X) for one state X (m,) or for rows X (k, m),
-    written to out, a C-contiguous array of X's shape, and returned.  MT is
-    M.T; callers that evaluate many stages pass one contiguous copy.  The
-    slopes are formed in place: np.dot of X and MT into out, then the drift
-    added or tanh taken, with the bits of the allocating X @ MT, + c and
-    tanh.  The catalog is autonomous."""
-    np.dot(X, MT, out)
-    if kind == RHS_TANH:
-        np.tanh(out, out)
-    else:
-        np.add(out, c, out)
-    return out
-
-
 def jacobian_scale(kind, F):
     """The row scales d of the Jacobian J(x) = diag(d) M at points whose
     slopes are F = f(x): 1 - F^2 for tanh, 1 for the linear and affine
@@ -74,46 +60,60 @@ def jacobian_scale(kind, F):
     return np.ones_like(F)
 
 
-def _march(kind, MT, c, S, h, K):
-    """Classical RK4 with step h from the state S[0], one state (m,) or
-    rows (k, m): step i writes its four stage slopes to K[i] and the state
-    after it to S[i + 1].  The slopes go straight into K through rhs, and
-    each step's sums are formed in two scratch arrays with the ufuncs,
-    operands and order of
+def _march(MT, W, h):
+    """Classical RK4 under tanh, f(x) = tanh(M x), with step h from the state
+    W[0, 0], one state (m,) or rows (k, m).  W is a block (b + 1, 5, *shape)
+    of rows: W[i] holds the state x_i and then the four stage slopes of step
+    i, and step i writes those slopes and the state W[i + 1, 0].  Each slope
+    is np.dot into its slot with tanh taken in place, and each sum of the
+    step is one np.dot of a weight vector with the rows it sums:
 
-        k1 = f(x), k2 = f(x + h/2 k1), k3 = f(x + h/2 k2), k4 = f(x + h k3),
-        x = x + h/6 (k1 + 2 k2 + 2 k3 + k4),
+        k1 = f(x), k2 = f((1, h/2) . (x, k1)), k3 = f((1, 0, h/2) . (x, k1, k2)),
+        k4 = f((1, 0, 0, h) . (x, k1, k2, k3)),
+        x_next = x + (h/6, h/3, h/3, h/6) . (k1, k2, k3, k4),
 
-    so the states and slopes equal those of that expression bit for bit."""
-    half, sixth = 0.5 * h, h / 6.0
-    Y = np.empty_like(S[0])
-    Z = np.empty_like(Y)
-    for x, x_next, k1, k2, k3, k4 in zip(S, S[1:], *K.swapaxes(0, 1)):
-        rhs(kind, MT, c, x, k1)
-        rhs(kind, MT, c, np.add(x, np.multiply(half, k1, Y), Y), k2)
-        rhs(kind, MT, c, np.add(x, np.multiply(half, k2, Y), Y), k3)
-        rhs(kind, MT, c, np.add(x, np.multiply(h, k3, Y), Y), k4)
-        np.add(k1, np.multiply(2.0, k2, Y), Y)
-        Y += np.multiply(2.0, k3, Z)
-        Y += k4
-        Y *= sixth
+    13 numpy calls a step over prebuilt views, and no allocation.  x stays
+    out of the increment's dot and is added once: a dot with x in it rounds
+    at ulp(x) with every term, and the summation order of BLAS differs
+    between one state and rows.  The sums round differently from the
+    textbook's, by about eps (1 + |x|) a step."""
+    flat = W.reshape(len(W), 5, -1)[:-1]
+    y = np.empty(flat.shape[-1])
+    Y = y.reshape(W.shape[2:])
+    a2 = np.array([1.0, 0.5 * h])
+    a3 = np.array([1.0, 0.0, 0.5 * h])
+    a4 = np.array([1.0, 0.0, 0.0, h])
+    b = np.array([h / 6.0, h / 3.0, h / 3.0, h / 6.0])
+    S = W[:, 0]
+    views = (*W[:-1, 1:].swapaxes(0, 1), flat[:, :2], flat[:, :3], flat[:, :4], flat[:, 1:])
+    for x, k1, k2, k3, k4, r2, r3, r4, r, x_next in zip(S, *views, S[1:]):
+        np.tanh(np.dot(x, MT, k1), k1)
+        np.dot(a2, r2, y)
+        np.tanh(np.dot(Y, MT, k2), k2)
+        np.dot(a3, r3, y)
+        np.tanh(np.dot(Y, MT, k3), k3)
+        np.dot(a4, r4, y)
+        np.tanh(np.dot(Y, MT, k4), k4)
+        np.dot(b, r, y)
         np.add(x, Y, x_next)
 
 
 def rk4_path(kind, M, c, x0, T, n_steps):
     """States at the n_steps+1 uniform grid times over [0, T], row 0 = x0,
     stepped into the result by the step map (see _step_map), or under tanh
-    off rest by _march, whose K is a stride-0 view of one (4, *x0.shape)
-    array: a step's slopes are read only within it, so temporaries stay O(m)."""
-    out = np.empty((n_steps + 1,) + x0.shape)
-    out[0] = x0
+    off rest by _march on one (n_steps + 1, 5, *x0.shape) block, whose state
+    column is copied out: its temporaries are O(n_steps m), five times the
+    path's size, where the step map's are O(m)."""
+    h = T / n_steps
     if kind != RHS_TANH or not (np.count_nonzero(x0) or np.count_nonzero(c)):
-        _map(out, *_step_map(kind, M, c, T / n_steps))
+        out = np.empty((n_steps + 1,) + x0.shape)
+        out[0] = x0
+        _map(out, *_step_map(kind, M, c, h))
         return out
-    slots = np.empty((4,) + x0.shape)
-    K = np.lib.stride_tricks.as_strided(slots, (n_steps,) + slots.shape, (0,) + slots.strides)
-    _march(kind, np.ascontiguousarray(M.T), c, out, T / n_steps, K)
-    return out
+    W = np.empty((n_steps + 1, 5) + x0.shape)
+    W[0, 0] = x0
+    _march(np.ascontiguousarray(M.T), W, h)
+    return W[:, 0].copy()
 
 
 def _step_map(kind, M, c, h):
@@ -191,8 +191,10 @@ def rk4_flow_jacobian(kind, M, c, X0, T, n_steps):
     the increment E, each block's product is _chain of c views of it,
     formed once per block length, and one sensitivity serves every row; at
     rest, X0 = 0 and c = 0, the state stays 0 and is not stepped.  Under
-    tanh off rest, _march writes each block's stage slopes into one
-    preallocated (c, 4, *X0.shape) array, whose increments form the product.
+    tanh off rest, _march steps each block in one preallocated
+    (c + 1, 5, *X0.shape) array of states and their stage slopes, and the
+    slope view W[:b, 1:] of a block of b steps goes to _step_increments as
+    it is.
     """
     m = X0.shape[-1]
     block = max(1, SCAN_BLOCK_FLOATS // (4 * m * m * max(1, X0.size // m)))
@@ -202,9 +204,11 @@ def rk4_flow_jacobian(kind, M, c, X0, T, n_steps):
     mapped = kind != RHS_TANH or rest
     if mapped:
         E, g = _step_map(kind, M, c, h)
-    MT = np.ascontiguousarray(M.T)
-    K = np.empty((min(block, n_steps), 4) + X0.shape)
-    S = np.empty((len(K) + 1,) + X0.shape)
+        S = np.empty((min(block, n_steps) + 1,) + X0.shape)
+    else:
+        MT = np.ascontiguousarray(M.T)
+        W = np.empty((min(block, n_steps) + 1, 5) + X0.shape)
+        S = W[:, 0]
     S[0] = X0
     P = np.eye(m)
     E_tot = None
@@ -214,10 +218,10 @@ def rk4_flow_jacobian(kind, M, c, X0, T, n_steps):
             if mapped:
                 _map(S[: b + 1], E, g)
             else:
-                _march(kind, MT, c, S[: b + 1], h, K[:b])
+                _march(MT, W[: b + 1], h)
             S[0] = S[b]
         if not mapped:
-            E_tot = _chain(_step_increments(kind, M, K[:b], h))
+            E_tot = _chain(_step_increments(kind, M, W[:b, 1:], h))
         elif E_tot is None or b < block:
             # the full blocks share one product; a ragged last block forms its own
             E_tot = _chain(np.broadcast_to(E, (b, m, m)))

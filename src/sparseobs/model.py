@@ -3,7 +3,7 @@ descriptions, weighted-l1 machinery, best s-term truncation, and the one JSON
 codec.
 
 A DynamicalSystem describes f; only kernels evaluates f and its Jacobian, on
-its kernel_args() (see kernels.rhs and kernels._step_map).  to_doc
+its kernel_args() (see kernels._march and kernels._step_map).  to_doc
 encodes systems, problems, reports and solver and integration configs;
 system_from_dict, problem_from_dict and from_doc decode them.
 

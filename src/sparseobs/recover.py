@@ -177,6 +177,9 @@ def _check_reachable(Phi, y, x_ls, eps, slack):
         )
 
 
+# the join and drop ratios and the residual root divide by zero on purpose;
+# one error state for the whole path, not two entered per step
+@np.errstate(divide="ignore", invalid="ignore")
 def _lasso_path_point(Phi, y, G, c, w, target):
     """Follow the solution path of the weighted lasso
     min 0.5 ||y - Phi x||^2 + lam sum_i w_i |x_i| from lam_max = max|c| / w
@@ -232,9 +235,8 @@ def _lasso_path_point(Phi, y, G, c, w, target):
         # lam w_j, and the rate at which lowering lam closes it
         gaps = lam * w2 - np.concatenate((a, -a))
         rates = w2 - np.concatenate((b, -b))
-        with np.errstate(divide="ignore", invalid="ignore"):
-            joins = np.where(gaps > 0.0, gaps / np.maximum(rates, 0.0), 0.0)
-            drops = np.where(d * ws[S] < 0, np.maximum(-x_S / d, 0.0), np.inf)
+        joins = np.where(gaps > 0.0, gaps / np.maximum(rates, 0.0), 0.0)
+        drops = np.where(d * ws[S] < 0, np.maximum(-x_S / d, 0.0), np.inf)
         # a coefficient just dropped cannot return on its side before lam
         # moves; n active columns keep every |a_j| / (lam w_j) constant
         shut = on | (S.size >= n)
@@ -252,11 +254,10 @@ def _lasso_path_point(Phi, y, G, c, w, target):
         r0 = y - Phi_x
         crossed = float(np.linalg.norm(r0 - step * v)) <= target
         if crossed:
-            with np.errstate(divide="ignore", invalid="ignore"):
-                q1, q2, r0_norm = r0 @ v, v @ v, np.linalg.norm(r0)
-                r_perp = np.linalg.norm(r0 - (q1 / q2) * v)
-                disc = q2 * (target - r_perp) * (target + r_perp)
-                t = (r0_norm - target) * (r0_norm + target) / (q1 + np.sqrt(max(disc, 0.0)))
+            q1, q2, r0_norm = r0 @ v, v @ v, np.linalg.norm(r0)
+            r_perp = np.linalg.norm(r0 - (q1 / q2) * v)
+            disc = q2 * (target - r_perp) * (target + r_perp)
+            t = (r0_norm - target) * (r0_norm + target) / (q1 + np.sqrt(max(disc, 0.0)))
             step = min(float(t), step) if t > 0.0 else 0.0
         x = np.zeros(m)
         x[S] = x_S + step * d

@@ -13,6 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from sparseobs import kernels
 from sparseobs.harness import gen_gaussian_matrix
 from sparseobs.model import DynamicalSystem
 from sparseobs.ode import IntegrationConfig, flow_with_jacobian, integrate
@@ -52,6 +53,14 @@ def catalog_systems(dim, seed):
         DynamicalSystem.affine(M.tolist(), drift.tolist()),
         DynamicalSystem.tanh_saturated(M.tolist()),
     ]
+
+
+def field(kind, MT, c, X):
+    """The catalog's right-hand side f(X) = X M^T + c, or tanh(X M^T), of one
+    state or rows X on DynamicalSystem.kernel_args() (kind, M, c), with MT =
+    M.T, into a fresh array."""
+    F = X @ MT
+    return np.tanh(F) if kind == kernels.RHS_TANH else F + c
 
 
 def support_deviations(G, supports):

@@ -26,7 +26,7 @@ from sparseobs.model import (
 from sparseobs.ode import IntegrationConfig
 from sparseobs.rip import RipReport
 
-from conftest import catalog_systems
+from conftest import catalog_systems, field
 
 
 # --- weighted l1 -------------------------------------------------------------
@@ -115,10 +115,9 @@ def test_best_s_term_is_l1_optimal_over_all_supports():
 
 
 def _rhs(system, x):
-    """f(x) through the one right-hand-side kernel."""
+    """f(x) on the system's kernel arguments."""
     kind, M, c = system.kernel_args()
-    x = np.asarray(x, dtype=float)
-    return kernels.rhs(kind, M.T, c, x, np.empty_like(x))
+    return field(kind, M.T, c, np.asarray(x, dtype=float))
 
 
 def _jacobian(system, x):

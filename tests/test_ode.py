@@ -22,7 +22,7 @@ from sparseobs.ode import (
     settle_steps,
 )
 
-from conftest import catalog_systems, tool_module
+from conftest import catalog_systems, field, tool_module
 
 _DEMO_CONFIG = Path(__file__).resolve().parents[1] / "configs" / "demo.json"
 
@@ -299,38 +299,53 @@ def test_flow_state_is_bit_identical_to_integration(n_steps):
         assert np.array_equal(xT, integrate(system, x0, 0.8, cfg).final_state)
 
 
-def _slopes(kind, MT, c, x):
-    """f(x) through kernels.rhs, into a fresh array."""
-    return kernels.rhs(kind, MT, c, x, np.empty_like(x))
-
-
 def _marched_steps(kind, MT, c, x, h, n_steps):
-    """The RK4 march stage by stage through kernels.rhs, from any state, each
-    sum a fresh array."""
+    """The textbook RK4 march stage by stage, from any state, each sum a
+    fresh array."""
     for _ in range(n_steps):
-        k1 = _slopes(kind, MT, c, x)
-        k2 = _slopes(kind, MT, c, x + 0.5 * h * k1)
-        k3 = _slopes(kind, MT, c, x + 0.5 * h * k2)
-        k4 = _slopes(kind, MT, c, x + h * k3)
+        k1 = field(kind, MT, c, x)
+        k2 = field(kind, MT, c, x + 0.5 * h * k1)
+        k3 = field(kind, MT, c, x + 0.5 * h * k2)
+        k4 = field(kind, MT, c, x + h * k3)
         x = x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         yield k1, k2, k3, k4, x
 
 
-def _marched_path(kind, M, c, x0, T, n_steps):
-    """rk4_path by the stage-by-stage march, from any state."""
-    steps = _marched_steps(kind, np.ascontiguousarray(M.T), c, x0, T / n_steps, n_steps)
+def _fused_steps(kind, MT, c, x, h, n_steps):
+    """kernels._march's RK4 step under tanh, each array fresh: the slopes
+    are tanh(x M^T), each stage input one np.dot of its weights with the
+    stacked rows it sums, and the state moves by one np.dot of
+    (h/6, h/3, h/3, h/6) with the four slopes, added to x."""
+    assert kind == kernels.RHS_TANH
+
+    def dot(weights, *rows):
+        return np.dot(weights, np.stack(rows).reshape(len(rows), -1)).reshape(x.shape)
+
+    for _ in range(n_steps):
+        k1 = np.tanh(np.dot(x, MT))
+        k2 = np.tanh(np.dot(dot([1.0, 0.5 * h], x, k1), MT))
+        k3 = np.tanh(np.dot(dot([1.0, 0.0, 0.5 * h], x, k1, k2), MT))
+        k4 = np.tanh(np.dot(dot([1.0, 0.0, 0.0, h], x, k1, k2, k3), MT))
+        x = x + dot([h / 6.0, h / 3.0, h / 3.0, h / 6.0], k1, k2, k3, k4)
+        yield k1, k2, k3, k4, x
+
+
+def _marched_path(kind, M, c, x0, T, n_steps, march=_marched_steps):
+    """rk4_path by a reference march, from any state; by default the
+    textbook one."""
+    steps = march(kind, np.ascontiguousarray(M.T), c, x0, T / n_steps, n_steps)
     return np.array([x0] + [x for *_, x in steps])
 
 
-def _marched_flow(kind, M, c, X0, T, n_steps):
-    """rk4_flow_jacobian by the stage-by-stage march, from any state: each
-    block of steps, as rk4_flow_jacobian sizes it, has its slopes turned into
+def _marched_flow(kind, M, c, X0, T, n_steps, march=_marched_steps):
+    """rk4_flow_jacobian by a reference march, from any state: each block of
+    steps, as rk4_flow_jacobian sizes it, has its slopes turned into
     increments by kernels._step_increments and multiplied by kernels._chain."""
     m = X0.shape[-1]
     P = np.broadcast_to(np.eye(m), X0.shape + (m,)).copy()
     block = max(1, kernels.SCAN_BLOCK_FLOATS // (4 * m * m * (X0.size // m)))
     h = T / n_steps
-    steps = list(_marched_steps(kind, np.ascontiguousarray(M.T), c, X0, h, n_steps))
+    steps = list(march(kind, np.ascontiguousarray(M.T), c, X0, h, n_steps))
     for i in range(0, n_steps, block):
         K = np.array([k for *k, _ in steps[i : i + block]])
         P = P + np.matmul(kernels._chain(kernels._step_increments(kind, M, K, h)), P)
@@ -350,16 +365,36 @@ def _mapped_path(kind, M, c, X0, T, n_steps):
 
 
 def _march_bound(path_ref, n_steps):
-    """How far the step map's states may lie from the stage-by-stage march's
-    path_ref: each step of either rounds within about eps (1 + |x|), so
-    after n steps they differ by at most 4 n eps (1 + max|x|)."""
+    """How far a march's states may lie from the textbook march's path_ref:
+    each step of either rounds within about eps (1 + |x|), so after n steps
+    they differ by at most 4 n eps (1 + max|x|)."""
     return 4 * n_steps * np.finfo(float).eps * (1.0 + np.abs(path_ref).max(initial=0.0))
 
 
-def _count_rest_calls(monkeypatch):
-    """Count the calls of kernels.rhs and kernels._step_increments."""
-    calls = {"rhs": 0, "_step_increments": 0}
-    for name in calls:
+class _CountedNumpy:
+    """numpy as kernels sees it, counting the calls of the functions named
+    in counts."""
+
+    def __init__(self, counts):
+        self._counts = counts
+
+    def __getattr__(self, name):
+        fn = getattr(np, name)
+        if name not in self._counts:
+            return fn
+
+        def counted(*args, **kwargs):
+            self._counts[name] += 1
+            return fn(*args, **kwargs)
+
+        return counted
+
+
+def _count_rest_calls(monkeypatch, numpy_calls=()):
+    """Count the calls of kernels._march and kernels._step_increments, and of
+    the numpy functions numpy_calls names as kernels calls them."""
+    calls = {"_march": 0, "_step_increments": 0}
+    for name in list(calls):
         fn = getattr(kernels, name)
 
         def counted(*args, name=name, fn=fn):
@@ -367,6 +402,9 @@ def _count_rest_calls(monkeypatch):
             return fn(*args)
 
         monkeypatch.setattr(kernels, name, counted)
+    if numpy_calls:
+        calls.update(dict.fromkeys(numpy_calls, 0))
+        monkeypatch.setattr(kernels, "np", _CountedNumpy(calls))
     return calls
 
 
@@ -384,7 +422,7 @@ def test_zero_state_flows_skip_the_march_and_equal_it(monkeypatch, shape):
             calls = _count_rest_calls(patch)
             path = kernels.rk4_path(kind, M, c, zero, 0.8, 16)
             xT, P = kernels.rk4_flow_jacobian(kind, M, c, zero, 0.8, 16)
-        assert calls == {"rhs": 0, "_step_increments": 2}
+        assert calls == {"_march": 0, "_step_increments": 2}
         if system.kind == "affine":
             assert np.abs(xT).max() > 0.0
             assert np.array_equal(path, _mapped_path(kind, M, c, zero, 0.8, 16))
@@ -414,7 +452,7 @@ def test_fields_with_a_constant_jacobian_never_evaluate_the_slopes(shape, monkey
                     calls = _count_rest_calls(patch)
                     path = kernels.rk4_path(*system.kernel_args(), X0, 0.8, n)
                     xT, P = kernels.rk4_flow_jacobian(*system.kernel_args(), X0, 0.8, n)
-                assert calls["rhs"] == 0, (system.kind, shape, n)
+                assert calls["_march"] == 0, (system.kind, shape, n)
                 assert np.array_equal(xT, path[-1])
                 path_ref = _marched_path(*system.kernel_args(), X0, 0.8, n)
                 assert np.abs(path - path_ref).max(initial=0.0) <= _march_bound(path_ref, n)
@@ -450,65 +488,60 @@ def test_zero_field_is_the_linear_field_with_a_zero_matrix(shape):
                 assert np.array_equal(xT, xT_other) and np.array_equal(P, P_other)
 
 
-@pytest.mark.parametrize("m", [5, 12])
-def test_rhs_writes_the_allocated_slopes_in_place(m):
-    # np.dot into out gives the bits of X @ M.T for one state, one row and
-    # several rows, so the in-place march keeps the allocating march's bits
-    rng = np.random.Generator(np.random.Philox(911))
-    for system in catalog_systems(m, 911):
-        kind, M, c = system.kernel_args()
-        MT = np.ascontiguousarray(M.T)
-        for shape in [(m,), (1, m), (4, m)]:
-            X = rng.normal(size=shape)
-            F = X @ MT
-            expected = {
-                "zero": np.zeros(shape),
-                "linear": F,
-                "affine": F + c,
-                "tanh_saturated": np.tanh(F),
-            }[system.kind]
-            out = np.full(shape, np.nan)
-            assert kernels.rhs(kind, MT, c, X, out) is out
-            assert np.array_equal(out, expected), (system.kind, shape)
-
-
 @pytest.mark.parametrize("blocks", ["default", "ragged"])
 def test_marches_off_rest_equal_the_stage_by_stage_reference(blocks, monkeypatch):
     # blocks of 3 steps leave ragged last blocks of 1 at 7 steps and of 2 at
     # 257; by default one block covers 7 steps and several cover 257.  tanh
-    # marches, and equals the stage-by-stage march bit for bit; every other
-    # field takes the step map, whose states equal the map reference bit for
-    # bit and the march within _march_bound.  Every sensitivity equals the
-    # reference's product of its stage increments bit for bit
+    # marches in 13 numpy calls a step, 8 np.dot, 4 np.tanh and one np.add,
+    # and its states equal the fused reference with the march's dots bit for
+    # bit and the textbook march within _march_bound, also where the
+    # states saturate (|x| of 20 to 30); every other field takes the step
+    # map, whose states equal the map reference bit for bit and the textbook
+    # march within _march_bound.  Every sensitivity equals the product of
+    # the increments of the slopes that the kernel marched, bit for bit
     m = 6
     rng = np.random.Generator(np.random.Philox(912))
+    signs = rng.choice([-1.0, 1.0], size=(3, m))
     for shape in [(m,), (1, m), (3, m)]:
-        X0 = rng.normal(size=shape) * 0.5
-        rows = X0.size // m
+        rows = math.prod(shape) // m
         if blocks == "ragged":
             monkeypatch.setattr(kernels, "SCAN_BLOCK_FLOATS", 3 * 4 * m * m * rows)
         block = max(1, kernels.SCAN_BLOCK_FLOATS // (4 * m * m * rows))
-        for system in catalog_systems(m, 912):
-            kind, M, c = system.kernel_args()
-            tanh = system.kind == "tanh_saturated"
-            for n in [1, 7, 257]:
-                path_ref = _marched_path(kind, M, c, X0, 0.8, n)
-                P_ref = _marched_flow(kind, M, c, X0, 0.8, n)[1]
-                with monkeypatch.context() as patch:
-                    calls = _count_rest_calls(patch)
-                    path = kernels.rk4_path(kind, M, c, X0, 0.8, n)
-                    xT, P = kernels.rk4_flow_jacobian(kind, M, c, X0, 0.8, n)
-                # tanh's increments depend on the state, one call per block;
-                # every other field's are formed once per path and per flow
-                if tanh:
-                    assert calls == {"rhs": 2 * 4 * n, "_step_increments": -(-n // block)}
-                    assert np.array_equal(path, path_ref), (shape, n)
-                else:
-                    assert calls == {"rhs": 0, "_step_increments": 2}
-                    assert np.array_equal(path, _mapped_path(kind, M, c, X0, 0.8, n))
+        small = rng.normal(size=shape) * 0.5
+        saturated = (rng.uniform(20.0, 30.0, size=(3, m)) * signs)[:rows].reshape(shape)
+        for X0 in (small, saturated):
+            for system in catalog_systems(m, 912):
+                kind, M, c = system.kernel_args()
+                tanh = system.kind == "tanh_saturated"
+                march = _fused_steps if tanh else _marched_steps
+                for n in [1, 7, 257]:
+                    path_ref = _marched_path(kind, M, c, X0, 0.8, n)
+                    P_ref = _marched_flow(kind, M, c, X0, 0.8, n, march)[1]
+                    with monkeypatch.context() as patch:
+                        calls = _count_rest_calls(patch, ("dot", "tanh", "add"))
+                        path = kernels.rk4_path(kind, M, c, X0, 0.8, n)
+                        xT, P = kernels.rk4_flow_jacobian(kind, M, c, X0, 0.8, n)
                     assert np.abs(path - path_ref).max() <= _march_bound(path_ref, n)
-                assert np.array_equal(xT, path[-1]), (system.kind, shape, n)
-                assert np.array_equal(P, P_ref), (system.kind, shape, n)
+                    # tanh's increments depend on the state, one call per
+                    # block; every other field's are formed once per path
+                    # and per flow, and its map takes one np.dot a step
+                    if tanh:
+                        blocks_run = -(-n // block)
+                        assert calls == {
+                            "_march": 1 + blocks_run,
+                            "_step_increments": blocks_run,
+                            "dot": 2 * 8 * n,
+                            "tanh": 2 * 4 * n,
+                            "add": 2 * n,
+                        }
+                        fused = _marched_path(kind, M, c, X0, 0.8, n, _fused_steps)
+                        assert np.array_equal(path, fused), (shape, n)
+                    else:
+                        assert calls["_march"] == 0 and calls["_step_increments"] == 2
+                        assert calls["tanh"] == 0
+                        assert np.array_equal(path, _mapped_path(kind, M, c, X0, 0.8, n))
+                    assert np.array_equal(xT, path[-1]), (system.kind, shape, n)
+                    assert np.array_equal(P, P_ref), (system.kind, shape, n)
 
 
 @pytest.mark.parametrize("m", [3, 12, 24])
@@ -526,7 +559,7 @@ def test_flows_from_rest_equal_the_marched_reference(m, monkeypatch):
                 with monkeypatch.context() as patch:
                     calls = _count_rest_calls(patch)
                     xT, P = kernels.rk4_flow_jacobian(kind, M, c, zero, 0.8, n)
-                assert calls == {"rhs": 0, "_step_increments": 1}
+                assert calls == {"_march": 0, "_step_increments": 1}
                 assert np.array_equal(xT, xT_ref) and np.array_equal(P, P_ref), (shape, n)
                 assert P.shape == shape + (m,) and P.flags.writeable
 
@@ -543,12 +576,17 @@ def _reference_sensitivity():
 @pytest.mark.parametrize("m", [5, 12, 24])
 def test_flow_jacobian_matches_long_double_recursion(m):
     x0 = np.random.Generator(np.random.Philox(m)).normal(size=m) * 0.5
+    # the sensitivity to 8e-16; the tanh state, which _march sums in its own
+    # order, within _march_bound of the long-double state
     reference_sensitivity = _reference_sensitivity()
     for system in catalog_systems(m, 906):
         kind, M, c = system.kernel_args()
-        P = kernels.rk4_flow_jacobian(kind, M, c, x0, 0.8, 256)[1]
-        P_ref = reference_sensitivity(kind, M, c, x0, 0.8, 256)
+        xT, P = kernels.rk4_flow_jacobian(kind, M, c, x0, 0.8, 256)
+        x_ref, P_ref = reference_sensitivity(kind, M, c, x0, 0.8, 256)
         assert np.abs(P - P_ref).max() <= 8e-16, system.kind
+        if system.kind == "tanh_saturated":
+            path = kernels.rk4_path(kind, M, c, x0, 0.8, 256)
+            assert np.abs(xT - x_ref).max() <= _march_bound(path, 256)
 
 
 @pytest.mark.parametrize("rows", [None, 5])

@@ -6,9 +6,11 @@ Some shapes start from rest, X0 = 0, as the settle climb and recovery's
 first flow do.  Every shape is timed as the median of CALLS rounds after one
 warm-up round; the quartiles are recorded too.  The error of a shape is max|P - P_ref| against
 the same RK4 variational recursion run in long double from the same inputs
-(recorded as null where long double is no wider than double).  Results go
-to BENCH_flow_jacobian.json.  The test suite imports reference_sensitivity
-from here, so its accuracy gate and the recorded errors share one reference.
+(recorded as null where long double is no wider than double), and the
+state's error max|x(T) - x_ref(T)| against the same run.  Results go to
+BENCH_flow_jacobian.json.  The test suite imports reference_sensitivity
+from here, so its accuracy gates and the recorded errors share one
+reference.
 """
 
 import treebench
@@ -75,7 +77,8 @@ def inputs(kind, m, rows, rest, seed=0):
 def reference_sensitivity(kind, M, c, X0, T, n_steps):
     """The RK4 recursion of the state and the variational system, in long
     double: K_i = J(x_i) (P + a_i h K_{i-1}) alongside the state stages.  X0
-    is one state (m,) or rows (k, m), as for kernels.rk4_flow_jacobian."""
+    is one state (m,) or rows (k, m), as for kernels.rk4_flow_jacobian, and
+    the final state and sensitivity are returned as it returns them."""
     L = np.longdouble
     M, c, X = M.astype(L), c.astype(L), X0.astype(L)
     m = M.shape[0]
@@ -97,7 +100,7 @@ def reference_sensitivity(kind, M, c, X0, T, n_steps):
         k4, K4 = stage(X + h * k3, P + h * K3)
         X = X + h / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
         P = P + h / 6 * (K1 + 2 * K2 + 2 * K3 + K4)
-    return P
+    return X, P
 
 
 def kernel_args(package, kind, M, c):
@@ -121,19 +124,27 @@ def run(trees):
     for case, kind, m, rows, steps, rest in SHAPES:
         M, c, X0 = inputs(kind, m, rows, rest)
         code = TANH if kind == "tanh_saturated" else LINEAR
-        P_ref = reference_sensitivity(code, M, c, X0, T, steps) if wide else None
+        X_ref, P_ref = reference_sensitivity(code, M, c, X0, T, steps) if wide else (None, None)
         item = (kind, M, c, X0, steps)
         # one shape's calls run back to back; round 0 is each tree's warm-up
         runs = treebench.rounds(trees, 1 + CALLS, [item], timed)
         for label, package in trees.items():
             args = (*kernel_args(package, kind, M, c), X0, T, steps)
-            P = package.kernels.rk4_flow_jacobian(*args)[1]
+            XT, P = package.kernels.rk4_flow_jacobian(*args)
             err = None if P_ref is None else float(np.abs(P - P_ref).max())
+            state_err = None if X_ref is None else float(np.abs(XT - X_ref).max())
             row = {"case": case, "m": m, "rows": rows or 1, "steps": steps}
             samples = [r[0] for r in runs[label][1:]]
-            row.update(treebench.quartiles(samples), max_abs_error_vs_longdouble=err)
+            row.update(
+                treebench.quartiles(samples),
+                max_abs_error_vs_longdouble=err,
+                max_abs_state_error_vs_longdouble=state_err,
+            )
             results[label].append(row)
-            print(f"{label:>8}  {case:<60} {row['median_ms']:9.3f} ms  err {err}")
+            print(
+                f"{label:>8}  {case:<60} {row['median_ms']:9.3f} ms  "
+                f"err {err}  state err {state_err}"
+            )
 
     doc = {
         "kernel": "kernels.rk4_flow_jacobian",
