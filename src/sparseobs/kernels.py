@@ -21,9 +21,14 @@ eigenvalues of each support's head and tail blocks (closed forms up to 3 x
 once without gathering any of them (see rip_scan); beta_S, one batched
 matmul per block of gathered Gram submatrices; and eigvalsh, in a batch (see
 max_deviation).  A greedy seed, grown from the tails with the best bounds,
-starts the running maximum near its end.  The lasso and basis-pursuit
-kernels run one ADMM iteration, _admm, and differ only in its x-update; both
-names stay because the pipeline benchmark (pipebench/) traces them.
+starts the running maximum near its end.  The scan's index tables (its
+tails, the chunks of heads and the rank table by which heads look up their
+rows among the tails) depend only on its shape, and are built once per
+process for each shape and block size (see _scan_plan); what depends on
+the Gram matrix (the tails' bounds, the row-sum table) is built once per
+scan.  The lasso and basis-pursuit kernels run one ADMM iteration, _admm,
+and differ only in its x-update; both names stay because the pipeline
+benchmark (pipebench/) traces them.
 
 All array arguments must be float64; matrices must be C-contiguous.
 """
@@ -39,11 +44,13 @@ RHS_LINEAR = 1
 RHS_TANH = 2
 
 # the blocked kernels bound their temporaries by this many floats: the support
-# scan screens supports in groups whose arrays hold at most this many entries,
-# and gathers and eigensolves them in blocks of at most this many Gram
-# entries; the flow Jacobian takes blocks of steps whose four stage Jacobians
-# hold at most this many entries.  One table is larger: the row sums over
-# each of the C(m, r) tails of a scan whose heads have two entries or more,
+# scan screens supports in chunks whose heads x tails arrays hold at most this
+# many entries, and gathers and eigensolves the supports that pass in blocks
+# of at most this many Gram entries; the flow Jacobian takes blocks of steps
+# whose four stage Jacobians hold at most this many entries.  The scan's
+# index tables are cached per shape and block size (see _scan_plan), and one
+# of its tables, built per scan, is larger: the row sums over each of the
+# C(m, r) tails of a scan whose heads have two entries or more,
 # m C(m, r) <= m SCAN_BLOCK_FLOATS / r floats.  That is 48,576 for C(24, 3)
 # tails, and under rip's default budget of 2M supports at most 437,060
 # (3.5 MB, m = 41, s = 5, r = 3)
@@ -346,42 +353,63 @@ def _subsets(m, r):
     return np.fromiter(flat, dtype=np.intp, count=n * r).reshape(n, r)
 
 
-def _scan_groups(m, k):
-    """Every k-subset of range(m) exactly once, as a head followed by a tail.
+def _readonly(a):
+    """a, made read-only, as every array of a cached scan table is."""
+    a.flags.writeable = False
+    return a
 
-    Returns (tails, groups).  tails is the table of every r-subset of
-    range(m), for the largest r <= k (at least 1) whose table holds at most
-    SCAN_BLOCK_FLOATS entries.  groups yields pairs (heads, lo): each row of
-    heads, a (k - r)-subset ending at some entry h shared by the whole array,
-    followed by each row of tails[lo:], the r-subsets whose entries all
-    exceed h, is a k-subset.  The heads ending at h come in chunks of at most
-    SCAN_BLOCK_FLOATS / (k max(m, len(tails) - lo)) rows (at least one), so
-    a chunk's row sums over range(m), any array over its heads and the
-    group's tails, and the k indices of every support it completes fit in
-    the block size.  When r = k the one group is the empty head followed by
-    the whole table.
+
+def _scan_groups(m, k):
+    """Every k-subset of range(m) exactly once, as a head followed by a tail:
+    the plan (tails, groups) of a scan of order k over m columns at the
+    current SCAN_BLOCK_FLOATS, built once per process for each such shape
+    (see _scan_plan)."""
+    return _scan_plan(m, k, SCAN_BLOCK_FLOATS)
+
+
+@functools.lru_cache(maxsize=16)
+def _scan_plan(m, k, block_floats):
+    """(tails, groups) of _scan_groups, with every array read-only.  tails
+    is the table of every r-subset of range(m), for the largest r <= k (at
+    least 1) whose table holds at most block_floats entries.  groups is a
+    tuple of pairs (heads, lo): each row of heads, a (k - r)-subset ending at
+    some entry h shared by the whole array, followed by each row of
+    tails[lo:], the r-subsets whose entries all exceed h, is a k-subset.
+    The heads ending at h come in chunks of at most
+    block_floats / max(m, len(tails) - lo) rows (at least one), so a
+    chunk's row sums over range(m), and each array of the screen over its
+    heads and the group's tails, fit in the block size; the supports that
+    pass the screen are gathered into blocks of their own (see rip_scan).
+    When r = k the one group is the empty head followed by the whole table.
+    Nothing here depends on the Gram matrix, so every scan of the shape
+    shares the plan.
     """
     r = k
-    while r > 1 and math.comb(m, r) * r > SCAN_BLOCK_FLOATS:
+    while r > 1 and math.comb(m, r) * r > block_floats:
         r -= 1
-    tails = _subsets(m, r)
+    tails = _readonly(_subsets(m, r))
+    if r == k:
+        return tails, ((_readonly(np.empty((1, 0), dtype=np.intp)), 0),)
+    groups = []
+    for h in range(k - r - 1, m - r):
+        # the last C(m - h - 1, r) rows are the r-subsets of range(h + 1, m)
+        lo = len(tails) - math.comb(m - h - 1, r)
+        stems = _subsets(h, k - r - 1)
+        heads = np.empty((len(stems), k - r), dtype=np.intp)
+        heads[:, :-1] = stems
+        heads[:, -1] = h
+        _readonly(heads)
+        rows = max(1, block_floats // max(m, len(tails) - lo))
+        groups += [(heads[i : i + rows], lo) for i in range(0, len(heads), rows)]
+    return tails, tuple(groups)
 
-    def groups():
-        if r == k:
-            yield np.empty((1, 0), dtype=np.intp), 0
-            return
-        for h in range(k - r - 1, m - r):
-            # the last C(m - h - 1, r) rows are the r-subsets of range(h + 1, m)
-            lo = len(tails) - math.comb(m - h - 1, r)
-            stems = _subsets(h, k - r - 1)
-            heads = np.empty((len(stems), k - r), dtype=np.intp)
-            heads[:, :-1] = stems
-            heads[:, -1] = h
-            rows = max(1, SCAN_BLOCK_FLOATS // (k * max(m, len(tails) - lo)))
-            for i in range(0, len(heads), rows):
-                yield heads[i : i + rows], lo
 
-    return tails, groups()
+@functools.lru_cache(maxsize=16)
+def _tail_ranks(m, r):
+    """comb[n, i] = C(n, r - i), read-only: the row of an r-subset
+    c_0 < ... < c_{r-1} in the lexicographic table of every r-subset of
+    range(m) is C(m, r) - 1 - sum_i comb[m - 1 - c_i, i]."""
+    return _readonly(np.array([[math.comb(n, r - i) for i in range(r)] for n in range(m)]))
 
 
 def _gap(t, a):
@@ -451,7 +479,11 @@ def _block_screen(G, s, tails, bounds):
     _block_bounds: keep[i, j] is False only when the block test of
     rip_scan, at t = delta - margin, shows that the support heads[i]
     followed by tails[lo + j] has a computed eigvalsh deviation below
-    delta."""
+    delta.  keep and each array behind it are heads x tails, which the
+    chunk size of _scan_plan bounds by SCAN_BLOCK_FLOATS.  The row-sum
+    table is built once per call, that is once per scan; heads of r
+    entries look their rows up in the rank table _tail_ranks(m, r), built
+    once per process."""
     m, r = G.shape[0], tails.shape[1]
     margin = _margin(G, s)
     tail_up, tail_down = bounds
@@ -462,9 +494,7 @@ def _block_screen(G, s, tails, bounds):
     Q = G * G
     if s - r > 1:
         R = _tail_sums(Q, tails)
-    # the row of an r-subset c_0 < ... < c_{r-1} in the lexicographic table
-    # of tails is C(m, r) - 1 - sum_i C(m - 1 - c_i, r - i)
-    comb = np.array([[math.comb(n, r - i) for i in range(r)] for n in range(m)])
+    comb = _tail_ranks(m, r)
 
     # the tails' gaps change only when delta does
     @functools.lru_cache(maxsize=1)
@@ -517,7 +547,8 @@ def rip_scan(G, s):
     supports eigensolved (the seed's candidates are not counted).
 
     A scan of at most one block (C(m, s) <= SCAN_BLOCK_FLOATS / s^2)
-    passes every support, in lexicographic order, to max_deviation.  A
+    passes every support, in lexicographic order, to max_deviation: the
+    plan's table of tails, built once per process for the shape.  A
     longer scan starts from _greedy_seed, a deviation some support attains,
     so it cannot raise the maximum, and passes the supports to
     max_deviation in whole blocks.  When _scan_groups splits every support S
@@ -540,12 +571,17 @@ def rip_scan(G, s):
     formed once per scan; heads look theirs up among them when p = r, and
     form them per chunk otherwise.  c^2 is p row slices of a table, built
     once per scan, of the row sums of G o G over each tail; a head of one
-    entry sums its one row when needed, and no table is built.  Only supports
-    for which one side passes at t = delta - margin go on to max_deviation
-    (beta_S, then eigvalsh).  When r = s there is no head, and every support
-    goes on.  A split scan grows its seed from the tail with the best bound
-    on each side, adding s - r columns; a scan without one grows it from
-    the empty support.
+    entry sums its one row when needed, and no table is built.  The tails,
+    the chunks of heads and the heads' rank table are the shape's, built
+    once per process (see _scan_plan); a chunk holds
+    SCAN_BLOCK_FLOATS // max(m, n) heads (at least one) for a group of n
+    tails, so the screen's heads x tails arrays fit the block size.  Only
+    supports for which one side passes at t = delta - margin go on to
+    max_deviation (beta_S, then eigvalsh), gathered into whole blocks of
+    SCAN_BLOCK_FLOATS // s^2 supports whatever the chunk.  When r = s there
+    is no head, and every support goes on.  A split scan grows its seed from
+    the tail with the best bound on each side, adding s - r columns; a scan
+    without one grows it from the empty support.
 
     Rounding, with u = eps / 2 and g = max(1, max_i G_ii), which bounds
     every |B_ij|:

@@ -12,11 +12,15 @@ supports the one before could not rule out, find the largest:
   upper bounds on the largest eigenvalues of B_H and B_T and c the Frobenius
   norm of the block that couples them (likewise for -lambda_min(B_S)).  a
   and b are closed forms for blocks of up to 3 columns (the eigenvalues
-  themselves for 1 and 2, nested 2 x 2 bounds for 3) and eigvalsh's beyond;
-  the tails' are formed once per scan.  c^2 comes from the row sums of
-  G o G over each tail, tabled once per scan when heads have two columns or
-  more, so the test runs for a whole group of supports at once without
-  gathering any of them;
+  themselves for 1 and 2, nested 2 x 2 bounds for 3) and eigvalsh's beyond.
+  c^2 comes from the row sums of G o G over each tail, so the test runs for
+  a whole chunk of heads and the tails after them at once without gathering
+  any support.  The tails' bounds and the row-sum table (built when heads
+  have two columns or more) depend on G and are formed once per scan; the
+  table of tails, the chunks of heads and the heads' rank table depend only
+  on (m, s) and the block size, and are built once per process.  A chunk
+  holds kernels.SCAN_BLOCK_FLOATS // max(m, n) heads (at least one) for a
+  group of n tails, so the test's heads x tails arrays fit the block size;
 - beta_S = ||B_S^2||_F^(1/2), one small matmul per gathered support;
 - eigvalsh.
 A support whose bound lies below the running maximum by more than a rounding

@@ -356,7 +356,9 @@ def test_scan_groups_enumerate_every_support_once(monkeypatch, m, k, block_float
     for heads, lo in groups:
         assert heads.shape[1] == k - r
         n = len(tails) - lo
-        assert len(heads) == 1 or len(heads) * k * max(m, n) <= block_floats
+        # the screen's heads x tails arrays, and the chunk's row sums over
+        # range(m), fit the block size
+        assert len(heads) == 1 or len(heads) * max(m, n) <= block_floats
         if k > r:
             # one last head entry per group, and exactly the tails after it
             last = heads[0, -1]
@@ -368,6 +370,57 @@ def test_scan_groups_enumerate_every_support_once(monkeypatch, m, k, block_float
     if block_floats == 2000:
         # a group's heads outgrow one chunk
         assert max(chunks.values()) > 1
+
+
+def test_scan_chunks_are_sized_by_the_screen():
+    # SCAN_BLOCK_FLOATS // max(m, n) heads a chunk, at the default block
+    # size: the certify_wide shape and the compressive delta_4 shape
+    assert len(kernels._scan_groups(24, 6)[1]) == 19
+    tails, groups = kernels._scan_groups(128, 4)
+    assert len(groups) == 402
+    assert sum(len(heads) * (len(tails) - lo) for heads, lo in groups) == math.comb(128, 4)
+
+
+def test_scan_plan_is_built_once_per_shape_and_block_size(monkeypatch):
+    plan = kernels._scan_groups(24, 6)
+    assert kernels._scan_groups(24, 6) is plan
+    monkeypatch.setattr(kernels, "SCAN_BLOCK_FLOATS", 2000)
+    small = kernels._scan_groups(24, 6)
+    assert small is not plan and kernels._scan_groups(24, 6) is small
+    assert len(small[1]) > len(plan[1])
+    for tails, groups in (plan, small):
+        r = tails.shape[1]
+        arrays = [tails, kernels._tail_ranks(24, r)] + [heads for heads, _ in groups]
+        for a in arrays:
+            with pytest.raises(ValueError):
+                a[(0,) * a.ndim] = 1
+
+
+def test_second_scan_of_a_shape_builds_no_subset_table(monkeypatch):
+    calls = []
+    subsets = kernels._subsets
+
+    def spy(m, r):
+        calls.append((m, r))
+        return subsets(m, r)
+
+    monkeypatch.setattr(kernels, "_subsets", spy)
+    kernels._scan_plan.cache_clear()
+    rip_constant_exact(gen_gaussian_matrix(512, 24, 2), 6)
+    assert calls
+    calls.clear()
+    rip_constant_exact(gen_gaussian_matrix(512, 24, 3), 6)
+    assert calls == []
+
+
+def test_scans_share_no_state_but_the_plan():
+    # A, then B of the same shape, then A again: A's reports are equal
+    A, B = gen_gaussian_matrix(512, 24, 4), gen_gaussian_matrix(512, 24, 5)
+    first = rip_constant_exact(A, 6)
+    other = rip_constant_exact(B, 6)
+    again = rip_constant_exact(A, 6)
+    assert again == first
+    assert other.delta != first.delta
 
 
 def test_exact_constant_budget_refusal():

@@ -25,14 +25,18 @@ kernels.max_deviation call receives: the greedy seed of a scan of more than
 one block, 0 for a scan of one), the supports eigensolved, and the supports
 that reach kernels.max_deviation, that is, that no cheaper bound ruled out
 before any Gram entry was gathered (every support, where the tree has no
-such bound).  Totals per tree sum the counts over each set, count the scans
-whose start lies below the constant, and give the median and quartiles,
+such bound), and the chunks of heads the scan screens (the groups
+kernels._scan_groups yields, counted so that a generator and a tuple of
+groups both work).  Totals per tree sum the counts over each set, count the
+scans whose start lies below the constant, and give the median and quartiles,
 over the rounds, of the set's total scan time (each round's sum of its
 fastest runs).  parent_over_change divides the parent's median total by the
 change's, so drift of the host's speed between rounds shows up in both
 trees' quartiles; parent_over_change_per_round gives the median and
 quartiles of the per-round ratio of the two totals instead, whose two sides
 ran scan by scan, back to back, in one round.  Results go to BENCH_rip.json.
+The script exits with status 1 when any tree's constant differs from the
+first tree's on any scan.
 """
 
 import treebench
@@ -68,6 +72,7 @@ COLUMNS = (
     "seed",
     "supports_solved",
     "supports_past_bound",
+    "chunks",
 )
 
 
@@ -102,9 +107,11 @@ def build_inputs():
 
 def measure(package, scan):
     """The scan (order, A) on package's tree, once counted and REPEATS times
-    timed: [delta, seed, supports_solved, supports_past_bound, scan_ms]."""
+    timed: [delta, seed, supports_solved, supports_past_bound, chunks,
+    scan_ms]."""
     k, A = scan
     budget = math.comb(A.shape[1], k)
+    chunks = sum(1 for _ in package.kernels._scan_groups(A.shape[1], k)[1])
     counts = {"past_bound": 0}
 
     def counted(max_deviation):
@@ -123,7 +130,8 @@ def measure(package, scan):
         t0 = time.perf_counter()
         package.rip.rip_constant_exact(A, k, budget)
         best = min(best, time.perf_counter() - t0)
-    return [report.delta, counts["start"], report.supports_solved, counts["past_bound"], best * 1e3]
+    found = [report.delta, counts["start"], report.supports_solved, counts["past_bound"]]
+    return found + [chunks, best * 1e3]
 
 
 def run(trees):
@@ -138,18 +146,19 @@ def run(trees):
     for label, rounds in runs.items():
         table = []
         for i, (kind, name, k, A) in enumerate(inputs):
-            delta, seed, solved, past_bound, _ = rounds[0][i]
-            scan_ms = statistics.median(r[i][4] for r in rounds)
+            delta, seed, solved, past_bound, chunks, _ = rounds[0][i]
+            scan_ms = statistics.median(r[i][5] for r in rounds)
             equal = None if label == first_label else delta == first[i][0]
             m = A.shape[1]
             table.append(
-                [kind, name, m, k, math.comb(m, k), scan_ms, delta, equal, seed, solved, past_bound]
+                [kind, name, m, k, math.comb(m, k), scan_ms, delta, equal, seed, solved]
+                + [past_bound, chunks]
             )
         totals = {}
         for kind in SETS:
             members = [i for i, row in enumerate(table) if row[0] == kind]
             rows = [table[i] for i in members]
-            round_s[label, kind] = [sum(r[i][4] for i in members) / 1e3 for r in rounds]
+            round_s[label, kind] = [sum(r[i][5] for i in members) / 1e3 for r in rounds]
             totals[kind] = {
                 "scans": len(rows),
                 **treebench.quartiles(round_s[label, kind]),
@@ -157,6 +166,7 @@ def run(trees):
                 "seed_below_delta": sum(row[8] < row[6] for row in rows),
                 "supports_solved": sum(row[9] for row in rows),
                 "supports_past_bound": sum(row[10] for row in rows),
+                "chunks": sum(row[11] for row in rows),
                 "delta_equal": None if label == first_label else all(row[7] for row in rows),
             }
             t = totals[kind]
@@ -166,6 +176,7 @@ def run(trees):
                 f"seed below delta on {t['seed_below_delta']} of {t['scans']}  "
                 f"{t['supports_solved']:6d} solved  "
                 f"{t['supports_past_bound']:7d} of {t['supports']} past the bound  "
+                f"{t['chunks']} chunks  "
                 f"delta == {first_label}: {t['delta_equal']}"
             )
         results[label] = {"totals": totals, "scans": table}
@@ -195,6 +206,13 @@ def run(trees):
             )
         doc["parent_over_change_per_round"] = per_round
     treebench.write("rip", doc)
+    unequal = [
+        label
+        for label, r in results.items()
+        if any(t["delta_equal"] is False for t in r["totals"].values())
+    ]
+    if unequal:
+        sys.exit(f"delta differs from {first_label}'s on {', '.join(unequal)}")
 
 
 if __name__ == "__main__":
