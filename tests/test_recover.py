@@ -284,16 +284,24 @@ def test_noisy_bpdn_probes_the_path_point_once(instance, monkeypatch):
         assert weighted_l1_norm(x, w) <= weighted_l1_norm(feasible, w) + 1e-9
 
 
+def _inside_the_slack(k):
+    """(Phi, y, weights, eps): 64 x 16 with eps under the least-squares
+    residual by 3/4 of the residual band, within the feasibility slack."""
+    Phi = gen_gaussian_matrix(64, 16, 300 + k)
+    y = np.random.Generator(np.random.Philox(k)).standard_normal(64)
+    x_ls = np.linalg.lstsq(Phi, y, rcond=None)[0]
+    eps = float(np.linalg.norm(y - Phi @ x_ls)) - 0.75 * _band(SolverConfig(), y)
+    return Phi, y, np.ones(16), eps
+
+
 @pytest.mark.parametrize("k", range(4))
 def test_noisy_bpdn_inside_the_feasibility_slack_returns_least_squares(k, monkeypatch):
     # eps sits under the least-squares residual but within the feasibility
     # slack, so the path runs to lam = 0 and its least-squares end is in band
-    Phi = gen_gaussian_matrix(64, 16, 300 + k)
-    y = np.random.Generator(np.random.Philox(k)).standard_normal(64)
+    Phi, y, _, eps = _inside_the_slack(k)
     x_ls = np.linalg.lstsq(Phi, y, rcond=None)[0]
     cfg = SolverConfig()
     band = _band(cfg, y)
-    eps = float(np.linalg.norm(y - Phi @ x_ls)) - 0.75 * band
     calls = _record_lasso(monkeypatch, np.ones(16), cfg.penalty)
     x = solve_weighted_bpdn(Phi, np.zeros(64), y, np.ones(16), eps, cfg)
     assert [it for _, it in calls] == [1]
@@ -360,24 +368,174 @@ def test_noisy_bpdn_certifies_near_square_scan_instances(k, monkeypatch):
     assert bench.certified(Phi, y, w, eps, x, _band(cfg, y)) == (True, True)
 
 
-@pytest.mark.parametrize("seed", [12, 23, 28])
-def test_noisy_bpdn_keeps_one_copy_of_a_duplicate_column(seed, monkeypatch):
-    # with both copies active the path's Gram block would be singular, so the
-    # second copy stays out, at its bound, and the point is still the lasso's
+def _duplicate_column(seed):
+    """(Phi, y, weights, eps): 20 x 30 whose column 1 copies column 0, with a
+    3-sparse planted vector inside the constraint set."""
     Phi = gen_gaussian_matrix(20, 30, 400 + seed)
     Phi[:, 1] = Phi[:, 0]
     x0 = np.zeros(30)
     x0[[0, 7, 19]] = [1.0, -0.8, 0.6]
     e = np.random.Generator(np.random.Philox(seed)).standard_normal(20)
     eps = 1e-3 * float(np.linalg.norm(Phi @ x0))
-    y = Phi @ x0 + 0.5 * eps * e / np.linalg.norm(e)
-    w = np.ones(30)
+    return Phi, Phi @ x0 + 0.5 * eps * e / np.linalg.norm(e), np.ones(30), eps
+
+
+@pytest.mark.parametrize("seed", [12, 23, 28])
+def test_noisy_bpdn_keeps_one_copy_of_a_duplicate_column(seed, monkeypatch):
+    # with both copies active the path's Gram block would be singular, so the
+    # second copy stays out, at its bound, and the point is still the lasso's
+    Phi, y, w, eps = _duplicate_column(seed)
     cfg = SolverConfig()
     calls = _record_lasso(monkeypatch, w, cfg.penalty)
     x = solve_weighted_bpdn(Phi, np.zeros(20), y, w, eps, cfg)
     assert [it for _, it in calls] == [1]
     assert min(abs(x[0]), abs(x[1])) < 1e-12
     assert tool_module("bench_bpdn").certified(Phi, y, w, eps, x, _band(cfg, y)) == (True, True)
+
+
+def _path_args(Phi, y, w, eps):
+    """The arguments of _lasso_path_point in solve_weighted_bpdn's eps > 0
+    solve of (Phi, y, w, eps)."""
+    return Phi, y, Phi.T @ Phi, Phi.T @ y, w, eps + 0.5 * _band(SolverConfig(), y)
+
+
+@np.errstate(divide="ignore", invalid="ignore")
+def _solved_path_point(Phi, y, G, c, w, target):
+    """The weighted-lasso path as it was before the sweep: every step solves
+    the active block afresh for x_S and d, and gathers the rest from G."""
+    n, m = Phi.shape
+    ratio = np.abs(c) / w
+    lam, x = float(ratio.max()), np.zeros(m)
+    on = np.arange(m) == int(np.argmax(ratio))
+    dropped = np.zeros(m, dtype=bool)
+    ws = w * np.sign(c)
+    for _ in range(4 * m):
+        S = np.flatnonzero(on)
+        try:
+            x_S, d = np.linalg.solve(G[np.ix_(S, S)], np.stack((c[S] - lam * ws[S], ws[S]), 1)).T
+        except np.linalg.LinAlgError:
+            return lam, x
+        a, b = c - G[:, S] @ x_S, G[:, S] @ d
+        gaps = np.concatenate((lam * w - a, lam * w + a))
+        rates = np.concatenate((w - b, w + b))
+        joins = np.where(gaps > 0.0, gaps / np.maximum(rates, 0.0), 0.0)
+        shut = on | (S.size >= n)
+        joins[np.concatenate((shut | dropped & (ws > 0), shut | dropped & (ws < 0)))] = np.inf
+        for k in np.argsort(joins, kind="stable"):
+            side, j = divmod(int(k), m)
+            schur = G[j, j] - G[j, S] @ np.linalg.solve(G[np.ix_(S, S)], G[S, j])
+            if not np.isfinite(joins[k]) or schur > 1e-14 * G[j, j]:
+                break
+        drops = np.where(d * ws[S] < 0, np.maximum(-x_S / d, 0.0), np.inf)
+        drop = float(drops.min(initial=np.inf))
+        step = min(lam, float(joins[k]), drop)
+        r0, v = y - Phi[:, S] @ x_S, Phi[:, S] @ d
+        crossed = float(np.linalg.norm(r0 - step * v)) <= target
+        if crossed:
+            q1, q2, r0_norm = r0 @ v, v @ v, np.linalg.norm(r0)
+            r_perp = np.linalg.norm(r0 - (q1 / q2) * v)
+            disc = q2 * (target - r_perp) * (target + r_perp)
+            t = (r0_norm - target) * (r0_norm + target) / (q1 + np.sqrt(max(disc, 0.0)))
+            step = min(float(t), step) if t > 0.0 else 0.0
+        x = np.zeros(m)
+        x[S] = x_S + step * d
+        if crossed or step == lam:
+            return lam - step, x
+        lam -= step
+        dropped &= step == 0.0
+        if step == drop:
+            leave = S[int(np.argmin(drops))]
+            on[leave], dropped[leave] = False, True
+        else:
+            on[j], ws[j] = True, -w[j] if side else w[j]
+    return lam, x
+
+
+def _bench_instance(scan, k):
+    """Instance k of a tools/bench_bpdn.py scan, (Phi, y, weights, eps), as
+    an instance builder."""
+    return lambda _monkeypatch=None: tool_module("bench_bpdn").scan_instance(scan, k)
+
+
+# bench_bpdn scan instances whose paths drop a coefficient 13 or 14 times
+DROPPING = (("random", 5), ("random", 49), ("near_square", 194), ("near_square", 196))
+
+
+@pytest.mark.parametrize(
+    "instance",
+    [_demo_first_solve, _noisy_underdetermined]
+    + [lambda _, seed=seed: _duplicate_column(seed) for seed in (12, 23, 28)]
+    + [lambda _, k=k: _inside_the_slack(k) for k in range(4)]
+    + [_bench_instance(scan, k) for scan, k in DROPPING],
+    ids=["demo", "underdetermined", "duplicate-12", "duplicate-23", "duplicate-28"]
+    + [f"inside-the-slack-{k}" for k in range(4)]
+    + [f"{scan}-{k}" for scan, k in DROPPING],
+)
+def test_lasso_path_matches_the_solve_per_step_reference(instance, monkeypatch):
+    args = _path_args(*instance(monkeypatch))
+    lam, x = recover._lasso_path_point(*args)
+    lam_ref, x_ref = _solved_path_point(*args)
+    np.testing.assert_array_equal(np.sign(x), np.sign(x_ref))
+    # lam is lam_max less the sum of the steps, so its rounding is relative
+    # to lam_max: on the demo solve, lam ~ 3.5e-5 lam_max and both paths'
+    # lam agree to 1.7e-12 relative, under one ulp of lam_max
+    lam_max = float(np.max(np.abs(args[3]) / args[4]))
+    assert lam == pytest.approx(lam_ref, rel=1e-12, abs=1e-15 * lam_max)
+    np.testing.assert_allclose(x, x_ref, rtol=0, atol=1e-12 * np.abs(x_ref).max())
+
+
+def test_sweep_twice_restores_the_tableau():
+    rng = np.random.Generator(np.random.Philox(8))
+    Phi = rng.standard_normal((30, 12))
+    T = np.column_stack((Phi.T @ Phi, rng.standard_normal((12, 2))))
+    for k in (0, 5, 11):
+        swept = T.copy()
+        assert recover._sweep(swept, k) and recover._sweep(swept, k)
+        np.testing.assert_allclose(swept, T, rtol=0, atol=1e-13 * np.abs(T).max())
+
+
+def test_sweep_refuses_a_pivot_that_is_not_positive():
+    T = np.array([[0.0, 1.0, 2.0], [1.0, 1.0, 3.0]])
+    for p in (0.0, -1.0, np.inf, np.nan):
+        T[0, 0] = p
+        kept = T.copy()
+        assert not recover._sweep(T, 0)
+        np.testing.assert_array_equal(T, kept)
+
+
+@pytest.mark.parametrize(
+    "instance",
+    [_demo_first_solve] + [_bench_instance("near_square", k) for k in (17, 130, 281)],
+    ids=["demo", "near-square-17", "near-square-130", "near-square-281"],
+)
+def test_swept_tableau_holds_the_active_solve_and_the_schur_complement(instance, monkeypatch):
+    # after each of 40 seeded joins and drops, the active rows of
+    # [G | c | w s] hold G_SS^-1 [c_S, w_S s_S], the inactive rows
+    # c_j - G_jS G_SS^-1 c_S and w_j s_j - G_jS G_SS^-1 w_S s_S, and the
+    # inactive diagonal the Schur complement G_jj - G_jS G_SS^-1 G_Sj, each
+    # within 1e-13 of the tableau's largest entry (1.3e-15 at worst here)
+    Phi, y, w, _ = instance(monkeypatch)
+    m = Phi.shape[1]
+    G, c = Phi.T @ Phi, Phi.T @ y
+    rng = np.random.Generator(np.random.Philox(m))
+    ws = w * rng.choice([-1.0, 1.0], m)
+    T = np.column_stack((G, c, ws))
+    on = np.zeros(m, dtype=bool)
+    for _ in range(40):
+        # joins up to 4 active columns, drops down to 8, and between the two
+        # a join or a drop at random
+        grow = on.sum() < 4 or on.sum() < 8 and rng.random() < 0.5
+        k = rng.choice(np.flatnonzero(on != grow))
+        assert recover._sweep(T, k)
+        on[k] = not on[k]
+        S, N = np.flatnonzero(on), np.flatnonzero(~on)
+        solved = np.linalg.solve(G[np.ix_(S, S)], np.column_stack((c[S], ws[S], G[S][:, N])))
+        scale = np.abs(T).max()
+        np.testing.assert_allclose(T[S, m:], solved[:, :2], rtol=0, atol=1e-13 * scale)
+        rest = np.column_stack((c[N], ws[N])) - G[np.ix_(N, S)] @ solved[:, :2]
+        np.testing.assert_allclose(T[N, m:], rest, rtol=0, atol=1e-13 * scale)
+        schur = np.diag(G)[N] - np.einsum("sj,sj->j", G[np.ix_(S, N)], solved[:, 2:])
+        np.testing.assert_allclose(np.diag(T)[N], schur, rtol=0, atol=1e-13 * scale)
 
 
 def _count_admm_iterations(monkeypatch):

@@ -5,6 +5,7 @@ trees taking turns."""
 
 import subprocess
 import sys
+import types
 from pathlib import Path
 
 import numpy as np
@@ -106,3 +107,40 @@ def test_treebench_rounds_flip_the_first_tree_each_round():
         ("P", "x"), ("C", "x"), ("P", "y"), ("C", "y"),
     ]  # fmt: skip
     assert runs == {"p": [["Px", "Py"]] * 3, "c": [["Cx", "Cy"]] * 3}
+
+
+def test_bench_bpdn_counts_pivots_where_a_tree_has_the_pivot_helper():
+    bench = tool_module("bench_bpdn")
+    Phi, y, w, eps = bench.scan_instance("random", 0)
+    shape = (Phi, np.zeros(y.size), y, np.empty(0), w, eps)
+    row = bench.measure(sparseobs, shape)
+    assert row["pivots"] > 0 and row["lasso_calls"] == 1
+    # a tree whose recover module has no _sweep records null
+    recover = types.SimpleNamespace(solve_weighted_bpdn=sparseobs.recover.solve_weighted_bpdn)
+    package = types.SimpleNamespace(kernels=sparseobs.kernels, recover=recover)
+    assert bench.measure(package, shape)["pivots"] is None
+    # eps = 0 takes no path
+    exact = (Phi, np.zeros(y.size), Phi @ np.ones(w.size), np.empty(0), w, 0.0)
+    assert bench.measure(sparseobs, exact)["pivots"] == 0
+
+
+def test_bench_bpdn_lists_the_scan_instances_a_tree_loses():
+    bench = tool_module("bench_bpdn")
+    count = sum(c for c, _ in bench.SCANS.values())
+    x = np.ones(1)
+
+    def solves(misses, uncertified, pivots):
+        # solve()'s tuples: in band, certified, lasso calls and iterations,
+        # pivots, estimate, wall time
+        return [(k not in misses, k not in uncertified, 1, 1, pivots, x, 0.0) for k in range(count)]
+
+    # instance 1 falls out of the band and instance 2 loses its certificate
+    summary = bench.scan_summary(
+        {"parent": solves({5}, {5, 7}, None), "change": solves({1, 5}, {1, 2, 5}, 3)}
+    )
+    scan = summary["random"]
+    assert scan["parent"]["lost"] == [] and scan["parent"]["pivots"] is None
+    assert scan["change"]["lost"] == [1, 2] and scan["change"]["pivots"] == 3 * scan["instances"]
+    assert scan["certified_by_parent_only"] == [1, 2] and scan["in_band_by_parent_only"] == [1]
+    assert scan["certified_by_change_only"] == [7]
+    assert summary["near_square"]["change"]["lost"] == []

@@ -9,7 +9,9 @@ times timed.
 
 Per shape the file records the median and quartiles of the call time and,
 for one solve, the iterations of kernels.admm_basis_pursuit, the calls of
-kernels.admm_lasso and their summed iterations, the residual ||Phi x - y||
+kernels.admm_lasso and their summed iterations, the pivots of the lasso
+path's tableau (recover._sweep calls: one per join or drop, none at eps = 0;
+null for a tree without that pivot helper), the residual ||Phi x - y||
 minus eps, the SHA-256 of the estimate's bytes (equal digests across trees
 mean identical results), and at eps = 0 max|x - x_ref|, where x_ref is the
 program's solution: the least-squares point when Phi has full column rank
@@ -22,11 +24,14 @@ band], band = min(residual_match_tol, 1e-9 max(1, ||y||)), and certified
 when it is in band and the weighted lasso's KKT conditions hold at 1e-6
 relative at lam = the median of |Phi^T r|_j / w_j over its support.  Per
 scan and tree the file records both counts, the admm_lasso calls and their
-summed iterations, and the wall time of the scan; with trees labelled
-parent and change it also records the instances certified by one tree only
-and the largest relative difference max|x_change - x_parent| / max|x_parent|
-between the two trees' estimates, over all instances and over those both
-trees certify.  Results go to BENCH_bpdn.json.
+summed iterations, the path's pivots (null as above), the wall time of the
+scan, and the instances lost: those that the first tree lands in band or
+certifies and this tree does not.  With trees labelled parent and change it
+also records the instances certified by one tree only and the largest
+relative difference max|x_change - x_parent| / max|x_parent| between the
+two trees' estimates, over all instances and over those both trees
+certify.  Results go to BENCH_bpdn.json.  The script exits with status 1
+when any tree loses an instance.
 """
 
 import treebench
@@ -34,9 +39,11 @@ import treebench
 if __name__ == "__main__":
     treebench.one_blas_thread()
 
+import contextlib
 import hashlib
 import json
 import math
+import sys
 import time
 
 import numpy as np
@@ -179,6 +186,22 @@ def build_inputs():
     ]
 
 
+def counting_pivots(recover, pivots):
+    """A context in which every call of recover._sweep, the lasso path's
+    pivot, appends 1 to pivots; a null context for a tree without it."""
+    if not hasattr(recover, "_sweep"):
+        return contextlib.nullcontext()
+
+    def counted(sweep):
+        def call(*args):
+            pivots.append(1)
+            return sweep(*args)
+
+        return call
+
+    return treebench.swapped(recover, "_sweep", counted)
+
+
 def measure(package, shape):
     """Count one solve of a shape (Phi, offset, observation, x_ref, weights,
     eps) by package's tree and time CALLS more; return the row."""
@@ -186,6 +209,7 @@ def measure(package, shape):
     kernels, recover = package.kernels, package.recover
     # the iteration counts of each kernel's calls in one solve
     counts = {"admm_basis_pursuit": [], "admm_lasso": []}
+    pivots = []
 
     def counted(name, at):
         def wrap(kernel):
@@ -201,6 +225,7 @@ def measure(package, shape):
     with (
         treebench.swapped(kernels, "admm_basis_pursuit", counted("admm_basis_pursuit", 3)),
         treebench.swapped(kernels, "admm_lasso", counted("admm_lasso", 2)),
+        counting_pivots(recover, pivots),
     ):
         x = recover.solve_weighted_bpdn(Phi, offset, obs, weights, eps)
     samples = []
@@ -213,6 +238,7 @@ def measure(package, shape):
         "basis_pursuit_iterations": sum(counts["admm_basis_pursuit"]),
         "lasso_calls": len(counts["admm_lasso"]),
         "lasso_iterations": sum(counts["admm_lasso"]),
+        "pivots": len(pivots) if hasattr(recover, "_sweep") else None,
         "residual_minus_eps": float(np.linalg.norm(Phi @ x - (obs - offset))) - eps,
         "estimate_sha256": hashlib.sha256(x.tobytes()).hexdigest(),
         "max_abs_error_vs_reference": float(np.abs(x - x_ref).max()) if x_ref.size else None,
@@ -237,10 +263,11 @@ def certified(Phi, y, weights, eps, x, band):
 
 def solve(package, instance):
     """Solve a scan instance (Phi, y, weights, eps) once with package's tree:
-    (in band, certified, admm_lasso calls, their summed iterations,
-    estimate, wall time in s)."""
+    (in band, certified, admm_lasso calls, their summed iterations, path
+    pivots or None, estimate, wall time in s)."""
     Phi, y, weights, eps = instance
     iterations = []
+    pivots = []
 
     def counted(lasso):
         def call(*args):
@@ -251,20 +278,24 @@ def solve(package, instance):
         return call
 
     recover = package.recover
-    with treebench.swapped(package.kernels, "admm_lasso", counted):
+    with (
+        treebench.swapped(package.kernels, "admm_lasso", counted),
+        counting_pivots(recover, pivots),
+    ):
         t0 = time.perf_counter()
         x = recover.solve_weighted_bpdn(Phi, np.zeros(y.size), y, weights, eps)
         wall = time.perf_counter() - t0
     band_tol = recover.SolverConfig().residual_match_tol
     band = min(band_tol, 1e-9 * max(1.0, float(np.linalg.norm(y))))
-    return (*certified(Phi, y, weights, eps, x, band), len(iterations), sum(iterations), x, wall)
+    counts = len(iterations), sum(iterations), len(pivots) if hasattr(recover, "_sweep") else None
+    return (*certified(Phi, y, weights, eps, x, band), *counts, x, wall)
 
 
 def scan_summary(solved):
-    """Per scan, each tree's counts and, for a parent and a change tree, the
-    instances certified by one tree only and the largest relative change of
-    the estimates; solved holds each tree's solve() of every instance, scan
-    after scan."""
+    """Per scan, each tree's counts and the instances it lost against the
+    first tree, and, for a parent and a change tree, the instances certified
+    by one tree only and the largest relative change of the estimates;
+    solved holds each tree's solve() of every instance, scan after scan."""
     summary = {}
     start = 0
     for name, (count, recipe) in SCANS.items():
@@ -272,19 +303,26 @@ def scan_summary(solved):
         # each tree's columns of solve()'s results over the scan's instances
         runs = {label: list(zip(*out[start : start + count])) for label, out in solved.items()}
         start += count
-        for label, (in_band, ok, calls, iterations, _, wall) in runs.items():
+        first_in, first_ok = next(iter(runs.values()))[:2]
+        for label, (in_band, ok, calls, iterations, pivots, _, wall) in runs.items():
             entry[label] = {
                 "in_band": sum(in_band),
                 "certified": sum(ok),
                 "lasso_calls": sum(calls),
                 "lasso_iterations": sum(iterations),
                 "max_lasso_calls_per_solve": max(calls),
+                "pivots": None if None in pivots else sum(pivots),
                 "wall_s": sum(wall),
+                "lost": [
+                    k
+                    for k in range(count)
+                    if first_in[k] and not in_band[k] or first_ok[k] and not ok[k]
+                ],
             }
             print(f"{label:>8}  scan {name:<12} {json.dumps(entry[label])}")
         if {"parent", "change"} <= runs.keys():
-            p_in, p_ok, _, _, xp, _ = runs["parent"]
-            q_in, q_ok, _, _, xq, _ = runs["change"]
+            p_in, p_ok, _, _, _, xp, _ = runs["parent"]
+            q_in, q_ok, _, _, _, xq, _ = runs["change"]
             rel = [
                 float(np.abs(q - p).max() / max(np.abs(p).max(), 1e-300)) for p, q in zip(xp, xq)
             ]
@@ -321,6 +359,7 @@ def run(trees):
                 f"{label:>8}  {case:<74} {row['median_ms']:9.3f} ms  "
                 f"bp {row['basis_pursuit_iterations']:5d} it  "
                 f"lasso {row['lasso_calls']:3d} calls {row['lasso_iterations']:6d} it  "
+                f"pivots {row['pivots']}  "
                 f"r - eps {row['residual_minus_eps']:.2e}"
             )
 
@@ -335,6 +374,9 @@ def run(trees):
         doc, "speedup_parent_over_change", lambda rows: {r["case"]: r["median_ms"] for r in rows}
     )
     treebench.write("bpdn", doc)
+    losing = sorted({label for scan in scans.values() for label in solved if scan[label]["lost"]})
+    if losing:
+        sys.exit(f"{', '.join(losing)} lost scan instances against {next(iter(trees))}")
 
 
 if __name__ == "__main__":
