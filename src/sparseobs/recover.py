@@ -16,9 +16,12 @@ rounding carries from step to step; a point that drifted off the path past
 the kernel's tolerance would fail that test, and ADMM would iterate on from
 it.  Landing just above eps keeps the returned point both
 feasible-within-tolerance and objective-dominated by any true feasible
-point.  Recovery and the oracle's Gauss-Newton fits share one line search,
-which evaluates the flow Jacobian with each trial point.  Both settle an
-adaptive integration config into one step count at entry (see
+point.  An affine flow is its own linearization: recovery solves it once,
+and the oracle fits each support in one least-squares step through the flow
+at 0.  The line search, which evaluates the flow Jacobian with each trial
+point, serves only the tanh field's loops, recovery's re-linearization and
+the oracle's damped Gauss-Newton fits.  Recovery and the oracle both
+settle an adaptive integration config into one step count at entry (see
 ode.settle_steps), so every flow of one problem runs at the same count.
 """
 
@@ -355,7 +358,7 @@ def recover_initial_state(
     m = system.dim
     icfg = settle_steps(system, T, integration_config)
 
-    xT, P = flow0 = flow_with_jacobian(system, np.zeros(m), T, icfg)
+    xT, P = flow_with_jacobian(system, np.zeros(m), T, icfg)
     if system.kind in _AFFINE_FLOW_KINDS:
         est = solve_weighted_bpdn(A @ P, A @ xT, b, w, eps, scfg)
         residual = float(np.linalg.norm(b - A @ (xT + P @ est)))
@@ -378,7 +381,7 @@ def recover_initial_state(
         step = proposal - x
         bound = max(r_cur, eps + scfg.residual_match_tol)
         t, XT, PT, rn = _line_search(
-            system, A, b, T, icfg, flow0, x[None], step[None], bound, _RECOVER_DAMPING_FLOOR
+            system, A, b, T, icfg, x[None], step[None], bound, _RECOVER_DAMPING_FLOOR
         )
         t = float(t[0])
         if t == 0.0:
@@ -398,45 +401,38 @@ def recover_initial_state(
     )
 
 
-def _flow_rows(system, X, T, icfg, flow0):
-    """Final states (k, m) and flow Jacobians (k, m, m) from each row of X.
-    flow0 is the flow and its Jacobian at 0, which fix an affine flow
-    exactly."""
-    if system.kind in _AFFINE_FLOW_KINDS:
-        xT0, P0 = flow0
-        return xT0 + X @ P0.T, np.broadcast_to(P0, (X.shape[0],) + P0.shape)
-    return flow_with_jacobian(system, X, T, icfg)
-
-
-def _line_search(system, A, b, T, icfg, flow0, X, steps, bound, floor):
+def _line_search(system, A, b, T, icfg, X, steps, bound, floor):
     """Backtrack from each row of X (k, m) along its row of steps: halve the
     damping t from 1 until the true residual ||b - A x(T)|| at X + t * steps
     is at most bound (scalar or per row), or set t = 0 once t < floor.  Each
-    halving evaluates all pending rows in one flow call.  Returns t and, at
-    the accepted points, x(T), its flow Jacobian and the residual norm."""
+    halving evaluates all pending rows in one flow_with_jacobian call.
+    Returns t and, at the accepted points, x(T), its flow Jacobian and the
+    residual norm.  Only the tanh field's loops search: an affine flow needs
+    no damping, as its linearization is exact."""
     k, m = X.shape
     bound = np.broadcast_to(bound, (k,))
     t = np.ones(k)
     XT, P, rn = np.empty((k, m)), np.empty((k, m, m)), np.empty(k)
     rows = np.arange(k)
     while rows.size:
-        XT_try, P_try = _flow_rows(system, X[rows] + t[rows, None] * steps[rows], T, icfg, flow0)
+        XT_try, P_try = flow_with_jacobian(system, X[rows] + t[rows, None] * steps[rows], T, icfg)
         rn_try = np.linalg.norm(b - XT_try @ A.T, axis=1)
         ok = rn_try <= bound[rows]
         done = rows[ok]
         XT[done], P[done], rn[done] = XT_try[ok], P_try[ok], rn_try[ok]
         rows = rows[~ok]
         t[rows] *= 0.5
-        failed = t[rows] < floor
-        t[rows[failed]] = 0.0
-        rows = rows[~failed]
+        rows = rows[t[rows] >= floor]
+    # every accepted t is at least floor
+    t[t < floor] = 0.0
     return t, XT, P, rn
 
 
 def _fit_supports(system, A, b, T, icfg, flow0, supports):
     """Damped Gauss-Newton fits of the initial state restricted to each row
     of supports (count, k), all starting from zero and stepping in lockstep.
-    Returns the fitted states (count, m) and their residual norms (count,).
+    flow0 is the flow and its Jacobian at 0.  Returns the fitted states
+    (count, m) and their residual norms (count,).
 
     Each step s is the minimum-norm least-squares solution of J_S s = R, with
     lstsq's cutoff max(n, k) * u * sigma_max on the singular values of J_S
@@ -456,6 +452,14 @@ def _fit_supports(system, A, b, T, icfg, flow0, supports):
     zero residual predicts a decrease of about ||R||^2 and never stops here,
     so it runs on to the residual test; there is no test on the step's
     length, which could end such a fit one step short of it.
+
+    On the zero, linear and affine fields x(T) = xT0 + P0 x exactly, so the
+    restricted fit is linear least squares and its first step solves it
+    (Dennis & Schnabel, ch. 10).  There a fit takes that one step, unless
+    the test above stops it first, with its residual evaluated through the
+    flow at 0 as xT0 + P0 (x + s); it keeps the step only on a strict
+    decrease of the residual norm, which is what the line search accepts at
+    t = 1, and stops: no line search and no second SVD.
     """
     xT0, P0 = flow0
     count = supports.shape[0]
@@ -486,10 +490,18 @@ def _fit_supports(system, A, b, T, icfg, flow0, supports):
         rows, steps = rows[~stop], steps[~stop]
         full = np.zeros((rows.size, X.shape[1]))
         full[np.arange(rows.size)[:, None], supports[rows]] = steps
+        if system.kind in _AFFINE_FLOW_KINDS:
+            # x(T) = xT0 + P0 x exactly, so the step solves the fit: keep it
+            # on a strict decrease of the residual norm, and stop
+            rn_try = np.linalg.norm(b - (xT0 + (X[rows] + full) @ P0.T) @ A.T, axis=1)
+            ok = rn_try < rn[rows]
+            X[rows[ok]] += full[ok]
+            rn[rows[ok]] = rn_try[ok]
+            break
         # accept a strict decrease of the residual norm
         bound = np.nextafter(rn[rows], 0)
         t, XT, P, rn_try = _line_search(
-            system, A, b, T, icfg, flow0, X[rows], full, bound, _FIT_DAMPING_FLOOR
+            system, A, b, T, icfg, X[rows], full, bound, _FIT_DAMPING_FLOOR
         )
         ok = t > 0
         active[rows[~ok]] = False
@@ -508,14 +520,17 @@ def l0_oracle(
 ) -> RecoveryOutcome:
     """Exhaustive sparse recovery: fit the initial state on every support of
     size 0..sparsity (lexicographic order, sizes ascending) by restricted
-    nonlinear least squares and return the first feasible fit, preferring
-    smaller supports, then smaller residuals, then earlier supports.  All
-    supports of one size are fitted together, in lockstep.  A fit stops at a
-    residual of 1e-14 * max(1, ||b||), when its line search finds no strict
-    decrease, or before that search once the Gauss-Newton step predicts a
-    decrease of ||R||^2 no larger than n * u * ||R||^2, the rounding error
-    bound of the computed sum of n squares, below which no decrease can show
-    (see _fit_supports).
+    least squares and return the first feasible fit, preferring smaller
+    supports, then smaller residuals, then earlier supports.  All supports
+    of one size are fitted together, in lockstep.  On the tanh field a fit
+    is damped Gauss-Newton, which stops at a residual of 1e-14 * max(1,
+    ||b||), when its line search finds no strict decrease, or before that
+    search once the Gauss-Newton step predicts a decrease of ||R||^2 no
+    larger than n * u * ||R||^2, the rounding error bound of the computed
+    sum of n squares, below which no decrease can show.  On an affine flow
+    a fit is one least-squares step, not taken under that same bound and
+    kept only on a strict decrease of the residual norm (see
+    _fit_supports).
 
     Refuses with BudgetError when the support count exceeds budget.  When no
     support reaches the noise radius, returns the best fit found with

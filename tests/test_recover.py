@@ -739,18 +739,20 @@ def test_recovery_reports_no_convergence_when_the_line_search_gives_up(monkeypat
     x0 = np.zeros(4)
     x0[2] = 0.9
     problem = _problem(system, A, x0, T=0.4)
-    flow_rows = recover._flow_rows
+    flow = recover.flow_with_jacobian
     tried = []
 
-    def far_off(*args):
-        XT, P = flow_rows(*args)
-        tried.append(len(XT))
-        return XT + 1e3, P
+    def far_off(system, X, T, icfg):
+        XT, P = flow(system, X, T, icfg)
+        tried.append(X.shape)
+        # the flow at x = 0 is one state; the line search flows rows
+        return (XT, P) if X.ndim == 1 else (XT + 1e3, P)
 
-    monkeypatch.setattr(recover, "_flow_rows", far_off)
+    monkeypatch.setattr(recover, "flow_with_jacobian", far_off)
     icfg = IntegrationConfig.fixed(32)
     out = recover_initial_state(problem, icfg)
-    assert tried == [1] * (1 - int(math.log2(recover._RECOVER_DAMPING_FLOOR)))
+    halvings = 1 - int(math.log2(recover._RECOVER_DAMPING_FLOOR))
+    assert tried == [(4,)] + [(1, 4)] * halvings
     assert not out.converged and out.iterations == 1
     assert np.array_equal(out.estimate, np.zeros(4))
     xT = flow_with_jacobian(system, np.zeros(4), 0.4, icfg)[0]
@@ -805,7 +807,6 @@ def test_line_search_matches_per_row_reference():
     icfg = IntegrationConfig.fixed(64)
     truth = np.array([0.0, 1.5, 0.0, -0.8])
     b = A @ integrate(system, truth, T, icfg).final_state
-    flow0 = flow_with_jacobian(system, np.zeros(4), T, icfg)
     X = np.array([[0.0, 1.0, 0.0, -0.5], [0.0, 1.0, 0.0, -0.5], [0.1, 0.0, 0.0, 0.0]])
     to_truth = truth - X
     # undamped, overshooting sixteenfold, and heading away from the truth
@@ -814,7 +815,7 @@ def test_line_search_matches_per_row_reference():
     r2 = np.linalg.norm(b - integrate(system, X[2], T, icfg).final_state @ A.T)
     bound = np.array([0.5 * r0, r0, np.nextafter(r2, 0)])
     floor = 2.0**-12
-    t, XT, P, rn = recover._line_search(system, A, b, T, icfg, flow0, X, steps, bound, floor)
+    t, XT, P, rn = recover._line_search(system, A, b, T, icfg, X, steps, bound, floor)
     ref = [
         _reference_line_search(system, A, b, T, icfg, x, d, bd, floor)
         for x, d, bd in zip(X, steps, bound)
@@ -1180,20 +1181,39 @@ def test_affine_flow_oracle_integrates_once(kind, monkeypatch):
     x0 = np.zeros(5)
     x0[[0, 3]] = [1.1, -0.7]
     problem = _problem(system, gen_gaussian_matrix(12, 5, 77), x0, T=0.6, s=2)
-    calls = []
+    calls, svds, fits = [], [], []
     _count_calls(monkeypatch, recover, "flow_with_jacobian", calls)
     _count_calls(monkeypatch, kernels, "rk4_flow_jacobian", calls)
+    _count_calls(monkeypatch, recover, "_line_search", calls)
+    _count_calls(monkeypatch, np.linalg, "svd", svds)
+    fit = recover._fit_supports
+
+    def recording(*args):
+        out = fit(*args)
+        fits.append((args, out))
+        return out
+
+    monkeypatch.setattr(recover, "_fit_supports", recording)
     out = l0_oracle(problem)
-    # one flow, at x=0; the affine flow needs no other
+    # one flow, at x=0; the affine flow needs no other, and no line search
     assert calls == ["flow_with_jacobian", "rk4_flow_jacobian"]
     assert out.converged
     np.testing.assert_allclose(out.estimate, x0, atol=1e-8)
+    # one least-squares step per fit: one batched SVD per block of a level
+    assert len(fits) == 2 and len(svds) == len(fits)
+    u = np.finfo(float).eps
+    for (_, A, b, _, _, (xT0, P0), supports), (X, rn) in fits:
+        n, k = A.shape[0], supports.shape[1]
+        for S, x, r in zip(supports, X, rn):
+            ref, *_ = np.linalg.lstsq(A @ P0[:, S], b - A @ xT0, rcond=max(n, k) * u)
+            assert np.linalg.norm(x[S] - ref) <= 1e-12 * np.linalg.norm(ref)
+            assert np.count_nonzero(np.delete(x, S)) == 0
+            assert r == pytest.approx(np.linalg.norm(b - A @ (xT0 + P0 @ x)), rel=1e-12)
 
 
 def test_lockstep_flow_reports_blowup():
     system = DynamicalSystem.tanh_saturated((100.0 * np.eye(2)).tolist())
     # the sensitivity of the row at 0 grows like exp(100 t) and overflows
     icfg = IntegrationConfig.fixed(256)
-    flow0 = (np.zeros(2), np.eye(2))
     with pytest.raises(NumericalError), np.errstate(over="ignore", invalid="ignore"):
-        recover._flow_rows(system, np.array([[0.5, 0.5], [0.0, 0.0]]), 10.0, icfg, flow0)
+        flow_with_jacobian(system, np.array([[0.5, 0.5], [0.0, 0.0]]), 10.0, icfg)

@@ -5,7 +5,6 @@ trees taking turns."""
 
 import subprocess
 import sys
-import types
 from pathlib import Path
 
 import numpy as np
@@ -109,16 +108,12 @@ def test_treebench_rounds_flip_the_first_tree_each_round():
     assert runs == {"p": [["Px", "Py"]] * 3, "c": [["Cx", "Cy"]] * 3}
 
 
-def test_bench_bpdn_counts_pivots_where_a_tree_has_the_pivot_helper():
+def test_bench_bpdn_counts_pivots():
     bench = tool_module("bench_bpdn")
     Phi, y, w, eps = bench.scan_instance("random", 0)
     shape = (Phi, np.zeros(y.size), y, np.empty(0), w, eps)
     row = bench.measure(sparseobs, shape)
     assert row["pivots"] > 0 and row["lasso_calls"] == 1
-    # a tree whose recover module has no _sweep records null
-    recover = types.SimpleNamespace(solve_weighted_bpdn=sparseobs.recover.solve_weighted_bpdn)
-    package = types.SimpleNamespace(kernels=sparseobs.kernels, recover=recover)
-    assert bench.measure(package, shape)["pivots"] is None
     # eps = 0 takes no path
     exact = (Phi, np.zeros(y.size), Phi @ np.ones(w.size), np.empty(0), w, 0.0)
     assert bench.measure(sparseobs, exact)["pivots"] == 0
@@ -136,11 +131,46 @@ def test_bench_bpdn_lists_the_scan_instances_a_tree_loses():
 
     # instance 1 falls out of the band and instance 2 loses its certificate
     summary = bench.scan_summary(
-        {"parent": solves({5}, {5, 7}, None), "change": solves({1, 5}, {1, 2, 5}, 3)}
+        {"parent": solves({5}, {5, 7}, 2), "change": solves({1, 5}, {1, 2, 5}, 3)}
     )
     scan = summary["random"]
-    assert scan["parent"]["lost"] == [] and scan["parent"]["pivots"] is None
+    assert scan["parent"]["lost"] == [] and scan["parent"]["pivots"] == 2 * scan["instances"]
     assert scan["change"]["lost"] == [1, 2] and scan["change"]["pivots"] == 3 * scan["instances"]
     assert scan["certified_by_parent_only"] == [1, 2] and scan["in_band_by_parent_only"] == [1]
     assert scan["certified_by_change_only"] == [7]
     assert summary["near_square"]["change"]["lost"] == []
+
+
+def test_bench_oracle_exits_when_a_tree_moves_an_estimate_or_its_support(monkeypatch):
+    bench = tool_module("bench_oracle")
+    x = [1.0, 0.0, -0.5]
+    # the middle entry sits just under the support cut, then just over it
+    under, over = [1.0, 0.999e-8, -0.5], [1.0, 1.001e-8, -0.5]
+    written = []
+
+    def rows(*estimates):
+        kinds = ("zero", "linear", "tanh_saturated")
+        table = [[3, k, 1, 1000, 0.5, 1, 1, 3, 0, 1.0, 0.0, e] for k, e in zip(kinds, estimates)]
+        return [table] * bench.ROUNDS
+
+    def run(*change):
+        runs = {"parent": rows(x, x, under), "change": rows(*change)}
+        monkeypatch.setattr(bench.treebench, "rounds", lambda *args: runs)
+        bench.run({"parent": None, "change": None})
+
+    monkeypatch.setattr(bench, "build_instances", lambda: [])
+    monkeypatch.setattr(bench.treebench, "write", lambda name, doc: written.append(doc))
+    # a move at rounding level passes
+    run(x, np.add(x, 1e-12).tolist(), under)
+    totals = written[-1]["results"]["change"]["totals"]
+    assert totals["max_abs_estimate_change"] == pytest.approx(1e-12)
+    assert written[-1]["results"]["change"]["by_kind"]["linear"]["instances"] == 1
+    # a move above ESTIMATE_TOL, and a support change within it, both fail
+    cases = [((x, [1.0, 0.0, -0.5 + 1e-6], under), 1), ((x, x, over), 2)]
+    for i, (change, moved) in enumerate(cases):
+        with pytest.raises(SystemExit) as exit:
+            run(*change)
+        # a string exit code gives the process status 1
+        assert isinstance(exit.value.code, str) and f"change: [{moved}]" in exit.value.code
+        # the file is written before the exit
+        assert len(written) == 2 + i

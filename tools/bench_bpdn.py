@@ -10,13 +10,12 @@ times timed.
 Per shape the file records the median and quartiles of the call time and,
 for one solve, the iterations of kernels.admm_basis_pursuit, the calls of
 kernels.admm_lasso and their summed iterations, the pivots of the lasso
-path's tableau (recover._sweep calls: one per join or drop, none at eps = 0;
-null for a tree without that pivot helper), the residual ||Phi x - y||
-minus eps, the SHA-256 of the estimate's bytes (equal digests across trees
-mean identical results), and at eps = 0 max|x - x_ref|, where x_ref is the
-program's solution: the least-squares point when Phi has full column rank
-(it is the only feasible point), and the planted sparse vector for the
-underdetermined shapes, which l1 recovers.
+path's tableau (recover._sweep calls: one per join or drop, none at eps =
+0), the residual ||Phi x - y|| minus eps, the SHA-256 of the estimate's
+bytes (equal digests across trees mean identical results), and at eps = 0
+max|x - x_ref|, where x_ref is the program's solution: the least-squares
+point when Phi has full column rank (it is the only feasible point), and the
+planted sparse vector for the underdetermined shapes, which l1 recovers.
 
 Each scan (SCANS) is solved once per tree, instance by instance, after the
 timing rounds.  A solve is in band when its residual lies in [eps, eps +
@@ -24,14 +23,14 @@ band], band = min(residual_match_tol, 1e-9 max(1, ||y||)), and certified
 when it is in band and the weighted lasso's KKT conditions hold at 1e-6
 relative at lam = the median of |Phi^T r|_j / w_j over its support.  Per
 scan and tree the file records both counts, the admm_lasso calls and their
-summed iterations, the path's pivots (null as above), the wall time of the
-scan, and the instances lost: those that the first tree lands in band or
-certifies and this tree does not.  With trees labelled parent and change it
-also records the instances certified by one tree only and the largest
-relative difference max|x_change - x_parent| / max|x_parent| between the
-two trees' estimates, over all instances and over those both trees
-certify.  Results go to BENCH_bpdn.json.  The script exits with status 1
-when any tree loses an instance.
+summed iterations, the path's pivots, the wall time of the scan, and the
+instances lost: those that the first tree lands in band or certifies and
+this tree does not.  With trees labelled parent and change it also records
+the instances certified by one tree only and the largest relative difference
+max|x_change - x_parent| / max|x_parent| between the two trees' estimates,
+over all instances and over those both trees certify.  Results go to
+BENCH_bpdn.json.  The script exits with status 1 when any tree loses an
+instance.
 """
 
 import treebench
@@ -39,7 +38,6 @@ import treebench
 if __name__ == "__main__":
     treebench.one_blas_thread()
 
-import contextlib
 import hashlib
 import json
 import math
@@ -188,9 +186,7 @@ def build_inputs():
 
 def counting_pivots(recover, pivots):
     """A context in which every call of recover._sweep, the lasso path's
-    pivot, appends 1 to pivots; a null context for a tree without it."""
-    if not hasattr(recover, "_sweep"):
-        return contextlib.nullcontext()
+    pivot, appends 1 to pivots."""
 
     def counted(sweep):
         def call(*args):
@@ -238,7 +234,7 @@ def measure(package, shape):
         "basis_pursuit_iterations": sum(counts["admm_basis_pursuit"]),
         "lasso_calls": len(counts["admm_lasso"]),
         "lasso_iterations": sum(counts["admm_lasso"]),
-        "pivots": len(pivots) if hasattr(recover, "_sweep") else None,
+        "pivots": len(pivots),
         "residual_minus_eps": float(np.linalg.norm(Phi @ x - (obs - offset))) - eps,
         "estimate_sha256": hashlib.sha256(x.tobytes()).hexdigest(),
         "max_abs_error_vs_reference": float(np.abs(x - x_ref).max()) if x_ref.size else None,
@@ -264,7 +260,7 @@ def certified(Phi, y, weights, eps, x, band):
 def solve(package, instance):
     """Solve a scan instance (Phi, y, weights, eps) once with package's tree:
     (in band, certified, admm_lasso calls, their summed iterations, path
-    pivots or None, estimate, wall time in s)."""
+    pivots, estimate, wall time in s)."""
     Phi, y, weights, eps = instance
     iterations = []
     pivots = []
@@ -287,7 +283,7 @@ def solve(package, instance):
         wall = time.perf_counter() - t0
     band_tol = recover.SolverConfig().residual_match_tol
     band = min(band_tol, 1e-9 * max(1.0, float(np.linalg.norm(y))))
-    counts = len(iterations), sum(iterations), len(pivots) if hasattr(recover, "_sweep") else None
+    counts = len(iterations), sum(iterations), len(pivots)
     return (*certified(Phi, y, weights, eps, x, band), *counts, x, wall)
 
 
@@ -311,7 +307,7 @@ def scan_summary(solved):
                 "lasso_calls": sum(calls),
                 "lasso_iterations": sum(iterations),
                 "max_lasso_calls_per_solve": max(calls),
-                "pivots": None if None in pivots else sum(pivots),
+                "pivots": sum(pivots),
                 "wall_s": sum(wall),
                 "lost": [
                     k

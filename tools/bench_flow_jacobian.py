@@ -37,9 +37,10 @@ SHAPES = (
     ("tanh m=6 15 rows 16 steps", "tanh_saturated", 6, 15, 16, False),
     ("linear m=24 1-d 256 steps", "linear", 24, None, 256, False),
     ("affine m=12 1-d 256 steps", "affine", 12, None, 256, False),
-    # the oracle's line-search shape on oracle_agreement; on its zero and
-    # linear instances recover._flow_rows maps the rows by the flow at 0
-    ("linear m=6 15 rows 16 steps (oracle line search)", "linear", 6, 15, 16, False),
+    # the step map on rows off rest, the only such shape here; no caller
+    # flows these, as the oracle fits an affine support in one least-squares
+    # step through the flow at 0
+    ("linear m=6 15 rows 16 steps (step map off rest)", "linear", 6, 15, 16, False),
     ("tanh m=12 66 rows 256 steps (oracle pairs at m=12)", "tanh_saturated", 12, 66, 256, False),
     ("tanh m=128 1-d 256 steps", "tanh_saturated", 128, None, 256, False),
     # the demo's settle climb at x = 0, one row per count

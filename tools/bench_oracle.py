@@ -13,8 +13,11 @@ the rows they integrate (row evaluations), the rows recover._line_search
 searches and how many of those end at t = 0, the median wall time of the
 oracle over the rounds, its residual, and, for every tree after the first,
 the largest |estimate - estimate of the first tree|.  Totals per tree sum the
-counts and wall times and take the largest change.  Results go to
-BENCH_oracle.json.
+counts and wall times and take the largest change, over all instances and
+over each kind's.  Results go to BENCH_oracle.json.  The script exits with
+status 1 when any tree's estimate differs from the first tree's by more
+than ESTIMATE_TOL, or selects another support (the entries above
+SUPPORT_CUT in absolute value, as criterion 7 reads it), on any instance.
 """
 
 import treebench
@@ -23,12 +26,15 @@ if __name__ == "__main__":
     treebench.one_blas_thread()
 
 import statistics
+import sys
 import time
 
 import numpy as np
 
 ROUNDS = 3
 STEPS = 256
+ESTIMATE_TOL = 1e-9
+SUPPORT_CUT = 1e-8
 COLUMNS = (
     "m",
     "kind",
@@ -127,12 +133,40 @@ def measure(package, instance):
     return row + [counts["at_zero"], wall_ms, out.residual, out.estimate.tolist()]
 
 
+def differing(estimates, first):
+    """The indices of the instances whose estimate differs from the one in
+    first by more than ESTIMATE_TOL or has another support."""
+    return [
+        i
+        for i, (x, x1) in enumerate(zip(estimates, first))
+        if np.max(np.abs(np.subtract(x, x1))) > ESTIMATE_TOL
+        or not np.array_equal(np.abs(x) > SUPPORT_CUT, np.abs(x1) > SUPPORT_CUT)
+    ]
+
+
+def totals(table):
+    """The counts and wall times of table's rows summed, and the largest
+    change of their estimates."""
+    return {
+        "instances": len(table),
+        "flow_jacobian_calls": sum(row[5] for row in table),
+        "row_evaluations": sum(row[6] for row in table),
+        "line_search_rows": sum(row[7] for row in table),
+        "line_searches_at_zero": sum(row[8] for row in table),
+        "wall_ms": sum(row[9] for row in table),
+        "max_abs_estimate_change": max(
+            (row[11] for row in table if row[11] is not None), default=None
+        ),
+    }
+
+
 def run(trees):
     runs = treebench.rounds(trees, ROUNDS, build_instances(), measure)
 
     first_label = next(iter(runs))
     first = runs[first_label][0]
     results = {}
+    unequal = {}
     for label, rounds in runs.items():
         table = []
         for i, row in enumerate(rounds[0]):
@@ -141,23 +175,19 @@ def run(trees):
             if label != first_label:
                 change = float(np.max(np.abs(np.subtract(row[11], first[i][11]))))
             table.append(row[:9] + [wall_ms, row[10], change])
-        totals = {
-            "instances": len(table),
-            "flow_jacobian_calls": sum(row[5] for row in table),
-            "row_evaluations": sum(row[6] for row in table),
-            "line_search_rows": sum(row[7] for row in table),
-            "line_searches_at_zero": sum(row[8] for row in table),
-            "wall_ms": sum(row[9] for row in table),
-            "max_abs_estimate_change": max(
-                (row[11] for row in table if row[11] is not None), default=None
-            ),
-        }
-        print(
-            f"{label:>8}  {totals['wall_ms']:9.1f} ms  {totals['flow_jacobian_calls']:6d} calls  "
-            f"{totals['row_evaluations']:6d} rows  {totals['line_searches_at_zero']:5d} at t = 0  "
-            f"max |d estimate| {totals['max_abs_estimate_change']}"
-        )
-        results[label] = {"totals": totals, "instances": table}
+        kinds = dict.fromkeys(row[1] for row in table)
+        by_kind = {kind: totals([row for row in table if row[1] == kind]) for kind in kinds}
+        results[label] = {"totals": totals(table), "by_kind": by_kind, "instances": table}
+        for name, t in {"all": results[label]["totals"], **by_kind}.items():
+            print(
+                f"{label:>8}  {name:<15} {t['wall_ms']:9.1f} ms  "
+                f"{t['flow_jacobian_calls']:6d} calls  {t['row_evaluations']:6d} rows  "
+                f"{t['line_search_rows']:5d} searched  {t['line_searches_at_zero']:5d} at t = 0  "
+                f"max |d estimate| {t['max_abs_estimate_change']}"
+            )
+        found = differing([row[11] for row in rounds[0]], [row[11] for row in first])
+        if found:
+            unequal[label] = found
 
     doc = {
         "function": "recover.l0_oracle",
@@ -167,10 +197,18 @@ def run(trees):
         "results": results,
     }
     keys = ("wall_ms", "flow_jacobian_calls", "row_evaluations")
-    treebench.parent_over_change(
-        doc, "parent_over_change", lambda r: {k: r["totals"][k] for k in keys}
-    )
+
+    def pick(r):
+        wall_by_kind = {kind: t["wall_ms"] for kind, t in r["by_kind"].items()}
+        return {**{k: r["totals"][k] for k in keys}, "wall_ms_by_kind": wall_by_kind}
+
+    treebench.parent_over_change(doc, "parent_over_change", pick)
     treebench.write("oracle", doc)
+    if unequal:
+        sys.exit(
+            f"estimates differ from {first_label}'s on instances "
+            + "; ".join(f"{label}: {found}" for label, found in unequal.items())
+        )
 
 
 if __name__ == "__main__":

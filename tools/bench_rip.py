@@ -25,18 +25,17 @@ kernels.max_deviation call receives: the greedy seed of a scan of more than
 one block, 0 for a scan of one), the supports eigensolved, and the supports
 that reach kernels.max_deviation, that is, that no cheaper bound ruled out
 before any Gram entry was gathered (every support, where the tree has no
-such bound), and the chunks of heads the scan screens (the groups
-kernels._scan_groups yields, counted so that a generator and a tuple of
-groups both work).  Totals per tree sum the counts over each set, count the
-scans whose start lies below the constant, and give the median and quartiles,
-over the rounds, of the set's total scan time (each round's sum of its
-fastest runs).  parent_over_change divides the parent's median total by the
-change's, so drift of the host's speed between rounds shows up in both
-trees' quartiles; parent_over_change_per_round gives the median and
-quartiles of the per-round ratio of the two totals instead, whose two sides
-ran scan by scan, back to back, in one round.  Results go to BENCH_rip.json.
-The script exits with status 1 when any tree's constant differs from the
-first tree's on any scan.
+such bound), and the chunks of heads the scan screens (the groups of
+kernels._scan_groups).  Totals per tree sum the counts over each set, count
+the scans whose start lies below the constant, and give the median and
+quartiles, over the rounds, of the set's total scan time (each round's sum
+of its fastest runs).  parent_over_change divides the parent's median
+total by the change's, so drift of the host's speed between rounds shows
+up in both trees' quartiles; parent_over_change_per_round gives the median
+and quartiles of the per-round ratio of the two totals instead, whose two
+sides ran scan by scan, back to back, in one round.  Results go to
+BENCH_rip.json.  The script exits with status 1 when any tree's constant
+differs from the first tree's on any scan.
 """
 
 import treebench
@@ -111,7 +110,7 @@ def measure(package, scan):
     scan_ms]."""
     k, A = scan
     budget = math.comb(A.shape[1], k)
-    chunks = sum(1 for _ in package.kernels._scan_groups(A.shape[1], k)[1])
+    chunks = len(package.kernels._scan_groups(A.shape[1], k)[1])
     counts = {"past_bound": 0}
 
     def counted(max_deviation):

@@ -10,14 +10,13 @@ once timed, with its tree's default integration config:
   (zero, linear and tanh systems of dimension 12 at eps = 0, 1e-3, 1e-2).
 
 Per trial and tree the file records T, the step count the trial integrated
-with (the `rk4_steps` report column, or the config's fixed step_count for a
-tree without it), the RK4 row-steps (rows x steps, summed over the calls of
-kernels.rk4_flow_jacobian and kernels.rk4_path), the median wall time of the
-trial over the rounds, error_l2, and flow_error: the largest of |v - v_ref| /
-(1 + |v_ref|) over the entries v of x(T) and dx(T)/dx0 at the trial's planted
-state, against 4096 RK4 steps, computed by this checkout's package.  Totals
-per workload sum the wall times and row-steps and take the largest errors.
-Results go to BENCH_steps.json.
+with (the `rk4_steps` report column), the RK4 row-steps (rows x steps, summed
+over the calls of kernels.rk4_flow_jacobian and kernels.rk4_path), the median
+wall time of the trial over the rounds, error_l2, and flow_error: the largest
+of |v - v_ref| / (1 + |v_ref|) over the entries v of x(T) and dx(T)/dx0 at
+the trial's planted state, against 4096 RK4 steps, computed by this
+checkout's package.  Totals per workload sum the wall times and row-steps and
+take the largest errors.  Results go to BENCH_steps.json.
 """
 
 import treebench
@@ -89,8 +88,7 @@ def measure(package, item):
     t0 = time.perf_counter()
     r = package.harness.run_trial(config, trial)
     wall_ms = (time.perf_counter() - t0) * 1e3
-    steps = getattr(r, "rk4_steps", config.integration.step_count)
-    row = [workload, name, trial, r.T, steps, row_steps[0], wall_ms, r.error_l2]
+    row = [workload, name, trial, r.T, r.rk4_steps, row_steps[0], wall_ms, r.error_l2]
     return row + [list(r.support), list(r.values)]
 
 
