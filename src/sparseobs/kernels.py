@@ -183,6 +183,23 @@ def _chain(E):
     return E[0]
 
 
+def _chain_copies(E, b):
+    """_chain(np.broadcast_to(E, (b, m, m))) bit for bit, in at most two
+    single matmuls a level.  Each level of that chain is a run of r equal
+    entries X followed by at most one other, Y: its pairs are X with X, and,
+    when r is odd and Y is there, X with Y; an unpaired last entry is carried
+    up.  So every pair of the run is one product, formed once."""
+    X, r, Y = E, b, None
+    while r + (Y is not None) > 1:
+        if r % 2:
+            # the last X pairs with Y, or is carried up as the next Y
+            Y = X if Y is None else Y + X + Y @ X
+        if r > 1:
+            X = X + X + X @ X
+        r //= 2
+    return X if r else Y
+
+
 def rk4_flow_jacobian(kind, M, c, X0, T, n_steps):
     """Final state and its sensitivity to the initial state under the RK4
     flow.  X0 is one state (m,), giving (m,) and (m, m), or rows (k, m),
@@ -195,13 +212,16 @@ def rk4_flow_jacobian(kind, M, c, X0, T, n_steps):
     SCAN_BLOCK_FLOATS // (4 m^2 max(1, k)), at least 1, bounds the block's
     temporaries; zero rows give empty results.  The state takes rk4_path's
     steps.  Under the step map (see _step_map) every step of every row has
-    the increment E, each block's product is _chain of c views of it,
-    formed once per block length, and one sensitivity serves every row; at
-    rest, X0 = 0 and c = 0, the state stays 0 and is not stepped.  Under
-    tanh off rest, _march steps each block in one preallocated
-    (c + 1, 5, *X0.shape) array of states and their stage slopes, and the
-    slope view W[:b, 1:] of a block of b steps goes to _step_increments as
-    it is.
+    the increment E, each block's product is _chain of c copies of it,
+    formed once per block length by _chain_copies in at most two matmuls a
+    level, and one sensitivity serves every row; at rest, X0 = 0 and c = 0,
+    the state stays 0 and is not stepped.  Under tanh off rest, _march steps
+    each block in one preallocated (c + 1, 5, *X0.shape) array of states and
+    their stage slopes, and the slope view W[:b, 1:] of a block of b steps
+    goes to _step_increments as it is.  Where no sensitivity is read, as in
+    the last line search of recovery's tanh loop, ode.flow steps the same
+    rows by rk4_path, whose march is this one step for step, so x(T) is the
+    same bit for bit.
     """
     m = X0.shape[-1]
     block = max(1, SCAN_BLOCK_FLOATS // (4 * m * m * max(1, X0.size // m)))
@@ -231,7 +251,7 @@ def rk4_flow_jacobian(kind, M, c, X0, T, n_steps):
             E_tot = _chain(_step_increments(kind, M, W[:b, 1:], h))
         elif E_tot is None or b < block:
             # the full blocks share one product; a ragged last block forms its own
-            E_tot = _chain(np.broadcast_to(E, (b, m, m)))
+            E_tot = _chain_copies(E, b)
         P = P + np.matmul(E_tot, P)
     return S[0].copy(), np.broadcast_to(P, X0.shape + (m,)).copy()
 

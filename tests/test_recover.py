@@ -197,19 +197,36 @@ class _Captured(Exception):
     pass
 
 
-def _demo_first_solve(monkeypatch):
-    """(Phi, y, weights, eps) of the first solve in trial 0 of the demo sweep:
-    a 512 x 12 tanh linearization at eps = 1e-3."""
+_DEMO_CONFIG = Path(__file__).resolve().parents[1] / "configs" / "demo.json"
+
+
+def _demo_solve(monkeypatch, index):
+    """(Phi, y, weights, eps) of the solve at linearization index (0 or 1) in
+    trial 0 of the demo sweep, a 512 x 12 tanh linearization at eps = 1e-3,
+    with every linearization solved on the path."""
+    solve = recover.solve_weighted_bpdn
+    solved = []
 
     def capture(Phi, offset, observation, weights, eps, config=None):
-        raise _Captured(Phi, observation - offset, weights, eps)
+        if len(solved) == index:
+            raise _Captured(Phi, observation - offset, weights, eps)
+        solved.append(index)
+        return solve(Phi, offset, observation, weights, eps, config)
 
-    config = load_experiment_config(Path(__file__).resolve().parents[1] / "configs" / "demo.json")
     with monkeypatch.context() as patch:
         patch.setattr(recover, "solve_weighted_bpdn", capture)
+        patch.setattr(recover, "_locked_solve", lambda *args: None)
         with pytest.raises(_Captured) as first:
-            run_trial(config, 0)
+            run_trial(load_experiment_config(_DEMO_CONFIG), 0)
     return first.value.args
+
+
+def _demo_first_solve(monkeypatch):
+    return _demo_solve(monkeypatch, 0)
+
+
+def _demo_second_solve(monkeypatch):
+    return _demo_solve(monkeypatch, 1)
 
 
 def _noisy_underdetermined(_monkeypatch=None):
@@ -255,6 +272,18 @@ def _on_the_sphere(Phi, y, x_in, x_dir, eps):
     return x_in + t * (x_dir - x_in)
 
 
+def _assert_lasso_kkt(Phi, y, w, x, lam, eps, cfg):
+    """x's residual lies in the band, and the weighted lasso's KKT conditions
+    hold at lam."""
+    r = y - Phi @ x
+    assert eps <= np.linalg.norm(r) <= eps + _band(cfg, y)
+    g = Phi.T @ r
+    on = x != 0
+    assert on.any()
+    assert np.all(np.abs(g[~on]) <= lam * w[~on] * (1 + 1e-9))
+    np.testing.assert_allclose(g[on], lam * w[on] * np.sign(x[on]), rtol=1e-9, atol=0)
+
+
 @pytest.mark.parametrize("instance", [_demo_first_solve, _noisy_underdetermined])
 def test_noisy_bpdn_probes_the_path_point_once(instance, monkeypatch):
     Phi, y, w, eps = instance(monkeypatch)
@@ -264,15 +293,7 @@ def test_noisy_bpdn_probes_the_path_point_once(instance, monkeypatch):
     x = solve_weighted_bpdn(Phi, np.zeros(n), y, w, eps, cfg)
     # the path point is the lasso's fixed point: one call of one iteration
     assert [it for _, it in calls] == [1]
-    lam = calls[0][0]
-    r = y - Phi @ x
-    assert eps <= np.linalg.norm(r) <= eps + _band(cfg, y)
-    # the weighted lasso's KKT conditions at lam
-    g = Phi.T @ r
-    on = x != 0
-    assert on.any()
-    assert np.all(np.abs(g[~on]) <= lam * w[~on] * (1 + 1e-9))
-    np.testing.assert_allclose(g[on], lam * w[on] * np.sign(x[on]), rtol=1e-9, atol=0)
+    _assert_lasso_kkt(Phi, y, w, x, calls[0][0], eps, cfg)
     # no point feasible at exactly eps has a smaller objective: try the
     # boundary points toward 0, toward x and around x, from x_ls
     x_ls = np.linalg.lstsq(Phi, y, rcond=None)[0]
@@ -282,6 +303,91 @@ def test_noisy_bpdn_probes_the_path_point_once(instance, monkeypatch):
         feasible = _on_the_sphere(Phi, y, x_ls, target, eps)
         assert np.linalg.norm(y - Phi @ feasible) == pytest.approx(eps, rel=1e-12)
         assert weighted_l1_norm(x, w) <= weighted_l1_norm(feasible, w) + 1e-9
+
+
+@pytest.mark.parametrize("instance", [_demo_first_solve, _demo_second_solve])
+def test_locked_solve_on_the_path_support_is_the_path_point(instance, monkeypatch):
+    Phi, y, w, eps = instance(monkeypatch)
+    cfg = SolverConfig()
+    calls = _record_lasso(monkeypatch, w, cfg.penalty)
+    x = solve_weighted_bpdn(Phi, np.zeros(y.size), y, w, eps, cfg)
+    support = np.flatnonzero(x)
+    locked = recover._locked_solve(Phi, y, w, eps, _band(cfg, y), support, np.sign(x[support]))
+    assert locked is not None
+    assert np.linalg.norm(locked - x) <= 1e-12 * np.linalg.norm(x)
+    _assert_lasso_kkt(Phi, y, w, locked, calls[0][0], eps, cfg)
+
+
+def test_locked_solve_refuses_what_it_cannot_certify(monkeypatch):
+    Phi, y, w, eps = _demo_first_solve(monkeypatch)
+    band = _band(SolverConfig(), y)
+    x = solve_weighted_bpdn(Phi, np.zeros(y.size), y, w, eps)
+    S = np.flatnonzero(x)
+    s = np.sign(x[S])
+    assert S.size >= 2
+    checked = []
+    _count_calls(monkeypatch, recover, "_lasso_kkt", checked)
+
+    def locked(Phi, eps, S, s, w=w):
+        return recover._locked_solve(Phi, y, w, eps, band, S, s)
+
+    assert locked(Phi, eps, S, s) is not None and len(checked) == 1
+    # a flipped sign, and a support without a column the solution needs
+    assert locked(Phi, eps, S, s * np.where(S == S[0], -1.0, 1.0)) is None
+    assert locked(Phi, eps, S[1:], s[1:]) is None
+    # refused before the KKT test: a target under the least-squares residual
+    # on S, and a duplicate column, whose Gram matrix is singular
+    checked.clear()
+    x_ls = np.linalg.lstsq(Phi[:, S], y, rcond=None)[0]
+    assert locked(Phi, 0.5 * np.linalg.norm(y - Phi[:, S] @ x_ls), S, s) is None
+    m = Phi.shape[1]
+    twin = np.column_stack((Phi, Phi[:, S[0]]))
+    assert locked(twin, eps, np.append(S, m), np.append(s, s[0]), np.append(w, w[S[0]])) is None
+    assert checked == []
+
+
+def test_tanh_recovery_tries_the_lock_at_each_later_linearization(monkeypatch):
+    config = load_experiment_config(_DEMO_CONFIG)
+    events = []
+    lock = recover._locked_solve
+
+    def locked(*args):
+        x = lock(*args)
+        events.append("locked" if x is not None else "refused")
+        return x
+
+    _count_calls(monkeypatch, recover, "solve_weighted_bpdn", events)
+    monkeypatch.setattr(recover, "_locked_solve", locked)
+    record = run_trial(config, 0)
+    # the first linearization takes the path; each later one tries the lock,
+    # and a refused lock falls back to the path
+    steps = " ".join(events).replace("refused solve_weighted_bpdn", "path").split()
+    assert steps[0] == "solve_weighted_bpdn" and len(steps) == record.iterations
+    assert set(steps[1:]) == {"path", "locked"}
+    # with every lock refused, the path solves every linearization
+    monkeypatch.setattr(recover, "_locked_solve", lambda *args: None)
+    pathed = run_trial(config, 0)
+    assert (pathed.iterations, pathed.converged) == (record.iterations, record.converged)
+    assert pathed.error_l2 == pytest.approx(record.error_l2, rel=1e-10)
+
+
+@pytest.mark.parametrize(
+    "kind, eps",
+    [("tanh_saturated", 1e-3), ("tanh_saturated", 0.0)]
+    + [(kind, 1e-3) for kind in ("zero", "linear", "affine")],
+)
+def test_only_noisy_tanh_recovery_tries_the_lock(kind, eps, monkeypatch):
+    system = {s.kind: s for s in catalog_systems(5, 22)}[kind]
+    A = gen_gaussian_matrix(16, 5, 32)
+    x0 = np.zeros(5)
+    x0[1] = -0.7
+    e = np.random.Generator(np.random.Philox(73)).standard_normal(16)
+    e *= eps / np.linalg.norm(e)
+    calls = []
+    _count_calls(monkeypatch, recover, "_locked_solve", calls)
+    out = recover_initial_state(_problem(system, A, x0, T=0.3, eps=eps, noise=e))
+    assert out.converged
+    assert len(calls) == (out.iterations - 1 if kind == "tanh_saturated" and eps > 0 else 0)
 
 
 def _inside_the_slack(k):
@@ -719,14 +825,32 @@ def test_recovery_linearizes_at_the_accepted_line_search_point(monkeypatch):
     x0 = np.zeros(4)
     x0[2] = 0.9
     problem = _problem(system, A, x0, T=0.4)
-    calls = []
+    calls, jacobians, linearizations = [], [], []
     _count_calls(monkeypatch, kernels, "rk4_path", calls)
     _count_calls(monkeypatch, kernels, "rk4_flow_jacobian", calls)
+    flow, solve = recover.flow_with_jacobian, recover.solve_weighted_bpdn
+
+    def flowing(system, X, T, icfg):
+        XT, P = flow(system, X, T, icfg)
+        jacobians.append(P.reshape(-1, 4, 4)[-1])
+        return XT, P
+
+    def solving(Phi, *args):
+        linearizations.append(Phi)
+        return solve(Phi, *args)
+
+    monkeypatch.setattr(recover, "flow_with_jacobian", flowing)
+    monkeypatch.setattr(recover, "solve_weighted_bpdn", solving)
     out = recover_initial_state(problem)
     assert out.converged and out.iterations > 1
     # one flow at x=0, then one per outer iteration: every step is accepted
-    # undamped and its flow Jacobian is the next linearization
-    assert calls == ["rk4_flow_jacobian"] * (out.iterations + 1)
+    # undamped.  The last step is shorter than outer_tol, so the loop stops
+    # after its search whatever it accepts, and that flow forms no Jacobian
+    assert calls == ["rk4_flow_jacobian"] * out.iterations + ["rk4_path"]
+    # the flow Jacobian at each accepted point is the next linearization
+    assert len(linearizations) == len(jacobians) == out.iterations
+    for Phi, P in zip(linearizations, jacobians):
+        assert np.array_equal(Phi, A @ P)
 
 
 def test_recovery_reports_no_convergence_when_the_line_search_gives_up(monkeypatch):
@@ -828,6 +952,43 @@ def test_line_search_matches_per_row_reference():
             np.testing.assert_allclose(XT[i], xT_ref, rtol=0, atol=1e-13)
             np.testing.assert_allclose(P[i], P_ref, rtol=0, atol=1e-13)
             assert rn[i] == pytest.approx(rn_ref, rel=1e-12)
+
+
+def test_state_only_line_search_matches_the_jacobian_search():
+    M = unit_spectral_matrix(4, 24)
+    system = DynamicalSystem.tanh_saturated((2.0 * M).tolist())
+    A = gen_gaussian_matrix(6, 4, 34)
+    T = 0.5
+    icfg = IntegrationConfig.fixed(64)
+    truth = np.array([0.0, 1.5, 0.0, -0.8])
+    b = A @ integrate(system, truth, T, icfg).final_state
+    x = np.array([[0.0, 1.0, 0.0, -0.5]])
+    r0 = np.linalg.norm(b - integrate(system, x[0], T, icfg).final_state @ A.T)
+    # undamped, and after halvings
+    for step, bound in ((truth - x, 0.5 * r0), (16.0 * (truth - x), r0)):
+        args = (system, A, b, T, icfg, x, step, bound, 2.0**-12)
+        t, XT, P, rn = recover._line_search(*args)
+        t_s, XT_s, P_s, rn_s = recover._line_search(*args, jacobian=False)
+        assert P_s is None and t[0] > 0.0
+        assert np.array_equal(t_s, t) and np.array_equal(XT_s, XT) and np.array_equal(rn_s, rn)
+
+
+@pytest.mark.parametrize("eps", [0.0, 1e-3])
+def test_tanh_recovery_residual_is_the_jacobian_flows(eps):
+    # the stopping flow steps the state alone; its residual is bit for bit
+    # the one the flow with Jacobian gives at the estimate
+    system = {s.kind: s for s in catalog_systems(5, 22)}["tanh_saturated"]
+    A = gen_gaussian_matrix(16, 5, 32)
+    x0 = np.zeros(5)
+    x0[1] = -0.7
+    e = np.random.Generator(np.random.Philox(73)).standard_normal(16)
+    e *= eps / np.linalg.norm(e)
+    problem = _problem(system, A, x0, T=0.3, eps=eps, noise=e)
+    icfg = IntegrationConfig.fixed(64)
+    out = recover_initial_state(problem, icfg)
+    assert out.converged
+    XT = flow_with_jacobian(system, out.estimate[None], 0.3, icfg)[0]
+    assert out.residual == np.linalg.norm(problem.observation - XT @ A.T, axis=1)[0]
 
 
 # --- l0 oracle --------------------------------------------------------------------

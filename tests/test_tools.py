@@ -174,3 +174,13 @@ def test_bench_oracle_exits_when_a_tree_moves_an_estimate_or_its_support(monkeyp
         assert isinstance(exit.value.code, str) and f"change: [{moved}]" in exit.value.code
         # the file is written before the exit
         assert len(written) == 2 + i
+
+
+def test_bench_steps_counts_path_solves_and_sensitivity_steps():
+    bench = tool_module("bench_steps")
+    row = dict(zip(bench.COLUMNS, bench.measure(sparseobs, (0, 0))))
+    record = sparseobs.harness.run_trial(bench.workloads(sparseobs)[0][2], 0)
+    # trial 0 of the demo: the lock solves some linearizations, and the
+    # stopping flow steps the state alone
+    assert 0 < row["path_solves"] < record.iterations
+    assert 0 < row["sensitivity_row_steps"] < row["row_steps"]

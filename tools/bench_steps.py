@@ -11,12 +11,14 @@ once timed, with its tree's default integration config:
 
 Per trial and tree the file records T, the step count the trial integrated
 with (the `rk4_steps` report column), the RK4 row-steps (rows x steps, summed
-over the calls of kernels.rk4_flow_jacobian and kernels.rk4_path), the median
-wall time of the trial over the rounds, error_l2, and flow_error: the largest
-of |v - v_ref| / (1 + |v_ref|) over the entries v of x(T) and dx(T)/dx0 at
-the trial's planted state, against 4096 RK4 steps, computed by this
-checkout's package.  Totals per workload sum the wall times and row-steps and
-take the largest errors.  Results go to BENCH_steps.json.
+over the calls of kernels.rk4_flow_jacobian and kernels.rk4_path), the
+sensitivity row-steps (the same sum over kernels.rk4_flow_jacobian alone),
+the path solves (calls of recover._lasso_path_point), the median wall time
+of the trial over the rounds, error_l2, and flow_error: the largest of
+|v - v_ref| / (1 + |v_ref|) over the entries v of x(T) and dx(T)/dx0 at the
+trial's planted state, against 4096 RK4 steps, computed by this checkout's
+package.  Totals per workload sum the wall times, row-steps and path solves
+and take the largest errors.  Results go to BENCH_steps.json.
 """
 
 import treebench
@@ -35,7 +37,20 @@ REFERENCE_STEPS = 4096
 # (master seed, eps) of the criterion-6 blocks, run for each system kind
 CRITERION_6 = ((601, 0.0), (602, 1e-3), (603, 1e-2))
 CRITERION_6_TRIALS = 67
-COLUMNS = ("workload", "block", "trial", "T", "steps", "row_steps", "wall_ms", "error_l2")
+COLUMNS = (
+    "workload",
+    "block",
+    "trial",
+    "T",
+    "steps",
+    "row_steps",
+    "sensitivity_row_steps",
+    "path_solves",
+    "wall_ms",
+    "error_l2",
+)
+# the counted columns, which a trial's counting run fills
+COUNTS = COLUMNS[5:8]
 
 
 @functools.cache
@@ -71,24 +86,38 @@ def measure(package, item):
     timed: the row of COLUMNS, plus the planted support and values."""
     block, trial = item
     workload, name, config = workloads(package)[block]
-    row_steps = [0]
+    counts = dict.fromkeys(COUNTS, 0)
 
-    def counted(kernel):
-        def run(kind, M, c, X, T, n):
-            row_steps[0] += (X.size // X.shape[-1]) * n
-            return kernel(kind, M, c, X, T, n)
+    def stepped(*keys):
+        def wrap(kernel):
+            def run(kind, M, c, X, T, n):
+                for key in keys:
+                    counts[key] += (X.size // X.shape[-1]) * n
+                return kernel(kind, M, c, X, T, n)
+
+            return run
+
+        return wrap
+
+    def solved(path_point):
+        def run(*args):
+            counts["path_solves"] += 1
+            return path_point(*args)
 
         return run
 
     with (
-        treebench.swapped(package.kernels, "rk4_flow_jacobian", counted),
-        treebench.swapped(package.kernels, "rk4_path", counted),
+        treebench.swapped(
+            package.kernels, "rk4_flow_jacobian", stepped("row_steps", "sensitivity_row_steps")
+        ),
+        treebench.swapped(package.kernels, "rk4_path", stepped("row_steps")),
+        treebench.swapped(package.recover, "_lasso_path_point", solved),
     ):
         package.harness.run_trial(config, trial)
     t0 = time.perf_counter()
     r = package.harness.run_trial(config, trial)
     wall_ms = (time.perf_counter() - t0) * 1e3
-    row = [workload, name, trial, r.T, r.rk4_steps, row_steps[0], wall_ms, r.error_l2]
+    row = [workload, name, trial, r.T, r.rk4_steps, *counts.values(), wall_ms, r.error_l2]
     return row + [list(r.support), list(r.values)]
 
 
@@ -119,50 +148,52 @@ def run(trees):
     blocks = enumerate(workloads(sparseobs))
     items = [(b, trial) for b, (*_, config) in blocks for trial in range(config.trials)]
     runs = treebench.rounds(trees, ROUNDS, items, measure)
+    col = {name: i for i, name in enumerate(COLUMNS + ("flow_error",))}
     first = next(iter(runs.values()))[0]
-    trials = [(row[1], row[3], row[8], row[9]) for row in first]
-    steps = {label: [row[4] for row in rounds[0]] for label, rounds in runs.items()}
+    trials = [(row[1], row[3], row[-2], row[-1]) for row in first]
+    steps = {label: [row[col["steps"]] for row in rounds[0]] for label, rounds in runs.items()}
     errors = flow_errors(trials, steps)
 
     results = {}
     for label, rounds in runs.items():
         table = []
         for i, row in enumerate(rounds[0]):
-            wall_ms = statistics.median(r[i][6] for r in rounds)
-            table.append(row[:6] + [wall_ms, row[7], errors[label][i]])
+            wall_ms = statistics.median(r[i][col["wall_ms"]] for r in rounds)
+            table.append(row[: col["wall_ms"]] + [wall_ms, row[col["error_l2"]], errors[label][i]])
         totals = {}
         for workload in dict.fromkeys(row[0] for row in table):
             mine = [row for row in table if row[0] == workload]
-            totals[workload] = {
-                "trials": len(mine),
-                "wall_ms": sum(row[6] for row in mine),
-                "row_steps": sum(row[5] for row in mine),
-                "steps": sorted({row[4] for row in mine}),
-                "max_flow_error": max(row[8] for row in mine),
-            }
+            total = {"trials": len(mine), "wall_ms": sum(row[col["wall_ms"]] for row in mine)}
+            total.update({key: sum(row[col[key]] for row in mine) for key in COUNTS})
+            total["steps"] = sorted({row[col["steps"]] for row in mine})
+            total["max_flow_error"] = max(row[col["flow_error"]] for row in mine)
+            totals[workload] = total
             print(
-                f"{label:>8}  {workload:<12} {totals[workload]['wall_ms']:10.1f} ms  "
-                f"{totals[workload]['row_steps']:9d} row-steps  steps "
-                f"{totals[workload]['steps']}  flow error {totals[workload]['max_flow_error']:.2e}"
+                f"{label:>8}  {workload:<12} {total['wall_ms']:10.1f} ms  "
+                f"{total['row_steps']:9d} row-steps  {total['sensitivity_row_steps']:9d} "
+                f"sensitivity row-steps  {total['path_solves']:5d} path solves  steps "
+                f"{total['steps']}  flow error {total['max_flow_error']:.2e}"
             )
         results[label] = {"totals": totals, "trials": table}
 
     doc = {
         "rounds": ROUNDS,
         "reference_steps": REFERENCE_STEPS,
-        "columns": list(COLUMNS) + ["flow_error"],
+        "columns": list(col),
         "results": results,
     }
 
     def cost(result):
-        return {w: {k: t[k] for k in ("wall_ms", "row_steps")} for w, t in result["totals"].items()}
+        keys = ("wall_ms",) + COUNTS
+        return {w: {k: t[k] for k in keys} for w, t in result["totals"].items()}
 
     if treebench.parent_over_change(doc, "parent_over_change", cost):
+        e = col["error_l2"]
         doc["max_abs_error_l2_change"] = {
             workload: max(
-                abs(p[7] - c[7])
+                abs(p[e] - c[e])
                 for p, c in zip(results["parent"]["trials"], results["change"]["trials"])
-                if p[0] == workload and p[7] is not None
+                if p[0] == workload and p[e] is not None
             )
             for workload in doc["parent_over_change"]
         }
