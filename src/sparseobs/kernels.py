@@ -218,10 +218,7 @@ def rk4_flow_jacobian(kind, M, c, X0, T, n_steps):
     the state stays 0 and is not stepped.  Under tanh off rest, _march steps
     each block in one preallocated (c + 1, 5, *X0.shape) array of states and
     their stage slopes, and the slope view W[:b, 1:] of a block of b steps
-    goes to _step_increments as it is.  Where no sensitivity is read, as in
-    the last line search of recovery's tanh loop, ode.flow steps the same
-    rows by rk4_path, whose march is this one step for step, so x(T) is the
-    same bit for bit.
+    goes to _step_increments as it is.
     """
     m = X0.shape[-1]
     block = max(1, SCAN_BLOCK_FLOATS // (4 * m * m * max(1, X0.size // m)))

@@ -175,25 +175,6 @@ def flow_with_jacobian(
     return _climb(system, X0, T, cfg.tolerance)[:2]
 
 
-def flow(system: DynamicalSystem, x0, T, config: IntegrationConfig | None = None):
-    """Final state x(T) alone, of one state (m,) or rows (k, m): the state
-    march of flow_with_jacobian without its sensitivity, so at the same step
-    count x(T) is flow_with_jacobian's bit for bit.  In adaptive mode the
-    step count settles as flow_with_jacobian's does, on x(T) and the
-    sensitivity both.  A non-finite state raises NumericalError."""
-    cfg = config or IntegrationConfig()
-    X0, T = _check_args(system, x0, T, rows=True)
-    if cfg.mode == "adaptive":
-        return _climb(system, X0, T, cfg.tolerance)[0]
-    XT = kernels.rk4_path(*system.kernel_args(), X0, T, cfg.step_count)[-1]
-    finite = np.all(np.isfinite(XT), axis=-1)
-    if not np.all(finite):
-        # rerun the plain state integration for the blow-up time diagnostic
-        integrate(system, np.atleast_2d(X0)[np.argmin(finite)], T, cfg)
-        raise NumericalError("state integration produced non-finite values", time=T)
-    return XT
-
-
 def settle_steps(
     system: DynamicalSystem, T, config: IntegrationConfig | None = None
 ) -> IntegrationConfig:

@@ -24,13 +24,12 @@ the oracle's damped Gauss-Newton fits.  At eps > 0 recovery's loop keeps the
 support and signs of each solve, and the next linearization first solves on
 them in closed form (_locked_solve), taking the path only when the lasso's
 KKT test (_lasso_kkt) does not certify that point: once the loop has found
-its active set, each later step is one small solve.  A proposed step
-shorter than outer_tol ends the loop whatever the line search accepts, so
-that last search flows states alone (ode.flow), on the same rows and march
-as the flow with its Jacobian, and forms no Jacobian that nothing would
-read.  Recovery and the oracle both settle an adaptive integration config
-into one step count at entry (see ode.settle_steps), so every flow of one
-problem runs at the same count.
+its active set, each later step is one small solve.  A solve that
+proposes a step shorter than outer_tol ends the loop before any search
+from it, so the estimate is the last point the loop flowed.  Recovery and
+the oracle both settle an adaptive integration config into one step count
+at entry (see ode.settle_steps), so every flow of one problem runs at the
+same count.
 """
 
 from __future__ import annotations
@@ -53,7 +52,7 @@ from .errors import (
 )
 from .model import RecoveryOutcome, SparseProblem, weighted_l1_norm
 # unused integrate stays bound: pipebench/bench_trace.py traces it as a call site here
-from .ode import IntegrationConfig, flow, flow_with_jacobian, integrate, settle_steps  # noqa: F401
+from .ode import IntegrationConfig, flow_with_jacobian, integrate, settle_steps  # noqa: F401
 
 # linearizing at a single point is exact for these kinds
 _AFFINE_FLOW_KINDS = ("zero", "linear", "affine")
@@ -76,11 +75,16 @@ _FIT_DAMPING_FLOOR = 2.0**-20
 class SolverConfig:
     """Knobs for the recovery solvers.
 
-    outer_* control the re-linearization loop, inner_* the ADMM iterations,
-    penalty is the ADMM step weight rho (the augmented-Lagrangian weight of
-    both ADMM kernels, not the lasso's l1 weight lam, which eps > 0 solves
-    find on the lasso path), and residual_match_tol is the slack allowed
-    between the achieved residual and the target eps.
+    outer_tol and outer_max_iter bound recovery's re-linearization loop
+    under the tanh field: it stops once a solve proposes a step of 2-norm
+    under outer_tol, converged if the residual is then at most eps +
+    residual_match_tol, and it stops unconverged after outer_max_iter
+    linearizations (solves) without one.  inner_* control the ADMM
+    iterations, penalty is the ADMM step weight rho (the
+    augmented-Lagrangian weight of both ADMM kernels, not the lasso's l1
+    weight lam, which eps > 0 solves find on the lasso path), and
+    residual_match_tol is the slack allowed between the achieved residual
+    and the target eps.
     """
 
     outer_max_iter: int = 30
@@ -438,13 +442,17 @@ def recover_initial_state(
     on the support and signs of the solve before it (_locked_solve) when the
     lasso's KKT conditions certify that point, and by solve_weighted_bpdn
     otherwise, so a locked step can only replace a solve with the same
-    answer to rounding.  It stops once the accepted step is shorter than
-    outer_tol; when the proposed step already is, the search flows the state
-    alone (ode.flow), whose x(T) and residual are those of the flow with
-    Jacobian bit for bit.  converged reports whether both the step and the
-    residual criteria were met.  An adaptive integration config settles its
-    step count once, at x = 0 (see ode.settle_steps), and every flow of the
-    recovery runs at that count.
+    answer to rounding.  It stops as soon as a solve proposes a step shorter
+    than outer_tol, the step test of Gauss-Newton (Dennis and Schnabel,
+    Numerical Methods for Unconstrained Optimization and Nonlinear
+    Equations, 1996, sec. 7.2), and flows no point past it: the estimate is
+    the last point a line search accepted (0 before any), and the residual
+    the one measured there.  converged reports whether the loop stopped so
+    and that residual is at most eps + residual_match_tol; a line search
+    that gives up, or outer_max_iter linearizations without a short
+    proposal, end it unconverged.  An adaptive integration config settles
+    its step count once, at x = 0 (see ode.settle_steps), and every flow of
+    the recovery runs at that count.
     """
     scfg = solver_config or SolverConfig()
     meas = problem.measurement
@@ -490,23 +498,18 @@ def recover_initial_state(
             support = np.flatnonzero(proposal)
             lock = (support, np.sign(proposal[support])) if support.size else None
         step = proposal - x
-        step_norm = float(np.linalg.norm(step))
+        if np.linalg.norm(step) < scfg.outer_tol:
+            step_small = True
+            break
         bound = max(r_cur, eps + scfg.residual_match_tol)
-        # a step shorter than outer_tol stops the loop whatever t the search
-        # accepts, so its flow needs no Jacobian
-        last = step_norm < scfg.outer_tol
         t, XT, PT, rn = _line_search(
-            system, A, b, T, icfg, x[None], step[None], bound, _RECOVER_DAMPING_FLOOR, not last
+            system, A, b, T, icfg, x[None], step[None], bound, _RECOVER_DAMPING_FLOOR
         )
         t = float(t[0])
         if t == 0.0:
             break
         x = x + t * step
-        xT, r_cur = XT[0], float(rn[0])
-        if t * step_norm < scfg.outer_tol:
-            step_small = True
-            break
-        P = PT[0]
+        xT, P, r_cur = XT[0], PT[0], float(rn[0])
 
     return RecoveryOutcome(
         estimate=x,
@@ -517,34 +520,25 @@ def recover_initial_state(
     )
 
 
-def _line_search(system, A, b, T, icfg, X, steps, bound, floor, jacobian=True):
+def _line_search(system, A, b, T, icfg, X, steps, bound, floor):
     """Backtrack from each row of X (k, m) along its row of steps: halve the
     damping t from 1 until the true residual ||b - A x(T)|| at X + t * steps
     is at most bound (scalar or per row), or set t = 0 once t < floor.  Each
     halving evaluates all pending rows in one flow_with_jacobian call.
     Returns t and, at the accepted points, x(T), its flow Jacobian and the
     residual norm.  Only the tanh field's loops search: an affine flow needs
-    no damping, as its linearization is exact.  With jacobian False the
-    trial points are flowed by ode.flow, states alone, and no Jacobians are
-    returned (None)."""
+    no damping, as its linearization is exact."""
     k, m = X.shape
     bound = np.broadcast_to(bound, (k,))
     t = np.ones(k)
-    XT, rn = np.empty((k, m)), np.empty(k)
-    P = np.empty((k, m, m)) if jacobian else None
+    XT, P, rn = np.empty((k, m)), np.empty((k, m, m)), np.empty(k)
     rows = np.arange(k)
     while rows.size:
-        X_try = X[rows] + t[rows, None] * steps[rows]
-        if jacobian:
-            XT_try, P_try = flow_with_jacobian(system, X_try, T, icfg)
-        else:
-            XT_try = flow(system, X_try, T, icfg)
+        XT_try, P_try = flow_with_jacobian(system, X[rows] + t[rows, None] * steps[rows], T, icfg)
         rn_try = np.linalg.norm(b - XT_try @ A.T, axis=1)
         ok = rn_try <= bound[rows]
         done = rows[ok]
-        XT[done], rn[done] = XT_try[ok], rn_try[ok]
-        if jacobian:
-            P[done] = P_try[ok]
+        XT[done], P[done], rn[done] = XT_try[ok], P_try[ok], rn_try[ok]
         rows = rows[~ok]
         t[rows] *= 0.5
         rows = rows[t[rows] >= floor]

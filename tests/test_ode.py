@@ -15,7 +15,6 @@ from sparseobs.model import DynamicalSystem
 from sparseobs.ode import (
     IntegrationConfig,
     Trajectory,
-    flow,
     flow_jacobian,
     flow_with_jacobian,
     gronwall_envelope,
@@ -224,14 +223,6 @@ def test_flow_jacobian_blowup_raises(cfg):
 
 
 @_MODE_CONFIGS
-def test_state_flow_blowup_raises(cfg):
-    # one state, and rows of which only the second blows up
-    for x0 in (np.array([1.0]), np.array([[0.0], [1.0]])):
-        with pytest.raises(NumericalError), np.errstate(over="ignore", invalid="ignore"):
-            flow(DynamicalSystem.linear([[100.0]]), x0, 10.0, cfg)
-
-
-@_MODE_CONFIGS
 def test_rows_flow_matches_per_row_calls(cfg, monkeypatch):
     M = [[1.5, -2.0, 0.3], [2.0, 0.5, -1.0], [0.4, 1.0, -1.2]]
     system = DynamicalSystem.tanh_saturated(M)
@@ -297,22 +288,6 @@ def test_batched_flow_jacobian_matches_single_state_kernel(k):
             assert xT.shape == (5,) and P1.shape == (5, 5)
             np.testing.assert_allclose(xT_row, xT, rtol=0, atol=1e-13)
             np.testing.assert_allclose(P_row, P1, rtol=0, atol=1e-13)
-
-
-@_MODE_CONFIGS
-def test_state_flow_is_bit_identical_to_flow_with_jacobian(cfg, monkeypatch):
-    # x0 off rest, so tanh marches; the state flow forms no sensitivity
-    X0 = np.random.Generator(np.random.Philox(911)).normal(size=(3, 6)) * 0.5
-    for system in catalog_systems(6, 911):
-        for x0 in (X0[0], X0[:1], X0):
-            expected = flow_with_jacobian(system, x0, 0.8, cfg)[0]
-            with monkeypatch.context() as patch:
-                calls = []
-                if cfg.mode == "fixed":
-                    patch.setattr(kernels, "rk4_flow_jacobian", calls.append)
-                xT = flow(system, x0, 0.8, cfg)
-            assert calls == []
-            assert xT.shape == x0.shape and np.array_equal(xT, expected), system.kind
 
 
 @pytest.mark.parametrize("n_steps", [1, 7, 256, 257])

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 from pathlib import Path
@@ -818,17 +819,23 @@ def test_recovery_reports_true_integrated_residual(kind):
     assert out.residual <= eps + SolverConfig().residual_match_tol
 
 
-def test_recovery_linearizes_at_the_accepted_line_search_point(monkeypatch):
-    M = unit_spectral_matrix(4, 21)
-    system = DynamicalSystem.tanh_saturated(M.tolist())
-    A = gen_gaussian_matrix(8, 4, 31)
+def _tanh_instance():
+    """A 1-sparse problem under the tanh field, 8 x 4, that recovery solves
+    in a few undamped steps."""
+    system = DynamicalSystem.tanh_saturated(unit_spectral_matrix(4, 21).tolist())
     x0 = np.zeros(4)
     x0[2] = 0.9
-    problem = _problem(system, A, x0, T=0.4)
-    calls, jacobians, linearizations = [], [], []
+    return _problem(system, gen_gaussian_matrix(8, 4, 31), x0, T=0.4)
+
+
+def test_recovery_linearizes_at_the_accepted_line_search_point(monkeypatch):
+    problem = _tanh_instance()
+    A = problem.measurement.matrix
+    calls, jacobians, linearizations, searches = [], [], [], []
     _count_calls(monkeypatch, kernels, "rk4_path", calls)
     _count_calls(monkeypatch, kernels, "rk4_flow_jacobian", calls)
     flow, solve = recover.flow_with_jacobian, recover.solve_weighted_bpdn
+    search = recover._line_search
 
     def flowing(system, X, T, icfg):
         XT, P = flow(system, X, T, icfg)
@@ -839,30 +846,69 @@ def test_recovery_linearizes_at_the_accepted_line_search_point(monkeypatch):
         linearizations.append(Phi)
         return solve(Phi, *args)
 
+    def searching(*args):
+        found = search(*args)
+        searches.append((args[5], args[6], found))
+        return found
+
     monkeypatch.setattr(recover, "flow_with_jacobian", flowing)
     monkeypatch.setattr(recover, "solve_weighted_bpdn", solving)
+    monkeypatch.setattr(recover, "_line_search", searching)
     out = recover_initial_state(problem)
     assert out.converged and out.iterations > 1
-    # one flow at x=0, then one per outer iteration: every step is accepted
-    # undamped.  The last step is shorter than outer_tol, so the loop stops
-    # after its search whatever it accepts, and that flow forms no Jacobian
-    assert calls == ["rk4_flow_jacobian"] * out.iterations + ["rk4_path"]
+    # one flow at x=0, then one per search: every step is accepted undamped,
+    # and the solve that proposes a step shorter than outer_tol ends the
+    # loop before any flow of its proposal
+    assert calls == ["rk4_flow_jacobian"] * out.iterations
+    assert len(searches) == out.iterations - 1
+    # the estimate is the last point a search accepted, with its residual
+    X, steps, (t, _, _, rn) = searches[-1]
+    assert t[0] > 0.0
+    assert np.array_equal(out.estimate, X[0] + t[0] * steps[0])
+    assert out.residual == rn[0]
     # the flow Jacobian at each accepted point is the next linearization
     assert len(linearizations) == len(jacobians) == out.iterations
     for Phi, P in zip(linearizations, jacobians):
         assert np.array_equal(Phi, A @ P)
 
 
+def test_a_damped_step_does_not_end_the_recovery(monkeypatch):
+    # the first search runs on the step scaled by 2^-28 and reports its t
+    # scaled so, which lands recovery on the same point with an accepted
+    # step far shorter than outer_tol; only a short proposal stops the loop
+    problem = _tanh_instance()
+    search = recover._line_search
+    scale = 2.0**-28
+    searched = []
+
+    def damped(*args):
+        searched.append(args)
+        if len(searched) > 1:
+            return search(*args)
+        steps = args[6]
+        t, XT, P, rn = search(*args[:6], steps * scale, *args[7:])
+        assert t[0] * scale * np.linalg.norm(steps) < SolverConfig().outer_tol
+        return t * scale, XT, P, rn
+
+    monkeypatch.setattr(recover, "_line_search", damped)
+    out = recover_initial_state(problem)
+    assert out.converged and out.iterations > 2 and len(searched) == out.iterations - 1
+    assert out.residual <= SolverConfig().residual_match_tol
+
+
+def test_tanh_recovery_stops_unconverged_at_outer_max_iter():
+    config = load_experiment_config(_DEMO_CONFIG)
+    assert run_trial(config, 0).iterations > 2
+    capped = run_trial(dataclasses.replace(config, solver=SolverConfig(outer_max_iter=2)), 0)
+    assert not capped.converged and capped.iterations == 2
+
+
 def test_recovery_reports_no_convergence_when_the_line_search_gives_up(monkeypatch):
     # every trial point's final state is pushed far off, so no damping meets
     # the residual bound: the search halves t to the floor and gives up on
     # the first step, and the recovery stays at x = 0
-    M = unit_spectral_matrix(4, 21)
-    system = DynamicalSystem.tanh_saturated(M.tolist())
-    A = gen_gaussian_matrix(8, 4, 31)
-    x0 = np.zeros(4)
-    x0[2] = 0.9
-    problem = _problem(system, A, x0, T=0.4)
+    problem = _tanh_instance()
+    system, A = problem.system, problem.measurement.matrix
     flow = recover.flow_with_jacobian
     tried = []
 
@@ -954,29 +1000,10 @@ def test_line_search_matches_per_row_reference():
             assert rn[i] == pytest.approx(rn_ref, rel=1e-12)
 
 
-def test_state_only_line_search_matches_the_jacobian_search():
-    M = unit_spectral_matrix(4, 24)
-    system = DynamicalSystem.tanh_saturated((2.0 * M).tolist())
-    A = gen_gaussian_matrix(6, 4, 34)
-    T = 0.5
-    icfg = IntegrationConfig.fixed(64)
-    truth = np.array([0.0, 1.5, 0.0, -0.8])
-    b = A @ integrate(system, truth, T, icfg).final_state
-    x = np.array([[0.0, 1.0, 0.0, -0.5]])
-    r0 = np.linalg.norm(b - integrate(system, x[0], T, icfg).final_state @ A.T)
-    # undamped, and after halvings
-    for step, bound in ((truth - x, 0.5 * r0), (16.0 * (truth - x), r0)):
-        args = (system, A, b, T, icfg, x, step, bound, 2.0**-12)
-        t, XT, P, rn = recover._line_search(*args)
-        t_s, XT_s, P_s, rn_s = recover._line_search(*args, jacobian=False)
-        assert P_s is None and t[0] > 0.0
-        assert np.array_equal(t_s, t) and np.array_equal(XT_s, XT) and np.array_equal(rn_s, rn)
-
-
 @pytest.mark.parametrize("eps", [0.0, 1e-3])
 def test_tanh_recovery_residual_is_the_jacobian_flows(eps):
-    # the stopping flow steps the state alone; its residual is bit for bit
-    # the one the flow with Jacobian gives at the estimate
+    # the estimate is the last point a search flowed with its Jacobian, and
+    # the residual is that flow's, bit for bit
     system = {s.kind: s for s in catalog_systems(5, 22)}["tanh_saturated"]
     A = gen_gaussian_matrix(16, 5, 32)
     x0 = np.zeros(5)

@@ -181,6 +181,39 @@ def test_bench_steps_counts_path_solves_and_sensitivity_steps():
     row = dict(zip(bench.COLUMNS, bench.measure(sparseobs, (0, 0))))
     record = sparseobs.harness.run_trial(bench.workloads(sparseobs)[0][2], 0)
     # trial 0 of the demo: the lock solves some linearizations, and the
-    # stopping flow steps the state alone
+    # observation's integration steps the state alone
     assert 0 < row["path_solves"] < record.iterations
     assert 0 < row["sensitivity_row_steps"] < row["row_steps"]
+
+
+def test_bench_steps_exits_when_a_tree_moves_an_error_l2(monkeypatch):
+    bench = tool_module("bench_steps")
+    tol = sparseobs.SolverConfig().outer_tol
+    written = []
+
+    def rows(*errors):
+        table = [
+            ["demo", "demo", i, 0.5, 64, 10, 5, 1, 1.0, e, [0], [1.0]]
+            for i, e in enumerate(errors)
+        ]
+        return [table] * bench.ROUNDS
+
+    def run(*change):
+        runs = {"parent": rows(0.0, 0.2, None), "change": rows(*change)}
+        monkeypatch.setattr(bench.treebench, "rounds", lambda *args: runs)
+        bench.run({"parent": None, "change": None})
+
+    monkeypatch.setattr(bench, "workloads", lambda package: [])
+    monkeypatch.setattr(bench, "flow_errors", lambda trials, steps: {k: [0.0] * 3 for k in steps})
+    monkeypatch.setattr(bench.treebench, "write", lambda name, doc: written.append(doc))
+    # a move under outer_tol passes
+    run(0.0, 0.2 + 0.5 * tol, None)
+    assert written[-1]["max_abs_error_l2_change"]["demo"] == pytest.approx(0.5 * tol)
+    # a move of outer_tol, and an error_l2 on one tree only, both fail
+    for i, (change, moved) in enumerate([((tol, 0.2, None), 0), ((0.0, 0.2, 0.3), 2)]):
+        with pytest.raises(SystemExit) as exit:
+            run(*change)
+        # a string exit code gives the process status 1
+        assert isinstance(exit.value.code, str) and f"change: [{moved}]" in exit.value.code
+        # the file is written before the exit
+        assert len(written) == 2 + i

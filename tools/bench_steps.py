@@ -18,7 +18,10 @@ of the trial over the rounds, error_l2, and flow_error: the largest of
 |v - v_ref| / (1 + |v_ref|) over the entries v of x(T) and dx(T)/dx0 at the
 trial's planted state, against 4096 RK4 steps, computed by this checkout's
 package.  Totals per workload sum the wall times, row-steps and path solves
-and take the largest errors.  Results go to BENCH_steps.json.
+and take the largest errors.  Results go to BENCH_steps.json.  The script
+then exits with status 1 when a tree moves some trial's error_l2 from the
+first tree's by SolverConfig().outer_tol or more, the step under which
+recovery's tanh loop stops, or reports it on one tree only.
 """
 
 import treebench
@@ -28,6 +31,7 @@ if __name__ == "__main__":
 
 import functools
 import statistics
+import sys
 import time
 
 import numpy as np
@@ -142,6 +146,18 @@ def flow_errors(trials, steps_by_tree):
     return errors
 
 
+def moved(table, first, tol):
+    """The indices of the trials whose error_l2 in table differs from the
+    one in first by tol or more, or is None in one of them only."""
+    e = COLUMNS.index("error_l2")
+    return [
+        i
+        for i, (row, row1) in enumerate(zip(table, first))
+        if (row[e] is None) != (row1[e] is None)
+        or (row[e] is not None and abs(row[e] - row1[e]) >= tol)
+    ]
+
+
 def run(trees):
     import sparseobs
 
@@ -198,6 +214,16 @@ def run(trees):
             for workload in doc["parent_over_change"]
         }
     treebench.write("steps", doc)
+    first_label, *others = results
+    tol = sparseobs.SolverConfig().outer_tol
+    first_table = results[first_label]["trials"]
+    unequal = {label: moved(results[label]["trials"], first_table, tol) for label in others}
+    unequal = {label: found for label, found in unequal.items() if found}
+    if unequal:
+        sys.exit(
+            f"error_l2 moved by {tol:g} or more from {first_label}'s on trials "
+            + "; ".join(f"{label}: {found}" for label, found in unequal.items())
+        )
 
 
 if __name__ == "__main__":
