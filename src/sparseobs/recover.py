@@ -16,17 +16,20 @@ rounding carries from step to step; a point that drifted off the path past
 the kernel's tolerance would fail that test, and ADMM would iterate on from
 it.  Landing just above eps keeps the returned point both
 feasible-within-tolerance and objective-dominated by any true feasible
-point.  An affine flow is its own linearization: recovery solves it once,
-and the oracle fits each support in one least-squares step through the flow
-at 0.  The line search, which evaluates the flow Jacobian with each trial
-point, serves only the tanh field's loops, recovery's re-linearization and
-the oracle's damped Gauss-Newton fits.  At eps > 0 recovery's loop keeps the
-support and signs of each solve, and the next linearization first solves on
-them in closed form (_locked_solve), taking the path only when the lasso's
-KKT test (_lasso_kkt) does not certify that point: once the loop has found
-its active set, each later step is one small solve.  A solve that
-proposes a step shorter than outer_tol ends the loop before any search
-from it, so the estimate is the last point the loop flowed.  Recovery and
+point.  An affine flow is its own linearization: recovery's loop stops
+after its first solve, whose answer is the estimate, and the oracle fits
+each support in one least-squares step through the flow at 0.  The line
+search, which evaluates the flow Jacobian with each trial point, serves
+only the tanh field's loops, recovery's re-linearization and the oracle's
+damped Gauss-Newton fits.  At eps > 0 each linearization after the first
+is first solved in closed form (_locked_solve) on the support and signs of
+the current iterate, the last proposal whenever its line search accepted
+t = 1, taking the path only when the lasso's KKT test (_lasso_kkt) does not
+certify that point: once the loop has found its active set, each later
+step is one small solve.  A solve that proposes a step shorter than
+outer_tol ends the loop before any search from it, so the estimate is the
+last point the loop flowed.  The oracle's search ends at the first support
+size holding a feasible fit, as every smaller one missed.  Recovery and
 the oracle both settle an adaptive integration config into one step count
 at entry (see ode.settle_steps), so every flow of one problem runs at the
 same count.
@@ -75,12 +78,14 @@ _FIT_DAMPING_FLOOR = 2.0**-20
 class SolverConfig:
     """Knobs for the recovery solvers.
 
-    outer_tol and outer_max_iter bound recovery's re-linearization loop
-    under the tanh field: it stops once a solve proposes a step of 2-norm
-    under outer_tol, converged if the residual is then at most eps +
+    outer_tol and outer_max_iter bound recovery's re-linearization loop on
+    every field: it stops once a solve proposes a step of 2-norm under
+    outer_tol, converged if the residual is then at most eps +
     residual_match_tol, and it stops unconverged after outer_max_iter
-    linearizations (solves) without one.  inner_* control the ADMM
-    iterations, penalty is the ADMM step weight rho (the
+    linearizations (solves) without one.  An affine flow's linearization is
+    exact, so its loop stops at iteration 1, after the first solve,
+    converged if that solve's residual is within the same band.  inner_*
+    control the ADMM iterations, penalty is the ADMM step weight rho (the
     augmented-Lagrangian weight of both ADMM kernels, not the lasso's l1
     weight lam, which eps > 0 solves find on the lasso path), and
     residual_match_tol is the slack allowed between the achieved residual
@@ -433,13 +438,15 @@ def recover_initial_state(
     """Estimate the initial state by weighted basis-pursuit denoising on the
     linearized flow.
 
-    Systems with an affine flow converge in one (exact) linearization, whose
-    affine map also gives the residual.  The saturated system re-linearizes
-    around the current estimate: _line_search damps each step until the true
+    Systems with an affine flow run the loop's first pass alone: that
+    linearization is exact, so its solve is the estimate, and the residual
+    is read off the affine map.  The saturated system re-linearizes around
+    the current estimate: _line_search damps each step until the true
     residual stays within max(current residual, eps + residual_match_tol),
     and the flow Jacobian at the accepted point is the next linearization.
     At eps > 0 each linearization after the first is solved in closed form
-    on the support and signs of the solve before it (_locked_solve) when the
+    on the support and signs of the current iterate (_locked_solve), which
+    is the last proposal whenever its line search accepted t = 1, when the
     lasso's KKT conditions certify that point, and by solve_weighted_bpdn
     otherwise, so a locked step can only replace a solve with the same
     answer to rounding.  It stops as soon as a solve proposes a step shorter
@@ -447,12 +454,12 @@ def recover_initial_state(
     Numerical Methods for Unconstrained Optimization and Nonlinear
     Equations, 1996, sec. 7.2), and flows no point past it: the estimate is
     the last point a line search accepted (0 before any), and the residual
-    the one measured there.  converged reports whether the loop stopped so
-    and that residual is at most eps + residual_match_tol; a line search
-    that gives up, or outer_max_iter linearizations without a short
-    proposal, end it unconverged.  An adaptive integration config settles
-    its step count once, at x = 0 (see ode.settle_steps), and every flow of
-    the recovery runs at that count.
+    the one measured there.  converged reports whether the loop stopped so,
+    or after an affine flow's one solve, with that residual at most eps +
+    residual_match_tol; a line search that gives up, or outer_max_iter
+    linearizations without a short proposal, end it unconverged.  An
+    adaptive integration config settles its step count once, at x = 0 (see
+    ode.settle_steps), and every flow of the recovery runs at that count.
     """
     scfg = solver_config or SolverConfig()
     meas = problem.measurement
@@ -465,41 +472,29 @@ def recover_initial_state(
     m = system.dim
     icfg = settle_steps(system, T, integration_config)
 
+    affine = system.kind in _AFFINE_FLOW_KINDS
     xT, P = flow_with_jacobian(system, np.zeros(m), T, icfg)
-    if system.kind in _AFFINE_FLOW_KINDS:
-        est = solve_weighted_bpdn(A @ P, A @ xT, b, w, eps, scfg)
-        residual = float(np.linalg.norm(b - A @ (xT + P @ est)))
-        return RecoveryOutcome(
-            estimate=est,
-            residual=residual,
-            weighted_l1=weighted_l1_norm(est, w),
-            iterations=1,
-            converged=residual <= eps + scfg.residual_match_tol,
-        )
-
     x = np.zeros(m)
     r_cur = float(np.linalg.norm(b - A @ xT))
-    step_small = False
-    iterations = 0
-    # the support and signs of the last eps > 0 solve
-    lock = None
-    for _ in range(scfg.outer_max_iter):
-        iterations += 1
+    converged = False
+    for iterations in range(1, scfg.outer_max_iter + 1):
         Phi = A @ P
         offset = A @ xT - Phi @ x
+        support = np.flatnonzero(x)
         proposal = None
-        if lock is not None:
+        if eps > 0.0 and support.size:
             y = b - offset
             band = _residual_band(scfg, float(np.linalg.norm(y)))
-            proposal = _locked_solve(Phi, y, w, eps, band, *lock)
+            proposal = _locked_solve(Phi, y, w, eps, band, support, np.sign(x[support]))
         if proposal is None:
             proposal = solve_weighted_bpdn(Phi, offset, b, w, eps, scfg)
-        if eps > 0.0:
-            support = np.flatnonzero(proposal)
-            lock = (support, np.sign(proposal[support])) if support.size else None
         step = proposal - x
-        if np.linalg.norm(step) < scfg.outer_tol:
-            step_small = True
+        if affine:
+            # an exact linearization: its solve is the estimate
+            x = proposal
+            r_cur = float(np.linalg.norm(b - A @ (xT + P @ x)))
+        if affine or np.linalg.norm(step) < scfg.outer_tol:
+            converged = r_cur <= eps + scfg.residual_match_tol
             break
         bound = max(r_cur, eps + scfg.residual_match_tol)
         t, XT, PT, rn = _line_search(
@@ -516,7 +511,7 @@ def recover_initial_state(
         residual=r_cur,
         weighted_l1=weighted_l1_norm(x, w),
         iterations=iterations,
-        converged=step_small and r_cur <= eps + scfg.residual_match_tol,
+        converged=converged,
     )
 
 
@@ -673,26 +668,17 @@ def l0_oracle(
     feas_cut = meas.noise_radius + _ORACLE_FEAS_SLACK
     icfg = settle_steps(problem.system, T, integration_config)
 
-    def outcome(x, rn, examined, converged):
-        return RecoveryOutcome(
-            estimate=x,
-            residual=rn,
-            weighted_l1=weighted_l1_norm(x, meas.weights),
-            iterations=examined,
-            converged=converged,
-        )
-
     # every fit starts from zero, which is also the empty support's fit
     flow0 = flow_with_jacobian(problem.system, np.zeros(m), T, icfg)
     best_x = np.zeros(m)
     best_rn = float(np.linalg.norm(b - A @ flow0[0]))
     examined = 1
-    if best_rn <= feas_cut:
-        return outcome(best_x, best_rn, examined, True)
     block_rows = max(1, _ORACLE_BLOCK_FLOATS // (m * m))
+    # every smaller support missed feas_cut, so a size's best feasible fit is
+    # the best fit so far: the search ends after the first size that has one
     for k in range(1, s + 1):
-        level_x = None
-        level_rn = float("inf")
+        if best_rn <= feas_cut:
+            break
         combos = itertools.combinations(range(m), k)
         while block := list(itertools.islice(combos, block_rows)):
             X, rn = _fit_supports(
@@ -703,8 +689,10 @@ def l0_oracle(
             j = int(np.argmin(rn))
             if rn[j] < best_rn:
                 best_rn, best_x = float(rn[j]), X[j]
-            if rn[j] <= feas_cut and rn[j] < level_rn:
-                level_rn, level_x = float(rn[j]), X[j]
-        if level_x is not None:
-            return outcome(level_x, level_rn, examined, True)
-    return outcome(best_x, best_rn, examined, False)
+    return RecoveryOutcome(
+        estimate=best_x,
+        residual=best_rn,
+        weighted_l1=weighted_l1_norm(best_x, meas.weights),
+        iterations=examined,
+        converged=best_rn <= feas_cut,
+    )

@@ -375,7 +375,7 @@ def test_tanh_recovery_tries_the_lock_at_each_later_linearization(monkeypatch):
 @pytest.mark.parametrize(
     "kind, eps",
     [("tanh_saturated", 1e-3), ("tanh_saturated", 0.0)]
-    + [(kind, 1e-3) for kind in ("zero", "linear", "affine")],
+    + [(kind, eps) for kind in ("zero", "linear", "affine") for eps in (1e-3, 0.0)],
 )
 def test_only_noisy_tanh_recovery_tries_the_lock(kind, eps, monkeypatch):
     system = {s.kind: s for s in catalog_systems(5, 22)}[kind]
@@ -385,10 +385,15 @@ def test_only_noisy_tanh_recovery_tries_the_lock(kind, eps, monkeypatch):
     e = np.random.Generator(np.random.Philox(73)).standard_normal(16)
     e *= eps / np.linalg.norm(e)
     calls = []
-    _count_calls(monkeypatch, recover, "_locked_solve", calls)
+    for name in ("_locked_solve", "solve_weighted_bpdn", "_line_search"):
+        _count_calls(monkeypatch, recover, name, calls)
     out = recover_initial_state(_problem(system, A, x0, T=0.3, eps=eps, noise=e))
     assert out.converged
-    assert len(calls) == (out.iterations - 1 if kind == "tanh_saturated" and eps > 0 else 0)
+    tries = calls.count("_locked_solve")
+    assert tries == (out.iterations - 1 if kind == "tanh_saturated" and eps > 0 else 0)
+    # an affine flow's first solve is the estimate: no search follows it
+    if kind != "tanh_saturated":
+        assert calls == ["solve_weighted_bpdn"] and out.iterations == 1
 
 
 def _inside_the_slack(k):
@@ -894,6 +899,38 @@ def test_a_damped_step_does_not_end_the_recovery(monkeypatch):
     out = recover_initial_state(problem)
     assert out.converged and out.iterations > 2 and len(searched) == out.iterations - 1
     assert out.residual <= SolverConfig().residual_match_tol
+
+
+def test_the_closed_form_tries_the_support_of_a_damped_iterate(monkeypatch):
+    # trial 0 of the demo sweep with its second search run on half the step
+    # and its t halved to match: recovery lands on the midpoint of that step,
+    # and the next linearization tries the closed form on the support and
+    # signs of that point, not of the proposal it came from
+    search, lock = recover._line_search, recover._locked_solve
+    searches, damped_at, locked = [], [], []
+
+    def damped(*args):
+        searches.append(args)
+        if len(searches) != 2:
+            return search(*args)
+        X, steps = args[5:7]
+        t, XT, P, rn = search(*args[:6], 0.5 * steps, *args[7:])
+        damped_at.append(X[0] + 0.5 * t[0] * steps[0])
+        return 0.5 * t, XT, P, rn
+
+    def locking(*args):
+        locked.append(args[5:])
+        return lock(*args)
+
+    monkeypatch.setattr(recover, "_line_search", damped)
+    monkeypatch.setattr(recover, "_locked_solve", locking)
+    record = run_trial(load_experiment_config(_DEMO_CONFIG), 0)
+    assert record.converged and len(locked) >= 2
+    [x] = damped_at
+    # locked[0] is the second linearization's try, locked[1] the third's
+    support, signs = locked[1]
+    assert np.array_equal(support, np.flatnonzero(x))
+    assert np.array_equal(signs, np.sign(x[support]))
 
 
 def test_tanh_recovery_stops_unconverged_at_outer_max_iter():

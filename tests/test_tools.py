@@ -184,6 +184,16 @@ def test_bench_steps_counts_path_solves_and_sensitivity_steps():
     # observation's integration steps the state alone
     assert 0 < row["path_solves"] < record.iterations
     assert 0 < row["sensitivity_row_steps"] < row["row_steps"]
+    # every linearization after the first tries the closed form, and each
+    # one it does not certify falls back to the path
+    tries, certified = row["closed_form_tries"], row["closed_form_certified"]
+    assert tries == record.iterations - 1 and 0 < certified < tries
+    assert row["path_solves"] == 1 + tries - certified
+    # eps = 0 tries no closed form
+    names = [name for _, name, _ in bench.workloads(sparseobs)]
+    exact = (names.index("tanh_saturated eps=0"), 0)
+    row = dict(zip(bench.COLUMNS, bench.measure(sparseobs, exact)))
+    assert row["closed_form_tries"] == row["closed_form_certified"] == 0
 
 
 def test_bench_steps_exits_when_a_tree_moves_an_error_l2(monkeypatch):
@@ -193,7 +203,7 @@ def test_bench_steps_exits_when_a_tree_moves_an_error_l2(monkeypatch):
 
     def rows(*errors):
         table = [
-            ["demo", "demo", i, 0.5, 64, 10, 5, 1, 1.0, e, [0], [1.0]]
+            ["demo", "demo", i, 0.5, 64, 10, 5, 1, 1, 0, 1.0, e, [0], [1.0]]
             for i, e in enumerate(errors)
         ]
         return [table] * bench.ROUNDS

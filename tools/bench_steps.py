@@ -13,14 +13,17 @@ Per trial and tree the file records T, the step count the trial integrated
 with (the `rk4_steps` report column), the RK4 row-steps (rows x steps, summed
 over the calls of kernels.rk4_flow_jacobian and kernels.rk4_path), the
 sensitivity row-steps (the same sum over kernels.rk4_flow_jacobian alone),
-the path solves (calls of recover._lasso_path_point), the median wall time
-of the trial over the rounds, error_l2, and flow_error: the largest of
-|v - v_ref| / (1 + |v_ref|) over the entries v of x(T) and dx(T)/dx0 at the
-trial's planted state, against 4096 RK4 steps, computed by this checkout's
-package.  Totals per workload sum the wall times, row-steps and path solves
-and take the largest errors.  Results go to BENCH_steps.json.  The script
-then exits with status 1 when a tree moves some trial's error_l2 from the
-first tree's by SolverConfig().outer_tol or more, the step under which
+the path solves (calls of recover._lasso_path_point), the closed-form tries
+(calls of recover._locked_solve) and the ones certified (those that return
+a point), the median wall time of the trial over the rounds, error_l2, and
+flow_error: the largest of |v - v_ref| / (1 + |v_ref|) over the entries v of
+x(T) and dx(T)/dx0 at the trial's planted state, against 4096 RK4 steps,
+computed by this checkout's package.  Totals per workload sum the wall times
+and the counts and take the largest errors.  The ratios of the parent's
+totals over the change's leave out the closed-form counts, which are 0 on a
+workload with no eps > 0 tanh trial.  Results go to BENCH_steps.json.  The
+script then exits with status 1 when a tree moves some trial's error_l2 from
+the first tree's by SolverConfig().outer_tol or more, the step under which
 recovery's tanh loop stops, or reports it on one tree only.
 """
 
@@ -50,11 +53,13 @@ COLUMNS = (
     "row_steps",
     "sensitivity_row_steps",
     "path_solves",
+    "closed_form_tries",
+    "closed_form_certified",
     "wall_ms",
     "error_l2",
 )
 # the counted columns, which a trial's counting run fills
-COUNTS = COLUMNS[5:8]
+COUNTS = COLUMNS[5:10]
 
 
 @functools.cache
@@ -110,12 +115,22 @@ def measure(package, item):
 
         return run
 
+    def tried(locked_solve):
+        def run(*args):
+            x = locked_solve(*args)
+            counts["closed_form_tries"] += 1
+            counts["closed_form_certified"] += x is not None
+            return x
+
+        return run
+
     with (
         treebench.swapped(
             package.kernels, "rk4_flow_jacobian", stepped("row_steps", "sensitivity_row_steps")
         ),
         treebench.swapped(package.kernels, "rk4_path", stepped("row_steps")),
         treebench.swapped(package.recover, "_lasso_path_point", solved),
+        treebench.swapped(package.recover, "_locked_solve", tried),
     ):
         package.harness.run_trial(config, trial)
     t0 = time.perf_counter()
@@ -187,7 +202,9 @@ def run(trees):
             print(
                 f"{label:>8}  {workload:<12} {total['wall_ms']:10.1f} ms  "
                 f"{total['row_steps']:9d} row-steps  {total['sensitivity_row_steps']:9d} "
-                f"sensitivity row-steps  {total['path_solves']:5d} path solves  steps "
+                f"sensitivity row-steps  {total['path_solves']:5d} path solves  "
+                f"{total['closed_form_tries']:5d} closed-form tries "
+                f"({total['closed_form_certified']} certified)  steps "
                 f"{total['steps']}  flow error {total['max_flow_error']:.2e}"
             )
         results[label] = {"totals": totals, "trials": table}
@@ -200,7 +217,7 @@ def run(trees):
     }
 
     def cost(result):
-        keys = ("wall_ms",) + COUNTS
+        keys = ("wall_ms",) + COUNTS[:3]
         return {w: {k: t[k] for k in keys} for w, t in result["totals"].items()}
 
     if treebench.parent_over_change(doc, "parent_over_change", cost):
