@@ -29,7 +29,15 @@ certify that point: once the loop has found its active set, each later
 step is one small solve.  A solve that proposes a step shorter than
 outer_tol ends the loop before any search from it, so the estimate is the
 last point the loop flowed.  The oracle's search ends at the first support
-size holding a feasible fit, as every smaller one missed.  Recovery and
+size holding a feasible fit, as every smaller one missed.  The oracle
+factors A = QR once per call and measures each residual ||b - A x(T)|| as
+sqrt(||Q^T b - R x(T)||^2 + rho^2), with rho = ||b - Q Q^T b|| computed
+explicitly (Bjorck, Numerical Methods for Least Squares Problems, SIAM
+1996), so no array of a support fit has A's n rows; its lstsq cutoff and
+stop rule still count n rows, which keeps each fit's stopping point.
+Recovery measures in n rows: its eps > 0 band and _lasso_kkt's rounding
+bound are stated on them, and a QR of its measurement costs more than the
+line-search residuals it would shorten.  Recovery and
 the oracle both settle an adaptive integration config into one step count
 at entry (see ode.settle_steps), so every flow of one problem runs at the
 same count.
@@ -498,7 +506,7 @@ def recover_initial_state(
             break
         bound = max(r_cur, eps + scfg.residual_match_tol)
         t, XT, PT, rn = _line_search(
-            system, A, b, T, icfg, x[None], step[None], bound, _RECOVER_DAMPING_FLOOR
+            system, A, b, T, icfg, x[None], step[None], bound, _RECOVER_DAMPING_FLOOR, 0.0
         )
         t = float(t[0])
         if t == 0.0:
@@ -515,14 +523,20 @@ def recover_initial_state(
     )
 
 
-def _line_search(system, A, b, T, icfg, X, steps, bound, floor):
+def _line_search(system, A, b, T, icfg, X, steps, bound, floor, rho):
     """Backtrack from each row of X (k, m) along its row of steps: halve the
-    damping t from 1 until the true residual ||b - A x(T)|| at X + t * steps
-    is at most bound (scalar or per row), or set t = 0 once t < floor.  Each
-    halving evaluates all pending rows in one flow_with_jacobian call.
-    Returns t and, at the accepted points, x(T), its flow Jacobian and the
-    residual norm.  Only the tanh field's loops search: an affine flow needs
-    no damping, as its linearization is exact."""
+    damping t from 1 until the residual at X + t * steps is at most bound
+    (scalar or per row), or set t = 0 once t < floor.  Each halving
+    evaluates all pending rows in one flow_with_jacobian call.  Returns t
+    and, at the accepted points, x(T), its flow Jacobian and the residual
+    norm.  Only the tanh field's loops search: an affine flow needs no
+    damping, as its linearization is exact.
+
+    The residual of x(T) is sqrt(||b - A x(T)||^2 + rho^2) (_hypot_rows).
+    Recovery passes its measurement (A, b) and rho = 0, where that is
+    ||b - A x(T)|| bit for bit; the oracle passes the triangular factor R
+    and Q^T b of A = QR with rho the part of b outside the span of A, where
+    it is the same residual in n rows (see l0_oracle)."""
     k, m = X.shape
     bound = np.broadcast_to(bound, (k,))
     t = np.ones(k)
@@ -530,7 +544,7 @@ def _line_search(system, A, b, T, icfg, X, steps, bound, floor):
     rows = np.arange(k)
     while rows.size:
         XT_try, P_try = flow_with_jacobian(system, X[rows] + t[rows, None] * steps[rows], T, icfg)
-        rn_try = np.linalg.norm(b - XT_try @ A.T, axis=1)
+        rn_try = _hypot_rows(b - XT_try @ A.T, rho)
         ok = rn_try <= bound[rows]
         done = rows[ok]
         XT[done], P[done], rn[done] = XT_try[ok], P_try[ok], rn_try[ok]
@@ -542,30 +556,63 @@ def _line_search(system, A, b, T, icfg, X, steps, bound, floor):
     return t, XT, P, rn
 
 
-def _fit_supports(system, A, b, T, icfg, flow0, supports):
+def _hypot_rows(r, rho):
+    """sqrt(||r_i||^2 + rho^2) for each row r_i of r.  With rho = 0 this is
+    np.linalg.norm(r, axis=1) bit for bit: the same sum of the same squares,
+    plus an exact 0."""
+    return np.sqrt(np.add.reduce(r * r, axis=1) + rho * rho)
+
+
+def _in_span(A, b):
+    """The measurement (A, b) in the span of A: (R, z, rho, n) from the
+    reduced QR A = QR, with z = Q^T b, rho = ||b - Q z|| and n the rows of
+    A.  Q has orthonormal columns, so for every v
+
+        ||b - A v||^2 = ||z - R v||^2 + rho^2
+
+    (Bjorck, Numerical Methods for Least Squares Problems, SIAM 1996),
+    whatever the rank of A, and R has min(n, m) rows.  rho is the
+    norm of the explicit part of b outside the span; sqrt(||b||^2 -
+    ||z||^2) would cancel when b lies nearly in the span."""
+    Q, R = np.linalg.qr(A)
+    z = Q.T @ b
+    return R, z, float(np.linalg.norm(b - Q @ z)), A.shape[0]
+
+
+def _fit_supports(system, span, T, icfg, flow0, supports):
     """Damped Gauss-Newton fits of the initial state restricted to each row
     of supports (count, k), all starting from zero and stepping in lockstep.
-    flow0 is the flow and its Jacobian at 0.  Returns the fitted states
-    (count, m) and their residual norms (count,).
+    span is the measurement (R, z, rho, n) in the span of A (_in_span), and
+    flow0 the flow and its Jacobian at 0.  Returns the fitted states
+    (count, m) and their residual norms ||b - A x(T)|| (count,).
 
-    Each step s is the minimum-norm least-squares solution of J_S s = R, with
-    lstsq's cutoff max(n, k) * u * sigma_max on the singular values of J_S
-    (n rows of A, u = np.finfo(float).eps), and the line search accepts only
-    a strict decrease of the residual norm.  A fit stops once its residual
-    norm is at most 1e-14 * max(1, ||b||), once the line search gives up,
+    No array of a fit has A's n rows.  A fit's residual norm is measured as
+    sqrt(||e||^2 + rho^2) from e = z - R x(T), and its Jacobian is J_S =
+    R P_S, both with min(n, m) rows.  As A P_S = Q J_S and e = Q^T (b - A
+    x(T)), the singular values of J_S, the components of e in its left
+    singular basis and so the step are those of the n-row problem.
+
+    Each step s is the minimum-norm least-squares solution of J_S s = e,
+    with lstsq's cutoff max(n, k) * u * sigma_max on the singular values of
+    J_S (u = np.finfo(float).eps), and the line search accepts only a
+    strict decrease of the residual norm.  A fit stops once its residual
+    norm r is at most 1e-14 * max(1, ||b||), once the line search gives up,
     or, before the line search, once the Gauss-Newton model predicts no
-    decrease above rounding: ||J_S s||^2 <= n * u * ||R||^2.  For the least-squares step the model
-    residual is ||R - J_S s||^2 = ||R||^2 - ||J_S s||^2, so ||J_S s||^2 is
-    the predicted decrease of ||R||^2, and n * u * ||R||^2 bounds the
-    rounding error of the computed sum of n squares alone.  A predicted
-    decrease under that bound cannot show in the computed residual, and a
-    strict-decrease search would halve t down to _FIT_DAMPING_FLOOR, one
-    flow per halving, before giving up (the relative-function-change test of
-    Dennis & Schnabel, Numerical Methods for Unconstrained Optimization and
-    Nonlinear Equations, SIAM 1996, sec. 7.2).  A fit still converging to a
-    zero residual predicts a decrease of about ||R||^2 and never stops here,
-    so it runs on to the residual test; there is no test on the step's
-    length, which could end such a fit one step short of it.
+    decrease above rounding: ||J_S s||^2 <= n * u * r^2.  For the
+    least-squares step the model residual is r^2 - ||J_S s||^2, so ||J_S
+    s||^2 is the predicted decrease of r^2, and n * u * r^2 bounds the
+    rounding error of the computed sum of n squares alone.  The cutoff and
+    the bound keep n, not min(n, m): both are stated on the n-row problem
+    the oracle solves, and keeping them keeps every fit's stopping point.
+    A predicted decrease under that bound cannot show in the computed
+    residual, and a strict-decrease search would halve t down to
+    _FIT_DAMPING_FLOOR, one flow per halving, before giving up (the
+    relative-function-change test of Dennis & Schnabel, Numerical Methods
+    for Unconstrained Optimization and Nonlinear Equations, SIAM 1996, sec.
+    7.2).  A fit still converging to a zero residual predicts a decrease of
+    about r^2 and never stops here, so it runs on to the residual test;
+    there is no test on the step's length, which could end such a fit one
+    step short of it.
 
     On the zero, linear and affine fields x(T) = xT0 + P0 x exactly, so the
     restricted fit is linear least squares and its first step solves it
@@ -575,17 +622,17 @@ def _fit_supports(system, A, b, T, icfg, flow0, supports):
     decrease of the residual norm, which is what the line search accepts at
     t = 1, and stops: no line search and no second SVD.
     """
+    R, z, rho, n = span
     xT0, P0 = flow0
     count = supports.shape[0]
-    n = A.shape[0]
     u = np.finfo(float).eps
     rcond = max(n, supports.shape[1]) * u
-    b_scale = max(1.0, float(np.linalg.norm(b)))
+    b_scale = max(1.0, math.hypot(float(np.linalg.norm(z)), rho))
     X = np.zeros((count, xT0.shape[0]))
     # each fit needs only its support's columns of the flow Jacobian
     PS = P0[:, supports].transpose(1, 0, 2)
-    R = np.tile(b - A @ xT0, (count, 1))
-    rn = np.linalg.norm(R, axis=1)
+    E = np.tile(z - R @ xT0, (count, 1))
+    rn = _hypot_rows(E, rho)
     active = np.ones(count, dtype=bool)
     for _ in range(60):
         active &= rn > 1e-14 * b_scale
@@ -593,10 +640,10 @@ def _fit_supports(system, A, b, T, icfg, flow0, supports):
         if rows.size == 0:
             break
         # one batched SVD solves every row's step and gives ||J_S s|| as the
-        # norm of R's kept components in the left singular basis
-        U, sv, Vt = np.linalg.svd(np.matmul(A, PS[rows]), full_matrices=False)
+        # norm of e's kept components in the left singular basis
+        U, sv, Vt = np.linalg.svd(np.matmul(R, PS[rows]), full_matrices=False)
         keep = sv > rcond * sv[:, :1]
-        c = np.where(keep, np.matmul(R[rows, None, :], U)[:, 0], 0.0)
+        c = np.where(keep, np.matmul(E[rows, None, :], U)[:, 0], 0.0)
         coef = c / np.where(keep, sv, 1.0)
         steps = np.matmul(Vt.transpose(0, 2, 1), coef[..., None])[..., 0]
         stop = np.sum(c * c, axis=1) <= n * u * rn[rows] ** 2
@@ -607,7 +654,7 @@ def _fit_supports(system, A, b, T, icfg, flow0, supports):
         if system.kind in _AFFINE_FLOW_KINDS:
             # x(T) = xT0 + P0 x exactly, so the step solves the fit: keep it
             # on a strict decrease of the residual norm, and stop
-            rn_try = np.linalg.norm(b - (xT0 + (X[rows] + full) @ P0.T) @ A.T, axis=1)
+            rn_try = _hypot_rows(z - (xT0 + (X[rows] + full) @ P0.T) @ R.T, rho)
             ok = rn_try < rn[rows]
             X[rows[ok]] += full[ok]
             rn[rows[ok]] = rn_try[ok]
@@ -615,14 +662,14 @@ def _fit_supports(system, A, b, T, icfg, flow0, supports):
         # accept a strict decrease of the residual norm
         bound = np.nextafter(rn[rows], 0)
         t, XT, P, rn_try = _line_search(
-            system, A, b, T, icfg, X[rows], full, bound, _FIT_DAMPING_FLOOR
+            system, R, z, T, icfg, X[rows], full, bound, _FIT_DAMPING_FLOOR, rho
         )
         ok = t > 0
         active[rows[~ok]] = False
         done = rows[ok]
         X[done] += t[ok, None] * full[ok]
         PS[done] = np.take_along_axis(P[ok], supports[done][:, None, :], axis=2)
-        R[done] = b - XT[ok] @ A.T
+        E[done] = z - XT[ok] @ R.T
         rn[done] = rn_try[ok]
     return X, rn
 
@@ -639,12 +686,20 @@ def l0_oracle(
     of one size are fitted together, in lockstep.  On the tanh field a fit
     is damped Gauss-Newton, which stops at a residual of 1e-14 * max(1,
     ||b||), when its line search finds no strict decrease, or before that
-    search once the Gauss-Newton step predicts a decrease of ||R||^2 no
-    larger than n * u * ||R||^2, the rounding error bound of the computed
-    sum of n squares, below which no decrease can show.  On an affine flow
-    a fit is one least-squares step, not taken under that same bound and
-    kept only on a strict decrease of the residual norm (see
+    search once the Gauss-Newton step predicts a decrease of the squared
+    residual r^2 no larger than n * u * r^2, the rounding error bound of
+    the computed sum of n squares, below which no decrease can show.  On an
+    affine flow a fit is one least-squares step, not taken under that same
+    bound and kept only on a strict decrease of the residual norm (see
     _fit_supports).
+
+    A is factored once per call, A = QR (_in_span), and every residual the
+    oracle measures, of the empty support, of each fit and of each trial
+    point of a fit's line search, is ||b - A x(T)|| measured as
+    sqrt(||Q^T b - R x(T)||^2 + rho^2), with rho = ||b - Q Q^T b||
+    computed explicitly.  So a fit's arrays have min(n, m) rows where A has
+    n, and a fit whose residual within the span of A is under eps stays
+    infeasible when rho lifts its residual above eps.
 
     Refuses with BudgetError when the support count exceeds budget.  When no
     support reaches the noise radius, returns the best fit found with
@@ -662,16 +717,17 @@ def l0_oracle(
         )
 
     meas = problem.measurement
-    A = meas.matrix
-    b = problem.observation
     T = meas.time
     feas_cut = meas.noise_radius + _ORACLE_FEAS_SLACK
     icfg = settle_steps(problem.system, T, integration_config)
 
+    # one factorization of A serves every fit of the call
+    span = _in_span(meas.matrix, problem.observation)
+    R, z, rho, _ = span
     # every fit starts from zero, which is also the empty support's fit
     flow0 = flow_with_jacobian(problem.system, np.zeros(m), T, icfg)
     best_x = np.zeros(m)
-    best_rn = float(np.linalg.norm(b - A @ flow0[0]))
+    best_rn = math.hypot(float(np.linalg.norm(z - R @ flow0[0])), rho)
     examined = 1
     block_rows = max(1, _ORACLE_BLOCK_FLOATS // (m * m))
     # every smaller support missed feas_cut, so a size's best feasible fit is
@@ -682,7 +738,7 @@ def l0_oracle(
         combos = itertools.combinations(range(m), k)
         while block := list(itertools.islice(combos, block_rows)):
             X, rn = _fit_supports(
-                problem.system, A, b, T, icfg, flow0, np.array(block, dtype=np.intp)
+                problem.system, span, T, icfg, flow0, np.array(block, dtype=np.intp)
             )
             examined += len(block)
             # argmin picks the earliest of equal residuals

@@ -1022,19 +1022,22 @@ def test_line_search_matches_per_row_reference():
     r2 = np.linalg.norm(b - integrate(system, X[2], T, icfg).final_state @ A.T)
     bound = np.array([0.5 * r0, r0, np.nextafter(r2, 0)])
     floor = 2.0**-12
-    t, XT, P, rn = recover._line_search(system, A, b, T, icfg, X, steps, bound, floor)
     ref = [
         _reference_line_search(system, A, b, T, icfg, x, d, bd, floor)
         for x, d, bd in zip(X, steps, bound)
     ]
-    np.testing.assert_array_equal(t, [r[0] for r in ref])
-    # the mix: accepted undamped, accepted after several halvings, given up
-    assert t[0] == 1.0 and 0.0 < t[1] <= 0.125 and t[2] == 0.0
-    for i, (t_ref, xT_ref, P_ref, rn_ref) in enumerate(ref):
-        if t_ref > 0:
-            np.testing.assert_allclose(XT[i], xT_ref, rtol=0, atol=1e-13)
-            np.testing.assert_allclose(P[i], P_ref, rtol=0, atol=1e-13)
-            assert rn[i] == pytest.approx(rn_ref, rel=1e-12)
+    # recovery's measurement, and the oracle's (R, Q^T b) in the span of A,
+    # whose residual adds the part rho of b outside that span
+    for A_m, b_m, rho in ((A, b, 0.0), recover._in_span(A, b)[:3]):
+        t, XT, P, rn = recover._line_search(system, A_m, b_m, T, icfg, X, steps, bound, floor, rho)
+        np.testing.assert_array_equal(t, [r[0] for r in ref])
+        # the mix: accepted undamped, accepted after several halvings, given up
+        assert t[0] == 1.0 and 0.0 < t[1] <= 0.125 and t[2] == 0.0
+        for i, (t_ref, xT_ref, P_ref, rn_ref) in enumerate(ref):
+            if t_ref > 0:
+                np.testing.assert_allclose(XT[i], xT_ref, rtol=0, atol=1e-13)
+                np.testing.assert_allclose(P[i], P_ref, rtol=0, atol=1e-13)
+                assert rn[i] == pytest.approx(rn_ref, rel=1e-12)
 
 
 @pytest.mark.parametrize("eps", [0.0, 1e-3])
@@ -1249,9 +1252,8 @@ def test_lockstep_support_fits_match_per_support_reference():
     # the fits stop at different iterations, so lockstep bookkeeping matters
     assert len({it for _, _, it in ref}) > 1
     flow0 = flow_with_jacobian(problem.system, np.zeros(6), meas.time, icfg)
-    X, rn = recover._fit_supports(
-        problem.system, meas.matrix, problem.observation, meas.time, icfg, flow0, supports
-    )
+    span = recover._in_span(meas.matrix, problem.observation)
+    X, rn = recover._fit_supports(problem.system, span, meas.time, icfg, flow0, supports)
     # a support that cannot fit the data stops on a flat residual minimum,
     # where rounding moves the stopping point by about sqrt(machine eps)
     for (x_ref, rn_ref, _), x, r in zip(ref, X, rn):
@@ -1298,7 +1300,8 @@ def test_planted_support_fit_converges_to_a_zero_residual():
     # an observation the fit's own flow reproduces exactly at x0
     b = A @ flow_with_jacobian(system, x0, T, icfg)[0]
     flow0 = flow_with_jacobian(system, np.zeros(6), T, icfg)
-    X, rn = recover._fit_supports(system, A, b, T, icfg, flow0, np.array([[1, 4]]))
+    span = recover._in_span(A, b)
+    X, rn = recover._fit_supports(system, span, T, icfg, flow0, np.array([[1, 4]]))
     _, _, iterations = _reference_support_fit(system, A, b, T, icfg, (1, 4))
     # several Gauss-Newton steps, none stopped while the residual still fell
     assert iterations > 3
@@ -1316,9 +1319,8 @@ def test_pair_problem_planted_fit_runs_on_to_the_residual_test():
     x0[[1, 4]] = [0.9, -1.2]
     b = meas.matrix @ flow_with_jacobian(problem.system, x0, meas.time, icfg)[0]
     flow0 = flow_with_jacobian(problem.system, np.zeros(6), meas.time, icfg)
-    X, rn = recover._fit_supports(
-        problem.system, meas.matrix, b, meas.time, icfg, flow0, np.array([[1, 4]])
-    )
+    span = recover._in_span(meas.matrix, b)
+    X, rn = recover._fit_supports(problem.system, span, meas.time, icfg, flow0, np.array([[1, 4]]))
     assert rn[0] <= 1e-14 * max(1.0, float(np.linalg.norm(b)))
     _, rn_ref, _ = _reference_support_fit(problem.system, meas.matrix, b, meas.time, icfg, (1, 4))
     assert rn_ref <= 1e-14 * max(1.0, float(np.linalg.norm(b)))
@@ -1342,9 +1344,8 @@ def test_noisy_oracle_fits_match_per_support_reference():
     icfg = IntegrationConfig.fixed(32)
     supports = np.array(list(itertools.combinations(range(5), 2)), dtype=np.intp)
     flow0 = flow_with_jacobian(problem.system, np.zeros(5), meas.time, icfg)
-    X, rn = recover._fit_supports(
-        problem.system, meas.matrix, problem.observation, meas.time, icfg, flow0, supports
-    )
+    span = recover._in_span(meas.matrix, problem.observation)
+    X, rn = recover._fit_supports(problem.system, span, meas.time, icfg, flow0, supports)
     # every fit ends on a residual minimum above zero
     assert np.all(rn > 1e-6)
     for sup, x, r in zip(supports, X, rn):
@@ -1427,13 +1428,133 @@ def test_affine_flow_oracle_integrates_once(kind, monkeypatch):
     # one least-squares step per fit: one batched SVD per block of a level
     assert len(fits) == 2 and len(svds) == len(fits)
     u = np.finfo(float).eps
-    for (_, A, b, _, _, (xT0, P0), supports), (X, rn) in fits:
+    A, b = problem.measurement.matrix, problem.observation
+    for (_, _, _, _, (xT0, P0), supports), (X, rn) in fits:
         n, k = A.shape[0], supports.shape[1]
         for S, x, r in zip(supports, X, rn):
             ref, *_ = np.linalg.lstsq(A @ P0[:, S], b - A @ xT0, rcond=max(n, k) * u)
             assert np.linalg.norm(x[S] - ref) <= 1e-12 * np.linalg.norm(ref)
             assert np.count_nonzero(np.delete(x, S)) == 0
             assert r == pytest.approx(np.linalg.norm(b - A @ (xT0 + P0 @ x)), rel=1e-12)
+
+
+@pytest.mark.parametrize("kind", ["zero", "linear", "tanh_saturated"])
+def test_oracle_fits_work_in_the_span_of_A(kind, monkeypatch):
+    # n = 512 rows, m = 6 columns: A is factored once per call, and no SVD
+    # input or per-support residual has more than min(n, m) rows
+    system = {s.kind: s for s in catalog_systems(6, 7)}[kind]
+    A = gen_gaussian_matrix(512, 6, 1003)
+    icfg = IntegrationConfig.fixed(16)
+    x0 = np.zeros(6)
+    x0[[1, 4]] = [0.9, -1.2]
+    b = A @ flow_with_jacobian(system, x0, 0.3, icfg)[0]
+    meas = MeasurementModel(matrix=A, time=0.3, noise_radius=0.0, weights=np.ones(6))
+    problem = SparseProblem(system=system, measurement=meas, observation=b, sparsity=2)
+    factored, svd_rows, residual_rows = [], [], []
+    qr, svd, hypot_rows = np.linalg.qr, np.linalg.svd, recover._hypot_rows
+
+    def counted_qr(a, *args, **kwargs):
+        factored.append(a.shape)
+        return qr(a, *args, **kwargs)
+
+    def recorded_svd(a, *args, **kwargs):
+        svd_rows.append(a.shape[-2])
+        return svd(a, *args, **kwargs)
+
+    def recorded_hypot_rows(r, rho):
+        residual_rows.append(r.shape[1])
+        return hypot_rows(r, rho)
+
+    monkeypatch.setattr(np.linalg, "qr", counted_qr)
+    monkeypatch.setattr(np.linalg, "svd", recorded_svd)
+    monkeypatch.setattr(recover, "_hypot_rows", recorded_hypot_rows)
+    for call in range(1, 3):
+        out = l0_oracle(problem, icfg)
+        assert factored == [(512, 6)] * call
+    assert out.converged
+    assert set(np.flatnonzero(np.abs(out.estimate) > 1e-8)) == {1, 4}
+    assert svd_rows and max(svd_rows) == 6
+    assert residual_rows and max(residual_rows) == 6
+
+
+def _planted(system, A, support, icfg, T=0.4, noise=None, eps=0.0, s=2):
+    """A problem whose observation is A x(T) of a state planted on support,
+    flowed with icfg as the oracle flows, plus noise."""
+    x0 = np.zeros(A.shape[1])
+    x0[list(support)] = np.linspace(0.8, -1.1, len(support))
+    b = A @ flow_with_jacobian(system, x0, T, icfg)[0]
+    if noise is not None:
+        b = b + noise
+    meas = MeasurementModel(matrix=A, time=T, noise_radius=eps, weights=np.ones(A.shape[1]))
+    return SparseProblem(system=system, measurement=meas, observation=b, sparsity=s), x0
+
+
+def _noise(n, scale, seed):
+    return scale * np.random.Generator(np.random.Philox(seed)).normal(size=n)
+
+
+def _outside_span(A, scale, seed):
+    """Noise of norm scale orthogonal to the columns of A."""
+    e = _noise(A.shape[0], 1.0, seed)
+    e -= A @ np.linalg.lstsq(A, e, rcond=None)[0]
+    return scale * e / np.linalg.norm(e)
+
+
+def _duplicated_column(n, m, seed):
+    A = gen_gaussian_matrix(n, m, seed)
+    A[:, 3] = A[:, 1]
+    return A
+
+
+@pytest.mark.parametrize(
+    "kind, A, noise, eps",
+    [
+        # n > m at eps > 0, the noise partly outside the span of A; the
+        # planted support reaches the larger eps and misses the smaller
+        ("tanh_saturated", gen_gaussian_matrix(20, 5, 61), _noise(20, 1e-2, 62), 0.05),
+        ("linear", gen_gaussian_matrix(20, 5, 61), _noise(20, 1e-2, 62), 0.02),
+        # n = m and n < m: Q is square and rho is 0 to rounding; no 2-sparse
+        # state fits the noise, so every residual is well above rounding
+        ("linear", gen_gaussian_matrix(5, 5, 63), _noise(5, 1e-2, 64), 0.0),
+        ("tanh_saturated", gen_gaussian_matrix(4, 5, 65), _noise(4, 1e-2, 66), 0.0),
+        # a rank-deficient A: column 3 duplicates column 1
+        ("linear", _duplicated_column(12, 5, 67), _noise(12, 1e-2, 68), 0.0),
+        ("tanh_saturated", _duplicated_column(12, 5, 67), _noise(12, 1e-2, 68), 0.04),
+    ],
+    ids=["tall-eps", "tall-miss", "square", "wide", "duplicate", "duplicate-eps"],
+)
+def test_oracle_residual_is_the_explicit_residual_of_its_estimate(kind, A, noise, eps):
+    system = {s.kind: s for s in catalog_systems(5, 905)}[kind]
+    icfg = IntegrationConfig.fixed(32)
+    problem, _ = _planted(system, A, (0, 3), icfg, noise=noise, eps=eps)
+    out = _assert_oracle_matches_reference(problem, icfg)
+    xT = flow_with_jacobian(system, out.estimate, problem.measurement.time, icfg)[0]
+    explicit = float(np.linalg.norm(problem.observation - A @ xT))
+    assert out.residual > 1e-4
+    assert out.residual == pytest.approx(explicit, rel=1e-12)
+
+
+@pytest.mark.parametrize("kind", ["linear", "tanh_saturated"])
+def test_oracle_counts_the_residual_outside_the_span_of_A(kind):
+    # the planted support fits b within the span of A exactly, and the part
+    # of b outside it has norm rho > eps: no support is feasible
+    system = {s.kind: s for s in catalog_systems(5, 905)}[kind]
+    A = gen_gaussian_matrix(20, 5, 69)
+    icfg = IntegrationConfig.fixed(32)
+    rho = 1e-2
+    problem, x0 = _planted(system, A, (0, 3), icfg, noise=_outside_span(A, rho, 70), eps=0.9 * rho)
+    R, z, rho_span, n = recover._in_span(A, problem.observation)
+    assert n == 20 and R.shape == (5, 5)
+    assert rho_span == pytest.approx(rho, rel=1e-12)
+    out = _assert_oracle_matches_reference(problem, icfg)
+    xT = flow_with_jacobian(system, out.estimate, problem.measurement.time, icfg)[0]
+    # within the span the fit reaches eps; its residual does not
+    assert np.linalg.norm(z - R @ xT) <= 1e-9 < problem.measurement.noise_radius
+    assert not out.converged and out.iterations == 1 + 5 + 10
+    np.testing.assert_allclose(out.estimate, x0, rtol=0, atol=1e-9)
+    assert out.residual == pytest.approx(rho, rel=1e-9)
+    explicit = float(np.linalg.norm(problem.observation - A @ xT))
+    assert out.residual == pytest.approx(explicit, rel=1e-12)
 
 
 def test_lockstep_flow_reports_blowup():

@@ -148,13 +148,16 @@ def test_bench_oracle_exits_when_a_tree_moves_an_estimate_or_its_support(monkeyp
     under, over = [1.0, 0.999e-8, -0.5], [1.0, 1.001e-8, -0.5]
     written = []
 
-    def rows(*estimates):
+    def rows(*estimates, examined=(4, 4, 4), converged=True):
         kinds = ("zero", "linear", "tanh_saturated")
-        table = [[3, k, 1, 1000, 0.5, 1, 1, 3, 0, 1.0, 0.0, e] for k, e in zip(kinds, estimates)]
+        table = [
+            [3, k, 1, 1000, 0.5, 1, 1, 3, 0, 1.0, 0.0, e, count, converged]
+            for k, e, count in zip(kinds, estimates, examined)
+        ]
         return [table] * bench.ROUNDS
 
-    def run(*change):
-        runs = {"parent": rows(x, x, under), "change": rows(*change)}
+    def run(*change, **flags):
+        runs = {"parent": rows(x, x, under), "change": rows(*change, **flags)}
         monkeypatch.setattr(bench.treebench, "rounds", lambda *args: runs)
         bench.run({"parent": None, "change": None})
 
@@ -165,15 +168,67 @@ def test_bench_oracle_exits_when_a_tree_moves_an_estimate_or_its_support(monkeyp
     totals = written[-1]["results"]["change"]["totals"]
     assert totals["max_abs_estimate_change"] == pytest.approx(1e-12)
     assert written[-1]["results"]["change"]["by_kind"]["linear"]["instances"] == 1
-    # a move above ESTIMATE_TOL, and a support change within it, both fail
-    cases = [((x, [1.0, 0.0, -0.5 + 1e-6], under), 1), ((x, x, over), 2)]
-    for i, (change, moved) in enumerate(cases):
+    # a move above ESTIMATE_TOL, a support change within it, another count
+    # of supports examined and another converged flag all fail
+    cases = [
+        ((x, [1.0, 0.0, -0.5 + 1e-6], under), {}, "[1]"),
+        ((x, x, over), {}, "[2]"),
+        ((x, x, under), {"examined": (4, 3, 4)}, "[1]"),
+        ((x, x, under), {"converged": False}, "[0, 1, 2]"),
+    ]
+    for i, (change, flags, moved) in enumerate(cases):
         with pytest.raises(SystemExit) as exit:
-            run(*change)
+            run(*change, **flags)
         # a string exit code gives the process status 1
-        assert isinstance(exit.value.code, str) and f"change: [{moved}]" in exit.value.code
+        assert isinstance(exit.value.code, str) and f"change: {moved}" in exit.value.code
         # the file is written before the exit
         assert len(written) == 2 + i
+
+
+def test_bench_oracle_totals_each_kind_and_sparsity(monkeypatch, capsys):
+    bench = tool_module("bench_oracle")
+    written = []
+    # (kind, s, flow Jacobian calls, wall ms, estimate change); supports
+    # examined and converged follow the estimate
+    spec = [
+        ("zero", 1, 1, 0.5, 0.0),
+        ("zero", 2, 1, 0.75, 2e-15),
+        ("zero", 2, 1, 0.25, 1e-15),
+        ("tanh_saturated", 1, 4, 8.0, 3e-16),
+        ("tanh_saturated", 2, 9, 20.0, 0.0),
+    ]
+    table = [
+        [6, k, s, 1000 + i, 0.5, calls, calls, 0, 0, ms, 0.0, [d, 0.0], 1 + 6 * s, True]
+        for i, (k, s, calls, ms, d) in enumerate(spec)
+    ]
+    base = [row[:11] + [[0.0, 0.0]] + row[12:] for row in table]
+    runs = {"parent": [base] * bench.ROUNDS, "change": [table] * bench.ROUNDS}
+    monkeypatch.setattr(bench, "build_instances", lambda: [])
+    monkeypatch.setattr(bench.treebench, "rounds", lambda *args: runs)
+    monkeypatch.setattr(bench.treebench, "write", lambda name, doc: written.append(doc))
+    bench.run({"parent": None, "change": None})
+    doc = written[-1]
+    pairs = doc["results"]["change"]["by_kind_and_s"]
+    assert list(pairs) == ["zero s=1", "zero s=2", "tanh_saturated s=1", "tanh_saturated s=2"]
+    assert pairs["zero s=2"]["instances"] == 2
+    assert pairs["zero s=2"]["wall_ms"] == pytest.approx(1.0)
+    assert pairs["zero s=2"]["flow_jacobian_calls"] == 2
+    assert pairs["zero s=2"]["max_abs_estimate_change"] == pytest.approx(2e-15)
+    assert pairs["tanh_saturated s=1"]["flow_jacobian_calls"] == 4
+    # each instance keeps its supports examined and converged flag
+    assert [row[12:] for row in doc["results"]["change"]["instances"]] == [
+        [7, True],
+        [13, True],
+        [13, True],
+        [7, True],
+        [13, True],
+    ]
+    # equal wall times: every parent-over-change ratio is 1
+    ratios = doc["parent_over_change"]["wall_ms_by_kind_and_s"]
+    assert ratios == pytest.approx(dict.fromkeys(pairs, 1.0))
+    printed = capsys.readouterr().out
+    for name in pairs:
+        assert f"  change  {name} " in printed
 
 
 def test_bench_steps_counts_path_solves_and_sensitivity_steps():

@@ -11,13 +11,16 @@ matrix seeds 1000-1004, eps = 0, the auto-chosen time and 256 fixed RK4 steps.
 Per instance and tree the file records the kernels.rk4_flow_jacobian calls,
 the rows they integrate (row evaluations), the rows recover._line_search
 searches and how many of those end at t = 0, the median wall time of the
-oracle over the rounds, its residual, and, for every tree after the first,
-the largest |estimate - estimate of the first tree|.  Totals per tree sum the
-counts and wall times and take the largest change, over all instances and
-over each kind's.  Results go to BENCH_oracle.json.  The script exits with
-status 1 when any tree's estimate differs from the first tree's by more
-than ESTIMATE_TOL, or selects another support (the entries above
-SUPPORT_CUT in absolute value, as criterion 7 reads it), on any instance.
+oracle over the rounds, its residual, for every tree after the first the
+largest |estimate - estimate of the first tree|, and the oracle's supports
+examined and converged flag.  Totals per tree sum the counts and wall times
+and take the largest change, over all instances, over each kind's and over
+each (kind, s) pair's; the script prints them all.  Results go to
+BENCH_oracle.json.  The script exits with status 1 when any tree's estimate
+differs from the first tree's by more than ESTIMATE_TOL, or selects
+another support (the entries above SUPPORT_CUT in absolute value, as
+criterion 7 reads it), or examines another number of supports, or reports
+another converged flag, on any instance.
 """
 
 import treebench
@@ -48,6 +51,8 @@ COLUMNS = (
     "wall_ms",
     "residual",
     "max_abs_estimate_change",
+    "supports_examined",
+    "converged",
 )
 
 
@@ -87,7 +92,8 @@ def build_instances():
 
 def measure(package, instance):
     """The oracle of package's tree on one instance, once counted and once
-    timed: the row of COLUMNS up to residual, plus the estimate."""
+    timed: the row of COLUMNS up to residual, the estimate, the supports
+    examined and the converged flag."""
     m, kind, s, seed, T, M, A, b = instance
     counts = dict(calls=0, rows=0, searches=0, at_zero=0)
 
@@ -130,18 +136,25 @@ def measure(package, instance):
     recover.l0_oracle(problem, icfg)
     wall_ms = (time.perf_counter() - t0) * 1e3
     row = [m, kind, s, seed, T, counts["calls"], counts["rows"], counts["searches"]]
-    return row + [counts["at_zero"], wall_ms, out.residual, out.estimate.tolist()]
+    row += [counts["at_zero"], wall_ms, out.residual, out.estimate.tolist()]
+    return row + [out.iterations, out.converged]
 
 
-def differing(estimates, first):
-    """The indices of the instances whose estimate differs from the one in
-    first by more than ESTIMATE_TOL or has another support."""
-    return [
-        i
-        for i, (x, x1) in enumerate(zip(estimates, first))
-        if np.max(np.abs(np.subtract(x, x1))) > ESTIMATE_TOL
-        or not np.array_equal(np.abs(x) > SUPPORT_CUT, np.abs(x1) > SUPPORT_CUT)
-    ]
+def differing(rows, first):
+    """The indices of the instances whose row of measure differs from the
+    one in first: an estimate moved by more than ESTIMATE_TOL or with
+    another support, or another count of supports examined or converged
+    flag."""
+    found = []
+    for i, (row, row1) in enumerate(zip(rows, first)):
+        x, x1 = row[11], row1[11]
+        if (
+            np.max(np.abs(np.subtract(x, x1))) > ESTIMATE_TOL
+            or not np.array_equal(np.abs(x) > SUPPORT_CUT, np.abs(x1) > SUPPORT_CUT)
+            or row[12:14] != row1[12:14]
+        ):
+            found.append(i)
+    return found
 
 
 def totals(table):
@@ -174,18 +187,28 @@ def run(trees):
             change = None
             if label != first_label:
                 change = float(np.max(np.abs(np.subtract(row[11], first[i][11]))))
-            table.append(row[:9] + [wall_ms, row[10], change])
+            table.append(row[:9] + [wall_ms, row[10], change] + row[12:14])
         kinds = dict.fromkeys(row[1] for row in table)
         by_kind = {kind: totals([row for row in table if row[1] == kind]) for kind in kinds}
-        results[label] = {"totals": totals(table), "by_kind": by_kind, "instances": table}
-        for name, t in {"all": results[label]["totals"], **by_kind}.items():
+        pairs = dict.fromkeys((row[1], row[2]) for row in table)
+        by_kind_and_s = {
+            f"{kind} s={s}": totals([row for row in table if (row[1], row[2]) == (kind, s)])
+            for kind, s in pairs
+        }
+        results[label] = {
+            "totals": totals(table),
+            "by_kind": by_kind,
+            "by_kind_and_s": by_kind_and_s,
+            "instances": table,
+        }
+        for name, t in {"all": results[label]["totals"], **by_kind, **by_kind_and_s}.items():
             print(
-                f"{label:>8}  {name:<15} {t['wall_ms']:9.1f} ms  "
+                f"{label:>8}  {name:<20} {t['wall_ms']:9.1f} ms  "
                 f"{t['flow_jacobian_calls']:6d} calls  {t['row_evaluations']:6d} rows  "
                 f"{t['line_search_rows']:5d} searched  {t['line_searches_at_zero']:5d} at t = 0  "
                 f"max |d estimate| {t['max_abs_estimate_change']}"
             )
-        found = differing([row[11] for row in rounds[0]], [row[11] for row in first])
+        found = differing(rounds[0], first)
         if found:
             unequal[label] = found
 
@@ -199,8 +222,13 @@ def run(trees):
     keys = ("wall_ms", "flow_jacobian_calls", "row_evaluations")
 
     def pick(r):
-        wall_by_kind = {kind: t["wall_ms"] for kind, t in r["by_kind"].items()}
-        return {**{k: r["totals"][k] for k in keys}, "wall_ms_by_kind": wall_by_kind}
+        return {
+            **{k: r["totals"][k] for k in keys},
+            "wall_ms_by_kind": {kind: t["wall_ms"] for kind, t in r["by_kind"].items()},
+            "wall_ms_by_kind_and_s": {
+                name: t["wall_ms"] for name, t in r["by_kind_and_s"].items()
+            },
+        }
 
     treebench.parent_over_change(doc, "parent_over_change", pick)
     treebench.write("oracle", doc)
