@@ -29,12 +29,13 @@ certify that point: once the loop has found its active set, each later
 step is one small solve.  A solve that proposes a step shorter than
 outer_tol ends the loop before any search from it, so the estimate is the
 last point the loop flowed.  The oracle's search ends at the first support
-size holding a feasible fit, as every smaller one missed.  The oracle
-factors A = QR once per call and measures each residual ||b - A x(T)|| as
-sqrt(||Q^T b - R x(T)||^2 + rho^2), with rho = ||b - Q Q^T b|| computed
-explicitly (Bjorck, Numerical Methods for Least Squares Problems, SIAM
-1996), so no array of a support fit has A's n rows; its lstsq cutoff and
-stop rule still count n rows, which keeps each fit's stopping point.
+size holding a feasible fit, as every smaller one missed.  The oracle takes
+the triangular factor [R | z] of [A | b] once per call and measures each
+residual ||b - A x(T)|| as ||z - R x(T)||, an identity since b lies in the
+span of the factor's orthonormal basis (Bjorck, Numerical Methods for Least
+Squares Problems, SIAM 1996, sec. 1.3 and 2.4), so no array of a support
+fit has A's n rows; its lstsq cutoff and stop rule still count n rows, which
+keeps each fit's stopping point.
 Recovery measures in n rows: its eps > 0 band and _lasso_kkt's rounding
 bound are stated on them, and a QR of its measurement costs more than the
 line-search residuals it would shorten.  Recovery and
@@ -70,7 +71,8 @@ _AFFINE_FLOW_KINDS = ("zero", "linear", "affine")
 
 DEFAULT_ORACLE_BUDGET = 100_000
 
-# slack on the oracle's feasibility test, well under every reporting tolerance
+# the oracle's feasibility test allows eps + _ORACLE_FEAS_SLACK * max(1, ||b||),
+# the form of solve_weighted_bpdn's slack, well under every reporting tolerance
 _ORACLE_FEAS_SLACK = 1e-9
 
 # the oracle fits supports in blocks whose flow Jacobians hold at most this
@@ -506,7 +508,7 @@ def recover_initial_state(
             break
         bound = max(r_cur, eps + scfg.residual_match_tol)
         t, XT, PT, rn = _line_search(
-            system, A, b, T, icfg, x[None], step[None], bound, _RECOVER_DAMPING_FLOOR, 0.0
+            system, A, b, T, icfg, x[None], step[None], bound, _RECOVER_DAMPING_FLOOR
         )
         t = float(t[0])
         if t == 0.0:
@@ -523,7 +525,7 @@ def recover_initial_state(
     )
 
 
-def _line_search(system, A, b, T, icfg, X, steps, bound, floor, rho):
+def _line_search(system, A, b, T, icfg, X, steps, bound, floor):
     """Backtrack from each row of X (k, m) along its row of steps: halve the
     damping t from 1 until the residual at X + t * steps is at most bound
     (scalar or per row), or set t = 0 once t < floor.  Each halving
@@ -532,11 +534,9 @@ def _line_search(system, A, b, T, icfg, X, steps, bound, floor, rho):
     norm.  Only the tanh field's loops search: an affine flow needs no
     damping, as its linearization is exact.
 
-    The residual of x(T) is sqrt(||b - A x(T)||^2 + rho^2) (_hypot_rows).
-    Recovery passes its measurement (A, b) and rho = 0, where that is
-    ||b - A x(T)|| bit for bit; the oracle passes the triangular factor R
-    and Q^T b of A = QR with rho the part of b outside the span of A, where
-    it is the same residual in n rows (see l0_oracle)."""
+    The residual of x(T) is ||b - A x(T)|| (_row_norms).  Recovery passes
+    its measurement (A, b); the oracle passes the measurement (R, z) of
+    _in_span, which has the same residual in at most m + 1 rows."""
     k, m = X.shape
     bound = np.broadcast_to(bound, (k,))
     t = np.ones(k)
@@ -544,7 +544,7 @@ def _line_search(system, A, b, T, icfg, X, steps, bound, floor, rho):
     rows = np.arange(k)
     while rows.size:
         XT_try, P_try = flow_with_jacobian(system, X[rows] + t[rows, None] * steps[rows], T, icfg)
-        rn_try = _hypot_rows(b - XT_try @ A.T, rho)
+        rn_try = _row_norms(b - XT_try @ A.T)
         ok = rn_try <= bound[rows]
         done = rows[ok]
         XT[done], P[done], rn[done] = XT_try[ok], P_try[ok], rn_try[ok]
@@ -556,41 +556,41 @@ def _line_search(system, A, b, T, icfg, X, steps, bound, floor, rho):
     return t, XT, P, rn
 
 
-def _hypot_rows(r, rho):
-    """sqrt(||r_i||^2 + rho^2) for each row r_i of r.  With rho = 0 this is
-    np.linalg.norm(r, axis=1) bit for bit: the same sum of the same squares,
-    plus an exact 0."""
-    return np.sqrt(np.add.reduce(r * r, axis=1) + rho * rho)
+def _row_norms(r):
+    """The 2-norm of each row of r: np.linalg.norm(r, axis=1) bit for bit,
+    the same sum of the same squares, at less overhead per call."""
+    return np.sqrt(np.add.reduce(r * r, axis=1))
 
 
 def _in_span(A, b):
-    """The measurement (A, b) in the span of A: (R, z, rho, n) from the
-    reduced QR A = QR, with z = Q^T b, rho = ||b - Q z|| and n the rows of
-    A.  Q has orthonormal columns, so for every v
+    """An equivalent measurement (R, z, n) of (A, b): [R | z] is the
+    triangular factor of the reduced QR [A | b] = Q [R | z], and n the rows
+    of A.  b and the columns of A lie in the span of Q's orthonormal
+    columns, so for every v
 
-        ||b - A v||^2 = ||z - R v||^2 + rho^2
+        ||b - A v|| = ||z - R v||
 
-    (Bjorck, Numerical Methods for Least Squares Problems, SIAM 1996),
-    whatever the rank of A, and R has min(n, m) rows.  rho is the
-    norm of the explicit part of b outside the span; sqrt(||b||^2 -
-    ||z||^2) would cancel when b lies nearly in the span."""
-    Q, R = np.linalg.qr(A)
-    z = Q.T @ b
-    return R, z, float(np.linalg.norm(b - Q @ z)), A.shape[0]
+    (Bjorck, Numerical Methods for Least Squares Problems, SIAM 1996, sec.
+    1.3 and 2.4; Golub & Van Loan, Matrix Computations, 4th ed., sec. 5.3),
+    whatever the rank of A, and R has min(n, m + 1) rows.  Q is never
+    formed.  When n > m, R's last row is 0, and for A of full column rank
+    |z_m| is the distance of b from the span of A."""
+    Rz = np.linalg.qr(np.column_stack((A, b)), mode="r")
+    return Rz[:, :-1], Rz[:, -1], A.shape[0]
 
 
 def _fit_supports(system, span, T, icfg, flow0, supports):
     """Damped Gauss-Newton fits of the initial state restricted to each row
     of supports (count, k), all starting from zero and stepping in lockstep.
-    span is the measurement (R, z, rho, n) in the span of A (_in_span), and
+    span is the equivalent measurement (R, z, n) of (A, b) (_in_span), and
     flow0 the flow and its Jacobian at 0.  Returns the fitted states
     (count, m) and their residual norms ||b - A x(T)|| (count,).
 
-    No array of a fit has A's n rows.  A fit's residual norm is measured as
-    sqrt(||e||^2 + rho^2) from e = z - R x(T), and its Jacobian is J_S =
-    R P_S, both with min(n, m) rows.  As A P_S = Q J_S and e = Q^T (b - A
-    x(T)), the singular values of J_S, the components of e in its left
-    singular basis and so the step are those of the n-row problem.
+    No array of a fit has A's n rows.  A fit's residual is e = z - R x(T)
+    and its Jacobian J_S = R P_S, both with min(n, m + 1) rows.  As A P_S =
+    Q J_S and b - A x(T) = Q e, the norm of e, the singular values of J_S,
+    the components of e in its left singular basis and so the step are
+    those of the n-row problem.
 
     Each step s is the minimum-norm least-squares solution of J_S s = e,
     with lstsq's cutoff max(n, k) * u * sigma_max on the singular values of
@@ -602,8 +602,9 @@ def _fit_supports(system, span, T, icfg, flow0, supports):
     least-squares step the model residual is r^2 - ||J_S s||^2, so ||J_S
     s||^2 is the predicted decrease of r^2, and n * u * r^2 bounds the
     rounding error of the computed sum of n squares alone.  The cutoff and
-    the bound keep n, not min(n, m): both are stated on the n-row problem
-    the oracle solves, and keeping them keeps every fit's stopping point.
+    the bound keep n, not the rows of R: both are stated on the n-row
+    problem the oracle solves, and keeping them keeps every fit's stopping
+    point.
     A predicted decrease under that bound cannot show in the computed
     residual, and a strict-decrease search would halve t down to
     _FIT_DAMPING_FLOOR, one flow per halving, before giving up (the
@@ -622,17 +623,17 @@ def _fit_supports(system, span, T, icfg, flow0, supports):
     decrease of the residual norm, which is what the line search accepts at
     t = 1, and stops: no line search and no second SVD.
     """
-    R, z, rho, n = span
+    R, z, n = span
     xT0, P0 = flow0
     count = supports.shape[0]
     u = np.finfo(float).eps
     rcond = max(n, supports.shape[1]) * u
-    b_scale = max(1.0, math.hypot(float(np.linalg.norm(z)), rho))
+    b_scale = max(1.0, float(np.linalg.norm(z)))
     X = np.zeros((count, xT0.shape[0]))
     # each fit needs only its support's columns of the flow Jacobian
     PS = P0[:, supports].transpose(1, 0, 2)
     E = np.tile(z - R @ xT0, (count, 1))
-    rn = _hypot_rows(E, rho)
+    rn = _row_norms(E)
     active = np.ones(count, dtype=bool)
     for _ in range(60):
         active &= rn > 1e-14 * b_scale
@@ -654,7 +655,7 @@ def _fit_supports(system, span, T, icfg, flow0, supports):
         if system.kind in _AFFINE_FLOW_KINDS:
             # x(T) = xT0 + P0 x exactly, so the step solves the fit: keep it
             # on a strict decrease of the residual norm, and stop
-            rn_try = _hypot_rows(z - (xT0 + (X[rows] + full) @ P0.T) @ R.T, rho)
+            rn_try = _row_norms(z - (xT0 + (X[rows] + full) @ P0.T) @ R.T)
             ok = rn_try < rn[rows]
             X[rows[ok]] += full[ok]
             rn[rows[ok]] = rn_try[ok]
@@ -662,7 +663,7 @@ def _fit_supports(system, span, T, icfg, flow0, supports):
         # accept a strict decrease of the residual norm
         bound = np.nextafter(rn[rows], 0)
         t, XT, P, rn_try = _line_search(
-            system, R, z, T, icfg, X[rows], full, bound, _FIT_DAMPING_FLOOR, rho
+            system, R, z, T, icfg, X[rows], full, bound, _FIT_DAMPING_FLOOR
         )
         ok = t > 0
         active[rows[~ok]] = False
@@ -693,19 +694,19 @@ def l0_oracle(
     bound and kept only on a strict decrease of the residual norm (see
     _fit_supports).
 
-    A is factored once per call, A = QR (_in_span), and every residual the
-    oracle measures, of the empty support, of each fit and of each trial
-    point of a fit's line search, is ||b - A x(T)|| measured as
-    sqrt(||Q^T b - R x(T)||^2 + rho^2), with rho = ||b - Q Q^T b||
-    computed explicitly.  So a fit's arrays have min(n, m) rows where A has
-    n, and a fit whose residual within the span of A is under eps stays
-    infeasible when rho lifts its residual above eps.
+    [A | b] is factored once per call, [A | b] = Q [R | z] (_in_span), and
+    every residual the oracle measures, of the empty support, of each fit
+    and of each trial point of a fit's line search, is ||b - A x(T)||
+    measured as ||z - R x(T)||.  So a fit's arrays have min(n, m + 1) rows
+    where A has n.
 
-    Refuses with BudgetError when the support count exceeds budget.  When no
-    support reaches the noise radius, returns the best fit found with
-    converged=False.  iterations counts the supports examined.  An adaptive
-    integration config settles its step count once, at x = 0 (see
-    ode.settle_steps), and every fit runs at that count.
+    A fit is feasible when its residual is at most eps + 1e-9 max(1, ||b||),
+    the slack solve_weighted_bpdn allows, so the test does not depend on
+    the scale of the measurement.  Refuses with BudgetError when the
+    support count exceeds budget.  When no support is feasible, returns the
+    best fit found with converged=False.  iterations counts the supports
+    examined.  An adaptive integration config settles its step count once,
+    at x = 0 (see ode.settle_steps), and every fit runs at that count.
     """
     budget = check_count(budget, "budget")
     m = problem.system.dim
@@ -718,16 +719,16 @@ def l0_oracle(
 
     meas = problem.measurement
     T = meas.time
-    feas_cut = meas.noise_radius + _ORACLE_FEAS_SLACK
     icfg = settle_steps(problem.system, T, integration_config)
 
-    # one factorization of A serves every fit of the call
+    # one factorization of [A | b] serves every fit of the call
     span = _in_span(meas.matrix, problem.observation)
-    R, z, rho, _ = span
+    R, z, _ = span
+    feas_cut = meas.noise_radius + _ORACLE_FEAS_SLACK * max(1.0, float(np.linalg.norm(z)))
     # every fit starts from zero, which is also the empty support's fit
     flow0 = flow_with_jacobian(problem.system, np.zeros(m), T, icfg)
     best_x = np.zeros(m)
-    best_rn = math.hypot(float(np.linalg.norm(z - R @ flow0[0])), rho)
+    best_rn = float(np.linalg.norm(z - R @ flow0[0]))
     examined = 1
     block_rows = max(1, _ORACLE_BLOCK_FLOATS // (m * m))
     # every smaller support missed feas_cut, so a size's best feasible fit is

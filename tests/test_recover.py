@@ -1026,10 +1026,10 @@ def test_line_search_matches_per_row_reference():
         _reference_line_search(system, A, b, T, icfg, x, d, bd, floor)
         for x, d, bd in zip(X, steps, bound)
     ]
-    # recovery's measurement, and the oracle's (R, Q^T b) in the span of A,
-    # whose residual adds the part rho of b outside that span
-    for A_m, b_m, rho in ((A, b, 0.0), recover._in_span(A, b)[:3]):
-        t, XT, P, rn = recover._line_search(system, A_m, b_m, T, icfg, X, steps, bound, floor, rho)
+    # recovery's measurement, and the oracle's equivalent (R, z) from the
+    # triangular factor of [A | b]
+    for A_m, b_m in ((A, b), recover._in_span(A, b)[:2]):
+        t, XT, P, rn = recover._line_search(system, A_m, b_m, T, icfg, X, steps, bound, floor)
         np.testing.assert_array_equal(t, [r[0] for r in ref])
         # the mix: accepted undamped, accepted after several halvings, given up
         assert t[0] == 1.0 and 0.0 < t[1] <= 0.125 and t[2] == 0.0
@@ -1440,8 +1440,8 @@ def test_affine_flow_oracle_integrates_once(kind, monkeypatch):
 
 @pytest.mark.parametrize("kind", ["zero", "linear", "tanh_saturated"])
 def test_oracle_fits_work_in_the_span_of_A(kind, monkeypatch):
-    # n = 512 rows, m = 6 columns: A is factored once per call, and no SVD
-    # input or per-support residual has more than min(n, m) rows
+    # n = 512 rows, m = 6 columns: [A | b] is factored once per call, R
+    # only, and no SVD input or per-support residual has more than m + 1 rows
     system = {s.kind: s for s in catalog_systems(6, 7)}[kind]
     A = gen_gaussian_matrix(512, 6, 1003)
     icfg = IntegrationConfig.fixed(16)
@@ -1451,30 +1451,30 @@ def test_oracle_fits_work_in_the_span_of_A(kind, monkeypatch):
     meas = MeasurementModel(matrix=A, time=0.3, noise_radius=0.0, weights=np.ones(6))
     problem = SparseProblem(system=system, measurement=meas, observation=b, sparsity=2)
     factored, svd_rows, residual_rows = [], [], []
-    qr, svd, hypot_rows = np.linalg.qr, np.linalg.svd, recover._hypot_rows
+    qr, svd, row_norms = np.linalg.qr, np.linalg.svd, recover._row_norms
 
-    def counted_qr(a, *args, **kwargs):
-        factored.append(a.shape)
-        return qr(a, *args, **kwargs)
+    def counted_qr(a, mode="reduced"):
+        factored.append((a.shape, mode))
+        return qr(a, mode)
 
     def recorded_svd(a, *args, **kwargs):
         svd_rows.append(a.shape[-2])
         return svd(a, *args, **kwargs)
 
-    def recorded_hypot_rows(r, rho):
+    def recorded_row_norms(r):
         residual_rows.append(r.shape[1])
-        return hypot_rows(r, rho)
+        return row_norms(r)
 
     monkeypatch.setattr(np.linalg, "qr", counted_qr)
     monkeypatch.setattr(np.linalg, "svd", recorded_svd)
-    monkeypatch.setattr(recover, "_hypot_rows", recorded_hypot_rows)
+    monkeypatch.setattr(recover, "_row_norms", recorded_row_norms)
     for call in range(1, 3):
         out = l0_oracle(problem, icfg)
-        assert factored == [(512, 6)] * call
+        assert factored == [((512, 7), "r")] * call
     assert out.converged
     assert set(np.flatnonzero(np.abs(out.estimate) > 1e-8)) == {1, 4}
-    assert svd_rows and max(svd_rows) == 6
-    assert residual_rows and max(residual_rows) == 6
+    assert svd_rows and max(svd_rows) == 7
+    assert residual_rows and max(residual_rows) == 7
 
 
 def _planted(system, A, support, icfg, T=0.4, noise=None, eps=0.0, s=2):
@@ -1513,8 +1513,9 @@ def _duplicated_column(n, m, seed):
         # planted support reaches the larger eps and misses the smaller
         ("tanh_saturated", gen_gaussian_matrix(20, 5, 61), _noise(20, 1e-2, 62), 0.05),
         ("linear", gen_gaussian_matrix(20, 5, 61), _noise(20, 1e-2, 62), 0.02),
-        # n = m and n < m: Q is square and rho is 0 to rounding; no 2-sparse
-        # state fits the noise, so every residual is well above rounding
+        # n = m and n < m: Q is square and b lies in the span of A; no
+        # 2-sparse state fits the noise, so every residual is well above
+        # rounding
         ("linear", gen_gaussian_matrix(5, 5, 63), _noise(5, 1e-2, 64), 0.0),
         ("tanh_saturated", gen_gaussian_matrix(4, 5, 65), _noise(4, 1e-2, 66), 0.0),
         # a rank-deficient A: column 3 duplicates column 1
@@ -1527,9 +1528,17 @@ def test_oracle_residual_is_the_explicit_residual_of_its_estimate(kind, A, noise
     system = {s.kind: s for s in catalog_systems(5, 905)}[kind]
     icfg = IntegrationConfig.fixed(32)
     problem, _ = _planted(system, A, (0, 3), icfg, noise=noise, eps=eps)
+    b = problem.observation
+    # the oracle's measurement (R, z) has the residual of (A, b) at every v,
+    # in min(n, m + 1) rows
+    R, z, n = recover._in_span(A, b)
+    assert n == A.shape[0] and R.shape == (min(n, 6), 5) and z.shape == (min(n, 6),)
+    for v in np.random.Generator(np.random.Philox(71)).normal(size=(4, 5)):
+        explicit = np.linalg.norm(b - A @ v)
+        assert np.linalg.norm(z - R @ v) == pytest.approx(explicit, rel=1e-12)
     out = _assert_oracle_matches_reference(problem, icfg)
     xT = flow_with_jacobian(system, out.estimate, problem.measurement.time, icfg)[0]
-    explicit = float(np.linalg.norm(problem.observation - A @ xT))
+    explicit = float(np.linalg.norm(b - A @ xT))
     assert out.residual > 1e-4
     assert out.residual == pytest.approx(explicit, rel=1e-12)
 
@@ -1537,24 +1546,41 @@ def test_oracle_residual_is_the_explicit_residual_of_its_estimate(kind, A, noise
 @pytest.mark.parametrize("kind", ["linear", "tanh_saturated"])
 def test_oracle_counts_the_residual_outside_the_span_of_A(kind):
     # the planted support fits b within the span of A exactly, and the part
-    # of b outside it has norm rho > eps: no support is feasible
+    # of b outside it has norm rho > eps: no support is feasible.  That part
+    # is the last entry of z, where R's row is 0
     system = {s.kind: s for s in catalog_systems(5, 905)}[kind]
     A = gen_gaussian_matrix(20, 5, 69)
     icfg = IntegrationConfig.fixed(32)
     rho = 1e-2
     problem, x0 = _planted(system, A, (0, 3), icfg, noise=_outside_span(A, rho, 70), eps=0.9 * rho)
-    R, z, rho_span, n = recover._in_span(A, problem.observation)
-    assert n == 20 and R.shape == (5, 5)
-    assert rho_span == pytest.approx(rho, rel=1e-12)
+    R, z, n = recover._in_span(A, problem.observation)
+    assert n == 20 and R.shape == (6, 5)
+    assert not R[-1].any()
+    assert abs(z[-1]) == pytest.approx(rho, rel=1e-12)
     out = _assert_oracle_matches_reference(problem, icfg)
     xT = flow_with_jacobian(system, out.estimate, problem.measurement.time, icfg)[0]
     # within the span the fit reaches eps; its residual does not
-    assert np.linalg.norm(z - R @ xT) <= 1e-9 < problem.measurement.noise_radius
+    assert np.linalg.norm(z[:-1] - R[:-1] @ xT) <= 1e-9 < problem.measurement.noise_radius
     assert not out.converged and out.iterations == 1 + 5 + 10
     np.testing.assert_allclose(out.estimate, x0, rtol=0, atol=1e-9)
     assert out.residual == pytest.approx(rho, rel=1e-9)
     explicit = float(np.linalg.norm(problem.observation - A @ xT))
     assert out.residual == pytest.approx(explicit, rel=1e-12)
+
+
+@pytest.mark.parametrize("kind", ["linear", "tanh_saturated"])
+def test_oracle_feasibility_does_not_depend_on_the_scale_of_A(kind):
+    # at eps = 0 the planted fit's residual is rounding relative to ||b||,
+    # above 1e-9 once A is scaled by 1e7: a slack relative to ||b|| finds the
+    # fit feasible at either scale, and the search ends at size 2
+    system = {s.kind: s for s in catalog_systems(6, 7)}[kind]
+    icfg = IntegrationConfig.fixed(16)
+    for scale in (1.0, 1e7):
+        A = scale * gen_gaussian_matrix(512, 6, 1003)
+        problem, x0 = _planted(system, A, (1, 4), icfg, T=0.3, s=3)
+        out = l0_oracle(problem, icfg)
+        assert out.converged and out.iterations == 1 + 6 + 15
+        np.testing.assert_allclose(out.estimate, x0, rtol=0, atol=1e-12)
 
 
 def test_lockstep_flow_reports_blowup():
