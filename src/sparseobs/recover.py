@@ -23,25 +23,23 @@ search, which evaluates the flow Jacobian with each trial point, serves
 only the tanh field's loops, recovery's re-linearization and the oracle's
 damped Gauss-Newton fits.  At eps > 0 each linearization after the first
 is first solved in closed form (_locked_solve) on the support and signs of
-the current iterate, the last proposal whenever its line search accepted
-t = 1, taking the path only when the lasso's KKT test (_lasso_kkt) does not
-certify that point: once the loop has found its active set, each later
-step is one small solve.  A solve that proposes a step shorter than
-outer_tol ends the loop before any search from it, so the estimate is the
-last point the loop flowed.  The oracle's search ends at the first support
-size holding a feasible fit, as every smaller one missed.  The oracle takes
-the triangular factor [R | z] of [A | b] once per call and measures each
-residual ||b - A x(T)|| as ||z - R x(T)||, an identity since b lies in the
-span of the factor's orthonormal basis (Bjorck, Numerical Methods for Least
-Squares Problems, SIAM 1996, sec. 1.3 and 2.4), so no array of a support
-fit has A's n rows; its lstsq cutoff and stop rule still count n rows, which
+the last proposal, taking the path only when the lasso's KKT test
+(_lasso_kkt) does not certify that point: once the loop has found its
+active set, each later step is one small solve.  A solve that proposes a
+step shorter than outer_tol ends the loop before any search from it, so
+the estimate is the last point the loop flowed.  The oracle's search ends
+at the first support size holding a feasible fit, as every smaller one
+missed.  Both estimators take the triangular factor [R | z] of [A | b]
+once per call (_in_span) and measure each residual ||b - A x(T)|| as
+||z - R x(T)||, an identity since b lies in the span of the factor's
+orthonormal basis (Bjorck, Numerical Methods for Least Squares Problems,
+SIAM 1996, sec. 1.3 and 2.4), so no array either builds after entry has
+A's n rows: recovery linearizes as R P, and an oracle fit's Jacobian is
+R P_S.  The oracle's lstsq cutoff and stop rule still count n rows, which
 keeps each fit's stopping point.
-Recovery measures in n rows: its eps > 0 band and _lasso_kkt's rounding
-bound are stated on them, and a QR of its measurement costs more than the
-line-search residuals it would shorten.  Recovery and
-the oracle both settle an adaptive integration config into one step count
-at entry (see ode.settle_steps), so every flow of one problem runs at the
-same count.
+Recovery and the oracle both settle an adaptive integration config into one
+step count at entry (see ode.settle_steps), so every flow of one problem
+runs at the same count.
 """
 
 from __future__ import annotations
@@ -70,10 +68,6 @@ from .ode import IntegrationConfig, flow_with_jacobian, integrate, settle_steps 
 _AFFINE_FLOW_KINDS = ("zero", "linear", "affine")
 
 DEFAULT_ORACLE_BUDGET = 100_000
-
-# the oracle's feasibility test allows eps + _ORACLE_FEAS_SLACK * max(1, ||b||),
-# the form of solve_weighted_bpdn's slack, well under every reporting tolerance
-_ORACLE_FEAS_SLACK = 1e-9
 
 # the oracle fits supports in blocks whose flow Jacobians hold at most this
 # many floats, which bounds its memory whatever the level size
@@ -164,7 +158,7 @@ def solve_weighted_bpdn(Phi, offset, observation, weights, eps, config=None):
     if y_norm <= eps:
         return np.zeros(m)
 
-    feas_slack = 1e-9 * max(1.0, y_norm)
+    feas_slack = _feas_slack(y_norm)
     rho = cfg.penalty
     if eps == 0.0:
         # the pseudo-inverse gives x_ls and the kernel's projection at once
@@ -198,10 +192,18 @@ def solve_weighted_bpdn(Phi, offset, observation, weights, eps, config=None):
     )[0]
 
 
+def _feas_slack(y_norm):
+    """The slack 1e-9 max(1, y_norm) by which a residual may exceed eps and
+    still count as feasible, for an observation less offset of norm y_norm,
+    well under every reporting tolerance.  It is relative to y_norm, so no
+    feasibility test depends on the scale of the measurement."""
+    return 1e-9 * max(1.0, y_norm)
+
+
 def _residual_band(cfg, y_norm):
     """The width of the residual band [eps, eps + band] that an eps > 0 solve
     lands in, for an observation less offset of norm y_norm."""
-    return min(cfg.residual_match_tol, 1e-9 * max(1.0, y_norm))
+    return min(cfg.residual_match_tol, _feas_slack(y_norm))
 
 
 def _check_reachable(Phi, y, x_ls, eps, slack):
@@ -416,15 +418,32 @@ def _lasso_kkt(Phi, y, w, x, eps, band):
     lam is read from the active correlations, not taken from a solver's
     running value, whose own rounding can exceed the test's.  d_j is twice
     the first-order bound on the rounding of the computed g_j, u ||phi_j||
-    ((k + 1) (||y|| + sum_S ||phi_i|| |x_i|) + n ||r||) for k = |S|, n rows
-    and u = np.finfo(float).eps (the entrywise bound gamma_{k+1} (|y| +
-    |Phi| |x|) on the computed residual, and gamma_n on the dot products;
-    Higham, Accuracy and Stability of Numerical Algorithms, 2002, sec. 3.5);
-    the factor 2 covers the rounding of x itself.  Closed-form points on the
-    support and signs of the path's point (_locked_solve) deviate by at most
-    0.58 of the bound without it over the 1,000 eps > 0 scan instances of
-    tools/bench_bpdn.py, and by at most 0.76 over the 47 locked solves of
-    the demo sweep (configs/demo.json)."""
+    ((k + 1) (||y|| + sum_S ||phi_i|| |x_i|) + p ||r||) for k = |S|, the p
+    rows of Phi and u = np.finfo(float).eps (the entrywise bound
+    gamma_{k+1} (|y| + |Phi| |x|) on the computed residual, and gamma_p on
+    the dot products; Higham, Accuracy and Stability of Numerical
+    Algorithms, 2002, sec. 3.5); the factor 2 covers the rounding of x
+    itself.  Closed-form points on the support and signs of the path's
+    point (_locked_solve) deviate by at most 0.58 of the bound without it
+    over the 1,000 eps > 0 scan instances of tools/bench_bpdn.py, and by at
+    most 0.30 over the 47 locked solves of the demo sweep
+    (configs/demo.json), where p = 13.
+
+    Recovery passes Phi = R P and y = z - R c, p = min(n, m + 1) rows, for
+    the factor [R | z] of [A | b] (_in_span) and the offset's point c.  The
+    computed factor is exact for a nearby measurement: [A + dA | b + db] =
+    Q [R | z] with Q of exactly orthonormal columns and each column of
+    [dA | db] within gamma~_{n (m + 1)} of the norm of its column of [A | b]
+    (Householder QR; Higham 2002, Thm 19.4).  Then Q Phi = (A + dA) P and
+    Q y = (b + db) - (A + dA) c, and as Q^T Q = I, for every x the residual
+    Q (y - Phi x) has the norm of y - Phi x and the correlations (Q Phi)^T
+    Q (y - Phi x) = Phi^T (y - Phi x).  So every quantity this test reads
+    is the same on the n rows: a point certified on (R P, z - R c) is the
+    weighted BPDN solution for the measurement ((A + dA) P, (b + db) - (A +
+    dA) c), within the factor's backward error of (A P, b - offset).  The
+    products R P and R c are rounded as A P and A c would be, and the test
+    certifies the linearization as computed either way.  The slack is kept
+    in its form, on p rows, which is tighter than on n."""
     r = y - Phi @ x
     rn = math.sqrt(r @ r)
     on = x != 0
@@ -455,8 +474,8 @@ def recover_initial_state(
     residual stays within max(current residual, eps + residual_match_tol),
     and the flow Jacobian at the accepted point is the next linearization.
     At eps > 0 each linearization after the first is solved in closed form
-    on the support and signs of the current iterate (_locked_solve), which
-    is the last proposal whenever its line search accepted t = 1, when the
+    on the support and signs of the last proposal (_locked_solve), not of a
+    damped iterate, which carries the union of two supports, when the
     lasso's KKT conditions certify that point, and by solve_weighted_bpdn
     otherwise, so a locked step can only replace a solve with the same
     answer to rounding.  It stops as soon as a solve proposes a step shorter
@@ -470,45 +489,55 @@ def recover_initial_state(
     linearizations without a short proposal, end it unconverged.  An
     adaptive integration config settles its step count once, at x = 0 (see
     ode.settle_steps), and every flow of the recovery runs at that count.
+
+    [A | b] is factored once per call, [A | b] = Q [R | z] (_in_span), and
+    recovery works in its min(n, m + 1) rows: the linearization is R P, the
+    offset R x(T) - R P x, and every residual, of the flow at 0, of an
+    affine solve and of each trial point of a line search, is ||b - A
+    x(T)|| measured as ||z - R x(T)||.  The eps > 0 band reads the norm of
+    the observation less offset, which the factor keeps, and _lasso_kkt
+    states what a point certified in these rows solves.
     """
     scfg = solver_config or SolverConfig()
     meas = problem.measurement
-    A = meas.matrix
     eps = meas.noise_radius
     w = meas.weights
-    b = problem.observation
     system = problem.system
     T = meas.time
     m = system.dim
     icfg = settle_steps(system, T, integration_config)
+    # one factorization of [A | b] serves every residual of the call
+    R, z, _ = _in_span(meas.matrix, problem.observation)
 
     affine = system.kind in _AFFINE_FLOW_KINDS
     xT, P = flow_with_jacobian(system, np.zeros(m), T, icfg)
-    x = np.zeros(m)
-    r_cur = float(np.linalg.norm(b - A @ xT))
+    x = proposal = np.zeros(m)
+    r_cur = float(np.linalg.norm(z - R @ xT))
     converged = False
     for iterations in range(1, scfg.outer_max_iter + 1):
-        Phi = A @ P
-        offset = A @ xT - Phi @ x
-        support = np.flatnonzero(x)
+        Phi = R @ P
+        offset = R @ xT - Phi @ x
+        # the last proposal's support, not a damped iterate's union of two
+        support = np.flatnonzero(proposal)
+        signs = np.sign(proposal[support])
         proposal = None
         if eps > 0.0 and support.size:
-            y = b - offset
+            y = z - offset
             band = _residual_band(scfg, float(np.linalg.norm(y)))
-            proposal = _locked_solve(Phi, y, w, eps, band, support, np.sign(x[support]))
+            proposal = _locked_solve(Phi, y, w, eps, band, support, signs)
         if proposal is None:
-            proposal = solve_weighted_bpdn(Phi, offset, b, w, eps, scfg)
+            proposal = solve_weighted_bpdn(Phi, offset, z, w, eps, scfg)
         step = proposal - x
         if affine:
             # an exact linearization: its solve is the estimate
             x = proposal
-            r_cur = float(np.linalg.norm(b - A @ (xT + P @ x)))
+            r_cur = float(np.linalg.norm(z - R @ (xT + P @ x)))
         if affine or np.linalg.norm(step) < scfg.outer_tol:
             converged = r_cur <= eps + scfg.residual_match_tol
             break
         bound = max(r_cur, eps + scfg.residual_match_tol)
         t, XT, PT, rn = _line_search(
-            system, A, b, T, icfg, x[None], step[None], bound, _RECOVER_DAMPING_FLOOR
+            system, R, z, T, icfg, x[None], step[None], bound, _RECOVER_DAMPING_FLOOR
         )
         t = float(t[0])
         if t == 0.0:
@@ -531,12 +560,8 @@ def _line_search(system, A, b, T, icfg, X, steps, bound, floor):
     (scalar or per row), or set t = 0 once t < floor.  Each halving
     evaluates all pending rows in one flow_with_jacobian call.  Returns t
     and, at the accepted points, x(T), its flow Jacobian and the residual
-    norm.  Only the tanh field's loops search: an affine flow needs no
-    damping, as its linearization is exact.
-
-    The residual of x(T) is ||b - A x(T)|| (_row_norms).  Recovery passes
-    its measurement (A, b); the oracle passes the measurement (R, z) of
-    _in_span, which has the same residual in at most m + 1 rows."""
+    norm ||b - A x(T)|| (_row_norms).  Only the tanh field's loops search:
+    an affine flow needs no damping, as its linearization is exact."""
     k, m = X.shape
     bound = np.broadcast_to(bound, (k,))
     t = np.ones(k)
@@ -574,7 +599,11 @@ def _in_span(A, b):
     1.3 and 2.4; Golub & Van Loan, Matrix Computations, 4th ed., sec. 5.3),
     whatever the rank of A, and R has min(n, m + 1) rows.  Q is never
     formed.  When n > m, R's last row is 0, and for A of full column rank
-    |z_m| is the distance of b from the span of A."""
+    |z_m| is the distance of b from the span of A.  Both estimators read it,
+    once per call: every residual recover_initial_state and l0_oracle
+    measure is ||z - R v||, so this is the one place that decides how a
+    problem is measured.  When n <= m, R has n rows and the factor is a
+    rotation of the measurement, which saves no rows."""
     Rz = np.linalg.qr(np.column_stack((A, b)), mode="r")
     return Rz[:, :-1], Rz[:, -1], A.shape[0]
 
@@ -700,11 +729,11 @@ def l0_oracle(
     measured as ||z - R x(T)||.  So a fit's arrays have min(n, m + 1) rows
     where A has n.
 
-    A fit is feasible when its residual is at most eps + 1e-9 max(1, ||b||),
-    the slack solve_weighted_bpdn allows, so the test does not depend on
-    the scale of the measurement.  Refuses with BudgetError when the
-    support count exceeds budget.  When no support is feasible, returns the
-    best fit found with converged=False.  iterations counts the supports
+    A fit is feasible when its residual is at most eps + 1e-9 max(1, ||b||)
+    (_feas_slack), the slack solve_weighted_bpdn allows, so the test does
+    not depend on the scale of the measurement.  Refuses with BudgetError
+    when the support count exceeds budget.  When no support is feasible,
+    returns the best fit found with converged=False.  iterations counts the supports
     examined.  An adaptive integration config settles its step count once,
     at x = 0 (see ode.settle_steps), and every fit runs at that count.
     """
@@ -724,7 +753,7 @@ def l0_oracle(
     # one factorization of [A | b] serves every fit of the call
     span = _in_span(meas.matrix, problem.observation)
     R, z, _ = span
-    feas_cut = meas.noise_radius + _ORACLE_FEAS_SLACK * max(1.0, float(np.linalg.norm(z)))
+    feas_cut = meas.noise_radius + _feas_slack(float(np.linalg.norm(z)))
     # every fit starts from zero, which is also the empty support's fit
     flow0 = flow_with_jacobian(problem.system, np.zeros(m), T, icfg)
     best_x = np.zeros(m)

@@ -203,8 +203,9 @@ _DEMO_CONFIG = Path(__file__).resolve().parents[1] / "configs" / "demo.json"
 
 def _demo_solve(monkeypatch, index):
     """(Phi, y, weights, eps) of the solve at linearization index (0 or 1) in
-    trial 0 of the demo sweep, a 512 x 12 tanh linearization at eps = 1e-3,
-    with every linearization solved on the path."""
+    trial 0 of the demo sweep, a tanh linearization at eps = 1e-3 in the 13
+    rows of the factor of its 512 x 12 measurement, with every linearization
+    solved on the path."""
     solve = recover.solve_weighted_bpdn
     solved = []
 
@@ -771,7 +772,11 @@ def test_recovery_on_zero_system_equals_direct_bpdn():
     x0[4] = 2.0
     problem = _problem(DynamicalSystem.zero(12), A, x0, T=1.0)
     out = recover_initial_state(problem)
-    direct = solve_weighted_bpdn(A, np.zeros(6), problem.observation, np.ones(12), 0.0)
+    # recovery solves on the measurement (R, z) it reads off [A | b]; with
+    # n = 6 < m, R has A's 6 rows
+    R, z, _ = recover._in_span(A, problem.observation)
+    assert R.shape == (6, 12)
+    direct = solve_weighted_bpdn(R, np.zeros(6), z, np.ones(12), 0.0)
     np.testing.assert_array_equal(out.estimate, direct)
     assert out.iterations == 1
     assert out.converged
@@ -835,7 +840,7 @@ def _tanh_instance():
 
 def test_recovery_linearizes_at_the_accepted_line_search_point(monkeypatch):
     problem = _tanh_instance()
-    A = problem.measurement.matrix
+    R, _, _ = recover._in_span(problem.measurement.matrix, problem.observation)
     calls, jacobians, linearizations, searches = [], [], [], []
     _count_calls(monkeypatch, kernels, "rk4_path", calls)
     _count_calls(monkeypatch, kernels, "rk4_flow_jacobian", calls)
@@ -871,10 +876,11 @@ def test_recovery_linearizes_at_the_accepted_line_search_point(monkeypatch):
     assert t[0] > 0.0
     assert np.array_equal(out.estimate, X[0] + t[0] * steps[0])
     assert out.residual == rn[0]
-    # the flow Jacobian at each accepted point is the next linearization
+    # the flow Jacobian at each accepted point is the next linearization, in
+    # the rows of the triangular factor of [A | b]
     assert len(linearizations) == len(jacobians) == out.iterations
     for Phi, P in zip(linearizations, jacobians):
-        assert np.array_equal(Phi, A @ P)
+        assert np.array_equal(Phi, R @ P)
 
 
 def test_a_damped_step_does_not_end_the_recovery(monkeypatch):
@@ -901,36 +907,60 @@ def test_a_damped_step_does_not_end_the_recovery(monkeypatch):
     assert out.residual <= SolverConfig().residual_match_tol
 
 
-def test_the_closed_form_tries_the_support_of_a_damped_iterate(monkeypatch):
+def test_the_closed_form_tries_the_support_of_the_last_proposal(monkeypatch):
     # trial 0 of the demo sweep with its second search run on half the step
     # and its t halved to match: recovery lands on the midpoint of that step,
-    # and the next linearization tries the closed form on the support and
-    # signs of that point, not of the proposal it came from
-    search, lock = recover._line_search, recover._locked_solve
-    searches, damped_at, locked = [], [], []
+    # which carries the union of two supports, and the next linearization
+    # tries the closed form on the support and signs of the proposal the
+    # step came from, which it certifies
+    search, lock, solve = recover._line_search, recover._locked_solve, recover.solve_weighted_bpdn
 
-    def damped(*args):
-        searches.append(args)
-        if len(searches) != 2:
-            return search(*args)
-        X, steps = args[5:7]
-        t, XT, P, rn = search(*args[:6], 0.5 * steps, *args[7:])
-        damped_at.append(X[0] + 0.5 * t[0] * steps[0])
-        return 0.5 * t, XT, P, rn
+    def run(damp):
+        searches, damped_at, locked, proposals, paths = [], [], [], [], []
 
-    def locking(*args):
-        locked.append(args[5:])
-        return lock(*args)
+        def damped(*args):
+            searches.append(args)
+            if len(searches) != 2 or not damp:
+                return search(*args)
+            X, steps = args[5:7]
+            t, XT, P, rn = search(*args[:6], 0.5 * steps, *args[7:])
+            damped_at.append(X[0] + 0.5 * t[0] * steps[0])
+            return 0.5 * t, XT, P, rn
 
-    monkeypatch.setattr(recover, "_line_search", damped)
-    monkeypatch.setattr(recover, "_locked_solve", locking)
-    record = run_trial(load_experiment_config(_DEMO_CONFIG), 0)
-    assert record.converged and len(locked) >= 2
+        def locking(*args):
+            x = lock(*args)
+            locked.append((args, x is not None))
+            if x is not None:
+                proposals.append(x)
+            return x
+
+        def solving(*args):
+            paths.append(1)
+            proposals.append(solve(*args))
+            return proposals[-1]
+
+        with monkeypatch.context() as patch:
+            patch.setattr(recover, "_line_search", damped)
+            patch.setattr(recover, "_locked_solve", locking)
+            patch.setattr(recover, "solve_weighted_bpdn", solving)
+            record = run_trial(load_experiment_config(_DEMO_CONFIG), 0)
+        assert record.converged
+        return damped_at, locked, proposals, len(paths)
+
+    damped_at, locked, proposals, paths = run(damp=True)
     [x] = damped_at
-    # locked[0] is the second linearization's try, locked[1] the third's
-    support, signs = locked[1]
-    assert np.array_equal(support, np.flatnonzero(x))
-    assert np.array_equal(signs, np.sign(x[support]))
+    # locked[0] is the second linearization's try, locked[1] the third's, on
+    # the second linearization's proposal
+    args, certified = locked[1]
+    support, signs = args[5:]
+    assert np.array_equal(support, np.flatnonzero(proposals[1]))
+    assert np.array_equal(signs, np.sign(proposals[1][support]))
+    assert support.size == 3 < np.count_nonzero(x) and certified
+    # a try on the damped iterate's support is refused, and the path would
+    # solve again; this run solves on the path as often as the undamped one
+    on = np.flatnonzero(x)
+    assert lock(*args[:5], on, np.sign(x[on])) is None
+    assert paths == run(damp=False)[3] == 2
 
 
 def test_tanh_recovery_stops_unconverged_at_outer_max_iter():
@@ -963,7 +993,8 @@ def test_recovery_reports_no_convergence_when_the_line_search_gives_up(monkeypat
     assert not out.converged and out.iterations == 1
     assert np.array_equal(out.estimate, np.zeros(4))
     xT = flow_with_jacobian(system, np.zeros(4), 0.4, icfg)[0]
-    assert out.residual == float(np.linalg.norm(problem.observation - A @ xT))
+    R, z, _ = recover._in_span(A, problem.observation)
+    assert out.residual == float(np.linalg.norm(z - R @ xT))
 
 
 def test_recovery_propagates_infeasibility():
@@ -1055,7 +1086,81 @@ def test_tanh_recovery_residual_is_the_jacobian_flows(eps):
     out = recover_initial_state(problem, icfg)
     assert out.converged
     XT = flow_with_jacobian(system, out.estimate[None], 0.3, icfg)[0]
-    assert out.residual == np.linalg.norm(problem.observation - XT @ A.T, axis=1)[0]
+    R, z, _ = recover._in_span(A, problem.observation)
+    assert out.residual == np.linalg.norm(z - XT @ R.T, axis=1)[0]
+
+
+def _noisy_planted(kind, n, m, eps, seed):
+    """A 2-sparse problem of the catalog system kind with an n x m matrix,
+    observed with noise of norm eps / 2."""
+    system = {s.kind: s for s in catalog_systems(m, 7)}[kind]
+    x0 = np.zeros(m)
+    x0[[1, 4]] = [0.9, -1.2]
+    e = np.random.Generator(np.random.Philox(seed)).standard_normal(n)
+    e *= 0.5 * eps / np.linalg.norm(e)
+    return _problem(system, gen_gaussian_matrix(n, m, seed), x0, T=0.3, eps=eps, s=2, noise=e)
+
+
+@pytest.mark.parametrize(
+    "kind, eps",
+    [("zero", 0.0), ("linear", 1e-3), ("tanh_saturated", 0.0), ("tanh_saturated", 1e-3)],
+)
+def test_recovery_measures_in_the_span_of_A(kind, eps, monkeypatch):
+    # n = 512 rows, m = 6 columns: [A | b] is factored once per call, R
+    # only, and every linearization and measurement that recovery solves,
+    # tries in closed form or searches on has m + 1 rows
+    problem = _noisy_planted(kind, 512, 6, eps, 1003)
+    icfg = IntegrationConfig.fixed(16)
+    factored, rows = [], {}
+    qr = np.linalg.qr
+
+    def counted_qr(a, mode="reduced"):
+        factored.append((a.shape, mode))
+        return qr(a, mode)
+
+    def recorded(name, measured):
+        fn = getattr(recover, name)
+
+        def call(*args):
+            rows.setdefault(name, []).extend(args[i].shape[0] for i in measured)
+            return fn(*args)
+
+        monkeypatch.setattr(recover, name, call)
+
+    monkeypatch.setattr(np.linalg, "qr", counted_qr)
+    # (Phi, offset, observation), (Phi, y) and the line search's (A, b)
+    recorded("solve_weighted_bpdn", (0, 1, 2))
+    recorded("_locked_solve", (0, 1))
+    recorded("_line_search", (1, 2))
+    for call in range(1, 3):
+        out = recover_initial_state(problem, icfg)
+        assert factored == [((512, 7), "r")] * call
+    assert out.converged
+    assert {r for found in rows.values() for r in found} == {7}
+    expected = {"solve_weighted_bpdn"}
+    if kind == "tanh_saturated":
+        expected |= {"_line_search"} | ({"_locked_solve"} if eps > 0.0 else set())
+    assert rows.keys() == expected
+
+
+@pytest.mark.parametrize("kind", ["linear", "tanh_saturated"])
+@pytest.mark.parametrize("eps", [0.0, 1e-3])
+def test_recovery_with_fewer_rows_than_columns_matches_the_n_row_measurement(
+    kind, eps, monkeypatch
+):
+    # n = 8 < m = 12: R has A's 8 rows, a rotation of the measurement, and
+    # the estimate is recovery's on (A, b) itself to rounding
+    problem = _noisy_planted(kind, 8, 12, eps, 77)
+    A, b = problem.measurement.matrix, problem.observation
+    assert recover._in_span(A, b)[0].shape == (8, 12)
+    icfg = IntegrationConfig.fixed(32)
+    out = recover_initial_state(problem, icfg)
+    with monkeypatch.context() as patch:
+        patch.setattr(recover, "_in_span", lambda A, b: (A, b, A.shape[0]))
+        ref = recover_initial_state(problem, icfg)
+    assert out.converged and ref.converged and out.iterations == ref.iterations
+    assert np.linalg.norm(out.estimate - ref.estimate) <= 1e-12 * np.linalg.norm(ref.estimate)
+    assert abs(out.residual - ref.residual) <= 1e-12 * np.linalg.norm(b)
 
 
 # --- l0 oracle --------------------------------------------------------------------

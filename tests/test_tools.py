@@ -151,7 +151,7 @@ def test_bench_oracle_exits_when_a_tree_moves_an_estimate_or_its_support(monkeyp
     def rows(*estimates, examined=(4, 4, 4), converged=True):
         kinds = ("zero", "linear", "tanh_saturated")
         table = [
-            [3, k, 1, 1000, 0.5, 1, 1, 3, 0, 1.0, 0.0, e, count, converged]
+            [3, k, 1, 1000, 0.5, 1, 1, 3, 0, 0.0, e, count, converged, 1.0]
             for k, e, count in zip(kinds, estimates, examined)
         ]
         return [table] * bench.ROUNDS
@@ -198,10 +198,10 @@ def test_bench_oracle_totals_each_kind_and_sparsity(monkeypatch, capsys):
         ("tanh_saturated", 2, 9, 20.0, 0.0),
     ]
     table = [
-        [6, k, s, 1000 + i, 0.5, calls, calls, 0, 0, ms, 0.0, [d, 0.0], 1 + 6 * s, True]
+        [6, k, s, 1000 + i, 0.5, calls, calls, 0, 0, 0.0, [d, 0.0], 1 + 6 * s, True, ms]
         for i, (k, s, calls, ms, d) in enumerate(spec)
     ]
-    base = [row[:11] + [[0.0, 0.0]] + row[12:] for row in table]
+    base = [row[:10] + [[0.0, 0.0]] + row[11:] for row in table]
     runs = {"parent": [base] * bench.ROUNDS, "change": [table] * bench.ROUNDS}
     monkeypatch.setattr(bench, "build_instances", lambda: [])
     monkeypatch.setattr(bench.treebench, "rounds", lambda *args: runs)
@@ -215,8 +215,12 @@ def test_bench_oracle_totals_each_kind_and_sparsity(monkeypatch, capsys):
     assert pairs["zero s=2"]["flow_jacobian_calls"] == 2
     assert pairs["zero s=2"]["max_abs_estimate_change"] == pytest.approx(2e-15)
     assert pairs["tanh_saturated s=1"]["flow_jacobian_calls"] == 4
-    # each instance keeps its supports examined and converged flag
-    assert [row[12:] for row in doc["results"]["change"]["instances"]] == [
+    # each instance keeps its supports examined and converged flag, and no
+    # time: only the totals read the clock
+    instances = doc["results"]["change"]["instances"]
+    assert all(len(row) == len(bench.COLUMNS) for row in instances)
+    assert "wall_ms" not in bench.COLUMNS
+    assert [row[11:] for row in instances] == [
         [7, True],
         [13, True],
         [13, True],
@@ -258,7 +262,7 @@ def test_bench_steps_exits_when_a_tree_moves_an_error_l2(monkeypatch):
 
     def rows(*errors):
         table = [
-            ["demo", "demo", i, 0.5, 64, 10, 5, 1, 1, 0, 1.0, e, [0], [1.0]]
+            ["demo", "demo", i, 0.5, 64, 10, 5, 1, 1, 0, e, 1.0, [0], [1.0]]
             for i, e in enumerate(errors)
         ]
         return [table] * bench.ROUNDS
@@ -269,11 +273,16 @@ def test_bench_steps_exits_when_a_tree_moves_an_error_l2(monkeypatch):
         bench.run({"parent": None, "change": None})
 
     monkeypatch.setattr(bench, "workloads", lambda package: [])
+    monkeypatch.setattr(bench, "by_sensor_count", lambda trees: {label: {} for label in trees})
     monkeypatch.setattr(bench, "flow_errors", lambda trials, steps: {k: [0.0] * 3 for k in steps})
     monkeypatch.setattr(bench.treebench, "write", lambda name, doc: written.append(doc))
-    # a move under outer_tol passes
+    # a move under outer_tol passes; a trial's row holds no time, its
+    # workload's total does
     run(0.0, 0.2 + 0.5 * tol, None)
     assert written[-1]["max_abs_error_l2_change"]["demo"] == pytest.approx(0.5 * tol)
+    change = written[-1]["results"]["change"]
+    assert all(len(row) == len(bench.COLUMNS) + 1 for row in change["trials"])
+    assert change["totals"]["demo"]["wall_ms"] == pytest.approx(3.0)
     # a move of outer_tol, and an error_l2 on one tree only, both fail
     for i, (change, moved) in enumerate([((tol, 0.2, None), 0), ((0.0, 0.2, 0.3), 2)]):
         with pytest.raises(SystemExit) as exit:

@@ -19,7 +19,8 @@ planted sparse vector for the underdetermined shapes, which l1 recovers.
 
 Each scan (SCANS) is solved once per tree, instance by instance, after the
 timing rounds.  A solve is in band when its residual lies in [eps, eps +
-band], band = min(residual_match_tol, 1e-9 max(1, ||y||)), and certified
+band], band = min(residual_match_tol, 1e-9 max(1, ||y||)) as the tree's
+recover._residual_band computes it, and certified
 when it is in band and the weighted lasso's KKT conditions hold at 1e-6
 relative at lam = the median of |Phi^T r|_j / w_j over its support.  Per
 scan and tree the file records both counts, the admm_lasso calls and their
@@ -53,7 +54,7 @@ SHAPES = (
     "linear 512x24, the one linearization of a dim-24 linear flow",
     "gaussian 6x12 underdetermined, 1-sparse",
     "gaussian 96x128 underdetermined, 8-sparse",
-    "tanh 512x12, eps = 1e-3, first linearization of configs/demo.json trial 0",
+    "tanh 13x12, eps = 1e-3, first linearization of configs/demo.json trial 0 (R P of 512x12)",
     "gaussian 48x64 underdetermined, 4-sparse, eps = 1e-2, weights from U(1, 2)",
 )
 SCANS = {
@@ -281,8 +282,7 @@ def solve(package, instance):
         t0 = time.perf_counter()
         x = recover.solve_weighted_bpdn(Phi, np.zeros(y.size), y, weights, eps)
         wall = time.perf_counter() - t0
-    band_tol = recover.SolverConfig().residual_match_tol
-    band = min(band_tol, 1e-9 * max(1.0, float(np.linalg.norm(y))))
+    band = recover._residual_band(recover.SolverConfig(), float(np.linalg.norm(y)))
     counts = len(iterations), sum(iterations), len(pivots)
     return (*certified(Phi, y, weights, eps, x, band), *counts, x, wall)
 

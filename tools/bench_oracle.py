@@ -10,12 +10,14 @@ The instances are those of the criterion-7 acceptance test: dimension m in
 matrix seeds 1000-1004, eps = 0, the auto-chosen time and 256 fixed RK4 steps.
 Per instance and tree the file records the kernels.rk4_flow_jacobian calls,
 the rows they integrate (row evaluations), the rows recover._line_search
-searches and how many of those end at t = 0, the median wall time of the
-oracle over the rounds, its residual, for every tree after the first the
-largest |estimate - estimate of the first tree|, and the oracle's supports
-examined and converged flag.  Totals per tree sum the counts and wall times
-and take the largest change, over all instances, over each kind's and over
-each (kind, s) pair's; the script prints them all.  Results go to
+searches and how many of those end at t = 0, the oracle's residual, for
+every tree after the first the largest |estimate - estimate of the first
+tree|, and the oracle's supports examined and converged flag.  An
+instance's row holds no time, so a rerun with equal counts and estimates
+leaves it byte-identical.  Totals per tree sum the counts and the
+instances' median wall times over the rounds, and take the largest change,
+over all instances, over each kind's and over each (kind, s) pair's; the
+script prints them all.  Results go to
 BENCH_oracle.json.  The script exits with status 1 when any tree's estimate
 differs from the first tree's by more than ESTIMATE_TOL, or selects
 another support (the entries above SUPPORT_CUT in absolute value, as
@@ -48,7 +50,6 @@ COLUMNS = (
     "row_evaluations",
     "line_search_rows",
     "line_searches_at_zero",
-    "wall_ms",
     "residual",
     "max_abs_estimate_change",
     "supports_examined",
@@ -93,7 +94,7 @@ def build_instances():
 def measure(package, instance):
     """The oracle of package's tree on one instance, once counted and once
     timed: the row of COLUMNS up to residual, the estimate, the supports
-    examined and the converged flag."""
+    examined, the converged flag and the wall time in ms."""
     m, kind, s, seed, T, M, A, b = instance
     counts = dict(calls=0, rows=0, searches=0, at_zero=0)
 
@@ -136,8 +137,8 @@ def measure(package, instance):
     recover.l0_oracle(problem, icfg)
     wall_ms = (time.perf_counter() - t0) * 1e3
     row = [m, kind, s, seed, T, counts["calls"], counts["rows"], counts["searches"]]
-    row += [counts["at_zero"], wall_ms, out.residual, out.estimate.tolist()]
-    return row + [out.iterations, out.converged]
+    row += [counts["at_zero"], out.residual, out.estimate.tolist()]
+    return row + [out.iterations, out.converged, wall_ms]
 
 
 def differing(rows, first):
@@ -147,28 +148,28 @@ def differing(rows, first):
     flag."""
     found = []
     for i, (row, row1) in enumerate(zip(rows, first)):
-        x, x1 = row[11], row1[11]
+        x, x1 = row[10], row1[10]
         if (
             np.max(np.abs(np.subtract(x, x1))) > ESTIMATE_TOL
             or not np.array_equal(np.abs(x) > SUPPORT_CUT, np.abs(x1) > SUPPORT_CUT)
-            or row[12:14] != row1[12:14]
+            or row[11:13] != row1[11:13]
         ):
             found.append(i)
     return found
 
 
-def totals(table):
-    """The counts and wall times of table's rows summed, and the largest
-    change of their estimates."""
+def totals(table, wall_ms):
+    """The counts of table's rows and their wall times wall_ms summed, and
+    the largest change of their estimates."""
     return {
         "instances": len(table),
         "flow_jacobian_calls": sum(row[5] for row in table),
         "row_evaluations": sum(row[6] for row in table),
         "line_search_rows": sum(row[7] for row in table),
         "line_searches_at_zero": sum(row[8] for row in table),
-        "wall_ms": sum(row[9] for row in table),
+        "wall_ms": sum(wall_ms),
         "max_abs_estimate_change": max(
-            (row[11] for row in table if row[11] is not None), default=None
+            (row[10] for row in table if row[10] is not None), default=None
         ),
     }
 
@@ -181,22 +182,26 @@ def run(trees):
     results = {}
     unequal = {}
     for label, rounds in runs.items():
-        table = []
+        table, wall_ms = [], []
         for i, row in enumerate(rounds[0]):
-            wall_ms = statistics.median(r[i][9] for r in rounds)
             change = None
             if label != first_label:
-                change = float(np.max(np.abs(np.subtract(row[11], first[i][11]))))
-            table.append(row[:9] + [wall_ms, row[10], change] + row[12:14])
+                change = float(np.max(np.abs(np.subtract(row[10], first[i][10]))))
+            table.append(row[:10] + [change] + row[11:13])
+            wall_ms.append(statistics.median(r[i][13] for r in rounds))
+
+        def subset(keep):
+            mine = [i for i, row in enumerate(table) if keep(row)]
+            return totals([table[i] for i in mine], [wall_ms[i] for i in mine])
+
         kinds = dict.fromkeys(row[1] for row in table)
-        by_kind = {kind: totals([row for row in table if row[1] == kind]) for kind in kinds}
+        by_kind = {kind: subset(lambda row: row[1] == kind) for kind in kinds}
         pairs = dict.fromkeys((row[1], row[2]) for row in table)
         by_kind_and_s = {
-            f"{kind} s={s}": totals([row for row in table if (row[1], row[2]) == (kind, s)])
-            for kind, s in pairs
+            f"{kind} s={s}": subset(lambda row: (row[1], row[2]) == (kind, s)) for kind, s in pairs
         }
         results[label] = {
-            "totals": totals(table),
+            "totals": totals(table, wall_ms),
             "by_kind": by_kind,
             "by_kind_and_s": by_kind_and_s,
             "instances": table,

@@ -15,16 +15,25 @@ over the calls of kernels.rk4_flow_jacobian and kernels.rk4_path), the
 sensitivity row-steps (the same sum over kernels.rk4_flow_jacobian alone),
 the path solves (calls of recover._lasso_path_point), the closed-form tries
 (calls of recover._locked_solve) and the ones certified (those that return
-a point), the median wall time of the trial over the rounds, error_l2, and
-flow_error: the largest of |v - v_ref| / (1 + |v_ref|) over the entries v of
-x(T) and dx(T)/dx0 at the trial's planted state, against 4096 RK4 steps,
-computed by this checkout's package.  Totals per workload sum the wall times
-and the counts and take the largest errors.  The ratios of the parent's
-totals over the change's leave out the closed-form counts, which are 0 on a
-workload with no eps > 0 tanh trial.  Results go to BENCH_steps.json.  The
-script then exits with status 1 when a tree moves some trial's error_l2 from
-the first tree's by SolverConfig().outer_tol or more, the step under which
-recovery's tanh loop stops, or reports it on one tree only.
+a point), error_l2, and flow_error: the largest of |v - v_ref| / (1 +
+|v_ref|) over the entries v of x(T) and dx(T)/dx0 at the trial's planted
+state, against 4096 RK4 steps, computed by this checkout's package.  A
+trial's row holds no time, so a rerun with equal counts and errors leaves
+it byte-identical.  Totals per workload sum the trials' median wall times
+over the rounds and the counts, and take the largest errors.
+
+The file also times recover.recover_initial_state against the sensor count
+n: the problems of the first SENSOR_TRIALS demo trials, rebuilt with n in
+SENSOR_COUNTS rows (forced past an infeasible certificate), are built once
+and recovered ROUNDS rounds by every tree.  Per n it records the median and
+quartiles of the time per recovery.
+
+The ratios of the parent's totals over the change's leave out the
+closed-form counts, which are 0 on a workload with no eps > 0 tanh trial,
+and take the median recovery time per n.  Results go to BENCH_steps.json.
+The script then exits with status 1 when a tree moves some trial's error_l2
+from the first tree's by SolverConfig().outer_tol or more, the step under
+which recovery's tanh loop stops, or reports it on one tree only.
 """
 
 import treebench
@@ -32,6 +41,7 @@ import treebench
 if __name__ == "__main__":
     treebench.one_blas_thread()
 
+import dataclasses
 import functools
 import statistics
 import sys
@@ -44,6 +54,8 @@ REFERENCE_STEPS = 4096
 # (master seed, eps) of the criterion-6 blocks, run for each system kind
 CRITERION_6 = ((601, 0.0), (602, 1e-3), (603, 1e-2))
 CRITERION_6_TRIALS = 67
+SENSOR_COUNTS = (512, 4096, 32768)
+SENSOR_TRIALS = 8
 COLUMNS = (
     "workload",
     "block",
@@ -55,7 +67,6 @@ COLUMNS = (
     "path_solves",
     "closed_form_tries",
     "closed_form_certified",
-    "wall_ms",
     "error_l2",
 )
 # the counted columns, which a trial's counting run fills
@@ -92,7 +103,8 @@ def workloads(package):
 
 def measure(package, item):
     """Trial (block index, trial) of package's tree, once counted and once
-    timed: the row of COLUMNS, plus the planted support and values."""
+    timed: the row of COLUMNS, then its wall time in ms, the planted support
+    and values."""
     block, trial = item
     workload, name, config = workloads(package)[block]
     counts = dict.fromkeys(COUNTS, 0)
@@ -136,8 +148,70 @@ def measure(package, item):
     t0 = time.perf_counter()
     r = package.harness.run_trial(config, trial)
     wall_ms = (time.perf_counter() - t0) * 1e3
-    row = [workload, name, trial, r.T, r.rk4_steps, *counts.values(), wall_ms, r.error_l2]
-    return row + [list(r.support), list(r.values)]
+    row = [workload, name, trial, r.T, r.rk4_steps, *counts.values(), r.error_l2]
+    return row + [wall_ms, list(r.support), list(r.values)]
+
+
+def sensor_problems():
+    """(n, T, A, b, eps, step count) of the recovery in each of the first
+    SENSOR_TRIALS demo trials with n rows, for each n in SENSOR_COUNTS, built
+    by this checkout's package."""
+    import sparseobs
+
+    harness = sparseobs.harness
+    demo = workloads(sparseobs)[0][2]
+    problems = []
+
+    def captured(recover_initial_state):
+        def run(problem, integration, solver):
+            meas = problem.measurement
+            A, b, steps = meas.matrix, problem.observation, integration.step_count
+            problems.append((A.shape[0], meas.time, A, b, meas.noise_radius, steps))
+            return recover_initial_state(problem, integration, solver)
+
+        return run
+
+    with treebench.swapped(harness, "recover_initial_state", captured):
+        for n in SENSOR_COUNTS:
+            for trial in range(SENSOR_TRIALS):
+                harness.run_trial(dataclasses.replace(demo, n=n), trial, force=True)
+    return problems
+
+
+def time_recovery(package, item):
+    """(n, seconds) of one recovery of a sensor_problems item by package's
+    tree."""
+    n, T, A, b, eps, steps = item
+    demo = workloads(package)[0][2]
+    problem = package.SparseProblem(
+        system=demo.system,
+        measurement=package.MeasurementModel(
+            matrix=A, time=T, noise_radius=eps, weights=demo.weight_vector()
+        ),
+        observation=b,
+        sparsity=demo.sparsity,
+    )
+    icfg = package.IntegrationConfig.fixed(steps)
+    t0 = time.perf_counter()
+    package.recover.recover_initial_state(problem, icfg)
+    return n, time.perf_counter() - t0
+
+
+def by_sensor_count(trees):
+    """{label: {n: median and quartiles of the time per recovery}}."""
+    runs = treebench.rounds(trees, ROUNDS, sensor_problems(), time_recovery)
+    results = {}
+    for label, rounds in runs.items():
+        samples = {}
+        for n, seconds in (sample for r in rounds for sample in r):
+            samples.setdefault(n, []).append(seconds)
+        results[label] = {
+            str(n): {"recoveries": len(found) // ROUNDS, **treebench.quartiles(found)}
+            for n, found in samples.items()
+        }
+        for n, t in results[label].items():
+            print(f"{label:>8}  recovery at n = {n:<6} {t['median_ms']:8.3f} ms")
+    return results
 
 
 def flow_errors(trials, steps_by_tree):
@@ -182,19 +256,21 @@ def run(trees):
     col = {name: i for i, name in enumerate(COLUMNS + ("flow_error",))}
     first = next(iter(runs.values()))[0]
     trials = [(row[1], row[3], row[-2], row[-1]) for row in first]
+    wall = len(COLUMNS)
     steps = {label: [row[col["steps"]] for row in rounds[0]] for label, rounds in runs.items()}
     errors = flow_errors(trials, steps)
 
     results = {}
     for label, rounds in runs.items():
-        table = []
-        for i, row in enumerate(rounds[0]):
-            wall_ms = statistics.median(r[i][col["wall_ms"]] for r in rounds)
-            table.append(row[: col["wall_ms"]] + [wall_ms, row[col["error_l2"]], errors[label][i]])
+        table = [row[:wall] + [errors[label][i]] for i, row in enumerate(rounds[0])]
+        wall_ms = [statistics.median(r[i][wall] for r in rounds) for i in range(len(table))]
         totals = {}
         for workload in dict.fromkeys(row[0] for row in table):
             mine = [row for row in table if row[0] == workload]
-            total = {"trials": len(mine), "wall_ms": sum(row[col["wall_ms"]] for row in mine)}
+            total = {
+                "trials": len(mine),
+                "wall_ms": sum(ms for row, ms in zip(table, wall_ms) if row[0] == workload),
+            }
             total.update({key: sum(row[col[key]] for row in mine) for key in COUNTS})
             total["steps"] = sorted({row[col["steps"]] for row in mine})
             total["max_flow_error"] = max(row[col["flow_error"]] for row in mine)
@@ -208,6 +284,8 @@ def run(trees):
                 f"{total['steps']}  flow error {total['max_flow_error']:.2e}"
             )
         results[label] = {"totals": totals, "trials": table}
+    for label, by_n in by_sensor_count(trees).items():
+        results[label]["recovery_by_sensor_count"] = by_n
 
     doc = {
         "rounds": ROUNDS,
@@ -218,7 +296,11 @@ def run(trees):
 
     def cost(result):
         keys = ("wall_ms",) + COUNTS[:3]
-        return {w: {k: t[k] for k in keys} for w, t in result["totals"].items()}
+        by_n = result["recovery_by_sensor_count"]
+        return {
+            **{w: {k: t[k] for k in keys} for w, t in result["totals"].items()},
+            "recovery_median_ms_by_sensor_count": {n: t["median_ms"] for n, t in by_n.items()},
+        }
 
     if treebench.parent_over_change(doc, "parent_over_change", cost):
         e = col["error_l2"]
@@ -228,7 +310,7 @@ def run(trees):
                 for p, c in zip(results["parent"]["trials"], results["change"]["trials"])
                 if p[0] == workload and p[e] is not None
             )
-            for workload in doc["parent_over_change"]
+            for workload in results["parent"]["totals"]
         }
     treebench.write("steps", doc)
     first_label, *others = results
