@@ -1,45 +1,15 @@
-"""Weighted-l1 recovery of sparse initial states, plus the exhaustive
-combinatorial oracle used to sanity-check it at desk scale.
+"""Weighted-l1 recovery of sparse initial states, and the exhaustive
+combinatorial oracle that checks it at desk scale.
 
-The core solve is weighted basis-pursuit denoising on a linearization of the
-flow map: min sum_i w_i |x_i| subject to ||observation - offset - Phi x|| <=
-eps.  Systems with an affine flow need a single linearization; the saturated
-catalog member re-linearizes around the current estimate until the step
-stalls.  The exact case (eps = 0) runs basis-pursuit ADMM from the
-least-squares point and its sign dual, which are already optimal when Phi has
-full column rank.  The noisy case follows the weighted-lasso solution path in
-the l1 weight lam down to the point whose residual sits mid-band just above
-eps, the only search it makes, and checks that point with one penalized ADMM
-run from it and its dual, where the first iteration passes the stopping
-test.  The path sweeps one Gram tableau, one pivot per join or drop, so its
-rounding carries from step to step; a point that drifted off the path past
-the kernel's tolerance would fail that test, and ADMM would iterate on from
-it.  Landing just above eps keeps the returned point both
-feasible-within-tolerance and objective-dominated by any true feasible
-point.  An affine flow is its own linearization: recovery's loop stops
-after its first solve, whose answer is the estimate, and the oracle fits
-each support in one least-squares step through the flow at 0.  The line
-search, which evaluates the flow Jacobian with each trial point, serves
-only the tanh field's loops, recovery's re-linearization and the oracle's
-damped Gauss-Newton fits.  At eps > 0 each linearization after the first
-is first solved in closed form (_locked_solve) on the support and signs of
-the last proposal, taking the path only when the lasso's KKT test
-(_lasso_kkt) does not certify that point: once the loop has found its
-active set, each later step is one small solve.  A solve that proposes a
-step shorter than outer_tol ends the loop before any search from it, so
-the estimate is the last point the loop flowed.  The oracle's search ends
-at the first support size holding a feasible fit, as every smaller one
-missed.  Both estimators take the triangular factor [R | z] of [A | b]
-once per call (_in_span) and measure each residual ||b - A x(T)|| as
-||z - R x(T)||, an identity since b lies in the span of the factor's
-orthonormal basis (Bjorck, Numerical Methods for Least Squares Problems,
-SIAM 1996, sec. 1.3 and 2.4), so no array either builds after entry has
-A's n rows: recovery linearizes as R P, and an oracle fit's Jacobian is
-R P_S.  The oracle's lstsq cutoff and stop rule still count n rows, which
-keeps each fit's stopping point.
-Recovery and the oracle both settle an adaptive integration config into one
-step count at entry (see ode.settle_steps), so every flow of one problem
-runs at the same count.
+- solve_weighted_bpdn solves weighted basis-pursuit denoising on one
+  linearization, at eps > 0 on the weighted-lasso path (_lasso_path_point).
+- recover_initial_state runs the re-linearization loop around it, with
+  closed-form tries (_locked_solve, certified by _lasso_kkt) and a damped
+  line search (_line_search).
+- l0_oracle fits supports size by size up to the sparsity (_fit_supports)
+  and stops at the first size that holds a feasible fit.
+- _in_span is the one measurement, [R | z] of [A | b], in which both
+  estimators measure every residual.
 """
 
 from __future__ import annotations
@@ -78,6 +48,13 @@ _RECOVER_DAMPING_FLOOR = 2.0**-30
 _FIT_DAMPING_FLOOR = 2.0**-20
 
 
+# the cap and stopping tolerance of every ADMM run; each run starts at its
+# own fixed point and passes the stopping test after one iteration, except
+# basis pursuit when Phi has more columns than rows
+_ADMM_MAX_ITER = 5000
+_ADMM_TOL = 1e-9
+
+
 @dataclass(frozen=True)
 class SolverConfig:
     """Knobs for the recovery solvers.
@@ -88,28 +65,19 @@ class SolverConfig:
     residual_match_tol, and it stops unconverged after outer_max_iter
     linearizations (solves) without one.  An affine flow's linearization is
     exact, so its loop stops at iteration 1, after the first solve,
-    converged if that solve's residual is within the same band.  inner_*
-    control the ADMM iterations, penalty is the ADMM step weight rho (the
-    augmented-Lagrangian weight of both ADMM kernels, not the lasso's l1
-    weight lam, which eps > 0 solves find on the lasso path), and
+    converged if that solve's residual is within the same band.
     residual_match_tol is the slack allowed between the achieved residual
     and the target eps.
     """
 
     outer_max_iter: int = 30
     outer_tol: float = 1e-8
-    inner_max_iter: int = 5000
-    inner_tol: float = 1e-9
-    penalty: float = 1.0
     residual_match_tol: float = 1e-6
 
     def __post_init__(self):
         checked = {
             "outer_max_iter": check_count(self.outer_max_iter, "outer_max_iter"),
             "outer_tol": check_real(self.outer_tol, "outer_tol", positive=True),
-            "inner_max_iter": check_count(self.inner_max_iter, "inner_max_iter"),
-            "inner_tol": check_real(self.inner_tol, "inner_tol", positive=True),
-            "penalty": check_real(self.penalty, "penalty", positive=True),
             "residual_match_tol": check_real(
                 self.residual_match_tol, "residual_match_tol", positive=True
             ),
@@ -124,7 +92,7 @@ def solve_weighted_bpdn(Phi, offset, observation, weights, eps, config=None):
 
     eps = 0 runs projection ADMM on the equality-constrained program, started
     at the least-squares point x_ls = pinv(Phi) y, from the pseudo-inverse
-    the projection uses, with scaled dual sign(x_ls) * w / penalty.
+    the projection uses, with scaled dual sign(x_ls) * w.
     x_ls is feasible and sign(x_ls) * w a subgradient of the objective there.
     When Phi has full column rank, x_ls is the only feasible point, so the
     start is optimal and the kernel stops after one iteration.  When n < m it
@@ -139,7 +107,7 @@ def solve_weighted_bpdn(Phi, offset, observation, weights, eps, config=None):
     and the solution z there; when eps lies within the feasibility slack
     below the least-squares residual, the path's end at lam = 0.  One
     penalized ADMM run then starts at lam from z and the scaled dual
-    u = Phi^T (y - Phi z) / penalty, the lasso ADMM fixed point, so its
+    u = Phi^T (y - Phi z), the lasso ADMM fixed point, so its
     first iteration passes the stopping test, which is the check that z is
     optimal, and its iterate is returned.  Raises InfeasibleError when even
     least squares cannot reach eps, within the slack 1e-9 max(1, ||y||).  At
@@ -159,22 +127,13 @@ def solve_weighted_bpdn(Phi, offset, observation, weights, eps, config=None):
         return np.zeros(m)
 
     feas_slack = _feas_slack(y_norm)
-    rho = cfg.penalty
     if eps == 0.0:
         # the pseudo-inverse gives x_ls and the kernel's projection at once
         Phi_pinv = np.ascontiguousarray(np.linalg.pinv(Phi))
         x_ls = Phi_pinv @ y
         _check_reachable(Phi, y, x_ls, eps, feas_slack)
-        thresh = weights / rho
         x, z, _, _ = kernels.admm_basis_pursuit(
-            Phi,
-            Phi_pinv,
-            y,
-            thresh,
-            x_ls,
-            np.sign(x_ls) * thresh,
-            cfg.inner_max_iter,
-            cfg.inner_tol,
+            Phi, Phi_pinv, y, weights, x_ls, np.sign(x_ls) * weights, _ADMM_MAX_ITER, _ADMM_TOL
         )
         return z
 
@@ -184,11 +143,12 @@ def solve_weighted_bpdn(Phi, offset, observation, weights, eps, config=None):
     lam, z = _lasso_path_point(Phi, y, G, Phi_t_y, weights, eps + 0.5 * band)
     if np.linalg.norm(y - Phi @ z) > eps + feas_slack:
         _check_reachable(Phi, y, np.linalg.lstsq(Phi, y, rcond=None)[0], eps, feas_slack)
-    # the lasso's fixed point at lam: x = z and rho * u = Phi^T r
-    F_inv = np.ascontiguousarray(np.linalg.inv(G + rho * np.eye(m)))
-    u = (Phi_t_y - G @ z) / rho
+    # the lasso's fixed point at lam, ADMM's step weight rho = 1: x = z and
+    # u = Phi^T r
+    F_inv = np.ascontiguousarray(np.linalg.inv(G + np.eye(m)))
+    u = Phi_t_y - G @ z
     return kernels.admm_lasso(
-        F_inv, Phi_t_y, rho, lam * weights / rho, z, u, cfg.inner_max_iter, cfg.inner_tol
+        F_inv, Phi_t_y, 1.0, lam * weights, z, u, _ADMM_MAX_ITER, _ADMM_TOL
     )[0]
 
 
@@ -379,8 +339,9 @@ def _locked_solve(Phi, y, w, eps, band, support, signs):
     positive definite, when a pivot L_jj^2 of its Cholesky factor, the
     squared distance of column j from the span of the columns before it, is
     at most 1e-14 G_jj (the path's test for a duplicate column), when eps' is
-    at or under ||r_LS||, when a sign on S is not s, or when _lasso_kkt
-    does not certify the point."""
+    at or under ||r_LS||, or when _lasso_kkt does not certify the point: a
+    sign on S that is not s is refused there, as its stationarity gap is
+    2 lam w_j, and so is every sign flipped, as then lam < 0."""
     Phi_S = Phi[:, support]
     v = w[support] * signs
     G = Phi_S.T @ Phi_S
@@ -400,8 +361,6 @@ def _locked_solve(Phi, y, w, eps, band, support, signs):
         return None
     x = np.zeros(Phi.shape[1])
     x[support] = x_ls - math.sqrt(excess / curvature) * d
-    if not np.array_equal(np.sign(x[support]), signs):
-        return None
     return x if _lasso_kkt(Phi, y, w, x, eps, band) else None
 
 

@@ -180,6 +180,21 @@ def test_recover_streams_estimate_to_stdout(tmp_path, capsys):
     assert "x_1,x_2" in capsys.readouterr().out
 
 
+def test_recover_reads_a_solver_config_of_kept_keys_only(tmp_path, capsys):
+    problem = _recovery_problem(tmp_path, np.eye(2).tolist(), [1.0, 0.0], dim=2)
+    assert main(["recover", "--problem", problem]) == 0
+    plain = capsys.readouterr().out
+    solver = _write_json(tmp_path / "solver.json", {"outer_tol": 1e-8})
+    assert main(["recover", "--problem", problem, "--solver-config", solver]) == 0
+    assert capsys.readouterr().out == plain
+    # ADMM's cap, tolerance and step weight are no longer solver settings
+    for removed in ("inner_max_iter", "inner_tol", "penalty"):
+        solver = _write_json(tmp_path / "solver.json", {removed: 1})
+        rc = main(["recover", "--problem", problem, "--solver-config", solver])
+        err = capsys.readouterr().err
+        assert rc == 2 and "unknown" in err and removed in err, err
+
+
 def test_oracle_subcommand(tmp_path, capsys):
     problem = _recovery_problem(tmp_path, np.eye(2).tolist(), [1.0, 0.0], dim=2)
     rc = main(["oracle", "--problem", problem])
@@ -357,7 +372,7 @@ def test_errors_exit_with_code_two(tmp_path, capsys):
         assert path in capsys.readouterr().err
 
     bad_fields = {
-        "solver": {"solver": {"inner_max_iter": "abc"}},
+        "solver": {"solver": {"outer_max_iter": "abc"}},
         "integration": {"integration": {"step_count": "x"}},
         "matrix.m": {"matrix": {"n": 128, "m": "x"}},
     }

@@ -129,10 +129,10 @@ def test_config_from_dict_wraps_nested_errors():
         ExperimentConfig.from_dict(_doc(system={"dim": 8, "rhs": {"kind": "cubic"}}))
     assert "in field 'system':" in str(info.value)
     with pytest.raises(ConfigError) as info:
-        ExperimentConfig.from_dict(_doc(solver={"inner_tol": -1.0}))
+        ExperimentConfig.from_dict(_doc(solver={"outer_tol": -1.0}))
     assert "in field 'solver':" in str(info.value)
     with pytest.raises(ConfigError) as info:
-        ExperimentConfig.from_dict(_doc(solver={"inner_max_iter": "abc"}))
+        ExperimentConfig.from_dict(_doc(solver={"outer_max_iter": "abc"}))
     assert "in field 'solver':" in str(info.value)
     with pytest.raises(ConfigError) as info:
         ExperimentConfig.from_dict(_doc(integration={"mode": "sympl"}))
@@ -156,12 +156,16 @@ def test_config_from_dict_refuses_unknown_nested_keys():
     nested = {
         "matrix": {"n": 128, "m": 8, "rows": 64},
         "system": {"dim": 8, "rhs": {"kind": "zero"}, "lipshitz": 1.0},
-        "solver": {"inner_tol": 1e-9, "momentum": 0.9},
+        "solver": {"outer_tol": 1e-9, "momentum": 0.9},
         "integration": {"mode": "fixed", "steps": 64},
     }
     for field, value in nested.items():
         with pytest.raises(ConfigError, match=f"in field '{field}': unknown"):
             ExperimentConfig.from_dict(_doc(**{field: value}))
+    # ADMM's cap, tolerance and step weight are no longer solver settings
+    for removed in ("inner_max_iter", "inner_tol", "penalty"):
+        with pytest.raises(ConfigError, match=f"in field 'solver': unknown.*{removed}"):
+            ExperimentConfig.from_dict(_doc(solver={removed: 1}))
 
 
 _INTEGER_FIELDS = (
@@ -172,7 +176,6 @@ _INTEGER_FIELDS = (
     "sparsity",
     "rip_budget",
     "solver.outer_max_iter",
-    "solver.inner_max_iter",
     "integration.step_count",
 )
 
@@ -203,12 +206,12 @@ def test_config_real_fields_reject_bools_and_strings(field, value):
 
 def test_config_integer_fields_accept_integral_floats():
     doc = _doc()
-    for path, value in zip(_INTEGER_FIELDS, (99.0, 3.0, 128.0, 8.0, 1.0, 2e5, 30.0, 5e3, 256.0)):
+    for path, value in zip(_INTEGER_FIELDS, (99.0, 3.0, 128.0, 8.0, 1.0, 2e5, 30.0, 256.0)):
         _set_field(doc, path, value)
     cfg = ExperimentConfig.from_dict(doc)
     got = (cfg.seed, cfg.trials, cfg.n, cfg.m, cfg.sparsity, cfg.rip_budget)
-    got += (cfg.solver.outer_max_iter, cfg.solver.inner_max_iter, cfg.integration.step_count)
-    assert got == (99, 3, 128, 8, 1, 200000, 30, 5000, 256)
+    got += (cfg.solver.outer_max_iter, cfg.integration.step_count)
+    assert got == (99, 3, 128, 8, 1, 200000, 30, 256)
     assert all(type(v) is int for v in got)
 
 

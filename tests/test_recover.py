@@ -67,13 +67,17 @@ def _count_calls(monkeypatch, module, name, calls):
 
 def test_solver_config_defaults_and_validation():
     cfg = SolverConfig()
-    assert cfg.outer_max_iter == 30 and cfg.inner_max_iter == 5000
+    assert dataclasses.asdict(cfg) == {
+        "outer_max_iter": 30,
+        "outer_tol": 1e-8,
+        "residual_match_tol": 1e-6,
+    }
     with pytest.raises(DomainError):
         SolverConfig(outer_max_iter=0)
     with pytest.raises(DomainError):
-        SolverConfig(inner_tol=0.0)
+        SolverConfig(outer_tol=0.0)
     with pytest.raises(DomainError):
-        SolverConfig(penalty=-1.0)
+        SolverConfig(residual_match_tol=-1.0)
 
 
 def test_solver_config_from_doc_rejects_unknown_fields():
@@ -81,6 +85,10 @@ def test_solver_config_from_doc_rejects_unknown_fields():
     with pytest.raises(DomainError) as info:
         from_doc(SolverConfig, {"outer_tol": 1e-7, "momentum": 0.9}, "solver config")
     assert "momentum" in str(info.value)
+    # ADMM's cap, tolerance and step weight are constants, not settings
+    for removed in ("inner_max_iter", "inner_tol", "penalty"):
+        with pytest.raises(DomainError, match=f"unknown.*{removed}"):
+            from_doc(SolverConfig, {removed: 1}, "solver config")
 
 
 # --- weighted bpdn ---------------------------------------------------------------
@@ -167,11 +175,10 @@ def test_bpdn_noisy_residual_lands_on_the_target():
 
 def test_bpdn_objective_never_exceeds_a_feasible_point():
     # x0 satisfies the constraint exactly at radius eps, so the solver's
-    # objective must come in at or below it once the inner loop is tight
+    # objective must come in at or below it
     Phi, x0, y, eps = _noisy_instance()
-    cfg = SolverConfig(inner_tol=1e-12, inner_max_iter=40000)
     w = np.ones(16)
-    x = solve_weighted_bpdn(Phi, np.zeros(64), y, w, eps, cfg)
+    x = solve_weighted_bpdn(Phi, np.zeros(64), y, w, eps)
     assert weighted_l1_norm(x, w) <= weighted_l1_norm(x0, w) + 1e-9
 
 
@@ -245,15 +252,15 @@ def _noisy_underdetermined(_monkeypatch=None):
     return Phi, Phi @ x0 + e, weights, eps
 
 
-def _record_lasso(monkeypatch, weights, penalty):
+def _record_lasso(monkeypatch, weights):
     """Wrap kernels.admm_lasso; returns the list of (lam, iterations) of its
-    calls, lam read back from the threshold lam * weights / penalty."""
+    calls, lam read back from the threshold lam * weights."""
     calls = []
     lasso = kernels.admm_lasso
 
     def wrapper(F_inv, Phi_t_y, rho, thresh, *rest):
         result = lasso(F_inv, Phi_t_y, rho, thresh, *rest)
-        calls.append((float(thresh[0] * penalty / weights[0]), result[2]))
+        calls.append((float(thresh[0] / weights[0]), result[2]))
         return result
 
     monkeypatch.setattr(kernels, "admm_lasso", wrapper)
@@ -291,7 +298,7 @@ def test_noisy_bpdn_probes_the_path_point_once(instance, monkeypatch):
     Phi, y, w, eps = instance(monkeypatch)
     n, m = Phi.shape
     cfg = SolverConfig()
-    calls = _record_lasso(monkeypatch, w, cfg.penalty)
+    calls = _record_lasso(monkeypatch, w)
     x = solve_weighted_bpdn(Phi, np.zeros(n), y, w, eps, cfg)
     # the path point is the lasso's fixed point: one call of one iteration
     assert [it for _, it in calls] == [1]
@@ -311,7 +318,7 @@ def test_noisy_bpdn_probes_the_path_point_once(instance, monkeypatch):
 def test_locked_solve_on_the_path_support_is_the_path_point(instance, monkeypatch):
     Phi, y, w, eps = instance(monkeypatch)
     cfg = SolverConfig()
-    calls = _record_lasso(monkeypatch, w, cfg.penalty)
+    calls = _record_lasso(monkeypatch, w)
     x = solve_weighted_bpdn(Phi, np.zeros(y.size), y, w, eps, cfg)
     support = np.flatnonzero(x)
     locked = recover._locked_solve(Phi, y, w, eps, _band(cfg, y), support, np.sign(x[support]))
@@ -334,8 +341,12 @@ def test_locked_solve_refuses_what_it_cannot_certify(monkeypatch):
         return recover._locked_solve(Phi, y, w, eps, band, S, s)
 
     assert locked(Phi, eps, S, s) is not None and len(checked) == 1
-    # a flipped sign, and a support without a column the solution needs
-    assert locked(Phi, eps, S, s * np.where(S == S[0], -1.0, 1.0)) is None
+    # a flipped sign leaves a stationarity gap of 2 lam w_j, and every sign
+    # flipped gives lam < 0: the KKT test refuses each
+    for flipped in (s * np.where(S == S[0], -1.0, 1.0), -s):
+        checked.clear()
+        assert locked(Phi, eps, S, flipped) is None and len(checked) == 1
+    # a support without a column the solution needs
     assert locked(Phi, eps, S[1:], s[1:]) is None
     # refused before the KKT test: a target under the least-squares residual
     # on S, and a duplicate column, whose Gram matrix is singular
@@ -415,7 +426,7 @@ def test_noisy_bpdn_inside_the_feasibility_slack_returns_least_squares(k, monkey
     x_ls = np.linalg.lstsq(Phi, y, rcond=None)[0]
     cfg = SolverConfig()
     band = _band(cfg, y)
-    calls = _record_lasso(monkeypatch, np.ones(16), cfg.penalty)
+    calls = _record_lasso(monkeypatch, np.ones(16))
     x = solve_weighted_bpdn(Phi, np.zeros(64), y, np.ones(16), eps, cfg)
     assert [it for _, it in calls] == [1]
     np.testing.assert_allclose(x, x_ls, rtol=0, atol=1e-12)
@@ -461,7 +472,7 @@ def test_noisy_bpdn_crossing_far_below_the_observation_norm(k, monkeypatch):
     y = Phi[:, 10] + 1e-8 * e / np.linalg.norm(e)
     eps = 0.999 * float(np.linalg.norm(y - Phi[:, 10]))
     cfg = SolverConfig()
-    calls = _record_lasso(monkeypatch, np.ones(42), cfg.penalty)
+    calls = _record_lasso(monkeypatch, np.ones(42))
     x = solve_weighted_bpdn(Phi, np.zeros(42), y, np.ones(42), eps, cfg)
     assert [it for _, it in calls] == [1]
     assert eps <= np.linalg.norm(y - Phi @ x) <= eps + _band(cfg, y)
@@ -475,7 +486,7 @@ def test_noisy_bpdn_certifies_near_square_scan_instances(k, monkeypatch):
     bench = tool_module("bench_bpdn")
     Phi, y, w, eps = bench.scan_instance("near_square", k)
     cfg = SolverConfig()
-    calls = _record_lasso(monkeypatch, w, cfg.penalty)
+    calls = _record_lasso(monkeypatch, w)
     x = solve_weighted_bpdn(Phi, np.zeros(y.size), y, w, eps, cfg)
     assert [it for _, it in calls] == [1]
     assert bench.certified(Phi, y, w, eps, x, _band(cfg, y)) == (True, True)
@@ -499,7 +510,7 @@ def test_noisy_bpdn_keeps_one_copy_of_a_duplicate_column(seed, monkeypatch):
     # second copy stays out, at its bound, and the point is still the lasso's
     Phi, y, w, eps = _duplicate_column(seed)
     cfg = SolverConfig()
-    calls = _record_lasso(monkeypatch, w, cfg.penalty)
+    calls = _record_lasso(monkeypatch, w)
     x = solve_weighted_bpdn(Phi, np.zeros(20), y, w, eps, cfg)
     assert [it for _, it in calls] == [1]
     assert min(abs(x[0]), abs(x[1])) < 1e-12
@@ -705,7 +716,7 @@ def test_criterion_6_tanh_trial_never_caps_basis_pursuit(monkeypatch):
     )
     counts = _count_admm_iterations(monkeypatch)
     record = run_trial(cfg, 0)
-    assert counts and max(counts) < SolverConfig().inner_max_iter
+    assert counts and max(counts) < recover._ADMM_MAX_ITER
     assert record.converged and record.error_l2 <= 1e-6
 
 
@@ -716,8 +727,7 @@ def test_underdetermined_warm_start_matches_a_cold_kernel_run(n, m, s, seed):
     x0 = np.zeros(m)
     x0[rng.choice(m, size=s, replace=False)] = rng.uniform(0.5, 1.5, s) * rng.choice([-1, 1], s)
     y = Phi @ x0
-    cfg = SolverConfig()
-    warm = solve_weighted_bpdn(Phi, np.zeros(n), y, np.ones(m), 0.0, cfg)
+    warm = solve_weighted_bpdn(Phi, np.zeros(n), y, np.ones(m), 0.0)
     _, cold, _, _ = kernels.admm_basis_pursuit(
         Phi,
         np.linalg.pinv(Phi),
@@ -725,8 +735,8 @@ def test_underdetermined_warm_start_matches_a_cold_kernel_run(n, m, s, seed):
         np.ones(m),
         np.zeros(m),
         np.zeros(m),
-        cfg.inner_max_iter,
-        cfg.inner_tol,
+        recover._ADMM_MAX_ITER,
+        recover._ADMM_TOL,
     )
     np.testing.assert_allclose(warm, cold, rtol=0, atol=1e-8)
     np.testing.assert_allclose(warm, x0, rtol=0, atol=1e-6)
@@ -739,18 +749,16 @@ def test_lasso_kernel_meets_kkt_caps_and_restarts_at_its_fixed_point():
     x0[[1, 6, 9]] = [1.0, -0.7, 0.4]
     y = Phi @ x0 + 0.05 * np.random.Generator(np.random.Philox(4)).standard_normal(512)
     w = np.ones(12)
-    cfg = SolverConfig()
-    rho = cfg.penalty
+    # the step weight rho = 1 that solve_weighted_bpdn runs the kernel at
     Phi_t_y = Phi.T @ y
     lam = 0.3 * float(np.max(np.abs(Phi_t_y) / w))
-    F_inv = np.ascontiguousarray(np.linalg.inv(Phi.T @ Phi + rho * np.eye(12)))
+    F_inv = np.ascontiguousarray(np.linalg.inv(Phi.T @ Phi + np.eye(12)))
 
     def lasso(z0, u0, max_iter):
-        thresh = lam * w / rho
-        return kernels.admm_lasso(F_inv, Phi_t_y, rho, thresh, z0, u0, max_iter, cfg.inner_tol)
+        return kernels.admm_lasso(F_inv, Phi_t_y, 1.0, lam * w, z0, u0, max_iter, recover._ADMM_TOL)
 
-    z, u, it = lasso(np.zeros(12), np.zeros(12), cfg.inner_max_iter)
-    assert it < cfg.inner_max_iter
+    z, u, it = lasso(np.zeros(12), np.zeros(12), recover._ADMM_MAX_ITER)
+    assert it < recover._ADMM_MAX_ITER
     # the lasso's KKT conditions at z
     c = Phi.T @ (y - Phi @ z)
     on = z != 0
@@ -760,7 +768,7 @@ def test_lasso_kernel_meets_kkt_caps_and_restarts_at_its_fixed_point():
     # a capped run reports the cap, which the pipeline benchmark counts as a cap hit
     assert lasso(np.zeros(12), np.zeros(12), 3)[2] == 3
     # restarted at its own fixed point, the first iteration passes the stopping test
-    assert lasso(z, u, cfg.inner_max_iter)[2] == 1
+    assert lasso(z, u, recover._ADMM_MAX_ITER)[2] == 1
 
 
 # --- recover_initial_state --------------------------------------------------------

@@ -50,8 +50,8 @@ import numpy as np
 ROUNDS = 5
 CALLS = 5
 SHAPES = (
-    "tanh 512x6, first linearization of a criterion-7 s=2 instance",
-    "linear 512x24, the one linearization of a dim-24 linear flow",
+    "tanh 7x6, first linearization of a criterion-7 s=2 instance (R P of 512x6)",
+    "linear 25x24, the one linearization of a dim-24 linear flow (R P of 512x24)",
     "gaussian 6x12 underdetermined, 1-sparse",
     "gaussian 96x128 underdetermined, 8-sparse",
     "tanh 13x12, eps = 1e-3, first linearization of configs/demo.json trial 0 (R P of 512x12)",
@@ -126,12 +126,13 @@ def build_inputs():
     from sparseobs.ode import flow_with_jacobian, integrate
 
     def linearization(system, A, x0, T):
-        # linearized at 0, as recovery's first outer iteration does
+        # linearized at 0, as recovery's first outer iteration does, in the
+        # rows of the factor [R | z] of [A | b] that recovery solves in
         xT, P = flow_with_jacobian(system, np.zeros(system.dim), T)
-        Phi, offset = A @ P, A @ xT
-        observation = A @ integrate(system, x0, T).final_state
-        x_ls = np.linalg.lstsq(Phi, observation - offset, rcond=None)[0]
-        return Phi, offset, observation, x_ls, np.ones(system.dim), 0.0
+        R, z, _ = recover._in_span(A, A @ integrate(system, x0, T).final_state)
+        Phi, offset = R @ P, R @ xT
+        x_ls = np.linalg.lstsq(Phi, z - offset, rcond=None)[0]
+        return Phi, offset, z, x_ls, np.ones(system.dim), 0.0
 
     def underdetermined(n, m, s, seed):
         Phi = harness.gen_gaussian_matrix(n, m, seed)
