@@ -16,6 +16,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import MISSING, dataclass, fields, is_dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -192,6 +193,13 @@ class SparseProblem:
         object.__setattr__(self, "observation", b)
         s = check_count(self.sparsity, "sparsity", 1, self.system.dim)
         object.__setattr__(self, "sparsity", s)
+
+    @cached_property
+    def _memo(self):
+        """The estimators' fixed work on this problem, filled by
+        recover._prepared.  It is no field, so to_doc, == and repr never
+        see it, and as the inputs are read-only copies it cannot go stale."""
+        return {}
 
 
 @dataclass(frozen=True)

@@ -9,7 +9,8 @@ combinatorial oracle that checks it at desk scale.
 - l0_oracle fits supports size by size up to the sparsity (_fit_supports)
   and stops at the first size that holds a feasible fit.
 - _in_span is the one measurement, [R | z] of [A | b], in which both
-  estimators measure every residual.
+  estimators measure every residual; _prepared computes it and the flow at
+  rest once per problem for both.
 """
 
 from __future__ import annotations
@@ -449,9 +450,9 @@ def recover_initial_state(
     adaptive integration config settles its step count once, at x = 0 (see
     ode.settle_steps), and every flow of the recovery runs at that count.
 
-    [A | b] is factored once per call, [A | b] = Q [R | z] (_in_span), and
-    recovery works in its min(n, m + 1) rows: the linearization is R P, the
-    offset R x(T) - R P x, and every residual, of the flow at 0, of an
+    [A | b] is factored once per problem, [A | b] = Q [R | z] (_in_span),
+    and recovery works in its min(n, m + 1) rows: the linearization is R P,
+    the offset R x(T) - R P x, and every residual, of the flow at 0, of an
     affine solve and of each trial point of a line search, is ||b - A
     x(T)|| measured as ||z - R x(T)||.  The eps > 0 band reads the norm of
     the observation less offset, which the factor keeps, and _lasso_kkt
@@ -465,11 +466,9 @@ def recover_initial_state(
     T = meas.time
     m = system.dim
     icfg = settle_steps(system, T, integration_config)
-    # one factorization of [A | b] serves every residual of the call
-    R, z, _ = _in_span(meas.matrix, problem.observation)
+    (R, z, _), (xT, P) = _prepared(problem, icfg)
 
     affine = system.kind in _AFFINE_FLOW_KINDS
-    xT, P = flow_with_jacobian(system, np.zeros(m), T, icfg)
     x = proposal = np.zeros(m)
     r_cur = float(np.linalg.norm(z - R @ xT))
     converged = False
@@ -559,12 +558,36 @@ def _in_span(A, b):
     whatever the rank of A, and R has min(n, m + 1) rows.  Q is never
     formed.  When n > m, R's last row is 0, and for A of full column rank
     |z_m| is the distance of b from the span of A.  Both estimators read it,
-    once per call: every residual recover_initial_state and l0_oracle
-    measure is ||z - R v||, so this is the one place that decides how a
-    problem is measured.  When n <= m, R has n rows and the factor is a
-    rotation of the measurement, which saves no rows."""
+    once per problem (_prepared): every residual recover_initial_state and
+    l0_oracle measure is ||z - R v||, so this is the one place that decides
+    how a problem is measured.  When n <= m, R has n rows and the factor is
+    a rotation of the measurement, which saves no rows.  R and z are
+    read-only views of one factor."""
     Rz = np.linalg.qr(np.column_stack((A, b)), mode="r")
+    Rz.setflags(write=False)
     return Rz[:, :-1], Rz[:, -1], A.shape[0]
+
+
+def _prepared(problem, icfg):
+    """The fixed work of both estimators on problem at the settled config
+    icfg: the equivalent measurement (R, z, n) of (A, b) (_in_span) and the
+    flow at 0, (x(T), P), at icfg's step count.  Each is computed on first
+    use and kept on the problem (SparseProblem._memo), the flow under its
+    step count, so recovery and the oracle on one problem factor [A | b]
+    once and flow it at rest once.  Every array kept is read-only, so no
+    caller can change what another reads."""
+    memo = problem._memo
+    if "span" not in memo:
+        memo["span"] = _in_span(problem.measurement.matrix, problem.observation)
+    steps = icfg.step_count
+    if steps not in memo:
+        flow0 = flow_with_jacobian(
+            problem.system, np.zeros(problem.system.dim), problem.measurement.time, icfg
+        )
+        for a in flow0:
+            a.setflags(write=False)
+        memo[steps] = flow0
+    return memo["span"], memo[steps]
 
 
 def _fit_supports(system, span, T, icfg, flow0, supports):
@@ -682,9 +705,9 @@ def l0_oracle(
     bound and kept only on a strict decrease of the residual norm (see
     _fit_supports).
 
-    [A | b] is factored once per call, [A | b] = Q [R | z] (_in_span), and
-    every residual the oracle measures, of the empty support, of each fit
-    and of each trial point of a fit's line search, is ||b - A x(T)||
+    [A | b] is factored once per problem, [A | b] = Q [R | z] (_in_span),
+    and every residual the oracle measures, of the empty support, of each
+    fit and of each trial point of a fit's line search, is ||b - A x(T)||
     measured as ||z - R x(T)||.  So a fit's arrays have min(n, m + 1) rows
     where A has n.
 
@@ -708,13 +731,10 @@ def l0_oracle(
     meas = problem.measurement
     T = meas.time
     icfg = settle_steps(problem.system, T, integration_config)
-
-    # one factorization of [A | b] serves every fit of the call
-    span = _in_span(meas.matrix, problem.observation)
+    # every fit starts from zero, which is also the empty support's fit
+    span, flow0 = _prepared(problem, icfg)
     R, z, _ = span
     feas_cut = meas.noise_radius + _feas_slack(float(np.linalg.norm(z)))
-    # every fit starts from zero, which is also the empty support's fit
-    flow0 = flow_with_jacobian(problem.system, np.zeros(m), T, icfg)
     best_x = np.zeros(m)
     best_rn = float(np.linalg.norm(z - R @ flow0[0]))
     examined = 1

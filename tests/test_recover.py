@@ -26,6 +26,7 @@ from sparseobs.model import (
     MeasurementModel,
     SparseProblem,
     from_doc,
+    to_doc,
     weighted_l1_norm,
 )
 from sparseobs.ode import IntegrationConfig, flow_with_jacobian, integrate, settle_steps
@@ -678,28 +679,35 @@ def _count_admm_iterations(monkeypatch):
 
 
 def _tanh_linearization():
-    """Phi = A P, offset and observation of a 512 x 6 tanh system linearized
-    at a point away from 0, where the flow is far from linear."""
+    """Phi = R P, offset R x(T) and observation z of a 512 x 6 tanh system
+    linearized at a point away from 0, where the flow is far from linear,
+    in the factor [R | z] of [A | b] that recovery solves in."""
     system = DynamicalSystem.tanh_saturated((2.0 * unit_spectral_matrix(6, 7)).tolist())
     xT, P = flow_with_jacobian(system, np.array([0.8, 0.0, -0.6, 0.0, 0.0, 1.1]), 0.8)
     A = gen_gaussian_matrix(512, 6, 1000)
     x0 = np.array([0.0, 0.9, 0.0, 0.0, -1.2, 0.0])
-    return A @ P, A @ xT, A @ (xT + P @ x0)
+    R, z, _ = recover._in_span(A, A @ (xT + P @ x0))
+    return R @ P, R @ xT, z
 
 
 def _gaussian_linear():
-    Phi = gen_gaussian_matrix(512, 24, 11)
+    """A 512 x 24 Gaussian measurement of a 3-sparse state under the zero
+    field (P = I), in the factor [R | z] of [A | b]."""
+    A = gen_gaussian_matrix(512, 24, 11)
     x0 = np.zeros(24)
     x0[[3, 17, 20]] = [1.0, -0.5, 2.0]
-    return Phi, np.zeros(512), Phi @ x0
+    R, z, _ = recover._in_span(A, A @ x0)
+    return R, np.zeros(25), z
 
 
 @pytest.mark.parametrize("instance", [_tanh_linearization, _gaussian_linear])
 def test_basis_pursuit_with_full_column_rank_takes_one_iteration(instance, monkeypatch):
     # the only feasible point is the least-squares point, where the warm
-    # start's sign dual already satisfies the kernel's stopping test
+    # start's sign dual already satisfies the kernel's stopping test; the
+    # shape is recovery's, m + 1 rows of the factor of a 512-row [A | b]
     Phi, offset, observation = instance()
     m = Phi.shape[1]
+    assert Phi.shape == (m + 1, m)
     counts = _count_admm_iterations(monkeypatch)
     x = solve_weighted_bpdn(Phi, offset, observation, np.ones(m), 0.0)
     assert counts == [1]
@@ -1114,9 +1122,10 @@ def _noisy_planted(kind, n, m, eps, seed):
     [("zero", 0.0), ("linear", 1e-3), ("tanh_saturated", 0.0), ("tanh_saturated", 1e-3)],
 )
 def test_recovery_measures_in_the_span_of_A(kind, eps, monkeypatch):
-    # n = 512 rows, m = 6 columns: [A | b] is factored once per call, R
-    # only, and every linearization and measurement that recovery solves,
-    # tries in closed form or searches on has m + 1 rows
+    # n = 512 rows, m = 6 columns: [A | b] is factored once per problem, R
+    # only, however often it is recovered, and every linearization and
+    # measurement that recovery solves, tries in closed form or searches on
+    # has m + 1 rows
     problem = _noisy_planted(kind, 512, 6, eps, 1003)
     icfg = IntegrationConfig.fixed(16)
     factored, rows = [], {}
@@ -1140,10 +1149,13 @@ def test_recovery_measures_in_the_span_of_A(kind, eps, monkeypatch):
     recorded("solve_weighted_bpdn", (0, 1, 2))
     recorded("_locked_solve", (0, 1))
     recorded("_line_search", (1, 2))
-    for call in range(1, 3):
-        out = recover_initial_state(problem, icfg)
-        assert factored == [((512, 7), "r")] * call
-    assert out.converged
+    outs = [recover_initial_state(problem, icfg) for _ in range(2)]
+    assert factored == [((512, 7), "r")]
+    # an equal problem is factored once more, and recovers the same
+    fresh = recover_initial_state(dataclasses.replace(problem), icfg)
+    assert factored == [((512, 7), "r")] * 2
+    assert to_doc(outs[0]) == to_doc(outs[1]) == to_doc(fresh)
+    assert fresh.converged
     assert {r for found in rows.values() for r in found} == {7}
     expected = {"solve_weighted_bpdn"}
     if kind == "tanh_saturated":
@@ -1165,7 +1177,8 @@ def test_recovery_with_fewer_rows_than_columns_matches_the_n_row_measurement(
     out = recover_initial_state(problem, icfg)
     with monkeypatch.context() as patch:
         patch.setattr(recover, "_in_span", lambda A, b: (A, b, A.shape[0]))
-        ref = recover_initial_state(problem, icfg)
+        # an equal problem, as this one keeps its factor
+        ref = recover_initial_state(dataclasses.replace(problem), icfg)
     assert out.converged and ref.converged and out.iterations == ref.iterations
     assert np.linalg.norm(out.estimate - ref.estimate) <= 1e-12 * np.linalg.norm(ref.estimate)
     assert abs(out.residual - ref.residual) <= 1e-12 * np.linalg.norm(b)
@@ -1553,8 +1566,9 @@ def test_affine_flow_oracle_integrates_once(kind, monkeypatch):
 
 @pytest.mark.parametrize("kind", ["zero", "linear", "tanh_saturated"])
 def test_oracle_fits_work_in_the_span_of_A(kind, monkeypatch):
-    # n = 512 rows, m = 6 columns: [A | b] is factored once per call, R
-    # only, and no SVD input or per-support residual has more than m + 1 rows
+    # n = 512 rows, m = 6 columns: [A | b] is factored once per problem, R
+    # only, however often the oracle runs on it, and no SVD input or
+    # per-support residual has more than m + 1 rows
     system = {s.kind: s for s in catalog_systems(6, 7)}[kind]
     A = gen_gaussian_matrix(512, 6, 1003)
     icfg = IntegrationConfig.fixed(16)
@@ -1581,13 +1595,63 @@ def test_oracle_fits_work_in_the_span_of_A(kind, monkeypatch):
     monkeypatch.setattr(np.linalg, "qr", counted_qr)
     monkeypatch.setattr(np.linalg, "svd", recorded_svd)
     monkeypatch.setattr(recover, "_row_norms", recorded_row_norms)
-    for call in range(1, 3):
-        out = l0_oracle(problem, icfg)
-        assert factored == [((512, 7), "r")] * call
+    outs = [l0_oracle(problem, icfg) for _ in range(2)]
+    assert factored == [((512, 7), "r")]
+    # an equal problem is factored once more, and gives the same fit
+    out = l0_oracle(dataclasses.replace(problem), icfg)
+    assert factored == [((512, 7), "r")] * 2
+    assert to_doc(outs[0]) == to_doc(outs[1]) == to_doc(out)
     assert out.converged
     assert set(np.flatnonzero(np.abs(out.estimate) > 1e-8)) == {1, 4}
     assert svd_rows and max(svd_rows) == 7
     assert residual_rows and max(residual_rows) == 7
+
+
+@pytest.mark.parametrize("first", ["recover", "oracle"])
+@pytest.mark.parametrize("s", [1, 2])
+@pytest.mark.parametrize("kind", ["zero", "linear", "tanh_saturated"])
+def test_recovery_and_the_oracle_share_one_preparation_per_problem(kind, s, first, monkeypatch):
+    # criterion 7's question on one problem, 512 x 6, eps = 0: across both
+    # estimators, in either order, [A | b] is factored once and the system
+    # flowed at rest once, and each outcome is that estimator's on a fresh,
+    # equal problem, bit for bit
+    system = {each.kind: each for each in catalog_systems(6, 7)}[kind]
+    icfg = IntegrationConfig()
+    support = (2,) if s == 1 else (1, 4)
+    problem, _ = _planted(system, gen_gaussian_matrix(512, 6, 1000 + s), support, icfg, s=s)
+    solves = [recover_initial_state, l0_oracle]
+    if first == "oracle":
+        solves.reverse()
+    refs = [solve(dataclasses.replace(problem), icfg) for solve in solves]
+    factored, at_rest = [], []
+    qr, flow = np.linalg.qr, recover.flow_with_jacobian
+
+    def counted_qr(a, mode="reduced"):
+        factored.append((a.shape, mode))
+        return qr(a, mode)
+
+    def counted_flow(system, X, T, cfg):
+        # every other flow of either estimator is of line-search rows
+        if np.ndim(X) == 1:
+            at_rest.append(np.count_nonzero(X))
+        return flow(system, X, T, cfg)
+
+    monkeypatch.setattr(np.linalg, "qr", counted_qr)
+    monkeypatch.setattr(recover, "flow_with_jacobian", counted_flow)
+    outs = [solve(problem, icfg) for solve in solves]
+    assert factored == [((512, 7), "r")] and at_rest == [0]
+    assert all(out.converged for out in outs)
+    assert [to_doc(out) for out in outs] == [to_doc(ref) for ref in refs]
+    # what both read is read-only, and read again it is not recomputed
+    (R, z, _), (xT, P) = recover._prepared(problem, icfg)
+    assert len(factored) == len(at_rest) == 1
+    for a in (R, z, xT, P):
+        assert not a.flags.writeable
+        with pytest.raises(ValueError):
+            a[...] = 0.0
+    # what is kept is no field: the problem reads as an equal fresh one
+    fresh = dataclasses.replace(problem)
+    assert (to_doc(problem), repr(problem)) == (to_doc(fresh), repr(fresh))
 
 
 def _planted(system, A, support, icfg, T=0.4, noise=None, eps=0.0, s=2):
