@@ -45,7 +45,7 @@ from .model import (
     to_doc,
     weight_condition_number,
 )
-from .ode import IntegrationConfig, integrate, settle_steps
+from .ode import IntegrationConfig, integrate, settle
 from .recover import SolverConfig, recover_initial_state
 from .rip import DEFAULT_SUPPORT_BUDGET, operator_norm, rip_constant_exact
 
@@ -113,8 +113,11 @@ class ExperimentConfig:
     time is either a positive float or "auto", which certifies each trial's
     matrix first and sets T to 0.9 times the smaller certified horizon.
     weights=None means unit weights.  An adaptive integration config, the
-    default, settles each trial's RK4 step count once T is known (see
-    ode.settle_steps); the observation and the recovery both run at it.
+    default, settles each trial's RK4 step count at x = 0 once T is known
+    (see ode.settle); the observation and the recovery both run at it.  An
+    integration block that sets what its mode does not use, step_count in
+    adaptive mode or tolerance in fixed mode, is refused as a ConfigError
+    in field 'integration'.
     """
 
     seed: int
@@ -327,7 +330,7 @@ def run_trial(config: ExperimentConfig, trial: int, force: bool = False) -> Tria
     # the observation and the recovery share one step count; under the zero,
     # linear and affine fields the observation steps the RK4 step map and
     # recovery maps x by the flow at 0, its chained product: equal to rounding
-    integration = settle_steps(system, T, config.integration)
+    integration = settle(system, np.zeros(m), T, config.integration)[0]
     x0, support, values = _plant_signal(config, trial)
     xT = integrate(system, x0, T, integration).final_state
     b = A @ xT + _noise_vector(config, trial, config.n)

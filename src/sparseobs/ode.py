@@ -2,17 +2,18 @@
 equations (flow sensitivities), plus the exponential deviation envelope used
 by the certificates.
 
-The one integrator is classical RK4 in kernels.  Adaptive mode doubles one
-step count for the whole call until x(T) and dx(T)/dx0 agree with the
-previous count's entrywise to tolerance * (1 + |value|), for every row at
-once; integrate settles so from x0 before it steps the path.  settle_steps
-runs that search once, at x = 0, and returns the accepted count as a fixed
-config, which recovery, the oracle and the experiment trials use for every
-flow of one problem.  Under every field but tanh, and under tanh at rest, a
-path takes one matvec a step and a flow's sensitivity multiplies copies of
-one step's increment, once per block length, for every row at once (see
-kernels.rk4_flow_jacobian); a flow from rest steps no state, so the search
-at 0 and the flows at 0 of recovery and the oracle are cheap.
+The one integrator is classical RK4 in kernels.  settle is the one adaptive
+climb: it doubles one step count for the whole call until x(T) and
+dx(T)/dx0 agree with the previous count's entrywise to tolerance * (1 +
+|value|), for every row at once, and returns that count as a fixed config
+with the flow it measured there.  integrate settles from x0 before it steps
+the path, adaptive flow_with_jacobian returns the climb's flow, and
+recovery, the oracle and the experiment trials settle once at x = 0 and run
+every flow of one problem at that count.  Under every field but tanh, and
+under tanh at rest, a path takes one matvec a step and a flow's sensitivity
+multiplies copies of one step's increment, once per block length, for every
+row at once (see kernels.rk4_flow_jacobian); a flow from rest steps no
+state, so the climb at 0 is cheap, and its last flow is the flow at rest.
 """
 
 from __future__ import annotations
@@ -28,6 +29,9 @@ from .model import DynamicalSystem
 
 _MODES = ("fixed", "adaptive")
 
+_DEFAULT_STEPS = 256
+_DEFAULT_TOLERANCE = 1e-9
+
 _ADAPTIVE_START_STEPS = 8
 # adaptive mode raises rather than double past this many steps
 _ADAPTIVE_MAX_STEPS = 1 << 16
@@ -35,27 +39,36 @@ _ADAPTIVE_MAX_STEPS = 1 << 16
 
 @dataclass(frozen=True)
 class IntegrationConfig:
-    """Integrator selection.  mode picks which knob is active: "fixed" uses
-    step_count uniform RK4 steps, "adaptive" doubles the RK4 step count until
-    two successive counts agree to tolerance (relative to 1 + |value|)."""
+    """Integrator selection.  mode picks which setting is used: "fixed" takes
+    step_count uniform RK4 steps (256 unless set), "adaptive" doubles the RK4
+    step count until two successive counts agree to tolerance (1e-9 unless
+    set, relative to 1 + |value|).  The setting the mode does not use stays
+    None, and setting it raises DomainError."""
 
     mode: str = "fixed"
-    step_count: int = 256
-    tolerance: float = 1e-9
+    step_count: int | None = None
+    tolerance: float | None = None
 
     def __post_init__(self):
         if self.mode not in _MODES:
             raise DomainError(f"mode must be one of {_MODES}, got {self.mode!r}")
-        object.__setattr__(self, "step_count", check_count(self.step_count, "step_count"))
-        tolerance = check_real(self.tolerance, "tolerance", positive=True)
-        object.__setattr__(self, "tolerance", tolerance)
+        fixed = self.mode == "fixed"
+        unused = "tolerance" if fixed else "step_count"
+        if getattr(self, unused) is not None:
+            raise DomainError(f"{unused} does not apply in {self.mode} mode")
+        if fixed:
+            steps = _DEFAULT_STEPS if self.step_count is None else self.step_count
+            object.__setattr__(self, "step_count", check_count(steps, "step_count"))
+        else:
+            tol = _DEFAULT_TOLERANCE if self.tolerance is None else self.tolerance
+            object.__setattr__(self, "tolerance", check_real(tol, "tolerance", positive=True))
 
     @classmethod
-    def fixed(cls, step_count=256):
+    def fixed(cls, step_count=_DEFAULT_STEPS):
         return cls(mode="fixed", step_count=step_count)
 
     @classmethod
-    def adaptive(cls, tolerance=1e-9):
+    def adaptive(cls, tolerance=_DEFAULT_TOLERANCE):
         return cls(mode="adaptive", tolerance=tolerance)
 
 
@@ -114,13 +127,12 @@ def integrate(
     """Propagate the system from x0 over [0, T] and return the sampled path.
 
     The samples are the uniform RK4 grid, step_count steps in fixed mode and
-    in adaptive mode the count at which flow_with_jacobian settles from x0.
-    Row 0 is exactly x0.  A non-finite state aborts with the first grid time
-    at which it appeared.
+    in adaptive mode the count that settle accepts from x0.  Row 0 is
+    exactly x0.  A non-finite state aborts with the first grid time at which
+    it appeared.
     """
-    cfg = config or IntegrationConfig()
     x0, T = _check_args(system, x0, T)
-    n = cfg.step_count if cfg.mode == "fixed" else _climb(system, x0, T, cfg.tolerance)[2]
+    n = settle(system, x0, T, config)[0].step_count
     states = kernels.rk4_path(*system.kernel_args(), x0, T, n)
     bad = ~np.all(np.isfinite(states), axis=1)
     if np.any(bad):
@@ -142,20 +154,6 @@ def _flow_run(system, X, T, n):
     return XT, P
 
 
-def _climb(system, X, T, tol):
-    """Adaptive flow of X, one state or rows: doubles one step count for the
-    whole call until x(T) and the sensitivity of every row agree with the
-    previous count's.  Returns x(T), the sensitivities and the count."""
-    n = _ADAPTIVE_START_STEPS
-    XT, P = _flow_run(system, X, T, n)
-    while True:
-        n = _doubled(n)
-        XT_n, P_n = XT, P
-        XT, P = _flow_run(system, X, T, n)
-        if _settled(XT_n, XT, tol) and _settled(P_n, P, tol):
-            return XT, P, n
-
-
 def flow_with_jacobian(
     system: DynamicalSystem, x0, T, config: IntegrationConfig | None = None
 ):
@@ -163,34 +161,40 @@ def flow_with_jacobian(
     matrix variational equation alongside the state.  x0 is one state (m,),
     giving (m,) and (m, m), or rows (k, m), giving (k, m) and (k, m, m).
 
-    In adaptive mode the step count doubles for the whole call until x(T)
-    and the sensitivity of every row agree, so every row runs at one count:
-    the first at which all of them have settled.  A non-finite value raises
-    NumericalError at once.
+    In adaptive mode this is settle's flow: the step count doubles for the
+    whole call until x(T) and the sensitivity of every row agree, so every
+    row runs at one count, the first at which all of them have settled.  A
+    non-finite value raises NumericalError at once.
     """
-    cfg = config or IntegrationConfig()
     X0, T = _check_args(system, x0, T, rows=True)
-    if cfg.mode == "fixed":
-        return _flow_run(system, X0, T, cfg.step_count)
-    return _climb(system, X0, T, cfg.tolerance)[:2]
+    icfg, flow = settle(system, X0, T, config)
+    return _flow_run(system, X0, T, icfg.step_count) if flow is None else flow
 
 
-def settle_steps(
-    system: DynamicalSystem, T, config: IntegrationConfig | None = None
-) -> IntegrationConfig:
-    """The fixed config to integrate the system over [0, T] with.  A fixed
-    config comes back as it is.  An adaptive config runs flow_with_jacobian's
-    step doubling once, at x = 0, and returns the count at which x(T) and
-    dx(T)/dx0 settled to its tolerance as IntegrationConfig.fixed.  The count
-    is settled at 0 only, where tanh is linear; tests/test_ode.py checks that
-    it holds the tolerance at planted, dense and saturated states of the demo
-    system against 4096 steps."""
+def settle(system: DynamicalSystem, x0, T, config: IntegrationConfig | None = None):
+    """The fixed config to integrate the system over [0, T] with, and the
+    flow (x(T), dx(T)/dx0) measured at its count.  A fixed config comes back
+    as it is, with None for the flow.  An adaptive config doubles one step
+    count from 8 for the whole call until x(T) and the sensitivity of every
+    row of x0, one state (m,) or rows (k, m), agree with the previous
+    count's, and returns that count as IntegrationConfig.fixed with the flow
+    at it, which flow_with_jacobian at the fixed config gives bit for bit.
+    Recovery, the oracle and the trials settle at x0 = 0, where tanh is
+    linear; tests/test_ode.py checks that the count holds the tolerance at
+    planted, dense and saturated states of the demo system against 4096
+    steps."""
     cfg = config or IntegrationConfig()
     if cfg.mode == "fixed":
-        return cfg
-    T = check_real(T, "T", positive=True)
-    steps = _climb(system, np.zeros((1, system.dim)), T, cfg.tolerance)[2]
-    return IntegrationConfig.fixed(steps)
+        return cfg, None
+    X0, T = _check_args(system, x0, T, rows=True)
+    n = _ADAPTIVE_START_STEPS
+    XT, P = _flow_run(system, X0, T, n)
+    while True:
+        n = _doubled(n)
+        XT_n, P_n = XT, P
+        XT, P = _flow_run(system, X0, T, n)
+        if _settled(XT_n, XT, cfg.tolerance) and _settled(P_n, P, cfg.tolerance):
+            return IntegrationConfig.fixed(n), (XT, P)
 
 
 def flow_jacobian(

@@ -9,8 +9,9 @@ combinatorial oracle that checks it at desk scale.
 - l0_oracle fits supports size by size up to the sparsity (_fit_supports)
   and stops at the first size that holds a feasible fit.
 - _in_span is the one measurement, [R | z] of [A | b], in which both
-  estimators measure every residual; _prepared computes it and the flow at
-  rest once per problem for both.
+  estimators measure every residual; _prepared settles the integration
+  config and computes the measurement and the flow at rest once per problem
+  for both.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ from .errors import (
 )
 from .model import RecoveryOutcome, SparseProblem, weighted_l1_norm
 # unused integrate stays bound: pipebench/bench_trace.py traces it as a call site here
-from .ode import IntegrationConfig, flow_with_jacobian, integrate, settle_steps  # noqa: F401
+from .ode import IntegrationConfig, flow_with_jacobian, integrate, settle  # noqa: F401
 
 # linearizing at a single point is exact for these kinds
 _AFFINE_FLOW_KINDS = ("zero", "linear", "affine")
@@ -447,8 +448,9 @@ def recover_initial_state(
     or after an affine flow's one solve, with that residual at most eps +
     residual_match_tol; a line search that gives up, or outer_max_iter
     linearizations without a short proposal, end it unconverged.  An
-    adaptive integration config settles its step count once, at x = 0 (see
-    ode.settle_steps), and every flow of the recovery runs at that count.
+    adaptive integration config settles its step count once per problem, at
+    x = 0 (_prepared, see ode.settle), and every flow of the recovery runs at
+    that count.
 
     [A | b] is factored once per problem, [A | b] = Q [R | z] (_in_span),
     and recovery works in its min(n, m + 1) rows: the linearization is R P,
@@ -465,8 +467,7 @@ def recover_initial_state(
     system = problem.system
     T = meas.time
     m = system.dim
-    icfg = settle_steps(system, T, integration_config)
-    (R, z, _), (xT, P) = _prepared(problem, icfg)
+    icfg, (R, z, _), (xT, P) = _prepared(problem, integration_config)
 
     affine = system.kind in _AFFINE_FLOW_KINDS
     x = proposal = np.zeros(m)
@@ -568,26 +569,33 @@ def _in_span(A, b):
     return Rz[:, :-1], Rz[:, -1], A.shape[0]
 
 
-def _prepared(problem, icfg):
-    """The fixed work of both estimators on problem at the settled config
-    icfg: the equivalent measurement (R, z, n) of (A, b) (_in_span) and the
-    flow at 0, (x(T), P), at icfg's step count.  Each is computed on first
-    use and kept on the problem (SparseProblem._memo), the flow under its
-    step count, so recovery and the oracle on one problem factor [A | b]
-    once and flow it at rest once.  Every array kept is read-only, so no
-    caller can change what another reads."""
+def _prepared(problem, config):
+    """The fixed work of both estimators on problem under the integration
+    config (None for the default): the fixed config icfg that every flow
+    runs at, the equivalent measurement (R, z, n) of (A, b) (_in_span) and
+    the flow at 0, (x(T), P), at icfg's step count, as (icfg, span, flow0).
+    An adaptive config climbs once at x = 0 (ode.settle), and the climb's
+    last flow is the flow at 0; a fixed config flows at rest through
+    flow_with_jacobian.  Each is computed on first use and kept on the
+    problem (SparseProblem._memo), the settled config and its flow under the
+    caller's config, so recovery and the oracle on one problem settle,
+    factor [A | b] and flow it at rest once.  Every array kept is read-only,
+    so no caller can change what another reads."""
     memo = problem._memo
     if "span" not in memo:
         memo["span"] = _in_span(problem.measurement.matrix, problem.observation)
-    steps = icfg.step_count
-    if steps not in memo:
-        flow0 = flow_with_jacobian(
-            problem.system, np.zeros(problem.system.dim), problem.measurement.time, icfg
-        )
+    config = config or IntegrationConfig()
+    if config not in memo:
+        system, T = problem.system, problem.measurement.time
+        x0 = np.zeros(system.dim)
+        icfg, flow0 = settle(system, x0, T, config)
+        if flow0 is None:
+            flow0 = flow_with_jacobian(system, x0, T, icfg)
         for a in flow0:
             a.setflags(write=False)
-        memo[steps] = flow0
-    return memo["span"], memo[steps]
+        memo[config] = icfg, flow0
+    icfg, flow0 = memo[config]
+    return icfg, memo["span"], flow0
 
 
 def _fit_supports(system, span, T, icfg, flow0, supports):
@@ -716,8 +724,9 @@ def l0_oracle(
     not depend on the scale of the measurement.  Refuses with BudgetError
     when the support count exceeds budget.  When no support is feasible,
     returns the best fit found with converged=False.  iterations counts the supports
-    examined.  An adaptive integration config settles its step count once,
-    at x = 0 (see ode.settle_steps), and every fit runs at that count.
+    examined.  An adaptive integration config settles its step count once
+    per problem, at x = 0 (_prepared, see ode.settle), and every fit runs at
+    that count.
     """
     budget = check_count(budget, "budget")
     m = problem.system.dim
@@ -730,9 +739,8 @@ def l0_oracle(
 
     meas = problem.measurement
     T = meas.time
-    icfg = settle_steps(problem.system, T, integration_config)
     # every fit starts from zero, which is also the empty support's fit
-    span, flow0 = _prepared(problem, icfg)
+    icfg, span, flow0 = _prepared(problem, integration_config)
     R, z, _ = span
     feas_cut = meas.noise_radius + _feas_slack(float(np.linalg.norm(z)))
     best_x = np.zeros(m)

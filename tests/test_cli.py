@@ -6,7 +6,7 @@ import pytest
 from sparseobs.cli import load_matrix, main
 from sparseobs.harness import _stream_seed, gen_gaussian_matrix
 from sparseobs.model import problem_from_dict
-from sparseobs.ode import IntegrationConfig, settle_steps
+from sparseobs.ode import IntegrationConfig, settle
 
 from conftest import per_support_delta
 from test_readme import _json_example
@@ -239,7 +239,7 @@ def test_adaptive_tol_runs_at_the_settled_step_count(tmp_path, capsys, rhs):
     problem = _write_json(tmp_path / "problem.json", doc)
     system = problem_from_dict(doc).system
     T = doc["measurement"]["time"]
-    n = settle_steps(system, T, IntegrationConfig.adaptive(1e-12)).step_count
+    n = settle(system, np.zeros(system.dim), T, IntegrationConfig.adaptive(1e-12))[0].step_count
     for command in ("recover", "oracle"):
         outputs = []
         for flags in (["--adaptive-tol", "1e-12"], ["--steps", str(n)], ["--steps", str(n // 2)]):
@@ -371,12 +371,14 @@ def test_errors_exit_with_code_two(tmp_path, capsys):
         assert rc == 2
         assert path in capsys.readouterr().err
 
-    bad_fields = {
-        "solver": {"solver": {"outer_max_iter": "abc"}},
-        "integration": {"integration": {"step_count": "x"}},
-        "matrix.m": {"matrix": {"n": 128, "m": "x"}},
-    }
-    for field, overrides in bad_fields.items():
+    bad_fields = (
+        ("solver", {"solver": {"outer_max_iter": "abc"}}),
+        ("integration", {"integration": {"step_count": "x"}}),
+        # a setting the integration mode does not use
+        ("integration", {"integration": {"mode": "adaptive", "step_count": 64}}),
+        ("matrix.m", {"matrix": {"n": 128, "m": "x"}}),
+    )
+    for field, overrides in bad_fields:
         config = _experiment_config(tmp_path, name="bad_field.json", **overrides)
         rc = main(["experiment", "--config", config, "--out", str(tmp_path / "x.csv")])
         assert rc == 2

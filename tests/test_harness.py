@@ -140,6 +140,10 @@ def test_config_from_dict_wraps_nested_errors():
     with pytest.raises(ConfigError) as info:
         ExperimentConfig.from_dict(_doc(integration={"step_count": "x"}))
     assert "in field 'integration':" in str(info.value)
+    # a setting the integration mode does not use
+    for unused in ({"mode": "adaptive", "step_count": 64}, {"tolerance": 1e-6}):
+        with pytest.raises(ConfigError, match="in field 'integration': .* does not apply"):
+            ExperimentConfig.from_dict(_doc(integration=unused))
     with pytest.raises(ConfigError) as info:
         ExperimentConfig.from_dict(_doc(matrix={"n": 128, "m": "x"}))
     assert "in field 'matrix.m':" in str(info.value)

@@ -290,6 +290,9 @@ def test_recovery_outcome_round_trip_and_validation():
         RecoveryOutcome([0.0], -1.0, 0.0, 0, False)
     with pytest.raises(DomainError):
         RecoveryOutcome([0.0], 0.0, 0.0, -1, False)
+    for estimate in ([[1.0, 0.0]], 1.0):
+        with pytest.raises(ShapeError, match="estimate must be 1-d"):
+            RecoveryOutcome(estimate, 0.5, 1.0, 3, True)
 
 
 # --- serialization -----------------------------------------------------------

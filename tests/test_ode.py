@@ -11,7 +11,7 @@ from scipy.linalg import expm
 from sparseobs import kernels, ode
 from sparseobs.errors import DomainError, NumericalError, ShapeError
 from sparseobs.harness import load_experiment_config
-from sparseobs.model import DynamicalSystem
+from sparseobs.model import DynamicalSystem, from_doc, to_doc
 from sparseobs.ode import (
     IntegrationConfig,
     Trajectory,
@@ -19,7 +19,7 @@ from sparseobs.ode import (
     flow_with_jacobian,
     gronwall_envelope,
     integrate,
-    settle_steps,
+    settle,
 )
 
 from conftest import catalog_systems, field, tool_module
@@ -38,7 +38,22 @@ def test_integration_config_validation():
     with pytest.raises(DomainError):
         IntegrationConfig(step_count=0)
     with pytest.raises(DomainError):
-        IntegrationConfig(tolerance=0.0)
+        IntegrationConfig(mode="adaptive", tolerance=0.0)
+    # each mode refuses the setting it does not use
+    with pytest.raises(DomainError, match="step_count does not apply in adaptive mode"):
+        IntegrationConfig(mode="adaptive", step_count=64)
+    with pytest.raises(DomainError, match="tolerance does not apply in fixed mode"):
+        IntegrationConfig(tolerance=1e-6)
+    # the defaults fill the used setting and leave the other None
+    assert IntegrationConfig() == IntegrationConfig.fixed(256)
+    assert (IntegrationConfig().step_count, IntegrationConfig().tolerance) == (256, None)
+    adaptive = IntegrationConfig(mode="adaptive")
+    assert adaptive == IntegrationConfig.adaptive(1e-9)
+    assert (adaptive.step_count, adaptive.tolerance) == (None, 1e-9)
+    assert to_doc(adaptive) == {"mode": "adaptive", "step_count": None, "tolerance": 1e-9}
+    # a document round-trips through to_doc, its null setting included
+    for cfg in (IntegrationConfig.fixed(48), IntegrationConfig.adaptive(1e-12)):
+        assert from_doc(IntegrationConfig, to_doc(cfg), "integration") == cfg
 
 
 def test_trajectory_validation():
@@ -629,14 +644,15 @@ def test_flow_jacobian_block_boundaries(rows, monkeypatch):
 # --- settled step counts -----------------------------------------------------
 
 
-def test_settle_steps_passes_a_fixed_config_through():
+def test_settle_passes_a_fixed_config_through():
     system = DynamicalSystem.tanh_saturated([[0.5, 0.2], [0.1, -0.3]])
     cfg = IntegrationConfig.fixed(48)
-    assert settle_steps(system, 0.6, cfg) is cfg
-    assert settle_steps(system, 0.6) == IntegrationConfig()
+    assert settle(system, np.zeros(2), 0.6, cfg) == (cfg, None)
+    assert settle(system, np.zeros(2), 0.6, cfg)[0] is cfg
+    assert settle(system, np.zeros(2), 0.6) == (IntegrationConfig(), None)
 
 
-def test_settle_steps_climbs_once_at_zero(monkeypatch):
+def test_settle_climbs_once_at_zero(monkeypatch):
     system = DynamicalSystem.tanh_saturated([[0.5, 0.2], [0.1, -0.3]])
     calls = []
     kernel = kernels.rk4_flow_jacobian
@@ -646,22 +662,43 @@ def test_settle_steps_climbs_once_at_zero(monkeypatch):
         return kernel(kind, M, c, X, T, n)
 
     monkeypatch.setattr(kernels, "rk4_flow_jacobian", counting)
-    cfg = settle_steps(system, 0.6, IntegrationConfig.adaptive(1e-12))
+    cfg, _ = settle(system, np.zeros(2), 0.6, IntegrationConfig.adaptive(1e-12))
     assert cfg.mode == "fixed"
     steps = [n for _, n in calls]
     assert steps == [8 << i for i in range(len(steps))]
     assert cfg.step_count == steps[-1]
-    assert all(X == [[0.0, 0.0]] for X, _ in calls)
+    assert all(X == [0.0, 0.0] for X, _ in calls)
     # the count is the one adaptive mode accepts for the same flow at 0
     calls.clear()
     flow_with_jacobian(system, np.zeros(2), 0.6, IntegrationConfig.adaptive(1e-12))
     assert calls[-1][1] == cfg.step_count
 
 
-def test_settle_steps_raises_on_a_blowup():
+@pytest.mark.parametrize("T", [0.05, 0.139, 0.3, 1.0])
+def test_settle_returns_the_flow_at_its_count(T):
+    # the climb's last flow is the fixed-count flow, bit for bit, from one
+    # state and from rows, and the count does not depend on which
+    system = load_experiment_config(_DEMO_CONFIG).system
+    adaptive = IntegrationConfig.adaptive(1e-9)
+    rng = np.random.Generator(np.random.Philox(35))
+    starts = (np.zeros(12), np.zeros((1, 12)), rng.normal(size=12), rng.normal(size=(3, 12)))
+    counts = []
+    for x0 in starts:
+        cfg, (xT, P) = settle(system, x0, T, adaptive)
+        counts.append(cfg.step_count)
+        xT_ref, P_ref = flow_with_jacobian(system, x0, T, cfg)
+        assert xT.shape == xT_ref.shape and P.shape == P_ref.shape
+        assert np.array_equal(xT, xT_ref) and np.array_equal(P, P_ref)
+        # adaptive flow_with_jacobian is the climb's flow
+        xT_a, P_a = flow_with_jacobian(system, x0, T, adaptive)
+        assert np.array_equal(xT_a, xT) and np.array_equal(P_a, P)
+    assert counts[0] == counts[1]
+
+
+def test_settle_raises_on_a_blowup():
     system = DynamicalSystem.affine([[100.0]], [1.0])
     with pytest.raises(NumericalError), np.errstate(over="ignore", invalid="ignore"):
-        settle_steps(system, 10.0, IntegrationConfig.adaptive())
+        settle(system, np.zeros(1), 10.0, IntegrationConfig.adaptive())
 
 
 @pytest.mark.parametrize("T", [0.08, 0.14, 0.2])
@@ -670,7 +707,7 @@ def test_settled_count_holds_away_from_zero(T):
     # the field and saturated ones flatten it, so check both against 4096 steps
     system = load_experiment_config(_DEMO_CONFIG).system
     tol = 1e-12
-    cfg = settle_steps(system, T, IntegrationConfig.adaptive(tol))
+    cfg, _ = settle(system, np.zeros(12), T, IntegrationConfig.adaptive(tol))
     assert cfg.step_count < 256
     rng = np.random.Generator(np.random.Philox(34))
     planted = np.zeros((8, 12))

@@ -29,7 +29,7 @@ from sparseobs.model import (
     to_doc,
     weighted_l1_norm,
 )
-from sparseobs.ode import IntegrationConfig, flow_with_jacobian, integrate, settle_steps
+from sparseobs.ode import IntegrationConfig, flow_with_jacobian, integrate, settle
 from sparseobs.recover import (
     SolverConfig,
     l0_oracle,
@@ -357,6 +357,12 @@ def test_locked_solve_refuses_what_it_cannot_certify(monkeypatch):
     m = Phi.shape[1]
     twin = np.column_stack((Phi, Phi[:, S[0]]))
     assert locked(twin, eps, np.append(S, m), np.append(s, s[0]), np.append(w, w[S[0]])) is None
+    # and a zero column, whose Gram matrix np.linalg.cholesky refuses
+    zeroed = Phi.copy()
+    zeroed[:, S[0]] = 0.0
+    with pytest.raises(np.linalg.LinAlgError):
+        np.linalg.cholesky(zeroed[:, S].T @ zeroed[:, S])
+    assert locked(zeroed, eps, S, s) is None
     assert checked == []
 
 
@@ -518,6 +524,20 @@ def test_noisy_bpdn_keeps_one_copy_of_a_duplicate_column(seed, monkeypatch):
     assert tool_module("bench_bpdn").certified(Phi, y, w, eps, x, _band(cfg, y)) == (True, True)
 
 
+def test_lasso_kkt_refuses_an_empty_support_and_a_residual_outside_the_band(monkeypatch):
+    Phi, y, w, eps = _demo_first_solve(monkeypatch)
+    band = _band(SolverConfig(), y)
+    x = solve_weighted_bpdn(Phi, np.zeros(y.size), y, w, eps)
+    assert recover._lasso_kkt(Phi, y, w, x, eps, band)
+    # the same point against a band its residual lies under, then over
+    rn = float(np.linalg.norm(y - Phi @ x))
+    assert not recover._lasso_kkt(Phi, y, w, x, rn + band, band)
+    assert not recover._lasso_kkt(Phi, y, w, x, rn - 2.0 * band, band)
+    # x = 0, its residual ||y|| inside the band
+    y_norm = float(np.linalg.norm(y))
+    assert not recover._lasso_kkt(Phi, y, w, np.zeros(Phi.shape[1]), y_norm - 0.5 * band, band)
+
+
 def _path_args(Phi, y, w, eps):
     """The arguments of _lasso_path_point in solve_weighted_bpdn's eps > 0
     solve of (Phi, y, w, eps)."""
@@ -607,6 +627,50 @@ def test_lasso_path_matches_the_solve_per_step_reference(instance, monkeypatch):
     lam_max = float(np.max(np.abs(args[3]) / args[4]))
     assert lam == pytest.approx(lam_ref, rel=1e-12, abs=1e-15 * lam_max)
     np.testing.assert_allclose(x, x_ref, rtol=0, atol=1e-12 * np.abs(x_ref).max())
+
+
+def _path_refusing_pivot(monkeypatch, args, refused):
+    """_lasso_path_point(*args) with _sweep refusing its pivot number refused
+    (from 0; None refuses none).  Returns lam, x and, for each pivot tried,
+    whether it was a drop."""
+    sweep = recover._sweep
+    drops, swept = [], set()
+
+    def refusing(T, k):
+        drops.append(k in swept)
+        if len(drops) - 1 == refused:
+            return False
+        swept.symmetric_difference_update({k})
+        return sweep(T, k)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(recover, "_sweep", refusing)
+        lam, x = recover._lasso_path_point(*args)
+    return lam, x, drops
+
+
+@pytest.mark.parametrize("event", ["join", "drop"])
+def test_lasso_path_stops_at_its_last_breakpoint_on_a_refused_pivot(event, monkeypatch):
+    # a pivot that is not positive and finite ends the path, on a join or on
+    # a drop, at the breakpoint where that event fell: the weighted lasso's
+    # point at the lam returned, its residual still above the target.  The
+    # 4 m step cap ends a path at the same point after as many steps.
+    Phi, y, _, _, w, target = args = _path_args(*_bench_instance(*DROPPING[0])())
+    drops = _path_refusing_pivot(monkeypatch, args, None)[2]
+    k = drops.index(True) - (event == "join")
+    assert k > 0 and drops[k] == (event == "drop")
+    lam, x, tried = _path_refusing_pivot(monkeypatch, args, k)
+    assert tried == drops[: k + 1]
+    r = y - Phi @ x
+    assert np.linalg.norm(r) > target
+    g = Phi.T @ r
+    on = np.abs(x) > 1e-12 * np.abs(x).max()
+    assert np.all(np.abs(g[~on]) <= lam * w[~on] * (1 + 1e-9))
+    np.testing.assert_allclose(g[on], lam * w[on] * np.sign(x[on]), rtol=1e-9, atol=0)
+    # a cap of k steps, the path's own loop bound lowered from 4 m
+    monkeypatch.setattr(recover, "range", lambda n: range(k), raising=False)
+    lam_cap, x_cap = recover._lasso_path_point(*args)
+    assert lam_cap == lam and np.array_equal(x_cap, x)
 
 
 def test_sweep_twice_restores_the_tableau():
@@ -1489,7 +1553,8 @@ def test_noisy_oracle_fits_match_per_support_reference():
 def test_adaptive_mode_settles_the_step_count_once(solve, monkeypatch):
     problem = _tanh_pair_problem()
     time = problem.measurement.time
-    settled = settle_steps(problem.system, time, IntegrationConfig.adaptive()).step_count
+    x0 = np.zeros(problem.system.dim)
+    settled = settle(problem.system, x0, time, IntegrationConfig.adaptive())[0].step_count
     steps = []
     kernel = kernels.rk4_flow_jacobian
 
@@ -1643,7 +1708,7 @@ def test_recovery_and_the_oracle_share_one_preparation_per_problem(kind, s, firs
     assert all(out.converged for out in outs)
     assert [to_doc(out) for out in outs] == [to_doc(ref) for ref in refs]
     # what both read is read-only, and read again it is not recomputed
-    (R, z, _), (xT, P) = recover._prepared(problem, icfg)
+    _, (R, z, _), (xT, P) = recover._prepared(problem, icfg)
     assert len(factored) == len(at_rest) == 1
     for a in (R, z, xT, P):
         assert not a.flags.writeable
@@ -1652,6 +1717,44 @@ def test_recovery_and_the_oracle_share_one_preparation_per_problem(kind, s, firs
     # what is kept is no field: the problem reads as an equal fresh one
     fresh = dataclasses.replace(problem)
     assert (to_doc(problem), repr(problem)) == (to_doc(fresh), repr(fresh))
+
+
+@pytest.mark.parametrize("first", ["recover", "oracle"])
+def test_an_adaptive_config_climbs_at_rest_once_per_problem(first, monkeypatch):
+    # recovery and the oracle on one 512 x 6 tanh problem under an adaptive
+    # config, in either order: one climb at x = 0, whose last flow is the
+    # flow at rest, and no other flow from rest; each outcome is that
+    # estimator's on a fresh, equal problem, bit for bit
+    system = DynamicalSystem.tanh_saturated(unit_spectral_matrix(6, 5))
+    A = gen_gaussian_matrix(512, 6, 3)
+    problem, _ = _planted(system, A, (1, 4), IntegrationConfig.fixed(16))
+    icfg = IntegrationConfig.adaptive(1e-9)
+    solves = [recover_initial_state, l0_oracle]
+    if first == "oracle":
+        solves.reverse()
+    refs = [solve(dataclasses.replace(problem), icfg) for solve in solves]
+    steps, at_rest = [], []
+    kernel = kernels.rk4_flow_jacobian
+
+    def counting(kind, M, c, X, T, n):
+        steps.append(n)
+        if not np.any(X):
+            at_rest.append(n)
+        return kernel(kind, M, c, X, T, n)
+
+    monkeypatch.setattr(kernels, "rk4_flow_jacobian", counting)
+    outs = [solve(problem, icfg) for solve in solves]
+    assert at_rest == steps[:2] == [8, 16]
+    assert all(n == 16 for n in steps[1:])
+    assert all(out.converged for out in outs)
+    assert [to_doc(out) for out in outs] == [to_doc(ref) for ref in refs]
+    # the settled config and the climb's flow are kept under the caller's
+    # config, and the flow is the fixed-count flow at rest, bit for bit
+    settled, _, (xT, P) = recover._prepared(problem, icfg)
+    assert settled == IntegrationConfig.fixed(16) and len(at_rest) == 2
+    xT_ref, P_ref = flow_with_jacobian(system, np.zeros(6), problem.measurement.time, settled)
+    assert np.array_equal(xT, xT_ref) and np.array_equal(P, P_ref)
+    assert not (xT.flags.writeable or P.flags.writeable)
 
 
 def _planted(system, A, support, icfg, T=0.4, noise=None, eps=0.0, s=2):
