@@ -8,11 +8,13 @@ its Jacobian as J(x) = diag(d) M from the slopes f(x).  Where the Jacobian
 does not depend on the state, one RK4 step is the affine map
 x -> x + E x + g (see _step_map), and rk4_path and rk4_flow_jacobian step
 by it; under tanh off rest _march is the one RK4 march, over a block whose
-rows hold each state and its four stage slopes: each slope is one np.dot
-into its slot and a tanh in place, and each of the step's sums one np.dot of
-a weight vector with the rows it sums, so a step allocates nothing.  The
-flow's sensitivity is a product of per-step increments in batched matmuls
-(see rk4_flow_jacobian).
+rows hold each state and its four stage slopes: each slope is one dot into
+its slot and a tanh in place, and each of the step's sums one dot of a
+weight vector with the rows it sums, so a step allocates nothing.  The
+march's and the step map's dots are calls of the bound ndarray.dot method,
+the C routine of np.dot without its Python-level dispatch, which makes a
+call at m = 12 cost half again as much.  The flow's sensitivity is a
+product of per-step increments in batched matmuls (see rk4_flow_jacobian).
 The support scan screens in three tiers, each run only on the supports the
 one before could not rule out: a block test built from bounds on the extreme
 eigenvalues of each support's head and tail blocks (closed forms up to 3 x
@@ -72,14 +74,17 @@ def _march(MT, W, h):
     W[0, 0], one state (m,) or rows (k, m).  W is a block (b + 1, 5, *shape)
     of rows: W[i] holds the state x_i and then the four stage slopes of step
     i, and step i writes those slopes and the state W[i + 1, 0].  Each slope
-    is np.dot into its slot with tanh taken in place, and each sum of the
-    step is one np.dot of a weight vector with the rows it sums:
+    is a dot into its slot with tanh taken in place, and each sum of the
+    step is one dot of a weight vector with the rows it sums:
 
         k1 = f(x), k2 = f((1, h/2) . (x, k1)), k3 = f((1, 0, h/2) . (x, k1, k2)),
         k4 = f((1, 0, 0, h) . (x, k1, k2, k3)),
         x_next = x + (h/6, h/3, h/3, h/6) . (k1, k2, k3, k4),
 
-    13 numpy calls a step over prebuilt views, and no allocation.  x stays
+    13 numpy calls a step over prebuilt views, and no allocation.  The 8
+    dots are bound ndarray.dot calls and tanh and add are looked up once:
+    np.dot reaches the same C routine through a Python-level dispatcher,
+    which costs half again as much per call on these small operands.  x stays
     out of the increment's dot and is added once: a dot with x in it rounds
     at ulp(x) with every term, and the summation order of BLAS differs
     between one state and rows.  The sums round differently from the
@@ -93,16 +98,17 @@ def _march(MT, W, h):
     b = np.array([h / 6.0, h / 3.0, h / 3.0, h / 6.0])
     S = W[:, 0]
     views = (*W[:-1, 1:].swapaxes(0, 1), flat[:, :2], flat[:, :3], flat[:, :4], flat[:, 1:])
+    tanh, add = np.tanh, np.add
     for x, k1, k2, k3, k4, r2, r3, r4, r, x_next in zip(S, *views, S[1:]):
-        np.tanh(np.dot(x, MT, k1), k1)
-        np.dot(a2, r2, y)
-        np.tanh(np.dot(Y, MT, k2), k2)
-        np.dot(a3, r3, y)
-        np.tanh(np.dot(Y, MT, k3), k3)
-        np.dot(a4, r4, y)
-        np.tanh(np.dot(Y, MT, k4), k4)
-        np.dot(b, r, y)
-        np.add(x, Y, x_next)
+        tanh(x.dot(MT, k1), k1)
+        a2.dot(r2, y)
+        tanh(Y.dot(MT, k2), k2)
+        a3.dot(r3, y)
+        tanh(Y.dot(MT, k3), k3)
+        a4.dot(r4, y)
+        tanh(Y.dot(MT, k4), k4)
+        b.dot(r, y)
+        add(x, Y, x_next)
 
 
 def rk4_path(kind, M, c, x0, T, n_steps):
@@ -140,10 +146,11 @@ def _step_map(kind, M, c, h):
 
 def _map(S, E, g):
     """The step map from the state S[0], one state (m,) or rows (k, m):
-    S[i + 1] = S[i] + (S[i] E^T + g), one matvec a step; g None is 0."""
+    S[i + 1] = S[i] + (S[i] E^T + g), one matvec a step, a bound
+    ndarray.dot call as in _march; g None is 0."""
     ET = np.ascontiguousarray(E.T)
     for x, x_next in zip(S, S[1:]):
-        np.dot(x, ET, x_next)
+        x.dot(ET, x_next)
         if g is not None:
             x_next += g
         x_next += x
@@ -250,7 +257,11 @@ def rk4_flow_jacobian(kind, M, c, X0, T, n_steps):
             # the full blocks share one product; a ragged last block forms its own
             E_tot = _chain_copies(E, b)
         P = P + np.matmul(E_tot, P)
-    return S[0].copy(), np.broadcast_to(P, X0.shape + (m,)).copy()
+    # P is a fresh array; only a sensitivity that every row shares is copied
+    # out row by row
+    if P.shape != X0.shape + (m,):
+        P = np.broadcast_to(P, X0.shape + (m,)).copy()
+    return S[0].copy(), P
 
 
 def _admm(project, thresh, z0, u0, max_iter, tol):

@@ -118,7 +118,7 @@ def _doubled(n):
 
 def _settled(coarse, fine, tol):
     """Whether the n-step values match the 2n-step ones entrywise to tol."""
-    return np.all(np.abs(fine - coarse) <= tol * (1.0 + np.abs(fine)))
+    return (np.abs(fine - coarse) <= tol * (1.0 + np.abs(fine))).all()
 
 
 def integrate(
@@ -134,8 +134,8 @@ def integrate(
     x0, T = _check_args(system, x0, T)
     n = settle(system, x0, T, config)[0].step_count
     states = kernels.rk4_path(*system.kernel_args(), x0, T, n)
-    bad = ~np.all(np.isfinite(states), axis=1)
-    if np.any(bad):
+    bad = ~np.isfinite(states).all(axis=1)
+    if bad.any():
         t_bad = float(np.linspace(0.0, T, n + 1)[np.argmax(bad)])
         raise NumericalError(f"state became non-finite at t={t_bad:.6g}", time=t_bad)
     return Trajectory(times=np.linspace(0.0, T, n + 1), states=states)
@@ -146,8 +146,8 @@ def _flow_run(system, X, T, n):
     a non-finite value."""
     kind, M, c = system.kernel_args()
     XT, P = kernels.rk4_flow_jacobian(kind, M, c, X, T, n)
-    finite = np.all(np.isfinite(XT), axis=-1) & np.all(np.isfinite(P), axis=(-2, -1))
-    if not np.all(finite):
+    finite = np.isfinite(XT).all(axis=-1) & np.isfinite(P).all(axis=(-2, -1))
+    if not finite.all():
         # rerun the plain state integration for the blow-up time diagnostic
         integrate(system, np.atleast_2d(X)[np.argmin(finite)], T, IntegrationConfig.fixed(n))
         raise NumericalError("sensitivity integration produced non-finite values", time=T)

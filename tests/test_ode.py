@@ -1,3 +1,4 @@
+import contextlib
 import math
 import os
 import subprocess
@@ -405,6 +406,26 @@ class _CountedNumpy:
         return counted
 
 
+@contextlib.contextmanager
+def _counted_methods(calls, names):
+    """Count in calls, inside the block, the calls of the ndarray methods
+    named by their qualified names, such as "ndarray.dot".  kernels calls
+    them on its arrays, past the _CountedNumpy proxy; the profiler sees each
+    call as a c_call event of the bound method."""
+    calls.update(dict.fromkeys(names, 0))
+    previous = sys.getprofile()
+
+    def profile(frame, event, arg):
+        if event == "c_call" and getattr(arg, "__qualname__", None) in names:
+            calls[arg.__qualname__] += 1
+
+    sys.setprofile(profile)
+    try:
+        yield calls
+    finally:
+        sys.setprofile(previous)
+
+
 def _count_rest_calls(monkeypatch, numpy_calls=()):
     """Count the calls of kernels._march and kernels._step_increments, and of
     the numpy functions numpy_calls names as kernels calls them."""
@@ -507,13 +528,14 @@ def test_zero_field_is_the_linear_field_with_a_zero_matrix(shape):
 def test_marches_off_rest_equal_the_stage_by_stage_reference(blocks, monkeypatch):
     # blocks of 3 steps leave ragged last blocks of 1 at 7 steps and of 2 at
     # 257; by default one block covers 7 steps and several cover 257.  tanh
-    # marches in 13 numpy calls a step, 8 np.dot, 4 np.tanh and one np.add,
-    # and its states equal the fused reference with the march's dots bit for
-    # bit and the textbook march within _march_bound, also where the
-    # states saturate (|x| of 20 to 30); every other field takes the step
-    # map, whose states equal the map reference bit for bit and the textbook
-    # march within _march_bound.  Every sensitivity equals the product of
-    # the increments of the slopes that the kernel marched, bit for bit
+    # marches in 13 numpy calls a step, 8 ndarray.dot, 4 np.tanh and one
+    # np.add, and no np.dot, and its states equal the fused reference with
+    # the march's dots bit for bit and the textbook march within
+    # _march_bound, also where the states saturate (|x| of 20 to 30); every
+    # other field takes the step map, one ndarray.dot a step, whose states
+    # equal the map reference bit for bit and the textbook march within
+    # _march_bound.  Every sensitivity equals the product of the increments
+    # of the slopes that the kernel marched, bit for bit
     m = 6
     rng = np.random.Generator(np.random.Philox(912))
     signs = rng.choice([-1.0, 1.0], size=(3, m))
@@ -534,26 +556,34 @@ def test_marches_off_rest_equal_the_stage_by_stage_reference(blocks, monkeypatch
                     P_ref = _marched_flow(kind, M, c, X0, 0.8, n, march)[1]
                     with monkeypatch.context() as patch:
                         calls = _count_rest_calls(patch, ("dot", "tanh", "add"))
-                        path = kernels.rk4_path(kind, M, c, X0, 0.8, n)
-                        xT, P = kernels.rk4_flow_jacobian(kind, M, c, X0, 0.8, n)
+                        with _counted_methods(calls, ("ndarray.dot",)):
+                            path = kernels.rk4_path(kind, M, c, X0, 0.8, n)
+                            xT, P = kernels.rk4_flow_jacobian(kind, M, c, X0, 0.8, n)
                     assert np.abs(path - path_ref).max() <= _march_bound(path_ref, n)
                     # tanh's increments depend on the state, one call per
                     # block; every other field's are formed once per path
-                    # and per flow, and its map takes one np.dot a step
+                    # and per flow, and its map takes one ndarray.dot a step
                     if tanh:
                         blocks_run = -(-n // block)
                         assert calls == {
                             "_march": 1 + blocks_run,
                             "_step_increments": blocks_run,
-                            "dot": 2 * 8 * n,
+                            "dot": 0,
+                            "ndarray.dot": 2 * 8 * n,
                             "tanh": 2 * 4 * n,
                             "add": 2 * n,
                         }
                         fused = _marched_path(kind, M, c, X0, 0.8, n, _fused_steps)
                         assert np.array_equal(path, fused), (shape, n)
                     else:
-                        assert calls["_march"] == 0 and calls["_step_increments"] == 2
-                        assert calls["tanh"] == 0
+                        assert calls == {
+                            "_march": 0,
+                            "_step_increments": 2,
+                            "dot": 0,
+                            "ndarray.dot": 2 * n,
+                            "tanh": 0,
+                            "add": 0,
+                        }
                         assert np.array_equal(path, _mapped_path(kind, M, c, X0, 0.8, n))
                     assert np.array_equal(xT, path[-1]), (system.kind, shape, n)
                     assert np.array_equal(P, P_ref), (system.kind, shape, n)

@@ -1480,6 +1480,34 @@ def test_oracle_fits_stop_before_a_line_search_that_cannot_decrease(monkeypatch)
     assert len(calls) <= 20
 
 
+def test_oracle_fit_blocks_leave_when_no_fit_is_left_to_search(monkeypatch):
+    # both blocks of the pair problem end on a pass where every fit still
+    # running stops at the predicted-decrease test.  The loop leaves there;
+    # it used to search zero rows and run one more empty pass, 14 calls
+    # where these are 12, for the same outcome
+    problem = _tanh_pair_problem()
+    searched = []
+    search = recover._line_search
+
+    def recording(*args):
+        searched.append(len(args[5]))
+        return search(*args)
+
+    monkeypatch.setattr(recover, "_line_search", recording)
+    doc = to_doc(l0_oracle(problem))
+    # rows searched per call: the 6 supports of size 1, then the 15 of size 2
+    assert searched == [6, 6, 5, 3, 2, 15, 15, 15, 9, 8, 2, 1]
+    # the outcome before the early exit; a value may differ from it in the
+    # last bits where BLAS sums in another order
+    assert doc.keys() == {"estimate", "residual", "weighted_l1", "iterations", "converged"}
+    assert doc["iterations"] == 22 and doc["converged"] is True
+    before = [0.0, 0.8999999999999998, 0.0, 0.0, -1.1999999999999982, 0.0]
+    np.testing.assert_allclose(doc["estimate"], before, rtol=0, atol=1e-12)
+    assert [doc["estimate"][i] for i in (0, 2, 3, 5)] == [0.0] * 4
+    assert doc["weighted_l1"] == pytest.approx(2.099999999999998, rel=1e-12)
+    assert doc["residual"] <= 1e-14 * max(1.0, float(np.linalg.norm(problem.observation)))
+
+
 def test_planted_support_fit_converges_to_a_zero_residual():
     system = DynamicalSystem.tanh_saturated((2.0 * unit_spectral_matrix(6, 7)).tolist())
     A = gen_gaussian_matrix(40, 6, 1003)

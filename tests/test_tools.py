@@ -6,6 +6,7 @@ trees taking turns."""
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -291,3 +292,38 @@ def test_bench_steps_exits_when_a_tree_moves_an_error_l2(monkeypatch):
         assert isinstance(exit.value.code, str) and f"change: [{moved}]" in exit.value.code
         # the file is written before the exit
         assert len(written) == 2 + i
+
+
+def test_bench_flow_jacobian_records_the_shapes_whose_bits_a_tree_moves(monkeypatch, capsys):
+    bench = tool_module("bench_flow_jacobian")
+    written = []
+    plain = sparseobs.kernels.rk4_flow_jacobian
+
+    def moved(kind, *args):
+        # a last-bit move of the tanh sensitivity alone
+        XT, P = plain(kind, *args)
+        return XT, np.nextafter(P, np.inf) if kind == sparseobs.kernels.RHS_TANH else P
+
+    change = SimpleNamespace(
+        DynamicalSystem=sparseobs.DynamicalSystem, kernels=SimpleNamespace(rk4_flow_jacobian=moved)
+    )
+    monkeypatch.setattr(bench, "SHAPES", [s for s in bench.SHAPES if s[2] == 6])
+    monkeypatch.setattr(bench, "CALLS", 3)
+    monkeypatch.setattr(bench.treebench, "write", lambda name, doc: written.append(doc))
+    # a tree that moves bits is reported, not refused
+    bench.run({"parent": sparseobs, "change": change})
+    doc = written[-1]
+    assert doc["bits_equal_to"] == "parent"
+    bits = {
+        label: {row["case"]: row["bits_equal"] for row in rows}
+        for label, rows in doc["results"].items()
+    }
+    tanh = [case for case, kind, *_ in bench.SHAPES if kind == "tanh_saturated"]
+    assert set(bits["parent"].values()) == {None}
+    assert bits["change"] == {case: case not in tanh for case, *_ in bench.SHAPES}
+    assert tanh and f"change: x(T) or P differs from parent's bits on {'; '.join(tanh)}" in (
+        capsys.readouterr().out
+    )
+    # bit for bit: -0.0 is not 0.0, and a NaN equals itself
+    assert not bench.same_bits([np.zeros(2)], [-np.zeros(2)])
+    assert bench.same_bits([np.full(2, np.nan)], [np.full(2, np.nan)])

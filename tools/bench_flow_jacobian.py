@@ -7,10 +7,13 @@ first flow do.  Every shape is timed as the median of CALLS rounds after one
 warm-up round; the quartiles are recorded too.  The error of a shape is max|P - P_ref| against
 the same RK4 variational recursion run in long double from the same inputs
 (recorded as null where long double is no wider than double), and the
-state's error max|x(T) - x_ref(T)| against the same run.  Results go to
-BENCH_flow_jacobian.json.  The test suite imports reference_sensitivity
-from here, so its accuracy gates and the recorded errors share one
-reference.
+state's error max|x(T) - x_ref(T)| against the same run.  Every tree after
+the first records, per shape, whether its x(T) and P equal the first tree's
+bit for bit, and the shapes where they do not are printed; the exit status
+does not depend on it, as an integrator change may move bits on purpose.
+Results go to BENCH_flow_jacobian.json.  The test suite imports
+reference_sensitivity from here, so its accuracy gates and the recorded
+errors share one reference.
 """
 
 import treebench
@@ -110,6 +113,15 @@ def kernel_args(package, kind, M, c):
     return package.DynamicalSystem(dim=len(c), kind=kind, matrix=M, drift=drift).kernel_args()
 
 
+def same_bits(arrays, others):
+    """Whether each array equals its counterpart in others bit for bit:
+    shape, dtype and bytes, so -0.0 differs from 0.0 and NaN equals NaN."""
+    return all(
+        a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+        for a, b in zip(arrays, others)
+    )
+
+
 def timed(package, item):
     kind, M, c, X0, steps = item
     args = (*kernel_args(package, kind, M, c), X0, T, steps)
@@ -122,6 +134,7 @@ def run(trees):
     wide = np.finfo(np.longdouble).eps < np.finfo(float).eps
 
     results = {label: [] for label in trees}
+    first_label = next(iter(trees))
     for case, kind, m, rows, steps, rest in SHAPES:
         M, c, X0 = inputs(kind, m, rows, rest)
         code = TANH if kind == "tanh_saturated" else LINEAR
@@ -132,6 +145,8 @@ def run(trees):
         for label, package in trees.items():
             args = (*kernel_args(package, kind, M, c), X0, T, steps)
             XT, P = package.kernels.rk4_flow_jacobian(*args)
+            if label == first_label:
+                first = XT, P
             err = None if P_ref is None else float(np.abs(P - P_ref).max())
             state_err = None if X_ref is None else float(np.abs(XT - X_ref).max())
             row = {"case": case, "m": m, "rows": rows or 1, "steps": steps}
@@ -140,17 +155,24 @@ def run(trees):
                 treebench.quartiles(samples),
                 max_abs_error_vs_longdouble=err,
                 max_abs_state_error_vs_longdouble=state_err,
+                bits_equal=None if label == first_label else same_bits((XT, P), first),
             )
             results[label].append(row)
             print(
                 f"{label:>8}  {case:<60} {row['median_ms']:9.3f} ms  "
-                f"err {err}  state err {state_err}"
+                f"err {err}  state err {state_err}  bits equal {row['bits_equal']}"
             )
+    for label, table in results.items():
+        moved = [row["case"] for row in table if row["bits_equal"] is False]
+        if moved:
+            print(f"{label}: x(T) or P differs from {first_label}'s bits on " + "; ".join(moved))
 
     doc = {
         "kernel": "kernels.rk4_flow_jacobian",
         "T": T,
         "calls_per_shape": CALLS,
+        # each row's bits_equal compares its x(T) and P with this tree's
+        "bits_equal_to": first_label,
         "results": results,
     }
     treebench.parent_over_change(
